@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (CertificationError, DegreeDropError, FieldError,
-                     TowerStep, _parse_radicand, _peel_unit,
-                     _pth_root_of_unity, build_field)
+from .fields import (DegreeDropError, TowerStep, _coerce_radicand,
+                     _normalize_radicand, _padic_det, _parse_radicand,
+                     _peel_unit, build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -108,23 +108,12 @@ def parse_kummer_spec(text):
 
 def _radicand_is_pth_power(spec, prec=None):
     """True if the radicand is a p-th power in Q_p(zeta_{p^r})."""
-    p = spec.p
-    F = build_field(p, [TowerStep.cyclotomic(spec.modulus)], prec=prec)
-    rad = F.from_int(spec.radicand) if isinstance(spec.radicand, int) else (
-        F.from_fraction(spec.radicand) if isinstance(spec.radicand, Fraction)
-        else F.from_zeta_poly(spec.radicand))
-    v = rad.valuation()
-    if v % p:
+    F = build_field(spec.p, [TowerStep.cyclotomic(spec.modulus)], prec=prec)
+    rad = _coerce_radicand(F, spec.radicand)
+    if rad.valuation() % spec.p:
         return False
-    xi = _pth_root_of_unity(F)
-    xi_powers = [F.one()]
-    for _ in range(p - 1):
-        xi_powers.append(xi_powers[-1] * xi)
-    k = v // p
-    rad1 = (rad * F.pi_pow(-p * k))._normalized()
-    if rad1.s:
-        rad1 = (rad1 * F.from_int(p ** (p * ((rad1.s + p - 1) // p))))._normalized()
-    kind, _ = _peel_unit(F, rad1, rad1.valuation(), xi_powers)
+    rad1, _, _ = _normalize_radicand(F, rad)
+    kind, _ = _peel_unit(F, rad1, rad1.valuation())
     return kind == "drop"
 
 
@@ -247,7 +236,7 @@ def peu_tres_classify(spec):
 
 
 # ----------------------------------------------------------------------
-# rационalization via Krasner's lemma
+# rationalization via Krasner's lemma
 
 
 def krasner_rationalize(coeffs, height_bound=10 ** 60):
@@ -271,15 +260,17 @@ def krasner_rationalize(coeffs, height_bound=10 ** 60):
     for c in coeffs[:-1]:
         if not c.is_bottom and c.valuation() < 0:
             raise ValueError("coefficients must be integral")
-    disc = _padic_poly_disc(coeffs)
-    if disc.is_bottom:
+    avail = min(c.prec + c.valuation() for c in coeffs if not c.is_bottom)
+    # the integer lifts agree with the coefficients mod p^m (a bottom
+    # coefficient is only known to vanish mod p^vbound)
+    m = min([avail] + [c.vbound for c in coeffs if c.is_bottom])
+    vdisc = _disc_valuation([c.lift() for c in coeffs], p, m)
+    if vdisc is None:
         raise PrecisionError("discriminant is zero to precision: "
                              "polynomial not separable at this precision")
-    vdisc = disc.valuation()
     root_bound = Fraction(vdisc, 2)       # v(r_i - r_j) <= v(disc)/2
     threshold = deg * root_bound
     floor_target = int(threshold) + 2     # strictly exceeds the threshold
-    avail = min(c.prec + c.valuation() for c in coeffs if not c.is_bottom)
     if avail < floor_target:
         raise PrecisionError(
             "coefficients are not known beyond the Krasner threshold")
@@ -309,7 +300,8 @@ def krasner_rationalize(coeffs, height_bound=10 ** 60):
     att = min(attained)
     if not att > threshold:
         raise ArithmeticError("achieved closeness does not exceed the threshold")
-    vdisc_out = _integer_poly_disc_valuation(out, p)
+    # p^(vdisc+1) certifies equality; zero to it means a larger valuation
+    vdisc_out = _disc_valuation(out, p, vdisc + 1)
     cert = {
         "p": p,
         "degree": deg,
@@ -323,76 +315,17 @@ def krasner_rationalize(coeffs, height_bound=10 ** 60):
     if not cert["disc_valuations_match"]:
         raise ArithmeticError(
             "discriminant valuation changed under rationalization: "
-            f"{vdisc} -> {vdisc_out}")
+            f"{vdisc} -> {f'> {vdisc}' if vdisc_out is None else vdisc_out}")
     return out, cert
 
 
-def _padic_poly_disc(coeffs):
-    """disc = res(f, f') / lc up to sign; computed over PadicScalar."""
-    deg = len(coeffs) - 1
-    dcoeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
-    return _padic_resultant(coeffs, dcoeffs)
-
-
-def _padic_resultant(f, g):
-    """Sylvester determinant with minimal-valuation pivoting."""
-    n, m = len(f) - 1, len(g) - 1
-    N = n + m
-    p = f[-1].p
-    prec = min(c.prec for c in f + g if not c.is_bottom)
-    rows = []
-    for i in range(m):
-        row = [PadicScalar.bottom(p)] * i + list(f) + \
-            [PadicScalar.bottom(p)] * (N - n - i - 1)
-        rows.append(row[:N])
-    for i in range(n):
-        row = [PadicScalar.bottom(p)] * i + list(g) + \
-            [PadicScalar.bottom(p)] * (N - m - i - 1)
-        rows.append(row[:N])
-    det = PadicScalar.from_int(1, p, prec)
-    for k in range(N):
-        piv, pv = None, None
-        for i in range(k, N):
-            c = rows[i][k]
-            if not c.is_bottom:
-                if pv is None or c.valuation() < pv:
-                    piv, pv = i, c.valuation()
-        if piv is None:
-            return PadicScalar.bottom(p)
-        rows[k], rows[piv] = rows[piv], rows[k]
-        det = det * rows[k][k]
-        inv = rows[k][k].inv()
-        for i in range(k + 1, N):
-            c = rows[i][k]
-            if not c.is_bottom:
-                fac = c * inv
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[k])]
-    return det
-
-
-def _integer_poly_disc_valuation(coeffs, p):
-    """v_p of the discriminant of an integer polynomial (exact resultant)."""
-    f = [Fraction(c) for c in coeffs]
-    g = [Fraction(i * coeffs[i]) for i in range(1, len(coeffs))]
-    n, m = len(f) - 1, len(g) - 1
-    N = n + m
-    rows = []
-    for i in range(m):
-        rows.append([Fraction(0)] * i + f + [Fraction(0)] * (N - n - i - 1))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + g + [Fraction(0)] * (N - m - i - 1))
-    det = Fraction(1)
-    for k in range(N):
-        piv = next((i for i in range(k, N) if rows[i][k] != 0), None)
-        if piv is None:
-            raise ArithmeticError("degenerate rational polynomial")
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det *= rows[k][k]
-        inv = 1 / rows[k][k]
-        for i in range(k + 1, N):
-            if rows[i][k]:
-                fac = rows[i][k] * inv
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[k])]
-    return _vp(det.numerator, p) - _vp(det.denominator, p)
+def _disc_valuation(coeffs, p, m):
+    """v_p of res(f, f') for the integer polynomial f (low degree first,
+    leading coefficient included) known mod p^m; None when the resultant
+    is zero mod p^m.  Up to a unit this is v_p(disc f) for monic f."""
+    n = len(coeffs) - 1
+    df = [i * coeffs[i] for i in range(1, n + 1)]
+    sylvester = ([[0] * i + coeffs + [0] * (n - 2 - i) for i in range(n - 1)]
+                 + [[0] * i + df + [0] * (n - 1 - i) for i in range(n)])
+    det = _padic_det(sylvester, p, m)
+    return _vp(det, p) if det else None

@@ -14,20 +14,18 @@ import sys
 from dataclasses import dataclass
 
 from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
-                            KummerFieldSpec, jarden_ritter, parse_kummer_spec)
+                            jarden_ritter, parse_kummer_spec)
 from .elliptic import (WeierstrassModel, parse_curve, tate_algorithm,
                        weak_amphoricity_report)
 from .fields import (FieldError, build_field, discriminant_valuation,
-                     parse_field_spec, parse_zeta_poly)
+                     parse_field_spec)
 from .galois import conductor_discriminant_check
-from .padic import PadicError
+from .padic import PadicError, PrecisionError
 
 
 @dataclass
 class RunConfig:
     prec: int = None
-    seed: int = 0
-    budget: int = 10000
     fmt: str = "pretty"
     out: str = None
 
@@ -39,24 +37,13 @@ class RunConfig:
             sys.stdout.write(text)
 
 
-def _field_from_spec(text, config):
+def _field_from_spec(text, prec):
     """Either a compact kummer spec (p=3 r=2 rad=3) or a field-spec file."""
     if "=" in text:
         spec = parse_kummer_spec(text)
-        return spec.build(prec=config.prec), spec
+        return spec.build(prec=prec), spec
     with open(text) as fh:
-        body = fh.read()
-    p = None
-    lines = []
-    for raw in body.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("p="):
-            p = int(line[2:])
-        elif line:
-            lines.append(line)
-    if p is None:
-        raise ValueError("field-spec file must declare p=<prime>")
-    return parse_field_spec("\n".join(lines), p, prec=config.prec), None
+        return parse_field_spec(fh.read(), prec=prec), None
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +63,7 @@ def cmd_check_anab(args, config):
 
 
 def cmd_disc(args, config):
-    K, spec = _field_from_spec(args.spec, config)
+    K, spec = _field_from_spec(args.spec, config.prec)
     val = discriminant_valuation(K)
     rad = spec.radicand if spec is not None else None
     if config.fmt == "json":
@@ -90,7 +77,7 @@ def cmd_disc(args, config):
 
 
 def cmd_conductor(args, config):
-    K, _ = _field_from_spec(args.spec, config)
+    K, _ = _field_from_spec(args.spec, config.prec)
     report = conductor_discriminant_check(K)
     if config.fmt == "json":
         config.write(json.dumps(report, indent=2, default=str) + "\n")
@@ -109,28 +96,16 @@ def _quadruple_str(rd):
     return f"[{rd.v_min_disc}, {rd.conductor}, {rd.kodaira}, {rd.tamagawa}]"
 
 
-def _check_conductor_ledger(rd):
-    if rd.conductor != rd.v_min_disc - rd.components + 1:
-        raise ArithmeticError(
-            f"conductor ledger violated: f={rd.conductor}, "
-            f"v={rd.v_min_disc}, m={rd.components}")
-
-
 def cmd_tate(args, config):
-    K, _ = _field_from_spec(args.spec, config)
+    K, _ = _field_from_spec(args.spec, config.prec)
     coeffs = parse_curve(args.curve)
-
-    def rebuild(_prec_digits):
-        # one retry at doubled working precision
-        doubled = RunConfig(prec=2 * (config.prec or 64), seed=config.seed,
-                            budget=config.budget, fmt=config.fmt,
-                            out=config.out)
-        K2, _ = _field_from_spec(args.spec, doubled)
-        return WeierstrassModel.from_a_invariants(K2, *coeffs)
-
     model = WeierstrassModel.from_a_invariants(K, *coeffs)
-    rd = tate_algorithm(model, rebuild=rebuild)
-    _check_conductor_ledger(rd)
+    try:
+        rd = tate_algorithm(model)
+    except PrecisionError:
+        # one retry at doubled working precision
+        K2, _ = _field_from_spec(args.spec, 2 * (config.prec or 64))
+        rd = tate_algorithm(WeierstrassModel.from_a_invariants(K2, *coeffs))
     if config.fmt == "json":
         config.write(json.dumps(rd.to_dict(K.name)) + "\n")
     elif config.fmt == "csv":
@@ -191,8 +166,6 @@ def cmd_table(args, config):
                                            prec=config.prec)
             L = towers[rad2]
             rep = weak_amphoricity_report(parse_curve(curvetxt), K, L)
-            _check_conductor_ledger(rep["first"])
-            _check_conductor_ledger(rep["second"])
             out.append(f"{_quadruple_str(rep['first'])} "
                        f"{_quadruple_str(rep['second'])}")
     else:
@@ -211,7 +184,7 @@ def _tower_steps(radicand):
 
 def cmd_search(args, config):
     """Seeded random curves over an anabelomorphic pair; deterministic."""
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     p, r = args.p, args.r
     rad1, rad2 = (int(t) for t in args.rads.split(","))
     from .fields import TowerStep
@@ -226,7 +199,7 @@ def cmd_search(args, config):
     lines = []
     count = 0
     attempts = 0
-    cap = max(args.count, min(config.budget, 400 * args.count))
+    cap = max(args.count, min(args.budget, 400 * args.count))
     while count < args.count and attempts < cap:
         attempts += 1
         a2 = {i: rng.randint(-9, 9) for i in range(phi)}
@@ -238,8 +211,6 @@ def cmd_search(args, config):
         except (PadicError, FieldError, ArithmeticError) as exc:
             lines.append(f"# skipped seed-item {attempts}: {exc}")
             continue
-        _check_conductor_ledger(rep["first"])
-        _check_conductor_ledger(rep["second"])
         kinds = {rep["first"].kodaira.kind, rep["second"].kodaira.kind}
         is_semistable = kinds <= {"I0", "In"}
         if args.semistable_only and not is_semistable:
@@ -278,8 +249,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=S,
                         help="working precision in base-p digits (default 64)")
-    common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--budget", type=int, default=S)
     common.add_argument("--format", dest="fmt", default=S,
                         choices=["json", "csv", "pretty"])
     common.add_argument("--out", default=S, help="write output to this path")
@@ -322,6 +291,9 @@ def build_parser():
     s = sub.add_parser("search", parents=[common],
                        help="seeded randomized curve comparison")
     s.add_argument("--count", type=int, default=5)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--budget", type=int, default=10000,
+                   help="cap on attempted curves")
     s.add_argument("--p", type=int, default=3)
     s.add_argument("--r", type=int, default=1)
     s.add_argument("--rads", default=None,
@@ -336,8 +308,6 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     config = RunConfig(prec=getattr(args, "prec", None),
-                       seed=getattr(args, "seed", 0),
-                       budget=getattr(args, "budget", 10000),
                        fmt=getattr(args, "fmt", "pretty"),
                        out=getattr(args, "out", None))
     if args.command == "search" and args.rads is None:

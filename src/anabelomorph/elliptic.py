@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldElement, FieldError, build_field, parse_zeta_poly
+from .fields import FieldElement, FieldError, parse_zeta_poly
 from .padic import PrecisionError
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -244,16 +244,10 @@ def _find_singular_point(K, a1, a2, a3, a4, a6):
 # Tate's algorithm
 
 
-def tate_algorithm(model, rebuild=None):
-    """Reduction data of the minimal model: runs the step machine, once
-    retrying at doubled precision when ``rebuild`` (prec -> model) is given."""
-    try:
-        rd = _tate_run(model)
-    except PrecisionError:
-        if rebuild is None:
-            raise
-        fresh = rebuild(2 * (model.field.M))
-        rd = _tate_run(fresh)
+def tate_algorithm(model):
+    """Reduction data of the minimal model, checked against the
+    conductor ledger and the Tamagawa bounds of its Kodaira type."""
+    rd = _tate_run(model)
     _validate_reduction(rd)
     return rd
 
@@ -548,12 +542,12 @@ def parse_curve(text):
     return [parse_zeta_poly(t if t.strip() else "0") for t in parts]
 
 
-def weak_amphoricity_report(coeffs, K, L, rebuildK=None, rebuildL=None):
+def weak_amphoricity_report(coeffs, K, L):
     """Reduction data of the same curve over both fields plus equality flags."""
     mK = WeierstrassModel.from_a_invariants(K, *coeffs)
     mL = WeierstrassModel.from_a_invariants(L, *coeffs)
-    rK = tate_algorithm(mK, rebuild=rebuildK)
-    rL = tate_algorithm(mL, rebuild=rebuildL)
+    rK = tate_algorithm(mK)
+    rL = tate_algorithm(mL)
     flags = {
         "v_disc_equal": rK.v_min_disc == rL.v_min_disc,
         "conductor_equal": rK.conductor == rL.conductor,

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldElement, FieldError, LocalField
-from .padic import _vp
+from .fields import FieldElement, FieldError
 
 
 class NonGaloisTowerError(FieldError):

@@ -184,3 +184,38 @@ def test_tate_via_field_spec_file(tmp_path):
     spec.write_text("p=3\ncyclotomic 9\nkummer 9 rad=2\n")
     code, text = run_capture(tmp_path, "tate", "[0,3,0,0,9]", str(spec))
     assert code == 0 and text.strip() == "[6, 2, I0*, 4]"
+
+
+@pytest.mark.parametrize("step", ["custom", "cyclotomic", "kummer"])
+def test_field_spec_step_without_argument(tmp_path, capsys, step):
+    # a step line with no argument is a usage error that quotes the line,
+    # not a traceback
+    spec = tmp_path / "bad.field"
+    spec.write_text(f"p=3\ncyclotomic 3\n{step}\n")
+    code, text = run_capture(tmp_path, "disc", str(spec))
+    assert code == 3 and text == ""
+    assert repr(step) in capsys.readouterr().err
+
+
+def test_tate_retries_once_at_doubled_precision(tmp_path, monkeypatch):
+    import anabelomorph.cli as cli
+    from anabelomorph.padic import PrecisionError
+    real = cli.tate_algorithm
+    seen = []
+
+    def flaky(model, fail_times):
+        seen.append(model.field.M)
+        if len(seen) <= fail_times:
+            raise PrecisionError("forced")
+        return real(model)
+
+    args = ("tate", "[0,3,0,0,9]", "p=3 r=2 rad=3")
+    monkeypatch.setattr(cli, "tate_algorithm", lambda m: flaky(m, 1))
+    code, text = run_capture(tmp_path, *args)
+    assert code == 0 and text.strip() == "[6, 4, IV, 1]"
+    assert len(seen) == 2 and seen[1] > seen[0]
+    # the retry is the only one: a second PrecisionError is an error exit
+    seen.clear()
+    monkeypatch.setattr(cli, "tate_algorithm", lambda m: flaky(m, 2))
+    code, _ = run_capture(tmp_path, *args)
+    assert code == 3 and len(seen) == 2

@@ -305,3 +305,9 @@ def test_discriminant_larger_zeta_row():
     K = build_field(3, [T.cyclotomic(9),
                         T.kummer(9, parse_zeta_poly("10z^4+5z^2-25z+5"))])
     assert discriminant_valuation(K) == 189
+
+
+def test_parse_int_poly_empty_is_value_error():
+    from anabelomorph.fields import _parse_int_poly
+    with pytest.raises(ValueError):
+        _parse_int_poly("")
