@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (DegreeDropError, TowerStep, _coerce_radicand,
-                     _normalize_radicand, _padic_det, _parse_radicand,
-                     _peel_unit, build_field)
+from .fields import (DegreeDropError, TowerStep, _normalize_radicand,
+                     _padic_det, _parse_radicand, _peel_unit, build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -109,7 +108,7 @@ def parse_kummer_spec(text):
 def _radicand_is_pth_power(spec, prec=None):
     """True if the radicand is a p-th power in Q_p(zeta_{p^r})."""
     F = build_field(spec.p, [TowerStep.cyclotomic(spec.modulus)], prec=prec)
-    rad = _coerce_radicand(F, spec.radicand)
+    rad = F.coerce(spec.radicand)
     if rad.valuation() % spec.p:
         return False
     rad1, _, _ = _normalize_radicand(F, rad)
@@ -253,8 +252,10 @@ def krasner_rationalize(coeffs, height_bound=10 ** 60):
     if not coeffs:
         raise ValueError("empty polynomial")
     lead = coeffs[-1]
-    if lead.is_bottom or lead.valuation() != 0 or lead.unit % lead.p ** min(lead.prec, 1) != 1:
-        raise ValueError("polynomial must be monic")
+    if (lead.is_bottom or lead.valuation() != 0
+            or (lead.unit - 1) % lead.p ** lead.prec):
+        raise ValueError("polynomial must be monic: leading coefficient "
+                         "is not 1 to its precision")
     p = lead.p
     deg = len(coeffs) - 1
     for c in coeffs[:-1]:

@@ -71,15 +71,7 @@ class WeierstrassModel:
 
     @classmethod
     def from_a_invariants(cls, K, a1=0, a2=0, a3=0, a4=0, a6=0):
-        def conv(a):
-            if isinstance(a, FieldElement):
-                return a
-            if isinstance(a, dict):
-                return K.from_zeta_poly(a)
-            if isinstance(a, Fraction):
-                return K.from_fraction(a)
-            return K.from_int(a)
-        return cls(conv(a1), conv(a2), conv(a3), conv(a4), conv(a6))
+        return cls(*(K.coerce(a) for a in (a1, a2, a3, a4, a6)))
 
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -163,23 +155,14 @@ def reduction_class(model_or_j, K=None):
 def change_coords(model, u=1, r=0, s=0, t=0):
     """Standard coordinate change (x, y) -> (u^2 x + r, u^3 y + u^2 s x + t)."""
     K = model.field
-    conv = (lambda a: a if isinstance(a, FieldElement)
-            else (K.from_fraction(a) if isinstance(a, Fraction) else K.from_int(a)))
-    u, r, s, t = conv(u), conv(r), conv(s), conv(t)
-    a1, a2, a3, a4, a6 = model.coefficients()
+    u, r, s, t = (K.coerce(a) for a in (u, r, s, t))
+    na1, na2, na3, na4, na6 = _translate(*model.coefficients(), r, s, t)
     uinv = u.inv()
-    u2, u3 = uinv * uinv, None
+    u2 = uinv * uinv
     u3 = u2 * uinv
     u4 = u2 * u2
     u6 = u4 * u2
-    na1 = (a1 + 2 * s) * uinv
-    na2 = (a2 - s * a1 + 3 * r - s * s) * u2
-    na3 = (a3 + r * a1 + 2 * t) * u3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * (r * r)
-           - 2 * s * t) * u4
-    na6 = (a6 + r * a4 + (r * r) * a2 + (r * r) * r - t * a3 - t * t
-           - r * t * a1) * u6
-    return WeierstrassModel(na1, na2, na3, na4, na6)
+    return WeierstrassModel(na1 * uinv, na2 * u2, na3 * u3, na4 * u4, na6 * u6)
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ A tower is a chain of fields, each one layer over its base:
 
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
-Norms are computed level by level: each Galois layer contributes the
-product of its conjugates (which is the resultant of the layer relation
-against the element), and non-Galois custom layers fall back to the
-determinant of the multiplication matrix.
+Kummer, quadratic and custom layers are stored as their monic relation
+over the base and multiply through one kernel.  Norms are computed level
+by level: each Galois layer lists its conjugates, whose product with the
+element is the resultant of the layer relation against it, and
+non-Galois custom layers fall back to the determinant of the
+multiplication matrix.
 
 Valuations come from norms: v_K(x) = v_p(N(x)) / f.  Every layer is
 certified at construction time (Eisenstein/Newton polygon data, or the
@@ -156,7 +158,7 @@ class FieldElement:
         if other._val is not None and other._val[0] is not None:
             by = max(0, other.s + other._val[0] // F.e)
         m = min(self.m + by, other.m + bx, F.M)
-        vec = F._mul(self.vec, other.vec, m)
+        vec = F._mul_mod(self.vec, other.vec, F.p ** m)
         out = FieldElement(F, vec, self.s + other.s, m,
                            exact=self.exact and other.exact)
         if (self._val is not None and other._val is not None
@@ -341,6 +343,19 @@ class LocalField:
             acc = acc + root._zeta_power(expo) * c
         return self.embed(acc) if root is not self else acc
 
+    def coerce(self, a):
+        """Element from a FieldElement (returned as is), an int, a Fraction
+        or a zeta-polynomial {exponent: coefficient}."""
+        if isinstance(a, FieldElement):
+            return a
+        if isinstance(a, int):
+            return self.from_int(a)
+        if isinstance(a, Fraction):
+            return self.from_fraction(a)
+        if isinstance(a, dict):
+            return self.from_zeta_poly(a)
+        raise FieldError(f"cannot interpret {a!r} as an element of {self.name}")
+
     def _zeta_power(self, t):
         t %= self.cyclo_modulus
         vec = list(self._cyclo_rep[t])
@@ -349,12 +364,31 @@ class LocalField:
 
     # -- multiplication kernel -------------------------------------------
 
-    def _mul(self, xs, ys, m):
-        pm = self.p ** m
-        return self._mul_mod(xs, ys, pm)
-
     def _mul_mod(self, xs, ys, pm):
-        raise NotImplementedError
+        """Product mod pm of flat vectors of a relative layer (kummer, quad,
+        custom): block convolution over the base, then the top blocks fold
+        down through the layer relation theta^d = sum r_i theta^i, whose
+        nonzero terms (i, r_i vec) are ``self.relation``."""
+        mul = self.base._mul_mod
+        b, d = self.base.n, self.d
+        xb = [xs[i * b:(i + 1) * b] for i in range(d)]
+        yb = [ys[i * b:(i + 1) * b] for i in range(d)]
+        conv = [None] * (2 * d - 1)     # blocks are allocated on first use
+        for i, xi in enumerate(xb):
+            if any(xi):
+                for j, yj in enumerate(yb):
+                    if any(yj):
+                        _add_block(conv, i + j, mul(xi, yj, pm))
+        # from the top down: theta^(d+k) -> sum r_i theta^(i+k)
+        for t in range(2 * d - 2, d - 1, -1):
+            if conv[t] is None:
+                continue
+            blk = tuple(c % pm for c in conv[t])
+            if any(blk):
+                for i, ri in self.relation:
+                    _add_block(conv, t - d + i, mul(blk, ri, pm))
+        zero = (0,) * b
+        return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
 
     # -- norms -------------------------------------------------------------
 
@@ -364,11 +398,10 @@ class LocalField:
         fld = self
         while fld.base is not None:
             if fld.kind == "custom":
-                el = FieldElement(fld, vec, 0, m)
-                nint, _, m2 = fld.norm_tower(el)
-                return nint, s * fld.n, m2
-            _, vec, extra_s, m = fld._layer_cofactor(vec, m)
-            s = s * fld.d + extra_s
+                nint, _, m = fld.norm_tower(FieldElement(fld, vec, 0, m))
+                return nint, s * fld.n, m
+            _, vec = fld._layer_cofactor(vec, m)
+            s *= fld.d
             fld = fld.base
         return vec[0], s, m
 
@@ -409,6 +442,12 @@ class LocalField:
         nint, s, m = self.norm_tower(x)
         nint %= self.p ** m
         if nint == 0:
+            if m <= s:
+                # the denominator p^s swallows the whole modulus: nothing
+                # is known about the norm, not even a lower bound
+                raise PrecisionError(
+                    f"norm known only mod p^{m} under denominator p^{s}; "
+                    "raise the working precision")
             out = (None, (m - s + self.f - 1) // self.f - (0 if s == 0 else 1))
         else:
             vp = _vp(nint, self.p) - s
@@ -433,19 +472,17 @@ class LocalField:
         """x^{-1} via the cofactor: product of all conjugates except x."""
         if self._has_custom:
             return self._invert_by_solve(x)
-        a = x.s
-        V = FieldElement(self, x.vec, 0, x.m) if a else x
-        cof, nint, s2, m = self._cofactor(V)
-        nint %= self.p ** m
+        a, m = x.s, x.m
+        cof, nint = self._cofactor(FieldElement(self, x.vec, 0, m) if a else x)
+        pm = self.p ** m
+        nint %= pm
         if nint == 0:
             raise ZeroDivisionError("inversion of element that is zero to precision")
         vnum = _vp(nint, self.p)
-        unit = nint // self.p ** vnum
-        uinv = pow(unit, -1, self.p ** m)
-        pm = self.p ** m
+        uinv = pow(nint // self.p ** vnum, -1, pm)
         vec = tuple(c * uinv % pm for c in cof.vec)
-        # V^{-1} = cof * p^{s2} / (p^vnum unit); then x^{-1} = p^a V^{-1}
-        s_out = cof.s + vnum - s2 - a
+        # V^{-1} = cof / (p^vnum unit) for V = p^a x; then x^{-1} = p^a V^{-1}
+        s_out = cof.s + vnum - a
         if s_out < 0:
             vec = tuple(c * self.p ** (-s_out) % pm for c in vec)
             s_out = 0
@@ -478,25 +515,29 @@ class LocalField:
         return cols, x.m
 
     def _cofactor(self, x):
-        """Return (cofactor element of self, norm integer, extra_s, m)."""
-        fld = self
-        vec, m = x.vec, x.m
-        s = 0
-        partials = []
-        while fld.base is not None:
-            partial, vec, extra_s, m = fld._layer_cofactor(vec, m)
-            partials.append((fld, partial))
-            s = s * fld.d + extra_s
-            fld = fld.base
+        """(cofactor element of self, norm integer): x * cofactor = N(x),
+        both known mod p^(x.m); x has no p-power denominator."""
+        fld, vec, m = self, x.vec, x.m
         cof = None
-        for fld2, partial in partials:
-            lifted = partial if fld2 is self else self.embed(partial)
+        while fld.base is not None:
+            partial, vec = fld._layer_cofactor(vec, m)
+            lifted = self.embed(FieldElement(fld, partial, 0, m))
             cof = lifted if cof is None else cof * lifted
-        return cof, vec[0], s, m
+            fld = fld.base
+        return cof, vec[0]
 
     def _layer_cofactor(self, vec, m):
-        """(cofactor-of-this-layer as element of self, base vec of N_layer, extra_s, m)."""
-        raise NotImplementedError
+        """(cofactor vec, base vec of the layer norm) of a Galois layer.
+
+        The cofactor is the product of the conjugates other than vec,
+        which the layer lists in ``_conjugates``; times vec it is the layer
+        norm, the resultant of the layer relation against the element.
+        """
+        pm = self.p ** m
+        prod = None
+        for cv in self._conjugates(vec, m):
+            prod = cv if prod is None else self._mul_mod(prod, cv, pm)
+        return prod, self._project(self._mul_mod(prod, vec, pm), m)
 
     # -- residues -------------------------------------------------------------
 
@@ -568,7 +609,7 @@ class QpField(LocalField):
         return x.vec[0], x.s, x.m
 
     def _cofactor(self, x):
-        return self.one(), x.vec[0], x.s, x.m
+        return self.one(), x.vec[0]
 
 
 class CycloField(LocalField):
@@ -640,33 +681,19 @@ class CycloField(LocalField):
                         out[j] += c * row[j]
         return tuple(c % pm for c in out)
 
-    def apply_conj(self, vec, a, m):
-        """zeta -> zeta^a on a flat vector."""
+    def _conjugates(self, vec, m):
+        """zeta -> zeta^a on a flat vector, for every unit a != 1."""
         pm = self.p ** m
-        phi = self.d
-        out = [0] * phi
-        rows = self._conj_rows[a]
-        for j, c in enumerate(vec):
-            if c:
-                row = rows[j]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(c % pm for c in out)
-
-    def _layer_cofactor(self, vec, m):
-        prod = None
-        for a in self._conj_units:
-            if a == 1:
-                continue
-            cv = self.apply_conj(vec, a, m)
-            prod = cv if prod is None else self._mul_mod(prod, cv, self.p ** m)
-        full = self._mul_mod(prod, vec, self.p ** m)
-        pm = self.p ** m
-        for c in full[1:]:
-            if c % pm:
-                raise PrecisionError("cyclotomic norm did not land in Q_p")
-        return (FieldElement(self, prod, 0, m), (full[0],), 0, m)
+        for a in self._conj_units[1:]:
+            out = [0] * self.d
+            rows = self._conj_rows[a]
+            for j, c in enumerate(vec):
+                if c:
+                    row = rows[j]
+                    for k, r in enumerate(row):
+                        if r:
+                            out[k] += c * r
+            yield tuple(c % pm for c in out)
 
 
 class KummerField(LocalField):
@@ -676,107 +703,40 @@ class KummerField(LocalField):
         p = base.p
         super().__init__(p, base, "kummer", p, M, name)
         self.radicand = radicand          # base element, integral coefficients
+        # theta^p = radicand, folded with the radicand's own (small) digits
+        self.relation = [(0, radicand.vec)]
         self.xi_powers = xi_powers        # zeta_p^t as base elements, t < p
         # cumulative e, f set by the builder after certification
 
-    def _mul_mod(self, xs, ys, pm):
-        b = self.base.n
-        d = self.d
-        xb = [xs[i * b:(i + 1) * b] for i in range(d)]
-        yb = [ys[i * b:(i + 1) * b] for i in range(d)]
-        zero = (0,) * b
-        conv = [None] * (2 * d - 1)
-        for i in range(d):
-            if all(c == 0 for c in xb[i]):
-                continue
-            for j in range(d):
-                if all(c == 0 for c in yb[j]):
-                    continue
-                prod = self.base._mul_mod(xb[i], yb[j], pm)
-                k = i + j
-                if conv[k] is None:
-                    conv[k] = list(prod)
-                else:
-                    ck = conv[k]
-                    for t, c in enumerate(prod):
-                        ck[t] += c
-        out = [list(conv[i]) if conv[i] is not None else list(zero)
-               for i in range(d)]
-        rad = self.radicand.vec
-        for t in range(d, 2 * d - 1):
-            if conv[t] is None:
-                continue
-            fold = self.base._mul_mod(tuple(c % pm for c in conv[t]), rad, pm)
-            tgt = out[t - d]
-            for k, c in enumerate(fold):
-                tgt[k] += c
-        flat = []
-        for blk in out:
-            flat.extend(c % pm for c in blk)
-        return tuple(flat)
-
-    def _twist(self, vec, i, m):
-        """Conjugate gen -> xi^i gen."""
+    def _conjugates(self, vec, m):
+        """gen -> xi^i gen for i = 1 .. p-1."""
         b = self.base.n
         pm = self.p ** m
-        out = []
-        for j in range(self.d):
-            blk = vec[j * b:(j + 1) * b]
-            t = (i * j) % self.d
-            if t == 0:
-                out.extend(blk)
-            else:
-                out.extend(self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
-        return tuple(out)
-
-    def _layer_cofactor(self, vec, m):
-        pm = self.p ** m
-        prod = None
+        blocks = [vec[j * b:(j + 1) * b] for j in range(self.d)]
         for i in range(1, self.d):
-            tw = self._twist(vec, i, m)
-            prod = tw if prod is None else self._mul_mod(prod, tw, pm)
-        full = self._mul_mod(prod, vec, pm)
-        return (FieldElement(self, prod, 0, m), self._project(full, m), 0, m)
+            out = []
+            for j, blk in enumerate(blocks):
+                t = (i * j) % self.d
+                out.extend(blk if t == 0 else
+                           self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
+            yield tuple(out)
 
 
 class QuadField(LocalField):
     """Monic quadratic layer x^2 + b x + c over a base with p odd."""
 
-    def __init__(self, base, bcoef, ccoef, M, name):
+    def __init__(self, base, coeffs, M, name):
         super().__init__(base.p, base, "quad", 2, M, name)
-        self.bcoef = bcoef
-        self.ccoef = ccoef
+        self.coeffs = coeffs              # [c, b]
+        self.relation = _relation(coeffs)
 
-    def _mul_mod(self, xs, ys, pm):
-        b = self.base.n
-        x0, x1 = xs[:b], xs[b:]
-        y0, y1 = ys[:b], ys[b:]
-        mul = self.base._mul_mod
-        lo = mul(x0, y0, pm)
-        hi = mul(x1, y1, pm)
-        mid = [a + c for a, c in
-               zip(mul(x0, y1, pm), mul(x1, y0, pm))]
-        # theta^2 = -b theta - c
-        hb = mul(tuple(a % pm for a in hi), self.bcoef.vec, pm)
-        hc = mul(tuple(a % pm for a in hi), self.ccoef.vec, pm)
-        out0 = tuple((l - c) % pm for l, c in zip(lo, hc))
-        out1 = tuple((mi - hbv) % pm for mi, hbv in zip(mid, hb))
-        return out0 + out1
-
-    def _conj_vec(self, vec, m):
-        # theta -> -b - theta
+    def _conjugates(self, vec, m):
+        """theta -> -b - theta."""
         b = self.base.n
         pm = self.p ** m
-        x0, x1 = vec[:b], vec[b:]
-        shift = self.base._mul_mod(x1, self.bcoef.vec, pm)
-        out0 = tuple((a - c) % pm for a, c in zip(x0, shift))
-        out1 = tuple(-a % pm for a in x1)
-        return out0 + out1
-
-    def _layer_cofactor(self, vec, m):
-        conj = self._conj_vec(vec, m)
-        full = self._mul_mod(vec, conj, self.p ** m)
-        return (FieldElement(self, conj, 0, m), self._project(full, m), 0, m)
+        shift = self.base._mul_mod(vec[b:], self.coeffs[1].vec, pm)
+        yield (tuple((a - c) % pm for a, c in zip(vec[:b], shift))
+               + tuple(-a % pm for a in vec[b:]))
 
 
 class CustomField(LocalField):
@@ -787,38 +747,7 @@ class CustomField(LocalField):
         super().__init__(base.p, base, "custom", d, M, name)
         self._has_custom = True
         self.coeffs = coeffs  # low-degree first, base elements; theta^d = -sum c_i theta^i
-
-    def _mul_mod(self, xs, ys, pm):
-        b = self.base.n
-        d = self.d
-        xb = [xs[i * b:(i + 1) * b] for i in range(d)]
-        yb = [ys[i * b:(i + 1) * b] for i in range(d)]
-        conv = [[0] * b for _ in range(2 * d - 1)]
-        for i in range(d):
-            if all(c == 0 for c in xb[i]):
-                continue
-            for j in range(d):
-                if all(c == 0 for c in yb[j]):
-                    continue
-                prod = self.base._mul_mod(xb[i], yb[j], pm)
-                tgt = conv[i + j]
-                for t, c in enumerate(prod):
-                    tgt[t] += c
-        # reduce from the top down: theta^(d+k) -> -(sum c_i theta^(i+k))
-        for t in range(2 * d - 2, d - 1, -1):
-            blk = tuple(c % pm for c in conv[t])
-            if all(c == 0 for c in blk):
-                continue
-            for i in range(d):
-                ci = self.coeffs[i].vec
-                prod = self.base._mul_mod(blk, ci, pm)
-                tgt = conv[t - d + i]
-                for k, c in enumerate(prod):
-                    tgt[k] -= c
-        flat = []
-        for i in range(d):
-            flat.extend(c % pm for c in conv[i])
-        return tuple(flat)
+        self.relation = _relation(coeffs)
 
     def norm_tower(self, x):
         cols, m = self._flat_mult_matrix(x)
@@ -828,6 +757,23 @@ class CustomField(LocalField):
         # same path as LocalField.invert takes for custom towers; kept as
         # this class's own method because bench/spans.py traces it
         return self._invert_by_solve(x)
+
+
+def _relation(coeffs):
+    """Fold terms (i, -c_i vec), nonzero c_i only, of the monic relation
+    theta^d = -sum c_i theta^i."""
+    return [(i, tuple(-a for a in c.vec)) for i, c in enumerate(coeffs)
+            if any(c.vec)]
+
+
+def _add_block(conv, k, prod):
+    """conv[k] += prod, allocating the block on first use."""
+    blk = conv[k]
+    if blk is None:
+        conv[k] = list(prod)
+    else:
+        for t, c in enumerate(prod):
+            blk[t] += c
 
 
 def _eliminate(A, p, m):
@@ -923,9 +869,8 @@ def _pth_root_of_unity(base):
         if fld.kind == "cyclo":
             return base.embed(fld._zeta_power(fld.cyclo_modulus // p))
         if fld.kind in ("quad", "custom") and fld.d == p - 1:
-            coeffs = ([fld.ccoef, fld.bcoef] if fld.kind == "quad"
-                      else list(fld.coeffs))
-            if all((c - c.field.one()).is_zero_to_precision() for c in coeffs):
+            if all((c - c.field.one()).is_zero_to_precision()
+                   for c in fld.coeffs):
                 return base.embed(fld.gen())
         fld = fld.base
     raise CertificationError(
@@ -1144,7 +1089,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         ram = False
     else:
         ram = True
-    K = QuadField(base, bcoef, ccoef, M, name)
+    K = QuadField(base, [ccoef, bcoef], M, name)
     gen = K.gen()
     theta = gen + K.embed(bcoef * base.from_fraction(Fraction(1, 2)))
     if ram:
@@ -1154,7 +1099,8 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         K.pi = theta * K.embed(base.pi_pow(y))
         K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
         K.residue_coords = list(base.residue_coords)
-        conj = FieldElement(K, K._conj_vec(K.pi.vec, K.pi.m), K.pi.s, K.pi.m)
+        conj = FieldElement(K, next(K._conjugates(K.pi.vec, K.pi.m)),
+                            K.pi.s, K.pi.m)
         K.layer_diff = (conj - K.pi).valuation()
         K.different_val = K.layer_diff + 2 * base.different_val
     else:
@@ -1268,7 +1214,7 @@ def build_field(p, steps, prec=None, names=None):
             if isinstance(step.radicand, str) and step.radicand.startswith("gen:"):
                 cur = gens[int(step.radicand[4:])]
             else:
-                cur = _coerce_radicand(K, step.radicand)
+                cur = K.coerce(step.radicand)
             gen = None
             for j in range(s):
                 K, gen = _extend_kummer_cyclic(
@@ -1278,7 +1224,7 @@ def build_field(p, steps, prec=None, names=None):
             gens = [K.embed(g) for g in gens]
             gens.append(gen)
         elif step.kind == "custom":
-            coeffs = [_coerce_radicand(K, c) for c in step.coeffs]
+            coeffs = [K.coerce(c) for c in step.coeffs]
             K = _extend_custom(K, [K.embed(c) for c in coeffs], digits,
                                f"{K.name}[x]/(deg {len(coeffs)})")
             gens = [K.embed(g) for g in gens]
@@ -1292,18 +1238,6 @@ def build_field(p, steps, prec=None, names=None):
     if K.base is not None and K.from_int(p).valuation() != K.e:
         raise FieldError("v_K(p) != e")
     return K
-
-
-def _coerce_radicand(K, rad):
-    if isinstance(rad, FieldElement):
-        return rad
-    if isinstance(rad, int):
-        return K.from_int(rad)
-    if isinstance(rad, Fraction):
-        return K.from_fraction(rad)
-    if isinstance(rad, dict):
-        return K.from_zeta_poly(rad)
-    raise FieldError(f"cannot interpret radicand {rad!r}")
 
 
 def norm_to_qp(x, prec=None):

@@ -213,18 +213,7 @@ def galois_group(K):
 
 def apply_automorphism(sigma, x):
     """Image of x under sigma (a ring homomorphism of the tower)."""
-    K = x.field
-    imgs = _sigma_images(K, sigma)
-    acc = None
-    for j, c in enumerate(x.vec):
-        if c:
-            term = imgs[j].scaled(c)
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return K.zero()
-    if x.s:
-        acc = FieldElement(K, acc.vec, acc.s + x.s, acc.m)._normalized()
-    return acc
+    return _combine(_sigma_images(x.field, sigma), x, x.field)
 
 
 def _sigma_images(K, sigma):
@@ -263,7 +252,7 @@ def _sigma_images(K, sigma):
         base = fld.base
         k_strip, t_scale = fld.gen_shift
         zexp = (sigma.b * K.p ** (s - t)) % m
-        gen_img = K.embed(cyclo._zeta_power(zexp)) * _gen_in(K, fld)
+        gen_img = K.embed(cyclo._zeta_power(zexp)) * K.embed(fld.gen())
         if k_strip:
             pi_b = base.pi
             # sigma(pi_b) via the images of the base basis already computed
@@ -284,14 +273,8 @@ def _sigma_images(K, sigma):
     return imgs
 
 
-def _gen_in(K, fld):
-    vec = [0] * K.n
-    vec[fld.base.n] = 1
-    return FieldElement(K, vec, 0, K.M)
-
-
 def _combine(base_imgs, x, K):
-    """sigma(x) for x in the base, via the base basis images (in K)."""
+    """sigma(x) in K from the sigma-images of the basis of x's field."""
     acc = None
     for j, c in enumerate(x.vec):
         if c:
@@ -549,6 +532,14 @@ def conductor_discriminant_check(K):
     from .fields import discriminant_valuation
     p = K.p
     steps = K.user_steps
+    cyc = steps[0].modulus if steps and steps[0].kind == "cyclotomic" else None
+    if p == 2 or cyc not in (None, p):
+        # character_table is the r = 1 table of Z/p x| (Z/p)^*; at p = 2
+        # every Kummer tower has r >= 2
+        raise FieldError(
+            "conductor-discriminant check covers the r = 1 Kummer shape "
+            "Q_p(zeta_p, a^(1/p)) and bare Q_p(zeta_p), odd p only; "
+            f"got p = {p}" + (f", zeta_{cyc}" if cyc else ""))
     if len(steps) == 1 and steps[0].kind == "cyclotomic" \
             and steps[0].modulus == p:
         lhs = p - 2          # p - 2 nontrivial tame characters, each f = 1

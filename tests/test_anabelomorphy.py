@@ -206,3 +206,9 @@ def test_krasner_truncated_coefficient_rounds():
     assert out[3] == 1
     assert cert["disc_valuations_match"]
     assert cert["attained_closeness"] > cert["threshold"]
+
+
+def test_krasner_rejects_non_monic_lead():
+    # 8 = 1 mod 7 but the polynomial 8x^2 - 2 is not monic
+    with pytest.raises(ValueError):
+        krasner_rationalize([Sc(-2, p=7), Sc(0, p=7), Sc(8, p=7)])

@@ -153,6 +153,14 @@ def test_error_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec", ["p=3 r=2 rad=3", "p=2 r=2 rad=3"])
+def test_conductor_out_of_scope_names_scope(spec, capsys):
+    code = run_cli("conductor", spec)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "r = 1 Kummer shape" in err and "odd p" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "anabelomorph.cli", "disc", "p=3 r=1 rad=4"],

@@ -311,3 +311,16 @@ def test_parse_int_poly_empty_is_value_error():
     from anabelomorph.fields import _parse_int_poly
     with pytest.raises(ValueError):
         _parse_int_poly("")
+
+
+def test_norm_denominator_swallowing_modulus_is_precision_error(F9):
+    # 3^-10 zeta with an unnormalized denominator 3^20: the norm carries
+    # 3^120 under a modulus of 3^40, so nothing is known about it
+    from anabelomorph.fields import FieldElement
+    from anabelomorph.padic import PrecisionError
+    x = FieldElement(F9, (0, 3 ** 10, 0, 0, 0, 0), 20, 40)
+    with pytest.raises(PrecisionError):
+        x.val_or_bound()
+    with pytest.raises(PrecisionError):
+        x.is_zero_to_precision()
+    assert x._normalized().valuation() == -60

@@ -5,13 +5,18 @@ determinant (custom-layer norms, Krasner's Sylvester determinants) and
 the p-adic solve (inversion over custom layers) read their answers off
 it.  Layer norms are read from the conjugate cofactor; they are checked
 against the determinant of the multiplication matrix, against
-multiplicativity, and against x * cofactor = N(x).
+multiplicativity, and against x * cofactor = N(x).  Products of every
+layer kind are checked against a schoolbook product reduced by the
+layer's defining polynomial, and the ring axioms are checked on random
+elements.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anabelomorph.fields import (FieldElement, TowerStep, _padic_det,
                                  _padic_solve, build_field, norm_to_qp)
@@ -147,8 +152,118 @@ def test_norm_from_cofactor_path(tower):
         cols, mx = K._flat_mult_matrix(x)
         assert nint % p ** m == _padic_det(cols, p, mx) % p ** m
         # x * cofactor = N(x)
-        cof, nint2, _, _ = K._cofactor(x)
+        cof, nint2 = K._cofactor(x)
         assert nint2 % p ** m == nint % p ** m
         assert (x * cof - K.from_int(nint)).is_zero_to_precision()
         # N(xy) = N(x) N(y)
         assert norm_to_qp(x * y) == norm_to_qp(x) * norm_to_qp(y)
+
+
+# ----------------------------------------------------------------------
+# products of every layer kind against a schoolbook oracle
+
+# quadratic layers need odd p, so p = 2 has no quad entry
+ORACLE_TOWERS = {
+    "cyclo p=2": (2, [T.cyclotomic(8)]),
+    "cyclo p=3": (3, [T.cyclotomic(9)]),
+    "cyclo p=5": (5, [T.cyclotomic(5)]),
+    "cyclo p=7": (7, [T.cyclotomic(7)]),
+    "kummer p=2": (2, [T.cyclotomic(4), T.kummer(4, 3)]),
+    "kummer p=3": (3, [T.cyclotomic(3), T.kummer(3, 3)]),
+    "kummer p=5": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+    "kummer p=7": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
+    "quad p=3": (3, [T.cyclotomic(3), T.custom([-2, 0])]),
+    "quad p=5": (5, [T.custom([-5, 5])]),
+    "quad p=7": (7, [T.cyclotomic(7), T.custom([-3, 0])]),
+    "custom p=2": (2, [T.cyclotomic(4), T.custom([-2, 0, 0])]),
+    "custom p=3": (3, [T.custom([-3, 3, 0])]),
+    "custom p=5": (5, [T.cyclotomic(5), T.custom([-5, 0, 0])]),
+    "custom p=7": (7, [T.custom([-7, 0, 7])]),
+}
+_BUILT = {}
+
+
+def _oracle_tower(name):
+    if name not in _BUILT:
+        p, steps = ORACLE_TOWERS[name]
+        _BUILT[name] = build_field(p, steps)
+    return _BUILT[name]
+
+
+def _defining_poly(fld):
+    """Monic defining polynomial of the layer over its base, low degree
+    first, each coefficient a base vector."""
+    b, d = fld.base.n, fld.d
+    one = [1] + [0] * (b - 1)
+    if fld.kind == "cyclo":
+        # Phi_{p^r}(x) = sum_{i < p} x^(i p^(r-1))
+        step = fld.cyclo_modulus // fld.p
+        return [[int(i % step == 0)] for i in range(d + 1)]
+    if fld.kind == "kummer":
+        return [[-a for a in fld.radicand.vec]] + [[0] * b] * (d - 1) + [one]
+    return [list(c.vec) for c in fld.coeffs] + [one]
+
+
+def _schoolbook(fld, xs, ys, pm):
+    """x * y in fld: the product of the two polynomials over the base,
+    then long division by the layer's defining polynomial."""
+    if fld.base is None:
+        return [xs[0] * ys[0] % pm]
+    base, b, d = fld.base, fld.base.n, fld.d
+    xb = [xs[i * b:(i + 1) * b] for i in range(d)]
+    yb = [ys[i * b:(i + 1) * b] for i in range(d)]
+    prod = [[0] * b for _ in range(2 * d - 1)]
+    for i in range(d):
+        for j in range(d):
+            term = _schoolbook(base, xb[i], yb[j], pm)
+            prod[i + j] = [u + v for u, v in zip(prod[i + j], term)]
+    f = _defining_poly(fld)
+    for t in range(2 * d - 2, d - 1, -1):
+        q = [c % pm for c in prod[t]]
+        for i in range(d + 1):
+            term = _schoolbook(base, q, f[i], pm)
+            prod[t - d + i] = [u - v for u, v in zip(prod[t - d + i], term)]
+    return [c % pm for blk in prod[:d] for c in blk]
+
+
+def _layers(K):
+    while K.base is not None:
+        yield K
+        K = K.base
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_products_match_schoolbook(name):
+    K = _oracle_tower(name)
+    p = K.p
+    rng = random.Random(f"oracle:{name}")
+    for fld in _layers(K):
+        for m in (fld.M, 20):
+            pm = p ** m
+            for _ in range(3):
+                x = [rng.randrange(pm) for _ in range(fld.n)]
+                y = [rng.randrange(-p ** 4, p ** 4) for _ in range(fld.n)]
+                assert list(fld._mul_mod(x, y, pm)) == _schoolbook(fld, x, y, pm)
+                assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+RING_TOWERS = ("cyclo p=3", "kummer p=2", "kummer p=5", "quad p=7",
+               "custom p=3")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ring_axioms(data):
+    K = _oracle_tower(data.draw(st.sampled_from(RING_TOWERS)))
+    p = K.p
+    vecs = st.lists(st.integers(-p ** 6, p ** 6), min_size=K.n, max_size=K.n)
+    x, y, z = (FieldElement(K, data.draw(vecs)) for _ in range(3))
+    assert ((x * y) * z).vec == (x * (y * z)).vec
+    assert (x * (y + z)).vec == (x * y + x * z).vec
+    try:
+        xi = x.inv()
+    except ZeroDivisionError:     # x is zero to precision
+        return
+    e = x * xi - 1
+    assert all(a % p ** e.m == 0 for a in e.vec)
