@@ -20,10 +20,15 @@ element is the resultant of the layer relation against it, and
 non-Galois custom layers fall back to the determinant of the
 multiplication matrix.
 
-Valuations come from norms: v_K(x) = v_p(N(x)) / f.  Every layer is
-certified at construction time (Eisenstein/Newton polygon data, or the
-unit-peeling classification of x^p = u), which also yields an explicit
-uniformizer and the layer's contribution to the different.
+Every layer is certified at construction time (Eisenstein/Newton polygon
+data, or the unit-peeling classification of x^p = u), which also yields
+an explicit uniformizer and the layer's contribution to the different.
+The certificate gives each layer a valuation frame: gen = gamma delta +
+beta with beta, gamma in the base and v_K(delta) known, so that
+v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
+Valuations are read off the frames layer by layer, never from a norm;
+the norm valuation v_p(N(x)) / f only certifies each frame's delta
+before the frame exists, and serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .padic import PadicScalar, PrecisionError, is_prime, _vp
 DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
-_MATERIALIZE_CHECK_LIMIT = 128
 
 
 class FieldError(ArithmeticError):
@@ -281,6 +285,7 @@ class LocalField:
         self.certificate = ""
         self.user_steps = []
         self.step_generators = []
+        self.frame = None               # set once the layer is certified
         self._pi_pows = {}
 
     # -- constructors of elements ---------------------------------------
@@ -427,36 +432,113 @@ class LocalField:
             rel = min(rel, prec)
         return PadicScalar(self.p, v - s, (nint // self.p ** v) % self.p ** rel, rel)
 
-    def val_or_bound(self, x):
-        if x._val is not None:
-            return x._val
-        pm_x = self.p ** x.m
-        if all(a % pm_x == 0 for a in x.vec[1:]):
-            c = x.vec[0] % pm_x
-            if c == 0:
-                out = (None, (x.m - x.s) * self.e)
-            else:
-                out = (self.e * (_vp(c, self.p) - x.s), None)
-            x._val = out
-            return out
+    def norm_valuation(self, x):
+        """v_K(x) = v_p(N(x)) / f from the full norm.
+
+        This certifies each frame's delta at construction, before the
+        layer's frame exists, and is the tests' oracle for val_or_bound.
+        Raises PrecisionError when the norm is zero to precision.
+        """
         nint, s, m = self.norm_tower(x)
         nint %= self.p ** m
         if nint == 0:
-            if m <= s:
-                # the denominator p^s swallows the whole modulus: nothing
-                # is known about the norm, not even a lower bound
-                raise PrecisionError(
-                    f"norm known only mod p^{m} under denominator p^{s}; "
-                    "raise the working precision")
-            out = (None, (m - s + self.f - 1) // self.f - (0 if s == 0 else 1))
+            raise PrecisionError(
+                f"norm is zero mod p^{m} under denominator p^{s}; "
+                "raise the working precision")
+        vp = _vp(nint, self.p) - s
+        if vp % self.f:
+            raise FieldError("norm valuation not divisible by the residue "
+                             "degree: internal inconsistency")
+        return vp // self.f
+
+    def val_or_bound(self, x):
+        """(v_K(x), None), or (None, bound) when x is only known to have
+        v_K(x) >= bound (zero to precision)."""
+        if x._val is None:
+            x._val = self._val(x.vec, x.s, min(x.m, self.M))
+        return x._val
+
+    def _val(self, vec, s, m):
+        """val_or_bound of vec / p^s, vec known mod p^m.
+
+        Numerators lie in the order spanned by the power basis, which is
+        integral, so an error in p^m of it has v >= e (m - s).  Otherwise
+        the frame gen = gamma delta + beta rewrites the element as
+        sum y_k delta^k: Taylor-shift the blocks by beta, scale block k by
+        gamma^k.  The terms scale v_B(y_k) + k v(delta) never tie in a
+        ramified layer (v(delta) is prime to the scale), and in an
+        unramified one the residues of the delta^k are independent, so
+        v_K is the least term; a y_k only bounded below gives its bound.
+        """
+        p = self.p
+        pm = p ** m
+        vec = [c % pm for c in vec]
+        if not any(vec):
+            return None, self.e * (m - s)
+        if self.base is None:
+            return _vp(vec[0], p) - s, None
+        B, b, d = self.base, self.base.n, self.d
+        beta, gamma, scale, w = self.frame
+        blocks = [vec[i * b:(i + 1) * b] for i in range(d)]
+        if not any(c for blk in blocks[1:] for c in blk):
+            # an element of the base plus an error of v >= e (m - s)
+            v, bound = B._val(blocks[0], s, m)
+            floor = self.e * (m - s)
+            if v is not None and scale * v < floor:
+                return scale * v, None
+            return None, min(floor, scale * (bound if v is None else v))
+        t = u = 0
+        if beta is not None:
+            bvec, t = beta
+            if t:
+                # beta = bvec / p^t: shift the blocks p^(t(d-1-i)) X_i by
+                # bvec, then y_k carries the denominator p^(s + t(d-1-k))
+                blocks = [[c * p ** (t * (d - 1 - i)) % pm for c in blk]
+                          for i, blk in enumerate(blocks)]
+        if gamma is not None:
+            gpows, u = gamma
+        dens = [s + t * (d - 1 - k) + u * k for k in range(d)]
+        # numerators are integral, so term k is at least k w - e dens[k]
+        floors = [k * w - self.e * dk for k, dk in enumerate(dens)]
+        best = low = None
+        for k in range(d):
+            if beta is not None:
+                # pass k of the Taylor shift leaves y_k final
+                for j in range(d - 2, k - 1, -1):
+                    hi = blocks[j + 1]
+                    if any(hi):
+                        blocks[j] = [(c + a) % pm for c, a in
+                                     zip(blocks[j], B._mul_mod(hi, bvec, pm))]
+            y = blocks[k]
+            if gamma is not None and k:
+                y = B._mul_mod(y, gpows[k], pm)
+            v, bound = B._val(y, dens[k], m)
+            if v is not None:
+                term = scale * v + k * w
+                best = term if best is None else min(best, term)
+            else:
+                term = scale * bound + k * w
+                low = term if low is None else min(low, term)
+            if best is not None and best <= min(floors[k + 1:], default=best):
+                break      # no later term can reach below best
+        if best is not None and (low is None or best <= low):
+            return best, None
+        return None, low if best is None else min(best, low)
+
+    def _set_frame(self, weight, beta=None, gamma=None):
+        """Install the certified frame gen = gamma delta + beta with
+        v_K(delta) = weight; beta and gamma are base elements, None
+        standing for 0 and 1."""
+        B = self.base
+        if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
+            gpows = [None, gamma.vec]
+            for _ in range(2, self.d):
+                gpows.append(B._mul_mod(gpows[-1], gamma.vec, self.pM))
+            gamma = (gpows, gamma.s)
         else:
-            vp = _vp(nint, self.p) - s
-            if vp % self.f:
-                raise FieldError("norm valuation not divisible by the residue "
-                                 "degree: internal inconsistency")
-            out = (vp // self.f, None)
-        x._val = out
-        return out
+            gamma = None
+        beta = (beta.vec, beta.s) if beta is not None and any(beta.vec) else None
+        self.frame = (beta, gamma, self.e // B.e, weight)
 
     def val_at_least(self, x, k):
         v, bound = self.val_or_bound(x)
@@ -649,8 +731,9 @@ class CycloField(LocalField):
         self.pi = self.gen() - self.one()
         self.residue_lifts = [self.from_int(c) for c in range(p)]
         self.residue_coords = [(c,) for c in range(p)]
-        if self.pi.valuation() != 1:
+        if self.norm_valuation(self.pi) != 1:
             raise CertificationError("cyclotomic uniformizer check failed")
+        self._set_frame(1, beta=base.one())       # zeta = pi + 1
         if self.embed(base.pi).valuation() != self.e:
             raise CertificationError("cyclotomic ramification check failed")
         # different via the derivative of the cyclotomic polynomial at zeta:
@@ -914,19 +997,22 @@ def _extend_kummer_cyclic(base, rad, name):
             # sigma_i(pi) - pi = gen^x pi^y (xi^(ix) - 1)
             x = pow(v1, -1, p)
             y = (1 - x * v1) // p
-            if gen.valuation() != v1:
+            if K.norm_valuation(gen) != v1:
                 raise CertificationError("generator valuation check failed")
             delta, piexp, vdelta = gen, y, v1
+            K._set_frame(v1)
         else:
             lam = peel["lambda"]
             c = v1 // p
-            delta = gen - K.embed(base.pi_pow(c) * peel["A"])
+            beta = base.pi_pow(c) * peel["A"]
+            delta = gen - K.embed(beta)
             vdelta = lam + p * c
             # validate on the integral numerator (delta may carry a p-power
             # denominator through the adjuster)
             dint = FieldElement(K, delta.vec, 0, delta.m)
-            if dint.valuation() != vdelta + K.d * base.e * delta.s:
+            if K.norm_valuation(dint) != vdelta + K.d * base.e * delta.s:
                 raise CertificationError("unit-layer defect check failed")
+            K._set_frame(vdelta, beta=beta)
             x = pow(lam, -1, p)
             y = (1 - x * lam) // p
             piexp = y - c * x
@@ -946,8 +1032,12 @@ def _extend_kummer_cyclic(base, rad, name):
         K.pi = K.embed(base.pi)
         K.pi_factored = None
         eun = base.e // (p - 1)
-        eta = gen * K.embed((base.pi_pow(v1 // p) * peel["A"]).inv())
+        alpha = base.pi_pow(v1 // p) * peel["A"]
+        eta = gen * K.embed(alpha.inv())
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
+        # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
+        # whose residue has degree p (the Artin-Schreier obstruction)
+        K._set_frame(0, beta=alpha, gamma=alpha * base.pi_pow(eun))
         lifts, coords = [], []
         for tup in itertools.product(range(len(base.residue_lifts)), repeat=p):
             acc = K.zero()
@@ -960,11 +1050,10 @@ def _extend_kummer_cyclic(base, rad, name):
         K.residue_lifts = lifts
         K.residue_coords = coords
     K.certificate = cert
-    if K.n <= _MATERIALIZE_CHECK_LIMIT:
-        if K.pi.valuation() != 1:
-            raise UniformizerSearchError("constructed uniformizer is not one")
-        if K.embed(base.pi).valuation() != (p if kind == "tr" else 1):
-            raise CertificationError("ramification index check failed")
+    if K.pi.valuation() != 1:
+        raise UniformizerSearchError("constructed uniformizer is not one")
+    if K.embed(base.pi).valuation() != (p if kind == "tr" else 1):
+        raise CertificationError("ramification index check failed")
     # different of the layer from the conjugate differences of pi:
     #   sigma_i(pi)/pi = (sigma_i(delta)/delta)^x  and
     #   sigma_i(delta) - delta = (xi^i - 1) gen,
@@ -987,6 +1076,12 @@ def _extend_kummer_cyclic(base, rad, name):
             Fraction(1, p ** t))
     else:
         user_gen = gen
+    # the stored relation knows rad1 only mod p^(rad1.m), and the user
+    # generator is a root of rad no more precisely than that
+    if user_gen.m > rad1.m:
+        pm = p ** rad1.m
+        user_gen = FieldElement(K, [c % pm for c in user_gen.vec],
+                                user_gen.s, rad1.m)
     return K, user_gen
 
 
@@ -1090,11 +1185,14 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
     else:
         ram = True
     K = QuadField(base, [ccoef, bcoef], M, name)
-    gen = K.gen()
-    theta = gen + K.embed(bcoef * base.from_fraction(Fraction(1, 2)))
+    half_b = bcoef * base.from_fraction(Fraction(1, 2))
+    theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
         K.e = base.e * 2
         K.f = base.f
+        if K.norm_valuation(theta) != vd:
+            raise CertificationError("ramified quadratic generator check failed")
+        K._set_frame(vd, beta=-half_b)
         y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
         K.pi = theta * K.embed(base.pi_pow(y))
         K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
@@ -1108,6 +1206,8 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         K.f = base.f * 2
         K.pi = K.embed(base.pi)
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
+        # the frame's delta is rho, a unit with rho^2 a non-square unit
+        K._set_frame(0, beta=-half_b, gamma=base.pi_pow(vd // 2))
         lifts, coords = [], []
         for tup in itertools.product(range(len(base.residue_lifts)), repeat=2):
             acc = K.embed(base.residue_lifts[tup[0]]) + \
@@ -1130,6 +1230,12 @@ def _extend_custom(base, coeffs, M, name):
     d = len(coeffs)
     if d < 2:
         raise FieldError("custom step must have degree at least 2")
+    for i, c in enumerate(coeffs):
+        # the layer relation folds with numerators: a p-power denominator
+        # would silently change the polynomial
+        if c._normalized().s:
+            raise FieldError("custom steps take integral monic polynomials; "
+                             f"the coefficient of x^{i} is not integral")
     if d == 2:
         return _extend_quadratic(base, coeffs[1], coeffs[0], M, name)
     vals = []
@@ -1155,6 +1261,9 @@ def _extend_custom(base, coeffs, M, name):
     K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
     K.residue_coords = list(base.residue_coords)
     K.certificate = f"newton polygon single segment, slope {v0}/{d}"
+    if K.norm_valuation(gen) != v0:
+        raise CertificationError("custom generator valuation check failed")
+    K._set_frame(v0)
     if K.pi.valuation() != 1:
         raise UniformizerSearchError("custom layer uniformizer failed")
     # different: valid when the generator is an Eisenstein uniformizer
@@ -1257,11 +1366,9 @@ def residue(x):
 
 
 def find_uniformizer(K):
-    """The uniformizer certified at construction, validated by its norm
-    when the tower is small enough to materialize the check."""
-    # larger towers are certified layer by layer at construction; a direct
-    # norm of the materialized element would overflow the working modulus
-    if K.n <= _MATERIALIZE_CHECK_LIMIT and K.val_or_bound(K.pi)[0] != 1:
+    """The uniformizer certified at construction, validated through the
+    valuation frames."""
+    if K.val_or_bound(K.pi)[0] != 1:
         raise UniformizerSearchError("certified uniformizer failed validation")
     return K.pi
 

@@ -6,7 +6,8 @@ semidirect product Z/p^r x| (Z/p^r)^*, acting by
     sigma_{a,b}:  zeta -> zeta^a,   theta -> zeta^b theta.
 
 The lower-numbering ramification filtration is computed from
-i(sigma) = v_K(sigma(pi) - pi) with the certified uniformizer, and Artin
+i(sigma) = v_K(sigma(pi) - pi) with the certified uniformizer (and, when
+f > 1, the least v_K(sigma(c) - c) over the residue lifts c), and Artin
 conductors of characters are exact rational computations over a small
 cyclotomic coefficient field (never floating point).
 """
@@ -324,8 +325,16 @@ def ramification_filtration(K, pi=None):
     for sig in elems:
         if sig.is_identity:
             continue
-        diff = apply_automorphism(sig, pi) - pi
-        ivals[sig] = diff.valuation()
+        i = (apply_automorphism(sig, pi) - pi).valuation()
+        if K.f > 1:
+            # O_K is generated by pi and the residue lifts, so i_G(sigma)
+            # is the least move among them; outside inertia some lift
+            # moves by a unit and sigma leaves G_0
+            for c in K.residue_lifts:
+                dc = apply_automorphism(sig, c) - c
+                if not K.val_at_least(dc, i):
+                    i = dc.valuation()
+        ivals[sig] = i
     imax = max(ivals.values())
     groups = []
     for i in range(imax + 1):

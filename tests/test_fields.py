@@ -315,12 +315,40 @@ def test_parse_int_poly_empty_is_value_error():
 
 def test_norm_denominator_swallowing_modulus_is_precision_error(F9):
     # 3^-10 zeta with an unnormalized denominator 3^20: the norm carries
-    # 3^120 under a modulus of 3^40, so nothing is known about it
+    # 3^120 under a modulus of 3^40, so the norm certificate knows nothing
+    # about it, while the valuation frame reads it off the one coordinate
     from anabelomorph.fields import FieldElement
     from anabelomorph.padic import PrecisionError
     x = FieldElement(F9, (0, 3 ** 10, 0, 0, 0, 0), 20, 40)
     with pytest.raises(PrecisionError):
-        x.val_or_bound()
-    with pytest.raises(PrecisionError):
-        x.is_zero_to_precision()
+        F9.norm_valuation(x)
+    assert x.val_or_bound() == (-60, None)
+    assert not x.is_zero_to_precision()
     assert x._normalized().valuation() == -60
+
+
+def test_custom_rejects_non_integral_coefficients():
+    # x^3 - 1/3 generates Q_3(3^(1/3)), but the layer relation folds with
+    # numerators only; the scope error names what custom steps take
+    from anabelomorph.fields import FieldError
+    for coeffs in ([Fraction(-1, 3), 0, 0], [Fraction(1, 3), 0]):
+        with pytest.raises(FieldError, match="integral monic polynomials"):
+            build_field(3, [T.custom(coeffs)])
+    # a denominator prime to p is integral and stays accepted
+    assert build_field(3, [T.custom([Fraction(-3, 2), 0, 0])]).e == 3
+
+
+def test_step_generator_precision_is_honest(K2):
+    # g * g must agree with the same product at a higher working
+    # precision to every digit it claims (the generator may not claim
+    # more digits than its stored layer relation carries); fresh copies,
+    # since a cached valuation lets a product claim more
+    from anabelomorph.fields import FieldElement
+    H = build_field(3, [T.cyclotomic(9), T.kummer(9, 3)], prec=600)
+    for g, h in zip(K2.step_generators, H.step_generators):
+        g = FieldElement(K2, g.vec, g.s, g.m)
+        a, b = g * g, h * h
+        top = max(a.s, b.s)
+        for x, y in zip(a.vec, b.vec):
+            d = x * 3 ** (top - a.s) - y * 3 ** (top - b.s)
+            assert d % 3 ** (a.m + top - a.s) == 0

@@ -1,0 +1,174 @@
+"""Valuations read off the per-layer frames against the norm oracle.
+
+Each certified layer carries a frame gen = gamma delta + beta, and
+``val_or_bound`` reads v_K from it layer by layer.  The full norm
+valuation ``norm_valuation`` (v_p(N(x)) / f) is kept as the oracle: on
+random elements of towers whose top layer has each frame shape (cyclo;
+Eisenstein, unit and unramified Kummer; ramified and unramified
+quadratic; custom) the two must agree whenever both certify, and a bound
+from the frame must not exceed the norm's value.  The same draws check
+v(xy) = v(x) + v(y) and the ultrametric inequality.  A seeded sweep at
+low precision checks that every frame answer holds for each lift of the
+element to a higher precision.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from anabelomorph.fields import (FieldElement, TowerStep, build_field,
+                                 find_uniformizer)
+from anabelomorph.padic import PrecisionError
+
+T = TowerStep
+
+# (shape, p) -> steps; the top layer of each tower has the named shape.
+# Quadratic layers need odd p.  An unramified Kummer layer at p = 7 lists
+# 7^7 residue lifts, so that shape stops at p = 5.
+FRAME_TOWERS = {
+    ("cyclo", 2): [T.cyclotomic(8)],
+    ("cyclo", 3): [T.cyclotomic(9)],
+    ("cyclo", 5): [T.cyclotomic(25)],
+    ("cyclo", 7): [T.cyclotomic(7)],
+    ("kummer-eisenstein", 2): [T.kummer(2, 2)],
+    ("kummer-eisenstein", 3): [T.cyclotomic(3), T.kummer(9, 3)],
+    ("kummer-eisenstein", 5): [T.cyclotomic(5), T.kummer(5, 5)],
+    ("kummer-eisenstein", 7): [T.cyclotomic(7), T.kummer(7, 7)],
+    ("kummer-unit", 2): [T.cyclotomic(4), T.kummer(4, 5)],
+    ("kummer-unit", 3): [T.cyclotomic(9), T.kummer(9, 3)],
+    ("kummer-unit", 5): [T.cyclotomic(5), T.kummer(5, 2)],
+    ("kummer-unit", 7): [T.cyclotomic(7), T.kummer(7, 2)],
+    ("kummer-unramified", 2): [T.kummer(2, 5)],
+    ("kummer-unramified", 3): [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})],
+    ("kummer-unramified", 5): [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})],
+    ("quad-ramified", 3): [T.custom([-3, 3])],
+    ("quad-ramified", 5): [T.custom([-5, 5])],
+    ("quad-ramified", 7): [T.custom([-7, 7])],
+    ("quad-unramified", 3): [T.custom([-18, 0])],
+    ("quad-unramified", 5): [T.custom([2, 1])],
+    ("quad-unramified", 7): [T.cyclotomic(7), T.custom([-3, 0])],
+    ("custom", 2): [T.cyclotomic(4), T.custom([-2, 0, 0])],
+    ("custom", 3): [T.custom([-3, 3, 0])],
+    ("custom", 5): [T.cyclotomic(5), T.custom([-5, 0, 0])],
+    ("custom", 7): [T.custom([-49, 0, 0, 7, 0])],
+}
+_BUILT = {}
+
+
+def _tower(key):
+    if key not in _BUILT:
+        _BUILT[key] = build_field(key[1], FRAME_TOWERS[key])
+    return _BUILT[key]
+
+
+def _shape(K):
+    beta, _, scale, _ = K.frame
+    if K.kind in ("cyclo", "custom"):
+        return K.kind
+    if scale == 1:
+        return f"{K.kind}-unramified"
+    if K.kind == "quad":
+        return "quad-ramified"
+    return "kummer-unit" if beta is not None else "kummer-eisenstein"
+
+
+def _fresh(x):
+    """x with no cached valuation (products carry their factors' sum)."""
+    return FieldElement(x.field, x.vec, x.s, x.m)
+
+
+def _oracle(x):
+    try:
+        return x.field.norm_valuation(x)
+    except PrecisionError:
+        return None
+
+
+def _check_against_norm(x):
+    v, bound = x.val_or_bound()
+    vn = _oracle(x)
+    if v is not None and vn is not None:
+        assert v == vn
+    elif vn is not None:
+        assert bound <= vn
+    return v
+
+
+@st.composite
+def _elements(draw, K):
+    """Sparse vectors of mixed p-adic size, whole blocks over the base
+    left out at random, with a small denominator."""
+    p = K.p
+    b = K.base.n
+    keep = draw(st.lists(st.booleans(), min_size=K.d, max_size=K.d))
+    vec = [draw(st.sampled_from([0, 1, -1, p, 1 + p, p ** 3 - 1]))
+           * p ** draw(st.integers(0, 4)) if keep[i // b] else 0
+           for i in range(K.n)]
+    return FieldElement(K, vec, draw(st.integers(0, 2)), K.M)
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(FRAME_TOWERS)])
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_frame_valuation_matches_norm(key, data):
+    K = _tower(key)
+    assert _shape(K) == key[0]
+    x, y = data.draw(_elements(K)), data.draw(_elements(K))
+    vx, vy = _check_against_norm(x), _check_against_norm(y)
+    vxy = _check_against_norm(_fresh(x * y))
+    if None not in (vx, vy, vxy):
+        assert vxy == vx + vy
+    vs = _check_against_norm(x + y)
+    if vs is not None and None not in (vx, vy):
+        assert vs >= min(vx, vy)
+        if vx != vy:
+            assert vs == min(vx, vy)
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(FRAME_TOWERS)])
+def test_frame_answer_holds_for_every_lift(key):
+    # at a low precision m, a certified valuation must be that of every
+    # element the numerator stands for, and a bound must hold for each;
+    # digits up to p^15 and whole blocks left out reach the edge where
+    # a term known only by its bound decides the answer
+    K = _tower(key)
+    p, b = K.p, K.base.n
+    rng = random.Random(f"lift:{key}")
+    for _ in range(150):
+        s = rng.randrange(3)
+        m = s + rng.randrange(12, 17)
+        keep = [rng.random() < 0.5 for _ in range(K.d)]
+        vec = [rng.choice((0, 1, -1, p, 1 + p)) * p ** rng.randrange(16)
+               if keep[i // b] else 0 for i in range(K.n)]
+        v, bound = FieldElement(K, vec, s, m).val_or_bound()
+        lift = FieldElement(K, [a + p ** m * rng.randrange(p ** 6)
+                                for a in vec], s, m + 6)
+        vl, bl = lift.val_or_bound()
+        if v is not None:
+            assert vl == v
+        else:
+            assert (bl if vl is None else vl) >= bound
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(FRAME_TOWERS)])
+def test_frame_certifies_uniformizer_and_base(key):
+    K = _tower(key)
+    assert K.pi.valuation() == 1
+    assert K.embed(K.base.pi).valuation() == K.e // K.base.e
+    assert K.from_int(K.p).valuation() == K.e
+
+
+@pytest.mark.slow
+def test_radicand_6_degree_500_uniformizer_certified():
+    # the norm of this uniformizer carries 5^1000 under a modulus of
+    # 5^604, so the norm could not certify it; the frames do
+    K = build_field(5, [T.cyclotomic(25), T.kummer(25, 6)])
+    assert K.n == 500
+    assert _fresh(K.pi).val_or_bound() == (1, None)
+    assert find_uniformizer(K) is K.pi

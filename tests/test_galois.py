@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from anabelomorph.fields import TowerStep, build_field, discriminant_valuation
+from anabelomorph.fields import (TowerStep, build_field, different_valuation,
+                                 discriminant_valuation)
 from anabelomorph.galois import (CycRat, GaloisElement, NonGaloisTowerError,
                                  apply_automorphism, artin_conductor,
                                  character_table, conductor_discriminant_check,
@@ -230,6 +231,19 @@ def test_r2_filtration_matches_different():
         filt = ramification_filtration(K)
         assert different_from_filtration(filt) == want == discriminant_valuation(K)
         assert filt.breaks == breaks
+
+
+@pytest.mark.parametrize("p, r, rad, want", [(2, 2, 5, 6), (2, 3, 3, 50)])
+def test_f2_filtration_matches_different(p, r, rad, want):
+    # residue degree 2: a sigma outside inertia moves a residue lift by a
+    # unit and leaves G_0, and Hilbert's formula sum i_G = v_K(different)
+    # holds
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    assert K.f == 2
+    filt = ramification_filtration(K)
+    assert len(filt.groups[0][1]) == K.e          # G_0 is the inertia group
+    assert (sum(filt.i_values.values()) == different_from_filtration(filt)
+            == different_valuation(K) == want)
 
 
 def test_upper_numbering_derived_report(K1):
