@@ -2,16 +2,19 @@
 
 The algorithm below runs uniformly in every residue characteristic: all
 residue-field decisions (singular point location, root counting,
-square/cube completion, splitness of the tangent quadratic) are made by
-enumerating the finite set of residue representatives and testing
-valuations, never by characteristic-specific formulas.  The output
-quadruple is (v(Delta_min), conductor exponent, Kodaira symbol,
-Tamagawa number), with the conductor from v(Delta_min) - m + 1.
+square/cube completion, splitness of the tangent quadratic) are made in
+F_q on residues of a_i / pi^k read off the valuation frames, by
+enumerating F_q, never by characteristic-specific formulas.  A residue
+is lifted back to the field only to translate the model.  v(Delta) is
+computed once per model; translations keep it and each non-minimal
+restart lowers it by 12.  The output quadruple is (v(Delta_min),
+conductor exponent, Kodaira symbol, Tamagawa number), with the conductor
+from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import FieldElement, FieldError, parse_zeta_poly
@@ -68,6 +71,7 @@ class WeierstrassModel:
             raise PrecisionError(
                 "discriminant is zero to working precision; raise precision "
                 "or reject the model")
+        self.vdisc = v
 
     @classmethod
     def from_a_invariants(cls, K, a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -91,12 +95,20 @@ class StandardInvariants:
 
 @dataclass
 class ReductionData:
+    """Reduction data of the minimal model.  ``trace`` is the branch path
+    Tate's algorithm took, as tagged tuples: ("scale", k) when the input
+    was rescaled by pi^k to an integral model, ("singular", x, y) for the
+    residue singular point moved to (0, 0), ("translate", stage, var, c)
+    for each later translation var -> var + lift(c) pi^j, ("restart",)
+    for each non-minimal rescale, and ("branch", symbol) last.  Residues
+    are in the format of ``fields.residue`` (``residue_coords``)."""
     v_min_disc: int
     conductor: int
     kodaira: KodairaSymbol
     tamagawa: int
     components: int
     split: bool = None
+    trace: tuple = field(default=(), compare=False, repr=False)
 
     def quadruple(self):
         return (self.v_min_disc, self.conductor, str(self.kodaira), self.tamagawa)
@@ -166,60 +178,46 @@ def change_coords(model, u=1, r=0, s=0, t=0):
 
 
 # ----------------------------------------------------------------------
-# residue-field searches (all by enumeration of residue representatives)
+# residue-field searches (all by enumeration of F_q)
 
 
-def _k_roots(K, coeffs):
-    """Residue roots of a polynomial with integral coefficients: lifts c
-    with v(sum coeffs[i] c^i) >= 1."""
-    out = []
-    for c in K.residue_lifts:
-        acc = K.zero()
-        cp = K.one()
-        for co in coeffs:
-            acc = acc + co * cp
-            cp = cp * c
-        if K.val_at_least(acc, 1):
-            out.append(c)
-    return out
+def _ev(F, coeffs, x):
+    """sum coeffs[i] x^i in the residue field F."""
+    acc = F.zero
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
 
 
-def _k_double_root(K, coeffs):
-    """A lift that is a root of the polynomial and of its derivative."""
-    for c in K.residue_lifts:
-        acc = K.zero()
-        dacc = K.zero()
-        cp = K.one()
-        for i, co in enumerate(coeffs):
-            acc = acc + co * cp
-            if i + 1 < len(coeffs):
-                dacc = dacc + coeffs[i + 1] * cp * (i + 1)
-            cp = cp * c
-        if K.val_at_least(acc, 1) and K.val_at_least(dacc, 1):
-            return c
+def _roots(F, coeffs):
+    return [x for x in F.elements if not any(_ev(F, coeffs, x))]
+
+
+def _double_root(F, coeffs):
+    """The first x of F_q, in the order of the residue lifts, that is a
+    root of the polynomial and of its derivative; None when there is none.
+    Over the perfect field F_q a repeated root of a quadratic or a cubic
+    is rational, so None means the roots are distinct."""
+    deriv = [F.scale(c, i) for i, c in enumerate(coeffs)][1:]
+    for x in F.elements:
+        if not any(_ev(F, coeffs, x)) and not any(_ev(F, deriv, x)):
+            return x
     return None
 
 
-def _quad_has_distinct_roots(K, a, b, c):
-    """a x^2 + b x + c has distinct roots in the residue closure:
-    v(b^2 - 4ac) == 0 (the formula is characteristic-safe)."""
-    disc = b * b - 4 * a * c
-    return not K.val_at_least(disc, 1)
-
-
-def _find_singular_point(K, a1, a2, a3, a4, a6):
-    """Residue singular point of the reduction (unique, hence rational)."""
-    for xr in K.residue_lifts:
-        for yr in K.residue_lifts:
-            # F = y^2 + a1 x y + a3 y - x^3 - a2 x^2 - a4 x - a6
-            f = (yr * yr + a1 * xr * yr + a3 * yr - xr ** 3 - a2 * (xr * xr)
-                 - a4 * xr - a6)
-            if not K.val_at_least(f, 1):
-                continue
-            fx = a1 * yr - 3 * (xr * xr) - 2 * a2 * xr - a4
-            fy = 2 * yr + a1 * xr + a3
-            if K.val_at_least(fx, 1) and K.val_at_least(fy, 1):
-                return xr, yr
+def _singular_point(F, a1, a2, a3, a4, a6):
+    """Residue singular point of the reduction (unique, hence rational):
+    the common zero of W = y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6),
+    W_x = a1 y - (3 x^2 + 2 a2 x + a4) and W_y = 2 y + a1 x + a3."""
+    for x in F.elements:
+        g = F.add(F.mul(a1, x), a3)
+        h = F.scale(_ev(F, [a4, F.scale(a2, 2), F.scale(F.one, 3)], x), -1)
+        w = [F.scale(_ev(F, [a6, a4, a2, F.one], x), -1), g, F.one]
+        for y in F.elements:
+            if (not any(F.add(F.scale(y, 2), g))
+                    and not any(F.add(F.mul(a1, y), h))
+                    and not any(_ev(F, w, y))):
+                return x, y
     raise FieldError("no singular point found on a curve with v(disc) > 0")
 
 
@@ -270,167 +268,175 @@ def _tate_run(model):
     if drop is None:
         raise SingularModelError("all coefficients vanish")
     shift -= max(drop, 0)
+    trace = []
     if shift:
         a1, a2, a3, a4, a6 = (a1 * K.pi_pow(shift), a2 * K.pi_pow(2 * shift),
                               a3 * K.pi_pow(3 * shift), a4 * K.pi_pow(4 * shift),
                               a6 * K.pi_pow(6 * shift))
+        trace.append(("scale", shift))
+    vD = model.vdisc + 12 * shift
     for _restart in range(200):
-        result = _tate_pass(K, a1, a2, a3, a4, a6)
-        if result is not None and not isinstance(result, tuple):
+        result = _tate_pass(K, vD, trace, a1, a2, a3, a4, a6)
+        if not isinstance(result, tuple):
+            result.trace = tuple(trace)
             return result
-        if result is None:
-            raise FieldError("tate pass returned nothing")
         a1, a2, a3, a4, a6 = result    # non-minimal: rescaled, run again
+        vD -= 12
+        trace.append(("restart",))
     raise FieldError("tate algorithm did not terminate (restart budget)")
 
 
-def _tate_pass(K, a1, a2, a3, a4, a6):
-    inv = weierstrass_invariants((a1, a2, a3, a4, a6), check=False)
-    vD = inv.disc.valuation()
+def _end(trace, vD, f, kodaira, c, m, split=None):
+    trace.append(("branch", str(kodaira)))
+    return ReductionData(vD, f, kodaira, c, m, split=split)
+
+
+def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
+    """One pass at v(Delta) = vD: the reduction data, or the rescaled
+    coefficients of a non-minimal model.  Translations are appended to
+    ``trace``."""
     if vD == 0:
-        return ReductionData(0, 0, KodairaSymbol("I0"), 1, 1)
+        return _end(trace, 0, 0, KodairaSymbol("I0"), 1, 1)
+    F = K.residue_field
+    res = K.residue_at
+
+    def translate(stage, var, c, k):
+        trace.append(("translate", stage, var, _coords(K, c)))
+        return _translate(a1, a2, a3, a4, a6, **{var: _lift(K, c, k)})
 
     # move the singular point of the reduction to (0, 0)
-    xr, yr = _find_singular_point(K, a1, a2, a3, a4, a6)
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=xr, t=yr)
+    xr, yr = _singular_point(F, *(res(a, 0) for a in (a1, a2, a3, a4, a6)))
+    trace.append(("singular", _coords(K, xr), _coords(K, yr)))
+    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=_lift(K, xr, 0),
+                                    t=_lift(K, yr, 0))
 
-    b2 = a1 * a1 + 4 * a2
-    if not K.val_at_least(b2, 1):
+    # the tangent quadratic T^2 + a1 T - a2 at the singular point
+    tangent = [F.scale(res(a2, 0), -1), res(a1, 0), F.one]
+    sbar = _double_root(F, tangent)
+    if sbar is None:
         # multiplicative: I_n with n = v(disc)
         n = vD
-        split = bool(_k_roots(K, [(-1) * a2, a1, K.one()]))
-        if split:
-            c = n
-        else:
-            c = 2 if n % 2 == 0 else 1
-        return ReductionData(vD, vD - n + 1, KodairaSymbol("In", n), c, n,
-                             split=split)
+        split = bool(_roots(F, tangent))
+        c = n if split else (2 if n % 2 == 0 else 1)
+        return _end(trace, vD, vD - n + 1, KodairaSymbol("In", n), c, n,
+                    split=split)
 
     # additive reduction from here on
     if not K.val_at_least(a6, 2):
-        return ReductionData(vD, vD, KodairaSymbol("II"), 1, 1)
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3)
-          - a4 * a4)
+        return _end(trace, vD, vD, KodairaSymbol("II"), 1, 1)
+    b2 = a1 * a1 + a2.scaled(4)
+    b8 = b2 * a6 - a3 * (a1 * a4 - a2 * a3) - a4 * a4
     if not K.val_at_least(b8, 3):
-        return ReductionData(vD, vD - 1, KodairaSymbol("III"), 2, 2)
-    b6 = a3 * a3 + 4 * a6
+        return _end(trace, vD, vD - 1, KodairaSymbol("III"), 2, 2)
+    b6 = a3 * a3 + a6.scaled(4)
     if not K.val_at_least(b6, 3):
-        quad = [(-1) * K.div_pi(a6, 2), K.div_pi(a3, 1), K.one()]
-        c = 3 if _k_roots(K, quad) else 1
-        return ReductionData(vD, vD - 2, KodairaSymbol("IV"), c, 3)
+        quad = [F.scale(res(a6, 2), -1), res(a3, 1), F.one]
+        c = 3 if _roots(F, quad) else 1
+        return _end(trace, vD, vD - 2, KodairaSymbol("IV"), c, 3)
 
     # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
-    sbar = _k_double_root(K, [(-1) * a2, a1, K.one()])
-    if sbar is None:
-        raise FieldError("tangent quadratic has no double residue root")
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, s=sbar)
-    tbar = None
-    for cand in K.residue_lifts:
-        if K.val_at_least(K.div_pi(a3, 1) + 2 * cand, 1):
-            tbar = cand
-            break
+    a1, a2, a3, a4, a6 = translate("sbar", "s", sbar, 0)
+    a3bar = res(a3, 1)
+    tbar = next((c for c in F.elements
+                 if not any(F.add(a3bar, F.scale(c, 2)))), None)
     if tbar is None:
         raise FieldError("no shift clears the a3 coefficient")
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, t=tbar * K.pi_pow(1))
-    sig = None
-    for cand in K.residue_lifts:
-        if K.val_at_least(K.div_pi(a6, 2) - cand * cand, 1):
-            sig = cand
-            break
+    a1, a2, a3, a4, a6 = translate("tbar", "t", tbar, 1)
+    a6bar = res(a6, 2)
+    sig = next((c for c in F.elements
+                if F.mul(c, c) == a6bar), None)
     if sig is None:
         raise FieldError("a6/pi^2 is not a residue square after clearing a3")
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, t=sig * K.pi_pow(1))
+    a1, a2, a3, a4, a6 = translate("sigma", "t", sig, 1)
     for ai, want in ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3)):
         if not K.val_at_least(ai, want):
             raise FieldError("step-six normalization failed")
 
     # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + (a6/pi^3)
-    pc = [K.div_pi(a6, 3), K.div_pi(a4, 2), K.div_pi(a2, 1), K.one()]
-    if _cubic_distinct(K, pc):
-        c = 1 + len(_k_roots(K, pc))
-        return ReductionData(vD, vD - 4, KodairaSymbol("I0*"), c, 5)
-    trep = _k_double_root(K, pc)
+    pc = [res(a6, 3), res(a4, 2), res(a2, 1), F.one]
+    trep = _double_root(F, pc)
     if trep is None:
-        raise FieldError("cubic with repeated root has no residue double root")
-    triple = (K.val_at_least(pc[2] + 3 * trep, 1)
-              and K.val_at_least(pc[1] - 3 * (trep * trep), 1)
-              and K.val_at_least(pc[0] + trep ** 3, 1))
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=trep * K.pi_pow(1))
+        c = 1 + len(_roots(F, pc))
+        return _end(trace, vD, vD - 4, KodairaSymbol("I0*"), c, 5)
+    # the double root is triple when the third root -a2/pi - 2 trep is it
+    triple = not any(F.add(pc[2], F.scale(trep, 3)))
+    a1, a2, a3, a4, a6 = translate("cubic", "r", trep, 1)
 
     if not triple:
-        return _tate_in_star(K, vD, a1, a2, a3, a4, a6)
+        return _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6)
 
     # triple root: types IV*, III*, II* or restart
-    quad = [(-1) * K.div_pi(a6, 4), K.div_pi(a3, 2), K.one()]
-    if _quad_has_distinct_roots(K, K.one(), quad[1], quad[0]):
-        c = 3 if _k_roots(K, quad) else 1
-        return ReductionData(vD, vD - 6, KodairaSymbol("IV*"), c, 7)
-    yrep = _k_double_root(K, quad)
+    quad = [F.scale(res(a6, 4), -1), res(a3, 2), F.one]
+    yrep = _double_root(F, quad)
     if yrep is None:
-        raise FieldError("quartic-stage quadratic has no residue double root")
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                    t=yrep * K.pi_pow(2))
+        c = 3 if _roots(F, quad) else 1
+        return _end(trace, vD, vD - 6, KodairaSymbol("IV*"), c, 7)
+    a1, a2, a3, a4, a6 = translate("IV*", "t", yrep, 2)
     if not K.val_at_least(a4, 4):
-        return ReductionData(vD, vD - 7, KodairaSymbol("III*"), 2, 8)
+        return _end(trace, vD, vD - 7, KodairaSymbol("III*"), 2, 8)
     if not K.val_at_least(a6, 6):
-        return ReductionData(vD, vD - 8, KodairaSymbol("II*"), 1, 9)
+        return _end(trace, vD, vD - 8, KodairaSymbol("II*"), 1, 9)
     # non-minimal model: rescale and restart
     return (K.div_pi(a1, 1), K.div_pi(a2, 2), K.div_pi(a3, 3),
             K.div_pi(a4, 4), K.div_pi(a6, 6))
 
 
-def _tate_in_star(K, vD, a1, a2, a3, a4, a6):
+def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
     """Step-seven loop: I_n* for n >= 1.
 
     State on entry: v(a2) = 1 exactly, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4.
     Alternates between Y- and X-quadratics of increasing depth.
     """
+    F = K.residue_field
+    res = K.residue_at
     n = 1
     for _guard in range(vD + 8):
         k = (n + 1) // 2
         if n % 2 == 1:
-            qa, qb, qc = K.one(), K.div_pi(a3, k + 1), (-1) * K.div_pi(a6, 2 * k + 2)
+            quad = [F.scale(res(a6, 2 * k + 2), -1), res(a3, k + 1), F.one]
         else:
-            qa, qb, qc = K.div_pi(a2, 1), K.div_pi(a4, k + 2), K.div_pi(a6, 2 * k + 3)
-        if _quad_has_distinct_roots(K, qa, qb, qc):
-            c = 4 if _k_roots(K, [qc, qb, qa]) else 2
-            return ReductionData(vD, vD - 4 - n, KodairaSymbol("In*", n),
-                                 c, 5 + n)
-        rep = _k_double_root(K, [qc, qb, qa])
+            quad = [res(a6, 2 * k + 3), res(a4, k + 2), res(a2, 1)]
+        rep = _double_root(F, quad)
         if rep is None:
-            raise FieldError("In* stage quadratic has no residue double root")
-        if n % 2 == 1:
-            a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                            t=rep * K.pi_pow(k + 1))
-        else:
-            a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                            r=rep * K.pi_pow(k + 1))
+            c = 4 if _roots(F, quad) else 2
+            return _end(trace, vD, vD - 4 - n, KodairaSymbol("In*", n),
+                        c, 5 + n)
+        var = "t" if n % 2 == 1 else "r"
+        trace.append(("translate", f"I{n}*", var, _coords(K, rep)))
+        a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
+                                        **{var: _lift(K, rep, k + 1)})
         n += 1
     raise FieldError("In* loop did not terminate")
 
 
-def _cubic_distinct(K, pc):
-    """Distinct roots in the residue closure via the cubic discriminant."""
-    c0, c1, c2, _ = pc
-    disc = (18 * c2 * c1 * c0 - 4 * (c2 ** 3) * c0 + (c2 * c1) * (c2 * c1)
-            - 4 * (c1 ** 3) - 27 * (c0 * c0))
-    return not K.val_at_least(disc, 1)
+def _coords(K, c):
+    """c in F_q as its residue coordinates, as ``fields.residue`` gives."""
+    return K.residue_coords[K.residue_field.index[c]]
+
+
+def _lift(K, c, k):
+    """The residue lift of c in F_q, times pi^k."""
+    out = K.residue_lifts[K.residue_field.index[c]]
+    return out * K.pi_pow(k) if k else out
 
 
 def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):
-    """(x, y) -> (x + r, y + s x + t) with u = 1."""
-    K = a1.field
-    zero = K.zero()
-    r = zero if r is None else r
-    s = zero if s is None else s
-    t = zero if t is None else t
-    na1 = a1 + 2 * s
-    na2 = a2 - s * a1 + 3 * r - s * s
-    na3 = a3 + r * a1 + 2 * t
-    na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * (r * r) - 2 * s * t
-    na6 = (a6 + r * a4 + (r * r) * a2 + (r * r) * r - t * a3 - t * t
-           - r * t * a1)
-    return na1, na2, na3, na4, na6
+    """(x, y) -> (x + r, y + s x + t) with u = 1, as an x-shift by r, then
+    y -> y + s x, then y -> y + t; None stands for 0."""
+    if r is not None:
+        a6 = a6 + r * (a4 + r * (a2 + r))
+        a4 = a4 + r * (a2.scaled(2) + r.scaled(3))
+        a3 = a3 + r * a1
+        a2 = a2 + r.scaled(3)
+    if s is not None:
+        a4 = a4 - s * a3
+        a2 = a2 - s * (a1 + s)
+        a1 = a1 + s.scaled(2)
+    if t is not None:
+        a6 = a6 - t * (a3 + t)
+        a4 = a4 - t * a1
+        a3 = a3 + t.scaled(2)
+    return a1, a2, a3, a4, a6
 
 
 # ----------------------------------------------------------------------

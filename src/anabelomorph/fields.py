@@ -28,7 +28,9 @@ beta with beta, gamma in the base and v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
 Valuations are read off the frames layer by layer, never from a norm;
 the norm valuation v_p(N(x)) / f only certifies each frame's delta
-before the frame exists, and serves the tests as an oracle.
+before the frame exists, and serves the tests as an oracle.  The same
+walk reads the residue of x / pi^v(x) off the least frame term, in the
+residue field F_q as coordinate tuples over F_p (``residue_at``).
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class FieldElement:
     vector certifies the exact zero (used to reject singular models).
     """
 
-    __slots__ = ("field", "vec", "s", "m", "_val", "exact")
+    __slots__ = ("field", "vec", "s", "m", "_val", "_res", "exact")
 
     def __init__(self, field, vec, s=0, m=None, exact=False):
         self.field = field
@@ -106,6 +108,7 @@ class FieldElement:
         self.s = s
         self.m = field.M if m is None else m
         self._val = None
+        self._res = None        # residue of self / pi^v, read with _val
         self.exact = exact
         if self.m - self.s < _MIN_EFFECTIVE:
             raise PrecisionError(
@@ -168,6 +171,8 @@ class FieldElement:
         if (self._val is not None and other._val is not None
                 and self._val[0] is not None and other._val[0] is not None):
             out._val = (self._val[0] + other._val[0], None)
+            if self._res is not None and other._res is not None:
+                out._res = F.residue_field.mul(self._res, other._res)
         return out._normalized() if out.s else out
 
     __rmul__ = __mul__
@@ -218,7 +223,7 @@ class FieldElement:
         pm = p ** m
         vec = tuple((a // pg) % pm for a in self.vec)
         out = FieldElement(self.field, vec, self.s - g, m, exact=self.exact)
-        out._val = val
+        out._val, out._res = val, self._res
         return out
 
     # -- queries ---------------------------------------------------------
@@ -256,13 +261,92 @@ class FieldElement:
 
 
 # ----------------------------------------------------------------------
+# residue fields
+
+
+class ResidueField:
+    """The residue field F_q of a layer; elements are flat coordinate
+    tuples over F_p.
+
+    ``ResidueField(p)`` is F_p.  An unramified layer of degree d over a
+    base with residue field F gives F[rho]/(rho^d - sum_k rel_k rho^k),
+    rel read off the layer's frame: an element is d blocks of
+    F-coordinates, block k the coefficient of rho^k.  A ramified layer
+    keeps its base's residue field.  ``elements`` lists F_q in the order
+    of the layer's residue lifts, and ``index`` inverts it.
+    """
+
+    def __init__(self, p, base=None, rel=None):
+        self.p = p
+        self.base = base
+        if base is None:
+            self.f, self.d = 1, 1
+            self.elements = [(c,) for c in range(p)]
+        else:
+            b = base.f
+            self.d = len(rel) // b
+            self.f = b * self.d
+            self.rel = [rel[k * b:(k + 1) * b] for k in range(self.d)]
+            self.elements = [sum(tup, ()) for tup in
+                             itertools.product(base.elements, repeat=self.d)]
+        self.q = len(self.elements)
+        self.index = {c: i for i, c in enumerate(self.elements)}
+        self.zero = self.elements[0]
+        self.one = (1,) + (0,) * (self.f - 1)
+
+    def add(self, x, y):
+        p = self.p
+        return tuple((a + c) % p for a, c in zip(x, y))
+
+    def scale(self, x, n):
+        """n x for an integer n."""
+        p = self.p
+        return tuple(a * n % p for a in x)
+
+    def mul(self, x, y):
+        if self.base is None:
+            return (x[0] * y[0] % self.p,)
+        B, d = self.base, self.d
+        b = B.f
+        conv = [B.zero] * (2 * d - 1)
+        for i in range(d):
+            xi = x[i * b:(i + 1) * b]
+            if any(xi):
+                for j in range(d):
+                    conv[i + j] = B.add(conv[i + j],
+                                        B.mul(xi, y[j * b:(j + 1) * b]))
+        # from the top down: rho^(d+t) -> sum rel_k rho^(k+t)
+        for t in range(2 * d - 2, d - 1, -1):
+            if any(conv[t]):
+                for k, rk in enumerate(self.rel):
+                    conv[t - d + k] = B.add(conv[t - d + k],
+                                            B.mul(conv[t], rk))
+        return sum(conv[:d], ())
+
+    def pow(self, x, n):
+        """x^n; a negative n inverts through x^(q-2)."""
+        if self.base is None:
+            return (pow(x[0], n, self.p),)
+        if n < 0:
+            x, n = self.pow(x, self.q - 2), -n
+        out = self.one
+        while n:
+            if n & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            n >>= 1
+        return out
+
+
+# ----------------------------------------------------------------------
 # fields
 
 
 class LocalField:
     """One layer of a tower: built over ``base`` (None means Q_p itself).
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share; the
+    residue field and constants are set up on the first residue read.
     """
 
     def __init__(self, p, base, kind, degree, M, name):
@@ -286,6 +370,9 @@ class LocalField:
         self.user_steps = []
         self.step_generators = []
         self.frame = None               # set once the layer is certified
+        self._residue_field = None      # F_q, see residue_field
+        self._rconst = None             # ramified: (c1, [c2^k]), see _val
+        self._delta = None              # the frame's delta, see _set_frame
         self._pi_pows = {}
 
     # -- constructors of elements ---------------------------------------
@@ -455,11 +542,15 @@ class LocalField:
         """(v_K(x), None), or (None, bound) when x is only known to have
         v_K(x) >= bound (zero to precision)."""
         if x._val is None:
-            x._val = self._val(x.vec, x.s, min(x.m, self.M))
+            v, bound, _ = self._val(x.vec, x.s, min(x.m, self.M))
+            x._val = (v, bound)
         return x._val
 
-    def _val(self, vec, s, m):
-        """val_or_bound of vec / p^s, vec known mod p^m.
+    def _val(self, vec, s, m, res=False, rconst=None):
+        """(v, bound, r): val_or_bound of x = vec / p^s, vec known mod p^m,
+        and with ``res`` the residue r of x / pi^v (None when it is not
+        read, or not determined to precision).  ``rconst`` stands in for
+        this layer's (c1, [c2^k]) (see _lead_residue).
 
         Numerators lie in the order spanned by the power basis, which is
         integral, so an error in p^m of it has v >= e (m - s).  Otherwise
@@ -469,24 +560,30 @@ class LocalField:
         ramified layer (v(delta) is prime to the scale), and in an
         unramified one the residues of the delta^k are independent, so
         v_K is the least term; a y_k only bounded below gives its bound.
+        The residue comes from the least terms: r_B(y_k) c1^v_B(y_k) c2^k
+        with c1 = res(pi_B / pi^scale) and c2 = res(delta / pi^v(delta))
+        in a ramified layer, sum r_B(y_k) rho^k in an unramified one,
+        where pi = pi_B and delta = rho.
         """
         p = self.p
         pm = p ** m
         vec = [c % pm for c in vec]
         if not any(vec):
-            return None, self.e * (m - s)
+            return None, self.e * (m - s), None
         if self.base is None:
-            return _vp(vec[0], p) - s, None
+            v = _vp(vec[0], p)
+            return v - s, None, (vec[0] // p ** v % p,) if res else None
         B, b, d = self.base, self.base.n, self.d
         beta, gamma, scale, w = self.frame
         blocks = [vec[i * b:(i + 1) * b] for i in range(d)]
         if not any(c for blk in blocks[1:] for c in blk):
             # an element of the base plus an error of v >= e (m - s)
-            v, bound = B._val(blocks[0], s, m)
+            v, bound, r = B._val(blocks[0], s, m, res)
             floor = self.e * (m - s)
             if v is not None and scale * v < floor:
-                return scale * v, None
-            return None, min(floor, scale * (bound if v is None else v))
+                r = self._lead_residue([(0, v, r)], rconst) if res else None
+                return scale * v, None, r
+            return None, min(floor, scale * (bound if v is None else v)), None
         t = u = 0
         if beta is not None:
             bvec, t = beta
@@ -501,6 +598,7 @@ class LocalField:
         # numerators are integral, so term k is at least k w - e dens[k]
         floors = [k * w - self.e * dk for k, dk in enumerate(dens)]
         best = low = None
+        lead = []          # (k, v_B(y_k), r_B(y_k)) of the terms at best
         for k in range(d):
             if beta is not None:
                 # pass k of the Taylor shift leaves y_k final
@@ -512,24 +610,129 @@ class LocalField:
             y = blocks[k]
             if gamma is not None and k:
                 y = B._mul_mod(y, gpows[k], pm)
-            v, bound = B._val(y, dens[k], m)
+            v, bound, r = B._val(y, dens[k], m, res)
             if v is not None:
                 term = scale * v + k * w
-                best = term if best is None else min(best, term)
+                if best is None or term < best:
+                    best, lead = term, [(k, v, r)]
+                elif term == best:
+                    lead.append((k, v, r))
             else:
                 term = scale * bound + k * w
                 low = term if low is None else min(low, term)
-            if best is not None and best <= min(floors[k + 1:], default=best):
-                break      # no later term can reach below best
+            if best is not None and k + 1 < d:
+                # no later term can reach below best; in an unramified
+                # layer a later term at best still adds to the residue
+                nxt = min(floors[k + 1:])
+                if best < nxt or (best == nxt and (scale > 1 or not res)):
+                    break
         if best is not None and (low is None or best <= low):
-            return best, None
-        return None, low if best is None else min(best, low)
+            # in an unramified layer a term of unknown residue may tie
+            tied = scale == 1 and best == low
+            return best, None, (self._lead_residue(lead, rconst)
+                                if res and not tied else None)
+        return None, low if best is None else min(best, low), None
 
-    def _set_frame(self, weight, beta=None, gamma=None):
+    def _lead_residue(self, lead, rconst=None):
+        """Residue of x / pi^v from the least frame terms of x; None when
+        a term's residue is unknown.  A ramified layer applies ``rconst``
+        when given, else its own (c1, [c2^k])."""
+        if any(r is None for _, _, r in lead):
+            return None
+        if self.frame[2] == 1:
+            zero = self.base.residue_field.zero
+            blocks = [zero] * self.d
+            for k, _, r in lead:
+                blocks[k] = r
+            return sum(blocks, ())
+        if rconst is None:
+            if self._rconst is None:
+                self._init_residues()
+            rconst = self._rconst
+        (k, v, r), = lead
+        F = self.base.residue_field      # a ramified layer keeps its base's
+        c1, c2pows = rconst
+        return F.mul(F.mul(r, F.pow(c1, v)), c2pows[k])
+
+    @property
+    def residue_field(self):
+        """F_q of the layer (a ResidueField), set up on first use."""
+        if self._residue_field is None:
+            self._init_residues()
+        return self._residue_field
+
+    def _init_residues(self):
+        """Residue field of a certified layer, and for a ramified layer
+        the constants c1 and c2 of ``_val``, from frame reads: of rho^d
+        when unramified (delta = rho), else of pi and of delta^scale.
+        Run on the first residue read, so that building a tower that
+        reads no residue pays nothing for them.
+
+        With c1 = c2 = 1, passed in for the two reads, a read gives r_B
+        of the least term.  For pi that is r_pi, at k0 = w^-1 mod scale
+        and v_B = a0 = (1 - k0 w) / scale; for delta^scale it is rho, at
+        k = 0 and v_B = w.  Then
+        1 = r_pi c1^a0 c2^k0 and c2^scale = rho c1^w give
+        c1 = (r_pi^scale rho^k0)^-1 and c2 = r_pi^-w rho^a0.  The
+        constants and the field are set only once both reads succeed.
+        """
+        B, delta = self.base, self._delta
+        _, _, scale, w = self.frame
+        if scale == 1:
+            rel = self._read(delta ** self.d)
+            self._residue_field = ResidueField(self.p, B.residue_field, rel)
+            return
+        F = B.residue_field
+        unit = (F.one, [F.one] * self.d)
+        r_pi = self._read(self.pi, unit)
+        rho = self._read(delta ** scale, unit)
+        k0 = pow(w, -1, scale)
+        a0 = (1 - k0 * w) // scale
+        c1 = F.pow(F.mul(F.pow(r_pi, scale), F.pow(rho, k0)), -1)
+        c2 = F.mul(F.pow(r_pi, -w), F.pow(rho, a0))
+        self._rconst = (c1, [F.pow(c2, k) for k in range(self.d)])
+        self._residue_field = F
+
+    def _read(self, x, rconst=None):
+        """Residue of x / pi^v(x), read afresh off the frame."""
+        r = self._val(x.vec, x.s, min(x.m, self.M), True, rconst)[2]
+        if r is None:
+            raise PrecisionError("a residue constant is not determined to "
+                                 "precision")
+        return r
+
+    def residue_at(self, x, k):
+        """The residue of x / pi^k in F_q: zero when v(x) > k or x is zero
+        to precision with a bound of at least k + 1.  Raises
+        PrecisionError when x is known only to a smaller bound, and
+        FieldError when v(x) < k."""
+        if x._res is None and (x._val is None or x._val[0] == k):
+            # one walk reads both; a valuation cached without a residue
+            # (by val_or_bound, or a product of such factors) walks again
+            v, bound, x._res = self._val(x.vec, x.s, min(x.m, self.M), True)
+            if x._val is None:
+                x._val = (v, bound)
+        v, bound = x._val
+        if v is None:
+            if bound > k:
+                return self.residue_field.zero
+            raise PrecisionError(
+                f"residue at pi^{k} undetermined: only v >= {bound} known")
+        if v != k:
+            if v > k:
+                return self.residue_field.zero
+            raise FieldError(f"residue of x / pi^{k} with v(x) = {v} < {k}")
+        if x._res is None:
+            raise PrecisionError("residue undetermined to precision")
+        return x._res
+
+    def _set_frame(self, weight, delta, beta=None, gamma=None):
         """Install the certified frame gen = gamma delta + beta with
         v_K(delta) = weight; beta and gamma are base elements, None
-        standing for 0 and 1."""
+        standing for 0 and 1.  The element delta is kept for the residue
+        constants."""
         B = self.base
+        self._delta = delta
         if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
             gpows = [None, gamma.vec]
             for _ in range(2, self.d):
@@ -571,6 +774,8 @@ class LocalField:
         out = FieldElement(self, vec, s_out, m)
         if x._val is not None and x._val[0] is not None:
             out._val = (-x._val[0], None)
+            if x._res is not None:
+                out._res = self.residue_field.pow(x._res, -1)
         return out._normalized()
 
     def _invert_by_solve(self, x):
@@ -625,12 +830,8 @@ class LocalField:
 
     def residue(self, x):
         """Index and lift of the residue of x (requires v(x) >= 0)."""
-        if not self.val_at_least(x, 0):
-            raise FieldError("residue of element with negative valuation")
-        for i, c in enumerate(self.residue_lifts):
-            if self.val_at_least(x - c, 1):
-                return i, c
-        raise PrecisionError("no residue representative matched; precision too low")
+        i = self.residue_field.index[self.residue_at(x, 0)]
+        return i, self.residue_lifts[i]
 
     # -- uniformizer helpers ---------------------------------------------------
 
@@ -682,6 +883,7 @@ class QpField(LocalField):
         self.pi = self.from_int(p)
         self.residue_lifts = [self.from_int(c) for c in range(p)]
         self.residue_coords = [(c,) for c in range(p)]
+        self._residue_field = ResidueField(p)
         self.different_val = 0
 
     def _mul_mod(self, xs, ys, pm):
@@ -733,7 +935,7 @@ class CycloField(LocalField):
         self.residue_coords = [(c,) for c in range(p)]
         if self.norm_valuation(self.pi) != 1:
             raise CertificationError("cyclotomic uniformizer check failed")
-        self._set_frame(1, beta=base.one())       # zeta = pi + 1
+        self._set_frame(1, self.pi, beta=base.one())     # zeta = pi + 1
         if self.embed(base.pi).valuation() != self.e:
             raise CertificationError("cyclotomic ramification check failed")
         # different via the derivative of the cyclotomic polynomial at zeta:
@@ -1000,7 +1202,7 @@ def _extend_kummer_cyclic(base, rad, name):
             if K.norm_valuation(gen) != v1:
                 raise CertificationError("generator valuation check failed")
             delta, piexp, vdelta = gen, y, v1
-            K._set_frame(v1)
+            K._set_frame(v1, gen)
         else:
             lam = peel["lambda"]
             c = v1 // p
@@ -1012,7 +1214,7 @@ def _extend_kummer_cyclic(base, rad, name):
             dint = FieldElement(K, delta.vec, 0, delta.m)
             if K.norm_valuation(dint) != vdelta + K.d * base.e * delta.s:
                 raise CertificationError("unit-layer defect check failed")
-            K._set_frame(vdelta, beta=beta)
+            K._set_frame(vdelta, delta, beta=beta)
             x = pow(lam, -1, p)
             y = (1 - x * lam) // p
             piexp = y - c * x
@@ -1037,7 +1239,7 @@ def _extend_kummer_cyclic(base, rad, name):
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
-        K._set_frame(0, beta=alpha, gamma=alpha * base.pi_pow(eun))
+        K._set_frame(0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
         lifts, coords = [], []
         for tup in itertools.product(range(len(base.residue_lifts)), repeat=p):
             acc = K.zero()
@@ -1192,7 +1394,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         K.f = base.f
         if K.norm_valuation(theta) != vd:
             raise CertificationError("ramified quadratic generator check failed")
-        K._set_frame(vd, beta=-half_b)
+        K._set_frame(vd, theta, beta=-half_b)
         y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
         K.pi = theta * K.embed(base.pi_pow(y))
         K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
@@ -1207,7 +1409,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         K.pi = K.embed(base.pi)
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
         # the frame's delta is rho, a unit with rho^2 a non-square unit
-        K._set_frame(0, beta=-half_b, gamma=base.pi_pow(vd // 2))
+        K._set_frame(0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
         lifts, coords = [], []
         for tup in itertools.product(range(len(base.residue_lifts)), repeat=2):
             acc = K.embed(base.residue_lifts[tup[0]]) + \
@@ -1263,7 +1465,7 @@ def _extend_custom(base, coeffs, M, name):
     K.certificate = f"newton polygon single segment, slope {v0}/{d}"
     if K.norm_valuation(gen) != v0:
         raise CertificationError("custom generator valuation check failed")
-    K._set_frame(v0)
+    K._set_frame(v0, gen)
     if K.pi.valuation() != 1:
         raise UniformizerSearchError("custom layer uniformizer failed")
     # different: valid when the generator is an Eisenstein uniformizer

@@ -299,16 +299,6 @@ class PadicScalar:
             raise ValueError("residue of non-integral scalar")
         return self.unit % self.p if self.v == 0 else 0
 
-    def expansion(self, digits=10):
-        """Leading base-p digits of the unit part, for display."""
-        if self.v is None:
-            return ()
-        u, out = self.unit, []
-        for _ in range(min(digits, self.prec)):
-            u, r = divmod(u, self.p)
-            out.append(r)
-        return tuple(out)
-
     def __repr__(self):
         if self.v is None:
             if self.vbound == _INF:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
@@ -115,6 +117,36 @@ def test_tate_nonminimal_model_rescaled(Q5):
         Q5, a4=5 ** 4, a6=5 ** 6)
     r = tate_algorithm(m)
     assert r.quadruple() == (0, 0, "I0", 1)
+    # the common pi-power is stripped before the first pass
+    assert r.trace == (("scale", -1), ("branch", "I0"))
+    # shifted by x -> x + 1 the scaling is hidden from the strip, and
+    # the first pass ends in one restart
+    r = tate_algorithm(change_coords(m, r=1))
+    assert r.quadruple() == (0, 0, "I0", 1)
+    assert r.trace.count(("restart",)) == 1
+    assert r.trace[0][0] == "singular"
+    assert [e[1] for e in r.trace if e[0] == "translate"] == [
+        "sbar", "tbar", "sigma", "cubic", "IV*"]
+    assert r.trace[-2:] == (("restart",), ("branch", "I0"))
+
+
+def test_tate_trace_in_star(Q5):
+    # I2*: the cubic has a double root, then one Y-quadratic translation
+    r = tate_algorithm(WeierstrassModel.from_a_invariants(
+        Q5, a4=-3 * 25, a6=27 * 125))
+    assert r.quadruple() == (8, 2, "I2*", 2)
+    zero = (0,)
+    assert r.trace == (
+        ("singular", zero, zero),
+        ("translate", "sbar", "s", zero),
+        ("translate", "tbar", "t", zero),
+        ("translate", "sigma", "t", zero),
+        ("translate", "cubic", "r", (1,)),
+        ("translate", "I1*", "t", zero),
+        ("branch", "I2*"))
+    # the trace stays out of the printed data
+    assert "trace" not in r.to_dict()
+    assert len(r.quadruple()) == 4
 
 
 # ----------------------------------------------------------------------
@@ -384,3 +416,55 @@ def test_nonsplit_becomes_split_in_residue_extension():
     r2 = tate_algorithm(WeierstrassModel.from_a_invariants(U, *coeffs))
     assert r1.quadruple() == (4, 1, "I4", 2) and r1.split is False
     assert r2.quadruple() == (4, 1, "I4", 4) and r2.split is True
+
+
+# ----------------------------------------------------------------------
+# property: unimodular coordinate changes over towers at p = 2, 3, 5, 7
+
+_TATE_TOWERS = {
+    "Q2": (2, [], (0, 0, 0, -1, 0)),
+    "Q2(sqrt5)": (2, [T.kummer(2, 5)], (1, 1, 0, 0, 16)),          # f = 2
+    "Q3(z3,3^(1/3))": (3, [T.cyclotomic(3), T.kummer(3, 3)], (0, 3, 0, 0, 9)),
+    "Q5": (5, [], (0, 0, 0, -3 * 25, 27 * 125)),                   # I2*
+    "Q5(z5)": (5, [T.cyclotomic(5)], (0, 0, 0, 0, 5)),             # IV*
+    "Q7(z7)": (7, [T.cyclotomic(7)], (0, 0, 0, 7, 0)),             # I0*
+    "Q7(z7) I6": (7, [T.cyclotomic(7)], (1, 0, 0, 0, 7)),
+    "K54": (3, [T.cyclotomic(9), T.kummer(9, 3)], (0, 3, 0, 0, 9)),
+    "L54": (3, [T.cyclotomic(9), T.kummer(9, 4)], (0, 3, 0, 0, 9)),
+}
+_TATE_BASE = {}
+
+
+def _tate_base(name):
+    if name not in _TATE_BASE:
+        p, steps, coeffs = _TATE_TOWERS[name]
+        K = build_field(p, steps)
+        m = WeierstrassModel.from_a_invariants(K, *coeffs)
+        _TATE_BASE[name] = (K, m, tate_algorithm(m).quadruple())
+    return _TATE_BASE[name]
+
+
+@pytest.mark.parametrize("name", list(_TATE_TOWERS))
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_tate_invariant_under_unimodular_changes(name, data):
+    K, m, base = _tate_base(name)
+    small = st.integers(-2 * K.p, 2 * K.p)
+
+    def integral():
+        # a + b pi + c g, g the last step generator (or pi^2)
+        g = K.step_generators[-1] if K.step_generators else K.pi_pow(2)
+        a, b, c = data.draw(small), data.draw(small), data.draw(small)
+        return K.from_int(a) + K.pi * b + g * c
+
+    unit = data.draw(st.integers(1, 3 * K.p).filter(lambda a: a % K.p))
+    u = K.from_int(unit) + K.pi * data.draw(small)
+    r, s, t = integral(), integral(), integral()
+    rd = tate_algorithm(change_coords(m, u=u, r=r, s=s, t=t))
+    assert rd.quadruple() == base
+    # the trace records residues as fields.residue gives them
+    for entry in rd.trace:
+        if entry[0] in ("singular", "translate"):
+            assert all(c in K.residue_coords for c in entry[1:]
+                       if isinstance(c, tuple))

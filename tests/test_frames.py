@@ -10,6 +10,11 @@ from the frame must not exceed the norm's value.  The same draws check
 v(xy) = v(x) + v(y) and the ultrametric inequality.  A seeded sweep at
 low precision checks that every frame answer holds for each lift of the
 element to a higher precision.
+
+The residues the same walk reads (``residue_at``) are checked against
+the lift scan that ``LocalField.residue`` used to run: the index of the
+first residue lift c with v(x / pi^k - c) >= 1.  The draws also check
+that residues multiply, res(xy / pi^(a+b)) = res(x / pi^a) res(y / pi^b).
 """
 
 import random
@@ -18,8 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph.fields import (FieldElement, TowerStep, build_field,
-                                 find_uniformizer)
+from anabelomorph.fields import (FieldElement, FieldError, LocalField,
+                                 TowerStep, build_field, find_uniformizer,
+                                 residue)
 from anabelomorph.padic import PrecisionError
 
 T = TowerStep
@@ -54,12 +60,25 @@ FRAME_TOWERS = {
     ("custom", 5): [T.cyclotomic(5), T.custom([-5, 0, 0])],
     ("custom", 7): [T.custom([-49, 0, 0, 7, 0])],
 }
+# the residue reads add x^2 - 2 over Q_3 (residue degree 2), and layers
+# whose constants c1 = res(pi_B / pi^scale), c2 = res(delta / pi^w) are
+# not +-1, so that c^-1 != c
+RESIDUE_TOWERS = dict(FRAME_TOWERS)
+RESIDUE_TOWERS.update({
+    ("quad-unramified-x2-2", 3): [T.custom([-2, 0])],
+    ("quad-ramified-x2-10", 5): [T.custom([-10, 0])],                # c1 = 3
+    ("kummer-eisenstein-50", 5): [T.cyclotomic(5), T.kummer(5, 50)],  # c2 = 3
+    ("kummer-eisenstein-98", 7): [T.cyclotomic(7), T.kummer(7, 98)],  # c2 = 2
+    ("custom-x3-21", 7): [T.custom([-21, 0, 0])],                     # c1 = 5
+    # the least frame term of pi has residue 2 here, and c1 = c2 = 3
+    ("kummer-unit-2+z", 5): [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 1})],
+})
 _BUILT = {}
 
 
 def _tower(key):
     if key not in _BUILT:
-        _BUILT[key] = build_field(key[1], FRAME_TOWERS[key])
+        _BUILT[key] = build_field(key[1], RESIDUE_TOWERS[key])
     return _BUILT[key]
 
 
@@ -172,3 +191,120 @@ def test_radicand_6_degree_500_uniformizer_certified():
     assert K.n == 500
     assert _fresh(K.pi).val_or_bound() == (1, None)
     assert find_uniformizer(K) is K.pi
+
+
+# ----------------------------------------------------------------------
+# residues read off the frames
+
+
+def _scan_residue(x, k):
+    """Index of the residue of x / pi^k by the lift scan; None when the
+    scan cannot decide."""
+    K = x.field
+    y = K.div_pi(x, k)
+    try:
+        for i, c in enumerate(K.residue_lifts):
+            if K.val_at_least(y - c, 1):
+                return i
+    except PrecisionError:
+        return None
+    return None
+
+
+@pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(RESIDUE_TOWERS)])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_residue_read_matches_lift_scan(key, data):
+    K = _tower(key)
+    F = K.residue_field
+    assert F.q == len(K.residue_lifts) == K.p ** K.f
+    x, y = data.draw(_elements(K)), data.draw(_elements(K))
+    vx, vy = x.val_or_bound()[0], y.val_or_bound()[0]
+    if vx is None or vy is None:
+        return
+    rx, ry = K.residue_at(x, vx), K.residue_at(y, vy)
+    assert any(rx) and any(ry)
+    # the scan costs up to q walks; the seeded sweep covers q = 5^5
+    scan = F.q < 1000
+    want = _scan_residue(_fresh(x), vx) if scan else None
+    if want is not None:
+        assert F.index[rx] == want
+    # above the valuation the residue is 0, below it there is none
+    assert K.residue_at(_fresh(x), vx - 1) == F.zero
+    with pytest.raises(FieldError):
+        K.residue_at(_fresh(x), vx + 1)
+    # residues multiply, read afresh off the product's frame
+    rxy = K.residue_at(_fresh(x * y), vx + vy)
+    assert rxy == F.mul(rx, ry)
+    # the public residue of an integral element is the scan's
+    if vx >= 0:
+        z = _fresh(x) if vx == 0 else _fresh(x) + K.one()
+        i, lift = K.residue(z)
+        want = _scan_residue(_fresh(z), 0) if scan else None
+        if want is not None:
+            assert i == want and lift is K.residue_lifts[want]
+            assert residue(z)[0] == K.residue_coords[want]
+
+
+@pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(RESIDUE_TOWERS)])
+def test_residue_read_seeded_sweep(key):
+    # hypothesis shrinks toward p-adically small draws; a seeded sweep
+    # reaches least terms at every v_B, where c1^v_B matters
+    K = _tower(key)
+    p, b = K.p, K.base.n
+    rng = random.Random(f"residue:{key}")
+    for _ in range(40 if K.residue_field.q < 1000 else 4):
+        keep = [rng.random() < 0.6 for _ in range(K.d)]
+        vec = [rng.choice((0, 1, -1, 2, p, 1 + p, p ** 3 - 1))
+               * p ** rng.randrange(5) if keep[i // b] else 0
+               for i in range(K.n)]
+        x = FieldElement(K, vec, rng.randrange(3), K.M)
+        v = x.val_or_bound()[0]
+        if v is None:
+            continue
+        want = _scan_residue(_fresh(x), v)
+        if want is not None:
+            assert K.residue_field.index[K.residue_at(x, v)] == want
+
+
+@pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(RESIDUE_TOWERS)])
+def test_residue_of_each_lift_is_its_index(key):
+    K = _tower(key)
+    lifts = K.residue_lifts
+    step = max(1, len(lifts) // 50)
+    for i in range(0, len(lifts), step):
+        assert K.residue(_fresh(lifts[i]))[0] == i
+    assert K.residue_at(K.pi_pow(3), 3) == K.residue_field.one
+    # zero to precision: residue 0 above the bound, undecided below it
+    z = K.zero()
+    bound = z.val_or_bound()[1]
+    assert K.residue_at(z, bound - 1) == K.residue_field.zero
+    with pytest.raises(PrecisionError):
+        K.residue_at(K.zero(), bound)
+
+
+def test_residue_constants_survive_a_failed_read(monkeypatch):
+    # the least frame term of pi has residue 2 here and c1 = c2 = 3, so
+    # a read with c1 = c2 = 1 left in place would give res(pi / pi) = 2
+    K = build_field(5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 1})])
+    K.base.residue_field
+    read = LocalField._read
+    failed = []
+
+    def fail_once(self, x, *args):
+        if not failed:
+            failed.append(self)
+            raise PrecisionError("a residue constant is not determined")
+        return read(self, x, *args)
+
+    monkeypatch.setattr(LocalField, "_read", fail_once)
+    with pytest.raises(PrecisionError):
+        K.residue_at(_fresh(K.pi), 1)
+    assert failed == [K]
+    assert K.residue_at(_fresh(K.pi), 1) == K.residue_field.one
+    x = _fresh(K.pi_pow(2) * 7 + K.pi_pow(3))
+    assert K.residue_field.index[K.residue_at(x, 2)] == _scan_residue(x, 2)
