@@ -101,7 +101,7 @@ class ReductionData:
     residue singular point moved to (0, 0), ("translate", stage, var, c)
     for each later translation var -> var + lift(c) pi^j, ("restart",)
     for each non-minimal rescale, and ("branch", symbol) last.  Residues
-    are in the format of ``fields.residue`` (``residue_coords``)."""
+    are F_q coordinate tuples, as ``fields.residue`` gives them."""
     v_min_disc: int
     conductor: int
     kodaira: KodairaSymbol
@@ -168,13 +168,17 @@ def change_coords(model, u=1, r=0, s=0, t=0):
     """Standard coordinate change (x, y) -> (u^2 x + r, u^3 y + u^2 s x + t)."""
     K = model.field
     u, r, s, t = (K.coerce(a) for a in (u, r, s, t))
-    na1, na2, na3, na4, na6 = _translate(*model.coefficients(), r, s, t)
+    na = _translate(*model.coefficients(), r, s, t)
+    if u.s == 0 and u.m == K.M and u.vec == K.one().vec:
+        # u = 1 scales nothing; the coefficients come out inexact, as the
+        # products with u^-1 would leave them
+        return WeierstrassModel(*(FieldElement(K, a.vec, a.s, a.m) for a in na))
     uinv = u.inv()
     u2 = uinv * uinv
     u3 = u2 * uinv
     u4 = u2 * u2
     u6 = u4 * u2
-    return WeierstrassModel(na1 * uinv, na2 * u2, na3 * u3, na4 * u4, na6 * u6)
+    return WeierstrassModel(*(a * w for a, w in zip(na, (uinv, u2, u3, u4, u6))))
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +198,7 @@ def _roots(F, coeffs):
 
 
 def _double_root(F, coeffs):
-    """The first x of F_q, in the order of the residue lifts, that is a
+    """The first x of F_q, in the order of ``F.elements``, that is a
     root of the polynomial and of its derivative; None when there is none.
     Over the perfect field F_q a repeated root of a quadratic or a cubic
     is rational, so None means the roots are distinct."""
@@ -301,14 +305,15 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
     res = K.residue_at
 
     def translate(stage, var, c, k):
-        trace.append(("translate", stage, var, _coords(K, c)))
-        return _translate(a1, a2, a3, a4, a6, **{var: _lift(K, c, k)})
+        trace.append(("translate", stage, var, c))
+        lift = K.lift(c) * K.pi_pow(k) if k else K.lift(c)
+        return _translate(a1, a2, a3, a4, a6, **{var: lift})
 
     # move the singular point of the reduction to (0, 0)
     xr, yr = _singular_point(F, *(res(a, 0) for a in (a1, a2, a3, a4, a6)))
-    trace.append(("singular", _coords(K, xr), _coords(K, yr)))
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=_lift(K, xr, 0),
-                                    t=_lift(K, yr, 0))
+    trace.append(("singular", xr, yr))
+    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=K.lift(xr),
+                                    t=K.lift(yr))
 
     # the tangent quadratic T^2 + a1 T - a2 at the singular point
     tangent = [F.scale(res(a2, 0), -1), res(a1, 0), F.one]
@@ -402,22 +407,11 @@ def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
             return _end(trace, vD, vD - 4 - n, KodairaSymbol("In*", n),
                         c, 5 + n)
         var = "t" if n % 2 == 1 else "r"
-        trace.append(("translate", f"I{n}*", var, _coords(K, rep)))
-        a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                        **{var: _lift(K, rep, k + 1)})
+        trace.append(("translate", f"I{n}*", var, rep))
+        lift = K.lift(rep) * K.pi_pow(k + 1)
+        a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, **{var: lift})
         n += 1
     raise FieldError("In* loop did not terminate")
-
-
-def _coords(K, c):
-    """c in F_q as its residue coordinates, as ``fields.residue`` gives."""
-    return K.residue_coords[K.residue_field.index[c]]
-
-
-def _lift(K, c, k):
-    """The residue lift of c in F_q, times pi^k."""
-    out = K.residue_lifts[K.residue_field.index[c]]
-    return out * K.pi_pow(k) if k else out
 
 
 def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):

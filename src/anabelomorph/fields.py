@@ -30,7 +30,8 @@ Valuations are read off the frames layer by layer, never from a norm;
 the norm valuation v_p(N(x)) / f only certifies each frame's delta
 before the frame exists, and serves the tests as an oracle.  The same
 walk reads the residue of x / pi^v(x) off the least frame term, in the
-residue field F_q as coordinate tuples over F_p (``residue_at``).
+residue field F_q as coordinate tuples over F_p (``residue_at``), and
+``lift`` turns such a tuple into a representative in K on demand.
 """
 
 from __future__ import annotations
@@ -264,16 +265,22 @@ class FieldElement:
 # residue fields
 
 
+def _f_q(p, f):
+    """F_{p^f} as flat coordinate tuples, lexicographically (the base's
+    elements over an unramified layer's d blocks, flattened, come in the
+    same order); needs only (p, f), so enumerating F_q reads no frame."""
+    return itertools.product(range(p), repeat=f)
+
+
 class ResidueField:
-    """The residue field F_q of a layer; elements are flat coordinate
-    tuples over F_p.
+    """The residue field F_q of a layer, q = p^f; elements are flat
+    coordinate tuples over F_p.
 
     ``ResidueField(p)`` is F_p.  An unramified layer of degree d over a
     base with residue field F gives F[rho]/(rho^d - sum_k rel_k rho^k),
     rel read off the layer's frame: an element is d blocks of
     F-coordinates, block k the coefficient of rho^k.  A ramified layer
-    keeps its base's residue field.  ``elements`` lists F_q in the order
-    of the layer's residue lifts, and ``index`` inverts it.
+    keeps its base's residue field.
     """
 
     def __init__(self, p, base=None, rel=None):
@@ -281,18 +288,19 @@ class ResidueField:
         self.base = base
         if base is None:
             self.f, self.d = 1, 1
-            self.elements = [(c,) for c in range(p)]
         else:
             b = base.f
             self.d = len(rel) // b
             self.f = b * self.d
             self.rel = [rel[k * b:(k + 1) * b] for k in range(self.d)]
-            self.elements = [sum(tup, ()) for tup in
-                             itertools.product(base.elements, repeat=self.d)]
-        self.q = len(self.elements)
-        self.index = {c: i for i, c in enumerate(self.elements)}
-        self.zero = self.elements[0]
+        self.q = p ** self.f
+        self.zero = (0,) * self.f
         self.one = (1,) + (0,) * (self.f - 1)
+
+    @property
+    def elements(self):
+        """F_q, enumerated lazily in the order of ``_f_q``."""
+        return _f_q(self.p, self.f)
 
     def add(self, x, y):
         p = self.p
@@ -362,8 +370,6 @@ class LocalField:
         self.e = base.e if base else 1  # overwritten by builders
         self.f = base.f if base else 1
         self.pi = None
-        self.residue_lifts = []
-        self.residue_coords = []
         self.different_val = 0
         self.layer_diff = 0
         self.certificate = ""
@@ -372,7 +378,7 @@ class LocalField:
         self.frame = None               # set once the layer is certified
         self._residue_field = None      # F_q, see residue_field
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
-        self._delta = None              # the frame's delta, see _set_frame
+        self.delta = None               # the frame's delta, see _set_frame
         self._pi_pows = {}
 
     # -- constructors of elements ---------------------------------------
@@ -676,7 +682,7 @@ class LocalField:
         c1 = (r_pi^scale rho^k0)^-1 and c2 = r_pi^-w rho^a0.  The
         constants and the field are set only once both reads succeed.
         """
-        B, delta = self.base, self._delta
+        B, delta = self.base, self.delta
         _, _, scale, w = self.frame
         if scale == 1:
             rel = self._read(delta ** self.d)
@@ -732,7 +738,7 @@ class LocalField:
         standing for 0 and 1.  The element delta is kept for the residue
         constants."""
         B = self.base
-        self._delta = delta
+        self.delta = delta
         if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
             gpows = [None, gamma.vec]
             for _ in range(2, self.d):
@@ -829,9 +835,32 @@ class LocalField:
     # -- residues -------------------------------------------------------------
 
     def residue(self, x):
-        """Index and lift of the residue of x (requires v(x) >= 0)."""
-        i = self.residue_field.index[self.residue_at(x, 0)]
-        return i, self.residue_lifts[i]
+        """(c, lift(c)) for the residue c of x in F_q (requires v(x) >= 0)."""
+        c = self.residue_at(x, 0)
+        return c, self.lift(c)
+
+    def lift(self, c):
+        """The residue representative of c in F_q: a polynomial in the
+        deltas of the unramified layers, whose residues generate F_q, with
+        coefficients in 0 .. p-1.  Made on demand from the frames' deltas,
+        so no residue constant is read."""
+        B = self.base
+        if B is None:
+            return self.from_int(c[0])
+        if self.f == B.f:
+            return self.embed(B.lift(c))
+        b = B.f
+        acc, dk = self.zero(), self.one()
+        for k in range(self.d):
+            acc = acc + self.embed(B.lift(c[k * b:(k + 1) * b])) * dk
+            if k + 1 < self.d:
+                dk = dk * self.delta
+        return acc
+
+    def _unit_lifts(self):
+        """The lifts of the nonzero residues, in the order of ``_f_q``."""
+        units = itertools.islice(_f_q(self.p, self.f), 1, None)
+        return (self.lift(c) for c in units)
 
     # -- uniformizer helpers ---------------------------------------------------
 
@@ -881,8 +910,6 @@ class QpField(LocalField):
         super().__init__(p, None, "qp", 1, M, f"Q_{p}")
         self.e = self.f = 1
         self.pi = self.from_int(p)
-        self.residue_lifts = [self.from_int(c) for c in range(p)]
-        self.residue_coords = [(c,) for c in range(p)]
         self._residue_field = ResidueField(p)
         self.different_val = 0
 
@@ -931,8 +958,6 @@ class CycloField(LocalField):
             for a in self._conj_units
         }
         self.pi = self.gen() - self.one()
-        self.residue_lifts = [self.from_int(c) for c in range(p)]
-        self.residue_coords = [(c,) for c in range(p)]
         if self.norm_valuation(self.pi) != 1:
             raise CertificationError("cyclotomic uniformizer check failed")
         self._set_frame(1, self.pi, beta=base.one())     # zeta = pi + 1
@@ -1222,17 +1247,10 @@ def _extend_kummer_cyclic(base, rad, name):
         if v1 % p == 0:
             Ainvx = K.embed(base.invert(peel["A"])) ** x
             K.pi = (K.pi * Ainvx)._normalized()
-        K.pi_factored = {"delta": delta, "x": x, "pi_exp": piexp,
-                         "A_exp": -x if v1 % p == 0 else 0,
-                         "A": peel["A"] if peel else None,
-                         "vdelta": vdelta}
-        K.residue_lifts = [K.embed(c2) for c2 in base.residue_lifts]
-        K.residue_coords = list(base.residue_coords)
     else:  # unramified layer
         K.e = base.e
         K.f = base.f * p
         K.pi = K.embed(base.pi)
-        K.pi_factored = None
         eun = base.e // (p - 1)
         alpha = base.pi_pow(v1 // p) * peel["A"]
         eta = gen * K.embed(alpha.inv())
@@ -1240,17 +1258,6 @@ def _extend_kummer_cyclic(base, rad, name):
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
         K._set_frame(0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
-        lifts, coords = [], []
-        for tup in itertools.product(range(len(base.residue_lifts)), repeat=p):
-            acc = K.zero()
-            rp = K.one()
-            for ci in tup:
-                acc = acc + K.embed(base.residue_lifts[ci]) * rp
-                rp = rp * rho
-            lifts.append(acc)
-            coords.append(tup)
-        K.residue_lifts = lifts
-        K.residue_coords = coords
     K.certificate = cert
     if K.pi.valuation() != 1:
         raise UniformizerSearchError("constructed uniformizer is not one")
@@ -1318,7 +1325,7 @@ def _peel_unit(base, rad1, v1):
     # bases; the defect comparisons below are denominator-aware
     u = (rad1 * base.pi_pow(-v1))._normalized() if v1 else rad1
     A = None
-    for c in base.residue_lifts[1:]:
+    for c in base._unit_lifts():
         if base.val_at_least(u - c ** p, 1):
             A = c
             break
@@ -1344,7 +1351,7 @@ def _peel_unit(base, rad1, v1):
             improved = False
             shift = base.pi_pow(v // p) if not (boundary and v == int(T2)) \
                 else base.pi_pow(base.e // (p - 1))
-            for c in base.residue_lifts[1:]:
+            for c in base._unit_lifts():
                 cand = A * (base.one() + c * shift)
                 dv, dbound = defect(cand)
                 if dv is None or dv > v:
@@ -1379,7 +1386,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         raise CertificationError("discriminant of quadratic is zero to precision")
     if vd % 2 == 0:
         unit = disc * base.pi_pow(-vd)
-        for c in base.residue_lifts[1:]:
+        for c in base._unit_lifts():
             if base.val_at_least(unit - c * c, 1):
                 raise CertificationError(
                     "quadratic step is reducible (discriminant is a square)")
@@ -1397,8 +1404,6 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         K._set_frame(vd, theta, beta=-half_b)
         y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
         K.pi = theta * K.embed(base.pi_pow(y))
-        K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
-        K.residue_coords = list(base.residue_coords)
         conj = FieldElement(K, next(K._conjugates(K.pi.vec, K.pi.m)),
                             K.pi.s, K.pi.m)
         K.layer_diff = (conj - K.pi).valuation()
@@ -1410,14 +1415,6 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
         # the frame's delta is rho, a unit with rho^2 a non-square unit
         K._set_frame(0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
-        lifts, coords = [], []
-        for tup in itertools.product(range(len(base.residue_lifts)), repeat=2):
-            acc = K.embed(base.residue_lifts[tup[0]]) + \
-                K.embed(base.residue_lifts[tup[1]]) * rho
-            lifts.append(acc)
-            coords.append(tup)
-        K.residue_lifts = lifts
-        K.residue_coords = coords
         K.layer_diff = 0
         K.different_val = base.different_val
     K.certificate = ("ramified quadratic (odd discriminant valuation)" if ram
@@ -1460,8 +1457,6 @@ def _extend_custom(base, coeffs, M, name):
     x = pow(v0, -1, d)
     y = (1 - x * v0) // d
     K.pi = gen ** x * K.embed(base.pi_pow(y))
-    K.residue_lifts = [K.embed(c) for c in base.residue_lifts]
-    K.residue_coords = list(base.residue_coords)
     K.certificate = f"newton polygon single segment, slope {v0}/{d}"
     if K.norm_valuation(gen) != v0:
         raise CertificationError("custom generator valuation check failed")
@@ -1497,7 +1492,8 @@ def build_field(p, steps, prec=None, names=None):
 
     Every layer is certified at construction; degree drops or
     uncertifiable steps raise.  The returned field carries n, e, f, a
-    verified uniformizer, residue representatives and the different.
+    verified uniformizer and the different; ``K.lift`` gives the residue
+    representatives.
     """
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
@@ -1562,9 +1558,8 @@ def valuation(x):
 
 
 def residue(x):
-    """Residue of an integral element: (coordinates, lift)."""
-    i, lift = x.field.residue(x)
-    return x.field.residue_coords[i], lift
+    """Residue of an integral element: (F_q coordinates, lift)."""
+    return x.field.residue(x)
 
 
 def find_uniformizer(K):

@@ -7,7 +7,8 @@ semidirect product Z/p^r x| (Z/p^r)^*, acting by
 
 The lower-numbering ramification filtration is computed from
 i(sigma) = v_K(sigma(pi) - pi) with the certified uniformizer (and, when
-f > 1, the least v_K(sigma(c) - c) over the residue lifts c), and Artin
+f > 1, the least v_K(sigma(c) - c) over the frame deltas c of the
+unramified layers, which generate O_K with pi), and Artin
 conductors of characters are exact rational computations over a small
 cyclotomic coefficient field (never floating point).
 """
@@ -321,19 +322,24 @@ def ramification_filtration(K, pi=None):
     elems = galois_group(K)
     if pi is None:
         pi = K.pi
+    # O_K = Z_p[pi, rho_1, ..., rho_k] with rho_j the frame delta of the
+    # j-th unramified layer, so i_G(sigma) is the least move among them
+    # (Serre, Local Fields, IV 1 Lemma 1); outside inertia some rho moves
+    # by a unit and sigma leaves G_0
+    rhos, fld = [], K
+    while fld.base is not None:
+        if fld.f > fld.base.f:
+            rhos.append(K.embed(fld.delta))
+        fld = fld.base
     ivals = {}
     for sig in elems:
         if sig.is_identity:
             continue
         i = (apply_automorphism(sig, pi) - pi).valuation()
-        if K.f > 1:
-            # O_K is generated by pi and the residue lifts, so i_G(sigma)
-            # is the least move among them; outside inertia some lift
-            # moves by a unit and sigma leaves G_0
-            for c in K.residue_lifts:
-                dc = apply_automorphism(sig, c) - c
-                if not K.val_at_least(dc, i):
-                    i = dc.valuation()
+        for c in rhos:
+            dc = apply_automorphism(sig, c) - c
+            if not K.val_at_least(dc, i):
+                i = dc.valuation()
         ivals[sig] = i
     imax = max(ivals.values())
     groups = []

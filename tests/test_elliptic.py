@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
                                    SingularModelError, WeierstrassModel,
-                                   change_coords, iwasawa_log, l_invariant,
-                                   parse_curve, reduction_class,
+                                   _translate, change_coords, iwasawa_log,
+                                   l_invariant, parse_curve, reduction_class,
                                    tate_algorithm, tate_parameter_valuation,
                                    weak_amphoricity_report,
                                    weierstrass_invariants)
-from anabelomorph.fields import FieldError, TowerStep, build_field
+from anabelomorph.fields import FieldError, LocalField, TowerStep, build_field
 from anabelomorph.padic import PadicScalar, padic_log
 
 T = TowerStep
@@ -224,6 +224,34 @@ def test_tate_invariant_under_changes_tower():
         t = g * rng.randrange(-2, 3)
         m2 = change_coords(m, u=u, r=r, s=s, t=t)
         assert tate_algorithm(m2).quadruple() == base
+
+
+def test_change_coords_u1_inverts_nothing(monkeypatch):
+    # u = 1, as the integer or as K.one(), skips u^-1 and the scalings;
+    # the coefficients are those of the products with u^-1 = 1, digit
+    # for digit, inexact included
+    K = build_field(3, [T.cyclotomic(3), T.kummer(3, 3)])
+    m = WeierstrassModel.from_a_invariants(K, a2=3, a6=9)
+    g = K.step_generators[1]
+    r, s, t = K.from_int(2) + g, K.from_int(-1), g * 2
+    uinv = K.one().inv()
+    want = [(x.vec, x.s, x.m, x.exact) for x in
+            (a * uinv for a in _translate(*m.coefficients(), r, s, t))]
+    calls = []
+    invert = LocalField.invert
+
+    def counted(self, x):
+        calls.append(x)
+        return invert(self, x)
+
+    monkeypatch.setattr(LocalField, "invert", counted)
+    for u in (1, K.one()):
+        m2 = change_coords(m, u=u, r=r, s=s, t=t)
+        assert [(x.vec, x.s, x.m, x.exact)
+                for x in m2.coefficients()] == want
+    assert calls == []
+    change_coords(m, u=2, r=r, s=s, t=t)
+    assert len(calls) == 1
 
 
 def test_ogg_saito_ledger_on_samples(Q5):
@@ -463,8 +491,10 @@ def test_tate_invariant_under_unimodular_changes(name, data):
     r, s, t = integral(), integral(), integral()
     rd = tate_algorithm(change_coords(m, u=u, r=r, s=s, t=t))
     assert rd.quadruple() == base
-    # the trace records residues as fields.residue gives them
+    # the trace records residues as fields.residue gives them: F_q
+    # coordinate tuples over F_p
     for entry in rd.trace:
         if entry[0] in ("singular", "translate"):
-            assert all(c in K.residue_coords for c in entry[1:]
-                       if isinstance(c, tuple))
+            for c in entry[1:]:
+                if isinstance(c, tuple):
+                    assert len(c) == K.f and all(0 <= a < K.p for a in c)

@@ -259,17 +259,28 @@ def test_unramified_kummer_layer_p2():
     K = build_field(2, [T.kummer(2, 5)])
     assert (K.n, K.e, K.f) == (2, 1, 2)
     assert different_valuation(K) == 0
-    assert len(K.residue_lifts) == 4
+    assert K.residue_field.q == 4
     g = K.step_generators[0]
     assert (g * g - K.from_int(5)).is_zero_to_precision()
     assert K.from_int(2).valuation() == 1
+
+
+def test_unramified_kummer_layer_p7():
+    # 6 - 7 zeta_7 peels to the Artin-Schreier obstruction; F_q has 7^7
+    # elements, and none is listed to build the layer
+    K = build_field(7, [T.cyclotomic(7), T.kummer(7, {0: 6, 1: -7})])
+    assert (K.n, K.e, K.f) == (42, 6, 7)
+    assert K.certificate.startswith("unramified")
+    assert K.residue_field.q == 7 ** 7
+    c = (3, 1, 4, 1, 5, 2, 6)
+    assert residue(K.lift(c))[0] == c
 
 
 def test_unramified_quadratic_custom_p3():
     K = build_field(3, [T.custom([-2, 0])])   # x^2 - 2, nonsquare unit
     assert (K.n, K.e, K.f) == (2, 1, 2)
     assert different_valuation(K) == 0
-    assert len(K.residue_lifts) == 9
+    assert K.residue_field.q == 9
     y = K.step_generators[0] * 3 + K.from_int(1)
     assert residue(y)[0] == (1, 0)
 

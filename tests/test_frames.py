@@ -12,9 +12,9 @@ low precision checks that every frame answer holds for each lift of the
 element to a higher precision.
 
 The residues the same walk reads (``residue_at``) are checked against
-the lift scan that ``LocalField.residue`` used to run: the index of the
-first residue lift c with v(x / pi^k - c) >= 1.  The draws also check
-that residues multiply, res(xy / pi^(a+b)) = res(x / pi^a) res(y / pi^b).
+a lift scan: the first c in F_q whose lift ``K.lift(c)`` has
+v(x / pi^k - lift) >= 1.  The draws also check that residues multiply,
+res(xy / pi^(a+b)) = res(x / pi^a) res(y / pi^b).
 """
 
 import random
@@ -31,8 +31,7 @@ from anabelomorph.padic import PrecisionError
 T = TowerStep
 
 # (shape, p) -> steps; the top layer of each tower has the named shape.
-# Quadratic layers need odd p.  An unramified Kummer layer at p = 7 lists
-# 7^7 residue lifts, so that shape stops at p = 5.
+# Quadratic layers need odd p.
 FRAME_TOWERS = {
     ("cyclo", 2): [T.cyclotomic(8)],
     ("cyclo", 3): [T.cyclotomic(9)],
@@ -49,6 +48,7 @@ FRAME_TOWERS = {
     ("kummer-unramified", 2): [T.kummer(2, 5)],
     ("kummer-unramified", 3): [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})],
     ("kummer-unramified", 5): [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})],
+    ("kummer-unramified", 7): [T.cyclotomic(7), T.kummer(7, {0: 6, 1: -7})],
     ("quad-ramified", 3): [T.custom([-3, 3])],
     ("quad-ramified", 5): [T.custom([-5, 5])],
     ("quad-ramified", 7): [T.custom([-7, 7])],
@@ -198,14 +198,17 @@ def test_radicand_6_degree_500_uniformizer_certified():
 
 
 def _scan_residue(x, k):
-    """Index of the residue of x / pi^k by the lift scan; None when the
-    scan cannot decide."""
+    """The residue of x / pi^k by the lift scan; None when the scan cannot
+    decide, or when q >= 1000 (the scan costs up to q walks)."""
     K = x.field
+    F = K.residue_field
+    if F.q >= 1000:
+        return None
     y = K.div_pi(x, k)
     try:
-        for i, c in enumerate(K.residue_lifts):
-            if K.val_at_least(y - c, 1):
-                return i
+        for c in F.elements:
+            if K.val_at_least(y - K.lift(c), 1):
+                return c
     except PrecisionError:
         return None
     return None
@@ -219,18 +222,16 @@ def _scan_residue(x, k):
 def test_residue_read_matches_lift_scan(key, data):
     K = _tower(key)
     F = K.residue_field
-    assert F.q == len(K.residue_lifts) == K.p ** K.f
+    assert F.q == K.p ** K.f
     x, y = data.draw(_elements(K)), data.draw(_elements(K))
     vx, vy = x.val_or_bound()[0], y.val_or_bound()[0]
     if vx is None or vy is None:
         return
     rx, ry = K.residue_at(x, vx), K.residue_at(y, vy)
     assert any(rx) and any(ry)
-    # the scan costs up to q walks; the seeded sweep covers q = 5^5
-    scan = F.q < 1000
-    want = _scan_residue(_fresh(x), vx) if scan else None
+    want = _scan_residue(_fresh(x), vx)
     if want is not None:
-        assert F.index[rx] == want
+        assert rx == want
     # above the valuation the residue is 0, below it there is none
     assert K.residue_at(_fresh(x), vx - 1) == F.zero
     with pytest.raises(FieldError):
@@ -241,11 +242,14 @@ def test_residue_read_matches_lift_scan(key, data):
     # the public residue of an integral element is the scan's
     if vx >= 0:
         z = _fresh(x) if vx == 0 else _fresh(x) + K.one()
-        i, lift = K.residue(z)
-        want = _scan_residue(_fresh(z), 0) if scan else None
+        c, lift = K.residue(z)
+        want = _scan_residue(_fresh(z), 0)
         if want is not None:
-            assert i == want and lift is K.residue_lifts[want]
-            assert residue(z)[0] == K.residue_coords[want]
+            assert c == want and residue(z)[0] == want
+        # the lift is the one K.lift makes, and reduces to c
+        made = K.lift(c)
+        assert (lift.vec, lift.s, lift.m) == (made.vec, made.s, made.m)
+        assert K.val_at_least(_fresh(z) - lift, 1)
 
 
 @pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
@@ -265,19 +269,28 @@ def test_residue_read_seeded_sweep(key):
         v = x.val_or_bound()[0]
         if v is None:
             continue
+        r = K.residue_at(x, v)
         want = _scan_residue(_fresh(x), v)
         if want is not None:
-            assert K.residue_field.index[K.residue_at(x, v)] == want
+            assert r == want
+        # the read residue's lift is congruent to x / pi^v, at any q
+        assert K.val_at_least(K.div_pi(_fresh(x), v) - K.lift(r), 1)
 
 
 @pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
                          ids=[f"{s}-p{p}" for s, p in sorted(RESIDUE_TOWERS)])
 def test_residue_of_each_lift_is_its_index(key):
+    # each lift reads back as its coordinates: all of F_q when q <= 50,
+    # else 50 seeded draws
     K = _tower(key)
-    lifts = K.residue_lifts
-    step = max(1, len(lifts) // 50)
-    for i in range(0, len(lifts), step):
-        assert K.residue(_fresh(lifts[i]))[0] == i
+    F = K.residue_field
+    if F.q <= 50:
+        cs = list(F.elements)
+    else:
+        rng = random.Random(f"lift:{key}")
+        cs = [tuple(rng.randrange(K.p) for _ in range(K.f)) for _ in range(50)]
+    for c in cs:
+        assert K.residue(_fresh(K.lift(c)))[0] == c
     assert K.residue_at(K.pi_pow(3), 3) == K.residue_field.one
     # zero to precision: residue 0 above the bound, undecided below it
     z = K.zero()
@@ -307,4 +320,4 @@ def test_residue_constants_survive_a_failed_read(monkeypatch):
     assert failed == [K]
     assert K.residue_at(_fresh(K.pi), 1) == K.residue_field.one
     x = _fresh(K.pi_pow(2) * 7 + K.pi_pow(3))
-    assert K.residue_field.index[K.residue_at(x, 2)] == _scan_residue(x, 2)
+    assert K.residue_at(x, 2) == _scan_residue(x, 2)
