@@ -212,12 +212,24 @@ def _double_root(F, coeffs):
 def _singular_point(F, a1, a2, a3, a4, a6):
     """Residue singular point of the reduction (unique, hence rational):
     the common zero of W = y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6),
-    W_x = a1 y - (3 x^2 + 2 a2 x + a4) and W_y = 2 y + a1 x + a3."""
+    W_x = a1 y - (3 x^2 + 2 a2 x + a4) and W_y = 2 y + a1 x + a3.
+
+    For each x, W_y = 2 y + g and W_x = a1 y + h are linear in y: the
+    first with a nonzero y-coefficient fixes y.  When both coefficients
+    vanish, x is skipped unless g = h = 0, and only then is y enumerated,
+    so a pass is O(q) in field operations."""
     for x in F.elements:
         g = F.add(F.mul(a1, x), a3)
         h = F.scale(_ev(F, [a4, F.scale(a2, 2), F.scale(F.one, 3)], x), -1)
         w = [F.scale(_ev(F, [a6, a4, a2, F.one], x), -1), g, F.one]
-        for y in F.elements:
+        c, k = (F.scale(F.one, 2), g) if F.p != 2 else (a1, h)
+        if any(c):
+            ys = [F.scale(F.mul(k, F.pow(c, -1)), -1)]
+        elif any(g) or any(h):
+            continue
+        else:
+            ys = F.elements
+        for y in ys:
             if (not any(F.add(F.scale(y, 2), g))
                     and not any(F.add(F.mul(a1, y), h))
                     and not any(_ev(F, w, y))):

@@ -13,9 +13,9 @@ A tower is a chain of fields, each one layer over its base:
 
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
-Kummer, quadratic and custom layers are stored as their monic relation
-over the base and multiply through one kernel.  Norms are computed level
-by level: each Galois layer lists its conjugates, whose product with the
+All four relative layer kinds are stored as their monic relation over
+the base and multiply through one kernel, which over Q_p folds one
+integer convolution by the relation.  Norms are computed level by level: each Galois layer lists its conjugates, whose product with the
 element is the resultant of the layer relation against it, and
 non-Galois custom layers fall back to the determinant of the
 multiplication matrix.
@@ -428,7 +428,8 @@ class LocalField:
         return FieldElement(self, vec, 0, self.M)
 
     def from_zeta_poly(self, poly):
-        """Element from {exponent: int coefficient} in the cyclotomic generator."""
+        """Element from {exponent: int coefficient} in the cyclotomic
+        generator: coefficients at their exponents mod p^r, folded once."""
         root = self
         while root.base is not None and root.kind != "cyclo":
             root = root.base
@@ -436,9 +437,10 @@ class LocalField:
             if set(poly) <= {0}:
                 return self.from_int(poly.get(0, 0))
             raise FieldError("tower has no cyclotomic layer for zeta coefficients")
-        acc = root.zero()
+        conv = [0] * root.cyclo_modulus
         for expo, c in poly.items():
-            acc = acc + root._zeta_power(expo) * c
+            conv[expo % root.cyclo_modulus] += c
+        acc = FieldElement(root, root._fold(conv, root.pM), 0, root.M)
         return self.embed(acc) if root is not self else acc
 
     def coerce(self, a):
@@ -454,21 +456,24 @@ class LocalField:
             return self.from_zeta_poly(a)
         raise FieldError(f"cannot interpret {a!r} as an element of {self.name}")
 
-    def _zeta_power(self, t):
-        t %= self.cyclo_modulus
-        vec = list(self._cyclo_rep[t])
-        return FieldElement(self, [a % self.pM for a in vec], 0, self.M,
-                            exact=True)
-
     # -- multiplication kernel -------------------------------------------
 
     def _mul_mod(self, xs, ys, pm):
-        """Product mod pm of flat vectors of a relative layer (kummer, quad,
-        custom): block convolution over the base, then the top blocks fold
-        down through the layer relation theta^d = sum r_i theta^i, whose
-        nonzero terms (i, r_i vec) are ``self.relation``."""
+        """Product mod pm of flat vectors of a relative layer: convolution,
+        then the top terms fold down through the layer relation
+        theta^d = sum r_i theta^i, whose nonzero terms (i, r_i vec) are
+        ``self.relation``; over Q_p the terms are integers (``_fold``)."""
+        d = self.d
+        if self.base.base is None:
+            conv = [0] * (2 * d - 1)
+            for i, a in enumerate(xs):
+                if a:
+                    for j, b in enumerate(ys):
+                        if b:
+                            conv[i + j] += a * b
+            return self._fold(conv, pm)
         mul = self.base._mul_mod
-        b, d = self.base.n, self.d
+        b = self.base.n
         xb = [xs[i * b:(i + 1) * b] for i in range(d)]
         yb = [ys[i * b:(i + 1) * b] for i in range(d)]
         conv = [None] * (2 * d - 1)     # blocks are allocated on first use
@@ -487,6 +492,30 @@ class LocalField:
                     _add_block(conv, t - d + i, mul(blk, ri, pm))
         zero = (0,) * b
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
+
+    def _fold(self, conv, pm):
+        """Integer coefficients of any length in the generator of a layer
+        over Q_p, folded from the top down by its relation (a fold may land
+        above theta^d and fold again), and reduced mod pm once, at the end."""
+        d = self.d
+        for t in range(len(conv) - 1, d - 1, -1):
+            c = conv[t]
+            if c:
+                for i, (r,) in self.relation:
+                    conv[t - d + i] += c * r
+        return tuple(c % pm for c in conv[:d])
+
+    def _relation_derivative(self):
+        """f'(gen) for the layer relation f(x) = x^d - sum r_i x^i, read off
+        the relation: block d - 1 holds d and block i - 1 adds -i r_i (i = 0
+        adds nothing).  When O_K = O_B[gen] the different is (f'(gen))."""
+        b, d = self.base.n, self.d
+        vec = [0] * self.n
+        vec[(d - 1) * b] = d
+        for i, r in self.relation:
+            for k, c in enumerate(r):
+                vec[(i - 1) * b + k] -= i * c
+        return FieldElement(self, [c % self.pM for c in vec], 0, self.M)
 
     # -- norms -------------------------------------------------------------
 
@@ -924,7 +953,10 @@ class QpField(LocalField):
 
 
 class CycloField(LocalField):
-    """Q_p(zeta_{p^r}), totally ramified of degree phi(p^r)."""
+    """Q_p(zeta_{p^r}), totally ramified of degree phi = phi(p^r): the
+    relation layer zeta^phi = -sum_{i < p-1} zeta^(i p^(r-1)) of Phi_{p^r}.
+    Products, zeta-polynomials and conjugates fold by it, and Z_p[zeta] is
+    the ring of integers, so the different is (Phi'(zeta))."""
 
     def __init__(self, base, modulus, M, name):
         p = base.p
@@ -938,72 +970,29 @@ class CycloField(LocalField):
         self.cyclo_modulus = modulus
         self.e = phi
         self.f = 1
-        # representation of zeta^t in the power basis, for all t < modulus
-        rep = [[0] * phi for _ in range(modulus)]
-        for t in range(phi):
-            rep[t][t] = 1
-        step = modulus // p  # zeta^phi = -(1 + zeta^step + ... + zeta^((p-2)step))
-        for t in range(phi, modulus):
-            acc = [0] * phi
-            for i in range(p - 1):
-                e2 = t - phi + i * step
-                for j in range(phi):
-                    acc[j] -= rep[e2][j]
-            rep[t] = acc
-        self._cyclo_rep = [tuple(row) for row in rep]
-        # conjugation tables zeta -> zeta^a for units a
-        self._conj_units = [a for a in range(1, modulus) if a % p]
-        self._conj_rows = {
-            a: [self._cyclo_rep[(j * a) % modulus] for j in range(phi)]
-            for a in self._conj_units
-        }
+        step = modulus // p
+        self.relation = [(i * step, (-1,)) for i in range(p - 1)]
         self.pi = self.gen() - self.one()
         if self.norm_valuation(self.pi) != 1:
             raise CertificationError("cyclotomic uniformizer check failed")
         self._set_frame(1, self.pi, beta=base.one())     # zeta = pi + 1
         if self.embed(base.pi).valuation() != self.e:
             raise CertificationError("cyclotomic ramification check failed")
-        # different via the derivative of the cyclotomic polynomial at zeta:
-        # Phi(x) = sum x^(i*step), Phi'(zeta) = sum (i*step) zeta^(i*step - 1)
-        dphi = self.zero()
-        for i in range(1, p):
-            c = i * step
-            dphi = dphi + self._zeta_power(c - 1) * c
-        self.layer_diff = dphi.valuation()
+        self.layer_diff = self._relation_derivative().valuation()
         self.different_val = self.layer_diff
         self.certificate = f"cyclotomic({modulus}): Eisenstein after x -> x+1"
 
-    def _mul_mod(self, xs, ys, pm):
-        phi = self.d
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:phi]
-        for t in range(phi, 2 * phi - 1):
-            c = conv[t]
-            if c:
-                row = self._cyclo_rep[t % self.cyclo_modulus]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return tuple(c % pm for c in out)
-
     def _conjugates(self, vec, m):
-        """zeta -> zeta^a on a flat vector, for every unit a != 1."""
+        """zeta -> zeta^a on a flat vector, for every unit a != 1: c_j
+        moves to the exponent j a mod p^r, then one fold."""
         pm = self.p ** m
-        for a in self._conj_units[1:]:
-            out = [0] * self.d
-            rows = self._conj_rows[a]
-            for j, c in enumerate(vec):
-                if c:
-                    row = rows[j]
-                    for k, r in enumerate(row):
-                        if r:
-                            out[k] += c * r
-            yield tuple(c % pm for c in out)
+        N = self.cyclo_modulus
+        for a in range(2, N):
+            if a % self.p:
+                conv = [0] * N
+                for j, c in enumerate(vec):
+                    conv[j * a % N] += c
+                yield self._fold(conv, pm)
 
 
 class KummerField(LocalField):
@@ -1071,9 +1060,12 @@ class CustomField(LocalField):
 
 def _relation(coeffs):
     """Fold terms (i, -c_i vec), nonzero c_i only, of the monic relation
-    theta^d = -sum c_i theta^i."""
-    return [(i, tuple(-a for a in c.vec)) for i, c in enumerate(coeffs)
-            if any(c.vec)]
+    theta^d = -sum c_i theta^i; each entry is the representative of least
+    absolute value mod p^M, so that integer folds stay small."""
+    pM = coeffs[0].field.pM
+    h = pM // 2
+    return [(i, tuple((h - a) % pM - h for a in c.vec))
+            for i, c in enumerate(coeffs) if any(c.vec)]
 
 
 def _add_block(conv, k, prod):
@@ -1177,7 +1169,7 @@ def _pth_root_of_unity(base):
     fld = base
     while fld is not None:
         if fld.kind == "cyclo":
-            return base.embed(fld._zeta_power(fld.cyclo_modulus // p))
+            return base.from_zeta_poly({fld.cyclo_modulus // p: 1})
         if fld.kind in ("quad", "custom") and fld.d == p - 1:
             if all((c - c.field.one()).is_zero_to_precision()
                    for c in fld.coeffs):
@@ -1465,11 +1457,7 @@ def _extend_custom(base, coeffs, M, name):
         raise UniformizerSearchError("custom layer uniformizer failed")
     # different: valid when the generator is an Eisenstein uniformizer
     if v0 == 1:
-        dg = K.zero()
-        for i in range(1, d):
-            dg = dg + K.embed(coeffs[i]) * i * gen ** (i - 1)
-        dg = dg + K.from_int(d) * gen ** (d - 1)
-        K.layer_diff = dg.valuation()
+        K.layer_diff = K._relation_derivative().valuation()
         K.different_val = K.layer_diff + d * base.different_val
     else:
         K.layer_diff = None
@@ -1487,7 +1475,7 @@ def _gcd(a, b):
 # public construction and operations
 
 
-def build_field(p, steps, prec=None, names=None):
+def build_field(p, steps, prec=None):
     """Construct the tower described by ``steps`` over Q_p.
 
     Every layer is certified at construction; degree drops or

@@ -240,21 +240,16 @@ def _sigma_images(K, sigma):
     for fld in chain[1:]:
         if fld.kind != "kummer":
             raise NonGaloisTowerError("galois action supports kummer towers only")
-    m = cyclo.cyclo_modulus
     s = len(chain) - 1
 
     # basis images of the cyclotomic block
-    imgs = []
-    for l in range(cyclo.d):
-        vec = list(cyclo._cyclo_rep[(l * sigma.a) % m])
-        vec += [0] * (K.n - cyclo.d)
-        imgs.append(FieldElement(K, vec, 0, K.M))
+    imgs = [K.from_zeta_poly({l * sigma.a: 1}) for l in range(cyclo.d)]
 
     for t, fld in enumerate(chain[1:], start=1):
         base = fld.base
         k_strip, t_scale = fld.gen_shift
-        zexp = (sigma.b * K.p ** (s - t)) % m
-        gen_img = K.embed(cyclo._zeta_power(zexp)) * K.embed(fld.gen())
+        gen_img = (K.from_zeta_poly({sigma.b * K.p ** (s - t): 1})
+                   * K.embed(fld.gen()))
         if k_strip:
             pi_b = base.pi
             # sigma(pi_b) via the images of the base basis already computed

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
                                    SingularModelError, WeierstrassModel,
-                                   _translate, change_coords, iwasawa_log,
+                                   _ev, _singular_point, _translate,
+                                   change_coords, iwasawa_log,
                                    l_invariant, parse_curve, reduction_class,
                                    tate_algorithm, tate_parameter_valuation,
                                    weak_amphoricity_report,
                                    weierstrass_invariants)
-from anabelomorph.fields import FieldError, LocalField, TowerStep, build_field
+from anabelomorph.fields import (FieldError, LocalField, ResidueField,
+                                 TowerStep, build_field)
 from anabelomorph.padic import PadicScalar, padic_log
 
 T = TowerStep
@@ -444,6 +446,69 @@ def test_nonsplit_becomes_split_in_residue_extension():
     r2 = tate_algorithm(WeierstrassModel.from_a_invariants(U, *coeffs))
     assert r1.quadruple() == (4, 1, "I4", 2) and r1.split is False
     assert r2.quadruple() == (4, 1, "I4", 4) and r2.split is True
+
+
+def test_singular_point_late_in_large_residue_field():
+    # q = 3125, and the node lies over x = 4, late in the order of F_q
+    K = build_field(5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})])
+    assert K.residue_field.q == 3125
+    r = tate_algorithm(WeierstrassModel.from_a_invariants(K, 0, -7, 0, 8, 41))
+    assert r.quadruple() == (4, 2, "IV", 3)
+    assert r.trace[0] == ("singular", (4, 0, 0, 0, 0), (0, 0, 0, 0, 0))
+
+
+def _singular_point_oracle(F, a1, a2, a3, a4, a6):
+    """The common zero of W, W_x and W_y by trying every (x, y) in
+    F_q x F_q; None when there is none."""
+    for x in F.elements:
+        for y in F.elements:
+            wy = F.add(F.add(F.scale(y, 2), F.mul(a1, x)), a3)
+            wx = F.add(F.mul(a1, y), F.scale(
+                _ev(F, [a4, F.scale(a2, 2), F.scale(F.one, 3)], x), -1))
+            w = F.add(F.mul(y, F.add(y, F.add(F.mul(a1, x), a3))),
+                      F.scale(_ev(F, [a6, a4, a2, F.one], x), -1))
+            if not any(wy) and not any(wx) and not any(w):
+                return x, y
+    return None
+
+
+# F_{p^2} = F_p[rho], rho^2 = rel_0 + rel_1 rho irreducible
+_F_P2 = {2: (1, 1), 3: (2, 0), 5: (2, 0), 7: (3, 0)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("f", (1, 2))
+def test_singular_point_matches_double_loop(p, f):
+    Fp = ResidueField(p)
+    F = Fp if f == 1 else ResidueField(p, Fp, _F_P2[p])
+    rng = random.Random(f"singular:{p}:{f}")
+    elems = list(F.elements)
+    add, mul, neg = F.add, F.mul, (lambda u: F.scale(u, -1))
+    found = 0
+    for trial in range(40):
+        a1 = rng.choice(elems)
+        if p == 2:
+            # in characteristic 2, W_y = a1 x + a3 has no y term, so both
+            # a1 = 0 (y enumerated) and a1 != 0 (y from W_x) are covered
+            a1 = F.zero if trial % 2 else rng.choice(elems[1:])
+        a2, x0, y0 = (rng.choice(elems) for _ in range(3))
+        if trial % 4 == 3:
+            a3, a4, a6 = (rng.choice(elems) for _ in range(3))
+        else:
+            # singular at (x0, y0): W_y = W_x = W = 0 there
+            a3 = neg(add(F.scale(y0, 2), mul(a1, x0)))
+            a4 = add(mul(a1, y0), neg(
+                _ev(F, [F.zero, F.scale(a2, 2), F.scale(F.one, 3)], x0)))
+            a6 = add(mul(y0, add(y0, add(mul(a1, x0), a3))),
+                     neg(_ev(F, [F.zero, a4, a2, F.one], x0)))
+        want = _singular_point_oracle(F, a1, a2, a3, a4, a6)
+        if want is None:
+            with pytest.raises(FieldError):
+                _singular_point(F, a1, a2, a3, a4, a6)
+        else:
+            assert _singular_point(F, a1, a2, a3, a4, a6) == want
+            found += 1
+    assert found >= 30
 
 
 # ----------------------------------------------------------------------

@@ -122,7 +122,9 @@ def test_singular_to_precision(p):
 
 LAYERS = {
     "cyclo p=2": (2, [T.cyclotomic(8)]),
+    "cyclo p=3": (3, [T.cyclotomic(9)]),
     "cyclo p=5": (5, [T.cyclotomic(5)]),
+    "cyclo p=5 r=2": (5, [T.cyclotomic(25)]),
     "kummer p=2": (2, [T.cyclotomic(4), T.kummer(2, 3)]),
     "kummer p=3": (3, [T.cyclotomic(3), T.kummer(3, 3)]),
     "kummer p=5": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
@@ -169,6 +171,8 @@ ORACLE_TOWERS = {
     "cyclo p=5": (5, [T.cyclotomic(5)]),
     "cyclo p=7": (7, [T.cyclotomic(7)]),
     "kummer p=2": (2, [T.cyclotomic(4), T.kummer(4, 3)]),
+    # directly over Q_2: the integer fold with a relation coefficient 3
+    "kummer p=2 over Q_2": (2, [T.kummer(2, 3)]),
     "kummer p=3": (3, [T.cyclotomic(3), T.kummer(3, 3)]),
     "kummer p=5": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
     "kummer p=7": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
@@ -192,7 +196,8 @@ def _oracle_tower(name):
 
 def _defining_poly(fld):
     """Monic defining polynomial of the layer over its base, low degree
-    first, each coefficient a base vector."""
+    first, each coefficient a base vector.  Built from the step data,
+    never from ``fld.relation``, so the oracle does not share the fold."""
     b, d = fld.base.n, fld.d
     one = [1] + [0] * (b - 1)
     if fld.kind == "cyclo":
@@ -245,6 +250,22 @@ def test_products_match_schoolbook(name):
                 y = [rng.randrange(-p ** 4, p ** 4) for _ in range(fld.n)]
                 assert list(fld._mul_mod(x, y, pm)) == _schoolbook(fld, x, y, pm)
                 assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+@pytest.mark.parametrize("modulus", (8, 9, 25, 7))
+def test_zeta_poly_matches_generator_powers(modulus):
+    p = next(q for q in (2, 3, 5, 7) if modulus % q == 0)
+    K = build_field(p, [T.cyclotomic(modulus)])
+    z = K.gen()
+    for t in range(2 * modulus):
+        assert K.from_zeta_poly({t: 1}).vec == (z ** t).vec
+    # exponents that collide mod p^r, and exponents past p^r, fold as sums
+    poly = {3: 2, 3 + modulus: -5, 2 * modulus + 1: 4, modulus - 1: 7,
+            2 * modulus - 1: -1}
+    want = K.zero()
+    for t, c in poly.items():
+        want = want + z ** t * c
+    assert K.from_zeta_poly(poly).vec == want.vec
 
 
 RING_TOWERS = ("cyclo p=3", "kummer p=2", "kummer p=5", "quad p=7",
