@@ -15,8 +15,11 @@ Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
 All four relative layer kinds are stored as their monic relation over
 the base and multiply through one kernel, which over Q_p folds one
-integer convolution by the relation.  Norms are computed level by level: each Galois layer lists its conjugates, whose product with the
-element is the resultant of the layer relation against it, and
+integer convolution by the relation, and over any other base convolves
+d blocks with d(d+1)/2 base products (one-level Karatsuba) when both
+operands are dense, skipping zero blocks otherwise.  Norms are computed
+level by level: each Galois layer lists its conjugates, whose product
+with the element is the resultant of the layer relation against it, and
 non-Galois custom layers fall back to the determinant of the
 multiplication matrix.
 
@@ -429,7 +432,9 @@ class LocalField:
 
     def from_zeta_poly(self, poly):
         """Element from {exponent: int coefficient} in the cyclotomic
-        generator: coefficients at their exponents mod p^r, folded once."""
+        generator: coefficients at their exponents mod p^r, folded once.
+        Like ``from_int`` the result is exact: small integers folded by
+        Phi_{p^r}, whose coefficients are 0 and -1."""
         root = self
         while root.base is not None and root.kind != "cyclo":
             root = root.base
@@ -440,7 +445,8 @@ class LocalField:
         conv = [0] * root.cyclo_modulus
         for expo, c in poly.items():
             conv[expo % root.cyclo_modulus] += c
-        acc = FieldElement(root, root._fold(conv, root.pM), 0, root.M)
+        acc = FieldElement(root, root._fold(conv, root.pM), 0, root.M,
+                           exact=True)
         return self.embed(acc) if root is not self else acc
 
     def coerce(self, a):
@@ -462,9 +468,22 @@ class LocalField:
         """Product mod pm of flat vectors of a relative layer: convolution,
         then the top terms fold down through the layer relation
         theta^d = sum r_i theta^i, whose nonzero terms (i, r_i vec) are
-        ``self.relation``; over Q_p the terms are integers (``_fold``)."""
+        ``self.relation``; over Q_p the terms are integers (``_fold``).
+
+        Over a base that is not Q_p the convolution is of d blocks, each
+        block product one call of the base kernel.  Sparse operands (nx ny
+        <= d(d+1)/2 nonzero block pairs: integers, lifts, pi) skip their
+        zero blocks; dense ones take a one-level Karatsuba product with
+        d(d+1)/2 base products, D_i = x_i y_i and P_ij = (x_i + x_j)(y_i +
+        y_j) for i < j, whose P_ij - D_i - D_j is x_i y_j + x_j y_i.  The
+        inputs may be unreduced or negative (pair sums are), and everything
+        is exact over Z and reduced mod pm at the end, so both ways give
+        the same vector."""
         d = self.d
         if self.base.base is None:
+            # schoolbook: a recursive Karatsuba on these integers measured
+            # 0.5-1.0x its speed for d <= 20 at M <= 400, and 1.8x only at
+            # d = 20, M = 788 (CPython 3.11, 2-core x86 host)
             conv = [0] * (2 * d - 1)
             for i, a in enumerate(xs):
                 if a:
@@ -476,12 +495,22 @@ class LocalField:
         b = self.base.n
         xb = [xs[i * b:(i + 1) * b] for i in range(d)]
         yb = [ys[i * b:(i + 1) * b] for i in range(d)]
+        xnz = [i for i, xi in enumerate(xb) if any(xi)]
+        ynz = [j for j, yj in enumerate(yb) if any(yj)]
         conv = [None] * (2 * d - 1)     # blocks are allocated on first use
-        for i, xi in enumerate(xb):
-            if any(xi):
-                for j, yj in enumerate(yb):
-                    if any(yj):
-                        _add_block(conv, i + j, mul(xi, yj, pm))
+        if len(xnz) * len(ynz) <= d * (d + 1) // 2:
+            for i in xnz:
+                for j in ynz:
+                    _add_block(conv, i + j, mul(xb[i], yb[j], pm))
+        else:
+            dg = [mul(xi, yi, pm) for xi, yi in zip(xb, yb)]
+            for i, di in enumerate(dg):
+                _add_block(conv, 2 * i, di)
+                for j in range(i + 1, d):
+                    pij = mul([u + v for u, v in zip(xb[i], xb[j])],
+                              [u + v for u, v in zip(yb[i], yb[j])], pm)
+                    _add_block(conv, i + j, [c - u - v for c, u, v
+                                             in zip(pij, di, dg[j])])
         # from the top down: theta^(d+k) -> sum r_i theta^(i+k)
         for t in range(2 * d - 2, d - 1, -1):
             if conv[t] is None:

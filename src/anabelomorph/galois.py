@@ -169,12 +169,6 @@ class GaloisElement:
     b: int
     modulus: int
 
-    def compose(self, other):
-        """self after other: (self * other)(x) = self(other(x))."""
-        m = self.modulus
-        return GaloisElement(self.a * other.a % m,
-                             (self.a * other.b + self.b) % m, m)
-
     def inverse(self):
         m = self.modulus
         ainv = pow(self.a, -1, m)

@@ -153,6 +153,13 @@ def test_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_tate_singular_curve(capsys):
+    # the curve's entries are zeta-polynomials; all zero is singular
+    code = run_cli("tate", "[0,0,0,0,0]", "p=3 r=1 rad=3")
+    assert code == 3
+    assert "singular curve" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["p=3 r=2 rad=3", "p=2 r=2 rad=3"])
 def test_conductor_out_of_scope_names_scope(spec, capsys):
     code = run_cli("conductor", spec)

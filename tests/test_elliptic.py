@@ -57,6 +57,19 @@ def test_singular_curve_rejected(Q5):
         WeierstrassModel.from_a_invariants(Q5, a1=1)   # y^2 + xy = x^3
 
 
+def test_singular_curve_from_zeta_polys_rejected():
+    # zeta-polynomial coefficients are exact like integers, so a vanishing
+    # discriminant is a singular curve, not a precision problem
+    K = build_field(3, [T.cyclotomic(3)])
+    with pytest.raises(SingularModelError):
+        WeierstrassModel.from_a_invariants(K, {0: 0}, {0: 0}, {0: 0},
+                                           {0: 0}, {0: 0})
+    # Phi_3(z) = 1 + z + z^2 vanishes exactly: y^2 = x^3 + Phi_3(z) x^2
+    with pytest.raises(SingularModelError):
+        WeierstrassModel.from_a_invariants(K, 0, {0: 1, 1: 1, 2: 1})
+    assert K.from_zeta_poly({0: 2, 1: -1}).exact
+
+
 def test_j_1728(Q5):
     m = WeierstrassModel.from_a_invariants(Q5, a4=1)
     inv = weierstrass_invariants(m, with_j=True)

@@ -174,6 +174,8 @@ ORACLE_TOWERS = {
     # directly over Q_2: the integer fold with a relation coefficient 3
     "kummer p=2 over Q_2": (2, [T.kummer(2, 3)]),
     "kummer p=3": (3, [T.cyclotomic(3), T.kummer(3, 3)]),
+    # the degree-54 tower: two d = 3 layers over bases of degree 6 and 18
+    "kummer p=3 degree 54": (3, [T.cyclotomic(9), T.kummer(9, 4)]),
     "kummer p=5": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
     "kummer p=7": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
     "quad p=3": (3, [T.cyclotomic(3), T.custom([-2, 0])]),
@@ -250,6 +252,89 @@ def test_products_match_schoolbook(name):
                 y = [rng.randrange(-p ** 4, p ** 4) for _ in range(fld.n)]
                 assert list(fld._mul_mod(x, y, pm)) == _schoolbook(fld, x, y, pm)
                 assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+# ----------------------------------------------------------------------
+# block products: Karatsuba for dense operands, zero-block skipping else
+
+# layers of degree d over a base that is not Q_p, each tower's top a
+# Kummer layer x^d = a, whose relation has one term
+KARATSUBA_TOWERS = {2: "kummer p=2", 3: "kummer p=3 degree 54",
+                    5: "kummer p=5", 7: "kummer p=7"}
+
+
+def _block_shapes(d):
+    """(nx, ny) counts of nonzero blocks: dense, one block, and the shapes
+    closest to the switch nx ny = d(d+1)/2 on either side (at it when
+    some nx ny equals it)."""
+    switch = d * (d + 1) // 2
+    pairs = [(a, b) for a in range(1, d + 1) for b in range(1, d + 1)]
+    below = max(a * b for a, b in pairs if a * b <= switch)
+    above = min(a * b for a, b in pairs if a * b > switch)
+    return sorted({(d, d), (1, d), (d, 1), (1, 1)}
+                  | {(a, b) for a, b in pairs if a * b in (below, above)})
+
+
+def _with_blocks(rng, fld, k, lo, hi):
+    """A vector of fld with k nonzero blocks, entries drawn from [lo, hi)."""
+    b = fld.base.n
+    keep = rng.sample(range(fld.d), k)
+    return [rng.randrange(lo, hi) if i // b in keep else 0
+            for i in range(fld.n)]
+
+
+@pytest.mark.parametrize("d", sorted(KARATSUBA_TOWERS))
+def test_block_products_match_schoolbook(d):
+    K = _oracle_tower(KARATSUBA_TOWERS[d])
+    p = K.p
+    rng = random.Random(f"karatsuba:{d}")
+    for fld in _layers(K):
+        if fld.base.base is None:
+            continue
+        assert fld.d == d
+        for m in (fld.M, 20):
+            pm = p ** m
+            # reduced entries, then unreduced ones: negative and >= p^m
+            for lo, hi in ((0, pm), (-pm, 2 * pm)):
+                for nx, ny in _block_shapes(d):
+                    x = _with_blocks(rng, fld, nx, lo, hi)
+                    y = _with_blocks(rng, fld, ny, lo, hi)
+                    assert (list(fld._mul_mod(x, y, pm))
+                            == _schoolbook(fld, x, y, pm))
+                # the last shape is (d, d): a dense square
+                assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+@pytest.mark.parametrize("d", sorted(KARATSUBA_TOWERS))
+def test_block_product_counts(d):
+    K = _oracle_tower(KARATSUBA_TOWERS[d])
+    base, pm = K.base, K.pM
+    rng = random.Random(f"karatsuba count:{d}")
+    calls = []
+    real = base._mul_mod
+
+    def counting(xs, ys, m):
+        calls.append(m)
+        return real(xs, ys, m)
+
+    base._mul_mod = counting
+    try:
+        def count(x, y):
+            calls.clear()
+            K._mul_mod(x, y, pm)
+            return len(calls)
+        x, y = (_with_blocks(rng, K, d, 0, pm) for _ in range(2))
+        # d(d+1)/2 for the convolution (schoolbook: d^2), then one per
+        # nonzero top block for the fold by x^d = a
+        assert len(K.relation) == 1
+        assert count(x, y) == d * (d + 1) // 2 + d - 1
+        assert count(x, x) == d * (d + 1) // 2 + d - 1
+        # one block at theta^0 times a dense y: d products, nothing to fold
+        one = [c if i < base.n else 0 for i, c in enumerate(x)]
+        assert count(one, y) == d
+        assert count(y, one) == d
+    finally:
+        del base._mul_mod
 
 
 @pytest.mark.parametrize("modulus", (8, 9, 25, 7))

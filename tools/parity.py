@@ -1,0 +1,167 @@
+"""Print one SHA-256 over seeded arithmetic results on a set of towers.
+
+    python3 tools/parity.py [--checkout DIR] [--verbose]
+
+Two checkouts whose digests are equal compute bit-identical values, so the
+script is the gate for a change to the arithmetic kernels that must not
+change any answer.  It imports ``anabelomorph`` from ``DIR/src`` (by
+default the repository that holds this script) and builds about thirty
+towers covering every layer kind (cyclotomic, Kummer ramified and
+unramified, quadratic ramified and unramified, custom) at p in
+{2, 3, 5, 7}, with layers of degree 2, 3, 5 and 7 over bases that are not
+Q_p.  On every layer of every tower, at the working precision M and at
+M/2, it hashes the (vec, s, m) of:
+
+  * products and squares of dense, half-dense and one-block operands,
+    and kernel products of unreduced (negative and >= p^m) vectors;
+  * conjugates and layer cofactors (Galois layers), and norms;
+  * inverses (or the name of the error an inverse raises);
+  * ``from_zeta_poly`` of random zeta-polynomials.
+
+``--verbose`` also prints one digest per tower, to localise a mismatch.
+Stdlib only; a run takes a few seconds.
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def towers(T):
+    """name -> (p, steps)."""
+    return {
+        "cyclo 4": (2, [T.cyclotomic(4)]),
+        "cyclo 8": (2, [T.cyclotomic(8)]),
+        "kummer Q_2 eisenstein": (2, [T.kummer(2, 2)]),
+        "kummer Q_2 unramified": (2, [T.kummer(2, 5)]),
+        "kummer Q_2(i) d=2": (2, [T.cyclotomic(4), T.kummer(2, 3)]),
+        "kummer Q_2(i) 5^(1/4)": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
+        "custom Q_2(i) d=3": (2, [T.cyclotomic(4), T.custom([-2, 0, 0])]),
+        "cyclo 3": (3, [T.cyclotomic(3)]),
+        "cyclo 9": (3, [T.cyclotomic(9)]),
+        "degree 54": (3, [T.cyclotomic(9), T.kummer(9, 4)]),
+        "kummer Q_3(zeta_9) 3^(1/9)": (3, [T.cyclotomic(9), T.kummer(9, 3)]),
+        "kummer Q_3 unramified": (3, [T.cyclotomic(3),
+                                      T.kummer(3, {0: 2, 1: -3})]),
+        "quad Q_3 ramified": (3, [T.custom([-3, 3])]),
+        "quad Q_3 unramified": (3, [T.custom([-18, 0])]),
+        "quad Q_3(zeta_3)": (3, [T.cyclotomic(3), T.custom([-2, 0])]),
+        "custom Q_3": (3, [T.custom([-3, 3, 0])]),
+        "custom Q_3 fraction": (3, [T.custom([Fraction(-3, 2), 3, 0])]),
+        "custom Q_3(zeta_3) zeta-poly": (3, [T.cyclotomic(3),
+                                             T.custom([{0: 1, 1: -1}, 0, 0])]),
+        "cyclo 5": (5, [T.cyclotomic(5)]),
+        "cyclo 25": (5, [T.cyclotomic(25)]),
+        "kummer Q_5(zeta_5) 5^(1/5)": (5, [T.cyclotomic(5), T.kummer(5, 5)]),
+        "kummer Q_5(zeta_5) 6^(1/5)": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+        "kummer Q_5 unramified": (5, [T.cyclotomic(5),
+                                      T.kummer(5, {0: 2, 1: 5})]),
+        "quad Q_5 ramified": (5, [T.custom([-5, 5])]),
+        "quad Q_5 unramified": (5, [T.custom([2, 1])]),
+        "custom Q_5(zeta_5)": (5, [T.cyclotomic(5), T.custom([-5, 0, 0])]),
+        "cyclo 7": (7, [T.cyclotomic(7)]),
+        "kummer Q_7(zeta_7) 7^(1/7)": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
+        "kummer Q_7(zeta_7) 2^(1/7)": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
+        "kummer Q_7 unramified": (7, [T.cyclotomic(7),
+                                      T.kummer(7, {0: 6, 1: -7})]),
+        "quad Q_7(zeta_7)": (7, [T.cyclotomic(7), T.custom([-3, 0])]),
+        "custom Q_7": (7, [T.custom([-7, 0, 7])]),
+    }
+
+
+def operands(fld, rng, pm):
+    """Dense, half-dense and one-block vectors of a layer: a block is one
+    base element (one coefficient over Q_p)."""
+    b = fld.base.n
+    d = fld.d
+
+    def with_blocks(keep):
+        return [rng.randrange(pm) if i // b in keep else 0
+                for i in range(fld.n)]
+    half = set(rng.sample(range(d), (d + 1) // 2))
+    return [with_blocks(set(range(d))), with_blocks(half),
+            with_blocks({rng.randrange(d)})]
+
+
+def layer_values(F, fld, m, rng):
+    """Every hashed value of one layer at precision m, in a fixed order."""
+    p, pm = fld.p, fld.p ** m
+    out = []
+
+    def record(label, fn):
+        try:
+            x = fn()
+        except (ArithmeticError, ValueError) as exc:
+            x = type(exc).__name__
+        out.append((label, x))
+
+    def key(x):
+        return (x.vec, x.s, x.m)
+
+    def norm(x):
+        nint, s, mn = fld.norm_tower(x)
+        return (nint % p ** mn, s, mn)
+
+    elems = [F.FieldElement(fld, v, rng.randrange(2), m)
+             for v in operands(fld, rng, pm)]
+    for i, x in enumerate(elems):
+        record(f"square {i}", lambda: key(x * x))
+        for j in range(i, len(elems)):
+            record(f"product {i} {j}", lambda: key(x * elems[j]))
+        record(f"norm {i}", lambda: norm(x))
+        record(f"inverse {i}", lambda: key(x.inv()))
+        if hasattr(fld, "_conjugates"):
+            record(f"conjugates {i}",
+                   lambda: list(fld._conjugates(x.vec, m)))
+            record(f"cofactor {i}", lambda: fld._layer_cofactor(x.vec, m))
+    xu, yu = ([rng.randrange(-pm, 2 * pm) for _ in range(fld.n)]
+              for _ in range(2))
+    record("unreduced", lambda: fld._mul_mod(xu, yu, pm))
+    for _ in range(2):
+        poly = {rng.randrange(60): rng.randrange(-p ** 3, p ** 3)
+                for _ in range(rng.randint(1, 6))}
+        record(f"zeta poly {sorted(poly.items())}",
+               lambda: key(fld.from_zeta_poly(poly)))
+    return out
+
+
+def tower_digest(F, name, p, steps):
+    h = hashlib.sha256()
+    try:
+        fld = F.build_field(p, steps)
+    except ArithmeticError as exc:      # a build that fails is a value too
+        h.update(type(exc).__name__.encode())
+        return h.hexdigest()
+    while fld.base is not None:
+        for m in (fld.M, fld.M // 2):
+            rng = random.Random(f"{name}|{fld.name}|{m}")
+            h.update(repr((fld.name, m, layer_values(F, fld, m, rng))).encode())
+        fld = fld.base
+    return h.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path, default=HERE)
+    ap.add_argument("--verbose", action="store_true")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    import anabelomorph.fields as F
+
+    total = hashlib.sha256()
+    table = towers(F.TowerStep)
+    for name, (p, steps) in table.items():
+        digest = tower_digest(F, name, p, steps)
+        total.update(f"{name}:{digest}\n".encode())
+        if args.verbose:
+            print(f"{digest}  {name}")
+    print(f"parity sha256 {total.hexdigest()} ({len(table)} towers)")
+
+
+if __name__ == "__main__":
+    main()
