@@ -17,7 +17,10 @@ All four relative layer kinds are stored as their monic relation over
 the base and multiply through one kernel, which over Q_p folds one
 integer convolution by the relation, and over any other base convolves
 d blocks with d(d+1)/2 base products (one-level Karatsuba) when both
-operands are dense, skipping zero blocks otherwise.  Norms are computed
+operands are dense, skipping zero blocks otherwise.  The integer
+convolution is a recursive Karatsuba when both operands are dense and
+p^m is at least _KARATSUBA_BITS wide (the degree-500 towers' base at
+M = 788), and a zero-skipping schoolbook otherwise.  Norms are computed
 level by level: each Galois layer lists its conjugates, whose product
 with the element is the resultant of the layer relation against it, and
 non-Galois custom layers fall back to the determinant of the
@@ -48,6 +51,8 @@ from .padic import PadicScalar, PrecisionError, is_prime, _vp
 DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
+_KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
+_KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 
 
 class FieldError(ArithmeticError):
@@ -478,12 +483,24 @@ class LocalField:
         y_j) for i < j, whose P_ij - D_i - D_j is x_i y_j + x_j y_i.  The
         inputs may be unreduced or negative (pair sums are), and everything
         is exact over Z and reduced mod pm at the end, so both ways give
-        the same vector."""
+        the same vector.
+
+        Over Q_p the blocks are integers, and the same choice is made by
+        the width of pm as well: dense operands take a recursive Karatsuba
+        (``_karatsuba``) when pm has at least _KARATSUBA_BITS bits, and
+        every other product the zero-skipping schoolbook."""
         d = self.d
         if self.base.base is None:
-            # schoolbook: a recursive Karatsuba on these integers measured
-            # 0.5-1.0x its speed for d <= 20 at M <= 400, and 1.8x only at
-            # d = 20, M = 788 (CPython 3.11, 2-core x86 host)
+            # speed of a dense product in Karatsuba against the schoolbook,
+            # min of 40 rounds on cyclotomic layers (CPython 3.11, 2-core
+            # x86): 0.9-1.0x at 460 bits and 1.0-1.2x at 600 bits for
+            # d = 4, 6; 1.1-1.3x at 1000 bits; 2.0-2.3x at 1830 bits for
+            # d = 18, 20; flat at d = 2.  The gate leaves every product of
+            # the towers below degree 500 (at most 714 bits) as it was.
+            if (pm.bit_length() >= _KARATSUBA_BITS
+                    and (d - xs.count(0)) * (d - ys.count(0))
+                    > d * (d + 1) // 2):
+                return self._fold(self._karatsuba(xs, ys), pm)
             conv = [0] * (2 * d - 1)
             for i, a in enumerate(xs):
                 if a:
@@ -521,6 +538,37 @@ class LocalField:
                     _add_block(conv, t - d + i, mul(blk, ri, pm))
         zero = (0,) * b
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
+
+    def _karatsuba(self, xs, ys):
+        """Exact convolution of two integer vectors of one length n, of any
+        sign and size.  With x = x0 + t^h x1 and y likewise, three half
+        products x0 y0, x1 y1 and (x0 + x1)(y0 + y1) give the middle term
+        x0 y1 + x1 y0 as the last minus the first two; the halving stops
+        at a length of at most _KARATSUBA_LEAF, where the one-level
+        formula takes n(n+1)/2 products."""
+        n = len(xs)
+        if n <= _KARATSUBA_LEAF:
+            dg = [a * b for a, b in zip(xs, ys)]
+            conv = [0] * (2 * n - 1)
+            for i, di in enumerate(dg):
+                conv[2 * i] += di
+                a, b = xs[i], ys[i]
+                for j in range(i + 1, n):
+                    conv[i + j] += (a + xs[j]) * (b + ys[j]) - di - dg[j]
+            return conv
+        h = n // 2
+        lo = self._karatsuba(xs[:h], ys[:h])
+        hi = self._karatsuba(xs[h:], ys[h:])
+        mid = self._karatsuba(
+            [a + b for a, b in itertools.zip_longest(xs[h:], xs[:h],
+                                                     fillvalue=0)],
+            [a + b for a, b in itertools.zip_longest(ys[h:], ys[:h],
+                                                     fillvalue=0)])
+        conv = lo + [0] + hi
+        for i, (c, u, v) in enumerate(itertools.zip_longest(mid, lo, hi,
+                                                            fillvalue=0)):
+            conv[h + i] += c - u - v
+        return conv
 
     def _fold(self, conv, pm):
         """Integer coefficients of any length in the generator of a layer

@@ -169,11 +169,6 @@ class GaloisElement:
     b: int
     modulus: int
 
-    def inverse(self):
-        m = self.modulus
-        ainv = pow(self.a, -1, m)
-        return GaloisElement(ainv, (-ainv * self.b) % m, m)
-
     @property
     def is_identity(self):
         return self.a % self.modulus == 1 and self.b % self.modulus == 0

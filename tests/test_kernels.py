@@ -18,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph.fields import (FieldElement, TowerStep, _padic_det,
-                                 _padic_solve, build_field, norm_to_qp)
+from anabelomorph.fields import (_KARATSUBA_BITS, FieldElement, TowerStep,
+                                 _padic_det, _padic_solve, build_field,
+                                 norm_to_qp)
 from anabelomorph.padic import _vp
 
 T = TowerStep
@@ -335,6 +336,71 @@ def test_block_product_counts(d):
         assert count(y, one) == d
     finally:
         del base._mul_mod
+
+
+# ----------------------------------------------------------------------
+# integer products: Karatsuba for dense operands at a wide modulus p^m,
+# the zero-skipping schoolbook otherwise
+
+# cyclotomic layers on Q_p, by d; d = 18 halves to 9, an odd split
+INTEGER_LAYERS = {2: (2, 4), 4: (5, 5), 6: (7, 7), 18: (3, 27), 20: (5, 25)}
+
+
+def _integer_layer(d):
+    p, modulus = INTEGER_LAYERS[d]
+    return build_field(p, [T.cyclotomic(modulus)])
+
+
+def _gate_moduli(p):
+    """p^m just below and just above the Karatsuba gate, by bit length."""
+    m = 1
+    while (p ** m).bit_length() < _KARATSUBA_BITS:
+        m += 1
+    return p ** (m - 1), p ** m
+
+
+@pytest.mark.parametrize("d", sorted(INTEGER_LAYERS))
+def test_integer_products_match_schoolbook(d):
+    fld = _integer_layer(d)
+    assert fld.d == d and fld.base.base is None
+    rng = random.Random(f"integer karatsuba:{d}")
+    for pm in _gate_moduli(fld.p):
+        # reduced entries, then unreduced ones: negative and >= p^m
+        for lo, hi in ((0, pm), (-pm, 2 * pm)):
+            for nx, ny in _block_shapes(d):
+                x = _with_blocks(rng, fld, nx, lo, hi)
+                y = _with_blocks(rng, fld, ny, lo, hi)
+                assert list(fld._mul_mod(x, y, pm)) == _schoolbook(fld, x, y, pm)
+            # the last shape is (d, d): a dense square
+            assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+@pytest.mark.parametrize("d", sorted(INTEGER_LAYERS))
+def test_integer_product_dispatch(d):
+    fld = _integer_layer(d)
+    rng = random.Random(f"integer dispatch:{d}")
+    calls = []
+    real = fld._karatsuba
+
+    def counting(xs, ys):
+        calls.append(len(xs))
+        return real(xs, ys)
+
+    fld._karatsuba = counting
+    try:
+        below, above = _gate_moduli(fld.p)
+        for nx, ny in _block_shapes(d):
+            x = _with_blocks(rng, fld, nx, 0, above)
+            y = _with_blocks(rng, fld, ny, 0, above)
+            for pm in (below, above):
+                calls.clear()
+                fld._mul_mod(x, y, pm)
+                # dense (nx ny > d(d+1)/2) above the gate: one top-level
+                # call on the whole operands; otherwise the schoolbook
+                karatsuba = pm == above and nx * ny > d * (d + 1) // 2
+                assert calls[:1] == ([d] if karatsuba else [])
+    finally:
+        del fld._karatsuba
 
 
 @pytest.mark.parametrize("modulus", (8, 9, 25, 7))

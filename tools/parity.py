@@ -18,8 +18,16 @@ M/2, it hashes the (vec, s, m) of:
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials.
 
-``--verbose`` also prints one digest per tower, to localise a mismatch.
-Stdlib only; a run takes a few seconds.
+The kernel of four integer layers (on Q_p) is also run at a modulus p^m
+wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
+at 5^788, Q_3(zeta_9) at 3^1200, Q_2(zeta_8) at 2^1600 and Q_3(zeta_27)
+at 3^700, on dense, half-dense and one-entry operands, with reduced and
+with unreduced entries.
+
+When ``tools/parity.sha256`` exists, a digest that differs from the one it
+holds prints both and exits 1; a change that alters arithmetic on purpose
+commits the new digest there.  ``--verbose`` also prints one digest per
+tower, to localise a mismatch.  Stdlib only; a run takes a few seconds.
 """
 
 import argparse
@@ -30,6 +38,15 @@ from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+EXPECTED = HERE / "tools" / "parity.sha256"
+
+# integer layers and a wide modulus: name -> (p, cyclotomic modulus, m)
+WIDE = {
+    "wide cyclo 25 at 5^788": (5, 25, 788),
+    "wide cyclo 9 at 3^1200": (3, 9, 1200),
+    "wide cyclo 8 at 2^1600": (2, 8, 1600),
+    "wide cyclo 27 at 3^700": (3, 27, 700),      # d = 18 halves to 9: odd
+}
 
 
 def towers(T):
@@ -130,6 +147,22 @@ def layer_values(F, fld, m, rng):
     return out
 
 
+def wide_digest(F, name, p, modulus, m):
+    """Kernel products of one integer layer at p^m, reduced operands first,
+    then unreduced ones (entries in [-p^m, 2 p^m))."""
+    fld = F.build_field(p, [F.TowerStep.cyclotomic(modulus)])
+    pm = p ** m
+    rng = random.Random(name)
+    out = []
+    for shift in (0, pm):
+        vecs = [[c - shift if c else 0 for c in v]
+                for v in operands(fld, rng, pm + 2 * shift)]
+        for i, x in enumerate(vecs):
+            for j in range(i, len(vecs)):
+                out.append((i, j, shift, fld._mul_mod(x, vecs[j], pm)))
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
 def tower_digest(F, name, p, steps):
     h = hashlib.sha256()
     try:
@@ -155,12 +188,23 @@ def main(argv=None):
 
     total = hashlib.sha256()
     table = towers(F.TowerStep)
-    for name, (p, steps) in table.items():
-        digest = tower_digest(F, name, p, steps)
+    digests = [(name, tower_digest(F, name, p, steps))
+               for name, (p, steps) in table.items()]
+    digests += [(name, wide_digest(F, name, *spec))
+                for name, spec in WIDE.items()]
+    for name, digest in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
             print(f"{digest}  {name}")
-    print(f"parity sha256 {total.hexdigest()} ({len(table)} towers)")
+    got = total.hexdigest()
+    print(f"parity sha256 {got} ({len(table)} towers, "
+          f"{len(WIDE)} wide integer layers)")
+    if EXPECTED.exists():
+        want = EXPECTED.read_text().split()[0]
+        if got != want:
+            print(f"parity MISMATCH: computed {got}, "
+                  f"{EXPECTED.relative_to(HERE)} holds {want}")
+            sys.exit(1)
 
 
 if __name__ == "__main__":
