@@ -5,12 +5,15 @@ semidirect product Z/p^r x| (Z/p^r)^*, acting by
 
     sigma_{a,b}:  zeta -> zeta^a,   theta -> zeta^b theta.
 
-The lower-numbering ramification filtration is computed from
+sigma acts layer by layer: an exponent map and one fold on the
+cyclotomic layer, then Horner's rule over the image of each Kummer
+generator.  The lower-numbering ramification filtration is computed from
 i(sigma) = v_K(sigma(pi) - pi) with the certified uniformizer (and, when
 f > 1, the least v_K(sigma(c) - c) over the frame deltas c of the
-unramified layers, which generate O_K with pi), and Artin
-conductors of characters are exact rational computations over a small
-cyclotomic coefficient field (never floating point).
+unramified layers, which generate O_K with pi); i is a class function, so
+one sigma per conjugacy class is evaluated.  Artin conductors of
+characters are exact rational computations over a small cyclotomic
+coefficient field (never floating point).
 """
 
 from __future__ import annotations
@@ -75,16 +78,11 @@ class CycRat:
                     row = [Fraction(0)] * deg
                     row[t] = Fraction(1)
                 else:
-                    row = [Fraction(0)] * deg
-                    # zeta^t = zeta^(t-deg) * zeta^deg; zeta^deg = -lower part
+                    # zeta^t = zeta * zeta^(t-1), zeta^deg folded by Phi_m
                     prev = rep[t - 1]
-                    # multiply prev by zeta
-                    shifted = [Fraction(0)] + list(prev[:-1])
-                    top = prev[-1]
-                    if top:
-                        for j in range(deg):
-                            shifted[j] -= top * phi_poly[j]
-                    row = shifted
+                    row = [Fraction(0)] + list(prev[:-1])
+                    for j in range(deg):
+                        row[j] -= prev[-1] * phi_poly[j]
                 rep.append(tuple(row))
             tab = (deg, rep)
             cls._tables[m] = tab
@@ -175,7 +173,7 @@ class GaloisElement:
 
 
 def _kummer_shape(K):
-    """(cyclo_field, modulus p^r, kummer step) for the supported shape."""
+    """(modulus p^r, kummer step) for the supported shape."""
     steps = K.user_steps
     if (len(steps) != 2 or steps[0].kind != "cyclotomic"
             or steps[1].kind != "kummer"
@@ -202,75 +200,82 @@ def galois_group(K):
     return elems
 
 
+def _compose(g, h):
+    """g after h: (a, b)(a', b') = (a a', a b' + b), affine in the index."""
+    m = g.modulus
+    return GaloisElement(g.a * h.a % m, (g.a * h.b + g.b) % m, m)
+
+
+def _inverse(g):
+    """g^-1: (a, b) -> (a^-1, -a^-1 b)."""
+    ainv = pow(g.a, -1, g.modulus)
+    return GaloisElement(ainv, -ainv * g.b % g.modulus, g.modulus)
+
+
+def _conjugacy_classes(elems):
+    """[(representative, class)] of the group ``elems``, by conjugating
+    with every element: (c, d)(a, b)(c, d)^-1 = (a, c b + d (1 - a))."""
+    seen, classes = set(), []
+    for sig in elems:
+        if sig not in seen:
+            cls = {_compose(_compose(tau, sig), _inverse(tau)) for tau in elems}
+            seen |= cls
+            classes.append((sig, cls))
+    return classes
+
+
 def apply_automorphism(sigma, x):
-    """Image of x under sigma (a ring homomorphism of the tower)."""
-    return _combine(_sigma_images(x.field, sigma), x, x.field)
-
-
-def _sigma_images(K, sigma):
-    """sigma-images of all internal basis monomials, cached per sigma."""
-    cache = getattr(K, "_sigma_cache", None)
-    if cache is None:
-        cache = K._sigma_cache = {}
-    key = (sigma.a % sigma.modulus, sigma.b % sigma.modulus)
-    imgs = cache.get(key)
-    if imgs is not None:
-        return imgs
-
-    chain = []
-    fld = K
+    """Image of x under sigma (a ring homomorphism of the tower), carrying
+    x's precision.  On the cyclotomic layer sigma maps zeta^l to zeta^(l a),
+    then one fold by Phi_{p^r}.  Kummer layer t of s has [x.field : layer]
+    = p^(s-t), and sigma maps gen_t = a^(1/p^t) pi_B^(-k) p^j
+    (``gen_shift``) to zeta^(b p^(s-t)) gen_t (pi_B sigma(pi_B^-1))^k and
+    x = sum c_k gen_t^k, by Horner's rule, to sum sigma(c_k) sigma(gen_t)^k."""
+    chain, fld = [], x.field
     while fld.base is not None:
-        chain.append(fld)
+        chain.insert(0, fld)
         fld = fld.base
-    chain.reverse()
-    cyclo = chain[0]
-    if cyclo.kind != "cyclo":
-        raise NonGaloisTowerError("tower does not start with a cyclotomic layer")
+    if (not chain or chain[0].kind != "cyclo"
+            or any(fld.kind != "kummer" for fld in chain[1:])):
+        raise NonGaloisTowerError(
+            "galois action needs kummer layers over a cyclotomic layer")
+    gen_imgs = {}
     for fld in chain[1:]:
-        if fld.kind != "kummer":
-            raise NonGaloisTowerError("galois action supports kummer towers only")
-    s = len(chain) - 1
-
-    # basis images of the cyclotomic block
-    imgs = [K.from_zeta_poly({l * sigma.a: 1}) for l in range(cyclo.d)]
-
-    for t, fld in enumerate(chain[1:], start=1):
-        base = fld.base
-        k_strip, t_scale = fld.gen_shift
-        gen_img = (K.from_zeta_poly({sigma.b * K.p ** (s - t): 1})
-                   * K.embed(fld.gen()))
-        if k_strip:
-            pi_b = base.pi
-            # sigma(pi_b) via the images of the base basis already computed
-            sig_pi = _combine(imgs[:base.n], pi_b, K)
-            ratio = (K.embed(pi_b) * sig_pi.inv()) ** k_strip
-            gen_img = gen_img * ratio
-        pows = [K.one()]
-        for _ in range(fld.d - 1):
-            pows.append((pows[-1] * gen_img)._normalized())
-        new_imgs = list(imgs)
-        for hi in range(1, fld.d):
-            for lo in range(base.n):
-                new_imgs.append((imgs[lo] * pows[hi])._normalized())
-        imgs = new_imgs
-    if len(imgs) != K.n:
-        raise FieldError("sigma image count mismatch")
-    cache[key] = imgs
-    return imgs
+        img = fld.from_zeta_poly({sigma.b * x.field.n // fld.n: 1}) * fld.gen()
+        k = fld.gen_shift[0]
+        if k:
+            # fresh copies: a cached valuation lets a product claim digits
+            # that the power-basis order does not carry
+            B = fld.base
+            pi_b, inv_b = (FieldElement(B, y.vec, y.s, y.m)
+                           for y in (B.pi, B.pi_pow(-1)))
+            img = img * fld.embed((pi_b * _horner(sigma, gen_imgs, inv_b)) ** k)
+        gen_imgs[fld] = img
+    return _horner(sigma, gen_imgs, x)
 
 
-def _combine(base_imgs, x, K):
-    """sigma(x) in K from the sigma-images of the basis of x's field."""
+def _horner(sigma, gen_imgs, x):
+    """sigma(x), given the images of the generators of x's layer and of
+    the layers below it."""
+    fld = x.field
+    if fld.kind == "cyclo":
+        N = fld.cyclo_modulus
+        conv = [0] * N
+        for j, c in enumerate(x.vec):
+            conv[j * sigma.a % N] += c
+        return FieldElement(fld, fld._fold(conv, fld.p ** x.m), x.s, x.m)
+    B, b = fld.base, fld.base.n
     acc = None
-    for j, c in enumerate(x.vec):
-        if c:
-            term = base_imgs[j].scaled(c)
-            acc = term if acc is None else acc + term
+    for k in range(fld.d - 1, -1, -1):
+        if acc is not None:
+            acc = acc * gen_imgs[fld]
+        blk = x.vec[k * b:(k + 1) * b]
+        if any(blk):
+            ck = fld.embed(_horner(sigma, gen_imgs, FieldElement(B, blk, 0, x.m)))
+            acc = ck if acc is None else acc + ck
     if acc is None:
-        return K.zero()
-    if x.s:
-        acc = FieldElement(K, acc.vec, acc.s + x.s, acc.m)._normalized()
-    return acc
+        return x
+    return FieldElement(fld, acc.vec, acc.s + x.s, acc.m)._normalized()
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +307,11 @@ class RamificationFiltration:
 
 
 def ramification_filtration(K, pi=None):
-    """Lower-numbering filtration of Gal(K/Q_p) for the Kummer shape."""
+    """Lower-numbering filtration of Gal(K/Q_p) for the Kummer shape.
+
+    i_G(sigma) is a class function (Serre, Local Fields, IV 1), so it is
+    evaluated on one representative per conjugacy class and copied to
+    the other members."""
     elems = galois_group(K)
     if pi is None:
         pi = K.pi
@@ -315,16 +324,17 @@ def ramification_filtration(K, pi=None):
         if fld.f > fld.base.f:
             rhos.append(K.embed(fld.delta))
         fld = fld.base
-    ivals = {}
-    for sig in elems:
-        if sig.is_identity:
+    by_class = {}
+    for rep, cls in _conjugacy_classes(elems):
+        if rep.is_identity:
             continue
-        i = (apply_automorphism(sig, pi) - pi).valuation()
+        i = (apply_automorphism(rep, pi) - pi).valuation()
         for c in rhos:
-            dc = apply_automorphism(sig, c) - c
+            dc = apply_automorphism(rep, c) - c
             if not K.val_at_least(dc, i):
                 i = dc.valuation()
-        ivals[sig] = i
+        by_class.update(dict.fromkeys(cls, i))
+    ivals = {sig: by_class[sig] for sig in elems if not sig.is_identity}
     imax = max(ivals.values())
     groups = []
     for i in range(imax + 1):
@@ -342,13 +352,9 @@ def ramification_filtration(K, pi=None):
 
 def different_from_filtration(filt):
     """Sum over i of (|G_i| - 1): cross-check for the different."""
-    total = 0
-    i = 0
-    while True:
-        size = filt.order_at(i)
-        if size <= 1:
-            break
-        total += size - 1
+    total = i = 0
+    while filt.order_at(i) > 1:
+        total += filt.order_at(i) - 1
         i += 1
     return total
 
@@ -508,16 +514,9 @@ def wild_subgroup_conductor(filt):
     character of the wild part Z/p: the number of indices i with the
     wild subgroup H_i nontrivial (the full-sum average vanishes there)."""
     count = 0
-    i = 0
-    while True:
-        wild = [s for s in _members_at(filt, i)
-                if s.a % s.modulus == 1 and not s.is_identity]
-        if not wild:
-            break
+    while any(s.a % s.modulus == 1 and not s.is_identity
+              for s in _members_at(filt, count)):
         count += 1
-        i += 1
-        if i > 100000:
-            raise ArithmeticError("filtration did not terminate")
     return count
 
 

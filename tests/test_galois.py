@@ -3,29 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from anabelomorph.fields import (TowerStep, build_field, different_valuation,
-                                 discriminant_valuation)
+from anabelomorph.fields import (FieldElement, TowerStep, build_field,
+                                 different_valuation, discriminant_valuation)
 from anabelomorph.galois import (CycRat, GaloisElement, NonGaloisTowerError,
-                                 apply_automorphism, artin_conductor,
-                                 character_table, conductor_discriminant_check,
+                                 _compose, _inverse, apply_automorphism,
+                                 artin_conductor, character_table,
+                                 conductor_discriminant_check,
                                  different_from_filtration, galois_group,
                                  ramification_filtration, swan_conductor,
                                  wild_subgroup_conductor)
 
 T = TowerStep
-
-
-def _compose(g, h):
-    """g after h: (g h)(x) = g(h(x)), for x -> a x + b affine in the index."""
-    m = g.modulus
-    return GaloisElement(g.a * h.a % m, (g.a * h.b + g.b) % m, m)
-
-
-def _inverse(g):
-    """g^-1: x -> a^-1 (x - b)."""
-    m = g.modulus
-    ainv = pow(g.a, -1, m)
-    return GaloisElement(ainv, -ainv * g.b % m, m)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +74,39 @@ def test_action_preserves_valuation(K1):
         assert apply_automorphism(sig, x).valuation() == x.valuation()
 
 
+def test_action_keeps_the_precision_of_its_argument(K1):
+    # the step generator known only to 3^20: its image may not claim more
+    # digits, and the images of two lifts of it agree to every digit the
+    # image claims
+    g = K1.step_generators[1]
+    x = FieldElement(K1, [c % 3 ** 20 for c in g.vec], g.s, 20)
+    rng = random.Random(20)
+    lift = FieldElement(K1, [c + 3 ** 20 * rng.randrange(3 ** 5)
+                             for c in x.vec], x.s, K1.M)
+    for sig in galois_group(K1):
+        y = apply_automorphism(sig, x)
+        assert y.m - y.s <= x.m - x.s
+        d = apply_automorphism(sig, g) - apply_automorphism(sig, lift)
+        assert K1.val_at_least(d, K1.e * (y.m - y.s))
+
+
+@pytest.mark.parametrize("p, r, rad", [(2, 2, 5), (2, 3, 3), (3, 1, 3),
+                                       (3, 2, 4), (5, 1, 6), (7, 1, 2)])
+def test_action_obeys_the_group_law(p, r, rad):
+    # sigma(tau(x)) = (sigma tau)(x) for the law the conjugacy classes
+    # are built from
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    elems = galois_group(K)
+    rng = random.Random(p * 100 + r)
+    for _ in range(4):
+        sig, tau = rng.choice(elems), rng.choice(elems)
+        x = FieldElement(K, [rng.randrange(-p ** 8, p ** 8)
+                             for _ in range(K.n)], rng.randrange(2))
+        d = (apply_automorphism(sig, apply_automorphism(tau, x))
+             - apply_automorphism(_compose(sig, tau), x))
+        assert d.is_zero_to_precision()
+
+
 def test_non_galois_tower_rejected():
     K = build_field(3, [T.cyclotomic(9), T.kummer(9, {2: -6, 0: -2})])
     with pytest.raises(NonGaloisTowerError):
@@ -134,6 +155,54 @@ def test_groups_normal_and_tame_quotient_cyclic(K1):
                 assert (c.a % 3, c.b % 3) in members
     # G_0 / G_1 cyclic of order dividing p - 1
     assert len(filt.groups[0][1]) // len(filt.groups[1][1]) in (1, 2)
+
+
+def _filtration_every_sigma(K):
+    """i_values by v_K(sigma pi - pi) and the rho moves on every sigma."""
+    rhos, fld = [], K
+    while fld.base is not None:
+        if fld.f > fld.base.f:
+            rhos.append(K.embed(fld.delta))
+        fld = fld.base
+    out = {}
+    for sig in galois_group(K):
+        if not sig.is_identity:
+            i = (apply_automorphism(sig, K.pi) - K.pi).valuation()
+            for c in rhos:
+                # a rho that sigma fixes is zero to precision: no bound
+                dc = apply_automorphism(sig, c) - c
+                if not K.val_at_least(dc, i):
+                    i = dc.valuation()
+            out[sig] = i
+    return out
+
+
+# (p, r, radicand): the Galois towers of the tests and demos, then the
+# invariants workload's towers with both of its b^(p^r) radicand factors
+_CLASS_TOWERS = (
+    [(3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 4), (3, 2, -7), (3, 2, 2),
+     (5, 1, 5), (5, 1, 6), (2, 2, 5), (2, 3, 3)]
+    + [(p, r, a * b ** (p ** r))
+       for p, r, a in [(3, 1, 3), (5, 1, 5), (7, 1, 7), (3, 1, 4), (5, 1, 6),
+                       (7, 1, 8), (3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5),
+                       (2, 3, 3)]
+       for b in [b for b in range(2, 6) if b % p][:2]])
+
+
+@pytest.mark.parametrize("p, r, rad", _CLASS_TOWERS)
+def test_class_representatives_match_every_sigma(p, r, rad):
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    assert ramification_filtration(K).i_values == _filtration_every_sigma(K)
+
+
+@pytest.mark.slow
+def test_degree_500_filtration():
+    # 26 conjugacy classes: 25 sigma evaluations instead of 499
+    K = build_field(5, [T.cyclotomic(25), T.kummer(25, 5)])
+    filt = ramification_filtration(K)
+    assert (different_from_filtration(filt) == discriminant_valuation(K)
+            == 1515)
+    assert filt.breaks == [0, 4, 9, 109]
 
 
 def test_filtration_pi_independent(K1):

@@ -18,6 +18,10 @@ M/2, it hashes the (vec, s, m) of:
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials.
 
+On every Galois tower (cyclotomic(p^r) then kummer(p^r, rational)) it
+also hashes the sorted (a, b, i) triples of ``ramification_filtration``,
+so the Galois action and the filtration are covered too.
+
 The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
 at 5^788, Q_3(zeta_9) at 3^1200, Q_2(zeta_8) at 2^1600 and Q_3(zeta_27)
@@ -163,13 +167,20 @@ def wide_digest(F, name, p, modulus, m):
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
-def tower_digest(F, name, p, steps):
+def tower_digest(F, G, name, p, steps):
     h = hashlib.sha256()
     try:
         fld = F.build_field(p, steps)
     except ArithmeticError as exc:      # a build that fails is a value too
         h.update(type(exc).__name__.encode())
         return h.hexdigest()
+    try:
+        filt = G.ramification_filtration(fld)
+    except G.NonGaloisTowerError:
+        pass
+    else:
+        h.update(repr(sorted((s.a, s.b, i)
+                             for s, i in filt.i_values.items())).encode())
     while fld.base is not None:
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
@@ -185,10 +196,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     import anabelomorph.fields as F
+    import anabelomorph.galois as G
 
     total = hashlib.sha256()
     table = towers(F.TowerStep)
-    digests = [(name, tower_digest(F, name, p, steps))
+    digests = [(name, tower_digest(F, G, name, p, steps))
                for name, (p, steps) in table.items()]
     digests += [(name, wide_digest(F, name, *spec))
                 for name, spec in WIDE.items()]
