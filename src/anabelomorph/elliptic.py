@@ -464,7 +464,15 @@ def tate_parameter_valuation(model_or_j, K=None):
 
 def iwasawa_log(x, target_digits=24):
     """Branch log(p) = 0 extended to K^*: strip the p-part through
-    x^e / p^(v(x)), kill residue torsion, then sum the 1-unit series."""
+    x^e / p^(v(x)), kill residue torsion, then sum the 1-unit series.
+
+    The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
+    whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
+    target = e * target_digits; that bound keeps an extra e below
+    j v(t) - e v_p(j), so it bounds the whole tail.  The sum is
+    therefore claimed to v_K >= target only: its numerator is cut to
+    target_digits digits above p^s before the division by the reduction
+    exponent, which costs that exponent's p-adic digits."""
     K = x.field
     p = K.p
     v = x.valuation()
@@ -477,11 +485,13 @@ def iwasawa_log(x, target_digits=24):
     divisor = e * (q - 1)
     # p-power until the series for log(1+t) converges: v(t) > e/(p-1)
     kpow = 0
+    target = e * target_digits
     while True:
         t = z - K.one()
         vt, bound = t.val_or_bound()
         if vt is None:
-            return K.zero()
+            zero = _capped(K.zero(), min(bound, target) // e)
+            return zero * Fraction(1, divisor)
         if vt * (p - 1) > e:
             break
         z = z ** p
@@ -489,21 +499,35 @@ def iwasawa_log(x, target_digits=24):
         kpow += 1
         if kpow > 8 * e:
             raise PrecisionError("logarithm reduction did not converge")
-    target = e * target_digits
-    acc = K.zero()
-    term = t
-    j = 1
-    tj = t
-    while True:
-        term = tj * Fraction((-1) ** (j + 1), j)
-        acc = acc + term
-        # next term valuation lower bound
-        j += 1
-        low = j * vt - e * (_intlog(j, p) + 1)
-        if low >= target:
-            break
-        tj = tj * t
-    return acc * Fraction(1, divisor)
+    n = 1
+    while (n + 1) * vt - e * (_intlog(n + 1, p) + 1) < target:
+        n += 1
+    return _capped(_log_series(t, n), target_digits) * Fraction(1, divisor)
+
+
+def _log_series(t, n):
+    """sum_(j <= n) (-1)^(j+1) t^j / j by Paterson-Stockmeyer: the baby
+    steps t, ..., t^k, chunks of k terms with the scalar coefficients, and
+    Horner in t^k over the chunks, (k - 1) + (ceil(n/k) - 1) products with
+    k chosen to minimise that count."""
+    k = min(range(1, n + 1), key=lambda k: k + (n + k - 1) // k)
+    powers = [t]
+    while len(powers) < k:
+        powers.append(powers[-1] * t)
+    acc = None
+    for lo in range((n - 1) // k * k, -1, -k):
+        chunk = sum((powers[j - lo - 1] * Fraction((-1) ** (j + 1), j)
+                     for j in range(lo + 1, min(lo + k, n) + 1)),
+                    t.field.zero())
+        acc = chunk if acc is None else acc * powers[-1] + chunk
+    return acc
+
+
+def _capped(x, digits):
+    """x with its numerator cut to ``digits`` digits above p^s."""
+    m = min(x.m, x.s + digits)
+    pm = x.field.p ** m
+    return FieldElement(x.field, tuple(a % pm for a in x.vec), x.s, m)
 
 
 def _intlog(n, p):

@@ -227,10 +227,11 @@ def _conjugacy_classes(elems):
 def apply_automorphism(sigma, x):
     """Image of x under sigma (a ring homomorphism of the tower), carrying
     x's precision.  On the cyclotomic layer sigma maps zeta^l to zeta^(l a),
-    then one fold by Phi_{p^r}.  Kummer layer t of s has [x.field : layer]
-    = p^(s-t), and sigma maps gen_t = a^(1/p^t) pi_B^(-k) p^j
-    (``gen_shift``) to zeta^(b p^(s-t)) gen_t (pi_B sigma(pi_B^-1))^k and
-    x = sum c_k gen_t^k, by Horner's rule, to sum sigma(c_k) sigma(gen_t)^k."""
+    then one fold by Phi_{p^r}, p^r = sigma.modulus.  Kummer layer t maps
+    gen_t = a^(1/p^t) pi_B^(-k) p^j (``gen_shift``) to
+    zeta^(b p^(r-t)) gen_t (pi_B sigma(pi_B^-1))^k, whichever layer x lies
+    in, and x = sum c_k gen_t^k, by Horner's rule, to
+    sum sigma(c_k) sigma(gen_t)^k."""
     chain, fld = [], x.field
     while fld.base is not None:
         chain.insert(0, fld)
@@ -239,9 +240,14 @@ def apply_automorphism(sigma, x):
             or any(fld.kind != "kummer" for fld in chain[1:])):
         raise NonGaloisTowerError(
             "galois action needs kummer layers over a cyclotomic layer")
+    if chain[0].cyclo_modulus != sigma.modulus:
+        raise NonGaloisTowerError(
+            f"sigma acts on zeta_{sigma.modulus}, the tower's cyclotomic "
+            f"layer is Q_p(zeta_{chain[0].cyclo_modulus})")
     gen_imgs = {}
-    for fld in chain[1:]:
-        img = fld.from_zeta_poly({sigma.b * x.field.n // fld.n: 1}) * fld.gen()
+    for t, fld in enumerate(chain[1:], 1):
+        img = (fld.from_zeta_poly({sigma.b * sigma.modulus // fld.p ** t: 1})
+               * fld.gen())
         k = fld.gen_shift[0]
         if k:
             # fresh copies: a cached valuation lets a product claim digits

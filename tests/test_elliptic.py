@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from anabelomorph import elliptic
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
                                    SingularModelError, WeierstrassModel,
@@ -14,8 +16,8 @@ from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    tate_algorithm, tate_parameter_valuation,
                                    weak_amphoricity_report,
                                    weierstrass_invariants)
-from anabelomorph.fields import (FieldError, LocalField, ResidueField,
-                                 TowerStep, build_field)
+from anabelomorph.fields import (FieldElement, FieldError, LocalField,
+                                 ResidueField, TowerStep, build_field)
 from anabelomorph.padic import PadicScalar, padic_log
 
 T = TowerStep
@@ -332,12 +334,106 @@ def test_l_invariant_golden_series_value():
 
 
 def test_iwasawa_log_over_tower():
-    K = build_field(3, [T.cyclotomic(3), T.kummer(3, 3)])
-    q = K.from_int(12)
-    li = l_invariant(q)       # v_K(q) = 6
-    sc = padic_log(PadicScalar.from_int(4, 3, 60), prec=24)
-    d = li * 6 - K.from_int(sc.lift())
-    assert d.valuation() > 60
+    # e l(p (1 + p)) = log(1 + p) on Q_p(zeta_p, p^(1/p)), against the
+    # scalar series; d may be zero to precision, so its certified lower
+    # bound is what must pass 10 e (60 at p = 3)
+    for p in (3, 5, 7):
+        K = build_field(p, [T.cyclotomic(p), T.kummer(p, p)])
+        li = l_invariant(K.from_int(p * (1 + p)))       # v_K(q) = e
+        sc = padic_log(PadicScalar.from_int(1 + p, p, 60), prec=24)
+        d = li * K.e - K.from_int(sc.lift())
+        v, bound = d.val_or_bound()
+        assert (bound if v is None else v) > 10 * K.e
+
+
+@pytest.mark.parametrize("p,r,rad", [(3, 2, 3 * 2 ** 9), (5, 1, 6 * 2 ** 5),
+                                     (2, 2, 5 * 3 ** 4)])
+def test_log_claims_only_its_truncation(p, r, rad):
+    # the series is summed to v_K >= e * target_digits, so a longer sum
+    # must agree with it to the precision it returns
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    q = K.from_int(p) * (K.one() + K.pi)
+    d = l_invariant(q, target_digits=24) - l_invariant(q, target_digits=60)
+    assert d.is_zero_to_precision()
+
+
+def _term_by_term(t, n):
+    """Oracle for elliptic._log_series: one product per term."""
+    acc, tj = t.field.zero(), t
+    for j in range(1, n + 1):
+        acc = acc + tj * Fraction((-1) ** (j + 1), j)
+        if j < n:
+            tj = tj * t
+    return acc
+
+
+_LOG_TOWERS = {
+    "Q_2(i, 5^(1/4)), f = 2": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
+    "Q_2(zeta_8)": (2, [T.cyclotomic(8)]),
+    "Q_3(zeta_3, 4^(1/3))": (3, [T.cyclotomic(3), T.kummer(3, 4)]),
+    "Q_3(zeta_3), f = 2": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})]),
+    "Q_3(zeta_9, 3^(1/9))": (3, [T.cyclotomic(9), T.kummer(9, 3)]),
+    "Q_5(zeta_5, 6^(1/5))": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+    "Q_7(zeta_7, 2^(1/7))": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
+}
+_LOG_FIELDS = {}
+
+
+@pytest.mark.parametrize("name", list(_LOG_TOWERS))
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_log_series_matches_term_by_term(name, data):
+    if name not in _LOG_FIELDS:
+        _LOG_FIELDS[name] = build_field(*_LOG_TOWERS[name])
+    K = _LOG_FIELDS[name]
+    p = K.p
+    # a unit c_0 + p (...) times pi^shift: units and non-units
+    c0 = data.draw(st.integers(1, p ** 3).filter(lambda c: c % p))
+    rest = data.draw(st.lists(st.integers(-p ** 3, p ** 3),
+                              min_size=K.n - 1, max_size=K.n - 1))
+    x = FieldElement(K, [c0] + [p * c for c in rest])
+    x = x * K.pi ** data.draw(st.integers(0, 3))
+    assume(not x.is_zero_to_precision())
+    got = iwasawa_log(x)
+    with mock.patch.object(elliptic, "_log_series", _term_by_term):
+        want = iwasawa_log(x)
+    assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
+
+
+@pytest.mark.parametrize("p,r,rad,n", [(3, 2, 3 * 2 ** 9, 13),
+                                       (7, 1, 8 * 2 ** 7, 19)])
+def test_log_series_product_count(p, r, rad, n, monkeypatch):
+    # Paterson-Stockmeyer makes (k - 1) + (ceil(n/k) - 1) products of two
+    # non-scalar elements for n terms, term by term takes n - 1.  The
+    # series multiplies by the Fraction (-1)^(j+1)/j n times, and the
+    # result by 1/divisor once; powers in the reduction are not counted.
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    x = K.from_int(p) * (K.one() + K.pi)
+    count = {"dense": 0, "fraction": 0, "in_pow": 0}
+    mul, power = FieldElement.__mul__, FieldElement.__pow__
+
+    def counting_mul(a, b):
+        if isinstance(b, Fraction):
+            count["fraction"] += 1
+        elif (not count["in_pow"] and isinstance(b, FieldElement)
+              and all(sum(1 for c in y.vec if c) > 1 for y in (a, b))):
+            count["dense"] += 1
+        return mul(a, b)
+
+    def counting_pow(a, k):
+        count["in_pow"] += 1
+        try:
+            return power(a, k)
+        finally:
+            count["in_pow"] -= 1
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    monkeypatch.setattr(FieldElement, "__pow__", counting_pow)
+    iwasawa_log(x)
+    assert count["fraction"] - 1 == n
+    assert count["dense"] <= min(k - 1 + -(-n // k) - 1
+                                 for k in range(1, n + 1))
 
 
 def test_parse_curve():

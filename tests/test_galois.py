@@ -107,6 +107,24 @@ def test_action_obeys_the_group_law(p, r, rad):
         assert d.is_zero_to_precision()
 
 
+def test_action_restricts_to_intermediate_layers():
+    # sigma on an element of Q_3(zeta_9, 4^(1/3)) is the restriction of
+    # sigma on the top of Q_3(zeta_9, 4^(1/9)): it multiplies 4^(1/3) by
+    # zeta_9^(3b), not by zeta_9^b
+    K = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    L = K.base
+    for a, b in ((1, 1), (2, 0), (4, 5), (8, 7)):
+        sig = GaloisElement(a, b, 9)
+        d = (K.embed(apply_automorphism(sig, L.gen()))
+             - apply_automorphism(sig, K.embed(L.gen())))
+        assert d.is_zero_to_precision()
+
+
+def test_action_rejects_a_sigma_of_another_modulus(K1):
+    with pytest.raises(NonGaloisTowerError):
+        apply_automorphism(GaloisElement(2, 1, 9), K1.gen())
+
+
 def test_non_galois_tower_rejected():
     K = build_field(3, [T.cyclotomic(9), T.kummer(9, {2: -6, 0: -2})])
     with pytest.raises(NonGaloisTowerError):

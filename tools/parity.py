@@ -20,7 +20,8 @@ M/2, it hashes the (vec, s, m) of:
 
 On every Galois tower (cyclotomic(p^r) then kummer(p^r, rational)) it
 also hashes the sorted (a, b, i) triples of ``ramification_filtration``,
-so the Galois action and the filtration are covered too.
+so the Galois action and the filtration are covered too, and the
+(vec, s, m) of ``l_invariant(p (1 + pi))``, which covers the logarithm.
 
 The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
@@ -167,7 +168,7 @@ def wide_digest(F, name, p, modulus, m):
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
-def tower_digest(F, G, name, p, steps):
+def tower_digest(F, G, E, name, p, steps):
     h = hashlib.sha256()
     try:
         fld = F.build_field(p, steps)
@@ -181,6 +182,8 @@ def tower_digest(F, G, name, p, steps):
     else:
         h.update(repr(sorted((s.a, s.b, i)
                              for s, i in filt.i_values.items())).encode())
+        li = E.l_invariant(fld.from_int(p) * (fld.one() + fld.pi))
+        h.update(repr((li.vec, li.s, li.m)).encode())
     while fld.base is not None:
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
@@ -197,10 +200,11 @@ def main(argv=None):
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     import anabelomorph.fields as F
     import anabelomorph.galois as G
+    import anabelomorph.elliptic as E
 
     total = hashlib.sha256()
     table = towers(F.TowerStep)
-    digests = [(name, tower_digest(F, G, name, p, steps))
+    digests = [(name, tower_digest(F, G, E, name, p, steps))
                for name, (p, steps) in table.items()]
     digests += [(name, wide_digest(F, name, *spec))
                 for name, spec in WIDE.items()]
