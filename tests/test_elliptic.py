@@ -371,7 +371,7 @@ _LOG_TOWERS = {
     "Q_2(i, 5^(1/4)), f = 2": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
     "Q_2(zeta_8)": (2, [T.cyclotomic(8)]),
     "Q_3(zeta_3, 4^(1/3))": (3, [T.cyclotomic(3), T.kummer(3, 4)]),
-    "Q_3(zeta_3), f = 2": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})]),
+    "Q_3(zeta_3), f = 3": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})]),
     "Q_3(zeta_9, 3^(1/9))": (3, [T.cyclotomic(9), T.kummer(9, 3)]),
     "Q_5(zeta_5, 6^(1/5))": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
     "Q_7(zeta_7, 2^(1/7))": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
