@@ -27,7 +27,10 @@ The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
 at 5^788, Q_3(zeta_9) at 3^1200, Q_2(zeta_8) at 2^1600 and Q_3(zeta_27)
 at 3^700, on dense, half-dense and one-entry operands, with reduced and
-with unreduced entries.
+with unreduced entries.  The layer cofactors and norms of the degree-100
+Q_5(zeta_25)((5 2^25)^(1/5)) at M = 788, the first two layers of the
+degree-500 tower of ``disc "p=5 r=2 rad=5*2^25"``, are hashed the same
+way, on both of its layers.
 
 When ``tools/parity.sha256`` exists, a digest that differs from the one it
 holds prints both and exits 1; a change that alters arithmetic on purpose
@@ -52,6 +55,13 @@ WIDE = {
     "wide cyclo 8 at 2^1600": (2, 8, 1600),
     "wide cyclo 27 at 3^700": (3, 27, 700),      # d = 18 halves to 9: odd
 }
+# towers whose layer cofactors are hashed at a wide modulus:
+# name -> (p, steps as (kind, arguments), prec)
+WIDE_COFACTORS = {
+    # prec = 532 gives M = 788, the degree-500 tower's working precision
+    "cofactors Q_5(zeta_25)((5 2^25)^(1/5)) at M=788":
+        (5, [("cyclotomic", (25,)), ("kummer", (5, 5 * 2 ** 25))], 532),
+}
 
 
 def towers(T):
@@ -59,6 +69,7 @@ def towers(T):
     return {
         "cyclo 4": (2, [T.cyclotomic(4)]),
         "cyclo 8": (2, [T.cyclotomic(8)]),
+        "cyclo 16": (2, [T.cyclotomic(16)]),      # units C2 x C4
         "kummer Q_2 eisenstein": (2, [T.kummer(2, 2)]),
         "kummer Q_2 unramified": (2, [T.kummer(2, 5)]),
         "kummer Q_2(i) d=2": (2, [T.cyclotomic(4), T.kummer(2, 3)]),
@@ -168,6 +179,23 @@ def wide_digest(F, name, p, modulus, m):
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
+def cofactor_digest(F, name, p, steps, prec):
+    """Layer cofactors and norms of dense and one-block operands on every
+    layer of one tower, at M and at M/2."""
+    K = F.build_field(p, [getattr(F.TowerStep, kind)(*args)
+                          for kind, args in steps], prec)
+    out = []
+    fld = K
+    while fld.base is not None:
+        for m in (fld.M, fld.M // 2):
+            rng = random.Random(f"{name}|{fld.name}|{m}")
+            vecs = operands(fld, rng, fld.p ** m)
+            out.append((fld.name, m, [fld._layer_cofactor(v, m)
+                                      for v in vecs[::2]]))
+        fld = fld.base
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
 def tower_digest(F, G, E, name, p, steps):
     h = hashlib.sha256()
     try:
@@ -208,13 +236,16 @@ def main(argv=None):
                for name, (p, steps) in table.items()]
     digests += [(name, wide_digest(F, name, *spec))
                 for name, spec in WIDE.items()]
+    digests += [(name, cofactor_digest(F, name, *spec))
+                for name, spec in WIDE_COFACTORS.items()]
     for name, digest in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
             print(f"{digest}  {name}")
     got = total.hexdigest()
     print(f"parity sha256 {got} ({len(table)} towers, "
-          f"{len(WIDE)} wide integer layers)")
+          f"{len(WIDE)} wide integer layers, "
+          f"{len(WIDE_COFACTORS)} wide-modulus cofactor towers)")
     if EXPECTED.exists():
         want = EXPECTED.read_text().split()[0]
         if got != want:
