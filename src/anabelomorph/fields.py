@@ -21,10 +21,13 @@ operands are dense, skipping zero blocks otherwise.  The integer
 convolution is a recursive Karatsuba when both operands are dense and
 p^m is at least _KARATSUBA_BITS wide (the degree-500 towers' base at
 M = 788), and a zero-skipping schoolbook otherwise.  Norms are computed
-level by level: each Galois layer lists its conjugates, whose product
-with the element is the resultant of the layer relation against it, and
-non-Galois custom layers fall back to the determinant of the
-multiplication matrix.
+level by level.  The automorphism group of each Galois layer is cyclic,
+or a product of two cyclic groups, and a conjugate costs a permutation
+or block products by roots of unity rather than a layer product, so the
+product of the conjugates, whose product with the element is the
+resultant of the layer relation against it, is built by doubling over
+each cyclic factor in O(log d) layer products.  Non-Galois custom layers
+fall back to the determinant of the multiplication matrix.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u), which also yields
@@ -925,19 +928,6 @@ class LocalField:
             fld = fld.base
         return cof, vec[0]
 
-    def _layer_cofactor(self, vec, m):
-        """(cofactor vec, base vec of the layer norm) of a Galois layer.
-
-        The cofactor is the product of the conjugates other than vec,
-        which the layer lists in ``_conjugates``; times vec it is the layer
-        norm, the resultant of the layer relation against the element.
-        """
-        pm = self.p ** m
-        prod = None
-        for cv in self._conjugates(vec, m):
-            prod = cv if prod is None else self._mul_mod(prod, cv, pm)
-        return prod, self._project(self._mul_mod(prod, vec, pm), m)
-
     # -- residues -------------------------------------------------------------
 
     def residue(self, x):
@@ -1029,11 +1019,70 @@ class QpField(LocalField):
         return self.one(), x.vec[0]
 
 
-class CycloField(LocalField):
+class GaloisLayer(LocalField):
+    """A layer that is Galois over its base.  Its automorphisms are
+    ``_sigma(vec, a, pm)`` for labels a, and a subclass sets
+
+      * ``galois_factors``: the group as a product of cyclic factors, one
+        tuple (a_0, ..., a_(k-1)) per factor of order k, with sigma^i =
+        ``_sigma(., a_i)`` for the factor's generator sigma;
+      * ``conjugate_labels``: the labels of the automorphisms other than
+        the identity, in the order ``_conjugates`` lists them.
+
+    Every sigma is an exact ring automorphism of the representation mod
+    p^m, so the order in which the conjugates are multiplied does not
+    change a vector."""
+
+    def _conjugates(self, vec, m):
+        """The conjugates of vec other than vec itself."""
+        pm = self.p ** m
+        for a in self.conjugate_labels:
+            yield self._sigma(vec, a, pm)
+
+    def _layer_cofactor(self, vec, m):
+        """(cofactor vec, base vec of the layer norm).
+
+        The cofactor is the product of the conjugates other than vec;
+        times vec it is the layer norm, the resultant of the layer
+        relation against the element.  Over a group A x B the norm is
+        N_B(N_A(x)), so with y = N_A(x) = x cof_A(x) the cofactor is
+        cof_A(x) cof_B(y) and the norm is y cof_B(y).
+        """
+        pm = self.p ** m
+        cof, y = None, vec
+        for powers in self.galois_factors:
+            c = self._cyclic_cofactor(y, powers, pm)
+            cof = c if cof is None else self._mul_mod(cof, c, pm)
+            y = self._mul_mod(y, c, pm)
+        return cof, self._project(y, m)
+
+    def _cyclic_cofactor(self, vec, powers, pm):
+        """prod_(0 < i < k) sigma^i(vec) for the generator sigma of a cyclic
+        factor of order k, sigma^i = ``_sigma(., powers[i])``.
+
+        With N_j = prod_(i < j) sigma^i(vec) the product is sigma(N_(k-1)),
+        and N_(a+b) = N_a sigma^a(N_b) builds N_(k-1) from the top bit of
+        k - 1 down, N_(2j) = N_j sigma^j(N_j) and N_(j+1) = vec sigma(N_j):
+        floor(log2(k-1)) + popcount(k-1) - 1 layer products instead of
+        k - 2 (T. Itoh and S. Tsujii, Inform. and Comput. 78, 1988).
+        """
+        sigma, mul = self._sigma, self._mul_mod
+        acc, j = vec, 1
+        for bit in bin(len(powers) - 1)[3:]:
+            acc = mul(acc, sigma(acc, powers[j], pm), pm)
+            j *= 2
+            if bit == "1":
+                acc = mul(vec, sigma(acc, powers[1], pm), pm)
+                j += 1
+        return sigma(acc, powers[1], pm)
+
+
+class CycloField(GaloisLayer):
     """Q_p(zeta_{p^r}), totally ramified of degree phi = phi(p^r): the
     relation layer zeta^phi = -sum_{i < p-1} zeta^(i p^(r-1)) of Phi_{p^r}.
     Products, zeta-polynomials and conjugates fold by it, and Z_p[zeta] is
-    the ring of integers, so the different is (Phi'(zeta))."""
+    the ring of integers, so the different is (Phi'(zeta)).  The
+    automorphisms are zeta -> zeta^a for the units a mod p^r."""
 
     def __init__(self, base, modulus, M, name):
         p = base.p
@@ -1049,6 +1098,8 @@ class CycloField(LocalField):
         self.f = 1
         step = modulus // p
         self.relation = [(i * step, (-1,)) for i in range(p - 1)]
+        self.galois_factors = _unit_group(modulus, p)
+        self.conjugate_labels = [a for a in range(2, modulus) if a % p]
         self.pi = self.gen() - self.one()
         if self.norm_valuation(self.pi) != 1:
             raise CertificationError("cyclotomic uniformizer check failed")
@@ -1059,21 +1110,19 @@ class CycloField(LocalField):
         self.different_val = self.layer_diff
         self.certificate = f"cyclotomic({modulus}): Eisenstein after x -> x+1"
 
-    def _conjugates(self, vec, m):
-        """zeta -> zeta^a on a flat vector, for every unit a != 1: c_j
-        moves to the exponent j a mod p^r, then one fold."""
-        pm = self.p ** m
+    def _sigma(self, vec, a, pm):
+        """zeta -> zeta^a on a flat vector: c_j moves to the exponent
+        j a mod p^r, then one fold."""
         N = self.cyclo_modulus
-        for a in range(2, N):
-            if a % self.p:
-                conv = [0] * N
-                for j, c in enumerate(vec):
-                    conv[j * a % N] += c
-                yield self._fold(conv, pm)
+        conv = [0] * N
+        for j, c in enumerate(vec):
+            conv[j * a % N] += c
+        return self._fold(conv, pm)
 
 
-class KummerField(LocalField):
-    """Degree-p cyclic layer x^p = radicand over a base containing zeta_p."""
+class KummerField(GaloisLayer):
+    """Degree-p cyclic layer x^p = radicand over a base containing zeta_p;
+    the automorphisms are gen -> xi^i gen, xi = zeta_p."""
 
     def __init__(self, base, radicand, M, name, xi_powers):
         p = base.p
@@ -1082,37 +1131,39 @@ class KummerField(LocalField):
         # theta^p = radicand, folded with the radicand's own (small) digits
         self.relation = [(0, radicand.vec)]
         self.xi_powers = xi_powers        # zeta_p^t as base elements, t < p
+        self.galois_factors = [tuple(range(p))]
+        self.conjugate_labels = range(1, p)
         # cumulative e, f set by the builder after certification
 
-    def _conjugates(self, vec, m):
-        """gen -> xi^i gen for i = 1 .. p-1."""
+    def _sigma(self, vec, i, pm):
+        """gen -> xi^i gen: block j times xi^(i j)."""
         b = self.base.n
-        pm = self.p ** m
-        blocks = [vec[j * b:(j + 1) * b] for j in range(self.d)]
-        for i in range(1, self.d):
-            out = []
-            for j, blk in enumerate(blocks):
-                t = (i * j) % self.d
-                out.extend(blk if t == 0 else
-                           self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
-            yield tuple(out)
+        out = []
+        for j in range(self.d):
+            blk = vec[j * b:(j + 1) * b]
+            t = (i * j) % self.d
+            out.extend(blk if t == 0 else
+                       self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
+        return tuple(out)
 
 
-class QuadField(LocalField):
+class QuadField(GaloisLayer):
     """Monic quadratic layer x^2 + b x + c over a base with p odd."""
 
     def __init__(self, base, coeffs, M, name):
         super().__init__(base.p, base, "quad", 2, M, name)
         self.coeffs = coeffs              # [c, b]
         self.relation = _relation(coeffs)
+        self.galois_factors = [(0, 1)]
+        self.conjugate_labels = (1,)
 
-    def _conjugates(self, vec, m):
-        """theta -> -b - theta."""
+    def _sigma(self, vec, a, pm):
+        """theta -> -b - theta, the one automorphism (a = 1) other than
+        the identity."""
         b = self.base.n
-        pm = self.p ** m
         shift = self.base._mul_mod(vec[b:], self.coeffs[1].vec, pm)
-        yield (tuple((a - c) % pm for a, c in zip(vec[:b], shift))
-               + tuple(-a % pm for a in vec[b:]))
+        return (tuple((x - c) % pm for x, c in zip(vec[:b], shift))
+                + tuple(-x % pm for x in vec[b:]))
 
 
 class CustomField(LocalField):
@@ -1143,6 +1194,22 @@ def _relation(coeffs):
     h = pM // 2
     return [(i, tuple((h - a) % pM - h for a in c.vec))
             for i, c in enumerate(coeffs) if any(c.vec)]
+
+
+def _unit_group(N, p):
+    """(Z/N)^* for N = p^r as cyclic factors, each the tuple of the powers
+    g^0, g^1, ... mod N of its generator g: <g> for the least primitive
+    root g when p is odd or N = 4, and <-1> x <5> when N = 2^r >= 8."""
+    def powers(g):
+        out = [1]
+        while out[-1] * g % N != 1:
+            out.append(out[-1] * g % N)
+        return tuple(out)
+    if N % 8 == 0:
+        return [powers(N - 1), powers(5)]
+    phi = N - N // p
+    units = (powers(g) for g in range(2, N) if g % p)
+    return [next(gp for gp in units if len(gp) == phi)]
 
 
 def _add_block(conv, k, prod):

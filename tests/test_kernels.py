@@ -5,7 +5,10 @@ determinant (custom-layer norms, Krasner's Sylvester determinants) and
 the p-adic solve (inversion over custom layers) read their answers off
 it.  Layer norms are read from the conjugate cofactor; they are checked
 against the determinant of the multiplication matrix, against
-multiplicativity, and against x * cofactor = N(x).  Products of every
+multiplicativity, and against x * cofactor = N(x).  The cofactor, built
+by doubling over the cyclic factors of each Galois group, is checked bit
+for bit against the product of the conjugates taken one after another,
+and its count of layer products is pinned.  Products of every
 layer kind are checked against a schoolbook product reduced by the
 layer's defining polynomial, and the ring axioms are checked on random
 elements.
@@ -253,6 +256,80 @@ def test_products_match_schoolbook(name):
                 y = [rng.randrange(-p ** 4, p ** 4) for _ in range(fld.n)]
                 assert list(fld._mul_mod(x, y, pm)) == _schoolbook(fld, x, y, pm)
                 assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+# ----------------------------------------------------------------------
+# layer cofactors: doubling over the cyclic factors of the Galois group
+
+# the unit groups C2 x C2, C2 x C4 and C2 x C8 of cyclo 8, 16 and 32 and
+# the cyclic ones of cyclo 9, 25 and 49; Kummer layers at every p, over
+# Kummer (degree 54) and over a custom Phi_3 layer; quadratic layers
+COFACTOR_TOWERS = {
+    "cyclo p=2": ORACLE_TOWERS["cyclo p=2"],
+    "cyclo p=2 r=4": (2, [T.cyclotomic(16)]),
+    "cyclo p=2 r=5": (2, [T.cyclotomic(32)]),
+    "cyclo p=3": ORACLE_TOWERS["cyclo p=3"],
+    "cyclo p=5 r=2": (5, [T.cyclotomic(25)]),
+    "cyclo p=7 r=2": (7, [T.cyclotomic(49)]),
+    "kummer p=2": ORACLE_TOWERS["kummer p=2"],
+    "kummer p=3": ORACLE_TOWERS["kummer p=3"],
+    "kummer p=3 degree 54": ORACLE_TOWERS["kummer p=3 degree 54"],
+    "kummer p=3 over custom": (3, [T.custom([1, 1]), T.kummer(3, 3)]),
+    "kummer p=5": ORACLE_TOWERS["kummer p=5"],
+    "kummer p=7": ORACLE_TOWERS["kummer p=7"],
+    "quad p=3": ORACLE_TOWERS["quad p=3"],
+    "quad p=3 unramified": (3, [T.custom([-18, 0])]),
+    "quad p=5": ORACLE_TOWERS["quad p=5"],
+    "quad p=7": ORACLE_TOWERS["quad p=7"],
+}
+
+
+def _cofactor_tower(name):
+    if name not in _BUILT:
+        p, steps = COFACTOR_TOWERS[name]
+        _BUILT[name] = build_field(p, steps)
+    return _BUILT[name]
+
+
+@pytest.mark.parametrize("name", sorted(COFACTOR_TOWERS))
+def test_cofactor_matches_sequential_product(name):
+    K = _cofactor_tower(name)
+    rng = random.Random(f"cofactor:{name}")
+    for fld in _layers(K):
+        for m in (fld.M, fld.M // 2):
+            pm = fld.p ** m
+            for k in (fld.d, 1):            # dense, then one block
+                x = _with_blocks(rng, fld, k, 0, pm)
+                prod = None
+                for cv in fld._conjugates(x, m):
+                    prod = cv if prod is None else fld._mul_mod(prod, cv, pm)
+                norm = fld._project(fld._mul_mod(prod, x, pm), m)
+                assert fld._layer_cofactor(x, m) == (prod, norm)
+
+
+# layer products per cofactor and norm: floor(log2(k-1)) + popcount(k-1)
+# for each cyclic factor of order k, and one more for each factor after
+# the first; one after another, the d - 1 conjugates and the norm take
+# d - 1 (19, 7, 4 and 6 here)
+@pytest.mark.parametrize("name, products", [
+    ("cyclo p=5 r=2", 7), ("cyclo p=2 r=4", 5), ("kummer p=5", 3),
+    ("kummer p=7", 4)])
+def test_cofactor_product_count(name, products):
+    K = _cofactor_tower(name)
+    rng = random.Random(f"cofactor count:{name}")
+    calls = []
+    real = K._mul_mod
+
+    def counting(xs, ys, pm):
+        calls.append(pm)
+        return real(xs, ys, pm)
+
+    K._mul_mod = counting
+    try:
+        K._layer_cofactor(_with_blocks(rng, K, K.d, 0, K.pM), K.M)
+    finally:
+        del K._mul_mod
+    assert len(calls) == products
 
 
 # ----------------------------------------------------------------------
