@@ -193,9 +193,9 @@ ORACLE_TOWERS = {
 _BUILT = {}
 
 
-def _oracle_tower(name):
+def _oracle_tower(name, towers=ORACLE_TOWERS):
     if name not in _BUILT:
-        p, steps = ORACLE_TOWERS[name]
+        p, steps = towers[name]
         _BUILT[name] = build_field(p, steps)
     return _BUILT[name]
 
@@ -284,16 +284,9 @@ COFACTOR_TOWERS = {
 }
 
 
-def _cofactor_tower(name):
-    if name not in _BUILT:
-        p, steps = COFACTOR_TOWERS[name]
-        _BUILT[name] = build_field(p, steps)
-    return _BUILT[name]
-
-
 @pytest.mark.parametrize("name", sorted(COFACTOR_TOWERS))
 def test_cofactor_matches_sequential_product(name):
-    K = _cofactor_tower(name)
+    K = _oracle_tower(name, COFACTOR_TOWERS)
     rng = random.Random(f"cofactor:{name}")
     for fld in _layers(K):
         for m in (fld.M, fld.M // 2):
@@ -315,7 +308,7 @@ def test_cofactor_matches_sequential_product(name):
     ("cyclo p=5 r=2", 7), ("cyclo p=2 r=4", 5), ("kummer p=5", 3),
     ("kummer p=7", 4)])
 def test_cofactor_product_count(name, products):
-    K = _cofactor_tower(name)
+    K = _oracle_tower(name, COFACTOR_TOWERS)
     rng = random.Random(f"cofactor count:{name}")
     calls = []
     real = K._mul_mod

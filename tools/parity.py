@@ -27,10 +27,11 @@ The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
 at 5^788, Q_3(zeta_9) at 3^1200, Q_2(zeta_8) at 2^1600 and Q_3(zeta_27)
 at 3^700, on dense, half-dense and one-entry operands, with reduced and
-with unreduced entries.  The layer cofactors and norms of the degree-100
-Q_5(zeta_25)((5 2^25)^(1/5)) at M = 788, the first two layers of the
-degree-500 tower of ``disc "p=5 r=2 rad=5*2^25"``, are hashed the same
-way, on both of its layers.
+with unreduced entries.  The layer cofactors and norms of dense and
+one-block operands are hashed, at M and at M/2, on both layers of
+Q_5(zeta_25)((5 2^25)^(1/5)) at M = 788: the first two layers of the
+degree-500 tower of ``disc "p=5 r=2 rad=5*2^25"``, whose cyclotomic base
+multiplies through the Karatsuba route.
 
 When ``tools/parity.sha256`` exists, a digest that differs from the one it
 holds prints both and exits 1; a change that alters arithmetic on purpose
@@ -54,13 +55,6 @@ WIDE = {
     "wide cyclo 9 at 3^1200": (3, 9, 1200),
     "wide cyclo 8 at 2^1600": (2, 8, 1600),
     "wide cyclo 27 at 3^700": (3, 27, 700),      # d = 18 halves to 9: odd
-}
-# towers whose layer cofactors are hashed at a wide modulus:
-# name -> (p, steps as (kind, arguments), prec)
-WIDE_COFACTORS = {
-    # prec = 532 gives M = 788, the degree-500 tower's working precision
-    "cofactors Q_5(zeta_25)((5 2^25)^(1/5)) at M=788":
-        (5, [("cyclotomic", (25,)), ("kummer", (5, 5 * 2 ** 25))], 532),
 }
 
 
@@ -104,6 +98,16 @@ def towers(T):
                                       T.kummer(7, {0: 6, 1: -7})]),
         "quad Q_7(zeta_7)": (7, [T.cyclotomic(7), T.custom([-3, 0])]),
         "custom Q_7": (7, [T.custom([-7, 0, 7])]),
+    }
+
+
+def wide_cofactor_towers(T):
+    """name -> (p, steps, prec) of the towers whose layer cofactors are
+    hashed at a wide modulus."""
+    return {
+        # prec = 532 gives M = 788, the degree-500 tower's working precision
+        "cofactors Q_5(zeta_25)((5 2^25)^(1/5)) at M=788":
+            (5, [T.cyclotomic(25), T.kummer(5, 5 * 2 ** 25)], 532),
     }
 
 
@@ -182,8 +186,7 @@ def wide_digest(F, name, p, modulus, m):
 def cofactor_digest(F, name, p, steps, prec):
     """Layer cofactors and norms of dense and one-block operands on every
     layer of one tower, at M and at M/2."""
-    K = F.build_field(p, [getattr(F.TowerStep, kind)(*args)
-                          for kind, args in steps], prec)
+    K = F.build_field(p, steps, prec)
     out = []
     fld = K
     while fld.base is not None:
@@ -236,8 +239,9 @@ def main(argv=None):
                for name, (p, steps) in table.items()]
     digests += [(name, wide_digest(F, name, *spec))
                 for name, spec in WIDE.items()]
+    wide_cofactors = wide_cofactor_towers(F.TowerStep)
     digests += [(name, cofactor_digest(F, name, *spec))
-                for name, spec in WIDE_COFACTORS.items()]
+                for name, spec in wide_cofactors.items()]
     for name, digest in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
@@ -245,7 +249,7 @@ def main(argv=None):
     got = total.hexdigest()
     print(f"parity sha256 {got} ({len(table)} towers, "
           f"{len(WIDE)} wide integer layers, "
-          f"{len(WIDE_COFACTORS)} wide-modulus cofactor towers)")
+          f"{len(wide_cofactors)} wide-modulus cofactor towers)")
     if EXPECTED.exists():
         want = EXPECTED.read_text().split()[0]
         if got != want:
