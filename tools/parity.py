@@ -33,13 +33,25 @@ Q_5(zeta_25)((5 2^25)^(1/5)) at M = 788: the first two layers of the
 degree-500 tower of ``disc "p=5 r=2 rad=5*2^25"``, whose cyclotomic base
 multiplies through the Karatsuba route.
 
+Tate's algorithm is covered by the quadruple and the full
+``ReductionData.trace`` of ``tate_algorithm`` (or the name of the error
+it raises) on: the golden additive rows of
+``tests/test_table_regression.py`` over both degree-54 towers
+Q_3(zeta_9, 3^(1/9)) and Q_3(zeta_9, 4^(1/9)), each as given and under
+the fixed coordinate change ``TATE_RST``; the Kodaira sweep over Q_5 and
+the known curves over Q_p of ``tests/test_elliptic.py``; and curves over
+the unramified quadratic extension of Q_2 (f = 2), one of each additive
+type among them.
+
 When ``tools/parity.sha256`` exists, a digest that differs from the one it
 holds prints both and exits 1; a change that alters arithmetic on purpose
 commits the new digest there.  ``--verbose`` also prints one digest per
-tower, to localise a mismatch.  Stdlib only; a run takes a few seconds.
+tower, to localise a mismatch.  Stdlib only; most of a run is Tate's
+algorithm over the degree-54 towers.
 """
 
 import argparse
+import ast
 import hashlib
 import random
 import sys
@@ -56,6 +68,27 @@ WIDE = {
     "wide cyclo 8 at 2^1600": (2, 8, 1600),
     "wide cyclo 27 at 3^700": (3, 27, 700),      # d = 18 halves to 9: odd
 }
+
+
+# (x, y) -> (x + r, y + s x + t) applied to every golden additive row, as
+# zeta-polynomials {exponent: coefficient}
+TATE_RST = ({0: 1, 1: -2}, {2: 1}, {0: -1, 3: 2})
+
+# a-invariants over Q_p: the Kodaira sweep over Q_5, then the known curves
+TATE_QP = [(5, c) for c in (
+    (0, 0, 0, 0, 5), (0, 0, 0, 5, 0), (0, 0, 0, 0, 25), (0, 0, 0, 25, 0),
+    (0, 0, 0, -3 * 25, 7 * 125), (0, 0, 0, -3 * 25, 27 * 125),
+    (0, 0, 0, -3 * 25, 127 * 125), (0, 0, 0, 125, 625),
+    (0, 0, 0, 125, 5 ** 5), (0, 0, 0, 5 ** 4, 5 ** 5))] + [
+    (5, (0, 0, 0, 1, 1)), (11, (0, -1, 1, -10, -20)), (37, (0, 0, 1, -1, 0)),
+    (3, (0, 0, 1, 0, -7)), (2, (0, 0, 0, -1, 0))]
+
+# a-invariants over Q_2(5^(1/2)), unramified of degree 2 (f = 2): the
+# curves of the base-change tests, then one of each additive type
+TATE_F2 = [(1, 0, 0, 0, 16), (0, 0, 0, -1, 0), (1, 1, 1, -10, -10),
+           (1, 1, 0, 0, 16), (0, 0, 0, 16, 0), (0, 0, 0, 0, 64),
+           (0, 0, 4, 0, 4), (0, 1, 0, 0, 4), (2, 2, 8, 16, 32),
+           (0, 0, 0, 0, 4), (0, 0, 0, 8, 0), (0, 0, 0, 0, 32)]
 
 
 def towers(T):
@@ -199,6 +232,48 @@ def cofactor_digest(F, name, p, steps, prec):
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
+def golden_additive_rows():
+    """The a-invariants (zeta-polynomials) of the golden additive rows."""
+    path = HERE / "tests" / "test_table_regression.py"
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "ADDITIVE_ROWS"):
+            return [row[0] for row in ast.literal_eval(node.value)]
+    raise SystemExit(f"no ADDITIVE_ROWS in {path}")
+
+
+def tate_digest(F, E, p, steps, curves, rst=None):
+    """Quadruple and trace of Tate's algorithm on each curve over the
+    tower, and with ``rst`` also under that coordinate change."""
+    K = F.build_field(p, steps)
+    h = hashlib.sha256()
+    for coeffs in curves:
+        for change in (None, rst) if rst else (None,):
+            try:
+                model = E.WeierstrassModel.from_a_invariants(K, *coeffs)
+                if change:
+                    model = E.change_coords(
+                        model, 1, *(K.from_zeta_poly(c) for c in change))
+                rd = E.tate_algorithm(model)
+                x = (rd.quadruple(), rd.trace)
+            except ArithmeticError as exc:
+                x = type(exc).__name__
+            h.update(repr((coeffs, change, x)).encode())
+    return h.hexdigest()
+
+
+def tate_towers(T):
+    """name -> (p, steps, curves, coordinate change or None)."""
+    rows = golden_additive_rows()
+    out = {f"tate golden additive over Q_3(zeta_9, {rad}^(1/9))":
+           (3, [T.cyclotomic(9), T.kummer(9, rad)], rows, TATE_RST)
+           for rad in (3, 4)}
+    for q in sorted({q for q, _ in TATE_QP}):
+        out[f"tate Q_{q}"] = (q, [], [c for p, c in TATE_QP if p == q], None)
+    out["tate Q_2(5^(1/2))"] = (2, [T.kummer(2, 5)], TATE_F2, None)
+    return out
+
+
 def tower_digest(F, G, E, name, p, steps):
     h = hashlib.sha256()
     try:
@@ -242,6 +317,9 @@ def main(argv=None):
     wide_cofactors = wide_cofactor_towers(F.TowerStep)
     digests += [(name, cofactor_digest(F, name, *spec))
                 for name, spec in wide_cofactors.items()]
+    tate = tate_towers(F.TowerStep)
+    digests += [(name, tate_digest(F, E, *spec))
+                for name, spec in tate.items()]
     for name, digest in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
@@ -249,7 +327,8 @@ def main(argv=None):
     got = total.hexdigest()
     print(f"parity sha256 {got} ({len(table)} towers, "
           f"{len(WIDE)} wide integer layers, "
-          f"{len(wide_cofactors)} wide-modulus cofactor towers)")
+          f"{len(wide_cofactors)} wide-modulus cofactor towers, "
+          f"{len(tate)} Tate towers)")
     if EXPECTED.exists():
         want = EXPECTED.read_text().split()[0]
         if got != want:
