@@ -5,11 +5,13 @@ residue-field decisions (singular point location, root counting,
 square/cube completion, splitness of the tangent quadratic) are made in
 F_q on residues of a_i / pi^k read off the valuation frames, by
 enumerating F_q, never by characteristic-specific formulas.  A residue
-is lifted back to the field only to translate the model.  v(Delta) is
-computed once per model; translations keep it and each non-minimal
-restart lowers it by 12.  The output quadruple is (v(Delta_min),
-conductor exponent, Kodaira symbol, Tamagawa number), with the conductor
-from v(Delta_min) - m + 1.
+is lifted back to the field only to translate the model, and a zero
+residue moves no coefficient.  Past the singular point every
+divisibility test reads a residue, and b8 and b6 enter only through
+their residues.  v(Delta) is computed once per model; translations keep
+it and each non-minimal restart lowers it by 12.  The output quadruple
+is (v(Delta_min), conductor exponent, Kodaira symbol, Tamagawa number),
+with the conductor from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
@@ -318,14 +320,21 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
 
     def translate(stage, var, c, k):
         trace.append(("translate", stage, var, c))
+        if not any(c):
+            return a1, a2, a3, a4, a6
         lift = K.lift(c) * K.pi_pow(k) if k else K.lift(c)
         return _translate(a1, a2, a3, a4, a6, **{var: lift})
+
+    def divisible(a, k):
+        # v(a) >= k + 1, given v(a) >= k
+        return not any(res(a, k))
 
     # move the singular point of the reduction to (0, 0)
     xr, yr = _singular_point(F, *(res(a, 0) for a in (a1, a2, a3, a4, a6)))
     trace.append(("singular", xr, yr))
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, r=K.lift(xr),
-                                    t=K.lift(yr))
+    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
+                                    r=K.lift(xr) if any(xr) else None,
+                                    t=K.lift(yr) if any(yr) else None)
 
     # the tangent quadratic T^2 + a1 T - a2 at the singular point
     tangent = [F.scale(res(a2, 0), -1), res(a1, 0), F.one]
@@ -339,14 +348,13 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
                     split=split)
 
     # additive reduction from here on
-    if not K.val_at_least(a6, 2):
+    if not divisible(a6, 1):
         return _end(trace, vD, vD, KodairaSymbol("II"), 1, 1)
-    b2 = a1 * a1 + a2.scaled(4)
-    b8 = b2 * a6 - a3 * (a1 * a4 - a2 * a3) - a4 * a4
-    if not K.val_at_least(b8, 3):
+    b8bar, b6bar = _b8_b6_residues(F, res(a1, 0), res(a2, 0), res(a3, 1),
+                                   res(a4, 1), res(a6, 2))
+    if any(b8bar):
         return _end(trace, vD, vD - 1, KodairaSymbol("III"), 2, 2)
-    b6 = a3 * a3 + a6.scaled(4)
-    if not K.val_at_least(b6, 3):
+    if any(b6bar):
         quad = [F.scale(res(a6, 2), -1), res(a3, 1), F.one]
         c = 3 if _roots(F, quad) else 1
         return _end(trace, vD, vD - 2, KodairaSymbol("IV"), c, 3)
@@ -365,9 +373,13 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
     if sig is None:
         raise FieldError("a6/pi^2 is not a residue square after clearing a3")
     a1, a2, a3, a4, a6 = translate("sigma", "t", sig, 1)
-    for ai, want in ((a1, 1), (a2, 1), (a3, 2), (a4, 2), (a6, 3)):
-        if not K.val_at_least(ai, want):
-            raise FieldError("step-six normalization failed")
+    try:
+        normal = all(divisible(ai, k) for ai, k in
+                     ((a1, 0), (a2, 0), (a3, 1), (a4, 1), (a6, 2)))
+    except FieldError:          # a valuation below the one read
+        normal = False
+    if not normal:
+        raise FieldError("step-six normalization failed")
 
     # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + (a6/pi^3)
     pc = [res(a6, 3), res(a4, 2), res(a2, 1), F.one]
@@ -389,13 +401,30 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
         c = 3 if _roots(F, quad) else 1
         return _end(trace, vD, vD - 6, KodairaSymbol("IV*"), c, 7)
     a1, a2, a3, a4, a6 = translate("IV*", "t", yrep, 2)
-    if not K.val_at_least(a4, 4):
+    if not divisible(a4, 3):
         return _end(trace, vD, vD - 7, KodairaSymbol("III*"), 2, 8)
-    if not K.val_at_least(a6, 6):
+    if not divisible(a6, 5):
         return _end(trace, vD, vD - 8, KodairaSymbol("II*"), 1, 9)
     # non-minimal model: rescale and restart
     return (K.div_pi(a1, 1), K.div_pi(a2, 2), K.div_pi(a3, 3),
             K.div_pi(a4, 4), K.div_pi(a6, 6))
+
+
+def _b8_b6_residues(F, r1, r2, r3, r4, r6):
+    """The residues of b8 / pi^2 and b6 / pi^2 in F_q at the III and IV
+    tests, from r1 = res(a1), r2 = res(a2), r3 = res(a3 / pi),
+    r4 = res(a4 / pi) and r6 = res(a6 / pi^2).
+
+    There the singular point is (0, 0), so pi divides a3, a4 and a6; the
+    tangent T^2 + a1 T - a2 has a double root, so pi divides
+    b2 = a1^2 + 4 a2 in every characteristic; and pi^2 divides a6.  In
+    b8 = b2 a6 - a1 a3 a4 + a2 a3^2 - a4^2 the term b2 a6 then has v >= 3,
+    which leaves r2 r3^2 - r1 r3 r4 - r4^2; and b6 = a3^2 + 4 a6 gives
+    r3^2 + 4 r6."""
+    b8 = F.add(F.mul(r2, F.mul(r3, r3)),
+               F.scale(F.add(F.mul(F.mul(r1, r3), r4), F.mul(r4, r4)), -1))
+    b6 = F.add(F.mul(r3, r3), F.scale(r6, 4))
+    return b8, b6
 
 
 def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
@@ -420,8 +449,10 @@ def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
                         c, 5 + n)
         var = "t" if n % 2 == 1 else "r"
         trace.append(("translate", f"I{n}*", var, rep))
-        lift = K.lift(rep) * K.pi_pow(k + 1)
-        a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6, **{var: lift})
+        if any(rep):
+            lift = K.lift(rep) * K.pi_pow(k + 1)
+            a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
+                                            **{var: lift})
         n += 1
     raise FieldError("In* loop did not terminate")
 

@@ -10,7 +10,8 @@ from anabelomorph import elliptic
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
                                    SingularModelError, WeierstrassModel,
-                                   _ev, _singular_point, _translate,
+                                   _b8_b6_residues, _ev, _singular_point,
+                                   _translate,
                                    change_coords, iwasawa_log,
                                    l_invariant, parse_curve, reduction_class,
                                    tate_algorithm, tate_parameter_valuation,
@@ -618,6 +619,117 @@ def test_singular_point_matches_double_loop(p, f):
             assert _singular_point(F, a1, a2, a3, a4, a6) == want
             found += 1
     assert found >= 30
+
+
+# ----------------------------------------------------------------------
+# the additive branch on residues
+
+
+@pytest.mark.parametrize("p,steps", [
+    (2, []), (3, []), (5, []), (7, []),
+    (3, [T.cyclotomic(9)]),                 # e = 6
+    (2, [T.kummer(2, 5)]),                  # f = 2
+], ids=["Q2", "Q3", "Q5", "Q7", "Q3(z9)", "Q2(sqrt5)"])
+def test_b8_b6_residues_match_field_products(p, steps):
+    # at the III and IV tests pi | a3, a4, pi^2 | a6 and the tangent
+    # T^2 + a1 T - a2 = (T - c)^2 mod pi, so pi | b2; the residues of b8
+    # and b6 made by field products, as the full formulas give them, are
+    # the F_q values of the helper (4 = 0 in F_2 and 4 = 1 in F_3)
+    K = build_field(p, steps)
+    F = K.residue_field
+    res = K.residue_at
+    rng = random.Random(f"b8b6:{p}:{len(steps)}")
+    elems = list(F.elements)
+
+    def draw(k):
+        return sum((K.lift(rng.choice(elems)) * K.pi_pow(j)
+                    for j in range(k, k + 3)), K.zero())
+
+    nonzero = [0, 0]
+    for _ in range(25):
+        c = K.lift(rng.choice(elems))
+        a1 = c.scaled(-2) + draw(1)
+        a2 = -(c * c) + draw(1)
+        a3, a4, a6 = draw(1), draw(1), draw(2)
+        b8 = ((a1 * a1 + a2.scaled(4)) * a6 - a3 * (a1 * a4 - a2 * a3)
+              - a4 * a4)
+        b6 = a3 * a3 + a6.scaled(4)
+        want = (res(b8, 2), res(b6, 2))
+        got = _b8_b6_residues(F, res(a1, 0), res(a2, 0), res(a3, 1),
+                              res(a4, 1), res(a6, 2))
+        assert got == want
+        nonzero = [n + bool(any(w)) for n, w in zip(nonzero, want)]
+    assert min(nonzero) >= 5
+
+
+def test_tate_zero_residue_translates_nothing(Q5, monkeypatch):
+    # the I2* trace keeps its zero translations, but only the cubic's
+    # nonzero root moves the model
+    calls = []
+    translate = elliptic._translate
+
+    def counted(*args, **kw):
+        calls.append(kw)
+        return translate(*args, **kw)
+
+    monkeypatch.setattr(elliptic, "_translate", counted)
+    r = tate_algorithm(WeierstrassModel.from_a_invariants(
+        Q5, a4=-3 * 25, a6=27 * 125))
+    assert r.quadruple() == (8, 2, "I2*", 2)
+    assert sum(e[0] == "translate" for e in r.trace) == 5
+    moved = [[v for v, lift in kw.items() if lift is not None]
+             for kw in calls]
+    assert [m for m in moved if m] == [["r"]]
+
+
+def test_tate_step_six_failure_is_a_field_error(Q5, monkeypatch):
+    # a t-translation that leaves a unit in a3 fails the step-six check
+    # with its own error, not with the residue read's
+    m = change_coords(WeierstrassModel.from_a_invariants(Q5, a4=25), t=5)
+    translate = elliptic._translate
+
+    def broken(*args, **kw):
+        a1, a2, a3, a4, a6 = translate(*args, **kw)
+        if kw.get("t") is not None and any(kw["t"].vec):
+            a3 = a3 + 1
+        return a1, a2, a3, a4, a6
+
+    monkeypatch.setattr(elliptic, "_translate", broken)
+    with pytest.raises(FieldError, match="^step-six normalization failed$"):
+        tate_algorithm(m)
+
+
+def test_tate_product_and_walk_count(monkeypatch):
+    # golden additive row 0 over Q_3(zeta_9, 4^(1/9)), II* after two
+    # restarts, on a freshly built tower: b8 and b6 come from residues,
+    # divisibility tests are residue reads and zero residues translate
+    # nothing (full products and frame walks for all of that: 128 and 68)
+    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    model = WeierstrassModel.from_a_invariants(
+        L, {}, {0: -11, 1: 3, 2: -1, 3: -6, 4: 1, 5: -1}, {},
+        {0: -418, 1: 2, 2: -1, 4: -3}, {0: 22, 1: -1, 2: -1, 4: -3, 5: 1})
+    count = {"mul": 0, "walk": 0, "depth": 0}
+    mul, val = FieldElement.__mul__, LocalField._val
+
+    def counting_mul(a, b):
+        count["mul"] += 1
+        return mul(a, b)
+
+    def counting_val(self, *args, **kw):
+        # a walk of a base layer inside a walk is part of that walk
+        count["walk"] += not count["depth"]
+        count["depth"] += 1
+        try:
+            return val(self, *args, **kw)
+        finally:
+            count["depth"] -= 1
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    monkeypatch.setattr(LocalField, "_val", counting_val)
+    r = tate_algorithm(model)
+    assert r.quadruple() == (18, 10, "II*", 1)
+    assert r.trace.count(("restart",)) == 2
+    assert (count["mul"], count["walk"]) == (60, 35)
 
 
 # ----------------------------------------------------------------------
