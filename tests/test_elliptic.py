@@ -703,7 +703,8 @@ def test_tate_product_and_walk_count(monkeypatch):
     # golden additive row 0 over Q_3(zeta_9, 4^(1/9)), II* after two
     # restarts, on a freshly built tower: b8 and b6 come from residues,
     # divisibility tests are residue reads and zero residues translate
-    # nothing (full products and frame walks for all of that: 128 and 68)
+    # nothing (building b8 and b6 by products, testing valuations by walks
+    # and translating by zero make 128 products and 68 walks here)
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     model = WeierstrassModel.from_a_invariants(
         L, {}, {0: -11, 1: 3, 2: -1, 3: -6, 4: 1, 5: -1}, {},
