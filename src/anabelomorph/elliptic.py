@@ -9,9 +9,14 @@ is lifted back to the field only to translate the model, and a zero
 residue moves no coefficient.  Past the singular point every
 divisibility test reads a residue, and b8 and b6 enter only through
 their residues.  v(Delta) is computed once per model; translations keep
-it and each non-minimal restart lowers it by 12.  The output quadruple
-is (v(Delta_min), conductor exponent, Kodaira symbol, Tamagawa number),
-with the conductor from v(Delta_min) - m + 1.
+it and each non-minimal restart lowers it by 12.  No coefficient is
+divided: stripping a common pi^d from the input makes the passes read d
+pi deeper, and each restart one pi deeper.  At depth n, a pass reads
+a_w / pi^k of the model rescaled by u = pi^n as the residue of the kept
+a_w at pi^(k + w n), and lifts a translation by r, s or t at a power of
+pi deeper by 2n, n or 3n.  The output quadruple is (v(Delta_min),
+conductor exponent, Kodaira symbol, Tamagawa number), with the
+conductor from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .padic import PrecisionError
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
 POTENTIALLY_MULTIPLICATIVE = "POTENTIALLY_MULTIPLICATIVE"
+
+# the weight w of each a_w, the power of u it scales with
+_WEIGHTS = (1, 2, 3, 4, 6)
+# the weight of each translation variable: r with u^2, s with u, t with u^3
+_VAR_WEIGHTS = {"r": 2, "s": 1, "t": 3}
 
 # irreducible components (without multiplicity) of the special fiber
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3,
@@ -99,11 +109,14 @@ class StandardInvariants:
 class ReductionData:
     """Reduction data of the minimal model.  ``trace`` is the branch path
     Tate's algorithm took, as tagged tuples: ("scale", k) when the input
-    was rescaled by pi^k to an integral model, ("singular", x, y) for the
-    residue singular point moved to (0, 0), ("translate", stage, var, c)
-    for each later translation var -> var + lift(c) pi^j, ("restart",)
-    for each non-minimal rescale, and ("branch", symbol) last.  Residues
-    are F_q coordinate tuples, as ``fields.residue`` gives them."""
+    was rescaled by pi^k to an integral model (for k < 0 it is read -k pi
+    deeper, not divided), ("singular", x, y) for the residue singular
+    point moved to (0, 0), ("translate", stage, var, c) for each later
+    translation var -> var + lift(c) pi^j of the rescaled model,
+    ("restart",) for each non-minimal rescale by u = pi (the next pass
+    reads one pi deeper; no coefficient is divided), and
+    ("branch", symbol) last.  Residues are F_q coordinate tuples, as
+    ``fields.residue`` gives them."""
     v_min_disc: int
     conductor: int
     kodaira: KodairaSymbol
@@ -270,13 +283,13 @@ def _validate_reduction(rd):
 
 def _tate_run(model):
     K = model.field
-    a1, a2, a3, a4, a6 = model.coefficients()
+    a = dict(zip(_WEIGHTS, model.coefficients()))
     # scale to an integral model, then strip the obvious common pi-power
     # (keeps the discriminant valuation within the working modulus)
     shift = 0
     drop = None
-    for ai, w in ((a1, 1), (a2, 2), (a3, 3), (a4, 4), (a6, 6)):
-        v, bound = ai.val_or_bound()
+    for w, aw in a.items():
+        v, bound = aw.val_or_bound()
         if v is None:
             continue
         if v < 0:
@@ -286,20 +299,18 @@ def _tate_run(model):
     if drop is None:
         raise SingularModelError("all coefficients vanish")
     shift -= max(drop, 0)
-    trace = []
-    if shift:
-        a1, a2, a3, a4, a6 = (a1 * K.pi_pow(shift), a2 * K.pi_pow(2 * shift),
-                              a3 * K.pi_pow(3 * shift), a4 * K.pi_pow(4 * shift),
-                              a6 * K.pi_pow(6 * shift))
-        trace.append(("scale", shift))
+    trace = [("scale", shift)] if shift else []
+    if shift > 0:
+        a = {w: aw * K.pi_pow(w * shift) for w, aw in a.items()}
+    # a strip divides nothing: the passes read -shift pi deeper
+    depth = max(-shift, 0)
     vD = model.vdisc + 12 * shift
-    for _restart in range(200):
-        result = _tate_pass(K, vD, trace, a1, a2, a3, a4, a6)
-        if not isinstance(result, tuple):
+    for restarts in range(200):
+        result = _tate_pass(K, vD - 12 * restarts, depth + restarts, trace, a)
+        if isinstance(result, ReductionData):
             result.trace = tuple(trace)
             return result
-        a1, a2, a3, a4, a6 = result    # non-minimal: rescaled, run again
-        vD -= 12
+        a = result          # non-minimal: run again, one pi deeper
         trace.append(("restart",))
     raise FieldError("tate algorithm did not terminate (restart budget)")
 
@@ -309,35 +320,35 @@ def _end(trace, vD, f, kodaira, c, m, split=None):
     return ReductionData(vD, f, kodaira, c, m, split=split)
 
 
-def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
-    """One pass at v(Delta) = vD: the reduction data, or the rescaled
-    coefficients of a non-minimal model.  Translations are appended to
-    ``trace``."""
+def _tate_pass(K, vD, depth, trace, a):
+    """One pass at v(Delta) = vD over the model a = {w: a_w} rescaled
+    by u = pi^depth: the reduction data, or the translated a of a
+    non-minimal model, to run again one pi deeper.  Translations are
+    appended to ``trace``."""
     if vD == 0:
         return _end(trace, 0, 0, KodairaSymbol("I0"), 1, 1)
     F = K.residue_field
-    res = K.residue_at
+
+    def res(w, k):
+        # the residue of a_w / pi^k in the rescaled model
+        return K.residue_at(a[w], k + w * depth)
 
     def translate(stage, var, c, k):
         trace.append(("translate", stage, var, c))
-        if not any(c):
-            return a1, a2, a3, a4, a6
-        lift = K.lift(c) * K.pi_pow(k) if k else K.lift(c)
-        return _translate(a1, a2, a3, a4, a6, **{var: lift})
+        return _shift(K, a, depth, var, c, k)
 
-    def divisible(a, k):
-        # v(a) >= k + 1, given v(a) >= k
-        return not any(res(a, k))
+    def divisible(w, k):
+        # v(a_w) >= k + 1, given v(a_w) >= k
+        return not any(res(w, k))
 
     # move the singular point of the reduction to (0, 0)
-    xr, yr = _singular_point(F, *(res(a, 0) for a in (a1, a2, a3, a4, a6)))
+    xr, yr = _singular_point(F, *(res(w, 0) for w in _WEIGHTS))
     trace.append(("singular", xr, yr))
-    a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                    r=K.lift(xr) if any(xr) else None,
-                                    t=K.lift(yr) if any(yr) else None)
+    a = _shift(K, a, depth, "r", xr, 0)
+    a = _shift(K, a, depth, "t", yr, 0)
 
     # the tangent quadratic T^2 + a1 T - a2 at the singular point
-    tangent = [F.scale(res(a2, 0), -1), res(a1, 0), F.one]
+    tangent = [F.scale(res(2, 0), -1), res(1, 0), F.one]
     sbar = _double_root(F, tangent)
     if sbar is None:
         # multiplicative: I_n with n = v(disc)
@@ -348,66 +359,65 @@ def _tate_pass(K, vD, trace, a1, a2, a3, a4, a6):
                     split=split)
 
     # additive reduction from here on
-    if not divisible(a6, 1):
+    if not divisible(6, 1):
         return _end(trace, vD, vD, KodairaSymbol("II"), 1, 1)
-    b8bar, b6bar = _b8_b6_residues(F, res(a1, 0), res(a2, 0), res(a3, 1),
-                                   res(a4, 1), res(a6, 2))
+    b8bar, b6bar = _b8_b6_residues(F, res(1, 0), res(2, 0), res(3, 1),
+                                   res(4, 1), res(6, 2))
     if any(b8bar):
         return _end(trace, vD, vD - 1, KodairaSymbol("III"), 2, 2)
     if any(b6bar):
-        quad = [F.scale(res(a6, 2), -1), res(a3, 1), F.one]
+        quad = [F.scale(res(6, 2), -1), res(3, 1), F.one]
         c = 3 if _roots(F, quad) else 1
         return _end(trace, vD, vD - 2, KodairaSymbol("IV"), c, 3)
 
     # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
-    a1, a2, a3, a4, a6 = translate("sbar", "s", sbar, 0)
-    a3bar = res(a3, 1)
+    a = translate("sbar", "s", sbar, 0)
+    a3bar = res(3, 1)
     tbar = next((c for c in F.elements
                  if not any(F.add(a3bar, F.scale(c, 2)))), None)
     if tbar is None:
         raise FieldError("no shift clears the a3 coefficient")
-    a1, a2, a3, a4, a6 = translate("tbar", "t", tbar, 1)
-    a6bar = res(a6, 2)
+    a = translate("tbar", "t", tbar, 1)
+    a6bar = res(6, 2)
     sig = next((c for c in F.elements
                 if F.mul(c, c) == a6bar), None)
     if sig is None:
         raise FieldError("a6/pi^2 is not a residue square after clearing a3")
-    a1, a2, a3, a4, a6 = translate("sigma", "t", sig, 1)
+    a = translate("sigma", "t", sig, 1)
     try:
-        normal = all(divisible(ai, k) for ai, k in
-                     ((a1, 0), (a2, 0), (a3, 1), (a4, 1), (a6, 2)))
+        normal = all(divisible(w, k) for w, k in
+                     ((1, 0), (2, 0), (3, 1), (4, 1), (6, 2)))
     except FieldError:          # a valuation below the one read
         normal = False
     if not normal:
         raise FieldError("step-six normalization failed")
 
     # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + (a6/pi^3)
-    pc = [res(a6, 3), res(a4, 2), res(a2, 1), F.one]
+    pc = [res(6, 3), res(4, 2), res(2, 1), F.one]
     trep = _double_root(F, pc)
     if trep is None:
         c = 1 + len(_roots(F, pc))
         return _end(trace, vD, vD - 4, KodairaSymbol("I0*"), c, 5)
     # the double root is triple when the third root -a2/pi - 2 trep is it
     triple = not any(F.add(pc[2], F.scale(trep, 3)))
-    a1, a2, a3, a4, a6 = translate("cubic", "r", trep, 1)
+    a = translate("cubic", "r", trep, 1)
 
     if not triple:
-        return _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6)
+        return _tate_in_star(K, vD, depth, trace, a)
 
     # triple root: types IV*, III*, II* or restart
-    quad = [F.scale(res(a6, 4), -1), res(a3, 2), F.one]
+    quad = [F.scale(res(6, 4), -1), res(3, 2), F.one]
     yrep = _double_root(F, quad)
     if yrep is None:
         c = 3 if _roots(F, quad) else 1
         return _end(trace, vD, vD - 6, KodairaSymbol("IV*"), c, 7)
-    a1, a2, a3, a4, a6 = translate("IV*", "t", yrep, 2)
-    if not divisible(a4, 3):
+    a = translate("IV*", "t", yrep, 2)
+    if not divisible(4, 3):
         return _end(trace, vD, vD - 7, KodairaSymbol("III*"), 2, 8)
-    if not divisible(a6, 5):
+    if not divisible(6, 5):
         return _end(trace, vD, vD - 8, KodairaSymbol("II*"), 1, 9)
-    # non-minimal model: rescale and restart
-    return (K.div_pi(a1, 1), K.div_pi(a2, 2), K.div_pi(a3, 3),
-            K.div_pi(a4, 4), K.div_pi(a6, 6))
+    # non-minimal model: pi^w | a_w, so the next pass reads one pi deeper
+    return a
 
 
 def _b8_b6_residues(F, r1, r2, r3, r4, r6):
@@ -427,21 +437,26 @@ def _b8_b6_residues(F, r1, r2, r3, r4, r6):
     return b8, b6
 
 
-def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
-    """Step-seven loop: I_n* for n >= 1.
+def _tate_in_star(K, vD, depth, trace, a):
+    """Step-seven loop: I_n* for n >= 1, over the model a = {w: a_w}
+    rescaled by u = pi^depth.
 
-    State on entry: v(a2) = 1 exactly, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4.
-    Alternates between Y- and X-quadratics of increasing depth.
+    State on entry: v(a2) = 1 exactly, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4
+    in the rescaled model.  Alternates between Y- and X-quadratics of
+    increasing depth.
     """
     F = K.residue_field
-    res = K.residue_at
+
+    def res(w, k):
+        return K.residue_at(a[w], k + w * depth)
+
     n = 1
     for _guard in range(vD + 8):
         k = (n + 1) // 2
         if n % 2 == 1:
-            quad = [F.scale(res(a6, 2 * k + 2), -1), res(a3, k + 1), F.one]
+            quad = [F.scale(res(6, 2 * k + 2), -1), res(3, k + 1), F.one]
         else:
-            quad = [res(a6, 2 * k + 3), res(a4, k + 2), res(a2, 1)]
+            quad = [res(6, 2 * k + 3), res(4, k + 2), res(2, 1)]
         rep = _double_root(F, quad)
         if rep is None:
             c = 4 if _roots(F, quad) else 2
@@ -449,12 +464,20 @@ def _tate_in_star(K, vD, trace, a1, a2, a3, a4, a6):
                         c, 5 + n)
         var = "t" if n % 2 == 1 else "r"
         trace.append(("translate", f"I{n}*", var, rep))
-        if any(rep):
-            lift = K.lift(rep) * K.pi_pow(k + 1)
-            a1, a2, a3, a4, a6 = _translate(a1, a2, a3, a4, a6,
-                                            **{var: lift})
+        a = _shift(K, a, depth, var, rep, k + 1)
         n += 1
     raise FieldError("In* loop did not terminate")
+
+
+def _shift(K, a, depth, var, c, k):
+    """The model a = {w: a_w} after var -> var + lift(c) pi^k in the model
+    rescaled by u = pi^depth, that is by lift(c) pi^(k + w depth)
+    with w the weight of var; a itself when the residue c is zero."""
+    if not any(c):
+        return a
+    k += _VAR_WEIGHTS[var] * depth
+    lift = K.lift(c) * K.pi_pow(k) if k else K.lift(c)
+    return dict(zip(_WEIGHTS, _translate(*a.values(), **{var: lift})))
 
 
 def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):

@@ -973,9 +973,6 @@ class LocalField:
             self._pi_pows[k] = out
         return out
 
-    def div_pi(self, x, k):
-        return x * self.pi_pow(-k)
-
     # -- misc -------------------------------------------------------------------
 
     def nested_coefficients(self, x):

@@ -699,16 +699,23 @@ def test_tate_step_six_failure_is_a_field_error(Q5, monkeypatch):
         tate_algorithm(m)
 
 
-def test_tate_product_and_walk_count(monkeypatch):
-    # golden additive row 0 over Q_3(zeta_9, 4^(1/9)), II* after two
-    # restarts, on a freshly built tower: b8 and b6 come from residues,
-    # divisibility tests are residue reads and zero residues translate
-    # nothing (building b8 and b6 by products, testing valuations by walks
-    # and translating by zero make 128 products and 68 walks here)
-    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
-    model = WeierstrassModel.from_a_invariants(
+def _golden_row_0(L):
+    """Golden additive row 0: II* over Q_3(zeta_9, 4^(1/9)), after two
+    restarts."""
+    return WeierstrassModel.from_a_invariants(
         L, {}, {0: -11, 1: 3, 2: -1, 3: -6, 4: 1, 5: -1}, {},
         {0: -418, 1: 2, 2: -1, 4: -3}, {0: 22, 1: -1, 2: -1, 4: -3, 5: 1})
+
+
+def test_tate_product_and_walk_count(monkeypatch):
+    # golden additive row 0 on a freshly built tower: b8 and b6 come from
+    # residues, divisibility tests are residue reads, zero residues
+    # translate nothing, and neither the strip of pi^-1 nor a restart
+    # divides a coefficient: the passes read deeper instead (dividing the
+    # five coefficients by pi^w at the strip and at each restart makes 60
+    # products and 35 walks here)
+    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    model = _golden_row_0(L)
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
 
@@ -730,7 +737,22 @@ def test_tate_product_and_walk_count(monkeypatch):
     r = tate_algorithm(model)
     assert r.quadruple() == (18, 10, "II*", 1)
     assert r.trace.count(("restart",)) == 2
-    assert (count["mul"], count["walk"]) == (60, 35)
+    assert (count["mul"], count["walk"]) == (37, 27)
+
+
+def test_tate_restarts_divide_nothing(monkeypatch):
+    # golden row 0 is stripped of pi^-1 and restarts twice, and inverts
+    # nothing: no pi^-k is made
+    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    model = _golden_row_0(L)
+
+    def refuse(self, x):
+        raise AssertionError("LocalField.invert called")
+
+    monkeypatch.setattr(LocalField, "invert", refuse)
+    r = tate_algorithm(model)
+    assert r.quadruple() == (18, 10, "II*", 1)
+    assert r.trace.count(("restart",)) == 2
 
 
 # ----------------------------------------------------------------------
@@ -751,11 +773,12 @@ _TATE_BASE = {}
 
 
 def _tate_base(name):
+    """(tower, model, reduction data) of the named base curve."""
     if name not in _TATE_BASE:
         p, steps, coeffs = _TATE_TOWERS[name]
         K = build_field(p, steps)
         m = WeierstrassModel.from_a_invariants(K, *coeffs)
-        _TATE_BASE[name] = (K, m, tate_algorithm(m).quadruple())
+        _TATE_BASE[name] = (K, m, tate_algorithm(m))
     return _TATE_BASE[name]
 
 
@@ -765,6 +788,7 @@ def _tate_base(name):
 @given(data=st.data())
 def test_tate_invariant_under_unimodular_changes(name, data):
     K, m, base = _tate_base(name)
+    base = base.quadruple()
     small = st.integers(-2 * K.p, 2 * K.p)
 
     def integral():
@@ -785,3 +809,30 @@ def test_tate_invariant_under_unimodular_changes(name, data):
             for c in entry[1:]:
                 if isinstance(c, tuple):
                     assert len(c) == K.f and all(0 <= a < K.p for a in c)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_TATE_TOWERS))
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_tate_hidden_non_minimality(name, j, data):
+    # scaled by u = pi^-j, then moved by units r, s, t: a2 or a4 becomes
+    # a unit, so the integral scaling strips nothing and each power of pi
+    # hidden in the model, the j new ones and those the base model had
+    # stripped, costs one restart read one pi deeper
+    K, m, base = _tate_base(name)
+
+    def unit():
+        a = data.draw(st.integers(1, 3 * K.p).filter(lambda a: a % K.p))
+        return K.from_int(a) + K.pi * data.draw(st.integers(-K.p, K.p))
+
+    hidden = change_coords(change_coords(m, u=K.pi_pow(-j)),
+                           r=unit(), s=unit(), t=unit())
+    rd = tate_algorithm(hidden)
+    assert rd.quadruple() == base.quadruple()
+    assert not [e for e in rd.trace if e[0] == "scale"]
+    stripped = -sum(e[1] for e in base.trace if e[0] == "scale")
+    assert stripped >= 0
+    assert (rd.trace.count(("restart",))
+            == base.trace.count(("restart",)) + stripped + j)

@@ -204,7 +204,7 @@ def _scan_residue(x, k):
     F = K.residue_field
     if F.q >= 1000:
         return None
-    y = K.div_pi(x, k)
+    y = x * K.pi_pow(-k)
     try:
         for c in F.elements:
             if K.val_at_least(y - K.lift(c), 1):
@@ -274,7 +274,7 @@ def test_residue_read_seeded_sweep(key):
         if want is not None:
             assert r == want
         # the read residue's lift is congruent to x / pi^v, at any q
-        assert K.val_at_least(K.div_pi(_fresh(x), v) - K.lift(r), 1)
+        assert K.val_at_least(_fresh(x) * K.pi_pow(-v) - K.lift(r), 1)
 
 
 @pytest.mark.parametrize("key", sorted(RESIDUE_TOWERS),
