@@ -817,10 +817,10 @@ def test_tate_invariant_under_unimodular_changes(name, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_tate_hidden_non_minimality(name, j, data):
-    # scaled by u = pi^-j, then moved by units r, s, t: a2 or a4 becomes
-    # a unit, so the integral scaling strips nothing and each power of pi
-    # hidden in the model, the j new ones and those the base model had
-    # stripped, costs one restart read one pi deeper
+    # scaled by u = pi^-j, then moved by units r, s, t: a1 = 2s (p odd)
+    # or a4 = r^2 (p = 2) mod pi is a unit, so the integral scaling strips
+    # nothing, and each power of pi hidden in the model, the j new ones
+    # and those the base model had stripped, costs one restart
     K, m, base = _tate_base(name)
 
     def unit():
