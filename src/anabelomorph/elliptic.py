@@ -8,8 +8,10 @@ enumerating F_q, never by characteristic-specific formulas.  A residue
 is lifted back to the field only to translate the model, and a zero
 residue moves no coefficient.  Past the singular point every
 divisibility test reads a residue, and b8 and b6 enter only through
-their residues.  v(Delta) is computed once per model; translations keep
-it and each non-minimal restart lowers it by 12.  No coefficient is
+their residues.  v(Delta) is computed once per model, and a coordinate
+change carries it; translations keep it and each non-minimal restart
+lowers it by 12.  After the integral scaling the coefficients are cut to
+the digits the run's reads need (``_tate_digits``).  No coefficient is
 divided: stripping a common pi^d from the input makes the passes read d
 pi deeper, and each restart one pi deeper.  At depth n, a pass reads
 a_w / pi^k of the model rescaled by u = pi^n as the residue of the kept
@@ -24,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import FieldElement, FieldError, parse_zeta_poly
+from .fields import (_MIN_EFFECTIVE, FieldElement, FieldError,
+                     parse_zeta_poly)
 from .padic import PrecisionError
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -72,9 +75,13 @@ class WeierstrassModel:
     a3: FieldElement
     a4: FieldElement
     a6: FieldElement
+    # v(Delta); computed from the coefficients when not given
+    vdisc: int = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.field = self.a1.field
+        if self.vdisc is not None:
+            return
         inv = weierstrass_invariants(self, check=False)
         v, bound = inv.disc.val_or_bound()
         if v is None:
@@ -180,20 +187,27 @@ def reduction_class(model_or_j, K=None):
 
 
 def change_coords(model, u=1, r=0, s=0, t=0):
-    """Standard coordinate change (x, y) -> (u^2 x + r, u^3 y + u^2 s x + t)."""
+    """Standard coordinate change (x, y) -> (u^2 x + r, u^3 y + u^2 s x + t).
+    The new model carries v(Delta') = v(Delta) - 12 v(u), as
+    Delta' = u^-12 Delta, instead of computing Delta' again."""
     K = model.field
     u, r, s, t = (K.coerce(a) for a in (u, r, s, t))
     na = _translate(*model.coefficients(), r, s, t)
     if u.s == 0 and u.m == K.M and u.vec == K.one().vec:
         # u = 1 scales nothing; the coefficients come out inexact, as the
         # products with u^-1 would leave them
-        return WeierstrassModel(*(FieldElement(K, a.vec, a.s, a.m) for a in na))
+        return WeierstrassModel(*(FieldElement(K, a.vec, a.s, a.m) for a in na),
+                                vdisc=model.vdisc)
     uinv = u.inv()
+    # v(u) from a copy: a valuation cached on u would change the claimed
+    # precision of the caller's products with u
+    vdisc = model.vdisc - 12 * FieldElement(K, u.vec, u.s, u.m).valuation()
     u2 = uinv * uinv
     u3 = u2 * uinv
     u4 = u2 * u2
     u6 = u4 * u2
-    return WeierstrassModel(*(a * w for a, w in zip(na, (uinv, u2, u3, u4, u6))))
+    return WeierstrassModel(*(a * w for a, w in zip(na, (uinv, u2, u3, u4, u6))),
+                            vdisc=vdisc)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +296,10 @@ def _validate_reduction(rd):
 
 
 def _tate_run(model):
+    """Reduction data of ``model`` without the checks of
+    ``tate_algorithm``.  After the integral scaling the coefficients are
+    cut once to the ``_tate_digits`` their reads need, so that every pass
+    multiplies tens of digits instead of the working precision."""
     K = model.field
     a = dict(zip(_WEIGHTS, model.coefficients()))
     # scale to an integral model, then strip the obvious common pi-power
@@ -305,6 +323,8 @@ def _tate_run(model):
     # a strip divides nothing: the passes read -shift pi deeper
     depth = max(-shift, 0)
     vD = model.vdisc + 12 * shift
+    digits = _tate_digits(K, vD, depth)
+    a = {w: aw.capped(digits) for w, aw in a.items()}
     for restarts in range(200):
         result = _tate_pass(K, vD - 12 * restarts, depth + restarts, trace, a)
         if isinstance(result, ReductionData):
@@ -313,6 +333,50 @@ def _tate_run(model):
         a = result          # non-minimal: run again, one pi deeper
         trace.append(("restart",))
     raise FieldError("tate algorithm did not terminate (restart budget)")
+
+
+def _tate_digits(K, vD, depth):
+    """The digits above p^s of each coefficient that a run from
+    v(Delta) = vD at ``depth`` needs (Caruso-Roe-Vaccon precision
+    tracking, over the steps of Silverman, Advanced Topics IV 9).
+
+    Reads.  A pass at depth D reads a_w / pi^k as the residue of a_w at
+    pi^(k + w D).  Its deepest read is a6 at pi^5 (the II* test) or at
+    pi^(n + 3) in the I_n* loop, where n <= vD_pass - 6, so every read
+    is at most vD_pass + 6 D + 5.  A restart lowers vD_pass by 12 and
+    raises D by one, so R = vD + 6 depth + 5 bounds every read of the
+    run.  A read at pi^k is certified once the error has v_K >= k + 1,
+    kept here with one to spare, and a frame walk divides block k by its
+    frame's p^(t (d-1-k) + u k) (beta = . / p^t, gamma = . / p^u), which
+    costs each layer (d - 1) max(t, u) digits: the reads need
+    ceil((R + 2) / e) plus those digits.
+
+    Translations.  A product by y = lift(c) pi^j, which carries no
+    valuation, keeps its other factor's m and adds s(y) to s, so it loses
+    s(y) of m - s.  Through _translate a1 loses nothing, a2 and a3 lose
+    one s(y) from a1, a4 one from a2 or a3, and a6 one from a4 or two
+    from a2: m - s stays at least digits - w' s(y) with w' = 0, 1, 1, 2, 3
+    for a1 .. a6, however many translations run.  s(y) <= s(pi) + the
+    s of the lift, at most (d - 1) s(delta) per unramified layer; no pi^j
+    carries more denominator than pi on any tower the tests build, and a
+    power that did would cost digits, so that a read short of them raises
+    PrecisionError rather than misreading.
+
+    Every element also keeps _MIN_EFFECTIVE digits, so the cut is
+    max(reads, _MIN_EFFECTIVE) + 3 sigma with sigma that bound on s(y):
+    15 digits on Q_3(zeta_9, 3^(1/9)) and 18 on Q_3(zeta_9, 4^(1/9)),
+    against M = 290."""
+    sigma, walk = K.pi.s, 0
+    layer = K
+    while layer.base is not None:
+        beta, gamma, _, _ = layer.frame
+        walk += (layer.d - 1) * max(beta[1] if beta else 0,
+                                    gamma[1] if gamma else 0)
+        if layer.f != layer.base.f:
+            sigma += (layer.d - 1) * layer.delta.s
+        layer = layer.base
+    reads = -(-(vD + 6 * depth + 7) // K.e) + walk
+    return max(reads, _MIN_EFFECTIVE) + 3 * sigma
 
 
 def _end(trace, vD, f, kodaira, c, m, split=None):
@@ -324,7 +388,9 @@ def _tate_pass(K, vD, depth, trace, a):
     """One pass at v(Delta) = vD over the model a = {w: a_w} rescaled
     by u = pi^depth: the reduction data, or the translated a of a
     non-minimal model, to run again one pi deeper.  Translations are
-    appended to ``trace``."""
+    appended to ``trace``.  The a_w carry only the digits of
+    ``_tate_digits``: every read here is at pi^(vD + 6 depth + 5) or
+    shallower, and translations cost them at most 3 s(lift) digits."""
     if vD == 0:
         return _end(trace, 0, 0, KodairaSymbol("I0"), 1, 1)
     F = K.residue_field
@@ -544,7 +610,7 @@ def iwasawa_log(x, target_digits=24):
         t = z - K.one()
         vt, bound = t.val_or_bound()
         if vt is None:
-            zero = _capped(K.zero(), min(bound, target) // e)
+            zero = K.zero().capped(min(bound, target) // e)
             return zero * Fraction(1, divisor)
         if vt * (p - 1) > e:
             break
@@ -556,7 +622,7 @@ def iwasawa_log(x, target_digits=24):
     n = 1
     while (n + 1) * vt - e * (_intlog(n + 1, p) + 1) < target:
         n += 1
-    return _capped(_log_series(t, n), target_digits) * Fraction(1, divisor)
+    return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
 
 
 def _log_series(t, n):
@@ -575,13 +641,6 @@ def _log_series(t, n):
                     t.field.zero())
         acc = chunk if acc is None else acc * powers[-1] + chunk
     return acc
-
-
-def _capped(x, digits):
-    """x with its numerator cut to ``digits`` digits above p^s."""
-    m = min(x.m, x.s + digits)
-    pm = x.field.p ** m
-    return FieldElement(x.field, tuple(a % pm for a in x.vec), x.s, m)
 
 
 def _intlog(n, p):

@@ -54,6 +54,10 @@ from .padic import PadicScalar, PrecisionError, is_prime, _vp
 DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
+# the largest tower degree build_field accepts, checked from the steps
+# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in about
+# 30 s; larger towers are out of scope
+DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 
@@ -215,6 +219,26 @@ class FieldElement:
         pm = self.field.p ** self.m
         out = FieldElement(self.field, tuple(a * c % pm for a in self.vec),
                            self.s, self.m, exact=self.exact)
+        return out
+
+    def capped(self, digits):
+        """self with its numerator cut to ``digits`` digits above p^s.
+        The cut moves x by an error of v_K >= floor = e (m' - s), so a
+        cached valuation below the floor, and its residue, still hold,
+        and a cached lower bound holds up to the floor."""
+        m = min(self.m, self.s + digits)
+        if m == self.m:
+            return self
+        pm = self.field.p ** m
+        out = FieldElement(self.field, tuple(a % pm for a in self.vec),
+                           self.s, m)
+        if self._val is not None:
+            v, bound = self._val
+            floor = self.field.e * (m - self.s)
+            if v is None:
+                out._val = (None, min(bound, floor))
+            elif v < floor:
+                out._val, out._res = self._val, self._res
         return out
 
     def _normalized(self):
@@ -1634,6 +1658,9 @@ def build_field(p, steps, prec=None):
             n_expected *= st.exponent
         else:
             n_expected *= len(st.coeffs)
+    if n_expected > DEGREE_BUDGET:
+        raise FieldError(f"tower degree {n_expected} exceeds the degree "
+                         f"budget of {DEGREE_BUDGET}")
     digits = (max(prec or DEFAULT_DIGITS, n_expected + 32) + _GUARD_DIGITS
               + min(2 * n_expected, 160))
     K = QpField(p, digits)
@@ -1816,12 +1843,19 @@ def parse_field_spec(text, p=None, prec=None):
     return build_field(p, steps, prec=prec)
 
 
+_RADICAND_GRAMMAR = ("rad= takes an integer, a fraction a/b, or an integer "
+                     "polynomial in z with exponents >= 0, such as 3z^2-z+5")
+
+
 def _parse_radicand(text):
-    if "z" in text:
-        return parse_zeta_poly(text)
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    try:
+        if "z" in text:
+            return parse_zeta_poly(text)
+        if "/" in text:
+            return Fraction(text)
+        return int(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad radicand {text!r}: {_RADICAND_GRAMMAR}") from exc
 
 
 def _parse_int_poly(text):

@@ -234,3 +234,40 @@ def test_tate_retries_once_at_doubled_precision(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "tate_algorithm", lambda m: flaky(m, 2))
     code, _ = run_capture(tmp_path, *args)
     assert code == 3 and len(seen) == 2
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    # two calls in one process give the same output from one parser
+    import anabelomorph.cli as cli
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        first = run_capture(tmp_path, "disc", "p=3 r=1 rad=4")
+        second = run_capture(tmp_path, "disc", "p=3 r=1 rad=4")
+    finally:
+        cli._parser.cache_clear()
+    assert first == second == (0, "[4, 7]\n")
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("rad", ["z^-1", "z^", "3/", "3/0", ""])
+def test_malformed_radicand_names_the_grammar(rad, capsys):
+    code = run_cli("disc", f"p=3 r=2 rad={rad}")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"bad radicand {rad!r}" in err
+    assert "rad= takes an integer, a fraction a/b, or an integer polynomial" \
+        in err
+
+
+def test_tower_over_the_degree_budget_is_refused(capsys):
+    # degree 2 * 3^79: refused from the spec before any layer is built
+    code = run_cli("disc", "p=3 r=40 rad=3")
+    assert code == 3
+    assert "exceeds the degree budget of 2500" in capsys.readouterr().err

@@ -17,9 +17,11 @@ from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    tate_algorithm, tate_parameter_valuation,
                                    weak_amphoricity_report,
                                    weierstrass_invariants)
-from anabelomorph.fields import (FieldElement, FieldError, LocalField,
-                                 ResidueField, TowerStep, build_field)
-from anabelomorph.padic import PadicScalar, padic_log
+from anabelomorph.fields import (_MIN_EFFECTIVE, FieldElement, FieldError,
+                                 LocalField, ResidueField, TowerStep,
+                                 build_field)
+from anabelomorph.padic import PadicScalar, PrecisionError, padic_log
+from test_table_regression import ADDITIVE_ROWS as GOLDEN_ADDITIVE
 
 T = TowerStep
 
@@ -836,3 +838,91 @@ def test_tate_hidden_non_minimality(name, j, data):
     assert stripped >= 0
     assert (rd.trace.count(("restart",))
             == base.trace.count(("restart",)) + stripped + j)
+
+
+# ----------------------------------------------------------------------
+# property: Tate's algorithm at the precision its reads need
+
+_DERIVED_DIGITS = elliptic._tate_digits
+
+
+def _tate_cut(monkeypatch, model, digits=None):
+    """((quadruple, trace), or PrecisionError) of Tate's algorithm with
+    the coefficients cut to ``digits``, or to the derived digits when
+    None; and the digits used."""
+    used = []
+
+    def cut(K, vD, depth):
+        used.append(_DERIVED_DIGITS(K, vD, depth) if digits is None
+                    else digits)
+        return used[-1]
+
+    monkeypatch.setattr(elliptic, "_tate_digits", cut)
+    try:
+        rd = tate_algorithm(model)
+        out = (rd.quadruple(), rd.trace)
+    except PrecisionError:
+        out = PrecisionError
+    return out, used[0]
+
+
+def _check_derived_digits(monkeypatch, model):
+    """At the derived digits the run equals the uncut run at M; with
+    fewer, down to the floor, it equals it or raises PrecisionError."""
+    uncut, _ = _tate_cut(monkeypatch, model, model.field.M)
+    assert uncut is not PrecisionError
+    got, derived = _tate_cut(monkeypatch, model)
+    assert got == uncut
+    for digits in range(derived - 1, _MIN_EFFECTIVE - 1, -1):
+        got, _ = _tate_cut(monkeypatch, model, digits)
+        assert got in (uncut, PrecisionError), digits
+    return derived
+
+
+@pytest.mark.parametrize("row", range(len(GOLDEN_ADDITIVE)))
+def test_tate_derived_digits_golden_rows(row, K54, L54_4, monkeypatch):
+    for K in (K54, L54_4):
+        model = WeierstrassModel.from_a_invariants(K, *GOLDEN_ADDITIVE[row][0])
+        # the degree-54 runs need tens of digits, not M = 290
+        assert _check_derived_digits(monkeypatch, model) < 30
+
+
+@pytest.mark.parametrize("change", ["none", "scaled", "hidden"])
+@pytest.mark.parametrize("name", list(_TATE_TOWERS))
+def test_tate_derived_digits_towers(name, change, monkeypatch):
+    # the base curves; scaled by u = pi^-2, which the integral strip
+    # turns into a start two pi deeper; and hidden non-minimal by the
+    # same u, so that the reads come after two more restarts
+    K, m, _ = _tate_base(name)
+    if change != "none":
+        m = change_coords(m, u=K.pi_pow(-2))
+    if change == "hidden":
+        m = change_coords(m, r=K.one() + K.pi, s=-K.one(),
+                          t=K.one() + K.pi_pow(2))
+    _check_derived_digits(monkeypatch, m)
+
+
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(row=st.integers(0, len(GOLDEN_ADDITIVE) - 1),
+       data=st.data())
+def test_change_coords_carries_the_discriminant_valuation(row, data, K54,
+                                                          L54_4):
+    # v(Delta') = v(Delta) - 12 v(u) equals a fresh recomputation of
+    # Delta' wherever that is determined
+    K = data.draw(st.sampled_from([K54, L54_4]))
+    model = WeierstrassModel.from_a_invariants(K, *GOLDEN_ADDITIVE[row][0])
+    small = st.integers(-9, 9)
+
+    def element():
+        return K.from_zeta_poly({i: data.draw(small) for i in range(6)})
+
+    j = data.draw(st.integers(-2, 2))
+    u = (K.from_int(data.draw(st.integers(1, 8).filter(lambda a: a % 3)))
+         + K.pi * data.draw(small)) * K.pi_pow(j)
+    new = change_coords(model, u, element(), element(), element())
+    assert new.vdisc == model.vdisc - 12 * j
+    v, _ = weierstrass_invariants(new, check=False).disc.val_or_bound()
+    if v is not None:
+        assert new.vdisc == v

@@ -363,3 +363,46 @@ def test_step_generator_precision_is_honest(K2):
         for x, y in zip(a.vec, b.vec):
             d = x * 3 ** (top - a.s) - y * 3 ** (top - b.s)
             assert d % 3 ** (a.m + top - a.s) == 0
+
+
+# ----------------------------------------------------------------------
+# degree budget and cut elements
+
+
+def test_degree_budget_checked_from_the_steps(monkeypatch):
+    # the budget is read off the steps: no layer is built for a tower
+    # over it, and the largest tower known to build is admitted
+    from anabelomorph import fields
+    from anabelomorph.fields import DEGREE_BUDGET, FieldError
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kw):
+        raise Built
+
+    monkeypatch.setattr(fields, "QpField", refuse)
+    with pytest.raises(FieldError, match=f"degree budget of {DEGREE_BUDGET}"):
+        build_field(3, [T.cyclotomic(3 ** 40), T.kummer(3 ** 40, 3)])
+    with pytest.raises(FieldError, match="degree budget"):
+        build_field(5, [T.cyclotomic(125)] + [T.custom([5, 0, 0])] * 3)
+    with pytest.raises(Built):
+        build_field(7, [T.cyclotomic(49), T.kummer(49, 7)])    # degree 2058
+
+
+def test_capped_keeps_what_the_cut_leaves_certified(K2):
+    from anabelomorph.padic import PrecisionError
+    x = K2.pi_pow(5) + K2.pi_pow(80)
+    assert K2.residue_at(x, 5) is not None          # caches v and residue
+    cut = x.capped(14)
+    assert (cut.m, cut.s) == (x.s + 14, x.s)
+    assert all(a < 3 ** cut.m for a in cut.vec)
+    # v = 5 < e (m' - s) = 756: kept, so no walk is needed
+    assert cut._val == x._val and cut._res == x._res
+    assert x.capped(x.m - x.s) is x
+    # a cached bound is kept up to the cut's floor
+    z = K2.zero()
+    assert K2.val_or_bound(z) == (None, 54 * K2.M)
+    assert z.capped(20)._val == (None, 54 * 20)
+    with pytest.raises(PrecisionError):
+        x.capped(11)
