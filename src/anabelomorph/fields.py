@@ -402,7 +402,7 @@ class LocalField:
         self.pM = p ** M
         self.name = name
         self._has_custom = bool(base is not None and base._has_custom)
-        self.e = base.e if base else 1  # overwritten by builders
+        self.e = base.e if base else 1  # a layer's e, f: see _set_frame
         self.f = base.f if base else 1
         self.pi = None
         self.different_val = 0
@@ -661,8 +661,9 @@ class LocalField:
     def norm_valuation(self, x):
         """v_K(x) = v_p(N(x)) / f from the full norm.
 
-        This certifies each frame's delta at construction, before the
-        layer's frame exists, and is the tests' oracle for val_or_bound.
+        Its one call during construction is in ``_set_frame``, which
+        certifies the frame's delta before the layer's frame exists; it
+        is also the tests' oracle for val_or_bound.
         Raises PrecisionError when the norm is zero to precision.
         """
         nint, s, m = self.norm_tower(x)
@@ -865,12 +866,19 @@ class LocalField:
             raise PrecisionError("residue undetermined to precision")
         return x._res
 
-    def _set_frame(self, weight, delta, beta=None, gamma=None):
-        """Install the certified frame gen = gamma delta + beta with
-        v_K(delta) = weight; beta and gamma are base elements, None
-        standing for 0 and 1.  The element delta is kept for the residue
-        constants."""
+    def _set_frame(self, e_rel, weight, delta, beta=None, gamma=None):
+        """Set e = e_B e_rel and f = f_B d / e_rel, certify the frame
+        gen = gamma delta + beta with v_K(delta) = weight, and install it;
+        beta and gamma are base elements, None standing for 0 and 1.  A
+        nonzero weight is certified by the full norm, v_p(N(delta)) / f;
+        an unramified layer's delta (weight 0) is a unit by construction.
+        The element delta is kept for the residue constants."""
         B = self.base
+        self.e = B.e * e_rel
+        self.f = B.f * (self.d // e_rel)
+        if weight and self.norm_valuation(delta) != weight:
+            raise CertificationError(
+                f"{self.kind} layer frame check failed: v(delta) != {weight}")
         self.delta = delta
         if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
             gpows = [None, gamma.vec]
@@ -880,7 +888,25 @@ class LocalField:
         else:
             gamma = None
         beta = (beta.vec, beta.s) if beta is not None and any(beta.vec) else None
-        self.frame = (beta, gamma, self.e // B.e, weight)
+        self.frame = (beta, gamma, e_rel, weight)
+
+    def _finish(self, layer_diff, certificate):
+        """Check the uniformizer, v(pi) = 1, and the ramification,
+        v(pi_B) = e_rel, of a framed layer, then credit its different by
+        transitivity, v_K(D_K) = v_K(D_{K/B}) + e_rel v_B(D_B) (Serre,
+        Local Fields, III 4), None when either term is unknown."""
+        e_rel = self.frame[2]
+        if self.pi.valuation() != 1:
+            raise UniformizerSearchError(
+                f"{self.kind} layer uniformizer check failed")
+        if self.embed(self.base.pi).valuation() != e_rel:
+            raise CertificationError(
+                f"{self.kind} layer ramification check failed")
+        bdiff = self.base.different_val
+        self.layer_diff = layer_diff
+        self.different_val = (None if layer_diff is None or bdiff is None
+                              else layer_diff + e_rel * bdiff)
+        self.certificate = certificate
 
     def val_at_least(self, x, k):
         v, bound = self.val_or_bound(x)
@@ -1025,10 +1051,8 @@ class LocalField:
 class QpField(LocalField):
     def __init__(self, p, M):
         super().__init__(p, None, "qp", 1, M, f"Q_{p}")
-        self.e = self.f = 1
         self.pi = self.from_int(p)
         self._residue_field = ResidueField(p)
-        self.different_val = 0
 
     def _mul_mod(self, xs, ys, pm):
         return (xs[0] * ys[0] % pm,)
@@ -1115,21 +1139,14 @@ class CycloField(GaloisLayer):
             raise CertificationError("cyclotomic layer must sit directly on Q_p")
         super().__init__(p, base, "cyclo", phi, M, name)
         self.cyclo_modulus = modulus
-        self.e = phi
-        self.f = 1
         step = modulus // p
         self.relation = [(i * step, (-1,)) for i in range(p - 1)]
         self.galois_factors = _unit_group(modulus, p)
         self.conjugate_labels = [a for a in range(2, modulus) if a % p]
         self.pi = self.gen() - self.one()
-        if self.norm_valuation(self.pi) != 1:
-            raise CertificationError("cyclotomic uniformizer check failed")
-        self._set_frame(1, self.pi, beta=base.one())     # zeta = pi + 1
-        if self.embed(base.pi).valuation() != self.e:
-            raise CertificationError("cyclotomic ramification check failed")
-        self.layer_diff = self._relation_derivative().valuation()
-        self.different_val = self.layer_diff
-        self.certificate = f"cyclotomic({modulus}): Eisenstein after x -> x+1"
+        self._set_frame(phi, 1, self.pi, beta=base.one())    # zeta = pi + 1
+        self._finish(self._relation_derivative().valuation(),
+                     f"cyclotomic({modulus}): Eisenstein after x -> x+1")
 
     def _sigma(self, vec, a, pm):
         """zeta -> zeta^a on a flat vector: c_j moves to the exponent
@@ -1154,7 +1171,6 @@ class KummerField(GaloisLayer):
         self.xi_powers = xi_powers        # zeta_p^t as base elements, t < p
         self.galois_factors = [tuple(range(p))]
         self.conjugate_labels = range(1, p)
-        # cumulative e, f set by the builder after certification
 
     def _sigma(self, vec, i, pm):
         """gen -> xi^i gen: block j times xi^(i j)."""
@@ -1375,28 +1391,19 @@ def _extend_kummer_cyclic(base, rad, name):
     K.gen_shift = (k, t)   # gen = rad^(1/p) * pi_B^(-k) * p^t
     gen = K.gen()
     if kind == "tr":
-        K.e = base.e * p
-        K.f = base.f
         if v1 % p != 0:
             # sigma_i(pi) - pi = gen^x pi^y (xi^(ix) - 1)
             x = pow(v1, -1, p)
             y = (1 - x * v1) // p
-            if K.norm_valuation(gen) != v1:
-                raise CertificationError("generator valuation check failed")
             delta, piexp, vdelta = gen, y, v1
-            K._set_frame(v1, gen)
+            K._set_frame(p, v1, gen)
         else:
             lam = peel["lambda"]
             c = v1 // p
             beta = base.pi_pow(c) * peel["A"]
             delta = gen - K.embed(beta)
             vdelta = lam + p * c
-            # validate on the integral numerator (delta may carry a p-power
-            # denominator through the adjuster)
-            dint = FieldElement(K, delta.vec, 0, delta.m)
-            if K.norm_valuation(dint) != vdelta + K.d * base.e * delta.s:
-                raise CertificationError("unit-layer defect check failed")
-            K._set_frame(vdelta, delta, beta=beta)
+            K._set_frame(p, vdelta, delta, beta=beta)
             x = pow(lam, -1, p)
             y = (1 - x * lam) // p
             piexp = y - c * x
@@ -1404,9 +1411,18 @@ def _extend_kummer_cyclic(base, rad, name):
         if v1 % p == 0:
             Ainvx = K.embed(base.invert(peel["A"])) ** x
             K.pi = (K.pi * Ainvx)._normalized()
+        # different of the layer from the conjugate differences of pi:
+        #   sigma_i(pi)/pi = (sigma_i(delta)/delta)^x  and
+        #   sigma_i(delta) - delta = (xi^i - 1) gen,
+        # so v(sigma_i(pi) - pi) = 1 + p v_B(xi^i - 1) + v1 - v(delta)
+        # (the geometric factor of the x-th power is a unit since 0 < x < p).
+        D = 0
+        for i in range(1, p):
+            vxi = p * xi_powers[1].field.val_or_bound(
+                xi_powers[i] - base.one())[0]
+            D += 1 + vxi + v1 - vdelta
+        K._finish(D, cert)
     else:  # unramified layer
-        K.e = base.e
-        K.f = base.f * p
         K.pi = K.embed(base.pi)
         eun = base.e // (p - 1)
         alpha = base.pi_pow(v1 // p) * peel["A"]
@@ -1414,29 +1430,8 @@ def _extend_kummer_cyclic(base, rad, name):
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
-        K._set_frame(0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
-    K.certificate = cert
-    if K.pi.valuation() != 1:
-        raise UniformizerSearchError("constructed uniformizer is not one")
-    if K.embed(base.pi).valuation() != (p if kind == "tr" else 1):
-        raise CertificationError("ramification index check failed")
-    # different of the layer from the conjugate differences of pi:
-    #   sigma_i(pi)/pi = (sigma_i(delta)/delta)^x  and
-    #   sigma_i(delta) - delta = (xi^i - 1) gen,
-    # so v(sigma_i(pi) - pi) = 1 + p v_B(xi^i - 1) + v1 - v(delta)
-    # (the geometric factor of the x-th power is a unit since 0 < x < p).
-    if kind == "tr":
-        D = 0
-        for i in range(1, p):
-            vxi = p * xi_powers[1].field.val_or_bound(
-                xi_powers[i] - base.one())[0]
-            D += 1 + vxi + v1 - vdelta
-        K.layer_diff = D
-        K.different_val = (D + p * base.different_val
-                           if base.different_val is not None else None)
-    else:
-        K.layer_diff = 0
-        K.different_val = base.different_val
+        K._set_frame(1, 0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
+        K._finish(0, cert)
     if k or t:
         user_gen = gen * K.embed(base.pi_pow(k)) * K.from_fraction(
             Fraction(1, p ** t))
@@ -1554,30 +1549,19 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
     half_b = bcoef * base.from_fraction(Fraction(1, 2))
     theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
-        K.e = base.e * 2
-        K.f = base.f
-        if K.norm_valuation(theta) != vd:
-            raise CertificationError("ramified quadratic generator check failed")
-        K._set_frame(vd, theta, beta=-half_b)
+        K._set_frame(2, vd, theta, beta=-half_b)
         y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
         K.pi = theta * K.embed(base.pi_pow(y))
-        conj = FieldElement(K, next(K._conjugates(K.pi.vec, K.pi.m)),
+        conj = FieldElement(K, K._sigma(K.pi.vec, 1, K.p ** K.pi.m),
                             K.pi.s, K.pi.m)
-        K.layer_diff = (conj - K.pi).valuation()
-        K.different_val = K.layer_diff + 2 * base.different_val
+        K._finish((conj - K.pi).valuation(),
+                  "ramified quadratic (odd discriminant valuation)")
     else:
-        K.e = base.e
-        K.f = base.f * 2
         K.pi = K.embed(base.pi)
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
         # the frame's delta is rho, a unit with rho^2 a non-square unit
-        K._set_frame(0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
-        K.layer_diff = 0
-        K.different_val = base.different_val
-    K.certificate = ("ramified quadratic (odd discriminant valuation)" if ram
-                     else "unramified quadratic (non-square unit discriminant)")
-    if K.pi.valuation() != 1:
-        raise UniformizerSearchError("quadratic layer uniformizer failed")
+        K._set_frame(1, 0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
+        K._finish(0, "unramified quadratic (non-square unit discriminant)")
     return K
 
 
@@ -1608,25 +1592,14 @@ def _extend_custom(base, coeffs, M, name):
         if v is not None and v * d < v0 * (d - i):
             raise CertificationError("newton polygon has several segments")
     K = CustomField(base, coeffs, M, name)
-    K.e = base.e * d
-    K.f = base.f
     gen = K.gen()
+    K._set_frame(d, v0, gen)
     x = pow(v0, -1, d)
     y = (1 - x * v0) // d
     K.pi = gen ** x * K.embed(base.pi_pow(y))
-    K.certificate = f"newton polygon single segment, slope {v0}/{d}"
-    if K.norm_valuation(gen) != v0:
-        raise CertificationError("custom generator valuation check failed")
-    K._set_frame(v0, gen)
-    if K.pi.valuation() != 1:
-        raise UniformizerSearchError("custom layer uniformizer failed")
     # different: valid when the generator is an Eisenstein uniformizer
-    if v0 == 1:
-        K.layer_diff = K._relation_derivative().valuation()
-        K.different_val = K.layer_diff + d * base.different_val
-    else:
-        K.layer_diff = None
-        K.different_val = None
+    K._finish(K._relation_derivative().valuation() if v0 == 1 else None,
+              f"newton polygon single segment, slope {v0}/{d}")
     return K
 
 

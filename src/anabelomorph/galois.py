@@ -265,11 +265,8 @@ def _horner(sigma, gen_imgs, x):
     the layers below it."""
     fld = x.field
     if fld.kind == "cyclo":
-        N = fld.cyclo_modulus
-        conv = [0] * N
-        for j, c in enumerate(x.vec):
-            conv[j * sigma.a % N] += c
-        return FieldElement(fld, fld._fold(conv, fld.p ** x.m), x.s, x.m)
+        return FieldElement(fld, fld._sigma(x.vec, sigma.a, fld.p ** x.m),
+                            x.s, x.m)
     B, b = fld.base, fld.base.n
     acc = None
     for k in range(fld.d - 1, -1, -1):
@@ -306,10 +303,7 @@ class RamificationFiltration:
         return out
 
     def order_at(self, i):
-        for j, grp in self.groups:
-            if j == i:
-                return len(grp)
-        return 1 if i > self.groups[-1][0] else len(self.groups[0][1])
+        return len(_members_at(self, i))
 
 
 def ramification_filtration(K, pi=None):
@@ -471,7 +465,6 @@ def _check_orthogonality(chars, p):
 
 def artin_conductor(chi, filt):
     """Artin conductor exponent f(chi) = sum |G_i|/|G_0| (chi(1) - avg_i chi)."""
-    p = chi.p
     g0 = filt.order_at(0)
     total = Fraction(0)
     i = 0
@@ -479,13 +472,7 @@ def artin_conductor(chi, filt):
         size = filt.order_at(i)
         if size <= 1 and i > 0:
             break
-        members = _members_at(filt, i)
-        m = p - 1
-        acc = CycRat.rational(m, 0)
-        for sig in members:
-            acc = acc + chi.value(sig)
-        avg = acc.as_rational() / size
-        total += Fraction(size, g0) * (chi.dim - avg)
+        total += Fraction(size, g0) * (chi.dim - _average(chi, filt, i))
         i += 1
     if total.denominator != 1:
         raise ArithmeticError(
@@ -494,21 +481,23 @@ def artin_conductor(chi, filt):
 
 
 def _members_at(filt, i):
-    for j, grp in filt.groups:
-        if j == i:
-            return grp
-    return filt.groups[-1][1] if i <= filt.groups[-1][0] else \
-        (next(s for s in filt.groups[0][1] if s.is_identity),)
+    """G_i for i >= 0: groups[i] holds G_i, and the last group is trivial,
+    as is every G_i past it."""
+    return filt.groups[min(i, len(filt.groups) - 1)][1]
+
+
+def _average(chi, filt, i):
+    """The mean of chi over G_i, a rational number."""
+    members = _members_at(filt, i)
+    acc = CycRat.rational(chi.p - 1, 0)
+    for sig in members:
+        acc = acc + chi.value(sig)
+    return acc.as_rational() / len(members)
 
 
 def swan_conductor(chi, filt):
     """Swan = Artin - (chi(1) - dim of the inertia invariants)."""
-    members = _members_at(filt, 0)
-    m = chi.p - 1
-    acc = CycRat.rational(m, 0)
-    for sig in members:
-        acc = acc + chi.value(sig)
-    fixed_dim = acc.as_rational() / len(members)
+    fixed_dim = _average(chi, filt, 0)
     if fixed_dim.denominator != 1:
         raise ArithmeticError("invariant dimension is not an integer")
     art = artin_conductor(chi, filt)

@@ -406,3 +406,90 @@ def test_capped_keeps_what_the_cut_leaves_certified(K2):
     assert z.capped(20)._val == (None, 54 * 20)
     with pytest.raises(PrecisionError):
         x.capped(11)
+
+
+# ----------------------------------------------------------------------
+# the layer certificate, across layer kinds
+
+
+# towers whose layers reach every builder branch at p = 2, 3, 5, 7:
+# cyclotomic, Kummer ramified by slope, Kummer ramified by unit defect,
+# Kummer unramified, quadratic (there is none at p = 2) and custom
+LAYER_TOWERS = {
+    "p=2 slope": (2, [T.kummer(2, 2)]),
+    "p=2 unramified then unit defect": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
+    "p=2 custom": (2, [T.cyclotomic(4), T.custom([-2, 0, 0])]),
+    "p=3 slope": (3, [T.cyclotomic(3), T.kummer(3, 3)]),
+    "p=3 unit defect": (3, [T.cyclotomic(3), T.kummer(3, 4)]),
+    "p=3 unramified": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})]),
+    "p=3 quadratics": (3, [T.custom([-3, 3]), T.custom([-2, 0])]),
+    "p=3 custom then quadratic": (3, [T.custom([-9, 0, 0]),
+                                      T.custom([-3, 0])]),
+    "p=5 slope": (5, [T.cyclotomic(5), T.kummer(5, 5)]),
+    "p=5 unit defect": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+    "p=5 unramified": (5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})]),
+    "p=5 quadratics": (5, [T.custom([2, 1]), T.custom([-5, 5])]),
+    "p=5 custom": (5, [T.cyclotomic(5), T.custom([-5, 0, 0])]),
+    "p=7 slope": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
+    "p=7 unit defect": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
+    "p=7 unramified": (7, [T.cyclotomic(7), T.kummer(7, {0: 6, 1: -7})]),
+    "p=7 quadratics": (7, [T.custom([-7, 0]), T.custom([-3, 0])]),
+    "p=7 custom": (7, [T.cyclotomic(7), T.custom([{0: 1, 1: -1}, 0, 0])]),
+}
+
+
+def _layers(K):
+    while K.base is not None:
+        yield K
+        K = K.base
+
+
+def _branch(fld):
+    """The builder branch that certified a layer."""
+    if fld.kind != "kummer":
+        return fld.kind
+    for prefix, branch in (("eisenstein-type", "kummer slope"),
+                           ("totally ramified", "kummer unit defect"),
+                           ("unramified", "kummer unramified")):
+        if fld.certificate.startswith(prefix):
+            return branch
+
+
+def test_layer_towers_reach_every_branch():
+    reached = {(p, _branch(fld)) for p, steps in LAYER_TOWERS.values()
+               for fld in _layers(build_field(p, steps))}
+    branches = {"cyclo", "kummer slope", "kummer unit defect",
+                "kummer unramified", "quad", "custom"}
+    for p in (2, 3, 5, 7):
+        want = branches - {"quad"} if p == 2 else branches
+        assert {b for q, b in reached if q == p} == want
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_every_layer_kind_passes_one_certificate(name):
+    # valuations from the full norm, independently of the frames
+    p, steps = LAYER_TOWERS[name]
+    for fld in _layers(build_field(p, steps)):
+        B = fld.base
+        e_rel = fld.e // B.e
+        assert fld.norm_valuation(fld.pi) == 1
+        assert fld.norm_valuation(fld.embed(B.pi)) == e_rel
+        assert fld.e * fld.f == fld.n
+        if fld.layer_diff is None or B.different_val is None:
+            assert fld.different_val is None
+        else:
+            assert fld.different_val == fld.layer_diff + e_rel * B.different_val
+
+
+def test_quadratic_over_uncertified_different(tmp_path, capsys):
+    # x^3 - 9 has slope 2/3, so its different is not certified; the
+    # quadratic layer on top must pass that on instead of failing
+    from anabelomorph.cli import main
+    K = build_field(3, [T.custom([-9, 0, 0]), T.custom([-3, 0])])
+    assert (K.n, K.e, K.f) == (6, 6, 1)
+    with pytest.raises(CertificationError):
+        different_valuation(K)
+    spec = tmp_path / "tower.txt"
+    spec.write_text("p=3\ncustom x^3-9\ncustom x^2-3\n")
+    assert main(["disc", str(spec)]) == 3
+    assert "different not available" in capsys.readouterr().err
