@@ -1395,18 +1395,17 @@ def _extend_kummer_cyclic(base, rad, name):
             # sigma_i(pi) - pi = gen^x pi^y (xi^(ix) - 1)
             x = pow(v1, -1, p)
             y = (1 - x * v1) // p
-            delta, piexp, vdelta = gen, y, v1
-            K._set_frame(p, v1, gen)
+            delta, piexp, vdelta, beta = gen, y, v1, None
         else:
             lam = peel["lambda"]
             c = v1 // p
             beta = base.pi_pow(c) * peel["A"]
             delta = gen - K.embed(beta)
             vdelta = lam + p * c
-            K._set_frame(p, vdelta, delta, beta=beta)
             x = pow(lam, -1, p)
             y = (1 - x * lam) // p
             piexp = y - c * x
+        K._set_frame(p, vdelta, delta, beta=beta)
         K.pi = (delta ** x * K.embed(base.pi_pow(piexp)))._normalized()
         if v1 % p == 0:
             Ainvx = K.embed(base.invert(peel["A"])) ** x
