@@ -173,14 +173,17 @@ def weierstrass_invariants(model, check=True, with_j=False):
     return inv
 
 
-def reduction_class(model_or_j, K=None):
-    """Potential reduction type from the sign of v(j)."""
+def _v_j(model_or_j):
+    """v(j) of a model, or of j itself; None when j is zero to precision."""
     if isinstance(model_or_j, WeierstrassModel):
-        inv = weierstrass_invariants(model_or_j, check=False, with_j=True)
-        j = inv.j
-    else:
-        j = model_or_j
-    v, bound = j.val_or_bound()
+        model_or_j = weierstrass_invariants(model_or_j, check=False,
+                                            with_j=True).j
+    return model_or_j.val_or_bound()[0]
+
+
+def reduction_class(model_or_j):
+    """Potential reduction type from the sign of v(j)."""
+    v = _v_j(model_or_j)
     if v is None or v >= 0:
         return POTENTIALLY_GOOD
     return POTENTIALLY_MULTIPLICATIVE
@@ -199,9 +202,7 @@ def change_coords(model, u=1, r=0, s=0, t=0):
         return WeierstrassModel(*(FieldElement(K, a.vec, a.s, a.m) for a in na),
                                 vdisc=model.vdisc)
     uinv = u.inv()
-    # v(u) from a copy: a valuation cached on u would change the claimed
-    # precision of the caller's products with u
-    vdisc = model.vdisc - 12 * FieldElement(K, u.vec, u.s, u.m).valuation()
+    vdisc = model.vdisc - 12 * u.valuation()
     u2 = uinv * uinv
     u3 = u2 * uinv
     u4 = u2 * u2
@@ -351,12 +352,13 @@ def _tate_digits(K, vD, depth):
     costs each layer (d - 1) max(t, u) digits: the reads need
     ceil((R + 2) / e) plus those digits.
 
-    Translations.  A product by y = lift(c) pi^j, which carries no
-    valuation, keeps its other factor's m and adds s(y) to s, so it loses
-    s(y) of m - s.  Through _translate a1 loses nothing, a2 and a3 lose
-    one s(y) from a1, a4 one from a2 or a3, and a6 one from a4 or two
-    from a2: m - s stays at least digits - w' s(y) with w' = 0, 1, 1, 2, 3
-    for a1 .. a6, however many translations run.  s(y) <= s(pi) + the
+    Translations.  A product by y = lift(c) pi^j keeps its other
+    factor's m, since every product keeps the smaller m and y is known
+    far beyond the cut, and adds s(y) to s, so it loses s(y) of m - s.
+    Through _translate a1 loses nothing, a2 and a3 lose one s(y) from
+    a1, a4 one from a2 or a3, and a6 one from a4 or two from a2: m - s
+    stays at least digits - w' s(y) with w' = 0, 1, 1, 2, 3 for
+    a1 .. a6, however many translations run.  s(y) <= s(pi) + the
     s of the lift, at most (d - 1) s(delta) per unramified layer; no pi^j
     carries more denominator than pi on any tower the tests build, and a
     power that did would cost digits, so that a read short of them raises
@@ -569,14 +571,9 @@ def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):
 # Tate parameter and the log-over-ord invariant
 
 
-def tate_parameter_valuation(model_or_j, K=None):
+def tate_parameter_valuation(model_or_j):
     """v_K(q) = -v_K(j) for multiplicative reduction."""
-    if isinstance(model_or_j, WeierstrassModel):
-        inv = weierstrass_invariants(model_or_j, check=False, with_j=True)
-        j = inv.j
-    else:
-        j = model_or_j
-    v, bound = j.val_or_bound()
+    v = _v_j(model_or_j)
     if v is None or v >= 0:
         raise FieldError("not potentially multiplicative: v(j) >= 0")
     return -v

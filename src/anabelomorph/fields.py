@@ -172,15 +172,10 @@ class FieldElement:
     def __mul__(self, other):
         other = self._coerce(other)
         F = self.field
-        # the product numerator error is bounded by p^(m_other + w_self)
-        # and p^(m_self + w_other) with w = s + floor(v/e) whenever the
-        # valuation is known; this stops precision bleed in power chains
-        bx = by = 0
-        if self._val is not None and self._val[0] is not None:
-            bx = max(0, self.s + self._val[0] // F.e)
-        if other._val is not None and other._val[0] is not None:
-            by = max(0, other.s + other._val[0] // F.e)
-        m = min(self.m + by, other.m + bx, F.M)
+        # the error sits on the numerators' power-basis coordinates, which
+        # v_K does not bound when that order is not maximal: the product is
+        # known to the smaller modulus, whatever valuation is cached
+        m = min(self.m, other.m)
         vec = F._mul_mod(self.vec, other.vec, F.p ** m)
         out = FieldElement(F, vec, self.s + other.s, m,
                            exact=self.exact and other.exact)
@@ -1011,14 +1006,17 @@ class LocalField:
     # -- uniformizer helpers ---------------------------------------------------
 
     def pi_pow(self, k):
+        """pi^k, cached; k >= 2 by halving, so a power takes its
+        denominators from log2(k) products, not from k - 1."""
         out = self._pi_pows.get(k)
         if out is None:
-            if k >= 0:
-                prev = self.pi_pow(k - 1) if k else self.one()
-                out = prev * self.pi if k else prev
+            if k >= 2:
+                out = self.pi_pow((k + 1) // 2) * self.pi_pow(k // 2)
+            elif k >= 0:
+                x = self.pi if k else self.one()
+                out = FieldElement(self, x.vec, x.s, x.m)
             else:
-                pos = self.pi_pow(-k)
-                out = pos.inv()
+                out = self.pi_pow(-k).inv()
             out._val = (k, None)
             self._pi_pows[k] = out
         return out
@@ -1536,11 +1534,11 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
     if vd is None:
         raise CertificationError("discriminant of quadratic is zero to precision")
     if vd % 2 == 0:
-        unit = disc * base.pi_pow(-vd)
-        for c in base._unit_lifts():
-            if base.val_at_least(unit - c * c, 1):
-                raise CertificationError(
-                    "quadratic step is reducible (discriminant is a square)")
+        # Euler's criterion in F_q (q odd); Hensel lifts a square residue
+        F = base.residue_field
+        if F.pow(base.residue_at(disc, vd), (F.q - 1) // 2) == F.one:
+            raise CertificationError(
+                "quadratic step is reducible (discriminant is a square)")
         ram = False
     else:
         ram = True
@@ -1701,8 +1699,12 @@ def find_uniformizer(K):
 def different_valuation(K):
     """v_K of the different of K/Q_p, accumulated layer by layer."""
     if K.different_val is None:
+        while K.layer_diff is not None:
+            K = K.base
         raise CertificationError(
-            "different not available: tower has an uncertified custom layer")
+            f"different not available: custom layer {K.name} "
+            f"({K.certificate}) is certified, but only custom layers of "
+            "slope 1/d carry a different")
     return K.different_val
 
 

@@ -250,12 +250,9 @@ def apply_automorphism(sigma, x):
                * fld.gen())
         k = fld.gen_shift[0]
         if k:
-            # fresh copies: a cached valuation lets a product claim digits
-            # that the power-basis order does not carry
             B = fld.base
-            pi_b, inv_b = (FieldElement(B, y.vec, y.s, y.m)
-                           for y in (B.pi, B.pi_pow(-1)))
-            img = img * fld.embed((pi_b * _horner(sigma, gen_imgs, inv_b)) ** k)
+            img = img * fld.embed(
+                (B.pi * _horner(sigma, gen_imgs, B.pi_pow(-1))) ** k)
         gen_imgs[fld] = img
     return _horner(sigma, gen_imgs, x)
 

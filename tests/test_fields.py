@@ -285,6 +285,22 @@ def test_unramified_quadratic_custom_p3():
     assert residue(y)[0] == (1, 0)
 
 
+@pytest.mark.parametrize("p, steps", [
+    (3, [T.custom([-4, 0])]),                       # 4 = 2^2
+    (3, [T.custom([-2, 0]), T.custom([-2, 0])]),    # 2 is a square in F_9
+])
+def test_quadratic_square_discriminant_is_reducible(p, steps):
+    with pytest.raises(CertificationError, match="reducible"):
+        build_field(p, steps)
+
+
+@pytest.mark.parametrize("p, c", [(5, 2), (7, 3)])
+def test_quadratic_nonsquare_unit_is_unramified(p, c):
+    K = build_field(p, [T.custom([-c, 0])])
+    assert (K.n, K.e, K.f) == (2, 1, 2)
+    assert K.certificate.startswith("unramified quadratic")
+
+
 def test_square_radicand_drops_p2():
     with pytest.raises(DegreeDropError):
         build_field(2, [T.kummer(2, 17)])    # 17 is a 2-adic square
@@ -349,20 +365,45 @@ def test_custom_rejects_non_integral_coefficients():
     assert build_field(3, [T.custom([Fraction(-3, 2), 0, 0])]).e == 3
 
 
+def _agrees(a, b):
+    """a and b, elements of one tower at two working precisions, agree
+    to every digit that a claims."""
+    p = a.field.p
+    top = max(a.s, b.s)
+    return all((x * p ** (top - a.s) - y * p ** (top - b.s))
+               % p ** (a.m + top - a.s) == 0 for x, y in zip(a.vec, b.vec))
+
+
 def test_step_generator_precision_is_honest(K2):
     # g * g must agree with the same product at a higher working
     # precision to every digit it claims (the generator may not claim
-    # more digits than its stored layer relation carries); fresh copies,
-    # since a cached valuation lets a product claim more
+    # more digits than its stored layer relation carries), on a fresh
+    # copy and after g.valuation() has cached v(g)
     from anabelomorph.fields import FieldElement
     H = build_field(3, [T.cyclotomic(9), T.kummer(9, 3)], prec=600)
     for g, h in zip(K2.step_generators, H.step_generators):
-        g = FieldElement(K2, g.vec, g.s, g.m)
-        a, b = g * g, h * h
-        top = max(a.s, b.s)
-        for x, y in zip(a.vec, b.vec):
-            d = x * 3 ** (top - a.s) - y * 3 ** (top - b.s)
-            assert d % 3 ** (a.m + top - a.s) == 0
+        fresh = FieldElement(K2, g.vec, g.s, g.m)
+        assert _agrees(fresh * fresh, h * h)
+        g.valuation()
+        assert _agrees(g * g, h * h)
+
+
+PI_POW_TOWERS = {
+    3: [T.cyclotomic(9), T.kummer(9, 4)],
+    5: [T.cyclotomic(5), T.kummer(5, 6)],
+    7: [T.cyclotomic(7), T.kummer(7, 8)],
+    2: [T.cyclotomic(8), T.kummer(8, 3)],
+}
+
+
+@pytest.mark.parametrize("p", PI_POW_TOWERS)
+def test_pi_pow_precision_is_honest(p):
+    # pi^k claims no digit that the same power at a higher working
+    # precision does not have, whatever valuations are cached on the way
+    K = build_field(p, PI_POW_TOWERS[p])
+    H = build_field(p, PI_POW_TOWERS[p], prec=700)
+    for k in range(2, 3 * K.e):
+        assert _agrees(K.pi_pow(k), H.pi_pow(k)), k
 
 
 # ----------------------------------------------------------------------
@@ -479,6 +520,13 @@ def test_every_layer_kind_passes_one_certificate(name):
             assert fld.different_val is None
         else:
             assert fld.different_val == fld.layer_diff + e_rel * B.different_val
+
+
+def test_missing_different_names_its_scope():
+    # x^3 - 9 is certified (slope 2/3); the error names that scope
+    K = build_field(3, [T.custom([-9, 0, 0])])
+    with pytest.raises(CertificationError, match="slope 2/3.* slope 1/d"):
+        different_valuation(K)
 
 
 def test_quadratic_over_uncertified_different(tmp_path, capsys):
