@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (DegreeDropError, TowerStep, _normalize_radicand,
-                     _padic_det, _parse_radicand, _peel_unit, build_field)
+                     _padic_det, _parse_radicand, _parsed, _peel_unit,
+                     build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -86,6 +87,10 @@ class AnabelomorphismVerdict:
         }
 
 
+_SPEC_GRAMMAR = ("a spec is p=<prime> r=<integer> with an optional "
+                 "rad=<radicand>, such as p=3 r=2 rad=3")
+
+
 def parse_kummer_spec(text):
     """Compact format: ``p=3 r=2 rad=3`` (rad optional, may be z-polynomial)."""
     p = r = None
@@ -93,9 +98,9 @@ def parse_kummer_spec(text):
     for tok in text.split():
         key, _, val = tok.partition("=")
         if key == "p":
-            p = int(val)
+            p = _parsed(int, val, "p= value", _SPEC_GRAMMAR)
         elif key == "r":
-            r = int(val)
+            r = _parsed(int, val, "r= value", _SPEC_GRAMMAR)
         elif key == "rad":
             rad = _parse_radicand(val)
         else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (_MIN_EFFECTIVE, FieldElement, FieldError,
+from .fields import (_MIN_EFFECTIVE, FieldElement, FieldError, _parsed,
                      parse_zeta_poly)
 from .padic import PrecisionError
 
@@ -368,17 +368,29 @@ def _tate_digits(K, vD, depth):
     max(reads, _MIN_EFFECTIVE) + 3 sigma with sigma that bound on s(y):
     15 digits on Q_3(zeta_9, 3^(1/9)) and 18 on Q_3(zeta_9, 4^(1/9)),
     against M = 290."""
-    sigma, walk = K.pi.s, 0
+    walk = 0
     layer = K
     while layer.base is not None:
         beta, gamma, _, _ = layer.frame
         walk += (layer.d - 1) * max(beta[1] if beta else 0,
                                     gamma[1] if gamma else 0)
+        layer = layer.base
+    reads = -(-(vD + 6 * depth + 7) // K.e) + walk
+    return max(reads, _MIN_EFFECTIVE) + 3 * _denominator_bound(K)
+
+
+def _denominator_bound(K):
+    """sigma: s(pi) plus (d - 1) s(delta) per unramified layer, which
+    bounds the p-power denominator s of a lift(c) pi^j (``_tate_digits``)
+    and so of every integral element of K, a sum of such terms to
+    precision."""
+    sigma = K.pi.s
+    layer = K
+    while layer.base is not None:
         if layer.f != layer.base.f:
             sigma += (layer.d - 1) * layer.delta.s
         layer = layer.base
-    reads = -(-(vD + 6 * depth + 7) // K.e) + walk
-    return max(reads, _MIN_EFFECTIVE) + 3 * sigma
+    return sigma
 
 
 def _end(trace, vD, f, kodaira, c, m, split=None):
@@ -583,6 +595,11 @@ def iwasawa_log(x, target_digits=24):
     """Branch log(p) = 0 extended to K^*: strip the p-part through
     x^e / p^(v(x)), kill residue torsion, then sum the 1-unit series.
 
+    x is first cut once (``FieldElement.capped``) to the
+    ``_log_digits`` the answer reads, so that the reduction and the
+    series multiply tens of digits above v(x) instead of the working
+    precision; the sum is the one of the uncut x.
+
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
     whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
     target = e * target_digits; that bound keeps an extra e below
@@ -593,10 +610,11 @@ def iwasawa_log(x, target_digits=24):
     K = x.field
     p = K.p
     v = x.valuation()
+    x = x.capped(_log_digits(K, v, x.s, target_digits))
     e, f = K.e, K.f
     y = x ** e
     if v:
-        y = y * K.from_fraction(Fraction(1, p ** v))
+        y = y * K.from_fraction(Fraction(1, p) ** v)
     q = p ** f
     z = y ** (q - 1)
     divisor = e * (q - 1)
@@ -616,18 +634,87 @@ def iwasawa_log(x, target_digits=24):
         kpow += 1
         if kpow > 8 * e:
             raise PrecisionError("logarithm reduction did not converge")
+    n = _log_terms(vt, e, p, target)
+    return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
+
+
+def _log_digits(K, v, s, target_digits):
+    """The digits above p^s to which ``iwasawa_log`` cuts x = vec / p^s,
+    v = v_K(x), so that its sum keeps target_digits digits and is the
+    sum of the uncut x (Caruso-Roe-Vaccon precision tracking over the
+    steps of the log).
+
+    Write A = m - s for the digits an element carries above its
+    denominator.  A product keeps the smaller m, so its A is
+    min(A1 - s2, A2 - s1): it loses the s of its other factor.  A sum
+    loses nothing, a normalization keeps A, and the constants 1, p^-v
+    and 1/j carry about M digits.  Each step computes the uncut step's
+    numerator mod the smaller p^m, with the same s, so a sum that keeps
+    target_digits is the uncut one.  From the cut x, A = digits, to the
+    sum, A drops by at most:
+
+      * v, at the division of x^e by p^v, when v > 0;
+      * lam = max v_p(j) = floor(log_p n), at the 1/j of the series,
+        passed on once through Horner's rule; n is the number of terms
+        at the least v(t) the reduction allows, e // (p - 1) + 1, the
+        most it can take;
+      * the s of the other factor at each product on the longest path
+        from x to the sum.  A binary power k makes c(k) = bitlen(k) +
+        popcount(k) - 2 such products: c(e) in x^e, whose factors x^a
+        have s <= max(s, sigma + max(0, -v)) (p^max(0,-v) x^a is
+        integral); c(q - 1) in the (q - 1)-th power; c(p) in each
+        p-th power, at most kmax of them, since each raises v(t) from
+        at least 1 to at least min(p v(t), v(t) + e); and the
+        (k - 1) + (ceil(n/k) - 1) Paterson-Stockmeyer products.  Those
+        factors are integral, so their s is at most sigma
+        (``_denominator_bound``), and the Horner accumulator's is at most
+        sigma + lam.
+
+    A cut that comes out short loses digits the sum then does not
+    claim, or raises PrecisionError; it never changes a digit that is
+    claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 111
+    digits of x = 3 (1 + pi) (v = 54) and 165 of x^2, of the 272 both
+    carry at M = 290; with sigma = 2 on Q_3(zeta_9, 4^(1/9)), 141 and
+    195 of 262 and 261."""
+    p, e = K.p, K.e
+    sigma = _denominator_bound(K)
+    vt, kmax = 1, 0
+    while vt * (p - 1) <= e:
+        vt, kmax = min(p * vt, vt + e), kmax + 1
+    n = _log_terms(e // (p - 1) + 1, e, p, e * target_digits)
+    k = _ps_step(n)
+    products = (_chain(p ** K.f - 1) + kmax * _chain(p)
+                + (k - 1) + (-(-n // k) - 1))
+    return (target_digits + max(v, 0) + _intlog(n, p)
+            + max(s, sigma + max(0, -v)) * _chain(e) + sigma * products)
+
+
+def _chain(k):
+    """Products on the longest path of FieldElement.__pow__(., k)."""
+    return k.bit_length() + bin(k).count("1") - 2
+
+
+def _log_terms(vt, e, p, target):
+    """The terms n of the series whose tail, at v(t) = vt, is below
+    v_K = target."""
     n = 1
     while (n + 1) * vt - e * (_intlog(n + 1, p) + 1) < target:
         n += 1
-    return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
+    return n
+
+
+def _ps_step(n):
+    """The Paterson-Stockmeyer chunk length k for n terms, the k that
+    makes (k - 1) + (ceil(n/k) - 1) products fewest."""
+    return min(range(1, n + 1), key=lambda k: k + (n + k - 1) // k)
 
 
 def _log_series(t, n):
     """sum_(j <= n) (-1)^(j+1) t^j / j by Paterson-Stockmeyer: the baby
     steps t, ..., t^k, chunks of k terms with the scalar coefficients, and
     Horner in t^k over the chunks, (k - 1) + (ceil(n/k) - 1) products with
-    k chosen to minimise that count."""
-    k = min(range(1, n + 1), key=lambda k: k + (n + k - 1) // k)
+    k chosen to minimise that count (``_ps_step``)."""
+    k = _ps_step(n)
     powers = [t]
     while len(powers) < k:
         powers.append(powers[-1] * t)
@@ -660,15 +747,21 @@ def l_invariant(q, target_digits=24):
 # base-change comparison across an anabelomorphic pair
 
 
+_CURVE_GRAMMAR = ("a curve is [a1,a2,a3,a4,a6], each entry an integer "
+                  "polynomial in z with exponents >= 0, such as 3z^2-z+5")
+
+
 def parse_curve(text):
     """``[a1,a2,a3,a4,a6]`` with integer-polynomial-in-z entries."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("curve must be given as [a1,a2,a3,a4,a6]")
+        raise ValueError(f"bad curve {text!r}: {_CURVE_GRAMMAR}")
     parts = s[1:-1].split(",")
     if len(parts) != 5:
-        raise ValueError("curve needs exactly five coefficients")
-    return [parse_zeta_poly(t if t.strip() else "0") for t in parts]
+        raise ValueError(f"bad curve {text!r}: it has {len(parts)} "
+                         f"coefficients; {_CURVE_GRAMMAR}")
+    return [_parsed(parse_zeta_poly, t if t.strip() else "0",
+                    "curve coefficient", _CURVE_GRAMMAR) for t in parts]
 
 
 def weak_amphoricity_report(coeffs, K, L):

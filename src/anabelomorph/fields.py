@@ -1788,7 +1788,7 @@ def parse_field_spec(text, p=None, prec=None):
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line.startswith("p="):
-            q = int(line[2:])
+            q = _parsed(int, line[2:], "prime", _PRIME_GRAMMAR)
             if p is not None and q != p:
                 raise ValueError(f"header {line!r} contradicts p={p}")
             p = q
@@ -1801,7 +1801,8 @@ def parse_field_spec(text, p=None, prec=None):
         if not args:
             raise ValueError(f"{kind} step without an argument: {line!r}")
         if kind == "cyclotomic":
-            steps.append(TowerStep.cyclotomic(int(args[0])))
+            steps.append(TowerStep.cyclotomic(
+                _parsed(int, args[0], "cyclotomic modulus", _STEP_GRAMMAR)))
         elif kind == "kummer":
             radtxt = None
             for tok in args[1:]:
@@ -1809,7 +1810,9 @@ def parse_field_spec(text, p=None, prec=None):
                     radtxt = tok[4:]
             if radtxt is None:
                 raise ValueError(f"kummer step without rad=: {line!r}")
-            steps.append(TowerStep.kummer(int(args[0]), _parse_radicand(radtxt)))
+            steps.append(TowerStep.kummer(
+                _parsed(int, args[0], "kummer exponent", _STEP_GRAMMAR),
+                _parse_radicand(radtxt)))
         else:
             steps.append(TowerStep.custom(_parse_int_poly(args[0])))
     if p is None:
@@ -1817,25 +1820,42 @@ def parse_field_spec(text, p=None, prec=None):
     return build_field(p, steps, prec=prec)
 
 
+# the grammars of the user inputs, named by every parse error
+_PRIME_GRAMMAR = "p= takes an integer prime, such as p=3"
+_STEP_GRAMMAR = ("a field-spec step is cyclotomic <p^r>, kummer <p^s> "
+                 "rad=<radicand> or custom <monic polynomial in x>, with "
+                 "integers p^r and p^s, such as kummer 9 rad=3")
 _RADICAND_GRAMMAR = ("rad= takes an integer, a fraction a/b, or an integer "
                      "polynomial in z with exponents >= 0, such as 3z^2-z+5")
+_CUSTOM_GRAMMAR = ("custom takes a monic integer polynomial in x with "
+                   "exponents >= 0, such as x^3-9")
+
+
+def _parsed(parse, text, what, grammar):
+    """parse(text), with a malformed text reported as a ValueError that
+    quotes it and names its grammar."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad {what} {text!r}: {grammar}") from exc
 
 
 def _parse_radicand(text):
-    try:
+    def parse(text):
         if "z" in text:
             return parse_zeta_poly(text)
         if "/" in text:
             return Fraction(text)
         return int(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad radicand {text!r}: {_RADICAND_GRAMMAR}") from exc
+    return _parsed(parse, text, "radicand", _RADICAND_GRAMMAR)
 
 
 def _parse_int_poly(text):
     """Monic polynomial in x -> coefficient list (low degree first, no lead)."""
-    terms = _parse_terms(text, "x")
-    deg = max(terms)
-    if terms[deg] != 1:
-        raise ValueError("custom polynomial must be monic")
-    return [terms.get(i, 0) for i in range(deg)]
+    def parse(text):
+        terms = _parse_terms(text, "x")
+        deg = max(terms)
+        if terms[deg] != 1:
+            raise ValueError("custom polynomial must be monic")
+        return [terms.get(i, 0) for i in range(deg)]
+    return _parsed(parse, text, "custom polynomial", _CUSTOM_GRAMMAR)

@@ -266,6 +266,42 @@ def test_malformed_radicand_names_the_grammar(rad, capsys):
         in err
 
 
+_CURVE = "a curve is [a1,a2,a3,a4,a6], each entry an integer polynomial in z"
+_STEP = "a field-spec step is cyclotomic <p^r>, kummer <p^s> rad=<radicand>"
+_CUSTOM = "custom takes a monic integer polynomial in x"
+_SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
+
+
+@pytest.mark.parametrize("argv,spec_file,bad,grammar", [
+    (["tate", "[0,3,0,0,q]", "p=3 r=1 rad=3"], None, "q", _CURVE),
+    (["tate", "[0,3,0,0,z^]", "p=3 r=1 rad=3"], None, "z^", _CURVE),
+    (["tate", "[0,3,0,0,3z^-1]", "p=3 r=1 rad=3"], None, "3z^-1", _CURVE),
+    (["tate", "[0,3,0,0]", "p=3 r=1 rad=3"], None, "[0,3,0,0]", _CURVE),
+    (["disc"], "p=3\ncustom x^\n", "x^", _CUSTOM),
+    (["disc"], "p=3\ncustom x^3-9x^-1\n", "x^3-9x^-1", _CUSTOM),
+    (["disc"], "p=3\ncustom 2x^2-3\n", "2x^2-3", _CUSTOM),
+    (["disc"], "p=3\ncyclotomic nine\n", "nine", _STEP),
+    (["disc"], "p=3\ncyclotomic 9\nkummer 9x rad=3\n", "9x", _STEP),
+    (["disc"], "p=three\ncyclotomic 9\n", "three", "p= takes an integer prime"),
+    (["disc", "p=3 r=x rad=3"], None, "x", _SPEC),
+    (["disc", "p=y r=1 rad=3"], None, "y", _SPEC),
+    (["check-anab", "p=3 r=1.5", "p=3 r=1"], None, "1.5", _SPEC),
+])
+def test_malformed_input_names_its_grammar(argv, spec_file, bad, grammar,
+                                           tmp_path, capsys):
+    # curves, custom polynomials, field-spec steps and the p= and r= keys:
+    # exit 3 with the bad text and its grammar, and no traceback
+    if spec_file is not None:
+        path = tmp_path / "bad.field"
+        path.write_text(spec_file)
+        argv = argv + [str(path)]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert repr(bad) in err and grammar in err
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
 def test_tower_over_the_degree_budget_is_refused(capsys):
     # degree 2 * 3^79: refused from the spec before any layer is built
     code = run_cli("disc", "p=3 r=40 rad=3")

@@ -439,6 +439,109 @@ def test_log_series_product_count(p, r, rad, n, monkeypatch):
                                  for k in range(1, n + 1))
 
 
+# ----------------------------------------------------------------------
+# property: the log at the precision its answer reads
+
+_LOG_DIGITS = elliptic._log_digits
+
+# the towers of the invariants benchmark, (p, r, a): Q_p(zeta_(p^r),
+# (a b^(p^r))^(1/p^r)) with b = 2, or 3 at p = 2
+_LOG_SHAPES = ([(p, 1, p) for p in (3, 5, 7)] + [(p, 1, 1 + p) for p in (3, 5, 7)]
+               + [(3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5), (2, 3, 3)])
+_SHAPE_FIELDS = {}
+
+
+def _shape_field(p, r, a):
+    if (p, r, a) not in _SHAPE_FIELDS:
+        b = 3 if p == 2 else 2
+        _SHAPE_FIELDS[p, r, a] = build_field(
+            p, [T.cyclotomic(p ** r), T.kummer(p ** r, a * b ** (p ** r))])
+    return _SHAPE_FIELDS[p, r, a]
+
+
+def _log_cut(q, digits):
+    """l_invariant(q) with x cut to ``digits`` (None: the derived
+    digits), or PrecisionError; and the digits used."""
+    used = []
+
+    def cut(K, v, s, target_digits):
+        used.append(_LOG_DIGITS(K, v, s, target_digits) if digits is None
+                    else digits)
+        return used[-1]
+
+    with mock.patch.object(elliptic, "_log_digits", cut):
+        try:
+            return l_invariant(q), used[0]
+        except PrecisionError:
+            return PrecisionError, used[0]
+
+
+def _check_log_digits(q, descend):
+    """At the derived digits l_invariant(q) is the uncut (vec, s, m).
+    With ``descend``, each smaller count down to target_digits gives a
+    value that claims no more digits and agrees with the uncut one to
+    its claim, or raises PrecisionError."""
+    want, _ = _log_cut(q, q.field.M + q.s)
+    got, derived = _log_cut(q, None)
+    assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
+    assert derived < q.field.M
+    for digits in range(derived - 1, 23, -1) if descend else ():
+        got, _ = _log_cut(q, digits)
+        if got is not PrecisionError:
+            assert got.m - got.s <= want.m - want.s, digits
+            assert (got - want).is_zero_to_precision(), digits
+    return derived
+
+
+@pytest.mark.parametrize("shape", _LOG_SHAPES)
+def test_log_derived_digits_invariants_towers(shape):
+    # q = p (1 + pi) and q^2, the two logs of a linv item; every smaller
+    # count for q
+    K = _shape_field(*shape)
+    q = K.from_int(K.p) * (K.one() + K.pi)
+    _check_log_digits(q, descend=True)
+    _check_log_digits(q * q, descend=False)
+
+
+@pytest.mark.parametrize("name", list(_LOG_TOWERS))
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_log_derived_digits_tate_parameters(name, data):
+    # u pi^k, k >= 1, u a unit c_0 + p (...): the derived cut gives the
+    # uncut l_invariant
+    if name not in _LOG_FIELDS:
+        _LOG_FIELDS[name] = build_field(*_LOG_TOWERS[name])
+    K = _LOG_FIELDS[name]
+    p = K.p
+    c0 = data.draw(st.integers(1, p ** 3).filter(lambda c: c % p))
+    rest = data.draw(st.lists(st.integers(-p ** 3, p ** 3),
+                              min_size=K.n - 1, max_size=K.n - 1))
+    q = FieldElement(K, [c0] + [p * c for c in rest])
+    q = q * K.pi_pow(data.draw(st.integers(1, 3 * K.e)))
+    assume(not q.is_zero_to_precision())
+    _check_log_digits(q, descend=False)
+
+
+def test_log_products_run_at_the_derived_width(monkeypatch):
+    # every product of l_invariant(p (1 + pi)) on (3, 2, 3 2^9) runs at
+    # most at the derived digits; the uncut x ** e ran at m = 272
+    K = _shape_field(3, 2, 3)
+    q = K.from_int(3) * (K.one() + K.pi)
+    derived = _LOG_DIGITS(K, q.valuation(), q.s, 24)
+    assert derived < q.m
+    widths = []
+    mul = FieldElement.__mul__
+
+    def recording_mul(a, b):
+        widths.append(min(a.m, b.m) if isinstance(b, FieldElement) else a.m)
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", recording_mul)
+    l_invariant(q)
+    assert widths and max(widths) <= derived
+
+
 def test_parse_curve():
     c = parse_curve("[0,3,0,0,9]")
     cleaned = [{k: v for k, v in d.items() if v} for d in c]

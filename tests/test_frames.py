@@ -176,6 +176,33 @@ def test_frame_answer_holds_for_every_lift(key):
 
 @pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
                          ids=[f"{s}-p{p}" for s, p in sorted(FRAME_TOWERS)])
+def test_base_element_valuation_stays_below_the_floor(key):
+    # an element of the base, its digits at the edge p^(m-3) .. p^(m-1)
+    # of its modulus: every layer certifies a valuation only below
+    # e (m - s), so the base's answer, scaled by e(K/B), is the layer's.
+    # The floor check of LocalField._val on such elements therefore never
+    # rejects a certified base valuation, and its mutant scale * v <=
+    # floor answers the same: the case v = e (m - s) cannot be certified
+    K = _tower(key)
+    p, B = K.p, K.base
+    scale = K.frame[2]
+    rng = random.Random(f"floor:{key}")
+    for _ in range(100):
+        s = rng.randrange(3)
+        m = s + rng.randrange(12, 17)
+        vec = [rng.choice((0, 0, 1, -1, 1 + p)) * p ** (m - rng.randrange(1, 4))
+               for _ in range(B.n)]
+        vb, bb, _ = B._val(vec, s, m)
+        v, bound, _ = K._val(vec + [0] * (K.n - B.n), s, m)
+        if vb is not None:
+            assert vb < B.e * (m - s)
+            assert (v, bound) == (scale * vb, None)
+        else:
+            assert v is None and bound == min(K.e * (m - s), scale * bb)
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
+                         ids=[f"{s}-p{p}" for s, p in sorted(FRAME_TOWERS)])
 def test_frame_certifies_uniformizer_and_base(key):
     K = _tower(key)
     assert K.pi.valuation() == 1
