@@ -26,8 +26,10 @@ or a product of two cyclic groups, and a conjugate costs a permutation
 or block products by roots of unity rather than a layer product, so the
 product of the conjugates, whose product with the element is the
 resultant of the layer relation against it, is built by doubling over
-each cyclic factor in O(log d) layer products.  Non-Galois custom layers
-fall back to the determinant of the multiplication matrix.
+each cyclic factor in O(log d) layer products.  A custom layer, Galois
+or not, gets its cofactor from the characteristic polynomial of
+multiplication by the element over the base (Cayley-Hamilton), so every
+layer kind shares one norm walk and one inverse.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u), which also yields
@@ -36,8 +38,9 @@ The certificate gives each layer a valuation frame: gen = gamma delta +
 beta with beta, gamma in the base and v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
 Valuations are read off the frames layer by layer, never from a norm;
-the norm valuation v_p(N(x)) / f only certifies each frame's delta
-before the frame exists, and serves the tests as an oracle.  The same
+a layer's own norm only certifies its frame's delta before the frame
+exists, v_B(N_{K/B}(delta)) = f_{K/B} v_K(delta), read off the base's
+certified frame.  The same
 walk reads the residue of x / pi^v(x) off the least frame term, in the
 residue field F_q as coordinate tuples over F_p (``residue_at``), and
 ``lift`` turns such a tuple into a representative in K on demand.
@@ -396,7 +399,6 @@ class LocalField:
         self.M = M
         self.pM = p ** M
         self.name = name
-        self._has_custom = bool(base is not None and base._has_custom)
         self.e = base.e if base else 1  # a layer's e, f: see _set_frame
         self.f = base.f if base else 1
         self.pi = None
@@ -623,9 +625,6 @@ class LocalField:
         vec, s, m = x.vec, x.s, x.m
         fld = self
         while fld.base is not None:
-            if fld.kind == "custom":
-                nint, _, m = fld.norm_tower(FieldElement(fld, vec, 0, m))
-                return nint, s * fld.n, m
             _, vec = fld._layer_cofactor(vec, m)
             s *= fld.d
             fld = fld.base
@@ -652,26 +651,6 @@ class LocalField:
         if prec is not None:
             rel = min(rel, prec)
         return PadicScalar(self.p, v - s, (nint // self.p ** v) % self.p ** rel, rel)
-
-    def norm_valuation(self, x):
-        """v_K(x) = v_p(N(x)) / f from the full norm.
-
-        Its one call during construction is in ``_set_frame``, which
-        certifies the frame's delta before the layer's frame exists; it
-        is also the tests' oracle for val_or_bound.
-        Raises PrecisionError when the norm is zero to precision.
-        """
-        nint, s, m = self.norm_tower(x)
-        nint %= self.p ** m
-        if nint == 0:
-            raise PrecisionError(
-                f"norm is zero mod p^{m} under denominator p^{s}; "
-                "raise the working precision")
-        vp = _vp(nint, self.p) - s
-        if vp % self.f:
-            raise FieldError("norm valuation not divisible by the residue "
-                             "degree: internal inconsistency")
-        return vp // self.f
 
     def val_or_bound(self, x):
         """(v_K(x), None), or (None, bound) when x is only known to have
@@ -865,15 +844,25 @@ class LocalField:
         """Set e = e_B e_rel and f = f_B d / e_rel, certify the frame
         gen = gamma delta + beta with v_K(delta) = weight, and install it;
         beta and gamma are base elements, None standing for 0 and 1.  A
-        nonzero weight is certified by the full norm, v_p(N(delta)) / f;
-        an unramified layer's delta (weight 0) is a unit by construction.
-        The element delta is kept for the residue constants."""
+        nonzero weight is certified by the layer norm, whose valuation is
+        v_B(N_{K/B}(delta)) = f_{K/B} v_K(delta) (Serre, Local Fields),
+        read off the base's certified frame; an unramified layer's delta
+        (weight 0) is a unit by construction.  The element delta is kept
+        for the residue constants."""
         B = self.base
+        f_rel = self.d // e_rel
         self.e = B.e * e_rel
-        self.f = B.f * (self.d // e_rel)
-        if weight and self.norm_valuation(delta) != weight:
-            raise CertificationError(
-                f"{self.kind} layer frame check failed: v(delta) != {weight}")
+        self.f = B.f * f_rel
+        if weight:
+            _, nvec = self._layer_cofactor(delta.vec, delta.m)
+            v = B._val(nvec, delta.s * self.d, delta.m)[0]
+            if v is None:
+                raise PrecisionError(
+                    f"{self.kind} layer norm of delta is zero to precision; "
+                    "raise the working precision")
+            if v != weight * f_rel:
+                raise CertificationError(
+                    f"{self.kind} layer frame check failed: v(delta) != {weight}")
         self.delta = delta
         if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
             gpows = [None, gamma.vec]
@@ -914,9 +903,7 @@ class LocalField:
     # -- inversion ----------------------------------------------------------
 
     def invert(self, x):
-        """x^{-1} via the cofactor: product of all conjugates except x."""
-        if self._has_custom:
-            return self._invert_by_solve(x)
+        """x^{-1} = cof / N(x), with x cof = N(x) from the layer cofactors."""
         a, m = x.s, x.m
         cof, nint = self._cofactor(FieldElement(self, x.vec, 0, m) if a else x)
         pm = self.p ** m
@@ -937,29 +924,6 @@ class LocalField:
             if x._res is not None:
                 out._res = self.residue_field.pow(x._res, -1)
         return out._normalized()
-
-    def _invert_by_solve(self, x):
-        """x^{-1} by solving x * y = 1 (towers with a non-Galois custom
-        layer have no conjugate cofactor)."""
-        cols, m = self._flat_mult_matrix(FieldElement(self, x.vec, 0, x.m))
-        rhs = [0] * self.n
-        rhs[0] = 1
-        sol, shift = _padic_solve(cols, rhs, self.p, m)
-        res = FieldElement(self, tuple(sol), shift, m)._normalized()
-        if x.s:
-            res = res * self.from_int(self.p ** x.s)
-        return res._normalized()
-
-    def _flat_mult_matrix(self, x):
-        """Columns: x * basis_j over Q_p, as integer vectors mod p^m."""
-        n = self.n
-        pm = self.p ** x.m
-        cols = []
-        for j in range(n):
-            basis = [0] * n
-            basis[j] = 1
-            cols.append(self._mul_mod(x.vec, tuple(basis), pm))
-        return cols, x.m
 
     def _cofactor(self, x):
         """(cofactor element of self, norm integer): x * cofactor = N(x),
@@ -1202,23 +1166,49 @@ class QuadField(GaloisLayer):
 
 
 class CustomField(LocalField):
-    """Monic polynomial layer; norms via the multiplication matrix."""
+    """Monic polynomial layer, Galois over its base or not; its layer
+    cofactor comes from the characteristic polynomial of multiplication
+    by the element."""
 
     def __init__(self, base, coeffs, M, name):
         d = len(coeffs)
         super().__init__(base.p, base, "custom", d, M, name)
-        self._has_custom = True
         self.coeffs = coeffs  # low-degree first, base elements; theta^d = -sum c_i theta^i
         self.relation = _relation(coeffs)
 
-    def norm_tower(self, x):
-        cols, m = self._flat_mult_matrix(x)
-        return _padic_det(cols, self.p, m), x.s * self.n, m
+    # the inherited methods, named on this class because bench/spans.py
+    # traces them here by name
+    norm_tower = LocalField.norm_tower
+    invert = LocalField.invert
 
-    def invert(self, x):
-        # same path as LocalField.invert takes for custom towers; kept as
-        # this class's own method because bench/spans.py traces it
-        return self._invert_by_solve(x)
+    def _layer_cofactor(self, vec, m):
+        """(cofactor vec, base vec of the layer norm), as for a Galois layer.
+
+        Column j of the matrix of multiplication by x over the base is
+        x theta^j, cut into d base blocks.  With its characteristic
+        polynomial t^d + c_1 t^(d-1) + ... + c_d (``_charpoly``),
+        Cayley-Hamilton gives x (x^(d-1) + c_1 x^(d-2) + ... + c_(d-1)) =
+        -c_d, and the norm is the determinant (-1)^d c_d, so the cofactor
+        is (-1)^(d+1) (x^(d-1) + c_1 x^(d-2) + ... + c_(d-1)).  Every step
+        is a ring operation mod p^m, and ``_project`` checks that x cof
+        lies in the base.
+        """
+        pm = self.p ** m
+        b, d = self.base.n, self.d
+        gen = self.gen().vec
+        cols = [vec]
+        for _ in range(d - 1):
+            cols.append(self._mul_mod(cols[-1], gen, pm))
+        c = _charpoly([[col[i * b:(i + 1) * b] for col in cols]
+                       for i in range(d)], self.base._mul_mod, pm)
+        cof = list(vec)
+        for k in range(d - 1):          # Horner: (x + c_1) x + c_2 ...
+            if k:
+                cof = list(self._mul_mod(cof, vec, pm))
+            cof[:b] = [a + ck for a, ck in zip(cof[:b], c[k])]
+        sign = 1 if d % 2 else -1
+        cof = tuple(sign * a % pm for a in cof)
+        return cof, self._project(self._mul_mod(vec, cof, pm), m)
 
 
 def _relation(coeffs):
@@ -1255,6 +1245,45 @@ def _add_block(conv, k, prod):
     else:
         for t, c in enumerate(prod):
             blk[t] += c
+
+
+def _charpoly(A, mul, pm):
+    """[c_1, ..., c_d] with det(t I - A) = t^d + c_1 t^(d-1) + ... + c_d,
+    mod pm, for a d x d matrix A whose entries are vectors of a base ring
+    with product ``mul(u, v, pm)``.
+
+    Berkowitz's recursion (Inform. Process. Lett. 18, 1984) divides by
+    nothing, so every step is exact mod pm.  With A_k the leading k x k
+    block and A_(k+1) = [[A_k, C], [R, a]], the Schur complement gives
+    det(t I - A_(k+1)) = (t - a) det(t I - A_k) - R adj(t I - A_k) C, and
+    for det(t I - A_k) = sum_j q_j t^(k-j) the adjugate is
+    sum_i t^(k-1-i) sum_(j <= i) q_j A_k^(i-j), so the last term's
+    coefficients are the convolution of q with s_l = R A_k^l C.
+    """
+    d = len(A)
+    b = len(A[0][0])
+
+    def dot(us, vs):
+        acc = [0] * b
+        for u, v in zip(us, vs):
+            acc = [a + c for a, c in zip(acc, mul(u, v, pm))]
+        return acc
+
+    q = [(1,) + (0,) * (b - 1), tuple(-a % pm for a in A[0][0])]
+    for k in range(1, d):
+        rows = [row[:k] for row in A[:k]]
+        R, a = A[k][:k], A[k][k]
+        v = [row[k] for row in A[:k]]           # A_k^l C, from l = 0
+        s = [dot(R, v)]
+        for _ in range(k - 1):
+            v = [dot(row, v) for row in rows]
+            s.append(dot(R, v))
+        new = list(q) + [(0,) * b]
+        for i in range(1, k + 2):
+            terms = dot([a] + q[:i - 1], [q[i - 1]] + s[:i - 1][::-1])
+            new[i] = tuple((c - t) % pm for c, t in zip(new[i], terms))
+        q = new
+    return q[1:]
 
 
 def _eliminate(A, p, m):
@@ -1308,31 +1337,6 @@ def _padic_det(rows, p, m):
     except ZeroDivisionError:
         return 0
     return unit * p ** sum(vals) % p ** m
-
-
-def _padic_solve(cols, rhs, p, m):
-    """Solve A x = rhs over Q_p to precision, A given by its columns.
-
-    Back substitution over the eliminated rows with a running p-power
-    denominator.  Returns (numerator vector, shift) with
-    x = numerator / p^shift; raises ZeroDivisionError when A is singular
-    to precision.
-    """
-    n = len(cols)
-    pm = p ** m
-    A = [list(row) + [b] for row, b in zip(zip(*cols), rhs)]
-    _, vals = _eliminate(A, p, m)
-    # x_k = (b_k - sum A[k][j] x_j) / p^(pv_k)
-    num = [0] * n   # numerators over denominator p^shift
-    shift = 0
-    for k in range(n - 1, -1, -1):
-        t = (A[k][n] * p ** shift
-             - sum(A[k][j] * num[j] for j in range(k + 1, n))) % pm
-        if vals[k]:
-            shift += vals[k]
-            num = [c * p ** vals[k] % pm for c in num]
-        num[k] = t
-    return num, shift
 
 
 # ----------------------------------------------------------------------

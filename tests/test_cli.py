@@ -51,6 +51,13 @@ def test_disc_bracket_rows(tmp_path):
     assert code == 0 and text.strip() == "[4, 121]"
 
 
+def test_disc_json_p2_r4(tmp_path):
+    code, text = run_capture(tmp_path, "disc", "p=2 r=4 rad=3",
+                             "--format", "json")
+    assert code == 0
+    assert json.loads(text)["v_disc"] == 532
+
+
 def test_disc_bare_cyclotomic(tmp_path):
     code, text = run_capture(tmp_path, "disc", "p=5 r=1")
     assert code == 0 and text.strip() == "3"

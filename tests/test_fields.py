@@ -9,6 +9,9 @@ from anabelomorph.fields import (CertificationError, DegreeDropError,
                                  find_uniformizer, norm_to_qp,
                                  parse_field_spec, parse_zeta_poly, residue,
                                  closed_form_disc)
+from anabelomorph.galois import (different_from_filtration,
+                                 ramification_filtration)
+from test_frames import norm_valuation
 
 T = TowerStep
 
@@ -206,6 +209,26 @@ def test_closed_form_matches_general_r2_p5():
     assert discriminant_valuation(L) == closed_form_disc(5, 2, "radicand-1+p") == 1083
 
 
+# each layer certifies its frame through its own layer norm: a norm down to
+# Q_p carries about n s digits of p-power denominator more, which these
+# towers do not have at their working precision
+@pytest.mark.slow
+def test_closed_form_matches_general_r3_p3():
+    K = build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
+    assert discriminant_valuation(K) == closed_form_disc(3, 3, "radicand-p") == 1983
+    L = build_field(3, [T.cyclotomic(27), T.kummer(27, 4)])
+    assert discriminant_valuation(L) == closed_form_disc(3, 3, "radicand-1+p") == 1579
+
+
+@pytest.mark.slow
+def test_different_matches_filtration_p2_r4():
+    K = build_field(2, [T.cyclotomic(16), T.kummer(16, 3)])
+    assert (K.e, K.f) == (64, 2)
+    filt = ramification_filtration(K)
+    assert different_valuation(K) == different_from_filtration(filt) == 266
+    assert discriminant_valuation(K) == 532
+
+
 def test_different_bound(K1, K2):
     # e - 1 + n/f; at r = 1 the measured different meets it with equality,
     # at r = 2 the measured value exceeds it: recorded as a finding, not a
@@ -348,7 +371,7 @@ def test_norm_denominator_swallowing_modulus_is_precision_error(F9):
     from anabelomorph.padic import PrecisionError
     x = FieldElement(F9, (0, 3 ** 10, 0, 0, 0, 0), 20, 40)
     with pytest.raises(PrecisionError):
-        F9.norm_valuation(x)
+        norm_valuation(x)
     assert x.val_or_bound() == (-60, None)
     assert not x.is_zero_to_precision()
     assert x._normalized().valuation() == -60
@@ -513,8 +536,8 @@ def test_every_layer_kind_passes_one_certificate(name):
     for fld in _layers(build_field(p, steps)):
         B = fld.base
         e_rel = fld.e // B.e
-        assert fld.norm_valuation(fld.pi) == 1
-        assert fld.norm_valuation(fld.embed(B.pi)) == e_rel
+        assert norm_valuation(fld.pi) == 1
+        assert norm_valuation(fld.embed(B.pi)) == e_rel
         assert fld.e * fld.f == fld.n
         if fld.layer_diff is None or B.different_val is None:
             assert fld.different_val is None

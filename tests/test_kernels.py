@@ -1,12 +1,14 @@
 """The shared kernels against oracles written here.
 
 ``_eliminate`` is the package's one pivoting elimination: the p-adic
-determinant (custom-layer norms, Krasner's Sylvester determinants) and
-the p-adic solve (inversion over custom layers) read their answers off
-it.  Layer norms are read from the conjugate cofactor; they are checked
-against the determinant of the multiplication matrix, against
-multiplicativity, and against x * cofactor = N(x).  The cofactor, built
-by doubling over the cyclic factors of each Galois group, is checked bit
+determinant (Krasner's Sylvester determinants) reads its answer off it.
+``_charpoly``, the division-free characteristic polynomial behind the
+cofactor of a custom layer, is checked against the exact determinant
+and against Cayley-Hamilton.  Layer norms are read from the layer
+cofactors; on every layer kind they are checked against the determinant
+of the flat multiplication matrix over Q_p, against multiplicativity,
+and against x * cofactor = N(x).  The cofactor of a Galois layer, built
+by doubling over the cyclic factors of its group, is checked bit
 for bit against the product of the conjugates taken one after another,
 and its count of layer products is pinned.  Products of every
 layer kind are checked against a schoolbook product reduced by the
@@ -22,9 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anabelomorph.fields import (_KARATSUBA_BITS, FieldElement, TowerStep,
-                                 _padic_det, _padic_solve, build_field,
+                                 _charpoly, _padic_det, build_field,
                                  norm_to_qp)
-from anabelomorph.padic import _vp
 
 T = TowerStep
 PRIMES = (2, 3, 5, 7)
@@ -49,21 +50,6 @@ def _frac_det(rows):
     return det
 
 
-def _frac_solve(rows, rhs):
-    """Exact solution of rows * x = rhs by Cramer's rule."""
-    det = _frac_det(rows)
-    out = []
-    for j in range(len(rows)):
-        rj = [row[:j] + [b] + row[j + 1:] for row, b in zip(rows, rhs)]
-        out.append(_frac_det(rj) / det)
-    return out
-
-
-def _v(q, p):
-    q = Fraction(q)
-    return _vp(q.numerator, p) - _vp(q.denominator, p) if q else None
-
-
 def _random_matrix(rng, p, n):
     # entries with assorted p-adic valuations, so pivots are not all units
     return [[rng.randrange(-p ** 4, p ** 4) * p ** rng.choice((0, 0, 1, 2))
@@ -80,31 +66,6 @@ def test_det_matches_exact(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_solve_matches_exact(p):
-    rng = random.Random(2000 + p)
-    m = 24
-    checked = 0
-    while checked < 25:
-        n = rng.randint(1, 6)
-        rows = _random_matrix(rng, p, n)
-        det = _frac_det(rows)
-        if det == 0 or _v(det, p) >= m // 2:
-            continue
-        rhs = [rng.randrange(-p ** 3, p ** 3) for _ in range(n)]
-        cols = [list(c) for c in zip(*rows)]
-        num, shift = _padic_solve(cols, rhs, p, m)
-        # A num = p^shift rhs holds exactly mod p^m ...
-        for row, b in zip(rows, rhs):
-            assert (sum(a * x for a, x in zip(row, num))
-                    - p ** shift * b) % p ** m == 0
-        # ... so num agrees with p^shift x mod p^(m - v(det))
-        for x, c in zip(_frac_solve(rows, rhs), num):
-            d = c - p ** shift * x
-            assert d == 0 or _v(d, p) >= m - _v(det, p)
-        checked += 1
-
-
-@pytest.mark.parametrize("p", PRIMES)
 def test_singular_to_precision(p):
     rng = random.Random(3000 + p)
     m = 12
@@ -112,16 +73,34 @@ def test_singular_to_precision(p):
     # exactly singular: the determinant is zero to precision
     rows[3] = [2 * a - 3 * b + c for a, b, c in zip(*rows[:3])]
     assert _padic_det(rows, p, m) == 0
-    # a repeated row is cleared exactly, so the solve sees a zero column
+    # a repeated row is cleared exactly, leaving a zero column
     rows[3] = rows[1]
     assert _padic_det(rows, p, m) == 0
-    with pytest.raises(ZeroDivisionError):
-        _padic_solve([list(c) for c in zip(*rows)], [1, 0, 0, 0], p, m)
     # singular mod p^m only: a column that vanishes to precision
     rows = [[p ** m, 1], [p ** (m + 1), 2]]
     assert _padic_det(rows, p, m) == 0
-    with pytest.raises(ZeroDivisionError):
-        _padic_solve([list(c) for c in zip(*rows)], [1, 0], p, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_charpoly_matches_det_and_cayley_hamilton(data):
+    # over Q_p: c_d = (-1)^d det(A), and A^d + c_1 A^(d-1) + ... + c_d I
+    # vanishes mod p^m
+    p = data.draw(st.sampled_from(PRIMES))
+    d = data.draw(st.integers(1, 6))
+    m = 24
+    pm = p ** m
+    rows = _random_matrix(random.Random(data.draw(st.integers(0, 10 ** 6))),
+                          p, d)
+    c = [ci for (ci,) in _charpoly([[(a,) for a in row] for row in rows],
+                                   build_field(p, [])._mul_mod, pm)]
+    assert len(c) == d
+    assert c[-1] == (-1) ** d * _frac_det(rows) % pm
+    h = [[int(i == j) for j in range(d)] for i in range(d)]
+    for ck in c:          # Horner: h <- h A + c_k I
+        h = [[sum(h[i][t] * rows[t][j] for t in range(d)) + ck * (i == j)
+              for j in range(d)] for i in range(d)]
+    assert all(a % pm == 0 for row in h for a in row)
 
 
 LAYERS = {
@@ -136,6 +115,10 @@ LAYERS = {
     "quad p=3": (3, [T.cyclotomic(3), T.custom([-2, 0])]),
     "quad p=5": (5, [T.custom([-5, 0])]),
     "quad p=7": (7, [T.cyclotomic(7), T.custom([-3, 0])]),
+    "custom p=2": (2, [T.cyclotomic(4), T.custom([-2, 0, 0])]),
+    "custom p=3": (3, [T.custom([-3, 3, 0])]),
+    "custom p=5": (5, [T.cyclotomic(5), T.custom([-5, 0, 0])]),
+    "custom p=7": (7, [T.custom([-7, 0, 7])]),
 }
 
 
@@ -154,9 +137,11 @@ def test_norm_from_cofactor_path(tower):
                 for _ in range(2))
         nint, s, m = K.norm_tower(x)
         assert s == 0
-        # the norm is the determinant of multiplication by x over Q_p
-        cols, mx = K._flat_mult_matrix(x)
-        assert nint % p ** m == _padic_det(cols, p, mx) % p ** m
+        # the norm is the determinant of multiplication by x over Q_p:
+        # column j is x times the j-th vector of the flat power basis
+        cols = [K._mul_mod(x.vec, [int(i == j) for i in range(K.n)], p ** m)
+                for j in range(K.n)]
+        assert nint % p ** m == _padic_det(cols, p, m)
         # x * cofactor = N(x)
         cof, nint2 = K._cofactor(x)
         assert nint2 % p ** m == nint % p ** m

@@ -16,7 +16,7 @@ of:
 
   * products and squares of dense, half-dense and one-block operands,
     and kernel products of unreduced (negative and >= p^m) vectors;
-  * conjugates and layer cofactors (Galois layers), and norms;
+  * conjugates (Galois layers), layer cofactors and norms;
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials.
 
@@ -198,7 +198,7 @@ def layer_values(F, fld, m, rng):
         if hasattr(fld, "_conjugates"):
             record(f"conjugates {i}",
                    lambda: list(fld._conjugates(x.vec, m)))
-            record(f"cofactor {i}", lambda: fld._layer_cofactor(x.vec, m))
+        record(f"cofactor {i}", lambda: fld._layer_cofactor(x.vec, m))
     xu, yu = ([rng.randrange(-pm, 2 * pm) for _ in range(fld.n)]
               for _ in range(2))
     record("unreduced", lambda: fld._mul_mod(xu, yu, pm))
