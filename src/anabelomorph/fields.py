@@ -911,6 +911,11 @@ class LocalField:
         if nint == 0:
             raise ZeroDivisionError("inversion of element that is zero to precision")
         vnum = _vp(nint, self.p)
+        # the unit nint / p^vnum is known only mod p^(m - vnum), so cof
+        # times its inverse is known mod p^(m - vnum + c), c the least v_p
+        # of cof's coordinates
+        m = min(m, m - vnum + min(_vp(c, self.p) for c in cof.vec if c))
+        pm = self.p ** m
         uinv = pow(nint // self.p ** vnum, -1, pm)
         vec = tuple(c * uinv % pm for c in cof.vec)
         # V^{-1} = cof / (p^vnum unit) for V = p^a x; then x^{-1} = p^a V^{-1}

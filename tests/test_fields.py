@@ -427,6 +427,35 @@ def test_pi_pow_precision_is_honest(p):
     H = build_field(p, PI_POW_TOWERS[p], prec=700)
     for k in range(2, 3 * K.e):
         assert _agrees(K.pi_pow(k), H.pi_pow(k)), k
+    for k in range(1, 3 * K.e):
+        assert _agrees(K.pi_pow(-k), H.pi_pow(-k)), -k
+
+
+INVERSE_TOWERS = {
+    "x^3-9": (3, [T.custom([-9, 0, 0])]),
+    "x^3+7x^2-7": (7, [T.custom([-7, 0, 7])]),
+}
+
+
+@pytest.mark.parametrize("name", INVERSE_TOWERS)
+def test_inverse_precision_is_honest(name):
+    # a non-unit x inverts through its norm p^v u, whose unit u is known
+    # to v digits fewer than the norm; x^-1 claims no digit that the same
+    # inverse at a higher working precision does not have
+    from anabelomorph.fields import FieldElement
+    p, steps = INVERSE_TOWERS[name]
+    K = build_field(p, steps)
+    H = build_field(p, steps, prec=700)
+    rng = random.Random(f"inverse:{name}")
+    checked = 0
+    while checked < 12:
+        vec = [rng.randrange(p ** 4) * p ** rng.randrange(3)
+               for _ in range(K.n)]
+        x = FieldElement(K, vec)
+        if x.valuation() == 0:
+            continue
+        assert _agrees(x.inv(), FieldElement(H, vec).inv()), vec
+        checked += 1
 
 
 # ----------------------------------------------------------------------
