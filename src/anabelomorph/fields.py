@@ -26,10 +26,8 @@ or a product of two cyclic groups, and a conjugate costs a permutation
 or block products by roots of unity rather than a layer product, so the
 product of the conjugates, whose product with the element is the
 resultant of the layer relation against it, is built by doubling over
-each cyclic factor in O(log d) layer products.  A custom layer, Galois
-or not, gets its cofactor from the characteristic polynomial of
-multiplication by the element over the base (Cayley-Hamilton), so every
-layer kind shares one norm walk and one inverse.
+each cyclic factor in O(log d) layer products; a custom layer's comes
+from the characteristic polynomial of multiplication by the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u), which also yields
@@ -39,9 +37,7 @@ beta with beta, gamma in the base and v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
 Valuations are read off the frames layer by layer, never from a norm;
 a layer's own norm only certifies its frame's delta before the frame
-exists, v_B(N_{K/B}(delta)) = f_{K/B} v_K(delta), read off the base's
-certified frame.  The same
-walk reads the residue of x / pi^v(x) off the least frame term, in the
+exists, through the base's frame.  The same walk reads the residue of x / pi^v(x) off the least frame term, in the
 residue field F_q as coordinate tuples over F_p (``residue_at``), and
 ``lift`` turns such a tuple into a representative in K on demand.
 """
@@ -693,11 +689,10 @@ class LocalField:
         if not any(c for blk in blocks[1:] for c in blk):
             # an element of the base plus an error of v >= e (m - s)
             v, bound, r = B._val(blocks[0], s, m, res)
-            floor = self.e * (m - s)
-            if v is not None and scale * v < floor:
+            if v is not None:
                 r = self._lead_residue([(0, v, r)], rconst) if res else None
                 return scale * v, None, r
-            return None, min(floor, scale * (bound if v is None else v)), None
+            return None, min(self.e * (m - s), scale * bound), None
         t = u = 0
         if beta is not None:
             bvec, t = beta
@@ -844,15 +839,13 @@ class LocalField:
         """Set e = e_B e_rel and f = f_B d / e_rel, certify the frame
         gen = gamma delta + beta with v_K(delta) = weight, and install it;
         beta and gamma are base elements, None standing for 0 and 1.  A
-        nonzero weight is certified by the layer norm, whose valuation is
-        v_B(N_{K/B}(delta)) = f_{K/B} v_K(delta) (Serre, Local Fields),
-        read off the base's certified frame; an unramified layer's delta
-        (weight 0) is a unit by construction.  The element delta is kept
-        for the residue constants."""
+        nonzero weight is certified by the layer norm, v_B(N_{K/B}(delta))
+        = f_{K/B} v_K(delta) (Serre, Local Fields); an unramified layer's
+        delta (weight 0) is a unit by construction.  The element delta is
+        kept for the residue constants."""
         B = self.base
-        f_rel = self.d // e_rel
         self.e = B.e * e_rel
-        self.f = B.f * f_rel
+        self.f = B.f * (self.d // e_rel)
         if weight:
             _, nvec = self._layer_cofactor(delta.vec, delta.m)
             v = B._val(nvec, delta.s * self.d, delta.m)[0]
@@ -860,7 +853,7 @@ class LocalField:
                 raise PrecisionError(
                     f"{self.kind} layer norm of delta is zero to precision; "
                     "raise the working precision")
-            if v != weight * f_rel:
+            if v != weight * (self.d // e_rel):
                 raise CertificationError(
                     f"{self.kind} layer frame check failed: v(delta) != {weight}")
         self.delta = delta
@@ -911,9 +904,8 @@ class LocalField:
         if nint == 0:
             raise ZeroDivisionError("inversion of element that is zero to precision")
         vnum = _vp(nint, self.p)
-        # the unit nint / p^vnum is known only mod p^(m - vnum), so cof
-        # times its inverse is known mod p^(m - vnum + c), c the least v_p
-        # of cof's coordinates
+        # the unit nint / p^vnum is known mod p^(m - vnum), so cof / unit
+        # is known mod p^(m - vnum + c), c the least v_p in cof
         m = min(m, m - vnum + min(_vp(c, self.p) for c in cof.vec if c))
         pm = self.p ** m
         uinv = pow(nint // self.p ** vnum, -1, pm)
@@ -1171,9 +1163,7 @@ class QuadField(GaloisLayer):
 
 
 class CustomField(LocalField):
-    """Monic polynomial layer, Galois over its base or not; its layer
-    cofactor comes from the characteristic polynomial of multiplication
-    by the element."""
+    """Monic polynomial layer, Galois over its base or not."""
 
     def __init__(self, base, coeffs, M, name):
         d = len(coeffs)
@@ -1181,8 +1171,7 @@ class CustomField(LocalField):
         self.coeffs = coeffs  # low-degree first, base elements; theta^d = -sum c_i theta^i
         self.relation = _relation(coeffs)
 
-    # the inherited methods, named on this class because bench/spans.py
-    # traces them here by name
+    # bench/spans.py traces these two here by name
     norm_tower = LocalField.norm_tower
     invert = LocalField.invert
 
@@ -1190,13 +1179,10 @@ class CustomField(LocalField):
         """(cofactor vec, base vec of the layer norm), as for a Galois layer.
 
         Column j of the matrix of multiplication by x over the base is
-        x theta^j, cut into d base blocks.  With its characteristic
-        polynomial t^d + c_1 t^(d-1) + ... + c_d (``_charpoly``),
-        Cayley-Hamilton gives x (x^(d-1) + c_1 x^(d-2) + ... + c_(d-1)) =
-        -c_d, and the norm is the determinant (-1)^d c_d, so the cofactor
-        is (-1)^(d+1) (x^(d-1) + c_1 x^(d-2) + ... + c_(d-1)).  Every step
-        is a ring operation mod p^m, and ``_project`` checks that x cof
-        lies in the base.
+        x theta^j in d base blocks.  For its characteristic polynomial
+        t^d + c_1 t^(d-1) + ... + c_d, Cayley-Hamilton makes the cofactor
+        (-1)^(d+1) (x^(d-1) + c_1 x^(d-2) + ... + c_(d-1)), and
+        ``_project`` checks that x cof, the determinant, lies in the base.
         """
         pm = self.p ** m
         b, d = self.base.n, self.d
@@ -1253,19 +1239,16 @@ def _add_block(conv, k, prod):
 
 
 def _charpoly(A, mul, pm):
-    """[c_1, ..., c_d] with det(t I - A) = t^d + c_1 t^(d-1) + ... + c_d,
-    mod pm, for a d x d matrix A whose entries are vectors of a base ring
-    with product ``mul(u, v, pm)``.
+    """[c_1, ..., c_d] with det(t I - A) = t^d + c_1 t^(d-1) + ... + c_d
+    mod pm, for a d x d matrix A of base-ring vectors with product ``mul``.
 
     Berkowitz's recursion (Inform. Process. Lett. 18, 1984) divides by
-    nothing, so every step is exact mod pm.  With A_k the leading k x k
-    block and A_(k+1) = [[A_k, C], [R, a]], the Schur complement gives
-    det(t I - A_(k+1)) = (t - a) det(t I - A_k) - R adj(t I - A_k) C, and
-    for det(t I - A_k) = sum_j q_j t^(k-j) the adjugate is
-    sum_i t^(k-1-i) sum_(j <= i) q_j A_k^(i-j), so the last term's
-    coefficients are the convolution of q with s_l = R A_k^l C.
+    nothing, so it is exact mod pm.  For the leading blocks
+    A_(k+1) = [[A_k, C], [R, a]] and det(t I - A_k) = sum_j q_j t^(k-j),
+    det(t I - A_(k+1)) = (t - a) det(t I - A_k) - R adj(t I - A_k) C, where
+    adj(t I - A_k) = sum_i t^(k-1-i) sum_(j <= i) q_j A_k^(i-j): the last
+    term convolves q with s_l = R A_k^l C.
     """
-    d = len(A)
     b = len(A[0][0])
 
     def dot(us, vs):
@@ -1274,38 +1257,33 @@ def _charpoly(A, mul, pm):
             acc = [a + c for a, c in zip(acc, mul(u, v, pm))]
         return acc
 
-    q = [(1,) + (0,) * (b - 1), tuple(-a % pm for a in A[0][0])]
-    for k in range(1, d):
-        rows = [row[:k] for row in A[:k]]
-        R, a = A[k][:k], A[k][k]
-        v = [row[k] for row in A[:k]]           # A_k^l C, from l = 0
-        s = [dot(R, v)]
-        for _ in range(k - 1):
-            v = [dot(row, v) for row in rows]
-            s.append(dot(R, v))
-        new = list(q) + [(0,) * b]
-        for i in range(1, k + 2):
-            terms = dot([a] + q[:i - 1], [q[i - 1]] + s[:i - 1][::-1])
-            new[i] = tuple((c - t) % pm for c, t in zip(new[i], terms))
-        q = new
+    q = [(1,) + (0,) * (b - 1)]
+    for k, row in enumerate(A):
+        v, s = [r[k] for r in A[:k]], []        # v = A_k^l C
+        for l in range(k):
+            if l:
+                v = [dot(r[:k], v) for r in A[:k]]
+            s.append(dot(row[:k], v))
+        q.append((0,) * b)
+        for i in range(k + 1, 0, -1):     # from the top: q[:i] is still old
+            t = dot([row[k]] + q[:i - 1], [q[i - 1]] + s[:i - 1][::-1])
+            q[i] = tuple((c - u) % pm for c, u in zip(q[i], t))
     return q[1:]
 
 
-def _eliminate(A, p, m):
-    """Row-reduce the integer matrix A in place, mod p^m.
+def _padic_det(rows, p, m):
+    """Determinant of an integer matrix mod p^m (0 when zero to precision).
 
-    Column by column, pivot on the entry of least p-adic valuation, scale
-    the pivot row so that the pivot becomes p^v, and clear the column
-    below it.  Rows may extend past the square part (an augmented
-    right-hand side rides along).  Every step is exact mod p^m, so the
-    determinant of the square part is unit * p^sum(vals) mod p^m for the
-    returned (unit, vals).  Raises ZeroDivisionError when a column is zero
-    to precision, i.e. when the determinant is.
+    Column by column, pivot on the entry of least p-adic valuation and
+    clear the column below it by multiples of the pivot row, exact since
+    the pivot's valuation is the column's least.  Every step is exact mod
+    p^m, so the determinant is the product of the pivots times the sign
+    of the row swaps; a column zero to precision makes it zero.
     """
+    A = [list(r) for r in rows]
     n = len(A)
     pm = p ** m
-    unit = 1
-    vals = []
+    det = 1
     for k in range(n):
         piv, pv = None, None
         for i in range(k, n):
@@ -1317,31 +1295,19 @@ def _eliminate(A, p, m):
                     if v == 0:
                         break
         if piv is None:
-            raise ZeroDivisionError("matrix is singular to precision")
+            return 0
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
-            unit = -unit
-        u = A[k][k] % pm // p ** pv
-        unit = unit * u % pm
-        uinv = pow(u, -1, pm)
-        A[k] = [a * uinv % pm for a in A[k]]  # pivot becomes p^pv
-        vals.append(pv)
+            det = -det
+        a = A[k][k] % pm
+        det = det * a % pm
+        uinv = pow(a // p ** pv, -1, pm)
         for i in range(k + 1, n):
             a = A[i][k] % pm
-            if a == 0:
-                continue
-            fac = a // p ** pv  # exact: pivot valuation is minimal in column
-            A[i] = [(x - fac * y) % pm for x, y in zip(A[i], A[k])]
-    return unit, vals
-
-
-def _padic_det(rows, p, m):
-    """Determinant of an integer matrix mod p^m (0 when zero to precision)."""
-    try:
-        unit, vals = _eliminate([list(r) for r in rows], p, m)
-    except ZeroDivisionError:
-        return 0
-    return unit * p ** sum(vals) % p ** m
+            if a:
+                fac = a // p ** pv * uinv
+                A[i] = [(x - fac * y) % pm for x, y in zip(A[i], A[k])]
+    return det
 
 
 # ----------------------------------------------------------------------

@@ -188,9 +188,8 @@ def test_base_element_valuation_stays_below_the_floor(key):
     # an element of the base, its digits at the edge p^(m-3) .. p^(m-1)
     # of its modulus: every layer certifies a valuation only below
     # e (m - s), so the base's answer, scaled by e(K/B), is the layer's.
-    # The floor check of LocalField._val on such elements therefore never
-    # rejects a certified base valuation, and its mutant scale * v <=
-    # floor answers the same: the case v = e (m - s) cannot be certified
+    # LocalField._val therefore takes a certified base valuation on such
+    # elements with no floor check: it never reaches e (m - s)
     K = _tower(key)
     p, B = K.p, K.base
     scale = K.frame[2]

@@ -1,7 +1,7 @@
 """The shared kernels against oracles written here.
 
-``_eliminate`` is the package's one pivoting elimination: the p-adic
-determinant (Krasner's Sylvester determinants) reads its answer off it.
+``_padic_det`` is the package's one pivoting elimination, the p-adic
+determinant of Krasner's Sylvester matrices (``krasner_rationalize``).
 ``_charpoly``, the division-free characteristic polynomial behind the
 cofactor of a custom layer, is checked against the exact determinant
 and against Cayley-Hamilton.  Layer norms are read from the layer
