@@ -236,24 +236,11 @@ class FieldElement:
         return out
 
     def _normalized(self):
-        if self.s == 0:
+        vec, s, m = _strip(self.vec, self.s, self.m, self.field.p, self.s)
+        if s == self.s:
             return self
-        val = self._val
-        p = self.field.p
-        g = self.s
-        for a in self.vec:
-            if a:
-                g = min(g, _vp(a, p))
-                if g == 0:
-                    return self
-        if g == 0:
-            return self
-        pg = p ** g
-        m = self.m - g
-        pm = p ** m
-        vec = tuple((a // pg) % pm for a in self.vec)
-        out = FieldElement(self.field, vec, self.s - g, m, exact=self.exact)
-        out._val, out._res = val, self._res
+        out = FieldElement(self.field, vec, s, m, exact=self.exact)
+        out._val, out._res = self._val, self._res
         return out
 
     # -- queries ---------------------------------------------------------
@@ -432,19 +419,17 @@ class LocalField:
         return FieldElement(self, vec, t, self.M)
 
     def embed(self, x):
-        """Lift an element of the base field into this field."""
-        if x.field is self:
+        """Lift an element of a field below this one in the tower: its flat
+        vector is the first block of ours."""
+        fld = self
+        while fld is not x.field:
+            fld = fld.base
+            if fld is None:
+                raise FieldError("cannot embed element from unrelated field")
+        if fld is self:
             return x
-        if self.base is None or x.field is not self.base:
-            # allow embedding from any field further down the chain
-            if self.base is not None:
-                return self.embed_vec_elem(self.base.embed(x))
-            raise FieldError("cannot embed element from unrelated field")
-        return self.embed_vec_elem(x)
-
-    def embed_vec_elem(self, x):
-        vec = list(x.vec) + [0] * (self.n - len(x.vec))
-        return FieldElement(self, vec, x.s, x.m, exact=x.exact)
+        return FieldElement(self, x.vec + (0,) * (self.n - len(x.vec)), x.s,
+                            x.m, exact=x.exact)
 
     def gen(self):
         """Generator of this layer (internal, normalized)."""
@@ -896,43 +881,51 @@ class LocalField:
     # -- inversion ----------------------------------------------------------
 
     def invert(self, x):
-        """x^{-1} = cof / N(x), with x cof = N(x) from the layer cofactors."""
-        a, m = x.s, x.m
-        cof, nint = self._cofactor(FieldElement(self, x.vec, 0, m) if a else x)
-        pm = self.p ** m
-        nint %= pm
-        if nint == 0:
+        """x^{-1} = T u (``_inverse``): u meets T only here, so that all
+        of T's p-power makes up for the digits u has lost."""
+        v = self.val_or_bound(x)[0]
+        if v is None:
             raise ZeroDivisionError("inversion of element that is zero to precision")
-        vnum = _vp(nint, self.p)
-        # the unit nint / p^vnum is known mod p^(m - vnum), so cof / unit
-        # is known mod p^(m - vnum + c), c the least v_p in cof
-        m = min(m, m - vnum + min(_vp(c, self.p) for c in cof.vec if c))
-        pm = self.p ** m
-        uinv = pow(nint // self.p ** vnum, -1, pm)
-        vec = tuple(c * uinv % pm for c in cof.vec)
-        # V^{-1} = cof / (p^vnum unit) for V = p^a x; then x^{-1} = p^a V^{-1}
-        s_out = cof.s + vnum - a
-        if s_out < 0:
-            vec = tuple(c * self.p ** (-s_out) % pm for c in vec)
-            s_out = 0
-        out = FieldElement(self, vec, s_out, m)
-        if x._val is not None and x._val[0] is not None:
-            out._val = (-x._val[0], None)
-            if x._res is not None:
-                out._res = self.residue_field.pow(x._res, -1)
-        return out._normalized()
+        p = self.p
+        (vec, s, m), (u, us, um) = self._inverse(x.vec, x.s, x.m, v)
+        vec, s, m = _strip(vec, s, m, p, m)
+        m, s = min(m, um), s + us
+        if s < 0:
+            # p^-s T is known mod p^(m - s)
+            m, vec, s = min(m - s, self.M), [c * p ** -s for c in vec], 0
+        pm = p ** m
+        out = FieldElement(self, tuple(c * u % pm for c in vec), s, m)
+        out._val = (-v, None)
+        if x._res is not None:
+            out._res = self.residue_field.pow(x._res, -1)
+        return out
 
-    def _cofactor(self, x):
-        """(cofactor element of self, norm integer): x * cofactor = N(x),
-        both known mod p^(x.m); x has no p-power denominator."""
-        fld, vec, m = self, x.vec, x.m
-        cof = None
-        while fld.base is not None:
-            partial, vec = fld._layer_cofactor(vec, m)
-            lifted = self.embed(FieldElement(fld, partial, 0, m))
-            cof = lifted if cof is None else cof * lifted
-            fld = fld.base
-        return cof, vec[0]
+    def _inverse(self, vec, s, m, v):
+        """(T, u), triples (vec, s, m) of this layer and of Q_p, with x^{-1}
+        = T u for x = vec / p^s of v_K(x) = v, vec known mod p^m.  With
+        w = floor(v / e), x = p^w y and 0 <= v_K(y) < e, which only moves
+        s, to t = s + w.  Over Q_p, u = y^{-1} and T = 1.  Else y^{-1} =
+        cof(y) / N(y) for the layer cofactor and norm N_{K/B}: cof(vec) /
+        p^((d-1) t) and N(vec) / p^(d t), each stripped of its common
+        p-power so that no denominator grows layer by layer.  N(y), of
+        v_B = f_{K/B} v_K(y) < d e_B, is inverted in the base by the same
+        rule."""
+        p, w = self.p, v // self.e
+        t = s + w
+        if self.base is None:
+            if vec[0] % p ** m == 0:
+                raise PrecisionError("a norm to invert is zero to precision")
+            (u,), _, um = _strip(vec, t, m, p, t)
+            return ((1,), 0, m), (pow(u, -1, p ** um), w, um)
+        d = self.d
+        cof, nvec = self._layer_cofactor(vec, m)
+        (tv, ts, tm), u = self.base._inverse(
+            *_strip(nvec, d * t, m, p, d * t),
+            self.f // self.base.f * (v - w * self.e))
+        cof, cs, cm = _strip(cof, (d - 1) * t, m, p, m)
+        m = min(cm, tm)
+        tv += (0,) * (self.n - len(tv))
+        return (self._mul_mod(cof, tv, p ** m), cs + ts + w, m), u
 
     # -- residues -------------------------------------------------------------
 
@@ -1018,9 +1011,6 @@ class QpField(LocalField):
 
     def norm_tower(self, x):
         return x.vec[0], x.s, x.m
-
-    def _cofactor(self, x):
-        return self.one(), x.vec[0]
 
 
 class GaloisLayer(LocalField):
@@ -1121,9 +1111,10 @@ class KummerField(GaloisLayer):
     """Degree-p cyclic layer x^p = radicand over a base containing zeta_p;
     the automorphisms are gen -> xi^i gen, xi = zeta_p."""
 
-    def __init__(self, base, radicand, M, name, xi_powers):
+    def __init__(self, base, radicand, name, xi_powers):
         p = base.p
-        super().__init__(p, base, "kummer", p, M, name)
+        # no element of a layer is known better than its relation
+        super().__init__(p, base, "kummer", p, min(base.M, radicand.m), name)
         self.radicand = radicand          # base element, integral coefficients
         # theta^p = radicand, folded with the radicand's own (small) digits
         self.relation = [(0, radicand.vec)]
@@ -1146,8 +1137,9 @@ class KummerField(GaloisLayer):
 class QuadField(GaloisLayer):
     """Monic quadratic layer x^2 + b x + c over a base with p odd."""
 
-    def __init__(self, base, coeffs, M, name):
-        super().__init__(base.p, base, "quad", 2, M, name)
+    def __init__(self, base, coeffs, name):
+        super().__init__(base.p, base, "quad", 2,
+                         min(base.M, *(c.m for c in coeffs)), name)
         self.coeffs = coeffs              # [c, b]
         self.relation = _relation(coeffs)
         self.galois_factors = [(0, 1)]
@@ -1165,9 +1157,10 @@ class QuadField(GaloisLayer):
 class CustomField(LocalField):
     """Monic polynomial layer, Galois over its base or not."""
 
-    def __init__(self, base, coeffs, M, name):
+    def __init__(self, base, coeffs, name):
         d = len(coeffs)
-        super().__init__(base.p, base, "custom", d, M, name)
+        super().__init__(base.p, base, "custom", d,
+                         min(base.M, *(c.m for c in coeffs)), name)
         self.coeffs = coeffs  # low-degree first, base elements; theta^d = -sum c_i theta^i
         self.relation = _relation(coeffs)
 
@@ -1226,6 +1219,21 @@ def _unit_group(N, p):
     phi = N - N // p
     units = (powers(g) for g in range(2, N) if g % p)
     return [next(gp for gp in units if len(gp) == phi)]
+
+
+def _strip(vec, s, m, p, g):
+    """(vec, s, m) for vec / p^s, vec known mod p^m, with the common
+    p-power of vec, but at most p^g, taken out of vec, of p^s and of the
+    modulus."""
+    for a in vec:
+        if not g:
+            return vec, s, m
+        if a:
+            g = min(g, _vp(a, p))
+    if not g:
+        return vec, s, m
+    pg, pm = p ** g, p ** (m - g)
+    return tuple(a // pg % pm for a in vec), s - g, m - g
 
 
 def _add_block(conv, k, prod):
@@ -1343,7 +1351,6 @@ def _extend_kummer_cyclic(base, rad, name):
     with user_generator^p = rad exactly.
     """
     p = base.p
-    M = base.M
     xi = _pth_root_of_unity(base)
     xi_powers = [base.one()]
     for _ in range(p - 1):
@@ -1360,7 +1367,7 @@ def _extend_kummer_cyclic(base, rad, name):
             raise DegreeDropError(
                 "radicand is a p-th power in the base (to working precision)")
         cert = peel["certificate"]
-    K = KummerField(base, rad1, M, name, xi_powers)
+    K = KummerField(base, rad1, name, xi_powers)
     K.gen_shift = (k, t)   # gen = rad^(1/p) * pi_B^(-k) * p^t
     gen = K.gen()
     if kind == "tr":
@@ -1379,10 +1386,9 @@ def _extend_kummer_cyclic(base, rad, name):
             y = (1 - x * lam) // p
             piexp = y - c * x
         K._set_frame(p, vdelta, delta, beta=beta)
-        K.pi = (delta ** x * K.embed(base.pi_pow(piexp)))._normalized()
+        K.pi = delta ** x * K.embed(base.pi_pow(piexp))
         if v1 % p == 0:
-            Ainvx = K.embed(base.invert(peel["A"])) ** x
-            K.pi = (K.pi * Ainvx)._normalized()
+            K.pi = K.pi * K.embed(peel["A"].inv()) ** x
         # different of the layer from the conjugate differences of pi:
         #   sigma_i(pi)/pi = (sigma_i(delta)/delta)^x  and
         #   sigma_i(delta) - delta = (xi^i - 1) gen,
@@ -1404,18 +1410,8 @@ def _extend_kummer_cyclic(base, rad, name):
         # whose residue has degree p (the Artin-Schreier obstruction)
         K._set_frame(1, 0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
         K._finish(0, cert)
-    if k or t:
-        user_gen = gen * K.embed(base.pi_pow(k)) * K.from_fraction(
-            Fraction(1, p ** t))
-    else:
-        user_gen = gen
-    # the stored relation knows rad1 only mod p^(rad1.m), and the user
-    # generator is a root of rad no more precisely than that
-    if user_gen.m > rad1.m:
-        pm = p ** rad1.m
-        user_gen = FieldElement(K, [c % pm for c in user_gen.vec],
-                                user_gen.s, rad1.m)
-    return K, user_gen
+    user_gen = gen * K.embed(base.pi_pow(k))
+    return K, user_gen * K.from_fraction(Fraction(1, p ** t))
 
 
 def _normalize_radicand(base, rad):
@@ -1424,12 +1420,10 @@ def _normalize_radicand(base, rad):
     rad is zero to precision."""
     p = base.p
     k = rad.valuation() // p
-    rad1 = (rad * base.pi_pow(-p * k))._normalized() if k else rad._normalized()
+    rad1 = rad * base.pi_pow(-p * k) if k else rad._normalized()
     t = (rad1.s + p - 1) // p
     if t:
-        rad1 = (rad1 * base.from_int(p ** (p * t)))._normalized()
-    if rad1.s:
-        raise FieldError("radicand has residual denominator after scaling")
+        rad1 = rad1 * base.from_int(p ** (p * t))   # p^(p t) clears p^s
     return FieldElement(base, rad1.vec, 0, rad1.m), k, t
 
 
@@ -1500,7 +1494,7 @@ def _peel_unit(base, rad1, v1):
     raise CertificationError("unit peeling did not terminate")
 
 
-def _extend_quadratic(base, bcoef, ccoef, M, name):
+def _extend_quadratic(base, bcoef, ccoef, name):
     p = base.p
     if p == 2:
         raise CertificationError("quadratic custom layers require odd p")
@@ -1517,7 +1511,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
         ram = False
     else:
         ram = True
-    K = QuadField(base, [ccoef, bcoef], M, name)
+    K = QuadField(base, [ccoef, bcoef], name)
     half_b = bcoef * base.from_fraction(Fraction(1, 2))
     theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
@@ -1537,7 +1531,7 @@ def _extend_quadratic(base, bcoef, ccoef, M, name):
     return K
 
 
-def _extend_custom(base, coeffs, M, name):
+def _extend_custom(base, coeffs, name):
     """Monic layer certified by a one-segment Newton polygon."""
     d = len(coeffs)
     if d < 2:
@@ -1549,7 +1543,7 @@ def _extend_custom(base, coeffs, M, name):
             raise FieldError("custom steps take integral monic polynomials; "
                              f"the coefficient of x^{i} is not integral")
     if d == 2:
-        return _extend_quadratic(base, coeffs[1], coeffs[0], M, name)
+        return _extend_quadratic(base, coeffs[1], coeffs[0], name)
     vals = []
     for i, c in enumerate(coeffs):
         v, bound = base.val_or_bound(c)
@@ -1563,7 +1557,7 @@ def _extend_custom(base, coeffs, M, name):
     for i, v in vals[1:]:
         if v is not None and v * d < v0 * (d - i):
             raise CertificationError("newton polygon has several segments")
-    K = CustomField(base, coeffs, M, name)
+    K = CustomField(base, coeffs, name)
     gen = K.gen()
     K._set_frame(d, v0, gen)
     x = pow(v0, -1, d)
@@ -1633,7 +1627,7 @@ def build_field(p, steps, prec=None):
             gens.append(gen)
         elif step.kind == "custom":
             coeffs = [K.coerce(c) for c in step.coeffs]
-            K = _extend_custom(K, [K.embed(c) for c in coeffs], digits,
+            K = _extend_custom(K, [K.embed(c) for c in coeffs],
                                f"{K.name}[x]/(deg {len(coeffs)})")
             gens = [K.embed(g) for g in gens]
             gens.append(K.gen())
@@ -1699,10 +1693,14 @@ def closed_form_disc(p, r, variant):
     variant "radicand-p": a = p;  variant "radicand-1+p": a = 1 + p.
     Evaluated with exact rationals for every r >= 1 (at r = 1 the first
     formula passes through a fractional intermediate term but its value
-    is integral, equal to 2p(p-1) - 1).
+    is integral, equal to 2p(p-1) - 1).  They hold for odd p; at p = 2
+    only r = 2, radicand p (24) matches its certified tower.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if p == 2 and (r, variant) != (2, "radicand-p"):
+        raise ValueError("closed forms hold for odd p; at p = 2 only r = 2 "
+                         "with radicand p, v_2(disc) = 24")
     P, R = Fraction(p), Fraction(r)
     if variant == "radicand-p":
         val = (R * P ** (2 * r - 1) * (P - 1)

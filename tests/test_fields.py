@@ -209,24 +209,86 @@ def test_closed_form_matches_general_r2_p5():
     assert discriminant_valuation(L) == closed_form_disc(5, 2, "radicand-1+p") == 1083
 
 
+@pytest.fixture(scope="module")
+def K3r3():
+    return build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
+
+
+@pytest.fixture(scope="module")
+def K2r4():
+    return build_field(2, [T.cyclotomic(16), T.kummer(16, 3)])
+
+
 # each layer certifies its frame through its own layer norm: a norm down to
 # Q_p carries about n s digits of p-power denominator more, which these
 # towers do not have at their working precision
 @pytest.mark.slow
-def test_closed_form_matches_general_r3_p3():
-    K = build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
+def test_closed_form_matches_general_r3_p3(K3r3):
+    K = K3r3
     assert discriminant_valuation(K) == closed_form_disc(3, 3, "radicand-p") == 1983
     L = build_field(3, [T.cyclotomic(27), T.kummer(27, 4)])
     assert discriminant_valuation(L) == closed_form_disc(3, 3, "radicand-1+p") == 1579
 
 
 @pytest.mark.slow
-def test_different_matches_filtration_p2_r4():
-    K = build_field(2, [T.cyclotomic(16), T.kummer(16, 3)])
+def test_different_matches_filtration_p2_r4(K2r4):
+    K = K2r4
     assert (K.e, K.f) == (64, 2)
     filt = ramification_filtration(K)
     assert different_valuation(K) == different_from_filtration(filt) == 266
     assert discriminant_valuation(K) == 532
+
+
+@pytest.mark.slow
+def test_different_matches_filtration_p2_r5():
+    # degree 512: each layer's pi comes from the last layer's pi^-k, so
+    # an inverse that lost digits with the degree left none here
+    K = build_field(2, [T.cyclotomic(32), T.kummer(32, 3)])
+    assert (K.e, K.f) == (256, 2)
+    filt = ramification_filtration(K)
+    assert different_valuation(K) == different_from_filtration(filt) == 1322
+    assert discriminant_valuation(K) == 2644
+
+
+@pytest.mark.slow
+def test_pi_keeps_its_digits(K3r3, K2r4):
+    # each layer's pi is built from the last layer's pi^-k: inverses that
+    # lost about n s digits on a denominator p^s left pi of these towers
+    # 353 and 87 digits, and pi^-1 of both was zero to precision
+    for K, floor in ((K3r3, 600), (K2r4, 300)):
+        assert K.pi.m - K.pi.s >= floor
+        assert K.pi_pow(-1).m - K.pi_pow(-1).s >= floor
+
+
+CLOSED_FORM_DRAWS = [(p, r, variant) for p, rs in ((2, (1, 2, 3, 4)),
+                                                    (3, (1, 2)), (5, (1,)),
+                                                    (7, (1,)))
+                     for r in rs for variant in ("radicand-p", "radicand-1+p")]
+
+
+def test_closed_form_disc_equals_the_tower_or_raises():
+    # a closed form outside its scope raises, naming the scope; in scope
+    # it is the certified tower's v_p(disc), and it gives no number for a
+    # tower that does not exist
+    from anabelomorph.fields import FieldError
+    answered = []
+    for p, r, variant in CLOSED_FORM_DRAWS:
+        try:
+            got = closed_form_disc(p, r, variant)
+        except ValueError as exc:
+            assert p == 2 and "odd p" in str(exc)
+            continue
+        q = p ** r
+        rad = p if variant == "radicand-p" else 1 + p
+        try:
+            want = discriminant_valuation(
+                build_field(p, [T.cyclotomic(q), T.kummer(q, rad)]))
+        except FieldError:
+            want = None
+        assert got == want, (p, r, variant)
+        answered.append((p, r, variant))
+    assert len(answered) == len(CLOSED_FORM_DRAWS) - 7
+    assert (2, 2, "radicand-p") in answered
 
 
 def test_different_bound(K1, K2):
@@ -409,23 +471,35 @@ def test_step_generator_precision_is_honest(K2):
         assert _agrees(fresh * fresh, h * h)
         g.valuation()
         assert _agrees(g * g, h * h)
+    # nor may a product of integer vectors: it folds by the top layer's
+    # relation, whose radicand is known to fewer digits than the base's
+    rng = random.Random("step generator")
+    for _ in range(4):
+        x, y = ([rng.randrange(3 ** 5) for _ in range(K2.n)]
+                for _ in range(2))
+        assert _agrees(FieldElement(K2, x) * FieldElement(K2, y),
+                       FieldElement(H, x) * FieldElement(H, y))
 
 
 PI_POW_TOWERS = {
-    3: [T.cyclotomic(9), T.kummer(9, 4)],
-    5: [T.cyclotomic(5), T.kummer(5, 6)],
-    7: [T.cyclotomic(7), T.kummer(7, 8)],
-    2: [T.cyclotomic(8), T.kummer(8, 3)],
+    3: (3, [T.cyclotomic(9), T.kummer(9, 4)]),
+    5: (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+    7: (7, [T.cyclotomic(7), T.kummer(7, 8)]),
+    2: (2, [T.cyclotomic(8), T.kummer(8, 3)]),
+    # degree 128: pi^-1 was zero to precision when an inverse lost
+    # digits with the tower degree
+    "2 r=4": (2, [T.cyclotomic(16), T.kummer(16, 3)]),
 }
 
 
-@pytest.mark.parametrize("p", PI_POW_TOWERS)
-def test_pi_pow_precision_is_honest(p):
+@pytest.mark.parametrize("name", PI_POW_TOWERS)
+def test_pi_pow_precision_is_honest(name):
     # pi^k claims no digit that the same power at a higher working
     # precision does not have, whatever valuations are cached on the way
-    K = build_field(p, PI_POW_TOWERS[p])
-    H = build_field(p, PI_POW_TOWERS[p], prec=700)
-    for k in range(2, 3 * K.e):
+    p, steps = PI_POW_TOWERS[name]
+    K = build_field(p, steps)
+    H = build_field(p, steps, prec=700)
+    for k in range(1, 3 * K.e):
         assert _agrees(K.pi_pow(k), H.pi_pow(k)), k
     # pi^-k, an inverse of pi^k, against (pi^-1)^k at the higher precision
     h = H.pi_pow(-1)
