@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (DegreeDropError, TowerStep, _normalize_radicand,
-                     _padic_det, _parse_radicand, _parsed, _peel_unit,
-                     build_field)
+from .fields import (DegreeDropError, TowerStep, _charpoly,
+                     _normalize_radicand, _parse_radicand, _parsed,
+                     _peel_unit, build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -93,10 +93,14 @@ _SPEC_GRAMMAR = ("a spec is p=<prime> r=<integer> with an optional "
 
 def parse_kummer_spec(text):
     """Compact format: ``p=3 r=2 rad=3`` (rad optional, may be z-polynomial)."""
-    p = r = None
-    rad = None
+    p = r = rad = None
+    seen = set()
     for tok in text.split():
         key, _, val = tok.partition("=")
+        if key in seen:
+            raise ValueError(f"key {key}= repeated in spec {text!r}: "
+                             f"{_SPEC_GRAMMAR}")
+        seen.add(key)
         if key == "p":
             p = _parsed(int, val, "p= value", _SPEC_GRAMMAR)
         elif key == "r":
@@ -113,11 +117,11 @@ def parse_kummer_spec(text):
 def _radicand_is_pth_power(spec, prec=None):
     """True if the radicand is a p-th power in Q_p(zeta_{p^r})."""
     F = build_field(spec.p, [TowerStep.cyclotomic(spec.modulus)], prec=prec)
-    rad = F.coerce(spec.radicand)
-    if rad.valuation() % spec.p:
+    rad1, _, _ = _normalize_radicand(F, F.coerce(spec.radicand))
+    v1 = rad1.valuation()     # congruent to v(radicand) mod p
+    if v1 % spec.p:
         return False
-    rad1, _, _ = _normalize_radicand(F, rad)
-    kind, _ = _peel_unit(F, rad1, rad1.valuation())
+    kind, _ = _peel_unit(F, rad1, v1)
     return kind == "drop"
 
 
@@ -328,10 +332,18 @@ def krasner_rationalize(coeffs, height_bound=10 ** 60):
 def _disc_valuation(coeffs, p, m):
     """v_p of res(f, f') for the integer polynomial f (low degree first,
     leading coefficient included) known mod p^m; None when the resultant
-    is zero mod p^m.  Up to a unit this is v_p(disc f) for monic f."""
+    is zero mod p^m.  Up to a unit this is v_p(disc f) for monic f.
+
+    The resultant is the determinant of the Sylvester matrix, +-c_N of
+    its characteristic polynomial (``_charpoly`` over Z/p^m, exact)."""
     n = len(coeffs) - 1
     df = [i * coeffs[i] for i in range(1, n + 1)]
     sylvester = ([[0] * i + coeffs + [0] * (n - 2 - i) for i in range(n - 1)]
                  + [[0] * i + df + [0] * (n - 1 - i) for i in range(n)])
-    det = _padic_det(sylvester, p, m)
+    if not sylvester:           # a constant f: the empty determinant is 1
+        return 0
+    pm = p ** m
+    c = _charpoly([[(a,) for a in row] for row in sylvester],
+                  lambda u, v, pm: (u[0] * v[0] % pm,), pm)
+    det = c[-1][0]
     return _vp(det, p) if det else None

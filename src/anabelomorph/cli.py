@@ -15,11 +15,10 @@ import sys
 from dataclasses import dataclass
 
 from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
-                            jarden_ritter, parse_kummer_spec)
+                            KummerFieldSpec, jarden_ritter, parse_kummer_spec)
 from .elliptic import (WeierstrassModel, parse_curve, tate_algorithm,
                        weak_amphoricity_report)
-from .fields import (FieldError, build_field, discriminant_valuation,
-                     parse_field_spec)
+from .fields import FieldError, discriminant_valuation, parse_field_spec
 from .galois import conductor_discriminant_check
 from .padic import PadicError, PrecisionError
 
@@ -153,7 +152,7 @@ def cmd_table(args, config):
             K = spec.build(prec=config.prec)
             out.append(f"[{radtxt}, {discriminant_valuation(K)}]")
     elif args.table_id in ("elliptic-additive", "elliptic-semistable"):
-        K = build_field(3, _tower_steps(3), prec=config.prec)
+        K = KummerFieldSpec(3, 2, 3).build(config.prec)
         towers = {}
         if args.table_id == "elliptic-additive":
             rows = (ADDITIVE_ROWS if rows_src is None
@@ -163,8 +162,7 @@ def cmd_table(args, config):
                                      else SEMISTABLE_ROWS)]
         for curvetxt, rad2 in rows:
             if rad2 not in towers:
-                towers[rad2] = build_field(3, _tower_steps(rad2),
-                                           prec=config.prec)
+                towers[rad2] = KummerFieldSpec(3, 2, rad2).build(config.prec)
             L = towers[rad2]
             rep = weak_amphoricity_report(parse_curve(curvetxt), K, L)
             out.append(f"{_quadruple_str(rep['first'])} "
@@ -178,25 +176,14 @@ def cmd_table(args, config):
     return 0
 
 
-def _tower_steps(radicand):
-    from .fields import TowerStep
-    return [TowerStep.cyclotomic(9), TowerStep.kummer(9, radicand)]
-
-
 def cmd_search(args, config):
     """Seeded random curves over an anabelomorphic pair; deterministic."""
     rng = random.Random(args.seed)
     p, r = args.p, args.r
-    rad1, rad2 = (int(t) for t in args.rads.split(","))
-    from .fields import TowerStep
-    steps1 = [TowerStep.cyclotomic(p ** r), TowerStep.kummer(p ** r, rad1)]
-    steps2 = [TowerStep.cyclotomic(p ** r), TowerStep.kummer(p ** r, rad2)]
-    K = build_field(p, steps1, prec=config.prec)
-    L = build_field(p, steps2, prec=config.prec)
-    cyclo = K
-    while cyclo.base is not None and cyclo.kind != "cyclo":
-        cyclo = cyclo.base
-    phi = cyclo.d if cyclo.base is not None else 1
+    spec1, spec2 = (KummerFieldSpec(p, r, int(t))
+                    for t in args.rads.split(","))
+    K, L = spec1.build(config.prec), spec2.build(config.prec)
+    phi = spec1.cyclotomic_degree()
     lines = []
     count = 0
     attempts = 0

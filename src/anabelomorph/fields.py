@@ -31,10 +31,13 @@ from the characteristic polynomial of multiplication by the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u), which also yields
-an explicit uniformizer and the layer's contribution to the different.
-The certificate gives each layer a valuation frame: gen = gamma delta +
-beta with beta, gamma in the base and v_K(delta) known, so that
+an explicit uniformizer.  The certificate gives each layer a valuation
+frame: gen = gamma delta + beta with beta, gamma in the base and
+v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
+The frame also gives every layer's contribution to the different in one
+formula: 0 when unramified, and v_K(f'(gen)) - (d - 1)(v_K(delta) - 1)
+for the layer relation f when ramified (``LocalField._finish``).
 Valuations are read off the frames layer by layer, never from a norm;
 a layer's own norm only certifies its frame's delta before the frame
 exists, through the base's frame.  The same walk reads the residue of x / pi^v(x) off the least frame term, in the
@@ -590,7 +593,8 @@ class LocalField:
     def _relation_derivative(self):
         """f'(gen) for the layer relation f(x) = x^d - sum r_i x^i, read off
         the relation: block d - 1 holds d and block i - 1 adds -i r_i (i = 0
-        adds nothing).  When O_K = O_B[gen] the different is (f'(gen))."""
+        adds nothing).  Its valuation gives the layer's different
+        (``_finish``)."""
         b, d = self.base.n, self.d
         vec = [0] * self.n
         vec[(d - 1) * b] = d
@@ -852,22 +856,50 @@ class LocalField:
         beta = (beta.vec, beta.s) if beta is not None and any(beta.vec) else None
         self.frame = (beta, gamma, e_rel, weight)
 
-    def _finish(self, layer_diff, certificate):
+    def _finish(self, certificate):
         """Check the uniformizer, v(pi) = 1, and the ramification,
-        v(pi_B) = e_rel, of a framed layer, then credit its different by
-        transitivity, v_K(D_K) = v_K(D_{K/B}) + e_rel v_B(D_B) (Serre,
-        Local Fields, III 4), None when either term is unknown."""
-        e_rel = self.frame[2]
+        v(pi_B) = e_rel, of a framed layer, then compute its different
+        and credit it by transitivity, v_K(D_K) = v_K(D_{K/B}) + e_rel
+        v_B(D_B) (Serre, Local Fields, III 4).
+
+        An unramified layer has v_K(D_{K/B}) = 0.  A ramified layer is
+        totally ramified, and its frame is gen = delta + beta (gamma = 1
+        on every ramified frame) with w = v_K(delta) prime to d; then
+
+          v_K(D_{K/B}) = v_K(f'(gen)) - (d - 1)(w - 1).
+
+        Take v = v_K on a normal closure, sigma over the d - 1 embeddings
+        of K over B other than the identity, and xw + yd = 1.
+          * delta generates K with minimal polynomial f(t + beta), whose
+            derivative at delta is f'(gen): v_K(f'(gen)) is the sum of
+            v(sigma delta - delta).
+          * pi = delta^x pi_B^y is a uniformizer, and O_K = O_B[pi]
+            (Serre, Local Fields, I 6): v_K(D_{K/B}) is the sum of
+            v(sigma pi - pi).
+          * Each v(sigma delta - delta) = v(sigma pi - pi) + w - 1.  As
+            K/B is totally ramified, pi^d / pi_B and delta / pi^w are
+            congruent to units of B, so sigma pi / pi = theta and
+            sigma delta / delta = theta^w mod the maximal ideal, with
+            theta^d = 1.  For a tame sigma, theta != 1, so theta^w != 1
+            (w is prime to d): the two terms are 1 and w.  A wild sigma
+            has theta = 1.  It exists only when p | d: for p prime to d,
+            v_K(D_{K/B}) = d - 1 (Serre, Local Fields, III 6), so each of
+            the d - 1 terms v(sigma pi - pi) is 1.  Then p does not
+            divide x, as xw = 1 mod d.  With sigma delta / delta = 1 + eps
+            and v(eps) > 0, sigma pi / pi = (1 + eps)^x = 1 + x eps + ...,
+            so the terms are 1 + v(eps) and w + v(eps)."""
+        e_rel, w = self.frame[2:]
         if self.pi.valuation() != 1:
             raise UniformizerSearchError(
                 f"{self.kind} layer uniformizer check failed")
         if self.embed(self.base.pi).valuation() != e_rel:
             raise CertificationError(
                 f"{self.kind} layer ramification check failed")
-        bdiff = self.base.different_val
-        self.layer_diff = layer_diff
-        self.different_val = (None if layer_diff is None or bdiff is None
-                              else layer_diff + e_rel * bdiff)
+        self.layer_diff = 0
+        if e_rel > 1:
+            self.layer_diff = (self._relation_derivative().valuation()
+                               - (self.d - 1) * (w - 1))
+        self.different_val = self.layer_diff + e_rel * self.base.different_val
         self.certificate = certificate
 
     def val_at_least(self, x, k):
@@ -1094,8 +1126,7 @@ class CycloField(GaloisLayer):
         self.conjugate_labels = [a for a in range(2, modulus) if a % p]
         self.pi = self.gen() - self.one()
         self._set_frame(phi, 1, self.pi, beta=base.one())    # zeta = pi + 1
-        self._finish(self._relation_derivative().valuation(),
-                     f"cyclotomic({modulus}): Eisenstein after x -> x+1")
+        self._finish(f"cyclotomic({modulus}): Eisenstein after x -> x+1")
 
     def _sigma(self, vec, a, pm):
         """zeta -> zeta^a on a flat vector: c_j moves to the exponent
@@ -1279,45 +1310,6 @@ def _charpoly(A, mul, pm):
     return q[1:]
 
 
-def _padic_det(rows, p, m):
-    """Determinant of an integer matrix mod p^m (0 when zero to precision).
-
-    Column by column, pivot on the entry of least p-adic valuation and
-    clear the column below it by multiples of the pivot row, exact since
-    the pivot's valuation is the column's least.  Every step is exact mod
-    p^m, so the determinant is the product of the pivots times the sign
-    of the row swaps; a column zero to precision makes it zero.
-    """
-    A = [list(r) for r in rows]
-    n = len(A)
-    pm = p ** m
-    det = 1
-    for k in range(n):
-        piv, pv = None, None
-        for i in range(k, n):
-            a = A[i][k] % pm
-            if a:
-                v = _vp(a, p)
-                if pv is None or v < pv:
-                    piv, pv = i, v
-                    if v == 0:
-                        break
-        if piv is None:
-            return 0
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        a = A[k][k] % pm
-        det = det * a % pm
-        uinv = pow(a // p ** pv, -1, pm)
-        for i in range(k + 1, n):
-            a = A[i][k] % pm
-            if a:
-                fac = a // p ** pv * uinv
-                A[i] = [(x - fac * y) % pm for x, y in zip(A[i], A[k])]
-    return det
-
-
 # ----------------------------------------------------------------------
 # layer builders
 
@@ -1389,17 +1381,7 @@ def _extend_kummer_cyclic(base, rad, name):
         K.pi = delta ** x * K.embed(base.pi_pow(piexp))
         if v1 % p == 0:
             K.pi = K.pi * K.embed(peel["A"].inv()) ** x
-        # different of the layer from the conjugate differences of pi:
-        #   sigma_i(pi)/pi = (sigma_i(delta)/delta)^x  and
-        #   sigma_i(delta) - delta = (xi^i - 1) gen,
-        # so v(sigma_i(pi) - pi) = 1 + p v_B(xi^i - 1) + v1 - v(delta)
-        # (the geometric factor of the x-th power is a unit since 0 < x < p).
-        D = 0
-        for i in range(1, p):
-            vxi = p * xi_powers[1].field.val_or_bound(
-                xi_powers[i] - base.one())[0]
-            D += 1 + vxi + v1 - vdelta
-        K._finish(D, cert)
+        K._finish(cert)
     else:  # unramified layer
         K.pi = K.embed(base.pi)
         eun = base.e // (p - 1)
@@ -1409,15 +1391,18 @@ def _extend_kummer_cyclic(base, rad, name):
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
         K._set_frame(1, 0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
-        K._finish(0, cert)
+        K._finish(cert)
     user_gen = gen * K.embed(base.pi_pow(k))
     return K, user_gen * K.from_fraction(Fraction(1, p ** t))
 
 
 def _normalize_radicand(base, rad):
     """(rad1, k, t) with rad1 = rad * pi^(-p k) * p^(p t) carrying integral
-    coefficients and no p-power denominator; raises PrecisionError when
-    rad is zero to precision."""
+    coefficients and no p-power denominator.  Raises FieldError when rad
+    is exact and zero to precision, hence zero, and PrecisionError when
+    any other rad is zero to precision."""
+    if rad.exact and rad.is_zero_to_precision():
+        raise FieldError("kummer radicand is zero")
     p = base.p
     k = rad.valuation() // p
     rad1 = rad * base.pi_pow(-p * k) if k else rad._normalized()
@@ -1518,16 +1503,13 @@ def _extend_quadratic(base, bcoef, ccoef, name):
         K._set_frame(2, vd, theta, beta=-half_b)
         y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
         K.pi = theta * K.embed(base.pi_pow(y))
-        conj = FieldElement(K, K._sigma(K.pi.vec, 1, K.p ** K.pi.m),
-                            K.pi.s, K.pi.m)
-        K._finish((conj - K.pi).valuation(),
-                  "ramified quadratic (odd discriminant valuation)")
+        K._finish("ramified quadratic (odd discriminant valuation)")
     else:
         K.pi = K.embed(base.pi)
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
         # the frame's delta is rho, a unit with rho^2 a non-square unit
         K._set_frame(1, 0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
-        K._finish(0, "unramified quadratic (non-square unit discriminant)")
+        K._finish("unramified quadratic (non-square unit discriminant)")
     return K
 
 
@@ -1563,9 +1545,7 @@ def _extend_custom(base, coeffs, name):
     x = pow(v0, -1, d)
     y = (1 - x * v0) // d
     K.pi = gen ** x * K.embed(base.pi_pow(y))
-    # different: valid when the generator is an Eisenstein uniformizer
-    K._finish(K._relation_derivative().valuation() if v0 == 1 else None,
-              f"newton polygon single segment, slope {v0}/{d}")
+    K._finish(f"newton polygon single segment, slope {v0}/{d}")
     return K
 
 
@@ -1666,14 +1646,9 @@ def find_uniformizer(K):
 
 
 def different_valuation(K):
-    """v_K of the different of K/Q_p, accumulated layer by layer."""
-    if K.different_val is None:
-        while K.layer_diff is not None:
-            K = K.base
-        raise CertificationError(
-            f"different not available: custom layer {K.name} "
-            f"({K.certificate}) is certified, but only custom layers of "
-            "slope 1/d carry a different")
+    """v_K of the different of K/Q_p, accumulated layer by layer: an
+    unramified layer adds 0, a ramified one v_K(f'(gen)) - (d - 1)(w - 1)
+    for its relation f and frame weight w (``LocalField._finish``)."""
     return K.different_val
 
 

@@ -130,6 +130,9 @@ def test_parse_kummer_spec():
     assert s.radicand is None
     s = parse_kummer_spec("p=3 r=2 rad=-6z^2-2")
     assert s.radicand == {2: -6, 0: -2}
+    for text in ("p=3 p=3 r=1", "p=3 r=1 rad=3 rad=4"):
+        with pytest.raises(ValueError, match="repeated in spec"):
+            parse_kummer_spec(text)
 
 
 # ----------------------------------------------------------------------

@@ -293,10 +293,13 @@ _SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
     (["disc", "p=3 r=x rad=3"], None, "x", _SPEC),
     (["disc", "p=y r=1 rad=3"], None, "y", _SPEC),
     (["check-anab", "p=3 r=1.5", "p=3 r=1"], None, "1.5", _SPEC),
+    # r= twice: refused, not the degree-500 tower of the last r=
+    (["disc", "p=5 r=1 rad=3 r=2"], None, "p=5 r=1 rad=3 r=2", _SPEC),
 ])
 def test_malformed_input_names_its_grammar(argv, spec_file, bad, grammar,
                                            tmp_path, capsys):
-    # curves, custom polynomials, field-spec steps and the p= and r= keys:
+    # curves, custom polynomials, field-spec steps and the p= and r= keys,
+    # one of them repeated:
     # exit 3 with the bad text and its grammar, and no traceback
     if spec_file is not None:
         path = tmp_path / "bad.field"
@@ -307,6 +310,23 @@ def test_malformed_input_names_its_grammar(argv, spec_file, bad, grammar,
     assert code == 3
     assert repr(bad) in err and grammar in err
     assert "Traceback" not in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "p=3 r=1 rad=1+z+z^2"],
+    ["disc", "p=3 r=1 rad=z^2-z^2"],
+    ["disc", "p=2 r=2 rad=1+z^2"],
+    ["check-anab", "p=3 r=1 rad=1+z+z^2", "p=3 r=1 rad=3"],
+    ["check-anab", "p=3 r=1 rad=3", "p=3 r=1 rad=z^2-z^2"],
+])
+def test_zero_zeta_radicand_is_named(argv, capsys):
+    # a zeta-polynomial that vanishes in Q_p(zeta) is exactly zero: both
+    # the tower build and the verdict's p-th power test say so
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "kummer radicand is zero" in err
+    assert "zero to precision" not in err
 
 
 def test_tower_over_the_degree_budget_is_refused(capsys):

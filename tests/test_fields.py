@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from anabelomorph.fields import (CertificationError, DegreeDropError,
-                                 TowerStep, build_field, different_bound,
+from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
+                                 DegreeDropError, FieldElement, TowerStep,
+                                 _charpoly, build_field, different_bound,
                                  different_valuation, discriminant_valuation,
                                  find_uniformizer, norm_to_qp,
                                  parse_field_spec, parse_zeta_poly, residue,
@@ -645,28 +646,62 @@ def test_every_layer_kind_passes_one_certificate(name):
         assert norm_valuation(fld.pi) == 1
         assert norm_valuation(fld.embed(B.pi)) == e_rel
         assert fld.e * fld.f == fld.n
-        if fld.layer_diff is None or B.different_val is None:
-            assert fld.different_val is None
-        else:
-            assert fld.different_val == fld.layer_diff + e_rel * B.different_val
+        assert fld.different_val == fld.layer_diff + e_rel * B.different_val
 
 
-def test_missing_different_names_its_scope():
-    # x^3 - 9 is certified (slope 2/3); the error names that scope
+def _different_oracle(fld):
+    """v_K(D_{K/B}) of a ramified layer from its uniformizer, O_K = O_B[pi]:
+    the sum of v_K(pi - sigma pi) over the conjugates of a Galois layer,
+    else v_K(g'(pi)) for g the characteristic polynomial of pi over B,
+    from the matrix of multiplication by pi.  Valuations come from the
+    full norm, not the frames."""
+    pi, B, d = fld.pi, fld.base, fld.d
+    if hasattr(fld, "_conjugates"):
+        return sum(norm_valuation(pi - FieldElement(fld, cv, pi.s, pi.m))
+                   for cv in fld._conjugates(pi.vec, pi.m))
+    # pi = V / p^s: column j is V gen^j, and g's c_k is V's c_k / p^(s k)
+    pm, b, gen = fld.p ** pi.m, B.n, fld.gen().vec
+    cols = [pi.vec]
+    for _ in range(d - 1):
+        cols.append(fld._mul_mod(cols[-1], gen, pm))
+    c = _charpoly([[col[i * b:(i + 1) * b] for col in cols]
+                   for i in range(d)], B._mul_mod, pm)
+    dg = fld.from_int(d) * pi ** (d - 1)
+    for k, ck in enumerate(c[:-1], 1):
+        dg = dg + fld.embed(FieldElement(B, ck, pi.s * k, pi.m)).scaled(
+            d - k) * pi ** (d - 1 - k)
+    return norm_valuation(dg)
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_layer_different_matches_conjugate_oracle(name):
+    # the frame formula v_K(f'(gen)) - (d - 1)(w - 1) against an oracle
+    # that reads no frame, and the same differents at prec P and 2P
+    p, steps = LAYER_TOWERS[name]
+    K = build_field(p, steps)
+    ramified = [fld for fld in _layers(K) if fld.e > fld.base.e]
+    assert ramified
+    for fld in ramified:
+        assert fld.layer_diff == _different_oracle(fld)
+    K2 = build_field(p, steps, prec=2 * DEFAULT_DIGITS)
+    assert ([fld.layer_diff for fld in _layers(K2)]
+            == [fld.layer_diff for fld in _layers(K)])
+
+
+def test_custom_layer_of_slope_2_3_has_a_different():
+    # x^3 - 9 (slope 2/3) and x^3 - 3 (slope 1/3) give the same field
     K = build_field(3, [T.custom([-9, 0, 0])])
-    with pytest.raises(CertificationError, match="slope 2/3.* slope 1/d"):
-        different_valuation(K)
+    assert different_valuation(K) == 5
+    assert different_valuation(build_field(3, [T.custom([-3, 0, 0])])) == 5
 
 
-def test_quadratic_over_uncertified_different(tmp_path, capsys):
-    # x^3 - 9 has slope 2/3, so its different is not certified; the
-    # quadratic layer on top must pass that on instead of failing
+def test_quadratic_over_custom_slope_2_3(tmp_path, capsys):
+    # x^2 - 3 over Q_3(9^(1/3)): the layer adds 1 to 2 * 5
     from anabelomorph.cli import main
     K = build_field(3, [T.custom([-9, 0, 0]), T.custom([-3, 0])])
     assert (K.n, K.e, K.f) == (6, 6, 1)
-    with pytest.raises(CertificationError):
-        different_valuation(K)
+    assert different_valuation(K) == 11
     spec = tmp_path / "tower.txt"
     spec.write_text("p=3\ncustom x^3-9\ncustom x^2-3\n")
-    assert main(["disc", str(spec)]) == 3
-    assert "different not available" in capsys.readouterr().err
+    assert main(["disc", str(spec)]) == 0
+    assert capsys.readouterr().out == "11\n"

@@ -1,19 +1,19 @@
 """The shared kernels against oracles written here.
 
-``_padic_det`` is the package's one pivoting elimination, the p-adic
-determinant of Krasner's Sylvester matrices (``krasner_rationalize``).
 ``_charpoly``, the division-free characteristic polynomial behind the
-cofactor of a custom layer, is checked against the exact determinant
-and against Cayley-Hamilton.  Layer norms are read from the layer
-cofactors; on every layer kind they are checked against the determinant
-of the flat multiplication matrix over Q_p, against multiplicativity,
-and against x * cofactor = N(x).  The cofactor of a Galois layer, built
-by doubling over the cyclic factors of its group, is checked bit
-for bit against the product of the conjugates taken one after another,
-and its count of layer products is pinned.  Products of every
-layer kind are checked against a schoolbook product reduced by the
-layer's defining polynomial, and the ring axioms are checked on random
-elements.
+cofactor of a custom layer and, through det = (-1)^n c_n, the p-adic
+determinant of Krasner's Sylvester matrices (``krasner_rationalize``),
+is checked against an exact Fraction determinant, including matrices
+singular to precision, and against Cayley-Hamilton.  Layer norms are
+read from the layer cofactors; on every layer kind they are checked
+against the determinant of the flat multiplication matrix over Q_p,
+against multiplicativity, and against x * cofactor = N(x).  The
+cofactor of a Galois layer, built by doubling over the cyclic factors
+of its group, is checked bit for bit against the product of the
+conjugates taken one after another, and its count of layer products is
+pinned.  Products of every layer kind are checked against a schoolbook
+product reduced by the layer's defining polynomial, and the ring axioms
+are checked on random elements.
 """
 
 import random
@@ -24,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anabelomorph.fields import (_KARATSUBA_BITS, FieldElement, TowerStep,
-                                 _charpoly, _padic_det, build_field,
-                                 norm_to_qp)
+                                 _charpoly, build_field, norm_to_qp)
 
 T = TowerStep
 PRIMES = (2, 3, 5, 7)
@@ -56,13 +55,21 @@ def _random_matrix(rng, p, n):
              for _ in range(n)] for _ in range(n)]
 
 
+def _det(rows, p, m):
+    """det mod p^m of an integer matrix as (-1)^n c_n of ``_charpoly``."""
+    pm = p ** m
+    (cn,) = _charpoly([[(a,) for a in row] for row in rows],
+                      build_field(p, [])._mul_mod, pm)[-1]
+    return (-1) ** len(rows) * cn % pm
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_det_matches_exact(p):
     rng = random.Random(1000 + p)
     m = 24
     for _ in range(25):
         rows = _random_matrix(rng, p, rng.randint(1, 6))
-        assert _padic_det(rows, p, m) == _frac_det(rows) % p ** m
+        assert _det(rows, p, m) == _frac_det(rows) % p ** m
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -72,13 +79,13 @@ def test_singular_to_precision(p):
     rows = _random_matrix(rng, p, 4)
     # exactly singular: the determinant is zero to precision
     rows[3] = [2 * a - 3 * b + c for a, b, c in zip(*rows[:3])]
-    assert _padic_det(rows, p, m) == 0
-    # a repeated row is cleared exactly, leaving a zero column
+    assert _det(rows, p, m) == 0
+    # a repeated row
     rows[3] = rows[1]
-    assert _padic_det(rows, p, m) == 0
+    assert _det(rows, p, m) == 0
     # singular mod p^m only: a column that vanishes to precision
     rows = [[p ** m, 1], [p ** (m + 1), 2]]
-    assert _padic_det(rows, p, m) == 0
+    assert _det(rows, p, m) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +148,7 @@ def test_norm_from_cofactor_path(tower):
         # column j is x times the j-th vector of the flat power basis
         cols = [K._mul_mod(x.vec, [int(i == j) for i in range(K.n)], p ** m)
                 for j in range(K.n)]
-        assert nint % p ** m == _padic_det(cols, p, m)
+        assert nint % p ** m == _det(cols, p, m)
         # N(xy) = N(x) N(y)
         assert norm_to_qp(x * y) == norm_to_qp(x) * norm_to_qp(y)
 

@@ -125,6 +125,7 @@ def towers(T):
         "custom Q_3 fraction": (3, [T.custom([Fraction(-3, 2), 3, 0])]),
         "custom Q_3(zeta_3) zeta-poly": (3, [T.cyclotomic(3),
                                              T.custom([{0: 1, 1: -1}, 0, 0])]),
+        "custom Q_3 x^3-9": (3, [T.custom([-9, 0, 0])]),          # slope 2/3
         "cyclo 5": (5, [T.cyclotomic(5)]),
         "cyclo 25": (5, [T.cyclotomic(25)]),
         "kummer Q_5(zeta_5) 5^(1/5)": (5, [T.cyclotomic(5), T.kummer(5, 5)]),
@@ -134,6 +135,7 @@ def towers(T):
         "quad Q_5 ramified": (5, [T.custom([-5, 5])]),
         "quad Q_5 unramified": (5, [T.custom([2, 1])]),
         "custom Q_5(zeta_5)": (5, [T.cyclotomic(5), T.custom([-5, 0, 0])]),
+        "custom Q_5 x^5-25": (5, [T.custom([-25, 0, 0, 0, 0])]),  # slope 2/5
         "cyclo 7": (7, [T.cyclotomic(7)]),
         "kummer Q_7(zeta_7) 7^(1/7)": (7, [T.cyclotomic(7), T.kummer(7, 7)]),
         "kummer Q_7(zeta_7) 2^(1/7)": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
