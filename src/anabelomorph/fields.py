@@ -30,19 +30,21 @@ each cyclic factor in O(log d) layer products; a custom layer's comes
 from the characteristic polynomial of multiplication by the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
-data, or the unit-peeling classification of x^p = u), which also yields
-an explicit uniformizer.  The certificate gives each layer a valuation
-frame: gen = gamma delta + beta with beta, gamma in the base and
-v_K(delta) known, so that
-v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k v_K(delta)).
-The frame also gives every layer's contribution to the different in one
-formula: 0 when unramified, and v_K(f'(gen)) - (d - 1)(v_K(delta) - 1)
-for the layer relation f when ramified (``LocalField._finish``).
+data, or the unit-peeling classification of x^p = u), which gives it a
+valuation frame: gen = gamma delta + beta with beta, gamma in the base
+and w = v_K(delta) known, so that
+v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k w).
+One call, ``LocalField._certify``, takes every layer kind's frame and
+derives the rest from it: the uniformizer, pi_B when the layer is
+unramified and delta^x pi_B^y with xw + yd = 1 when ramified, and the
+layer's contribution to the different, 0 when unramified and
+v_K(f'(gen)) - (d - 1)(w - 1) for the layer relation f when ramified.
 Valuations are read off the frames layer by layer, never from a norm;
 a layer's own norm only certifies its frame's delta before the frame
-exists, through the base's frame.  The same walk reads the residue of x / pi^v(x) off the least frame term, in the
-residue field F_q as coordinate tuples over F_p (``residue_at``), and
-``lift`` turns such a tuple into a representative in K on demand.
+exists, through the base's frame.  The same walk reads the residue of
+x / pi^v(x) off the least frame term, in the residue field F_q as
+coordinate tuples over F_p (``residue_at``), and ``lift`` turns such a
+tuple into a representative in K on demand.
 """
 
 from __future__ import annotations
@@ -385,9 +387,8 @@ class LocalField:
         self.M = M
         self.pM = p ** M
         self.name = name
-        self.e = base.e if base else 1  # a layer's e, f: see _set_frame
+        self.e = base.e if base else 1  # a layer's e, f: see _certify
         self.f = base.f if base else 1
-        self.pi = None
         self.different_val = 0
         self.layer_diff = 0
         self.certificate = ""
@@ -396,7 +397,7 @@ class LocalField:
         self.frame = None               # set once the layer is certified
         self._residue_field = None      # F_q, see residue_field
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
-        self.delta = None               # the frame's delta, see _set_frame
+        self.delta = None               # the frame's delta, see _certify
         self._pi_pows = {}
 
     # -- constructors of elements ---------------------------------------
@@ -594,7 +595,7 @@ class LocalField:
         """f'(gen) for the layer relation f(x) = x^d - sum r_i x^i, read off
         the relation: block d - 1 holds d and block i - 1 adds -i r_i (i = 0
         adds nothing).  Its valuation gives the layer's different
-        (``_finish``)."""
+        (``_certify``)."""
         b, d = self.base.n, self.d
         vec = [0] * self.n
         vec[(d - 1) * b] = d
@@ -761,18 +762,18 @@ class LocalField:
 
     def _init_residues(self):
         """Residue field of a certified layer, and for a ramified layer
-        the constants c1 and c2 of ``_val``, from frame reads: of rho^d
-        when unramified (delta = rho), else of pi and of delta^scale.
-        Run on the first residue read, so that building a tower that
-        reads no residue pays nothing for them.
+        the constants c1 and c2 of ``_val``, from one frame read: of rho^d
+        when unramified (delta = rho), else of delta^scale.  Run on the
+        first residue read, so that building a tower that reads no residue
+        pays nothing for them.
 
-        With c1 = c2 = 1, passed in for the two reads, a read gives r_B
-        of the least term.  For pi that is r_pi, at k0 = w^-1 mod scale
-        and v_B = a0 = (1 - k0 w) / scale; for delta^scale it is rho, at
-        k = 0 and v_B = w.  Then
-        1 = r_pi c1^a0 c2^k0 and c2^scale = rho c1^w give
-        c1 = (r_pi^scale rho^k0)^-1 and c2 = r_pi^-w rho^a0.  The
-        constants and the field are set only once both reads succeed.
+        With c1 = c2 = 1, passed in for the read, the read of delta^scale
+        gives rho, the r_B of its least term, at k = 0 and v_B = w, so
+        c2^scale = rho c1^w.  The uniformizer pi = delta^x pi_B^y of
+        ``_certify``, xw + y scale = 1, is its own least frame term, at
+        k = x with y_x = pi_B^y of residue 1, so 1 = c1^y c2^x.  Together
+        they give c1 = rho^-x and c2 = rho^y.  The constants and the field
+        are set only once the read succeeds.
         """
         B, delta = self.base, self.delta
         _, _, scale, w = self.frame
@@ -781,13 +782,10 @@ class LocalField:
             self._residue_field = ResidueField(self.p, B.residue_field, rel)
             return
         F = B.residue_field
-        unit = (F.one, [F.one] * self.d)
-        r_pi = self._read(self.pi, unit)
-        rho = self._read(delta ** scale, unit)
-        k0 = pow(w, -1, scale)
-        a0 = (1 - k0 * w) // scale
-        c1 = F.pow(F.mul(F.pow(r_pi, scale), F.pow(rho, k0)), -1)
-        c2 = F.mul(F.pow(r_pi, -w), F.pow(rho, a0))
+        rho = self._read(delta ** scale, (F.one, [F.one] * self.d))
+        x = pow(w, -1, scale)
+        c1 = F.pow(rho, -x)
+        c2 = F.pow(rho, (1 - x * w) // scale)
         self._rconst = (c1, [F.pow(c2, k) for k in range(self.d)])
         self._residue_field = F
 
@@ -824,14 +822,51 @@ class LocalField:
             raise PrecisionError("residue undetermined to precision")
         return x._res
 
-    def _set_frame(self, e_rel, weight, delta, beta=None, gamma=None):
-        """Set e = e_B e_rel and f = f_B d / e_rel, certify the frame
-        gen = gamma delta + beta with v_K(delta) = weight, and install it;
-        beta and gamma are base elements, None standing for 0 and 1.  A
-        nonzero weight is certified by the layer norm, v_B(N_{K/B}(delta))
-        = f_{K/B} v_K(delta) (Serre, Local Fields); an unramified layer's
-        delta (weight 0) is a unit by construction.  The element delta is
-        kept for the residue constants."""
+    def _certify(self, certificate, e_rel, weight, delta, beta=None,
+                 gamma=None):
+        """Certify a layer: its frame, uniformizer and different.
+
+        The frame is gen = gamma delta + beta with v_K(delta) = weight;
+        beta and gamma are base elements, None standing for 0 and 1.  It
+        sets e = e_B e_rel and f = f_B d / e_rel.  A nonzero weight is
+        certified by the layer norm, v_B(N_{K/B}(delta)) = f_{K/B}
+        v_K(delta) (Serre, Local Fields); an unramified layer's delta
+        (weight 0) is a unit by construction.  The element delta is kept
+        for the residue constants.
+
+        The uniformizer is pi = pi_B on an unramified layer, and on a
+        ramified one pi = delta^x pi_B^y with x = w^-1 mod d and
+        y = (1 - xw) / d, so that v(pi) = xw + yd = 1.  Both v(pi) = 1
+        and v(pi_B) = e_rel are checked on the installed frame.  The
+        layer's different is credited by transitivity, v_K(D_K) =
+        v_K(D_{K/B}) + e_rel v_B(D_B) (Serre, Local Fields, III 4).
+
+        An unramified layer has v_K(D_{K/B}) = 0.  A ramified layer is
+        totally ramified, and its frame is gen = delta + beta (gamma = 1
+        on every ramified frame) with w = v_K(delta) prime to d; then
+
+          v_K(D_{K/B}) = v_K(f'(gen)) - (d - 1)(w - 1).
+
+        Take v = v_K on a normal closure, and sigma over the d - 1
+        embeddings of K over B other than the identity.
+          * delta generates K with minimal polynomial f(t + beta), whose
+            derivative at delta is f'(gen): v_K(f'(gen)) is the sum of
+            v(sigma delta - delta).
+          * pi = delta^x pi_B^y is a uniformizer, and O_K = O_B[pi]
+            (Serre, Local Fields, I 6): v_K(D_{K/B}) is the sum of
+            v(sigma pi - pi).
+          * Each v(sigma delta - delta) = v(sigma pi - pi) + w - 1.  As
+            K/B is totally ramified, pi^d / pi_B and delta / pi^w are
+            congruent to units of B, so sigma pi / pi = theta and
+            sigma delta / delta = theta^w mod the maximal ideal, with
+            theta^d = 1.  For a tame sigma, theta != 1, so theta^w != 1
+            (w is prime to d): the two terms are 1 and w.  A wild sigma
+            has theta = 1.  It exists only when p | d: for p prime to d,
+            v_K(D_{K/B}) = d - 1 (Serre, Local Fields, III 6), so each of
+            the d - 1 terms v(sigma pi - pi) is 1.  Then p does not
+            divide x, as xw = 1 mod d.  With sigma delta / delta = 1 + eps
+            and v(eps) > 0, sigma pi / pi = (1 + eps)^x = 1 + x eps + ...,
+            so the terms are 1 + v(eps) and w + v(eps)."""
         B = self.base
         self.e = B.e * e_rel
         self.f = B.f * (self.d // e_rel)
@@ -855,51 +890,23 @@ class LocalField:
             gamma = None
         beta = (beta.vec, beta.s) if beta is not None and any(beta.vec) else None
         self.frame = (beta, gamma, e_rel, weight)
-
-    def _finish(self, certificate):
-        """Check the uniformizer, v(pi) = 1, and the ramification,
-        v(pi_B) = e_rel, of a framed layer, then compute its different
-        and credit it by transitivity, v_K(D_K) = v_K(D_{K/B}) + e_rel
-        v_B(D_B) (Serre, Local Fields, III 4).
-
-        An unramified layer has v_K(D_{K/B}) = 0.  A ramified layer is
-        totally ramified, and its frame is gen = delta + beta (gamma = 1
-        on every ramified frame) with w = v_K(delta) prime to d; then
-
-          v_K(D_{K/B}) = v_K(f'(gen)) - (d - 1)(w - 1).
-
-        Take v = v_K on a normal closure, sigma over the d - 1 embeddings
-        of K over B other than the identity, and xw + yd = 1.
-          * delta generates K with minimal polynomial f(t + beta), whose
-            derivative at delta is f'(gen): v_K(f'(gen)) is the sum of
-            v(sigma delta - delta).
-          * pi = delta^x pi_B^y is a uniformizer, and O_K = O_B[pi]
-            (Serre, Local Fields, I 6): v_K(D_{K/B}) is the sum of
-            v(sigma pi - pi).
-          * Each v(sigma delta - delta) = v(sigma pi - pi) + w - 1.  As
-            K/B is totally ramified, pi^d / pi_B and delta / pi^w are
-            congruent to units of B, so sigma pi / pi = theta and
-            sigma delta / delta = theta^w mod the maximal ideal, with
-            theta^d = 1.  For a tame sigma, theta != 1, so theta^w != 1
-            (w is prime to d): the two terms are 1 and w.  A wild sigma
-            has theta = 1.  It exists only when p | d: for p prime to d,
-            v_K(D_{K/B}) = d - 1 (Serre, Local Fields, III 6), so each of
-            the d - 1 terms v(sigma pi - pi) is 1.  Then p does not
-            divide x, as xw = 1 mod d.  With sigma delta / delta = 1 + eps
-            and v(eps) > 0, sigma pi / pi = (1 + eps)^x = 1 + x eps + ...,
-            so the terms are 1 + v(eps) and w + v(eps)."""
-        e_rel, w = self.frame[2:]
+        if e_rel == 1:
+            self.pi = self.embed(B.pi)
+        else:
+            x = pow(weight, -1, e_rel)
+            y = (1 - x * weight) // e_rel
+            self.pi = delta ** x * self.embed(B.pi_pow(y))
         if self.pi.valuation() != 1:
             raise UniformizerSearchError(
                 f"{self.kind} layer uniformizer check failed")
-        if self.embed(self.base.pi).valuation() != e_rel:
+        if self.embed(B.pi).valuation() != e_rel:
             raise CertificationError(
                 f"{self.kind} layer ramification check failed")
         self.layer_diff = 0
         if e_rel > 1:
             self.layer_diff = (self._relation_derivative().valuation()
-                               - (self.d - 1) * (w - 1))
-        self.different_val = self.layer_diff + e_rel * self.base.different_val
+                               - (self.d - 1) * (weight - 1))
+        self.different_val = self.layer_diff + e_rel * B.different_val
         self.certificate = certificate
 
     def val_at_least(self, x, k):
@@ -1124,9 +1131,8 @@ class CycloField(GaloisLayer):
         self.relation = [(i * step, (-1,)) for i in range(p - 1)]
         self.galois_factors = _unit_group(modulus, p)
         self.conjugate_labels = [a for a in range(2, modulus) if a % p]
-        self.pi = self.gen() - self.one()
-        self._set_frame(phi, 1, self.pi, beta=base.one())    # zeta = pi + 1
-        self._finish(f"cyclotomic({modulus}): Eisenstein after x -> x+1")
+        self._certify(f"cyclotomic({modulus}): Eisenstein after x -> x+1",
+                      phi, 1, self.gen() - self.one(), beta=base.one())
 
     def _sigma(self, vec, a, pm):
         """zeta -> zeta^a on a flat vector: c_j moves to the exponent
@@ -1349,10 +1355,8 @@ def _extend_kummer_cyclic(base, rad, name):
         xi_powers.append(xi_powers[-1] * xi)
     rad1, k, t = _normalize_radicand(base, rad)
     v1 = rad1.valuation()
-    peel = None
     if v1 % p != 0:
         cert = f"eisenstein-type (newton polygon slope {v1}/{p})"
-        kind = "tr"
     else:
         kind, peel = _peel_unit(base, rad1, v1)
         if kind == "drop":
@@ -1362,36 +1366,22 @@ def _extend_kummer_cyclic(base, rad, name):
     K = KummerField(base, rad1, name, xi_powers)
     K.gen_shift = (k, t)   # gen = rad^(1/p) * pi_B^(-k) * p^t
     gen = K.gen()
-    if kind == "tr":
-        if v1 % p != 0:
-            # sigma_i(pi) - pi = gen^x pi^y (xi^(ix) - 1)
-            x = pow(v1, -1, p)
-            y = (1 - x * v1) // p
-            delta, piexp, vdelta, beta = gen, y, v1, None
-        else:
-            lam = peel["lambda"]
-            c = v1 // p
-            beta = base.pi_pow(c) * peel["A"]
-            delta = gen - K.embed(beta)
-            vdelta = lam + p * c
-            x = pow(lam, -1, p)
-            y = (1 - x * lam) // p
-            piexp = y - c * x
-        K._set_frame(p, vdelta, delta, beta=beta)
-        K.pi = delta ** x * K.embed(base.pi_pow(piexp))
-        if v1 % p == 0:
-            K.pi = K.pi * K.embed(peel["A"].inv()) ** x
-        K._finish(cert)
+    if v1 % p != 0:
+        K._certify(cert, p, v1, gen)
+    elif kind == "tr":
+        c = v1 // p
+        beta = base.pi_pow(c) * peel["A"]
+        K._certify(cert, p, peel["lambda"] + p * c, gen - K.embed(beta),
+                   beta=beta)
     else:  # unramified layer
-        K.pi = K.embed(base.pi)
         eun = base.e // (p - 1)
         alpha = base.pi_pow(v1 // p) * peel["A"]
         eta = gen * K.embed(alpha.inv())
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
-        K._set_frame(1, 0, rho, beta=alpha, gamma=alpha * base.pi_pow(eun))
-        K._finish(cert)
+        K._certify(cert, 1, 0, rho, beta=alpha,
+                   gamma=alpha * base.pi_pow(eun))
     user_gen = gen * K.embed(base.pi_pow(k))
     return K, user_gen * K.from_fraction(Fraction(1, p ** t))
 
@@ -1500,16 +1490,13 @@ def _extend_quadratic(base, bcoef, ccoef, name):
     half_b = bcoef * base.from_fraction(Fraction(1, 2))
     theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
-        K._set_frame(2, vd, theta, beta=-half_b)
-        y = (1 - vd) // 2  # v_K(theta) = vd (odd), so theta * pi^y uniformizes
-        K.pi = theta * K.embed(base.pi_pow(y))
-        K._finish("ramified quadratic (odd discriminant valuation)")
+        K._certify("ramified quadratic (odd discriminant valuation)",
+                   2, vd, theta, beta=-half_b)
     else:
-        K.pi = K.embed(base.pi)
         rho = theta * K.embed(base.pi_pow(-(vd // 2)))
         # the frame's delta is rho, a unit with rho^2 a non-square unit
-        K._set_frame(1, 0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
-        K._finish("unramified quadratic (non-square unit discriminant)")
+        K._certify("unramified quadratic (non-square unit discriminant)",
+                   1, 0, rho, beta=-half_b, gamma=base.pi_pow(vd // 2))
     return K
 
 
@@ -1540,12 +1527,8 @@ def _extend_custom(base, coeffs, name):
         if v is not None and v * d < v0 * (d - i):
             raise CertificationError("newton polygon has several segments")
     K = CustomField(base, coeffs, name)
-    gen = K.gen()
-    K._set_frame(d, v0, gen)
-    x = pow(v0, -1, d)
-    y = (1 - x * v0) // d
-    K.pi = gen ** x * K.embed(base.pi_pow(y))
-    K._finish(f"newton polygon single segment, slope {v0}/{d}")
+    K._certify(f"newton polygon single segment, slope {v0}/{d}", d, v0,
+               K.gen())
     return K
 
 
@@ -1648,7 +1631,7 @@ def find_uniformizer(K):
 def different_valuation(K):
     """v_K of the different of K/Q_p, accumulated layer by layer: an
     unramified layer adds 0, a ramified one v_K(f'(gen)) - (d - 1)(w - 1)
-    for its relation f and frame weight w (``LocalField._finish``)."""
+    for its relation f and frame weight w (``LocalField._certify``)."""
     return K.different_val
 
 
@@ -1658,7 +1641,10 @@ def discriminant_valuation(K):
 
 
 def different_bound(K):
-    """Anabelian upper bound e - 1 + n/f for the different valuation."""
+    """e - 1 + n/f, that is 2e - 1, a yardstick for the different
+    valuation and not a bound on it.  Serre's bound is v_K(D_K) <= e - 1
+    + v_K(e) (Local Fields, III 6), which is 2e - 1 only when p divides e
+    exactly once; Q_3(zeta_9, 3^(1/9)) has different 165 > 107."""
     return K.e - 1 + K.n // K.f
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldElement, FieldError
+from .fields import FieldElement, FieldError, _unit_group
 
 
 class NonGaloisTowerError(FieldError):
@@ -403,14 +403,12 @@ def character_table(p, r=1):
     """
     if r != 1:
         raise NotImplementedError("character tables are built for r = 1 only")
+    if p == 2:
+        raise ValueError("character tables are built for odd p only; got p = 2")
     m = p - 1
-    # discrete log table for (Z/p)^*
-    gen = _primitive_root(p)
-    dlog = {}
-    v = 1
-    for k in range(p - 1):
-        dlog[v] = k
-        v = v * gen % p
+    # discrete log table for (Z/p)^*, cyclic of order p - 1
+    (powers,) = _unit_group(p, p)
+    dlog = {v: k for k, v in enumerate(powers)}
     classes = ["id", "tau"] + [f"s{a}" for a in range(2, p)]
     chars = []
     for k in range(p - 1):
@@ -425,17 +423,6 @@ def character_table(p, r=1):
     chars.append(Character(p, p - 1, big, "induced"))
     _check_orthogonality(chars, p)
     return chars
-
-
-def _primitive_root(p):
-    for g in range(2, p):
-        seen, v = set(), 1
-        for _ in range(p - 1):
-            v = v * g % p
-            seen.add(v)
-        if len(seen) == p - 1:
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
 
 
 def _class_sizes(p):

@@ -842,7 +842,7 @@ def test_tate_product_and_walk_count(monkeypatch):
     r = tate_algorithm(model)
     assert r.quadruple() == (18, 10, "II*", 1)
     assert r.trace.count(("restart",)) == 2
-    assert (count["mul"], count["walk"]) == (36, 27)
+    assert (count["mul"], count["walk"]) == (36, 24)
 
 
 def test_tate_restarts_divide_nothing(monkeypatch):

@@ -490,6 +490,8 @@ PI_POW_TOWERS = {
     # degree 128: pi^-1 was zero to precision when an inverse lost
     # digits with the tower degree
     "2 r=4": (2, [T.cyclotomic(16), T.kummer(16, 3)]),
+    # a unit-defect Kummer layer whose adjuster A is 2, not 1
+    "7 A=2": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
 }
 
 

@@ -335,9 +335,9 @@ def test_residue_of_each_lift_is_its_index(key):
 
 
 def test_residue_constants_survive_a_failed_read(monkeypatch):
-    # the least frame term of pi has residue 2 here and c1 = c2 = 3, so
-    # a read with c1 = c2 = 1 left in place would give res(pi / pi) = 2
-    K = build_field(5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 1})])
+    # c1 = 4 and c2 = 3 here, so a read with c1 = c2 = 1 left in place
+    # would give the frame term delta pi_B the residue 1, not c1 c2 = 2
+    K = build_field(5, [T.cyclotomic(5), T.kummer(5, 50)])
     K.base.residue_field
     read = LocalField._read
     failed = []
@@ -353,5 +353,7 @@ def test_residue_constants_survive_a_failed_read(monkeypatch):
         K.residue_at(_fresh(K.pi), 1)
     assert failed == [K]
     assert K.residue_at(_fresh(K.pi), 1) == K.residue_field.one
-    x = _fresh(K.pi_pow(2) * 7 + K.pi_pow(3))
-    assert K.residue_at(x, 2) == _scan_residue(x, 2)
+    _, _, scale, w = K.frame
+    x = _fresh(K.delta * K.embed(K.base.pi))
+    assert (K.residue_at(x, w + scale) == _scan_residue(x, w + scale)
+            != K.residue_field.one)

@@ -252,6 +252,11 @@ def test_character_table_r2_out_of_scope():
         character_table(3, r=2)
 
 
+def test_character_table_p2_out_of_scope():
+    with pytest.raises(ValueError, match="odd p"):
+        character_table(2)
+
+
 def test_induced_character_values_match_induction():
     # induction from the wild Z/p of a faithful character: values are
     # (p-1) at 1, -1 on the tau class, 0 elsewhere

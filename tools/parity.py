@@ -11,8 +11,9 @@ unramified, quadratic ramified and unramified, custom) at p in
 {2, 3, 5, 7}, with layers of degree 2, 3, 5 and 7 over bases that are not
 Q_p.  On every layer of every tower it hashes the layer's certificate data,
 (kind, e, f, frame scale, frame weight, layer_diff, different_val,
-certificate), and at the working precision M and at M/2 the (vec, s, m)
-of:
+certificate, and the (vec, s, m) of the uniformizer pi), so that a change
+of uniformizer shows on its own tower.  At the working precision M and at
+M/2 it also hashes the (vec, s, m) of:
 
   * products and squares of dense, half-dense and one-block operands,
     and kernel products of unreduced (negative and >= p^m) vectors;
@@ -317,8 +318,8 @@ def tower_digest(F, G, E, name, p, steps):
         h.update(repr((li.vec, li.s, li.m)).encode())
     while fld.base is not None:
         h.update(repr((fld.kind, fld.e, fld.f, *fld.frame[2:],
-                       fld.layer_diff, fld.different_val,
-                       fld.certificate)).encode())
+                       fld.layer_diff, fld.different_val, fld.certificate,
+                       fld.pi.vec, fld.pi.s, fld.pi.m)).encode())
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
             h.update(repr((fld.name, m, layer_values(F, fld, m, rng))).encode())
