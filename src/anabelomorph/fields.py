@@ -15,9 +15,11 @@ Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
 All four relative layer kinds are stored as their monic relation over
 the base and multiply through one kernel, which over Q_p folds one
-integer convolution by the relation, and over any other base convolves
-d blocks with d(d+1)/2 base products (one-level Karatsuba) when both
-operands are dense, skipping zero blocks otherwise.  The integer
+integer convolution by the relation, and over any other base skips the
+zero blocks of sparse operands.  Dense operands over such a base take
+one packed integer product (Kronecker substitution) while p^m is at
+most _PACKED_BITS wide, as in Tate's algorithm, and above that convolve
+d blocks with d(d+1)/2 base products (one-level Karatsuba).  The integer
 convolution is a recursive Karatsuba when both operands are dense and
 p^m is at least _KARATSUBA_BITS wide (the degree-500 towers' base at
 M = 788), and a zero-skipping schoolbook otherwise.  Norms are computed
@@ -39,9 +41,10 @@ derives the rest from it: the uniformizer, pi_B when the layer is
 unramified and delta^x pi_B^y with xw + yd = 1 when ramified, and the
 layer's contribution to the different, 0 when unramified and
 v_K(f'(gen)) - (d - 1)(w - 1) for the layer relation f when ramified.
-Valuations are read off the frames layer by layer, never from a norm;
-a layer's own norm only certifies its frame's delta before the frame
-exists, through the base's frame.  The same walk reads the residue of
+Valuations are read off the frames layer by layer, never from a norm
+(a layer over Q_p shifts and reads its integer coordinates in its own
+walk); a layer's own norm only certifies its frame's delta before the
+frame exists, through the base's frame.  The same walk reads the residue of
 x / pi^v(x) off the least frame term, in the residue field F_q as
 coordinate tuples over F_p (``residue_at``), and ``lift`` turns such a
 tuple into a representative in K on demand.
@@ -64,6 +67,23 @@ _MIN_EFFECTIVE = 12
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
+# a layer over a base that is not Q_p multiplies dense operands by one
+# packed integer product (LocalField._packed) while p^m has at most
+# _PACKED_BITS bits.  Speed of a dense top-layer product, packed against
+# the layered kernel, min of 15 interleaved rounds (CPython 3.11, 2-core
+# x86), by the bits of p^m, on Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a:
+#
+#   tower         n    32    48    64    80    96   128   160 bits
+#   (3,2) rad 3  54  1.55  1.39  1.31  1.24  1.13  1.00  0.88
+#   (3,2) rad 4  54  1.61  1.40  1.30  1.15  1.09  0.95  0.81
+#   (5,1) rad 6  20  1.69  1.58  1.49  1.49  1.46  1.22  1.17
+#   (7,1) rad 8  42  2.22  1.99  1.81  1.69  1.62  1.41  1.23
+#   (2,3) rad 3  32  1.23  1.16  1.06  0.97  0.96  0.83  0.77
+#
+# Every tower gains up to 64 bits, which holds Tate's algorithm (13-18
+# digits of 3, at most 29 bits); builds and the p-adic log multiply wider
+# and keep the layered kernel.
+_PACKED_BITS = 64
 
 
 class FieldError(ArithmeticError):
@@ -398,6 +418,7 @@ class LocalField:
         self._residue_field = None      # F_q, see residue_field
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
         self.delta = None               # the frame's delta, see _certify
+        self._packing = None            # slot layout, see _packed
         self._pi_pows = {}
 
     # -- constructors of elements ---------------------------------------
@@ -487,12 +508,13 @@ class LocalField:
         Over a base that is not Q_p the convolution is of d blocks, each
         block product one call of the base kernel.  Sparse operands (nx ny
         <= d(d+1)/2 nonzero block pairs: integers, lifts, pi) skip their
-        zero blocks; dense ones take a one-level Karatsuba product with
-        d(d+1)/2 base products, D_i = x_i y_i and P_ij = (x_i + x_j)(y_i +
-        y_j) for i < j, whose P_ij - D_i - D_j is x_i y_j + x_j y_i.  The
-        inputs may be unreduced or negative (pair sums are), and everything
-        is exact over Z and reduced mod pm at the end, so both ways give
-        the same vector.
+        zero blocks.  Dense ones take one packed integer product
+        (``_packed``) while pm has at most _PACKED_BITS bits, and above
+        that a one-level Karatsuba product with d(d+1)/2 base products,
+        D_i = x_i y_i and P_ij = (x_i + x_j)(y_i + y_j) for i < j, whose
+        P_ij - D_i - D_j is x_i y_j + x_j y_i.  The inputs may be unreduced
+        or negative (pair sums are), and everything is exact over Z and
+        reduced mod pm at the end, so every way gives the same vector.
 
         Over Q_p the blocks are integers, and the same choice is made by
         the width of pm as well: dense operands take a recursive Karatsuba
@@ -528,6 +550,8 @@ class LocalField:
             for i in xnz:
                 for j in ynz:
                     _add_block(conv, i + j, mul(xb[i], yb[j], pm))
+        elif pm.bit_length() <= _PACKED_BITS:
+            return self._packed(xs, ys, pm)
         else:
             dg = [mul(xi, yi, pm) for xi, yi in zip(xb, yb)]
             for i, di in enumerate(dg):
@@ -537,7 +561,14 @@ class LocalField:
                               [u + v for u, v in zip(yb[i], yb[j])], pm)
                     _add_block(conv, i + j, [c - u - v for c, u, v
                                              in zip(pij, di, dg[j])])
-        # from the top down: theta^(d+k) -> sum r_i theta^(i+k)
+        return self._fold_blocks(conv, pm)
+
+    def _fold_blocks(self, conv, pm):
+        """The 2d - 1 blocks of a product over a base that is not Q_p
+        (lists, None for a zero block) folded from the top down by the
+        layer relation, theta^(d+k) -> sum r_i theta^(i+k), with one base
+        product per nonzero top block and relation term."""
+        d, mul = self.d, self.base._mul_mod
         for t in range(2 * d - 2, d - 1, -1):
             if conv[t] is None:
                 continue
@@ -545,8 +576,68 @@ class LocalField:
             if any(blk):
                 for i, ri in self.relation:
                     _add_block(conv, t - d + i, mul(blk, ri, pm))
-        zero = (0,) * b
+        zero = (0,) * self.base.n
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
+
+    def _packed(self, xs, ys, pm):
+        """Product mod pm of flat vectors of a layer over a base that is
+        not Q_p, by one integer multiply (Kronecker substitution).
+
+        A flat vector is a polynomial in the generators theta_1 .. theta_k
+        of the layers from Q_p up, of degree below d_l in theta_l, and the
+        product of two has degree at most 2 d_l - 2 in each.  Substituting
+        theta_l = X^(S_l), S_1 = 1 and S_(l+1) = S_l (2 d_l - 1), keeps the
+        product's terms apart, so with each coordinate reduced into [0, pm)
+        and put into its own slot of 2 bits(pm) + bits(n) + 1 bits (a
+        product slot sums at most n terms below pm^2), the integer product
+        of the two packed operands holds the exact convolution.  It is
+        read back slot by slot and folded layer by layer from the bottom,
+        the layer over Q_p by ``_fold`` and every layer above by its
+        relation (``_fold_blocks``); all of it is exact over Z and reduced
+        mod pm, so the vector is the layered kernel's."""
+        chain, slots, size = self._packing or self._init_packing()
+        width = (2 * pm.bit_length() + self.n.bit_length() + 8) // 8
+        bits = 8 * width
+
+        def pack(vec):
+            out = 0
+            for c, t in zip(vec, slots):
+                if c:
+                    out += (c % pm) << (t * bits)
+            return out
+
+        X = pack(xs)
+        Y = X if ys is xs else pack(ys)
+        raw = (X * Y).to_bytes(size * width, "little")
+        conv = [int.from_bytes(raw[o:o + width], "little")
+                for o in range(0, size * width, width)]
+        low = chain[0]
+        step = 2 * low.d - 1
+        vec = [c for o in range(0, size, step)
+               for c in low._fold(conv[o:o + step], pm)]
+        for fld in (*chain[1:], self):
+            b, step = fld.base.n, 2 * fld.d - 1
+            vec = [c for o in range(0, len(vec), b * step)
+                   for c in fld._fold_blocks(
+                       [vec[o + t * b:o + (t + 1) * b] for t in range(step)],
+                       pm)]
+        return tuple(vec)
+
+    def _init_packing(self):
+        """The slot layout of ``_packed``, kept on the layer: the layers
+        below it from the one over Q_p up, the slot of each flat coordinate,
+        and the number of slots of a product."""
+        chain, fld = [], self.base
+        while fld.base is not None:
+            chain.append(fld)
+            fld = fld.base
+        chain.reverse()
+        slots, size = [0], 1
+        for fld in (*chain, self):
+            slots = [t + i * size for i in range(fld.d) for t in slots]
+            size *= 2 * fld.d - 1
+        self._packing = (chain, slots, size)
+        return self._packing
 
     def _karatsuba(self, xs, ys):
         """Exact convolution of two integer vectors of one length n, of any
@@ -663,7 +754,9 @@ class LocalField:
         The residue comes from the least terms: r_B(y_k) c1^v_B(y_k) c2^k
         with c1 = res(pi_B / pi^scale) and c2 = res(delta / pi^v(delta))
         in a ramified layer, sum r_B(y_k) rho^k in an unramified one,
-        where pi = pi_B and delta = rho.
+        where pi = pi_B and delta = rho.  Over Q_p a block is one integer,
+        which the walk shifts, scales and reads itself, with no call of
+        the base's kernel or walk.
         """
         p = self.p
         pm = p ** m
@@ -675,22 +768,25 @@ class LocalField:
             return v - s, None, (vec[0] // p ** v % p,) if res else None
         B, b, d = self.base, self.base.n, self.d
         beta, gamma, scale, w = self.frame
-        blocks = [vec[i * b:(i + 1) * b] for i in range(d)]
-        if not any(c for blk in blocks[1:] for c in blk):
+        if not any(vec[b:]):
             # an element of the base plus an error of v >= e (m - s)
-            v, bound, r = B._val(blocks[0], s, m, res)
+            v, bound, r = B._val(vec[:b], s, m, res)
             if v is not None:
                 r = self._lead_residue([(0, v, r)], rconst) if res else None
                 return scale * v, None, r
             return None, min(self.e * (m - s), scale * bound), None
+        ints = B.base is None         # blocks of one integer coordinate
+        blocks = vec if ints else [vec[i * b:(i + 1) * b] for i in range(d)]
         t = u = 0
         if beta is not None:
             bvec, t = beta
             if t:
                 # beta = bvec / p^t: shift the blocks p^(t(d-1-i)) X_i by
                 # bvec, then y_k carries the denominator p^(s + t(d-1-k))
-                blocks = [[c * p ** (t * (d - 1 - i)) % pm for c in blk]
-                          for i, blk in enumerate(blocks)]
+                pts = [p ** (t * (d - 1 - i)) for i in range(d)]
+                blocks = ([c * q % pm for c, q in zip(blocks, pts)] if ints
+                          else [[c * q % pm for c in blk]
+                                for blk, q in zip(blocks, pts)])
         if gamma is not None:
             gpows, u = gamma
         dens = [s + t * (d - 1 - k) + u * k for k in range(d)]
@@ -703,13 +799,24 @@ class LocalField:
                 # pass k of the Taylor shift leaves y_k final
                 for j in range(d - 2, k - 1, -1):
                     hi = blocks[j + 1]
-                    if any(hi):
+                    if ints:
+                        blocks[j] = (blocks[j] + hi * bvec[0]) % pm
+                    elif any(hi):
                         blocks[j] = [(c + a) % pm for c, a in
                                      zip(blocks[j], B._mul_mod(hi, bvec, pm))]
             y = blocks[k]
             if gamma is not None and k:
-                y = B._mul_mod(y, gpows[k], pm)
-            v, bound, r = B._val(y, dens[k], m, res)
+                y = (y * gpows[k][0] % pm if ints
+                     else B._mul_mod(y, gpows[k], pm))
+            if not ints:
+                v, bound, r = B._val(y, dens[k], m, res)
+            elif y:
+                # the base's _val of one coordinate
+                v = _vp(y, p)
+                r = (y // p ** v % p,) if res else None
+                v -= dens[k]
+            else:
+                v, bound = None, m - dens[k]
             if v is not None:
                 term = scale * v + k * w
                 if best is None or term < best:

@@ -9,7 +9,10 @@ quadratic; custom) the two must agree whenever both certify, and a bound
 from the frame must not exceed the norm's value.  The same draws check
 v(xy) = v(x) + v(y) and the ultrametric inequality.  A seeded sweep at
 low precision checks that every frame answer holds for each lift of the
-element to a higher precision.
+element to a higher precision.  The random draws are known mod p^M or
+mod a narrow p^m below the packed-product gate, where dense products are
+one packed multiply and a layer over Q_p reads its integer coordinates
+in its own walk, as in Tate's algorithm.
 
 The residues the same walk reads (``residue_at``) are checked against
 a lift scan: the first c in F_q whose lift ``K.lift(c)`` has
@@ -23,9 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph.fields import (FieldElement, FieldError, LocalField,
-                                 TowerStep, build_field, find_uniformizer,
-                                 norm_to_qp, residue)
+from anabelomorph.fields import (_MIN_EFFECTIVE, _PACKED_BITS, FieldElement,
+                                 FieldError, LocalField, TowerStep,
+                                 build_field, find_uniformizer, norm_to_qp,
+                                 residue)
 from anabelomorph.padic import PrecisionError
 
 T = TowerStep
@@ -123,17 +127,31 @@ def _check_against_norm(x):
     return v
 
 
+def _narrow_digits(p):
+    """The most digits m with p^m below the packed-product gate, where
+    products take one packed multiply and the walks of layers over Q_p
+    read integers, as in Tate's algorithm."""
+    m = 1
+    while (p ** (m + 1)).bit_length() <= _PACKED_BITS:
+        m += 1
+    return m
+
+
 @st.composite
 def _elements(draw, K):
     """Sparse vectors of mixed p-adic size, whole blocks over the base
-    left out at random, with a small denominator."""
+    left out at random, with a small denominator, known mod p^M or mod a
+    narrow p^m below the packed-product gate."""
     p = K.p
     b = K.base.n
     keep = draw(st.lists(st.booleans(), min_size=K.d, max_size=K.d))
     vec = [draw(st.sampled_from([0, 1, -1, p, 1 + p, p ** 3 - 1]))
            * p ** draw(st.integers(0, 4)) if keep[i // b] else 0
            for i in range(K.n)]
-    return FieldElement(K, vec, draw(st.integers(0, 2)), K.M)
+    # a product of two draws, of s <= 4, keeps _MIN_EFFECTIVE digits
+    m = draw(st.sampled_from(
+        [K.M, draw(st.integers(4 + _MIN_EFFECTIVE, _narrow_digits(p)))]))
+    return FieldElement(K, vec, draw(st.integers(0, 2)), m)
 
 
 @pytest.mark.parametrize("key", sorted(FRAME_TOWERS),
@@ -238,8 +256,8 @@ def _scan_residue(x, k):
     F = K.residue_field
     if F.q >= 1000:
         return None
-    y = x * K.pi_pow(-k)
     try:
+        y = x * K.pi_pow(-k)
         for c in F.elements:
             if K.val_at_least(y - K.lift(c), 1):
                 return c

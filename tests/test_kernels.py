@@ -12,19 +12,22 @@ cofactor of a Galois layer, built by doubling over the cyclic factors
 of its group, is checked bit for bit against the product of the
 conjugates taken one after another, and its count of layer products is
 pinned.  Products of every layer kind are checked against a schoolbook
-product reduced by the layer's defining polynomial, and the ring axioms
-are checked on random elements.
+product reduced by the layer's defining polynomial, on both sides of the
+packed-product gate for the layers over a base that is not Q_p, and the
+ring axioms are checked on random elements.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph.fields import (_KARATSUBA_BITS, FieldElement, TowerStep,
-                                 _charpoly, build_field, norm_to_qp)
+from anabelomorph.fields import (_KARATSUBA_BITS, _PACKED_BITS, FieldElement,
+                                 TowerStep, _charpoly, build_field, norm_to_qp)
 
 T = TowerStep
 PRIMES = (2, 3, 5, 7)
@@ -384,7 +387,9 @@ def test_block_product_counts(d):
             return len(calls)
         x, y = (_with_blocks(rng, K, d, 0, pm) for _ in range(2))
         # d(d+1)/2 for the convolution (schoolbook: d^2), then one per
-        # nonzero top block for the fold by x^d = a
+        # nonzero top block for the fold by x^d = a; the modulus is above
+        # the packed-product gate
+        assert pm.bit_length() > _PACKED_BITS
         assert len(K.relation) == 1
         assert count(x, y) == d * (d + 1) // 2 + d - 1
         assert count(x, x) == d * (d + 1) // 2 + d - 1
@@ -394,6 +399,109 @@ def test_block_product_counts(d):
         assert count(y, one) == d
     finally:
         del base._mul_mod
+
+
+# ----------------------------------------------------------------------
+# packed products: one integer multiply for dense operands at a narrow p^m
+
+# layers over a base that is not Q_p: Kummer over Kummer (degree 54),
+# quadratic (both unramified, f = 2), custom, Kummer over the custom
+# layer x^2 + x + 1, an unramified Kummer layer (f = 3), and a custom
+# layer over an unramified quadratic base (f = 2)
+PACKED_TOWERS = {
+    "kummer p=3 degree 54": ORACLE_TOWERS["kummer p=3 degree 54"],
+    "quad p=3": ORACLE_TOWERS["quad p=3"],
+    "quad p=7": ORACLE_TOWERS["quad p=7"],
+    "custom p=2": ORACLE_TOWERS["custom p=2"],
+    "custom p=5": ORACLE_TOWERS["custom p=5"],
+    "kummer p=3 over custom": COFACTOR_TOWERS["kummer p=3 over custom"],
+    "kummer p=3 unramified": (3, [T.cyclotomic(3),
+                                  T.kummer(3, {0: 2, 1: -3})]),
+    "custom p=3 over f=2": (3, [T.custom([-2, 0]), T.custom([-3, 0, 0])]),
+}
+
+
+def _packed_gate_moduli(p):
+    """p^m just below and just above the packed-product gate: the widest
+    power of p of at most _PACKED_BITS bits, and the next one."""
+    m = 1
+    while (p ** (m + 1)).bit_length() <= _PACKED_BITS:
+        m += 1
+    return p ** m, p ** (m + 1)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_TOWERS))
+def test_packed_products_match_schoolbook(name):
+    K = _oracle_tower(name, PACKED_TOWERS)
+    rng = random.Random(f"packed:{name}")
+    layers = [fld for fld in _layers(K) if fld.base.base is not None]
+    assert layers
+    for fld in layers:
+        d = fld.d
+        for pm in _packed_gate_moduli(fld.p):
+            # reduced entries, then unreduced ones: negative and >= p^m
+            for lo, hi in ((0, pm), (-pm, 2 * pm)):
+                for nx, ny in _block_shapes(d):
+                    x = _with_blocks(rng, fld, nx, lo, hi)
+                    y = _with_blocks(rng, fld, ny, lo, hi)
+                    assert (list(fld._mul_mod(x, y, pm))
+                            == _schoolbook(fld, x, y, pm))
+                # the last shape is (d, d): a dense square
+                assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+
+
+@pytest.mark.parametrize("d", sorted(KARATSUBA_TOWERS))
+def test_packed_product_dispatch(d):
+    K = _oracle_tower(KARATSUBA_TOWERS[d])
+    base = K.base
+    rng = random.Random(f"packed dispatch:{d}")
+    below, above = _packed_gate_moduli(K.p)
+    calls = []
+    real = base._mul_mod
+
+    def counting(xs, ys, m):
+        calls.append(m)
+        return real(xs, ys, m)
+
+    base._mul_mod = counting
+    try:
+        def count(x, y, pm):
+            calls.clear()
+            K._mul_mod(x, y, pm)
+            return len(calls)
+        x, y = (_with_blocks(rng, K, d, 1, below) for _ in range(2))
+        # below the gate the dense convolution is one packed multiply: the
+        # base kernel only folds the d - 1 top blocks by x^d = a
+        assert len(K.relation) == 1
+        assert count(x, y, below) == d - 1
+        assert count(x, x, below) == d - 1
+        # above it, d(d+1)/2 base products convolve
+        assert count(x, y, above) == d * (d + 1) // 2 + d - 1
+        # a sparse operand skips zero blocks on both sides of the gate
+        one = [c if i < base.n else 0 for i, c in enumerate(x)]
+        for pm in (below, above):
+            assert count(one, y, pm) == d
+    finally:
+        del base._mul_mod
+
+
+def test_packed_layout_is_kept_on_the_layer():
+    # the layout is set on the first narrow product and reused; it keeps
+    # no reference that outlives the tower
+    p, steps = ORACLE_TOWERS["kummer p=3 degree 54"]
+    K = build_field(p, steps)
+    below, _ = _packed_gate_moduli(p)
+    x = [1 + i for i in range(K.n)]
+    assert K._packing is None
+    K._mul_mod(x, x, below)
+    layout = K._packing
+    assert layout is not None
+    K._mul_mod(x, x, below)
+    assert K._packing is layout
+    ref = weakref.ref(K)
+    del K, layout
+    gc.collect()
+    assert ref() is None
 
 
 # ----------------------------------------------------------------------
