@@ -588,13 +588,13 @@ class LocalField:
         product of two has degree at most 2 d_l - 2 in each.  Substituting
         theta_l = X^(S_l), S_1 = 1 and S_(l+1) = S_l (2 d_l - 1), keeps the
         product's terms apart, so with each coordinate reduced into [0, pm)
-        and put into its own slot of 2 bits(pm) + bits(n) + 1 bits (a
-        product slot sums at most n terms below pm^2), the integer product
-        of the two packed operands holds the exact convolution.  It is
-        read back slot by slot and folded layer by layer from the bottom,
-        the layer over Q_p by ``_fold`` and every layer above by its
-        relation (``_fold_blocks``); all of it is exact over Z and reduced
-        mod pm, so the vector is the layered kernel's."""
+        and put into its own slot of 2 bits(pm) + bits(n) + 1 bits, in
+        whole bytes (a product slot sums at most n terms below pm^2), the
+        integer product of the two packed operands holds the exact
+        convolution.  It is read back slot by slot and folded layer by
+        layer from the bottom, the layer over Q_p by ``_fold`` and every
+        layer above by its relation (``_fold_blocks``); all of it is exact
+        over Z and reduced mod pm, so the vector is the layered kernel's."""
         chain, slots, size = self._packing or self._init_packing()
         width = (2 * pm.bit_length() + self.n.bit_length() + 8) // 8
         bits = 8 * width
