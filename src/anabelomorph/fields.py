@@ -70,19 +70,26 @@ _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # a layer over a base that is not Q_p multiplies dense operands by one
 # packed integer product (LocalField._packed) while p^m has at most
 # _PACKED_BITS bits.  Speed of a dense top-layer product, packed against
-# the layered kernel, min of 15 interleaved rounds (CPython 3.11, 2-core
-# x86), by the bits of p^m, on Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a:
+# the layered kernel, min of 15 interleaved rounds (5 from n = 128 on;
+# CPython 3.11, 2-core x86), by the bits of p^m, on
+# Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the slots of a product:
 #
-#   tower         n    32    48    64    80    96   128   160 bits
-#   (3,2) rad 3  54  1.55  1.39  1.31  1.24  1.13  1.00  0.88
-#   (3,2) rad 4  54  1.61  1.40  1.30  1.15  1.09  0.95  0.81
-#   (5,1) rad 6  20  1.69  1.58  1.49  1.49  1.46  1.22  1.17
-#   (7,1) rad 8  42  2.22  1.99  1.81  1.69  1.62  1.41  1.23
-#   (2,3) rad 3  32  1.23  1.16  1.06  0.97  0.96  0.83  0.77
+#   tower         n  slots    32    48    64    80    96   128   160 bits
+#   (3,2) rad 3  54    275  1.56  1.42  1.34  1.27  1.17  1.04  0.92
+#   (3,2) rad 4  54    275  1.60  1.46  1.37  1.22  1.14  1.00  0.85
+#   (5,1) rad 6  20     63  1.68  1.57  1.50  1.42  1.38  1.22  1.16
+#   (7,1) rad 8  42    143  2.20  2.05  1.92  1.78  1.68  1.47  1.30
+#   (2,3) rad 3  32    189  1.22  1.16  1.11  1.01  1.00  0.88  0.78
+#   (3,3) rad 3 486   4375  2.23  1.80  1.70  1.44  1.21  1.20  0.92
+#   (2,4) rad 3 128   1215  1.17  1.01  0.94  0.84  0.72  0.57  0.54
+#   (2,5) rad 3 512   7533  1.06  0.92  0.68  0.57  0.43  0.36  0.28
 #
-# Every tower gains up to 64 bits, which holds Tate's algorithm (13-18
-# digits of 3, at most 29 bits); builds and the p-adic log multiply wider
-# and keep the layered kernel.
+# Up to 64 bits, which holds Tate's algorithm (13-18 digits of 3, at most
+# 29 bits), every tower gains except the tall p = 2 ones from 48 bits on:
+# (2,4) breaks even and (2,5) drops to 0.68x, as their degree-2 Kummer
+# layers multiply cheaply layer by layer while their slots grow by 3/2 a
+# layer, and CPython multiplies megabit integers in O(N^1.58).  Builds
+# and the p-adic log multiply wider and keep the layered kernel.
 _PACKED_BITS = 64
 
 
@@ -597,14 +604,14 @@ class LocalField:
         over Z and reduced mod pm, so the vector is the layered kernel's."""
         chain, slots, size = self._packing or self._init_packing()
         width = (2 * pm.bit_length() + self.n.bit_length() + 8) // 8
-        bits = 8 * width
+        zero = bytes(width)
 
         def pack(vec):
-            out = 0
+            parts = [zero] * size
             for c, t in zip(vec, slots):
                 if c:
-                    out += (c % pm) << (t * bits)
-            return out
+                    parts[t] = (c % pm).to_bytes(width, "little")
+            return int.from_bytes(b"".join(parts), "little")
 
         X = pack(xs)
         Y = X if ys is xs else pack(ys)
