@@ -18,18 +18,20 @@ the base and multiply through one kernel, which over Q_p folds one
 integer convolution by the relation, and over any other base skips the
 zero blocks of sparse operands.  Dense operands over such a base take
 one packed integer product (Kronecker substitution) while p^m is at
-most _PACKED_BITS wide, as in Tate's algorithm, and above that convolve
-d blocks with d(d+1)/2 base products (one-level Karatsuba).  The integer
-convolution is a recursive Karatsuba when both operands are dense and
-p^m is at least _KARATSUBA_BITS wide (the degree-500 towers' base at
-M = 788), and a zero-skipping schoolbook otherwise.  Norms are computed
-level by level.  The automorphism group of each Galois layer is cyclic,
-or a product of two cyclic groups, and a conjugate costs a permutation
-or block products by roots of unity rather than a layer product, so the
-product of the conjugates, whose product with the element is the
-resultant of the layer relation against it, is built by doubling over
-each cyclic factor in O(log d) layer products; a custom layer's comes
-from the characteristic polynomial of multiplication by the element.
+most _PACKED_BITS wide, as in Tate's algorithm, and the packed product
+at most _PACKED_PRODUCT_BITS, and otherwise convolve d blocks with
+d(d+1)/2 base products (one-level Karatsuba), which may pack in turn.
+The integer convolution is a recursive Karatsuba when both operands are
+dense and p^m is at least _KARATSUBA_BITS wide (the degree-500 towers'
+base at M = 788), and a zero-skipping schoolbook otherwise.  Norms are
+computed level by level.  The automorphism group of each Galois layer is
+cyclic, or a product of two cyclic groups, and a conjugate costs a
+permutation or block products by roots of unity rather than a layer
+product, so the product of the conjugates, whose product with the
+element is the resultant of the layer relation against it, is built by
+doubling over each cyclic factor in O(log d) layer products; a custom
+layer's comes from the characteristic polynomial of multiplication by
+the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u), which gives it a
@@ -69,28 +71,35 @@ _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # a layer over a base that is not Q_p multiplies dense operands by one
 # packed integer product (LocalField._packed) while p^m has at most
-# _PACKED_BITS bits.  Speed of a dense top-layer product, packed against
-# the layered kernel, min of 15 interleaved rounds (5 from n = 128 on;
-# CPython 3.11, 2-core x86), by the bits of p^m, on
-# Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the slots of a product:
+# _PACKED_BITS bits and the packed product at most _PACKED_PRODUCT_BITS;
+# a layer whose packed product would be larger convolves its blocks and
+# its base products pack in turn.  Speed of a dense top-layer product,
+# packed against the layered kernel, min of 15 interleaved rounds
+# (CPython 3.11, 2-core x86), by the bits of p^m, on
+# Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the slots of a whole
+# packed product:
 #
 #   tower         n  slots    32    48    64    80    96   128   160 bits
-#   (3,2) rad 3  54    275  1.56  1.42  1.34  1.27  1.17  1.04  0.92
-#   (3,2) rad 4  54    275  1.60  1.46  1.37  1.22  1.14  1.00  0.85
-#   (5,1) rad 6  20     63  1.68  1.57  1.50  1.42  1.38  1.22  1.16
-#   (7,1) rad 8  42    143  2.20  2.05  1.92  1.78  1.68  1.47  1.30
-#   (2,3) rad 3  32    189  1.22  1.16  1.11  1.01  1.00  0.88  0.78
-#   (3,3) rad 3 486   4375  2.23  1.80  1.70  1.44  1.21  1.20  0.92
-#   (2,4) rad 3 128   1215  1.17  1.01  0.94  0.84  0.72  0.57  0.54
-#   (2,5) rad 3 512   7533  1.06  0.92  0.68  0.57  0.43  0.36  0.28
+#   (3,2) rad 3  54    275  1.56  1.48  1.34  1.29  1.21  1.06  0.93
+#   (3,2) rad 4  54    275  1.60  1.28  1.38  1.21  1.14  0.98  0.86
+#   (5,1) rad 6  20     63  1.65  1.52  1.47  1.41  1.59  1.17  1.15
+#   (7,1) rad 8  42    143  2.15  1.96  1.88  1.78  1.63  1.50  1.28
+#   (2,3) rad 3  32    189  1.27  1.12  1.04  1.01  0.94  0.81  0.73
+#   (3,3) rad 3 486   4375  2.16  1.83  1.71  1.62  1.59  1.40  1.22
+#   (2,4) rad 3 128   1215  1.13  1.11  1.02  0.93  0.89  0.88  0.80
+#   (2,5) rad 3 512   7533  1.35  1.19  1.25  1.10  1.10  1.00  0.87
 #
 # Up to 64 bits, which holds Tate's algorithm (13-18 digits of 3, at most
-# 29 bits), every tower gains except the tall p = 2 ones from 48 bits on:
-# (2,4) breaks even and (2,5) drops to 0.68x, as their degree-2 Kummer
-# layers multiply cheaply layer by layer while their slots grow by 3/2 a
-# layer, and CPython multiplies megabit integers in O(N^1.58).  Builds
-# and the p-adic log multiply wider and keep the layered kernel.
+# 29 bits), every tower gains.  The last three towers pass the product
+# cap, (3,3) and (2,5) from 32 bits and (2,4) from 48 (136 000 bits).
+# Packed whole, as without the cap, the tall p = 2 ones lost from 48
+# bits ((2,4) 1.00x and 0.94x at 48 and 64 bits, (2,5) 0.91x and 0.71x;
+# (3,3) 1.66x at 64), as their degree-2 Kummer layers multiply cheaply
+# layer by layer while the slots grow by 3/2 a layer, and CPython
+# multiplies megabit integers in O(N^1.58).
+# Builds and the p-adic log multiply wider and keep the layered kernel.
 _PACKED_BITS = 64
+_PACKED_PRODUCT_BITS = 100_000
 
 
 class FieldError(ArithmeticError):
@@ -516,12 +525,15 @@ class LocalField:
         block product one call of the base kernel.  Sparse operands (nx ny
         <= d(d+1)/2 nonzero block pairs: integers, lifts, pi) skip their
         zero blocks.  Dense ones take one packed integer product
-        (``_packed``) while pm has at most _PACKED_BITS bits, and above
-        that a one-level Karatsuba product with d(d+1)/2 base products,
-        D_i = x_i y_i and P_ij = (x_i + x_j)(y_i + y_j) for i < j, whose
-        P_ij - D_i - D_j is x_i y_j + x_j y_i.  The inputs may be unreduced
-        or negative (pair sums are), and everything is exact over Z and
-        reduced mod pm at the end, so every way gives the same vector.
+        (``_packed``) while pm has at most _PACKED_BITS bits and the packed
+        product at most _PACKED_PRODUCT_BITS, and otherwise a one-level
+        Karatsuba product with d(d+1)/2 base products, D_i = x_i y_i and
+        P_ij = (x_i + x_j)(y_i + y_j) for i < j, whose P_ij - D_i - D_j is
+        x_i y_j + x_j y_i; on a tall tower at a narrow pm those base
+        products pack in turn, once the layers below fit.  The inputs may
+        be unreduced or negative (pair sums are), and everything is exact
+        over Z and reduced mod pm at the end, so every way gives the same
+        vector.
 
         Over Q_p the blocks are integers, and the same choice is made by
         the width of pm as well: dense operands take a recursive Karatsuba
@@ -557,7 +569,10 @@ class LocalField:
             for i in xnz:
                 for j in ynz:
                     _add_block(conv, i + j, mul(xb[i], yb[j], pm))
-        elif pm.bit_length() <= _PACKED_BITS:
+        elif (pm.bit_length() <= _PACKED_BITS
+              and 8 * _slot_bytes(self.n, pm)
+              * (self._packing or self._init_packing())[2]
+              <= _PACKED_PRODUCT_BITS):
             return self._packed(xs, ys, pm)
         else:
             dg = [mul(xi, yi, pm) for xi, yi in zip(xb, yb)]
@@ -603,7 +618,7 @@ class LocalField:
         layer above by its relation (``_fold_blocks``); all of it is exact
         over Z and reduced mod pm, so the vector is the layered kernel's."""
         chain, slots, size = self._packing or self._init_packing()
-        width = (2 * pm.bit_length() + self.n.bit_length() + 8) // 8
+        width = _slot_bytes(self.n, pm)
         zero = bytes(width)
 
         def pack(vec):
@@ -1385,6 +1400,12 @@ def _strip(vec, s, m, p, g):
         return vec, s, m
     pg, pm = p ** g, p ** (m - g)
     return tuple(a // pg % pm for a in vec), s - g, m - g
+
+
+def _slot_bytes(n, pm):
+    """Bytes of a slot of ``LocalField._packed`` on a layer of degree n:
+    a product slot sums at most n terms below pm^2."""
+    return (2 * pm.bit_length() + n.bit_length() + 8) // 8
 
 
 def _add_block(conv, k, prod):

@@ -26,8 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anabelomorph import fields
 from anabelomorph.fields import (_KARATSUBA_BITS, _PACKED_BITS, FieldElement,
-                                 TowerStep, _charpoly, build_field, norm_to_qp)
+                                 TowerStep, _charpoly, _slot_bytes,
+                                 build_field, norm_to_qp)
 
 T = TowerStep
 PRIMES = (2, 3, 5, 7)
@@ -421,12 +423,18 @@ PACKED_TOWERS = {
 }
 
 
-def _packed_gate_moduli(p):
-    """p^m just below and just above the packed-product gate: the widest
-    power of p of at most _PACKED_BITS bits, and the next one."""
+def _packed_gate_digits(p):
+    """The most digits m with p^m of at most _PACKED_BITS bits: the widest
+    modulus below the packed-product gate."""
     m = 1
     while (p ** (m + 1)).bit_length() <= _PACKED_BITS:
         m += 1
+    return m
+
+
+def _packed_gate_moduli(p):
+    """p^m just below and just above the packed-product gate."""
+    m = _packed_gate_digits(p)
     return p ** m, p ** (m + 1)
 
 
@@ -483,6 +491,35 @@ def test_packed_product_dispatch(d):
             assert count(one, y, pm) == d
     finally:
         del base._mul_mod
+
+
+def test_packed_product_cap(monkeypatch):
+    # a layer whose packed product would pass _PACKED_PRODUCT_BITS
+    # convolves its blocks, and the base products pack in turn
+    K = _oracle_tower("kummer p=3 degree 54")
+    base, d = K.base, K.d
+    assert base.base.base is not None
+    rng = random.Random("packed cap")
+    below, _ = _packed_gate_moduli(K.p)
+    top = 8 * _slot_bytes(K.n, below) * K._init_packing()[2]
+    x, y = (_with_blocks(rng, K, d, 0, below) for _ in range(2))
+    want = _schoolbook(K, x, y, below)
+    calls = []
+    for fld in (K, base):
+        def counting(xs, ys, pm, real=fld._packed, fld=fld):
+            calls.append(fld)
+            return real(xs, ys, pm)
+        fld._packed = counting
+    try:
+        monkeypatch.setattr(fields, "_PACKED_PRODUCT_BITS", top - 1)
+        assert list(K._mul_mod(x, y, below)) == want
+        assert K not in calls and len(calls) >= d * (d + 1) // 2
+        calls.clear()
+        monkeypatch.setattr(fields, "_PACKED_PRODUCT_BITS", top)
+        assert list(K._mul_mod(x, y, below)) == want
+        assert calls == [K]
+    finally:
+        del K._packed, base._packed
 
 
 def test_packed_layout_is_kept_on_the_layer():
