@@ -40,9 +40,12 @@ and w = v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k w).
 One call, ``LocalField._certify``, takes every layer kind's frame and
 derives the rest from it: the uniformizer, pi_B when the layer is
-unramified and delta^x pi_B^y with xw + yd = 1 when ramified, and the
-layer's contribution to the different, 0 when unramified and
+unramified and delta^x B.monomial(y) with xw + yd = 1 when ramified, and
+the layer's contribution to the different, 0 when unramified and
 v_K(f'(gen)) - (d - 1)(w - 1) for the layer relation f when ramified.
+``monomial(v)`` is an element of valuation v made of nonnegative powers
+of the frame deltas over a power of p, so building a uniformizer or a
+Kummer radicand's normalizer inverts no power of pi.
 Valuations are read off the frames layer by layer, never from a norm
 (a layer over Q_p shifts and reads its integer coordinates in its own
 walk); a layer's own norm only certifies its frame's delta before the
@@ -64,8 +67,8 @@ DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
 # the largest tower degree build_field accepts, checked from the steps
-# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in about
-# 30 s; larger towers are out of scope
+# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 4-5 s
+# (CPython 3.11, 2-core x86); larger towers are out of scope
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
@@ -898,11 +901,13 @@ class LocalField:
 
         With c1 = c2 = 1, passed in for the read, the read of delta^scale
         gives rho, the r_B of its least term, at k = 0 and v_B = w, so
-        c2^scale = rho c1^w.  The uniformizer pi = delta^x pi_B^y of
-        ``_certify``, xw + y scale = 1, is its own least frame term, at
-        k = x with y_x = pi_B^y of residue 1, so 1 = c1^y c2^x.  Together
-        they give c1 = rho^-x and c2 = rho^y.  The constants and the field
-        are set only once the read succeeds.
+        c2^scale = rho c1^w.  The uniformizer pi = delta^x u of
+        ``_certify``, u = B.monomial(y) and xw + y scale = 1, is its own
+        least frame term, at k = x with y_x = u, whose residue r_u the
+        base's constants give (``_monomial_residue``, no walk), so
+        1 = r_u c1^y c2^x.  Together they give c1 = rho^-x r_u^-scale and
+        c2 = rho^y r_u^-w.  The constants and the field are set only once
+        the read succeeds.
         """
         B, delta = self.base, self.delta
         _, _, scale, w = self.frame
@@ -913,8 +918,10 @@ class LocalField:
         F = B.residue_field
         rho = self._read(delta ** scale, (F.one, [F.one] * self.d))
         x = pow(w, -1, scale)
-        c1 = F.pow(rho, -x)
-        c2 = F.pow(rho, (1 - x * w) // scale)
+        y = (1 - x * w) // scale
+        ru = B._monomial_residue(y)
+        c1 = F.mul(F.pow(rho, -x), F.pow(ru, -scale))
+        c2 = F.mul(F.pow(rho, y), F.pow(ru, -w))
         self._rconst = (c1, [F.pow(c2, k) for k in range(self.d)])
         self._residue_field = F
 
@@ -964,9 +971,11 @@ class LocalField:
         for the residue constants.
 
         The uniformizer is pi = pi_B on an unramified layer, and on a
-        ramified one pi = delta^x pi_B^y with x = w^-1 mod d and
-        y = (1 - xw) / d, so that v(pi) = xw + yd = 1.  Both v(pi) = 1
-        and v(pi_B) = e_rel are checked on the installed frame.  The
+        ramified one pi = delta^x B.monomial(y) with x = w^-1 mod d and
+        y = (1 - xw) / d, so that v(pi) = xw + yd = 1; the base's factor
+        is made of the base's frame deltas over a power of p, not of
+        pi_B^y, which for y < 0 is an inverse.  Both v(pi) = 1 and
+        v(pi_B) = e_rel are checked on the installed frame.  The
         layer's different is credited by transitivity, v_K(D_K) =
         v_K(D_{K/B}) + e_rel v_B(D_B) (Serre, Local Fields, III 4).
 
@@ -981,7 +990,7 @@ class LocalField:
           * delta generates K with minimal polynomial f(t + beta), whose
             derivative at delta is f'(gen): v_K(f'(gen)) is the sum of
             v(sigma delta - delta).
-          * pi = delta^x pi_B^y is a uniformizer, and O_K = O_B[pi]
+          * pi = delta^x u, v_B(u) = y, is a uniformizer, and O_K = O_B[pi]
             (Serre, Local Fields, I 6): v_K(D_{K/B}) is the sum of
             v(sigma pi - pi).
           * Each v(sigma delta - delta) = v(sigma pi - pi) + w - 1.  As
@@ -1024,7 +1033,7 @@ class LocalField:
         else:
             x = pow(weight, -1, e_rel)
             y = (1 - x * weight) // e_rel
-            self.pi = delta ** x * self.embed(B.pi_pow(y))
+            self.pi = delta ** x * self.embed(B.monomial(y))
         if self.pi.valuation() != 1:
             raise UniformizerSearchError(
                 f"{self.kind} layer uniformizer check failed")
@@ -1142,6 +1151,38 @@ class LocalField:
             out._val = (k, None)
             self._pi_pows[k] = out
         return out
+
+    def monomial(self, v):
+        """An element of valuation v made of frame deltas, with no power
+        of pi inverted: p^v over Q_p (a denominator when v < 0), the
+        base's element on an unramified layer, and on a ramified one
+        delta^a embed(B.monomial(b)) with v = a w + d b, 0 <= a < d
+        (``_monomial_split``).  It is one frame term, at k = a with
+        y_a = B.monomial(b)."""
+        if self.base is None:
+            return self.from_fraction(Fraction(self.p) ** v)
+        a, b = self._monomial_split(v)
+        out = self.embed(self.base.monomial(b))
+        return self.delta ** a * out if a else out
+
+    def _monomial_split(self, v):
+        """(a, b) with v = a w + d b and 0 <= a < d on a ramified layer of
+        degree d and frame weight w, prime to d, so that a = v w^-1 mod d
+        (Serre, Local Fields, I 6); (0, v) on an unramified layer."""
+        _, _, d, w = self.frame
+        if d == 1:
+            return 0, v
+        a = v * pow(w, -1, d) % d
+        return a, (v - a * w) // d
+
+    def _monomial_residue(self, v):
+        """The residue of monomial(v) / pi^v, from the residue constants
+        of this layer and the ones below, with no frame walk: the residue
+        of its one frame term (``_lead_residue``)."""
+        if self.base is None:
+            return (1,)
+        a, b = self._monomial_split(v)
+        return self._lead_residue([(a, b, self.base._monomial_residue(b))])
 
     # -- misc -------------------------------------------------------------------
 
@@ -1478,17 +1519,19 @@ def _extend_kummer_cyclic(base, rad, name):
     """Adjoin a p-th root of ``rad`` (element of base) as one certified layer.
 
     The stored layer relation uses the normalized radicand
-    rad1 = rad * pi^(-p k) * p^(p t)  (integral coefficients, small
-    valuation), so the internal generator gen satisfies
-    gen = rad^(1/p) * pi^(-k) * p^t.  Returns (field, user_generator)
-    with user_generator^p = rad exactly.
+    rad1 = rad c^p p^(p t) (integral coefficients, small valuation) of
+    ``_normalize_radicand``, so the internal generator gen satisfies
+    gen = rad^(1/p) c p^t.  The layer keeps ``normalizer`` = (c, c^-1),
+    or None when c = 1, for the Galois action.  Returns
+    (field, user_generator) with user_generator = gen c^-1 p^-t, whose
+    p-th power is rad.
     """
     p = base.p
     xi = _pth_root_of_unity(base)
     xi_powers = [base.one()]
     for _ in range(p - 1):
         xi_powers.append(xi_powers[-1] * xi)
-    rad1, k, t = _normalize_radicand(base, rad)
+    rad1, c, t = _normalize_radicand(base, rad)
     v1 = rad1.valuation()
     if v1 % p != 0:
         cert = f"eisenstein-type (newton polygon slope {v1}/{p})"
@@ -1499,14 +1542,14 @@ def _extend_kummer_cyclic(base, rad, name):
                 "radicand is a p-th power in the base (to working precision)")
         cert = peel["certificate"]
     K = KummerField(base, rad1, name, xi_powers)
-    K.gen_shift = (k, t)   # gen = rad^(1/p) * pi_B^(-k) * p^t
+    K.normalizer = None if c is None else (c, c.inv())
     gen = K.gen()
     if v1 % p != 0:
         K._certify(cert, p, v1, gen)
     elif kind == "tr":
-        c = v1 // p
-        beta = base.pi_pow(c) * peel["A"]
-        K._certify(cert, p, peel["lambda"] + p * c, gen - K.embed(beta),
+        h = v1 // p
+        beta = base.pi_pow(h) * peel["A"]
+        K._certify(cert, p, peel["lambda"] + p * h, gen - K.embed(beta),
                    beta=beta)
     else:  # unramified layer
         eun = base.e // (p - 1)
@@ -1517,24 +1560,28 @@ def _extend_kummer_cyclic(base, rad, name):
         # whose residue has degree p (the Artin-Schreier obstruction)
         K._certify(cert, 1, 0, rho, beta=alpha,
                    gamma=alpha * base.pi_pow(eun))
-    user_gen = gen * K.embed(base.pi_pow(k))
+    user_gen = gen if c is None else gen * K.embed(K.normalizer[1])
     return K, user_gen * K.from_fraction(Fraction(1, p ** t))
 
 
 def _normalize_radicand(base, rad):
-    """(rad1, k, t) with rad1 = rad * pi^(-p k) * p^(p t) carrying integral
-    coefficients and no p-power denominator.  Raises FieldError when rad
-    is exact and zero to precision, hence zero, and PrecisionError when
-    any other rad is zero to precision."""
+    """(rad1, c, t) with rad1 = rad c^p p^(p t) carrying integral
+    coefficients and no p-power denominator, for c = base.monomial(-k),
+    k = floor(v(rad) / p), of valuation -k (None when k = 0): no power of
+    pi is inverted, and c's denominator is a power of p, which p^(p t)
+    clears with the rest.  Raises FieldError when rad is exact and zero
+    to precision, hence zero, and PrecisionError when any other rad is
+    zero to precision."""
     if rad.exact and rad.is_zero_to_precision():
         raise FieldError("kummer radicand is zero")
     p = base.p
     k = rad.valuation() // p
-    rad1 = rad * base.pi_pow(-p * k) if k else rad._normalized()
+    c = base.monomial(-k) if k else None
+    rad1 = rad * c ** p if k else rad._normalized()
     t = (rad1.s + p - 1) // p
     if t:
         rad1 = rad1 * base.from_int(p ** (p * t))   # p^(p t) clears p^s
-    return FieldElement(base, rad1.vec, 0, rad1.m), k, t
+    return FieldElement(base, rad1.vec, 0, rad1.m), c, t
 
 
 def _peel_unit(base, rad1, v1):

@@ -228,9 +228,9 @@ def apply_automorphism(sigma, x):
     """Image of x under sigma (a ring homomorphism of the tower), carrying
     x's precision.  On the cyclotomic layer sigma maps zeta^l to zeta^(l a),
     then one fold by Phi_{p^r}, p^r = sigma.modulus.  Kummer layer t maps
-    gen_t = a^(1/p^t) pi_B^(-k) p^j (``gen_shift``) to
-    zeta^(b p^(r-t)) gen_t (pi_B sigma(pi_B^-1))^k, whichever layer x lies
-    in, and x = sum c_k gen_t^k, by Horner's rule, to
+    gen_t = a^(1/p^t) c p^j, with c and c^-1 in the base (``normalizer``),
+    to zeta^(b p^(r-t)) gen_t sigma(c) c^-1, whichever layer x lies in,
+    and x = sum c_k gen_t^k, by Horner's rule, to
     sum sigma(c_k) sigma(gen_t)^k."""
     chain, fld = [], x.field
     while fld.base is not None:
@@ -248,11 +248,9 @@ def apply_automorphism(sigma, x):
     for t, fld in enumerate(chain[1:], 1):
         img = (fld.from_zeta_poly({sigma.b * sigma.modulus // fld.p ** t: 1})
                * fld.gen())
-        k = fld.gen_shift[0]
-        if k:
-            B = fld.base
-            img = img * fld.embed(
-                (B.pi * _horner(sigma, gen_imgs, B.pi_pow(-1))) ** k)
+        if fld.normalizer is not None:
+            c, cinv = fld.normalizer
+            img = img * fld.embed(_horner(sigma, gen_imgs, c) * cinv)
         gen_imgs[fld] = img
     return _horner(sigma, gen_imgs, x)
 

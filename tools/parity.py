@@ -52,8 +52,10 @@ taken after restarts.
 When ``tools/parity.sha256`` exists, a digest that differs from the one it
 holds prints both and exits 1; a change that alters arithmetic on purpose
 commits the new digest there.  ``--verbose`` also prints one digest per
-tower, to localise a mismatch.  Stdlib only; most of a run is Tate's
-algorithm over the degree-54 towers.
+tower, to localise a mismatch, and next to it the headroom m - s of
+each layer's uniformizer pi, from Q_p up, on every tower it builds; the
+headrooms are printed only, not hashed.  Stdlib only; most of a run is
+Tate's algorithm over the degree-54 towers.
 """
 
 import argparse
@@ -230,8 +232,8 @@ def wide_digest(F, name, p, modulus, m):
 
 
 def cofactor_digest(F, name, p, steps, prec):
-    """Layer cofactors and norms of dense and one-block operands on every
-    layer of one tower, at M and at M/2."""
+    """(digest, headroom) of the layer cofactors and norms of dense and
+    one-block operands on every layer of one tower, at M and at M/2."""
     K = F.build_field(p, steps, prec)
     out = []
     fld = K
@@ -242,7 +244,7 @@ def cofactor_digest(F, name, p, steps, prec):
             out.append((fld.name, m, [fld._layer_cofactor(v, m)
                                       for v in vecs[::2]]))
         fld = fld.base
-    return hashlib.sha256(repr(out).encode()).hexdigest()
+    return hashlib.sha256(repr(out).encode()).hexdigest(), headroom(K)
 
 
 def golden_additive_rows():
@@ -255,10 +257,20 @@ def golden_additive_rows():
     raise SystemExit(f"no ADDITIVE_ROWS in {path}")
 
 
+def headroom(fld):
+    """The headroom m - s of each layer's pi, from Q_p up."""
+    out = []
+    while fld.base is not None:
+        out.append(fld.pi.m - fld.pi.s)
+        fld = fld.base
+    return out[::-1]
+
+
 def tate_digest(F, E, p, steps, curves, rst=None, hide=0):
-    """Quadruple and trace of Tate's algorithm on each curve over the
-    tower, and with ``rst`` also under that coordinate change; with
-    ``hide``, on the model hidden non-minimal by pi^hide instead."""
+    """(digest, headroom) of the quadruple and trace of Tate's algorithm
+    on each curve over the tower, and with ``rst`` also under that
+    coordinate change; with ``hide``, on the model hidden non-minimal by
+    pi^hide instead."""
     K = F.build_field(p, steps)
     h = hashlib.sha256()
     for coeffs in curves:
@@ -278,7 +290,7 @@ def tate_digest(F, E, p, steps, curves, rst=None, hide=0):
             except ArithmeticError as exc:
                 x = type(exc).__name__
             h.update(repr((coeffs, change, x)).encode())
-    return h.hexdigest()
+    return h.hexdigest(), headroom(K)
 
 
 def tate_towers(T):
@@ -301,12 +313,15 @@ def tate_towers(T):
 
 
 def tower_digest(F, G, E, name, p, steps):
+    """(digest, headroom) of one tower; no headroom when it fails to
+    build."""
     h = hashlib.sha256()
     try:
         fld = F.build_field(p, steps)
     except ArithmeticError as exc:      # a build that fails is a value too
         h.update(type(exc).__name__.encode())
-        return h.hexdigest()
+        return h.hexdigest(), None
+    heads = headroom(fld)
     try:
         filt = G.ramification_filtration(fld)
     except G.NonGaloisTowerError:
@@ -324,7 +339,7 @@ def tower_digest(F, G, E, name, p, steps):
             rng = random.Random(f"{name}|{fld.name}|{m}")
             h.update(repr((fld.name, m, layer_values(F, fld, m, rng))).encode())
         fld = fld.base
-    return h.hexdigest()
+    return h.hexdigest(), heads
 
 
 def main(argv=None):
@@ -339,20 +354,22 @@ def main(argv=None):
 
     total = hashlib.sha256()
     table = towers(F.TowerStep)
-    digests = [(name, tower_digest(F, G, E, name, p, steps))
+    digests = [(name, *tower_digest(F, G, E, name, p, steps))
                for name, (p, steps) in table.items()]
-    digests += [(name, wide_digest(F, name, *spec))
+    digests += [(name, wide_digest(F, name, *spec), None)
                 for name, spec in WIDE.items()]
     wide_cofactors = wide_cofactor_towers(F.TowerStep)
-    digests += [(name, cofactor_digest(F, name, *spec))
+    digests += [(name, *cofactor_digest(F, name, *spec))
                 for name, spec in wide_cofactors.items()]
     tate = tate_towers(F.TowerStep)
-    digests += [(name, tate_digest(F, E, *spec))
+    digests += [(name, *tate_digest(F, E, *spec))
                 for name, spec in tate.items()]
-    for name, digest in digests:
+    for name, digest, heads in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
-            print(f"{digest}  {name}")
+            pis = ("  [pi m-s " + " ".join(map(str, heads)) + "]"
+                   if heads else "")
+            print(f"{digest}  {name}{pis}")
     got = total.hexdigest()
     print(f"parity sha256 {got} ({len(table)} towers, "
           f"{len(WIDE)} wide integer layers, "
