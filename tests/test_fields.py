@@ -242,7 +242,7 @@ def test_different_matches_filtration_p2_r4(K2r4):
 
 @pytest.mark.slow
 def test_different_matches_filtration_p2_r5():
-    # degree 512: each layer's pi comes from the last layer's pi^-k, so
+    # degree 512: when each layer's pi came from the last layer's pi^-k,
     # an inverse that lost digits with the degree left none here
     K = build_field(2, [T.cyclotomic(32), T.kummer(32, 3)])
     assert (K.e, K.f) == (256, 2)
@@ -253,9 +253,10 @@ def test_different_matches_filtration_p2_r5():
 
 @pytest.mark.slow
 def test_pi_keeps_its_digits(K3r3, K2r4):
-    # each layer's pi is built from the last layer's pi^-k: inverses that
-    # lost about n s digits on a denominator p^s left pi of these towers
-    # 353 and 87 digits, and pi^-1 of both was zero to precision
+    # when each layer's pi was built from the last layer's pi^-k,
+    # inverses that lost about n s digits on a denominator p^s left pi of
+    # these towers 353 and 87 digits, and pi^-1 of both was zero to
+    # precision
     for K, floor in ((K3r3, 600), (K2r4, 300)):
         assert K.pi.m - K.pi.s >= floor
         assert K.pi_pow(-1).m - K.pi_pow(-1).s >= floor
@@ -495,13 +496,26 @@ PI_POW_TOWERS = {
 }
 
 
+@pytest.fixture(scope="module")
+def honest_pair():
+    """name -> the tower of PI_POW_TOWERS or NORMALIZER_TOWERS at the
+    default precision and at prec=700, each pair built once."""
+    built = {}
+
+    def pair(name):
+        if name not in built:
+            p, steps = {**PI_POW_TOWERS, **NORMALIZER_TOWERS}[name]
+            built[name] = (build_field(p, steps),
+                           build_field(p, steps, prec=700))
+        return built[name]
+    return pair
+
+
 @pytest.mark.parametrize("name", PI_POW_TOWERS)
-def test_pi_pow_precision_is_honest(name):
+def test_pi_pow_precision_is_honest(name, honest_pair):
     # pi^k claims no digit that the same power at a higher working
     # precision does not have, whatever valuations are cached on the way
-    p, steps = PI_POW_TOWERS[name]
-    K = build_field(p, steps)
-    H = build_field(p, steps, prec=700)
+    K, H = honest_pair(name)
     for k in range(1, 3 * K.e):
         assert _agrees(K.pi_pow(k), H.pi_pow(k)), k
     # pi^-k, an inverse of pi^k, against (pi^-1)^k at the higher precision
@@ -509,6 +523,71 @@ def test_pi_pow_precision_is_honest(name):
     for k in range(1, 3 * K.e):
         assert _agrees(K.pi_pow(-k), h), -k
         h = h * H.pi_pow(-1)
+
+
+# Kummer layers whose radicand has valuation at least p, so that their
+# normalizer c = B.monomial(-k) has k != 0
+NORMALIZER_TOWERS = {
+    "2 k!=0": (2, [T.cyclotomic(4), T.kummer(4, 2)]),
+    "3 k!=0": (3, [T.cyclotomic(9), T.kummer(9, 3)]),
+}
+
+
+def _layers(K):
+    """The layers of K above Q_p, from the top down."""
+    while K.base is not None:
+        yield K
+        K = K.base
+
+
+@pytest.mark.parametrize("name", [*PI_POW_TOWERS, *NORMALIZER_TOWERS])
+def test_frame_monomials_are_honest(name, honest_pair):
+    # the elements a build makes of frame monomials (each Kummer layer's
+    # normalizer c and its inverse, each ramified layer's base factor of
+    # pi) and the user step generators claim no digit that the same
+    # element at a higher working precision does not have
+    K, H = honest_pair(name)
+    normalized = 0
+    for fld, hfld in zip(_layers(K), _layers(H)):
+        assert fld.frame[2:] == hfld.frame[2:]
+        d, w = fld.frame[2:]
+        if d > 1:
+            y = (1 - pow(w, -1, d) * w) // d
+            assert _agrees(fld.base.monomial(y), hfld.base.monomial(y))
+        if getattr(fld, "normalizer", None) is not None:
+            normalized += 1
+            for a, b in zip(fld.normalizer, hfld.normalizer):
+                assert _agrees(a, b)
+    assert normalized > 0 or name in PI_POW_TOWERS
+    for g, h in zip(K.step_generators, H.step_generators):
+        assert _agrees(g, h)
+    # and each generator of a Kummer step p^s is a p^s-th root of its
+    # radicand to precision
+    for step, g in zip(K.user_steps, K.step_generators):
+        if step.kind == "kummer":
+            root = g ** step.exponent - K.coerce(step.radicand)
+            assert root.is_zero_to_precision(), step
+
+
+def test_builds_invert_no_power_of_pi(monkeypatch):
+    # uniformizers and Kummer normalizers are frame monomials: building
+    # these towers asks for no pi^k with k < 0
+    from anabelomorph.fields import LocalField
+    pi_pow = LocalField.pi_pow
+    negative = []
+
+    def counting(self, k):
+        if k < 0:
+            negative.append((self.name, k))
+        return pi_pow(self, k)
+
+    monkeypatch.setattr(LocalField, "pi_pow", counting)
+    K = build_field(5, [T.cyclotomic(25), T.kummer(25, 5)])
+    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    assert (K.n, L.n) == (500, 54)
+    assert any(f.normalizer is not None for f in _layers(K)
+               if f.kind == "kummer")
+    assert negative == []
 
 
 INVERSE_TOWERS = {

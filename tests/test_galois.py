@@ -378,6 +378,38 @@ def test_conductor_pair_p5_matches_pattern():
     assert rep["conductors"]["induced"] == 5
 
 
+# towers whose Kummer layers carry a normalizer c = B.monomial(-k) with
+# k != 0 (a radicand of valuation at least p), at p = 2, 3, 5, 7
+NORMALIZED_GALOIS_TOWERS = {
+    2: [T.cyclotomic(4), T.kummer(4, 2)],
+    3: [T.cyclotomic(9), T.kummer(9, 3)],
+    5: [T.cyclotomic(5), T.kummer(5, 25)],
+    7: [T.cyclotomic(7), T.kummer(7, 49)],
+}
+
+
+@pytest.mark.parametrize("p", NORMALIZED_GALOIS_TOWERS)
+def test_action_is_a_homomorphism_at_every_p(p):
+    # sigma = (a, b) is a ring homomorphism, maps zeta to zeta^a and the
+    # user generator g to zeta^b g, through the normalizers' sigma(c) c^-1
+    K = build_field(p, NORMALIZED_GALOIS_TOWERS[p])
+    fld, normalized = K, 0
+    while fld.kind == "kummer":
+        normalized += fld.normalizer is not None
+        fld = fld.base
+    assert normalized > 0
+    z, g = K.step_generators
+    rng = random.Random(f"action {p}")
+    elems = galois_group(K)
+    for sig in rng.sample(elems, min(8, len(elems))):
+        x, y = (FieldElement(K, [rng.randrange(p ** 3) for _ in range(K.n)])
+                for _ in range(2))
+        sx, sy = apply_automorphism(sig, x), apply_automorphism(sig, y)
+        for u, v in ((x * y, sx * sy), (x + y, sx + sy), (z, z ** sig.a),
+                     (g, z ** sig.b * g)):
+            assert (apply_automorphism(sig, u) - v).is_zero_to_precision()
+
+
 def test_action_homomorphism_r2():
     K = build_field(3, [T.cyclotomic(9), T.kummer(9, 3)])
     sig = GaloisElement(2, 3, 9)
