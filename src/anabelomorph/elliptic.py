@@ -4,7 +4,8 @@ The algorithm below runs uniformly in every residue characteristic: all
 residue-field decisions (singular point location, root counting,
 square/cube completion, splitness of the tangent quadratic) are made in
 F_q on residues of a_i / pi^k read off the valuation frames, by
-enumerating F_q, never by characteristic-specific formulas.  A residue
+enumerating F_q, never by characteristic-specific formulas, except the
+root of the linear a3/pi + 2T, which has a closed form.  A residue
 is lifted back to the field only to translate the model, and a zero
 residue moves no coefficient.  Past the singular point every
 divisibility test reads a residue, and b8 and b6 enter only through
@@ -15,10 +16,11 @@ the digits the run's reads need (``_tate_digits``).  No coefficient is
 divided: stripping a common pi^d from the input makes the passes read d
 pi deeper, and each restart one pi deeper.  At depth n, a pass reads
 a_w / pi^k of the model rescaled by u = pi^n as the residue of the kept
-a_w at pi^(k + w n), and lifts a translation by r, s or t at a power of
-pi deeper by 2n, n or 3n.  The output quadruple is (v(Delta_min),
-conductor exponent, Kodaira symbol, Tamagawa number), with the
-conductor from v(Delta_min) - m + 1.
+a_w at pi^(k + w n), and lifts a translation by r, s or t to a valuation
+deeper by 2n, n or 3n, as a residue lift times a frame monomial of that
+valuation (``LocalField.lift_at``), not times a power of pi.  The
+output quadruple is (v(Delta_min), conductor exponent, Kodaira symbol,
+Tamagawa number), with the conductor from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ class ReductionData:
     was rescaled by pi^k to an integral model (for k < 0 it is read -k pi
     deeper, not divided), ("singular", x, y) for the residue singular
     point moved to (0, 0), ("translate", stage, var, c) for each later
-    translation var -> var + lift(c) pi^j of the rescaled model,
+    translation var -> var + y of the rescaled model, y of valuation j
+    with residue c at pi^j (``LocalField.lift_at``),
     ("restart",) for each non-minimal rescale by u = pi (the next pass
     reads one pi deeper; no coefficient is divided), and
     ("branch", symbol) last.  Residues are F_q coordinate tuples, as
@@ -352,17 +355,25 @@ def _tate_digits(K, vD, depth):
     costs each layer (d - 1) max(t, u) digits: the reads need
     ceil((R + 2) / e) plus those digits.
 
-    Translations.  A product by y = lift(c) pi^j keeps its other
-    factor's m, since every product keeps the smaller m and y is known
-    far beyond the cut, and adds s(y) to s, so it loses s(y) of m - s.
-    Through _translate a1 loses nothing, a2 and a3 lose one s(y) from
-    a1, a4 one from a2 or a3, and a6 one from a4 or two from a2: m - s
-    stays at least digits - w' s(y) with w' = 0, 1, 1, 2, 3 for
-    a1 .. a6, however many translations run.  s(y) <= s(pi) + the
-    s of the lift, at most (d - 1) s(delta) per unramified layer; no pi^j
-    carries more denominator than pi on any tower the tests build, and a
-    power that did would cost digits, so that a read short of them raises
-    PrecisionError rather than misreading.
+    Translations.  A pass translates by y = lift(c') monomial(k), an
+    element of valuation k with the recorded leading residue
+    (``LocalField.lift_at``), or by lift(c) at k = 0.  A product by y
+    keeps its other factor's m, since every product keeps the smaller m
+    and y is known far beyond the cut, and adds s(y) to s, so it loses
+    s(y) of m - s.  Through _translate a1 loses nothing, a2 and a3 lose
+    one s(y) from a1, a4 one from a2 or a3, and a6 one from a4 or two
+    from a2: m - s stays at least digits - w' s(y) with w' = 0, 1, 1, 2,
+    3 for a1 .. a6, however many translations run.  s(y) is at most the
+    s of the lift, (d - 1) s(delta) per unramified layer, plus
+    s(monomial(k)).  A monomial is delta^a embed(B.monomial(b)) layer by
+    layer down to p^b over Q_p, and b < 0 there whenever the deltas
+    above carry more valuation than k (v = a w + d b with a w > v), so
+    its denominator is not that of nonnegative powers alone.  In value
+    monomial(k + e) = p monomial(k), so its largest s over k >= 0 is
+    reached below k = e, where it is at most s(pi) = s(monomial(1)) on
+    every tower the tests build, for every k up to R (measured, not
+    proven); a monomial that carried more would cost digits, so that a
+    read short of them raises PrecisionError rather than misreading.
 
     Every element also keeps _MIN_EFFECTIVE digits, so the cut is
     max(reads, _MIN_EFFECTIVE) + 3 sigma with sigma that bound on s(y):
@@ -381,9 +392,10 @@ def _tate_digits(K, vD, depth):
 
 def _denominator_bound(K):
     """sigma: s(pi) plus (d - 1) s(delta) per unramified layer, which
-    bounds the p-power denominator s of a lift(c) pi^j (``_tate_digits``)
-    and so of every integral element of K, a sum of such terms to
-    precision."""
+    bounds the p-power denominator s of a translation lift(c')
+    monomial(k) (``_tate_digits``: the lift's share is the unramified
+    layers', and the monomial's s(pi)), and so of every integral element
+    of K, a sum of such terms to precision."""
     sigma = K.pi.s
     layer = K
     while layer.base is not None:
@@ -404,7 +416,7 @@ def _tate_pass(K, vD, depth, trace, a):
     non-minimal model, to run again one pi deeper.  Translations are
     appended to ``trace``.  The a_w carry only the digits of
     ``_tate_digits``: every read here is at pi^(vD + 6 depth + 5) or
-    shallower, and translations cost them at most 3 s(lift) digits."""
+    shallower, and translations cost them at most 3 sigma digits."""
     if vD == 0:
         return _end(trace, 0, 0, KodairaSymbol("I0"), 1, 1)
     F = K.residue_field
@@ -452,10 +464,13 @@ def _tate_pass(K, vD, depth, trace, a):
 
     # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
     a = translate("sbar", "s", sbar, 0)
+    # the root of a3/pi + 2 T: -a3/(2 pi) for odd p, and 0 when p = 2
     a3bar = res(3, 1)
-    tbar = next((c for c in F.elements
-                 if not any(F.add(a3bar, F.scale(c, 2)))), None)
-    if tbar is None:
+    if F.p != 2:
+        tbar = F.scale(a3bar, (F.p - 1) // 2)
+    elif not any(a3bar):
+        tbar = F.zero
+    else:
         raise FieldError("no shift clears the a3 coefficient")
     a = translate("tbar", "t", tbar, 1)
     a6bar = res(6, 2)
@@ -550,13 +565,14 @@ def _tate_in_star(K, vD, depth, trace, a):
 
 
 def _shift(K, a, depth, var, c, k):
-    """The model a = {w: a_w} after var -> var + lift(c) pi^k in the model
-    rescaled by u = pi^depth, that is by lift(c) pi^(k + w depth)
-    with w the weight of var; a itself when the residue c is zero."""
+    """The model a = {w: a_w} after var -> var + y in the model rescaled
+    by u = pi^depth, with y = ``K.lift_at(c, k + w depth)`` for w the
+    weight of var: an element of that valuation whose leading residue is
+    c, made of a frame monomial rather than of pi^(k + w depth); a
+    itself when the residue c is zero."""
     if not any(c):
         return a
-    k += _VAR_WEIGHTS[var] * depth
-    lift = K.lift(c) * K.pi_pow(k) if k else K.lift(c)
+    lift = K.lift_at(c, k + _VAR_WEIGHTS[var] * depth)
     return dict(zip(_WEIGHTS, _translate(*a.values(), **{var: lift})))
 
 

@@ -439,6 +439,9 @@ class LocalField:
         self.delta = None               # the frame's delta, see _certify
         self._packing = None            # slot layout, see _packed
         self._pi_pows = {}
+        self._delta_pows = {}           # a -> delta^a, see _delta_pow
+        self._monomials = {}            # v -> monomial(v)
+        self._monomial_rinv = {}        # v -> res(monomial(v)/pi^v)^-1
 
     # -- constructors of elements ---------------------------------------
 
@@ -909,14 +912,14 @@ class LocalField:
         c2 = rho^y r_u^-w.  The constants and the field are set only once
         the read succeeds.
         """
-        B, delta = self.base, self.delta
+        B = self.base
         _, _, scale, w = self.frame
         if scale == 1:
-            rel = self._read(delta ** self.d)
+            rel = self._read(self._delta_pow(self.d))
             self._residue_field = ResidueField(self.p, B.residue_field, rel)
             return
         F = B.residue_field
-        rho = self._read(delta ** scale, (F.one, [F.one] * self.d))
+        rho = self._read(self._delta_pow(scale), (F.one, [F.one] * self.d))
         x = pow(w, -1, scale)
         y = (1 - x * w) // scale
         ru = B._monomial_residue(y)
@@ -1033,7 +1036,7 @@ class LocalField:
         else:
             x = pow(weight, -1, e_rel)
             y = (1 - x * weight) // e_rel
-            self.pi = delta ** x * self.embed(B.monomial(y))
+            self.pi = self._delta_pow(x) * self.embed(B.monomial(y))
         if self.pi.valuation() != 1:
             raise UniformizerSearchError(
                 f"{self.kind} layer uniformizer check failed")
@@ -1158,12 +1161,31 @@ class LocalField:
         base's element on an unramified layer, and on a ramified one
         delta^a embed(B.monomial(b)) with v = a w + d b, 0 <= a < d
         (``_monomial_split``).  It is one frame term, at k = a with
-        y_a = B.monomial(b)."""
-        if self.base is None:
-            return self.from_fraction(Fraction(self.p) ** v)
-        a, b = self._monomial_split(v)
-        out = self.embed(self.base.monomial(b))
-        return self.delta ** a * out if a else out
+        y_a = B.monomial(b).  Cached like ``pi_pow``, with its valuation
+        set."""
+        out = self._monomials.get(v)
+        if out is None:
+            if self.base is None:
+                out = self.from_fraction(Fraction(self.p) ** v)
+            else:
+                a, b = self._monomial_split(v)
+                out = self.embed(self.base.monomial(b))
+                if a:
+                    out = self._delta_pow(a) * out
+            out._val = (v, None)
+            self._monomials[v] = out
+        return out
+
+    def _delta_pow(self, a):
+        """delta^a for a >= 1, cached and made by halving as in
+        ``pi_pow``, so that the monomials, the uniformizer and the residue
+        constants share their powers of delta."""
+        out = self._delta_pows.get(a)
+        if out is None:
+            out = self.delta if a == 1 else (self._delta_pow((a + 1) // 2)
+                                             * self._delta_pow(a // 2))
+            self._delta_pows[a] = out
+        return out
 
     def _monomial_split(self, v):
         """(a, b) with v = a w + d b and 0 <= a < d on a ramified layer of
@@ -1183,6 +1205,21 @@ class LocalField:
             return (1,)
         a, b = self._monomial_split(v)
         return self._lead_residue([(a, b, self.base._monomial_residue(b))])
+
+    def lift_at(self, c, v):
+        """An element of valuation v whose residue at pi^v is the nonzero
+        residue c: lift(c r^-1) monomial(v), with r the residue of
+        monomial(v) / pi^v (``_monomial_residue``, r^-1 cached), and
+        lift(c) when v = 0.  A monomial has fewer nonzero blocks than the
+        dense pi^v, so most products with it skip zero blocks."""
+        if not v:
+            return self.lift(c)
+        F = self.residue_field
+        rinv = self._monomial_rinv.get(v)
+        if rinv is None:
+            rinv = F.pow(self._monomial_residue(v), -1)
+            self._monomial_rinv[v] = rinv
+        return self.lift(F.mul(c, rinv)) * self.monomial(v)
 
     # -- misc -------------------------------------------------------------------
 

@@ -818,9 +818,22 @@ def test_tate_product_and_walk_count(monkeypatch):
     # translate nothing, and neither the strip of pi^-1 nor a restart
     # divides a coefficient: the passes read deeper instead (dividing the
     # five coefficients by pi^w at the strip and at each restart makes 60
-    # products and 35 walks here)
+    # products and 35 walks here).
+    #
+    # The cold run's 32 products: the three passes make 4 translations by
+    # a nonzero residue (a singular r at k = 6, the cubic r at k = 3, 5
+    # and 7), each one lift_at product and 4 products of _translate's r
+    # formulas, so 20 in all; the residue constants take delta^6 on the
+    # cyclotomic layer and delta^3 on the two degree-3 Kummer layers, one
+    # product each from the powers of delta the uniformizers left cached
+    # (3); and the four monomials need 9: a product delta^a
+    # embed(B.monomial(b)) for each new monomial with a > 0 (2 on the top
+    # layer, 3 on the middle one, 2 on the cyclotomic one, whose delta^4
+    # and delta^5 take one product each).  The 24 walks are 21 residue
+    # reads and the three residue-constant reads.  On a warm tower the
+    # constants, delta powers and monomials are cached: 20 products and
+    # 21 walks, as at the lift(c) pi^k shifts.
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
-    model = _golden_row_0(L)
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
 
@@ -839,10 +852,16 @@ def test_tate_product_and_walk_count(monkeypatch):
 
     monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
     monkeypatch.setattr(LocalField, "_val", counting_val)
-    r = tate_algorithm(model)
-    assert r.quadruple() == (18, 10, "II*", 1)
-    assert r.trace.count(("restart",)) == 2
-    assert (count["mul"], count["walk"]) == (36, 24)
+    for cold in (True, False):
+        model = _golden_row_0(L)
+        count.update(mul=0, walk=0)
+        r = tate_algorithm(model)
+        assert r.quadruple() == (18, 10, "II*", 1)
+        assert r.trace.count(("restart",)) == 2
+        if cold:
+            assert (count["mul"], count["walk"]) == (32, 24)
+        else:
+            assert count["mul"] <= 20 and count["walk"] <= 21
 
 
 def test_tate_restarts_divide_nothing(monkeypatch):
@@ -1003,6 +1022,79 @@ def test_tate_derived_digits_towers(name, change, monkeypatch):
         m = change_coords(m, r=K.one() + K.pi, s=-K.one(),
                           t=K.one() + K.pi_pow(2))
     _check_derived_digits(monkeypatch, m)
+
+
+# ----------------------------------------------------------------------
+# property: translations lift residues by frame monomials
+
+# name -> (p, steps, a-invariants of a curve over the tower); the curve
+# only sets the deepest read R.  Q_2(zeta_8, 3^(1/8)) has an unramified
+# layer between ramified ones, Q_3(zeta_3) an unramified one on top, and
+# Q_2(zeta_16, 3^(1/16)) (degree 128) is a tall p = 2 tower; on the
+# towers at p = 3, 5 and 7 many monomials have a residue r_k != 1
+_MONOMIAL_TOWERS = {
+    "Q2(z8,3^(1/8))": (2, [T.cyclotomic(8), T.kummer(8, 3)],
+                       (0, 0, 0, 0, 2)),
+    "Q2(z16,3^(1/16))": (2, [T.cyclotomic(16), T.kummer(16, 3)],
+                         (0, 0, 0, 0, 2)),
+    "Q3(z3)(unramified)": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})],
+                           (0, 3, 0, 0, 9)),
+    "Q3(z3,3^(1/3))": _TATE_TOWERS["Q3(z3,3^(1/3))"],
+    "K54": _TATE_TOWERS["K54"],
+    "L54": _TATE_TOWERS["L54"],
+    "Q5(z5,6^(1/5))": (5, [T.cyclotomic(5), T.kummer(5, 6)],
+                       (0, 0, 0, 0, 5)),
+    "Q7(z7,2^(1/7))": (7, [T.cyclotomic(7), T.kummer(7, 2)],
+                       (0, 0, 0, 7, 0)),
+}
+_MONOMIAL_BASE = {}
+
+
+def _monomial_tower(name):
+    """(tower, R): R = vD + 6 depth + 5 for the named curve run two pi
+    deeper (vD + 24 at depth 2), the deepest read of those runs of
+    ``test_tate_derived_digits_towers``."""
+    if name not in _MONOMIAL_BASE:
+        p, steps, coeffs = _MONOMIAL_TOWERS[name]
+        K = build_field(p, steps)
+        vD = WeierstrassModel.from_a_invariants(K, *coeffs).vdisc
+        _MONOMIAL_BASE[name] = (K, vD + 24 + 6 * 2 + 5)
+    return _MONOMIAL_BASE[name]
+
+
+@pytest.mark.parametrize("name", list(_MONOMIAL_TOWERS))
+def test_monomial_denominators_within_sigma(name):
+    # the cut of _tate_digits charges sigma for each translation by
+    # lift(c') monomial(k): no monomial up to the deepest read carries
+    # more denominator, though one can end in p^b with b < 0 over Q_p
+    K, R = _monomial_tower(name)
+    sigma = elliptic._denominator_bound(K)
+    for k in range(R + 1):
+        assert K.monomial(k).s <= sigma, k
+        assert K.monomial(k).valuation() == k
+
+
+@pytest.mark.parametrize("name", list(_MONOMIAL_TOWERS))
+def test_shift_keeps_its_valuation_and_residue(name):
+    # every shift element y = lift_at(c, k), k from 1 to the deepest
+    # read R and c a seeded nonzero residue, has v(y) = k and residue c
+    # at pi^k, read by a fresh walk, and a denominator within sigma; on
+    # the towers with some r_k != 1 a lift of c alone would read c r_k
+    K, R = _monomial_tower(name)
+    F = K.residue_field
+    sigma = elliptic._denominator_bound(K)
+    rng = random.Random(name)
+    for k in range(1, R + 1):
+        c = F.zero
+        while not any(c):
+            c = tuple(rng.randrange(K.p) for _ in range(K.f))
+        y = K.lift_at(c, k)
+        assert y.s <= sigma, k
+        y = FieldElement(K, y.vec, y.s, y.m)
+        assert y.valuation() == k
+        assert K.residue_at(y, k) == c, k
+    if K.p > 2:
+        assert any(K._monomial_residue(k) != F.one for k in range(1, R + 1))
 
 
 @settings(max_examples=3, deadline=None,
