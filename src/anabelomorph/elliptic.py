@@ -18,9 +18,9 @@ pi deeper, and each restart one pi deeper.  At depth n, a pass reads
 a_w / pi^k of the model rescaled by u = pi^n as the residue of the kept
 a_w at pi^(k + w n), and lifts a translation by r, s or t to a valuation
 deeper by 2n, n or 3n, as a residue lift times a frame monomial of that
-valuation (``LocalField.lift_at``), not times a power of pi.  The
-output quadruple is (v(Delta_min), conductor exponent, Kodaira symbol,
-Tamagawa number), with the conductor from v(Delta_min) - m + 1.
+valuation (``LocalField.lift_at``).  The output quadruple is
+(v(Delta_min), conductor exponent, Kodaira symbol, Tamagawa number),
+with the conductor from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
@@ -568,8 +568,7 @@ def _shift(K, a, depth, var, c, k):
     """The model a = {w: a_w} after var -> var + y in the model rescaled
     by u = pi^depth, with y = ``K.lift_at(c, k + w depth)`` for w the
     weight of var: an element of that valuation whose leading residue is
-    c, made of a frame monomial rather than of pi^(k + w depth); a
-    itself when the residue c is zero."""
+    c; a itself when the residue c is zero."""
     if not any(c):
         return a
     lift = K.lift_at(c, k + _VAR_WEIGHTS[var] * depth)

@@ -832,7 +832,7 @@ def test_tate_product_and_walk_count(monkeypatch):
     # and delta^5 take one product each).  The 24 walks are 21 residue
     # reads and the three residue-constant reads.  On a warm tower the
     # constants, delta powers and monomials are cached: 20 products and
-    # 21 walks, as at the lift(c) pi^k shifts.
+    # 21 walks.
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
