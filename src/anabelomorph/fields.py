@@ -45,7 +45,9 @@ the layer's contribution to the different, 0 when unramified and
 v_K(f'(gen)) - (d - 1)(w - 1) for the layer relation f when ramified.
 ``monomial(v)`` is an element of valuation v made of nonnegative powers
 of the frame deltas over a power of p, so building a uniformizer or a
-Kummer radicand's normalizer inverts no power of pi.
+Kummer radicand's normalizer c inverts no power of pi.  c^-1 and the
+user step generators are made on first read: a build inverts only the
+normalizers of the layers whose user generator is a later radicand.
 Valuations are read off the frames layer by layer, never from a norm
 (a layer over Q_p shifts and reads its integer coordinates in its own
 walk); a layer's own norm only certifies its frame's delta before the
@@ -57,6 +59,7 @@ tuple into a representative in K on demand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -432,7 +435,7 @@ class LocalField:
         self.layer_diff = 0
         self.certificate = ""
         self.user_steps = []
-        self.step_generators = []
+        self._step_layers = []          # the layer of each user step
         self.frame = None               # set once the layer is certified
         self._residue_field = None      # F_q, see residue_field
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
@@ -486,6 +489,19 @@ class LocalField:
         b = self.base.n if self.base else 1
         vec[b] = 1
         return FieldElement(self, vec, 0, self.M)
+
+    def user_generator(self):
+        """The generator of this layer's user step: ``gen()``, except on
+        a Kummer layer."""
+        return self.gen()
+
+    @functools.cached_property
+    def step_generators(self):
+        """The generator of each user step of ``build_field``, in this
+        field.  Made on first read from each step's layer, so that a
+        build makes no user generator, nor the inverse c^-1 of the top
+        Kummer layer's normalizer, that nothing reads."""
+        return [self.embed(L.user_generator()) for L in self._step_layers]
 
     def from_zeta_poly(self, poly):
         """Element from {exponent: int coefficient} in the cyclotomic
@@ -1117,19 +1133,18 @@ class LocalField:
     def lift(self, c):
         """The residue representative of c in F_q: a polynomial in the
         deltas of the unramified layers, whose residues generate F_q, with
-        coefficients in 0 .. p-1.  Made on demand from the frames' deltas,
-        so no residue constant is read."""
+        coefficients in 0 .. p-1.  Made on demand from the frames' cached
+        powers of delta (``_delta_pow``), so no residue constant is read."""
         B = self.base
         if B is None:
             return self.from_int(c[0])
         if self.f == B.f:
             return self.embed(B.lift(c))
         b = B.f
-        acc, dk = self.zero(), self.one()
-        for k in range(self.d):
-            acc = acc + self.embed(B.lift(c[k * b:(k + 1) * b])) * dk
-            if k + 1 < self.d:
-                dk = dk * self.delta
+        acc = self.embed(B.lift(c[:b]))
+        for k in range(1, self.d):
+            acc = acc + (self.embed(B.lift(c[k * b:(k + 1) * b]))
+                         * self._delta_pow(k))
         return acc
 
     def _unit_lifts(self):
@@ -1353,9 +1368,10 @@ class CycloField(GaloisLayer):
 
 class KummerField(GaloisLayer):
     """Degree-p cyclic layer x^p = radicand over a base containing zeta_p;
-    the automorphisms are gen -> xi^i gen, xi = zeta_p."""
+    the automorphisms are gen -> xi^i gen, xi = zeta_p.  The radicand is
+    the user's times c^p p^(p t) (``_normalize_radicand``)."""
 
-    def __init__(self, base, radicand, name, xi_powers):
+    def __init__(self, base, radicand, name, xi_powers, c, t):
         p = base.p
         # no element of a layer is known better than its relation
         super().__init__(p, base, "kummer", p, min(base.M, radicand.m), name)
@@ -1365,6 +1381,25 @@ class KummerField(GaloisLayer):
         self.xi_powers = xi_powers        # zeta_p^t as base elements, t < p
         self.galois_factors = [tuple(range(p))]
         self.conjugate_labels = range(1, p)
+        self._c, self._t = c, t
+        self._user_gen = None
+
+    @functools.cached_property
+    def normalizer(self):
+        """(c, c^-1), or None when c = 1, for the Galois action; c^-1 is
+        made on first read."""
+        return None if self._c is None else (self._c, self._c.inv())
+
+    def user_generator(self):
+        """gen c^-1 p^-t, whose p-th power is the user's radicand; made on
+        the first call and kept."""
+        if self._user_gen is None:
+            g = self.gen()
+            if self._c is not None:
+                g = g * self.embed(self.normalizer[1])
+            p_t = self.from_fraction(Fraction(1, self.p ** self._t))
+            self._user_gen = g * p_t
+        return self._user_gen
 
     def _sigma(self, vec, i, pm):
         """gen -> xi^i gen: block j times xi^(i j)."""
@@ -1558,10 +1593,10 @@ def _extend_kummer_cyclic(base, rad, name):
     The stored layer relation uses the normalized radicand
     rad1 = rad c^p p^(p t) (integral coefficients, small valuation) of
     ``_normalize_radicand``, so the internal generator gen satisfies
-    gen = rad^(1/p) c p^t.  The layer keeps ``normalizer`` = (c, c^-1),
-    or None when c = 1, for the Galois action.  Returns
-    (field, user_generator) with user_generator = gen c^-1 p^-t, whose
-    p-th power is rad.
+    gen = rad^(1/p) c p^t.  Returns the layer, which keeps c and t:
+    its ``normalizer`` (c, c^-1) and ``user_generator()`` gen c^-1 p^-t,
+    whose p-th power is rad, are made on first read, so a build that
+    reads neither inverts no c.
     """
     p = base.p
     xi = _pth_root_of_unity(base)
@@ -1578,8 +1613,7 @@ def _extend_kummer_cyclic(base, rad, name):
             raise DegreeDropError(
                 "radicand is a p-th power in the base (to working precision)")
         cert = peel["certificate"]
-    K = KummerField(base, rad1, name, xi_powers)
-    K.normalizer = None if c is None else (c, c.inv())
+    K = KummerField(base, rad1, name, xi_powers, c, t)
     gen = K.gen()
     if v1 % p != 0:
         K._certify(cert, p, v1, gen)
@@ -1597,8 +1631,7 @@ def _extend_kummer_cyclic(base, rad, name):
         # whose residue has degree p (the Artin-Schreier obstruction)
         K._certify(cert, 1, 0, rho, beta=alpha,
                    gamma=alpha * base.pi_pow(eun))
-    user_gen = gen if c is None else gen * K.embed(K.normalizer[1])
-    return K, user_gen * K.from_fraction(Fraction(1, p ** t))
+    return K
 
 
 def _normalize_radicand(base, rad):
@@ -1767,7 +1800,9 @@ def build_field(p, steps, prec=None):
     Every layer is certified at construction; degree drops or
     uncertifiable steps raise.  The returned field carries n, e, f, a
     verified uniformizer and the different; ``K.lift`` gives the residue
-    representatives.
+    representatives, and ``K.step_generators`` the generator of each
+    step, made on first read.  A Kummer radicand ``"gen:<i>"`` is the
+    generator of the earlier step i.
     """
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
@@ -1785,43 +1820,52 @@ def build_field(p, steps, prec=None):
     digits = (max(prec or DEFAULT_DIGITS, n_expected + 32) + _GUARD_DIGITS
               + min(2 * n_expected, 160))
     K = QpField(p, digits)
-    gens = []
+    layers = []
     for step in steps:
         if step.kind == "cyclotomic":
             K = CycloField(K, step.modulus, digits, f"Q_{p}(zeta_{step.modulus})")
-            gens = [K.gen()]
+            layers = [K]
         elif step.kind == "kummer":
             m = step.exponent
             s = _vp(m, p) if m > 1 else 0
             if m < 2 or p ** s != m:
                 raise FieldError("kummer exponent must be a power of p")
             if isinstance(step.radicand, str) and step.radicand.startswith("gen:"):
-                cur = gens[int(step.radicand[4:])]
+                i = _step_index(step.radicand, len(layers))
+                cur = layers[i].user_generator()
             else:
                 cur = K.coerce(step.radicand)
-            gen = None
             for j in range(s):
-                K, gen = _extend_kummer_cyclic(
+                if j:
+                    cur = K.user_generator()
+                K = _extend_kummer_cyclic(
                     K, K.embed(cur),
                     f"{K.name}({step.label}^(1/{p ** (j + 1)}))")
-                cur = gen
-            gens = [K.embed(g) for g in gens]
-            gens.append(gen)
+            layers.append(K)
         elif step.kind == "custom":
             coeffs = [K.coerce(c) for c in step.coeffs]
             K = _extend_custom(K, [K.embed(c) for c in coeffs],
                                f"{K.name}[x]/(deg {len(coeffs)})")
-            gens = [K.embed(g) for g in gens]
-            gens.append(K.gen())
+            layers.append(K)
         else:
             raise FieldError(f"unknown step kind {step.kind!r}")
     K.user_steps = list(steps)
-    K.step_generators = gens
+    K._step_layers = layers
     if K.n != n_expected or K.e * K.f != K.n:
         raise FieldError("degree bookkeeping failed")
     if K.base is not None and K.from_int(p).valuation() != K.e:
         raise FieldError("v_K(p) != e")
     return K
+
+
+def _step_index(radicand, n):
+    """i of a ``gen:<i>`` radicand, the index of one of the n earlier
+    steps, whose generator is the radicand."""
+    i = radicand[4:]
+    if not (i.isdecimal() and int(i) < n):
+        raise FieldError(f"bad kummer radicand {radicand!r}: gen:<i> names "
+                         f"an earlier step, 0 <= i < {n}")
+    return int(i)
 
 
 def norm_to_qp(x, prec=None):

@@ -1,10 +1,12 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
 from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
-                                 DegreeDropError, FieldElement, TowerStep,
+                                 DegreeDropError, FieldElement, FieldError,
+                                 TowerStep,
                                  _charpoly, build_field, different_bound,
                                  different_valuation, discriminant_valuation,
                                  find_uniformizer, norm_to_qp,
@@ -569,9 +571,28 @@ def test_frame_monomials_are_honest(name, honest_pair):
             assert root.is_zero_to_precision(), step
 
 
-def test_builds_invert_no_power_of_pi(monkeypatch):
+@pytest.fixture
+def inversions(monkeypatch):
+    """Counter of ``LocalField.invert`` calls by the name of the field
+    that inverts, from now on."""
+    from anabelomorph.fields import LocalField
+    invert, calls = LocalField.invert, collections.Counter()
+
+    def counting(self, x):
+        calls[self.name] += 1
+        return invert(self, x)
+
+    monkeypatch.setattr(LocalField, "invert", counting)
+    return calls
+
+
+def test_builds_invert_no_power_of_pi(monkeypatch, inversions):
     # uniformizers and Kummer normalizers are frame monomials: building
-    # these towers asks for no pi^k with k < 0
+    # these towers asks for no pi^k with k < 0.  A Kummer layer's
+    # normalizer c, an element of its base, is inverted only where the
+    # layer's user generator is the next radicand, so the build inverts
+    # the lower c of the two towers with c != 1 on both Kummer layers,
+    # and no c of their top layers
     from anabelomorph.fields import LocalField
     pi_pow = LocalField.pi_pow
     negative = []
@@ -584,10 +605,60 @@ def test_builds_invert_no_power_of_pi(monkeypatch):
     monkeypatch.setattr(LocalField, "pi_pow", counting)
     K = build_field(5, [T.cyclotomic(25), T.kummer(25, 5)])
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
-    assert (K.n, L.n) == (500, 54)
-    assert any(f.normalizer is not None for f in _layers(K)
-               if f.kind == "kummer")
+    H = build_field(*NORMALIZER_TOWERS["3 k!=0"])
+    assert (K.n, L.n, H.n) == (500, 54, 54)
     assert negative == []
+    for M in (K, H):
+        assert inversions[M.name] == inversions[M.base.name] == 0
+    assert inversions == {K.base.base.name: 1, H.base.base.name: 1}
+    assert all(f.normalizer is not None for f in (K, K.base, H, H.base))
+
+
+@pytest.mark.parametrize("read", ["normalizer", "step_generators"])
+def test_top_normalizer_inverse_made_once_on_first_read(read, inversions):
+    # the first read of the top layer's normalizer, or of the step
+    # generators, which embed its user generator gen c^-1 p^-t, inverts
+    # c once in the base; later reads of either invert nothing
+    K = build_field(*NORMALIZER_TOWERS["3 k!=0"])
+    built = inversions.copy()
+    first = getattr(K, read)
+    assert inversions - built == {K.base.name: 1}
+    assert getattr(K, read) is first
+    assert K.normalizer and K.step_generators
+    assert inversions - built == {K.base.name: 1}
+
+
+@pytest.mark.parametrize("radicand", ["gen:5", "gen:x", "gen:-1"])
+def test_gen_radicand_names_an_earlier_step(radicand):
+    # gen:<i> takes the generator of step i; an index out of range, a
+    # negative one or none at all is an error that names the grammar
+    with pytest.raises(FieldError, match=r"gen:<i> .* 0 <= i < 1"):
+        build_field(3, [T.cyclotomic(9), T.kummer(3, radicand)])
+
+
+@pytest.mark.parametrize("p, steps", [
+    (5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})]),
+    (7, [T.cyclotomic(7), T.kummer(7, {0: 6, 1: -7})]),
+])
+def test_lift_takes_cached_delta_powers(p, steps):
+    # on an unramified Kummer layer, lift(c) = sum_k lift_B(c_k) delta^k
+    # takes delta^k from _delta_pow, which halves, rather than from the
+    # chain delta^(k-1) delta, which strips a digit at some steps: the
+    # same value, and no fewer digits (more on these layers)
+    K = build_field(p, steps)
+    assert K.certificate.startswith("unramified")
+    b, rng, gained = K.base.f, random.Random(f"lift {p}"), 0
+    for _ in range(4):
+        c = tuple(rng.randrange(p) for _ in range(K.f))
+        chained, dk = K.zero(), K.one()
+        for k in range(K.d):
+            chained = chained + K.embed(K.base.lift(c[k * b:(k + 1) * b])) * dk
+            dk = dk * K.delta
+        lifted = K.lift(c)
+        assert (lifted - chained).is_zero_to_precision()
+        assert lifted.m - lifted.s >= chained.m - chained.s
+        gained += lifted.m - lifted.s > chained.m - chained.s
+    assert gained
 
 
 INVERSE_TOWERS = {

@@ -3,20 +3,23 @@
     python3 tools/bench_record.py N [--checkout DIR]
 
 For every workload the script runs ``bench/run.py`` of the checkout for
-30 s at each of the seeds 1 to 5 with ``--trace 0``, then once with
-``--trace 1`` at seed 1.  It writes ``BENCH_<N>.json`` at the root of the repository that
-holds this script, with:
+30 s at each of the seeds 1 to 5 with ``--trace 0``, then at each of them
+with ``--trace 1``.  It writes ``BENCH_<N>.json`` at the root of the
+repository that holds this script, with:
 
   * the median of every end-to-end metric over the seeds, and each run's
     values;
-  * the per-layer metrics of the traced run;
+  * under ``trace``, the median of every per-layer metric over the traced
+    runs of the seeds, and each traced run's values: a traced pass is
+    timed once, unscaled, so one slow or fast stretch of a shared host
+    would move all self times of a single traced run together;
   * the seeds and the input digest each run printed;
   * the commit of the checkout, whether src/ or bench/ differ from it, and
     a SHA-256 over the files of src/ and bench/;
   * the machine record that bench/run.py prints.
 
 The checkout, a git checkout, defaults to this repository.  Runs go one
-after another, so a record takes about 12 minutes.  Stdlib only.
+after another, so a record takes about 15 minutes.  Stdlib only.
 """
 
 import argparse
@@ -100,12 +103,19 @@ def main(argv=None):
         names = runs[0]["metrics"]
         medians = {k: statistics.median(r["metrics"][k] for r in runs)
                    for k in names}
-        digest, _, res = run_bench(checkout, workload, SEEDS[0], 1)
+        traced = []
+        for seed in SEEDS:
+            digest, _, res = run_bench(checkout, workload, seed, 1)
+            traced.append({"seed": seed, "inputs_sha256": digest,
+                           "metrics": {k: v["value"]
+                                       for k, v in res["metrics"].items()}})
+        names = traced[0]["metrics"]
         out["workloads"][workload] = {
             "medians": medians, "runs": runs,
-            "trace": {"seed": SEEDS[0], "inputs_sha256": digest,
-                      "metrics": {k: v["value"]
-                                  for k, v in res["metrics"].items()}}}
+            "trace": {"seeds": list(SEEDS), "statistic": "median",
+                      "metrics": {k: statistics.median(
+                          r["metrics"][k] for r in traced) for k in names},
+                      "runs": traced}}
         print(f"{workload} traced: done", flush=True)
     path = HERE / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
