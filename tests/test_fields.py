@@ -590,9 +590,9 @@ def test_builds_invert_no_power_of_pi(monkeypatch, inversions):
     # uniformizers and Kummer normalizers are frame monomials: building
     # these towers asks for no pi^k with k < 0.  A Kummer layer's
     # normalizer c, an element of its base, is inverted only where the
-    # layer's user generator is the next radicand, so the build inverts
-    # the lower c of the two towers with c != 1 on both Kummer layers,
-    # and no c of their top layers
+    # layer's user generator is the next radicand: K and H, whose two
+    # Kummer layers both have c != 1, invert the lower layer's c in the
+    # cyclotomic layer and not the top layer's
     from anabelomorph.fields import LocalField
     pi_pow = LocalField.pi_pow
     negative = []
