@@ -34,9 +34,10 @@ layer's comes from the characteristic polynomial of multiplication by
 the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
-data, or the unit-peeling classification of x^p = u), which gives it a
-valuation frame: gen = gamma delta + beta with beta, gamma in the base
-and w = v_K(delta) known, so that
+data, or the unit-peeling classification of x^p = u, which reads each
+correction of its adjuster A off the residue of the defect u - A^p in
+F_q), which gives it a valuation frame: gen = gamma delta + beta with
+beta, gamma in the base and w = v_K(delta) known, so that
 v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k w).
 One call, ``LocalField._certify``, takes every layer kind's frame and
 derives the rest from it: the uniformizer, pi_B when the layer is
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -328,13 +330,6 @@ class FieldElement:
 # residue fields
 
 
-def _f_q(p, f):
-    """F_{p^f} as flat coordinate tuples, lexicographically (the base's
-    elements over an unramified layer's d blocks, flattened, come in the
-    same order); needs only (p, f), so enumerating F_q reads no frame."""
-    return itertools.product(range(p), repeat=f)
-
-
 class ResidueField:
     """The residue field F_q of a layer, q = p^f; elements are flat
     coordinate tuples over F_p.
@@ -362,8 +357,10 @@ class ResidueField:
 
     @property
     def elements(self):
-        """F_q, enumerated lazily in the order of ``_f_q``."""
-        return _f_q(self.p, self.f)
+        """F_q, enumerated lazily and lexicographically (the base's
+        elements over an unramified layer's d blocks, flattened, come in
+        the same order); needs only (p, f), so it reads no frame."""
+        return itertools.product(range(self.p), repeat=self.f)
 
     def add(self, x, y):
         p = self.p
@@ -1147,11 +1144,6 @@ class LocalField:
                          * self._delta_pow(k))
         return acc
 
-    def _unit_lifts(self):
-        """The lifts of the nonzero residues, in the order of ``_f_q``."""
-        units = itertools.islice(_f_q(self.p, self.f), 1, None)
-        return (self.lift(c) for c in units)
-
     # -- uniformizer helpers ---------------------------------------------------
 
     def pi_pow(self, k):
@@ -1661,6 +1653,17 @@ def _peel_unit(base, rad1, v1):
     stays integral (no inverses), so the computation is valid whenever
     the working modulus exceeds the peeling bound p*e/(p-1).
 
+    Each step makes one defect D = u - A^p, whose walk reads v = v(D)
+    and the residue r of D / pi^v, and sets A <- A (1 + lift(c) pi^j)
+    for j = v / p (p-th powers of principal units: I. Fesenko and
+    S. Vostokov, Local Fields and Their Extensions, I 5).  A starts at
+    the lift of res(u)^(1/p), read by the inverse Frobenius x^(q/p), so
+    res(A)^p = res(u) throughout.  Below the bound, (1 + c pi^j)^p =
+    1 + c^p pi^v modulo higher terms, so c = (r / res(u))^(1/p).  At the
+    bound the term p c pi^j counts too, and c solves c^p + eps c =
+    r / res(u) with eps = res(p / pi^e); no solution in F_q is the
+    Artin-Schreier obstruction of an unramified layer.
+
     Returns (kind, data): kind in {"tr", "unram", "drop"}; data carries
     the final defect level lambda and the adjuster A with
     v(u / (A^p) - 1) = lambda, p not dividing lambda in the "tr" case.
@@ -1669,55 +1672,44 @@ def _peel_unit(base, rad1, v1):
     # the unit may carry a small p-power denominator over non-monogenic
     # bases; the defect comparisons below are denominator-aware
     u = (rad1 * base.pi_pow(-v1))._normalized() if v1 else rad1
-    A = None
-    for c in base._unit_lifts():
-        if base.val_at_least(u - c ** p, 1):
-            A = c
-            break
-    if A is None:
-        raise PrecisionError("no Teichmueller adjustment found (precision?)")
-
-    def defect(adj):
-        return base.val_or_bound(u - adj ** p)
-
+    F = base.residue_field
+    ru = base.residue_at(u, 0)
+    ru_inv = F.pow(ru, -1)
+    A = base.lift(F.pow(ru, F.q // p))
     T2 = Fraction(p * base.e, p - 1)
-    boundary = T2.denominator == 1
-    max_iter = int(T2) + p + 8
-    for _ in range(max_iter):
-        v, bound = defect(A)
+    for _ in range(int(T2) + p + 8):
+        D = u - A ** p
+        v, bound, r = base._val(D.vec, D.s, min(D.m, base.M), True)
         if v is None:
             if bound > T2:
                 return "drop", None
             raise PrecisionError(
                 "cannot classify kummer layer: unit defect below precision")
-        if Fraction(v) > T2:
+        if v > T2:
             return "drop", None
-        if v % p == 0 or (boundary and v == int(T2)):
-            improved = False
-            shift = base.pi_pow(v // p) if not (boundary and v == int(T2)) \
-                else base.pi_pow(base.e // (p - 1))
-            for c in base._unit_lifts():
-                cand = A * (base.one() + c * shift)
-                dv, dbound = defect(cand)
-                if dv is None or dv > v:
-                    A = cand
-                    improved = True
-                    break
-            if improved:
-                continue
-            if boundary and v == int(T2):
+        if v % p:
+            return "tr", {
+                "A": A, "lambda": v,
+                "certificate": f"totally ramified (unit defect level {v} "
+                               f"below bound {T2})",
+            }
+        if r is None:
+            raise PrecisionError(
+                "cannot classify kummer layer: defect residue undetermined")
+        w = F.mul(r, ru_inv)
+        if v < T2:
+            c = F.pow(w, F.q // p)
+        else:
+            eps = base.residue_at(base.from_int(p), base.e)
+            c = next((c for c in F.elements
+                      if F.add(F.pow(c, p), F.mul(eps, c)) == w), None)
+            if c is None:
                 return "unram", {
                     "A": A, "lambda": v,
                     "certificate": ("unramified (artin-schreier obstruction "
                                     f"at level {v})"),
                 }
-            raise CertificationError(
-                "frobenius peel failed: residue system inconsistent")
-        return "tr", {
-            "A": A, "lambda": v,
-            "certificate": f"totally ramified (unit defect level {v} "
-                           f"below bound {T2})",
-        }
+        A = A * (base.one() + base.lift(c) * base.pi_pow(v // p))
     raise CertificationError("unit peeling did not terminate")
 
 
@@ -1772,7 +1764,7 @@ def _extend_custom(base, coeffs, name):
     v0 = vals[0][1]
     if v0 is None:
         raise CertificationError("constant coefficient is zero to precision")
-    if _gcd(v0, d) != 1:
+    if math.gcd(v0, d) != 1:
         raise CertificationError(
             "newton polygon inconclusive: slope denominator is not the degree")
     for i, v in vals[1:]:
@@ -1782,12 +1774,6 @@ def _extend_custom(base, coeffs, name):
     K._certify(f"newton polygon single segment, slope {v0}/{d}", d, v0,
                K.gen())
     return K
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ----------------------------------------------------------------------

@@ -820,19 +820,20 @@ def test_tate_product_and_walk_count(monkeypatch):
     # five coefficients by pi^w at the strip and at each restart makes 60
     # products and 35 walks here).
     #
-    # The cold run's 32 products: the three passes make 4 translations by
+    # The cold run's 30 products: the three passes make 4 translations by
     # a nonzero residue (a singular r at k = 6, the cubic r at k = 3, 5
     # and 7), each one lift_at product and 4 products of _translate's r
-    # formulas, so 20 in all; the residue constants take delta^6 on the
-    # cyclotomic layer and delta^3 on the two degree-3 Kummer layers, one
-    # product each from the powers of delta the uniformizers left cached
-    # (3); and the four monomials need 9: a product delta^a
+    # formulas, so 20 in all; the residue constants of the top layer take
+    # delta^3, one product from the powers of delta its uniformizer left
+    # cached (1), while the build's unit peels, which read residues over
+    # the cyclotomic and middle Kummer layers, set those two layers'
+    # constants; and the four monomials need 9: a product delta^a
     # embed(B.monomial(b)) for each new monomial with a > 0 (2 on the top
     # layer, 3 on the middle one, 2 on the cyclotomic one, whose delta^4
-    # and delta^5 take one product each).  The 24 walks are 21 residue
-    # reads and the three residue-constant reads.  On a warm tower the
-    # constants, delta powers and monomials are cached: 20 products and
-    # 21 walks.
+    # and delta^5 take one product each).  The 22 walks are 21 residue
+    # reads and the top layer's residue-constant read.  On a warm tower
+    # the constants, delta powers and monomials are cached: 20 products
+    # and 21 walks.
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
@@ -859,7 +860,7 @@ def test_tate_product_and_walk_count(monkeypatch):
         assert r.quadruple() == (18, 10, "II*", 1)
         assert r.trace.count(("restart",)) == 2
         if cold:
-            assert (count["mul"], count["walk"]) == (32, 24)
+            assert (count["mul"], count["walk"]) == (30, 22)
         else:
             assert count["mul"] <= 20 and count["walk"] <= 21
 

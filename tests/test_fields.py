@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 
 from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
                                  DegreeDropError, FieldElement, FieldError,
-                                 TowerStep,
-                                 _charpoly, build_field, different_bound,
+                                 TowerStep, _charpoly, _normalize_radicand,
+                                 _peel_unit, build_field, different_bound,
                                  different_valuation, discriminant_valuation,
                                  find_uniformizer, norm_to_qp,
                                  parse_field_spec, parse_zeta_poly, residue,
@@ -395,6 +396,102 @@ def test_square_radicand_drops_p2():
         build_field(2, [T.kummer(2, 17)])    # 17 is a 2-adic square
 
 
+# radicands over bases at p = 2, 3, 5, 7 as (p, base steps, radicand,
+# kind); a radicand None is the base's last step generator, the next
+# radicand of a Kummer tower
+PEEL_CASES = {
+    "5 over Q_2": (2, [], 5, "unram"),
+    "17 over Q_2": (2, [], 17, "drop"),
+    "3 over Q_2(zeta_8)": (2, [T.cyclotomic(8)], 3, "unram"),
+    "1 + 2 zeta_8": (2, [T.cyclotomic(8)], {0: 1, 1: 2}, "tr"),
+    "5 over Q_2(5^(1/2)), f = 2": (2, [T.kummer(2, 5)], 5, "drop"),
+    "5^(1/2) over Q_2(i, 5^(1/2)), f = 2":
+        (2, [T.cyclotomic(4), T.kummer(2, 5)], None, "tr"),
+    "2 - 3 zeta_3": (3, [T.cyclotomic(3)], {0: 2, 1: -3}, "unram"),
+    "27 over Q_3(zeta_3)": (3, [T.cyclotomic(3)], 27, "drop"),
+    "4 over Q_3(zeta_3, (2 - 3 zeta_3)^(1/3)), f = 3":
+        (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})], 4, "tr"),
+    "4^(1/3) over Q_3(zeta_9, 4^(1/3))":
+        (3, [T.cyclotomic(9), T.kummer(3, 4)], None, "tr"),
+    "2 + 5 zeta_5": (5, [T.cyclotomic(5)], {0: 2, 1: 5}, "unram"),
+    "6 over Q_5(zeta_25)": (5, [T.cyclotomic(25)], 6, "tr"),
+    "26 over Q_5(zeta_5)": (5, [T.cyclotomic(5)], 26, "drop"),
+    "6 - 7 zeta_7": (7, [T.cyclotomic(7)], {0: 6, 1: -7}, "unram"),
+    "2 over Q_7(zeta_7)": (7, [T.cyclotomic(7)], 2, "tr"),
+    "50 over Q_7(zeta_7)": (7, [T.cyclotomic(7)], 50, "drop"),
+}
+
+
+def _peel_by_search(base, rad1, v1):
+    """The reference for ``_peel_unit``: at each step try the lifts of the
+    nonzero residues, in the order of ``ResidueField.elements``, until the
+    defect rises.  Returns (kind, lambda, A, steps), steps the number of
+    defects of accepted adjusters."""
+    p = base.p
+    u = (rad1 * base.pi_pow(-v1))._normalized() if v1 else rad1
+
+    def lifts():
+        units = itertools.islice(base.residue_field.elements, 1, None)
+        return (base.lift(c) for c in units)
+
+    def rises(adj, v):
+        dv, _ = base.val_or_bound(u - adj ** p)
+        return dv is None or dv > v
+
+    A = next(c for c in lifts() if base.val_at_least(u - c ** p, 1))
+    T2 = Fraction(p * base.e, p - 1)
+    steps = 0
+    while True:
+        steps += 1
+        v, bound = base.val_or_bound(u - A ** p)
+        if v is None or v > T2:
+            assert v is not None or bound > T2
+            return "drop", None, None, steps
+        if v % p:
+            return "tr", v, A, steps
+        shift = base.pi_pow(v // p)
+        nxt = next((a for a in (A * (base.one() + c * shift) for c in lifts())
+                    if rises(a, v)), None)
+        if nxt is None:
+            assert v == T2
+            return "unram", v, A, steps
+        A = nxt
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_peel_reads_the_search_correction(name, monkeypatch):
+    # each correction read off the defect's residue is the first
+    # candidate the search accepts, so the classification and A agree
+    # bit for bit, and a step takes one p-th power
+    p, steps, rad, kind = PEEL_CASES[name]
+    base = build_field(p, steps)
+    rad = base.step_generators[-1] if rad is None else base.coerce(rad)
+    rad1, _, _ = _normalize_radicand(base, rad)
+    v1 = rad1.valuation()
+    want, lam, A, nsteps = _peel_by_search(base, rad1, v1)
+    assert want == kind
+    powers = collections.Counter()
+    power = FieldElement.__pow__
+
+    def counting_pow(x, k):
+        powers[k] += 1
+        return power(x, k)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counting_pow)
+    got, data = _peel_unit(base, rad1, v1)
+    assert got == kind
+    assert powers == {p: nsteps}
+    if kind == "drop":
+        assert data is None
+        return
+    assert data["lambda"] == lam
+    assert (data["A"].vec, data["A"].s, data["A"].m) == (A.vec, A.s, A.m)
+    assert data["certificate"] == (
+        f"totally ramified (unit defect level {lam} below bound "
+        f"{Fraction(p * base.e, p - 1)})" if kind == "tr" else
+        f"unramified (artin-schreier obstruction at level {lam})")
+
+
 def test_nested_coefficient_view(K1):
     from anabelomorph.padic import PadicScalar
     g = K1.step_generators[1]
@@ -759,12 +856,6 @@ LAYER_TOWERS = {
     "p=7 quadratics": (7, [T.custom([-7, 0]), T.custom([-3, 0])]),
     "p=7 custom": (7, [T.cyclotomic(7), T.custom([{0: 1, 1: -1}, 0, 0])]),
 }
-
-
-def _layers(K):
-    while K.base is not None:
-        yield K
-        K = K.base
 
 
 def _branch(fld):
