@@ -121,8 +121,8 @@ def _radicand_is_pth_power(spec, prec=None):
     v1 = rad1.valuation()     # congruent to v(radicand) mod p
     if v1 % spec.p:
         return False
-    kind, _ = _peel_unit(F, rad1, v1)
-    return kind == "drop"
+    u = rad1 * F.monomial(-v1 // spec.p) ** spec.p if v1 else rad1
+    return _peel_unit(F, u)[0] == "drop"
 
 
 def _certify(spec, prec=None):

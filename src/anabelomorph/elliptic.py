@@ -405,9 +405,11 @@ def _denominator_bound(K):
     return sigma
 
 
-def _end(trace, vD, f, kodaira, c, m, split=None):
+def _end(trace, vD, kodaira, c, split=None):
+    """Reduction data: m = ``kodaira.components``, f by Ogg's formula."""
     trace.append(("branch", str(kodaira)))
-    return ReductionData(vD, f, kodaira, c, m, split=split)
+    m = kodaira.components
+    return ReductionData(vD, vD - m + 1, kodaira, c, m, split=split)
 
 
 def _tate_pass(K, vD, depth, trace, a):
@@ -418,7 +420,7 @@ def _tate_pass(K, vD, depth, trace, a):
     ``_tate_digits``: every read here is at pi^(vD + 6 depth + 5) or
     shallower, and translations cost them at most 3 sigma digits."""
     if vD == 0:
-        return _end(trace, 0, 0, KodairaSymbol("I0"), 1, 1)
+        return _end(trace, 0, KodairaSymbol("I0"), 1)
     F = K.residue_field
 
     def res(w, k):
@@ -447,20 +449,19 @@ def _tate_pass(K, vD, depth, trace, a):
         n = vD
         split = bool(_roots(F, tangent))
         c = n if split else (2 if n % 2 == 0 else 1)
-        return _end(trace, vD, vD - n + 1, KodairaSymbol("In", n), c, n,
-                    split=split)
+        return _end(trace, vD, KodairaSymbol("In", n), c, split=split)
 
     # additive reduction from here on
     if not divisible(6, 1):
-        return _end(trace, vD, vD, KodairaSymbol("II"), 1, 1)
+        return _end(trace, vD, KodairaSymbol("II"), 1)
     b8bar, b6bar = _b8_b6_residues(F, res(1, 0), res(2, 0), res(3, 1),
                                    res(4, 1), res(6, 2))
     if any(b8bar):
-        return _end(trace, vD, vD - 1, KodairaSymbol("III"), 2, 2)
+        return _end(trace, vD, KodairaSymbol("III"), 2)
     if any(b6bar):
         quad = [F.scale(res(6, 2), -1), res(3, 1), F.one]
         c = 3 if _roots(F, quad) else 1
-        return _end(trace, vD, vD - 2, KodairaSymbol("IV"), c, 3)
+        return _end(trace, vD, KodairaSymbol("IV"), c)
 
     # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
     a = translate("sbar", "s", sbar, 0)
@@ -492,7 +493,7 @@ def _tate_pass(K, vD, depth, trace, a):
     trep = _double_root(F, pc)
     if trep is None:
         c = 1 + len(_roots(F, pc))
-        return _end(trace, vD, vD - 4, KodairaSymbol("I0*"), c, 5)
+        return _end(trace, vD, KodairaSymbol("I0*"), c)
     # the double root is triple when the third root -a2/pi - 2 trep is it
     triple = not any(F.add(pc[2], F.scale(trep, 3)))
     a = translate("cubic", "r", trep, 1)
@@ -505,12 +506,12 @@ def _tate_pass(K, vD, depth, trace, a):
     yrep = _double_root(F, quad)
     if yrep is None:
         c = 3 if _roots(F, quad) else 1
-        return _end(trace, vD, vD - 6, KodairaSymbol("IV*"), c, 7)
+        return _end(trace, vD, KodairaSymbol("IV*"), c)
     a = translate("IV*", "t", yrep, 2)
     if not divisible(4, 3):
-        return _end(trace, vD, vD - 7, KodairaSymbol("III*"), 2, 8)
+        return _end(trace, vD, KodairaSymbol("III*"), 2)
     if not divisible(6, 5):
-        return _end(trace, vD, vD - 8, KodairaSymbol("II*"), 1, 9)
+        return _end(trace, vD, KodairaSymbol("II*"), 1)
     # non-minimal model: pi^w | a_w, so the next pass reads one pi deeper
     return a
 
@@ -555,8 +556,7 @@ def _tate_in_star(K, vD, depth, trace, a):
         rep = _double_root(F, quad)
         if rep is None:
             c = 4 if _roots(F, quad) else 2
-            return _end(trace, vD, vD - 4 - n, KodairaSymbol("In*", n),
-                        c, 5 + n)
+            return _end(trace, vD, KodairaSymbol("In*", n), c)
         var = "t" if n % 2 == 1 else "r"
         trace.append(("translate", f"I{n}*", var, rep))
         a = _shift(K, a, depth, var, rep, k + 1)

@@ -36,17 +36,17 @@ the element.
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u, which reads each
 correction of its adjuster A off the residue of the defect u - A^p in
-F_q), which gives it a valuation frame: gen = gamma delta + beta with
-beta, gamma in the base and w = v_K(delta) known, so that
-v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k w).
+F_q and shifts A by a frame monomial), which gives it a valuation frame:
+gen = gamma delta + beta with beta, gamma in the base and w = v_K(delta)
+known, so that v_K(sum y_k delta^k) = min_k (e_{K/B} v_B(y_k) + k w).
 One call, ``LocalField._certify``, takes every layer kind's frame and
 derives the rest from it: the uniformizer, pi_B when the layer is
 unramified and delta^x B.monomial(y) with xw + yd = 1 when ramified, and
 the layer's contribution to the different, 0 when unramified and
 v_K(f'(gen)) - (d - 1)(w - 1) for the layer relation f when ramified.
 ``monomial(v)`` is an element of valuation v made of nonnegative powers
-of the frame deltas over a power of p, so building a uniformizer or a
-Kummer radicand's normalizer c inverts no power of pi.  c^-1 and the
+of the frame deltas over a power of p, so building a uniformizer, a
+Kummer normalizer c or a unit peel inverts no power of pi.  c^-1 and the
 user step generators are made on first read: a build inverts only the
 normalizers of the layers whose user generator is a later radicand.
 Valuations are read off the frames layer by layer, never from a norm
@@ -72,8 +72,8 @@ DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
 # the largest tower degree build_field accepts, checked from the steps
-# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 4-5 s
-# (CPython 3.11, 2-core x86); larger towers are out of scope
+# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 2.7-3.3 s
+# of CPU (3 runs, CPython 3.11.7, shared 2-core x86); larger is out of scope
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
@@ -1585,10 +1585,12 @@ def _extend_kummer_cyclic(base, rad, name):
     The stored layer relation uses the normalized radicand
     rad1 = rad c^p p^(p t) (integral coefficients, small valuation) of
     ``_normalize_radicand``, so the internal generator gen satisfies
-    gen = rad^(1/p) c p^t.  Returns the layer, which keeps c and t:
-    its ``normalizer`` (c, c^-1) and ``user_generator()`` gen c^-1 p^-t,
-    whose p-th power is rad, are made on first read, so a build that
-    reads neither inverts no c.
+    gen = rad^(1/p) c p^t.  When p | v1 = v(rad1), the peeled unit is
+    rad1 monomial(-v1/p)^p = rad c^p, and the frame's beta (or alpha) is
+    monomial(v1/p) A.  Returns the layer, which keeps c and t: its
+    ``normalizer`` (c, c^-1) and ``user_generator()`` gen c^-1 p^-t, whose
+    p-th power is rad, are made on first read, so a build that reads
+    neither inverts no c.
     """
     p = base.p
     xi = _pth_root_of_unity(base)
@@ -1600,7 +1602,8 @@ def _extend_kummer_cyclic(base, rad, name):
     if v1 % p != 0:
         cert = f"eisenstein-type (newton polygon slope {v1}/{p})"
     else:
-        kind, peel = _peel_unit(base, rad1, v1)
+        u = rad1 * base.monomial(-v1 // p) ** p if v1 else rad1
+        kind, peel = _peel_unit(base, u)
         if kind == "drop":
             raise DegreeDropError(
                 "radicand is a p-th power in the base (to working precision)")
@@ -1610,13 +1613,12 @@ def _extend_kummer_cyclic(base, rad, name):
     if v1 % p != 0:
         K._certify(cert, p, v1, gen)
     elif kind == "tr":
-        h = v1 // p
-        beta = base.pi_pow(h) * peel["A"]
-        K._certify(cert, p, peel["lambda"] + p * h, gen - K.embed(beta),
+        beta = base.monomial(v1 // p) * peel["A"]
+        K._certify(cert, p, peel["lambda"] + v1, gen - K.embed(beta),
                    beta=beta)
     else:  # unramified layer
         eun = base.e // (p - 1)
-        alpha = base.pi_pow(v1 // p) * peel["A"]
+        alpha = base.monomial(v1 // p) * peel["A"]
         eta = gen * K.embed(alpha.inv())
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
@@ -1646,21 +1648,21 @@ def _normalize_radicand(base, rad):
     return FieldElement(base, rad1.vec, 0, rad1.m), c, t
 
 
-def _peel_unit(base, rad1, v1):
-    """Classify x^p = unit over the base by successive unit peeling.
-
-    The defect level of the adjuster A is v(u - A^p) - v(u); everything
-    stays integral (no inverses), so the computation is valid whenever
-    the working modulus exceeds the peeling bound p*e/(p-1).
+def _peel_unit(base, u):
+    """Classify x^p = u over the base, for a unit u, by successive unit
+    peeling, which inverts nothing and is valid whenever the working
+    modulus exceeds the bound p*e/(p-1); u may carry a small p-power
+    denominator over non-monogenic bases, which the defect reads allow for.
 
     Each step makes one defect D = u - A^p, whose walk reads v = v(D)
-    and the residue r of D / pi^v, and sets A <- A (1 + lift(c) pi^j)
-    for j = v / p (p-th powers of principal units: I. Fesenko and
-    S. Vostokov, Local Fields and Their Extensions, I 5).  A starts at
-    the lift of res(u)^(1/p), read by the inverse Frobenius x^(q/p), so
-    res(A)^p = res(u) throughout.  Below the bound, (1 + c pi^j)^p =
-    1 + c^p pi^v modulo higher terms, so c = (r / res(u))^(1/p).  At the
-    bound the term p c pi^j counts too, and c solves c^p + eps c =
+    and the residue r of D / pi^v, and sets A <- A (1 + s) for the frame
+    monomial s = ``lift_at(c, v / p)`` of residue c (p-th powers of
+    principal units: I. Fesenko and S. Vostokov, Local Fields and Their
+    Extensions, I 5), so the steps and A depend on the frames, not on pi.
+    A starts at the lift of res(u)^(1/p), read by the inverse Frobenius
+    x^(q/p), so res(A)^p = res(u) throughout.  Below the bound,
+    (1 + s)^p = 1 + s^p modulo higher terms, so c = (r / res(u))^(1/p).
+    At the bound the term p s counts too, and c solves c^p + eps c =
     r / res(u) with eps = res(p / pi^e); no solution in F_q is the
     Artin-Schreier obstruction of an unramified layer.
 
@@ -1669,9 +1671,6 @@ def _peel_unit(base, rad1, v1):
     v(u / (A^p) - 1) = lambda, p not dividing lambda in the "tr" case.
     """
     p = base.p
-    # the unit may carry a small p-power denominator over non-monogenic
-    # bases; the defect comparisons below are denominator-aware
-    u = (rad1 * base.pi_pow(-v1))._normalized() if v1 else rad1
     F = base.residue_field
     ru = base.residue_at(u, 0)
     ru_inv = F.pow(ru, -1)
@@ -1709,7 +1708,7 @@ def _peel_unit(base, rad1, v1):
                     "certificate": ("unramified (artin-schreier obstruction "
                                     f"at level {v})"),
                 }
-        A = A * (base.one() + base.lift(c) * base.pi_pow(v // p))
+        A = A * (base.one() + base.lift_at(c, v // p))
     raise CertificationError("unit peeling did not terminate")
 
 

@@ -820,20 +820,21 @@ def test_tate_product_and_walk_count(monkeypatch):
     # five coefficients by pi^w at the strip and at each restart makes 60
     # products and 35 walks here).
     #
-    # The cold run's 30 products: the three passes make 4 translations by
-    # a nonzero residue (a singular r at k = 6, the cubic r at k = 3, 5
-    # and 7), each one lift_at product and 4 products of _translate's r
-    # formulas, so 20 in all; the residue constants of the top layer take
-    # delta^3, one product from the powers of delta its uniformizer left
-    # cached (1), while the build's unit peels, which read residues over
-    # the cyclotomic and middle Kummer layers, set those two layers'
-    # constants; and the four monomials need 9: a product delta^a
-    # embed(B.monomial(b)) for each new monomial with a > 0 (2 on the top
-    # layer, 3 on the middle one, 2 on the cyclotomic one, whose delta^4
-    # and delta^5 take one product each).  The 22 walks are 21 residue
-    # reads and the top layer's residue-constant read.  On a warm tower
-    # the constants, delta powers and monomials are cached: 20 products
-    # and 21 walks.
+    # The cold run's 22 products: the three passes make 3 translations by
+    # a nonzero residue (the cubic r at k = 3, 5 and 7), each one lift_at
+    # product and 4 products of _translate's r formulas, so 15 in all;
+    # the residue constants of the top layer take delta^3, one product
+    # from the powers of delta its uniformizer left cached (1), while the
+    # build's unit peels, which read residues over the cyclotomic and
+    # middle Kummer layers, set those two layers' constants; and the
+    # three monomials need 6: a product delta^a embed(B.monomial(b)) for
+    # each new monomial with a > 0 (2 on the top layer, 2 on the middle
+    # one, 1 on the cyclotomic one, whose delta^5 takes one more).  The
+    # peels' lift_at shifts made the lower layers' other monomials and
+    # the cyclotomic delta^4 during the build.  The 18 walks are 17
+    # residue reads and the top layer's residue-constant read.  On a warm
+    # tower the constants, delta powers and monomials are cached: 15
+    # products and 17 walks.
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
@@ -860,7 +861,7 @@ def test_tate_product_and_walk_count(monkeypatch):
         assert r.quadruple() == (18, 10, "II*", 1)
         assert r.trace.count(("restart",)) == 2
         if cold:
-            assert (count["mul"], count["walk"]) == (30, 22)
+            assert (count["mul"], count["walk"]) == (22, 18)
         else:
             assert count["mul"] <= 20 and count["walk"] <= 21
 
@@ -1008,6 +1009,21 @@ def test_tate_derived_digits_golden_rows(row, K54, L54_4, monkeypatch):
         model = WeierstrassModel.from_a_invariants(K, *GOLDEN_ADDITIVE[row][0])
         # the degree-54 runs need tens of digits, not M = 290
         assert _check_derived_digits(monkeypatch, model) < 30
+
+
+@pytest.mark.parametrize("row", [0, 1, 5])
+def test_tate_integral_scaling_golden_rows(row, K54, L54_4):
+    # u = pi^4 divides a_w by pi^(4w), so the model is not integral.  As
+    # given, a row's run starts ("scale", -1), a strip of one pi; the
+    # scaled model's run multiplies a_w by pi^(3w) = pi^(4w) pi^(-w),
+    # the integral scaling no other test reaches, and finds the golden
+    # quadruple
+    coeffs, *quadruples = GOLDEN_ADDITIVE[row]
+    for K, want in zip((K54, L54_4), quadruples):
+        model = WeierstrassModel.from_a_invariants(K, *coeffs)
+        r = tate_algorithm(change_coords(model, u=K.pi_pow(4)))
+        assert r.trace[0] == ("scale", 3)
+        assert r.quadruple() == want
 
 
 @pytest.mark.parametrize("change", ["none", "scaled", "hidden"])

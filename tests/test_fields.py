@@ -422,13 +422,13 @@ PEEL_CASES = {
 }
 
 
-def _peel_by_search(base, rad1, v1):
+def _peel_by_search(base, u):
     """The reference for ``_peel_unit``: at each step try the lifts of the
-    nonzero residues, in the order of ``ResidueField.elements``, until the
-    defect rises.  Returns (kind, lambda, A, steps), steps the number of
-    defects of accepted adjusters."""
+    nonzero residues, in the order of ``ResidueField.elements``, times the
+    frame monomial of valuation v / p, until the defect rises.  Returns
+    (kind, lambda, A, steps), steps the number of defects of accepted
+    adjusters."""
     p = base.p
-    u = (rad1 * base.pi_pow(-v1))._normalized() if v1 else rad1
 
     def lifts():
         units = itertools.islice(base.residue_field.elements, 1, None)
@@ -449,7 +449,7 @@ def _peel_by_search(base, rad1, v1):
             return "drop", None, None, steps
         if v % p:
             return "tr", v, A, steps
-        shift = base.pi_pow(v // p)
+        shift = base.monomial(v // p)
         nxt = next((a for a in (A * (base.one() + c * shift) for c in lifts())
                     if rises(a, v)), None)
         if nxt is None:
@@ -462,23 +462,32 @@ def _peel_by_search(base, rad1, v1):
 def test_peel_reads_the_search_correction(name, monkeypatch):
     # each correction read off the defect's residue is the first
     # candidate the search accepts, so the classification and A agree
-    # bit for bit, and a step takes one p-th power
+    # bit for bit; a step takes one p-th power, and the peel asks for no
+    # power of pi.  The unit is rad1 monomial(-v1/p)^p, rad times a p-th
+    # power, as the Kummer builder peels it
+    from anabelomorph.fields import LocalField
     p, steps, rad, kind = PEEL_CASES[name]
     base = build_field(p, steps)
     rad = base.step_generators[-1] if rad is None else base.coerce(rad)
     rad1, _, _ = _normalize_radicand(base, rad)
     v1 = rad1.valuation()
-    want, lam, A, nsteps = _peel_by_search(base, rad1, v1)
+    u = rad1 * base.monomial(-v1 // p) ** p if v1 else rad1
+    want, lam, A, nsteps = _peel_by_search(base, u)
     assert want == kind
     powers = collections.Counter()
-    power = FieldElement.__pow__
+    power, pi_pow = FieldElement.__pow__, LocalField.pi_pow
 
     def counting_pow(x, k):
         powers[k] += 1
         return power(x, k)
 
+    def counting_pi_pow(self, k):
+        powers["pi_pow"] += 1
+        return pi_pow(self, k)
+
     monkeypatch.setattr(FieldElement, "__pow__", counting_pow)
-    got, data = _peel_unit(base, rad1, v1)
+    monkeypatch.setattr(LocalField, "pi_pow", counting_pi_pow)
+    got, data = _peel_unit(base, u)
     assert got == kind
     assert powers == {p: nsteps}
     if kind == "drop":
@@ -709,6 +718,11 @@ def test_builds_invert_no_power_of_pi(monkeypatch, inversions):
         assert inversions[M.name] == inversions[M.base.name] == 0
     assert inversions == {K.base.base.name: 1, H.base.base.name: 1}
     assert all(f.normalizer is not None for f in (K, K.base, H, H.base))
+    # the unit peeling takes the radicand times a p-th power of a frame
+    # monomial: on the degree-162 layer of Q_3(zeta_27, 3^(1/27)) it
+    # once divided by pi^486
+    Z = build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
+    assert Z.n == 486 and negative == []
 
 
 @pytest.mark.parametrize("read", ["normalizer", "step_generators"])
