@@ -719,8 +719,8 @@ def test_builds_invert_no_power_of_pi(monkeypatch, inversions):
     assert inversions == {K.base.base.name: 1, H.base.base.name: 1}
     assert all(f.normalizer is not None for f in (K, K.base, H, H.base))
     # the unit peeling takes the radicand times a p-th power of a frame
-    # monomial: on the degree-162 layer of Q_3(zeta_27, 3^(1/27)) it
-    # once divided by pi^486
+    # monomial, so the degree-162 layer of Q_3(zeta_27, 3^(1/27)), whose
+    # normalized radicand has valuation 486, needs no pi^-486
     Z = build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
     assert Z.n == 486 and negative == []
 
