@@ -121,7 +121,7 @@ def _radicand_is_pth_power(spec, prec=None):
     v1 = rad1.valuation()     # congruent to v(radicand) mod p
     if v1 % spec.p:
         return False
-    u = rad1 * F.monomial(-v1 // spec.p) ** spec.p if v1 else rad1
+    u = rad1 * F.monomial_power(-v1 // spec.p, spec.p) if v1 else rad1
     return _peel_unit(F, u)[0] == "drop"
 
 

@@ -51,8 +51,13 @@ user step generators are made on first read: a build inverts only the
 normalizers of the layers whose user generator is a later radicand.
 Valuations are read off the frames layer by layer, never from a norm
 (a layer over Q_p shifts and reads its integer coordinates in its own
-walk); a layer's own norm only certifies its frame's delta before the
-frame exists, through the base's frame.  The same walk reads the residue of
+walk).  A ramified frame is gen = delta + beta, and the layer relation
+f(x) = x^d - sum r_i x^i answers two questions about delta in the base:
+its layer norm, the resultant N_{K/B}(gen - beta) = (-1)^d f(beta), which
+certifies v(delta) before the frame exists, and delta^d = (gen - beta)^d
+mod f, whose block i is C(d, i)(-beta)^(d-i) + r_i, for the residue
+constants and the powers monomial(v)^k = delta^(ak) B.monomial(b)^k of
+frame monomials (``monomial_power``).  The same walk reads the residue of
 x / pi^v(x) off the least frame term, in the residue field F_q as
 coordinate tuples over F_p (``residue_at``), and ``lift`` turns such a
 tuple into a representative in K on demand.
@@ -440,6 +445,7 @@ class LocalField:
         self._packing = None            # slot layout, see _packed
         self._pi_pows = {}
         self._delta_pows = {}           # a -> delta^a, see _delta_pow
+        self._beta_pows = None          # see _beta_powers
         self._monomials = {}            # v -> monomial(v)
         self._monomial_rinv = {}        # v -> res(monomial(v)/pi^v)^-1
 
@@ -983,8 +989,12 @@ class LocalField:
         sets e = e_B e_rel and f = f_B d / e_rel.  A nonzero weight is
         certified by the layer norm, v_B(N_{K/B}(delta)) = f_{K/B}
         v_K(delta) (Serre, Local Fields); an unramified layer's delta
-        (weight 0) is a unit by construction.  The element delta is kept
-        for the residue constants.
+        (weight 0) is a unit by construction.  A nonzero weight comes
+        with gamma = 1, delta = gen - beta, and the norm is the resultant
+        of the relation f against gen - beta, N_{K/B}(gen - beta) =
+        (-1)^d f(beta) (Serre, Local Fields, I 4 and III 6), so v_B(f(beta))
+        is read in the base (``_norm_of_delta``), with no product of
+        conjugates.  The element delta is kept for the residue constants.
 
         The uniformizer is pi = pi_B on an unramified layer, and on a
         ramified one pi = delta^x B.monomial(y) with x = w^-1 mod d and
@@ -1024,9 +1034,10 @@ class LocalField:
         B = self.base
         self.e = B.e * e_rel
         self.f = B.f * (self.d // e_rel)
+        self.delta = delta
         if weight:
-            _, nvec = self._layer_cofactor(delta.vec, delta.m)
-            v = B._val(nvec, delta.s * self.d, delta.m)[0]
+            # weight != 0 only on a ramified frame, where gen = delta + beta
+            v = B.val_or_bound(self._norm_of_delta())[0]
             if v is None:
                 raise PrecisionError(
                     f"{self.kind} layer norm of delta is zero to precision; "
@@ -1034,7 +1045,6 @@ class LocalField:
             if v != weight * (self.d // e_rel):
                 raise CertificationError(
                     f"{self.kind} layer frame check failed: v(delta) != {weight}")
-        self.delta = delta
         if gamma is not None and (gamma.s or gamma.vec != B.one().vec):
             gpows = [None, gamma.vec]
             for _ in range(2, self.d):
@@ -1131,7 +1141,9 @@ class LocalField:
         """The residue representative of c in F_q: a polynomial in the
         deltas of the unramified layers, whose residues generate F_q, with
         coefficients in 0 .. p-1.  Made on demand from the frames' cached
-        powers of delta (``_delta_pow``), so no residue constant is read."""
+        powers of delta (``_delta_pow``), so no residue constant is read.
+        A zero coefficient block adds no term: 0 delta^k would cap the
+        sum's digits at those of delta^k."""
         B = self.base
         if B is None:
             return self.from_int(c[0])
@@ -1140,8 +1152,9 @@ class LocalField:
         b = B.f
         acc = self.embed(B.lift(c[:b]))
         for k in range(1, self.d):
-            acc = acc + (self.embed(B.lift(c[k * b:(k + 1) * b]))
-                         * self._delta_pow(k))
+            ck = c[k * b:(k + 1) * b]
+            if any(ck):
+                acc = acc + self.embed(B.lift(ck)) * self._delta_pow(k)
         return acc
 
     # -- uniformizer helpers ---------------------------------------------------
@@ -1183,16 +1196,104 @@ class LocalField:
             self._monomials[v] = out
         return out
 
+    def monomial_power(self, v, k):
+        """monomial(v)^k for k >= 1: delta^(ak) embed(B.monomial(b)^k) for
+        (a, b) = ``_monomial_split(v)``, the base's factor by the same rule
+        and p^(vk) over Q_p.  With ak = qd + r this is (delta^d)^q delta^r
+        times the base's factor, with delta^d read off the relation
+        (``_delta_pow``).  An integral delta^d = p^j U gives U^q in place
+        of (delta^d)^q: p^(jq) clears as much of the base factor's
+        denominator p^s as it can, exactly, and what is left multiplies
+        U^q, so that the p-content of delta^d costs no digits against
+        that denominator."""
+        if self.base is None:
+            return self.monomial(v * k)
+        a, b = self._monomial_split(v)
+        out = self.embed(self.base.monomial_power(b, k))
+        q, r = divmod(a * k, self.d)
+        if q:
+            p, x = self.p, self._delta_pow(self.d)
+            vec, s, m = _strip(x.vec, x.s, x.m, p, x.m)
+            j = max(-s, 0)
+            x = FieldElement(self, vec, s + j, m)
+            x = x ** q if q > 1 else x
+            g = min(j * q, out.s)
+            if j * q > g:
+                m = min(x.m + j * q - g, self.M)
+                x = FieldElement(self, tuple(c * p ** (j * q - g) % p ** m
+                                             for c in x.vec), x.s, m)
+            out = x * FieldElement(self, out.vec, out.s - g, out.m)
+        if r:
+            out = self._delta_pow(r) * out
+        return out
+
     def _delta_pow(self, a):
         """delta^a for a >= 1, cached and made by halving as in
         ``pi_pow``, so that the monomials, the uniformizer and the residue
-        constants share their powers of delta."""
+        constants share their powers of delta.  On a frame with gamma = 1,
+        gen = delta + beta, delta^d is read off the layer relation f(x) =
+        x^d - sum r_i x^i in the base (``_relation_delta_pow``)."""
         out = self._delta_pows.get(a)
         if out is None:
-            out = self.delta if a == 1 else (self._delta_pow((a + 1) // 2)
-                                             * self._delta_pow(a // 2))
+            if a == 1:
+                out = self.delta
+            elif a == self.d and self.frame[1] is None:
+                out = self._relation_delta_pow()
+            else:
+                out = self._delta_pow((a + 1) // 2) * self._delta_pow(a // 2)
             self._delta_pows[a] = out
         return out
+
+    def _beta_powers(self):
+        """[1, beta, ..., beta^d] in the base, for a frame gen = delta +
+        beta: beta is read off delta (its block 0 is -beta), its powers
+        made by halving and kept."""
+        pows = self._beta_pows
+        if pows is None:
+            B, x = self.base, self.delta
+            pm = self.p ** x.m
+            bvec = tuple(-c % pm for c in x.vec[:B.n])
+            if any(bvec):
+                pows = [B.one(), FieldElement(B, bvec, x.s, x.m)._normalized()]
+                for j in range(2, self.d + 1):
+                    pows.append(pows[(j + 1) // 2] * pows[j // 2])
+            else:
+                pows = [B.one()] + [B.zero()] * self.d
+            self._beta_pows = pows
+        return pows
+
+    def _relation_terms(self):
+        """{i: r_i} of the layer relation, as base elements."""
+        B, pM = self.base, self.pM
+        return {i: FieldElement(B, tuple(c % pM for c in r), 0, self.M)
+                for i, r in self.relation}
+
+    def _norm_of_delta(self):
+        """N_{K/B}(delta) up to sign, for a frame gen = delta + beta: the
+        norm is the resultant of f against gen - beta, (-1)^d f(beta)
+        (J.-P. Serre, Local Fields, I 4 and III 6), so it is f(beta) =
+        beta^d - sum r_i beta^i, made in the base from the powers of
+        beta with no conjugate and no product in the layer."""
+        pows = self._beta_powers()
+        out = pows[self.d]
+        for i, r in self._relation_terms().items():
+            out = out - (r if i == 0 else pows[i] * r)
+        return out
+
+    def _relation_delta_pow(self):
+        """delta^d = (gen - beta)^d mod f, block by block (``_delta_pow``):
+        the blocks are base elements brought to one denominator."""
+        pows, d, p = self._beta_powers(), self.d, self.p
+        rel = self._relation_terms()
+        blocks = []
+        for i in range(d):
+            y = pows[d - i].scaled(math.comb(d, i) * (-1) ** (d - i))
+            blocks.append(y + rel[i] if i in rel else y)
+        s = max(y.s for y in blocks)
+        m = min(min(y.m - y.s for y in blocks) + s, self.M)
+        pm = p ** m
+        vec = tuple(c * p ** (s - y.s) % pm for y in blocks for c in y.vec)
+        return FieldElement(self, vec, s, m)._normalized()
 
     def _monomial_split(self, v):
         """(a, b) with v = a w + d b and 0 <= a < d on a ramified layer of
@@ -1602,7 +1703,7 @@ def _extend_kummer_cyclic(base, rad, name):
     if v1 % p != 0:
         cert = f"eisenstein-type (newton polygon slope {v1}/{p})"
     else:
-        u = rad1 * base.monomial(-v1 // p) ** p if v1 else rad1
+        u = rad1 * base.monomial_power(-v1 // p, p) if v1 else rad1
         kind, peel = _peel_unit(base, u)
         if kind == "drop":
             raise DegreeDropError(
@@ -1641,7 +1742,7 @@ def _normalize_radicand(base, rad):
     p = base.p
     k = rad.valuation() // p
     c = base.monomial(-k) if k else None
-    rad1 = rad * c ** p if k else rad._normalized()
+    rad1 = rad * base.monomial_power(-k, p) if k else rad._normalized()
     t = (rad1.s + p - 1) // p
     if t:
         rad1 = rad1 * base.from_int(p ** (p * t))   # p^(p t) clears p^s

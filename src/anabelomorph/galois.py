@@ -18,6 +18,8 @@ coefficient field (never floating point).
 
 from __future__ import annotations
 
+import functools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -373,12 +375,13 @@ def upper_numbering_breaks(filt):
 # characters of Z/p x| (Z/p)^* and conductors
 
 
-@dataclass
+@dataclass(frozen=True)
 class Character:
-    """Character values per conjugacy class, in Q(zeta_{p-1})."""
+    """Character values per conjugacy class, in Q(zeta_{p-1}); frozen,
+    with read-only values, as ``character_table`` shares one table."""
     p: int
     dim: int
-    values: dict     # class label -> CycRat
+    values: types.MappingProxyType     # class label -> CycRat
     label: str
 
     def value(self, sigma):
@@ -397,8 +400,14 @@ def character_table(p, r=1):
     """Exact character table of Z/p x| (Z/p)^* (the r = 1 Galois group).
 
     p - 1 linear characters through (Z/p)^* plus one irreducible of
-    dimension p - 1.
+    dimension p - 1, as a tuple of frozen characters.  The table is
+    built and checked for orthogonality once per (p, r) and then shared.
     """
+    return _character_table(p, r)
+
+
+@functools.lru_cache(maxsize=None)
+def _character_table(p, r):
     if r != 1:
         raise NotImplementedError("character tables are built for r = 1 only")
     if p == 2:
@@ -414,13 +423,14 @@ def character_table(p, r=1):
         for cl in classes:
             a = 1 if cl in ("id", "tau") else int(cl[1:])
             vals[cl] = CycRat.zeta_power(m, k * dlog[a])
-        chars.append(Character(p, 1, vals, f"psi^{k}"))
+        chars.append(Character(p, 1, types.MappingProxyType(vals),
+                               f"psi^{k}"))
     big = {"id": CycRat.rational(m, p - 1), "tau": CycRat.rational(m, -1)}
     for a in range(2, p):
         big[f"s{a}"] = CycRat.rational(m, 0)
-    chars.append(Character(p, p - 1, big, "induced"))
+    chars.append(Character(p, p - 1, types.MappingProxyType(big), "induced"))
     _check_orthogonality(chars, p)
-    return chars
+    return tuple(chars)
 
 
 def _class_sizes(p):

@@ -820,21 +820,23 @@ def test_tate_product_and_walk_count(monkeypatch):
     # five coefficients by pi^w at the strip and at each restart makes 60
     # products and 35 walks here).
     #
-    # The cold run's 22 products: the three passes make 3 translations by
+    # The cold run's 21 products: the three passes make 3 translations by
     # a nonzero residue (the cubic r at k = 3, 5 and 7), each one lift_at
     # product and 4 products of _translate's r formulas, so 15 in all;
-    # the residue constants of the top layer take delta^3, one product
-    # from the powers of delta its uniformizer left cached (1), while the
-    # build's unit peels, which read residues over the cyclotomic and
-    # middle Kummer layers, set those two layers' constants; and the
-    # three monomials need 6: a product delta^a embed(B.monomial(b)) for
-    # each new monomial with a > 0 (2 on the top layer, 2 on the middle
-    # one, 1 on the cyclotomic one, whose delta^5 takes one more).  The
-    # peels' lift_at shifts made the lower layers' other monomials and
-    # the cyclotomic delta^4 during the build.  The 18 walks are 17
-    # residue reads and the top layer's residue-constant read.  On a warm
-    # tower the constants, delta powers and monomials are cached: 15
-    # products and 17 walks.
+    # the residue constants of the top layer take delta^3, which is read
+    # off the layer relation, (gen - beta)^3 mod f block by block, from
+    # the powers of beta that the build's frame check left cached, so it
+    # takes no product (0), while the build's unit peels, which read
+    # residues over the cyclotomic and middle Kummer layers, set those
+    # two layers' constants; and the three monomials need 6: a product
+    # delta^a embed(B.monomial(b)) for each new monomial with a > 0 (2 on
+    # the top layer, 2 on the middle one, 1 on the cyclotomic one, whose
+    # delta^5 takes one more).  The peels' lift_at shifts made the lower
+    # layers' other monomials and the cyclotomic delta^4 during the
+    # build.  The 18 walks are 17 residue reads and the top layer's
+    # residue-constant read.  On a warm tower the constants, delta powers
+    # and monomials are cached: the 15 products of the translations and
+    # the 17 residue reads.
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val
@@ -861,9 +863,9 @@ def test_tate_product_and_walk_count(monkeypatch):
         assert r.quadruple() == (18, 10, "II*", 1)
         assert r.trace.count(("restart",)) == 2
         if cold:
-            assert (count["mul"], count["walk"]) == (22, 18)
+            assert (count["mul"], count["walk"]) == (21, 18)
         else:
-            assert count["mul"] <= 20 and count["walk"] <= 21
+            assert (count["mul"], count["walk"]) == (15, 17)
 
 
 def test_tate_restarts_divide_nothing(monkeypatch):

@@ -772,6 +772,25 @@ def test_lift_takes_cached_delta_powers(p, steps):
     assert gained
 
 
+def test_lift_adds_no_term_for_a_zero_block():
+    # 0 delta^k would cap a lift's digits at delta^k's: the lift of a
+    # residue with zero blocks keeps every digit of the layer, and the
+    # unit peel of Q_2(i)(5^(1/4)), which lifts such residues, gives a top
+    # pi of 172 digits, all of which the same tower at twice the working
+    # precision has
+    L = build_field(5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})])
+    one = L.lift((1, 0, 0, 0, 0))
+    assert (one - L.one()).is_zero_to_precision()
+    assert one.m - one.s == L.M
+    steps = [T.cyclotomic(4), T.kummer(4, 5)]
+    K = build_field(2, steps)
+    H = build_field(2, steps, prec=2 * DEFAULT_DIGITS)
+    assert K.base.certificate.startswith("unramified")
+    assert K.lift((1, 0)).m - K.lift((1, 0)).s == K.M
+    assert K.pi.m - K.pi.s == 172
+    assert _agrees(K.pi, H.pi)
+
+
 INVERSE_TOWERS = {
     "x^3-9": (3, [T.custom([-9, 0, 0])]),
     "x^3+7x^2-7": (7, [T.custom([-7, 0, 7])]),
@@ -962,3 +981,96 @@ def test_quadratic_over_custom_slope_2_3(tmp_path, capsys):
     spec.write_text("p=3\ncustom x^3-9\ncustom x^2-3\n")
     assert main(["disc", str(spec)]) == 0
     assert capsys.readouterr().out == "11\n"
+
+
+# ----------------------------------------------------------------------
+# the layer relation in the base: the norm of delta, delta^d and powers
+# of frame monomials
+
+
+def _gamma_one_layers(name):
+    """The layers of a LAYER_TOWERS tower whose frame is gen = delta +
+    beta (gamma = 1): every ramified layer, and the unramified quadratic
+    ones of unit discriminant."""
+    p, steps = LAYER_TOWERS[name]
+    out = [fld for fld in _layers(build_field(p, steps))
+           if fld.frame[1] is None]
+    assert out
+    return out
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_norm_of_delta_is_the_relation_at_beta(name):
+    # N_{K/B}(gen - beta) = (-1)^d f(beta): the certificate's f(beta) is
+    # the conjugate product of _layer_cofactor up to that sign, and so
+    # has its valuation
+    for fld in _gamma_one_layers(name):
+        B, x, d = fld.base, fld.delta, fld.d
+        _, nvec = fld._layer_cofactor(x.vec, x.m)
+        norm = FieldElement(B, nvec, x.s * d, x.m)
+        f_beta = fld._norm_of_delta()
+        assert (norm - f_beta.scaled((-1) ** d)).is_zero_to_precision()
+        v = B.val_or_bound(norm)[0]
+        assert v is not None and B.val_or_bound(f_beta)[0] == v
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_delta_pow_d_is_read_off_the_relation(name):
+    # (gen - beta)^d mod f block by block equals the halving product
+    # delta^ceil(d/2) delta^floor(d/2), with no fewer digits, and it is
+    # the power _delta_pow keeps
+    for fld in _gamma_one_layers(name):
+        d = fld.d
+        rel = fld._relation_delta_pow()
+        halved = fld._delta_pow((d + 1) // 2) * fld._delta_pow(d // 2)
+        assert (rel - halved).is_zero_to_precision()
+        assert rel.m - rel.s >= halved.m - halved.s
+        kept = fld._delta_pow(d)
+        assert (kept.vec, kept.s, kept.m) == (rel.vec, rel.s, rel.m)
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_monomial_power_through_delta_powers(name):
+    # monomial(v)^k = delta^(ak) embed(B.monomial(b)^k) layer by layer
+    # equals monomial(v) ** k, for v of both signs, and claims no digit
+    # that the same power at twice the working precision does not have
+    p, steps = LAYER_TOWERS[name]
+    K = build_field(p, steps)
+    H = build_field(p, steps, prec=2 * DEFAULT_DIGITS)
+    for fld, hfld in zip(_layers(K), _layers(H)):
+        for v in range(-fld.e - 2, 2 * fld.e + 2):
+            for k in sorted({2, p, fld.d}):
+                x = fld.monomial_power(v, k)
+                assert (x - fld.monomial(v) ** k).is_zero_to_precision()
+                assert _agrees(x, hfld.monomial_power(v, k)), (v, k)
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_builds_take_layer_norms_only_to_invert(name, monkeypatch):
+    # a build certifies its frames and makes delta^d and the powers of
+    # its monomials in the base, with no _layer_cofactor call; only the
+    # unramified Kummer branch still inverts (alpha^-1 and pi_B^-eun,
+    # through the base's layer norm)
+    from anabelomorph.fields import CustomField, GaloisLayer, LocalField
+    calls = collections.Counter()
+    inverting = []
+    invert = LocalField.invert
+
+    def counting_invert(self, x):
+        inverting.append(self)
+        try:
+            return invert(self, x)
+        finally:
+            inverting.pop()
+
+    monkeypatch.setattr(LocalField, "invert", counting_invert)
+    for cls in (GaloisLayer, CustomField):
+        def counting(self, vec, m, _cofactor=cls._layer_cofactor):
+            calls["invert" if inverting else "other"] += 1
+            return _cofactor(self, vec, m)
+        monkeypatch.setattr(cls, "_layer_cofactor", counting)
+    p, steps = LAYER_TOWERS[name]
+    K = build_field(p, steps)
+    assert calls["other"] == 0
+    if all(_branch(fld) != "kummer unramified" for fld in _layers(K)):
+        assert calls["invert"] == 0

@@ -257,6 +257,31 @@ def test_character_table_p2_out_of_scope():
         character_table(2)
 
 
+def test_character_table_built_once_per_p_and_frozen(monkeypatch):
+    # the table is checked for orthogonality on its first build and then
+    # shared, so its characters can be changed by no caller
+    import dataclasses
+    from anabelomorph import galois
+    checks = []
+    check = galois._check_orthogonality
+    monkeypatch.setattr(galois, "_check_orthogonality",
+                        lambda chars, p: checks.append(p) or check(chars, p))
+    galois._character_table.cache_clear()
+    first = character_table(7)
+    assert checks == [7]
+    assert character_table(7) is first and character_table(7, r=1) is first
+    assert checks == [7]
+    assert isinstance(first, tuple) and len(first) == 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].dim = 2
+    with pytest.raises(TypeError):
+        first[0].values["id"] = first[1].values["id"]
+    # an out-of-scope call raises every time
+    for _ in range(2):
+        with pytest.raises(NotImplementedError):
+            character_table(3, r=2)
+
+
 def test_induced_character_values_match_induction():
     # induction from the wild Z/p of a faithful character: values are
     # (p-1) at 1, -1 on the tau class, 0 elsewhere
