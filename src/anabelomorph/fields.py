@@ -1232,7 +1232,9 @@ class LocalField:
         ``pi_pow``, so that the monomials, the uniformizer and the residue
         constants share their powers of delta.  On a frame with gamma = 1,
         gen = delta + beta, delta^d is read off the layer relation f(x) =
-        x^d - sum r_i x^i in the base (``_relation_delta_pow``)."""
+        x^d - sum r_i x^i in the base: (gen - beta)^d mod f has block i
+        C(d, i) (-beta)^(d-i) + r_i (``_relation_delta_pow``), as the
+        layer norm of delta is (-1)^d f(beta) (``_certify``)."""
         out = self._delta_pows.get(a)
         if out is None:
             if a == 1:
@@ -1252,13 +1254,10 @@ class LocalField:
         if pows is None:
             B, x = self.base, self.delta
             pm = self.p ** x.m
-            bvec = tuple(-c % pm for c in x.vec[:B.n])
-            if any(bvec):
-                pows = [B.one(), FieldElement(B, bvec, x.s, x.m)._normalized()]
-                for j in range(2, self.d + 1):
-                    pows.append(pows[(j + 1) // 2] * pows[j // 2])
-            else:
-                pows = [B.one()] + [B.zero()] * self.d
+            beta = FieldElement(B, [-c % pm for c in x.vec[:B.n]], x.s, x.m)
+            pows = [B.one(), beta._normalized()]
+            for j in range(2, self.d + 1):
+                pows.append(pows[(j + 1) // 2] * pows[j // 2])
             self._beta_pows = pows
         return pows
 
@@ -1281,8 +1280,9 @@ class LocalField:
         return out
 
     def _relation_delta_pow(self):
-        """delta^d = (gen - beta)^d mod f, block by block (``_delta_pow``):
-        the blocks are base elements brought to one denominator."""
+        """delta^d = (gen - beta)^d mod f from the powers of beta
+        (``_delta_pow``): its blocks are base elements brought to one
+        denominator."""
         pows, d, p = self._beta_powers(), self.d, self.p
         rel = self._relation_terms()
         blocks = []

@@ -19,19 +19,12 @@ import sys
 import time
 from pathlib import Path
 
+from parity import headroom
+
 HERE = Path(__file__).resolve().parent.parent
 
 # (p, r, radicand) -> v_p(disc)
 TOWERS = {(2, 5, 3): 2644, (3, 3, 3): 1983, (5, 2, 6): 1083, (2, 4, 3): 532}
-
-
-def headroom(fld):
-    """The headroom m - s of each layer's pi, from Q_p up."""
-    out = []
-    while fld.base is not None:
-        out.append(fld.pi.m - fld.pi.s)
-        fld = fld.base
-    return out[::-1]
 
 
 def main(argv=None):
