@@ -36,6 +36,15 @@ Q_5(zeta_25)((5 2^25)^(1/5)) at M = 788: the first two layers of the
 degree-500 tower of ``disc "p=5 r=2 rad=5*2^25"``, whose cyclotomic base
 multiplies through the Karatsuba route.
 
+The p-adic logarithm is covered by the (v, unit, prec), or the valuation
+bound of a bottom, of ``padic_log`` on the units of
+``demos/log_invariant.py`` and on ``PLOG_PAIRS`` seeded pairs u, w and
+their product uw per prime p in {2, 3, 5, 7}, shaped like the ``plog``
+items of the benchmark's ``invariants`` workload (units below p^6, prime
+to p, 40 digits, prec 16); and by the (vec, s, m) of
+``l_invariant(p (1 + pi))`` and of its square on the eleven towers of
+that workload (``LOG_TOWERS``).
+
 Tate's algorithm is covered by the quadruple and the full
 ``ReductionData.trace`` of ``tate_algorithm`` (or the name of the error
 it raises) on: the golden additive rows of
@@ -102,6 +111,18 @@ TATE_F2 = [(1, 0, 0, 0, 16), (0, 0, 0, -1, 0), (1, 1, 1, -10, -10),
            (1, 1, 0, 0, 16), (0, 0, 0, 16, 0), (0, 0, 0, 0, 64),
            (0, 0, 4, 0, 4), (0, 1, 0, 0, 4), (2, 2, 8, 16, 32),
            (0, 0, 0, 0, 4), (0, 0, 0, 8, 0), (0, 0, 0, 0, 32)]
+
+# the towers of the benchmark's invariants workload (bench/gen.py,
+# INVARIANT_TOWERS) as (p, r, radicand): Q_p(zeta_(p^r), radicand^(1/p^r))
+LOG_TOWERS = ([(p, 1, p) for p in (3, 5, 7)]
+              + [(p, 1, 1 + p) for p in (3, 5, 7)]
+              + [(3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5), (2, 3, 3)])
+
+# padic_log calls of demos/log_invariant.py: (p, n, digits of the scalar,
+# prec); then PLOG_PAIRS seeded plog-shaped pairs per prime (log_calls)
+DEMO_LOGS = [(3, 4, 40, 12), (3, 9, 40, None), (3, 7, 40, 16),
+             (3, 5, 40, 16), (3, 35, 40, 16)]
+PLOG_PAIRS = 20
 
 
 def towers(T):
@@ -312,6 +333,41 @@ def tate_towers(T):
     return out
 
 
+def log_calls():
+    """The padic_log calls hashed: the demo's, then for each p the units
+    u, w and uw of PLOG_PAIRS seeded pairs of units below p^6."""
+    calls = list(DEMO_LOGS)
+    for p in (2, 3, 5, 7):
+        rng = random.Random(f"plog {p}")
+        units = [x for x in range(1, p ** 6) if x % p]
+        for _ in range(PLOG_PAIRS):
+            u, w = rng.choice(units), rng.choice(units)
+            calls += [(p, u, 40, 16), (p, w, 40, 16), (p, u * w, 40, 16)]
+    return calls
+
+
+def padic_log_digest(P):
+    """The (v, unit, prec), or the bound of a bottom, of every padic_log
+    call of ``log_calls``."""
+    out = []
+    for p, n, digits, prec in log_calls():
+        r = P.padic_log(P.PadicScalar.from_int(n, p, digits), prec)
+        out.append((p, n, prec, (r.v, r.unit, r.prec) if r.v is not None
+                    else ("bottom", r.vbound)))
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def l_invariant_digest(F, E, p, r, rad):
+    """(digest, headroom) of l(q) and l(q^2), q = p (1 + pi), over
+    Q_p(zeta_(p^r), rad^(1/p^r))."""
+    T = F.TowerStep
+    K = F.build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    q = K.from_int(p) * (K.one() + K.pi)
+    out = [(x.vec, x.s, x.m) for x in (E.l_invariant(q),
+                                       E.l_invariant(q * q))]
+    return hashlib.sha256(repr(out).encode()).hexdigest(), headroom(K)
+
+
 def tower_digest(F, G, E, name, p, steps):
     """(digest, headroom) of one tower; no headroom when it fails to
     build."""
@@ -351,6 +407,7 @@ def main(argv=None):
     import anabelomorph.fields as F
     import anabelomorph.galois as G
     import anabelomorph.elliptic as E
+    import anabelomorph.padic as P
 
     total = hashlib.sha256()
     table = towers(F.TowerStep)
@@ -364,6 +421,10 @@ def main(argv=None):
     tate = tate_towers(F.TowerStep)
     digests += [(name, *tate_digest(F, E, *spec))
                 for name, spec in tate.items()]
+    digests.append(("padic_log calls", padic_log_digest(P), None))
+    digests += [(f"l_invariant over Q_{p}(zeta_{p ** r}, {rad}^(1/{p ** r}))",
+                 *l_invariant_digest(F, E, p, r, rad))
+                for p, r, rad in LOG_TOWERS]
     for name, digest, heads in digests:
         total.update(f"{name}:{digest}\n".encode())
         if args.verbose:
@@ -374,7 +435,8 @@ def main(argv=None):
     print(f"parity sha256 {got} ({len(table)} towers, "
           f"{len(WIDE)} wide integer layers, "
           f"{len(wide_cofactors)} wide-modulus cofactor towers, "
-          f"{len(tate)} Tate towers)")
+          f"{len(tate)} Tate towers, {len(log_calls())} padic_log calls, "
+          f"{len(LOG_TOWERS)} l_invariant towers)")
     if EXPECTED.exists():
         want = EXPECTED.read_text().split()[0]
         if got != want:
