@@ -8,6 +8,7 @@ its valuation, so downstream valuation comparisons are never optimistic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -33,29 +34,22 @@ class DivisionByPrecisionZero(PadicError, ZeroDivisionError):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_prime_cache: dict[int, bool] = {}
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    if n in _prime_cache:
-        return _prime_cache[n]
-    result = _is_prime_uncached(n)
-    _prime_cache[n] = result
-    return result
-
-
-def _is_prime_uncached(n: int) -> bool:
+    """Trial division by _SMALL_PRIMES, then Miller-Rabin with them as
+    witnesses, which is deterministic far beyond any prime used here."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin, valid far beyond any prime used here
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -166,14 +160,6 @@ class PadicScalar:
         if self.v >= 0:
             return self.unit * self.p ** self.v
         return Fraction(self.unit, self.p ** (-self.v))
-
-    def with_precision(self, prec):
-        if self.v is None:
-            return self
-        if prec > self.prec:
-            raise PrecisionError("cannot increase precision of a scalar")
-        return PadicScalar(self.p, self.v, self.unit % self.p ** prec, prec,
-                           _checked=False)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -289,16 +275,6 @@ class PadicScalar:
     def __hash__(self):
         raise TypeError("PadicScalar is not hashable (precision-dependent equality)")
 
-    def residue(self):
-        """Image in F_p (requires valuation >= 0)."""
-        if self.v is None:
-            if self.vbound < 1:
-                raise PrecisionError("residue undetermined")
-            return 0
-        if self.v < 0:
-            raise ValueError("residue of non-integral scalar")
-        return self.unit % self.p if self.v == 0 else 0
-
     def __repr__(self):
         if self.v is None:
             if self.vbound == _INF:
@@ -310,48 +286,23 @@ class PadicScalar:
 def padic_log(u, prec=None):
     """Iwasawa-branch p-adic logarithm: log(p) = 0, torsion killed.
 
-    The valuation of u is discarded (that is the branch), the residual
-    unit is raised to (p-1)*p^k so the series for log(1+t) converges,
-    and the result is divided back by that exponent.
+    The valuation of u is discarded (that is the branch) and the unit is
+    taken to W = N + 8 + ceil(log_p(N + 8)) digits, or to all of its own
+    when it has fewer, N = min(prec, u.prec); ``elliptic.iwasawa_log``
+    takes its log in Q_p at W digits, and the answer claims at most N
+    relative digits.  A unit with too few digits for a Q_p element
+    (12, ``fields._MIN_EFFECTIVE``) raises PrecisionError.
     """
+    # both modules import this one at load time
+    from .elliptic import _intlog, iwasawa_log
+    from .fields import QpField
     if u.v is None:
         raise DivisionByPrecisionZero("logarithm of zero-to-precision scalar")
     p = u.p
-    N = prec if prec is not None else u.prec
-    N = min(N, u.prec)
-    W = min(u.prec, N + 8 + _ceil_log(N + 8, p))
-    w = PadicScalar(p, 0, u.unit % p ** W, W, _checked=True)
-    # kill the Teichmueller part; for p = 2 square once more so v(t) >= 3
-    m = (p - 1) * (p if p == 2 else 1)
-    w = w ** m
-    t = w - PadicScalar(p, 0, 1, w.prec, _checked=True)
-    if t.v is None:
-        return PadicScalar.bottom(p, min(t.vbound, N))
-    lam = t.v
-    # sum log(1+t) = sum (-1)^(j+1) t^j / j to absolute precision W
-    nterms = 1
-    while nterms * lam - _ceil_log(nterms, p) < W:
-        nterms += 1
-    acc = PadicScalar.bottom(p)
-    tj = t
-    for j in range(1, nterms + 1):
-        term = tj / j if j > 1 else tj
-        if j % 2 == 0:
-            term = -term
-        acc = acc + term
-        if j < nterms:
-            tj = tj * t
-    result = acc / m
-    if result.v is None:
-        return PadicScalar.bottom(p, min(result.vbound, N))
-    if result.prec > N:
-        result = result.with_precision(N)
-    return result
-
-
-def _ceil_log(n, p):
-    k, q = 0, 1
-    while q < n:
-        q *= p
-        k += 1
-    return k
+    N = min(u.prec if prec is None else prec, u.prec)
+    W = min(u.prec, N + 8 + _intlog(N + 7, p) + 1)
+    K = QpField(p, W)
+    out = K.norm_to_qp(iwasawa_log(K.from_int(u.unit), W), N)
+    if out.v is None:
+        return PadicScalar.bottom(p, min(out.vbound, N))
+    return out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -139,20 +140,43 @@ def test_log_branch_kills_p_powers():
         assert r.is_bottom
 
 
-def test_log_golden_series_value():
-    got = padic_log(S(4, prec=40), prec=20)
-    assert got.valuation() == 1
-    lifted = got.lift() % 3 ** 7
-    fresh = oracle_log_series(3, 3, 40, 7)
-    assert fresh == GOLDEN_LOG_4_BASE3_MOD3_7
-    assert lifted == GOLDEN_LOG_4_BASE3_MOD3_7
+# (p, u, x): the oracle of log(u) is the series of log(1 + x); at p = 2 a
+# unit u = 3 mod 4 takes the squaring branch and its oracle is log(-u),
+# since the branch kills torsion
+GOLDEN_LOGS = [(3, 4, 3), (2, 5, 4), (2, 3, -4), (5, 6, 5), (7, 8, 7)]
 
 
-def test_log_golden_p2():
-    # log(1+4) in Q_2: oracle with enough terms for 2^10
-    got = padic_log(S(5, p=2, prec=48), prec=24)
-    want = oracle_log_series(4, 2, 60, 10)
-    assert got.lift() % 2 ** 10 == want
+@pytest.mark.parametrize("p, u, x", GOLDEN_LOGS,
+                         ids=[f"u={u} p={p}" for p, u, _ in GOLDEN_LOGS])
+def test_log_golden_series_value(p, u, x):
+    N = 20
+    got = padic_log(S(u, p=p, prec=40), prec=N)
+    fresh = oracle_log_series(x, p, 60, 7)
+    if p == 3:
+        assert fresh == GOLDEN_LOG_4_BASE3_MOD3_7
+    assert got.lift() % p ** 7 == fresh
+    # 40 digits exceed W = N + 8 + ceil(log_p(N + 8)), so all N are claimed
+    assert 40 >= N + 8 + math.ceil(math.log(N + 8, p))
+    assert got.prec == N
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_log_claims_no_wrong_digit_at_the_tight_end(p):
+    # u = 1 + p^k, whose log has valuation about k, at the last digits u
+    # carries: a claimed digit must be a digit of the log at prec 240; it
+    # may claim fewer digits than it is asked for
+    digits = 40
+    for k in range(1, 31):
+        n = 1 + p ** k
+        ref = padic_log(S(n, p=p, prec=240))
+        for N in [*range(digits - 4, digits + 1), None]:
+            got = padic_log(S(n, p=p, prec=digits), prec=N)
+            if got.is_bottom:
+                assert got.valuation_lower_bound() <= ref.valuation()
+                continue
+            assert got.prec <= (digits if N is None else N)
+            assert got.valuation() == ref.valuation()
+            assert (got.unit - ref.unit) % p ** got.prec == 0
 
 
 def test_log_homomorphism_randomized():
@@ -177,6 +201,12 @@ def test_log_power_scaling():
         lhs = padic_log(u ** k, prec=20)
         rhs = k * padic_log(u, prec=20)
         assert (lhs - rhs).is_bottom or (lhs - rhs).valuation() >= 18
+
+
+def test_log_of_a_short_unit_raises():
+    # fewer digits than a Q_p element holds: an error, not a guess
+    with pytest.raises(PrecisionError):
+        padic_log(S(4, prec=8))
 
 
 def test_log_of_bottom_raises():
