@@ -77,7 +77,7 @@ DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
 # the largest tower degree build_field accepts, checked from the steps
-# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 2.7-3.3 s
+# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 1.6-1.7 s
 # of CPU (3 runs, CPython 3.11.7, shared 2-core x86); larger is out of scope
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
