@@ -5,22 +5,22 @@ residue-field decisions (singular point location, root counting,
 square/cube completion, splitness of the tangent quadratic) are made in
 F_q on residues of a_i / pi^k read off the valuation frames, by
 enumerating F_q, never by characteristic-specific formulas, except the
-root of the linear a3/pi + 2T, which has a closed form.  A residue
-is lifted back to the field only to translate the model, and a zero
-residue moves no coefficient.  Past the singular point every
-divisibility test reads a residue, and b8 and b6 enter only through
-their residues.  v(Delta) is computed once per model, and a coordinate
-change carries it; translations keep it and each non-minimal restart
-lowers it by 12.  After the integral scaling the coefficients are cut to
-the digits the run's reads need (``_tate_digits``).  No coefficient is
-divided: stripping a common pi^d from the input makes the passes read d
-pi deeper, and each restart one pi deeper.  At depth n, a pass reads
-a_w / pi^k of the model rescaled by u = pi^n as the residue of the kept
-a_w at pi^(k + w n), and lifts a translation by r, s or t to a valuation
-deeper by 2n, n or 3n, as a residue lift times a frame monomial of that
-valuation (``LocalField.lift_at``).  The output quadruple is
-(v(Delta_min), conductor exponent, Kodaira symbol, Tamagawa number),
-with the conductor from v(Delta_min) - m + 1.
+root of the linear a3/pi + 2T and the square root of a6/pi^2, which have
+closed forms.  A residue is lifted back to the field only to translate
+the model, and a zero residue moves no coefficient.  Past the singular
+point every divisibility test reads a residue, and b8 and b6 enter only
+through their residues.  v(Delta) is computed once per model, and a
+coordinate change carries it; translations keep it and each non-minimal
+restart lowers it by 12.  After the integral scaling the coefficients
+are cut to the digits the run's reads need (``_tate_digits``).  No
+coefficient is divided: stripping a common pi^d from the input makes the
+passes read d pi deeper, and each restart one pi deeper.  At depth n, a
+pass reads a_w / pi^k of the model rescaled by u = pi^n as the residue
+of the kept a_w at pi^(k + w n), and lifts a translation by r, s or t to
+a valuation deeper by 2n, n or 3n, as a residue lift times a frame
+monomial of that valuation (``LocalField.lift_at``).  The output
+quadruple is (v(Delta_min), conductor exponent, Kodaira symbol, Tamagawa
+number), with the conductor from v(Delta_min) - m + 1.
 """
 
 from __future__ import annotations
@@ -128,12 +128,19 @@ class ReductionData:
     ("branch", symbol) last.  Residues are F_q coordinate tuples, as
     ``fields.residue`` gives them."""
     v_min_disc: int
-    conductor: int
     kodaira: KodairaSymbol
     tamagawa: int
-    components: int
     split: bool = None
     trace: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def components(self):
+        return self.kodaira.components
+
+    @property
+    def conductor(self):
+        """Ogg's formula f = v(Delta_min) - m + 1."""
+        return self.v_min_disc - self.components + 1
 
     def quadruple(self):
         return (self.v_min_disc, self.conductor, str(self.kodaira), self.tamagawa)
@@ -226,20 +233,20 @@ def _ev(F, coeffs, x):
     return acc
 
 
-def _roots(F, coeffs):
-    return [x for x in F.elements if not any(_ev(F, coeffs, x))]
-
-
-def _double_root(F, coeffs):
-    """The first x of F_q, in the order of ``F.elements``, that is a
-    root of the polynomial and of its derivative; None when there is none.
-    Over the perfect field F_q a repeated root of a quadratic or a cubic
-    is rational, so None means the roots are distinct."""
+def _root_scan(F, coeffs):
+    """One scan of F_q for the roots of a quadratic or cubic: (x, None)
+    for the first x, in the order of ``F.elements``, that is a root of
+    the polynomial and of its derivative, or else (None, the number of
+    roots).  Over the perfect field F_q a repeated root of a quadratic or
+    a cubic is rational, so None means the roots are distinct."""
     deriv = [F.scale(c, i) for i, c in enumerate(coeffs)][1:]
+    count = 0
     for x in F.elements:
-        if not any(_ev(F, coeffs, x)) and not any(_ev(F, deriv, x)):
-            return x
-    return None
+        if not any(_ev(F, coeffs, x)):
+            if not any(_ev(F, deriv, x)):
+                return x, None
+            count += 1
+    return None, count
 
 
 def _singular_point(F, a1, a2, a3, a4, a6):
@@ -251,21 +258,25 @@ def _singular_point(F, a1, a2, a3, a4, a6):
     first with a nonzero y-coefficient fixes y.  When both coefficients
     vanish, x is skipped unless g = h = 0, and only then is y enumerated,
     so a pass is O(q) in field operations."""
+    # the y-coefficient: 2 of W_y, or a1 of W_x in characteristic 2
+    c = F.scale(F.one, 2) if F.p != 2 else a1
+    cinv = F.pow(c, -1) if any(c) else None
+    fx = [a6, a4, a2, F.one]
+    hx = [a4, F.scale(a2, 2), F.scale(F.one, 3)]
     for x in F.elements:
         g = F.add(F.mul(a1, x), a3)
-        h = F.scale(_ev(F, [a4, F.scale(a2, 2), F.scale(F.one, 3)], x), -1)
-        w = [F.scale(_ev(F, [a6, a4, a2, F.one], x), -1), g, F.one]
-        c, k = (F.scale(F.one, 2), g) if F.p != 2 else (a1, h)
-        if any(c):
-            ys = [F.scale(F.mul(k, F.pow(c, -1)), -1)]
+        h = F.scale(_ev(F, hx, x), -1)
+        if cinv is not None:
+            ys = [F.scale(F.mul(g if F.p != 2 else h, cinv), -1)]
         elif any(g) or any(h):
             continue
         else:
             ys = F.elements
         for y in ys:
+            # W = y (y + g) - f(x), read only where W_y = W_x = 0
             if (not any(F.add(F.scale(y, 2), g))
                     and not any(F.add(F.mul(a1, y), h))
-                    and not any(_ev(F, w, y))):
+                    and F.mul(y, F.add(y, g)) == _ev(F, fx, x)):
                 return x, y
     raise FieldError("no singular point found on a curve with v(disc) > 0")
 
@@ -276,16 +287,25 @@ def _singular_point(F, a1, a2, a3, a4, a6):
 
 def tate_algorithm(model):
     """Reduction data of the minimal model, checked against the
-    conductor ledger and the Tamagawa bounds of its Kodaira type."""
+    additive-conductor bound and the Tamagawa bounds of its Kodaira
+    type."""
     rd = _tate_run(model)
-    _validate_reduction(rd)
+    _validate_reduction(rd, model.field)
     return rd
 
 
-def _validate_reduction(rd):
-    if rd.conductor != rd.v_min_disc - rd.components + 1:
-        raise ArithmeticError("conductor / component-count ledger violated")
+def _validate_reduction(rd, K):
+    """Checks that do not share Tate's derivation.  An additive conductor
+    satisfies 2 <= f <= 2 + 3 v_K(3) + 6 v_K(2) (Brumer-Kramer,
+    Compositio 92, 1994; Lockhart-Rosen-Silverman, J. Algebraic Geom. 2,
+    1993), so f = 2 at p >= 5, and the Tamagawa number is bounded by the
+    component group of its Kodaira type."""
     kind = rd.kodaira.kind
+    if kind not in ("I0", "In"):
+        top = 2 + 3 * K.e * (K.p == 3) + 6 * K.e * (K.p == 2)
+        if not 2 <= rd.conductor <= top:
+            raise ArithmeticError(
+                f"additive conductor {rd.conductor} outside [2, {top}]")
     c = rd.tamagawa
     ok = {"I0": c == 1, "II": c == 1, "III": c == 2,
           "IV": c in (1, 3), "IV*": c in (1, 3),
@@ -406,10 +426,8 @@ def _denominator_bound(K):
 
 
 def _end(trace, vD, kodaira, c, split=None):
-    """Reduction data: m = ``kodaira.components``, f by Ogg's formula."""
     trace.append(("branch", str(kodaira)))
-    m = kodaira.components
-    return ReductionData(vD, vD - m + 1, kodaira, c, m, split=split)
+    return ReductionData(vD, kodaira, c, split=split)
 
 
 def _tate_pass(K, vD, depth, trace, a):
@@ -443,11 +461,11 @@ def _tate_pass(K, vD, depth, trace, a):
 
     # the tangent quadratic T^2 + a1 T - a2 at the singular point
     tangent = [F.scale(res(2, 0), -1), res(1, 0), F.one]
-    sbar = _double_root(F, tangent)
+    sbar, roots = _root_scan(F, tangent)
     if sbar is None:
         # multiplicative: I_n with n = v(disc)
         n = vD
-        split = bool(_roots(F, tangent))
+        split = roots > 0
         c = n if split else (2 if n % 2 == 0 else 1)
         return _end(trace, vD, KodairaSymbol("In", n), c, split=split)
 
@@ -459,9 +477,8 @@ def _tate_pass(K, vD, depth, trace, a):
     if any(b8bar):
         return _end(trace, vD, KodairaSymbol("III"), 2)
     if any(b6bar):
-        quad = [F.scale(res(6, 2), -1), res(3, 1), F.one]
-        c = 3 if _roots(F, quad) else 1
-        return _end(trace, vD, KodairaSymbol("IV"), c)
+        _, roots = _root_scan(F, [F.scale(res(6, 2), -1), res(3, 1), F.one])
+        return _end(trace, vD, KodairaSymbol("IV"), 3 if roots else 1)
 
     # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
     a = translate("sbar", "s", sbar, 0)
@@ -474,12 +491,10 @@ def _tate_pass(K, vD, depth, trace, a):
     else:
         raise FieldError("no shift clears the a3 coefficient")
     a = translate("tbar", "t", tbar, 1)
-    a6bar = res(6, 2)
-    sig = next((c for c in F.elements
-                if F.mul(c, c) == a6bar), None)
-    if sig is None:
-        raise FieldError("a6/pi^2 is not a residue square after clearing a3")
-    a = translate("sigma", "t", sig, 1)
+    # the square root of a6/pi^2: the inverse Frobenius x^(q/2) when
+    # p = 2; for odd p, b6/pi^2 = (a3/pi)^2 + 4 a6/pi^2 and a3/pi vanish
+    # mod pi here, so a6/pi^2 does too, and x^(q//2) gives that 0
+    a = translate("sigma", "t", F.pow(res(6, 2), F.q // 2), 1)
     try:
         normal = all(divisible(w, k) for w, k in
                      ((1, 0), (2, 0), (3, 1), (4, 1), (6, 2)))
@@ -490,23 +505,33 @@ def _tate_pass(K, vD, depth, trace, a):
 
     # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + (a6/pi^3)
     pc = [res(6, 3), res(4, 2), res(2, 1), F.one]
-    trep = _double_root(F, pc)
+    trep, roots = _root_scan(F, pc)
     if trep is None:
-        c = 1 + len(_roots(F, pc))
-        return _end(trace, vD, KodairaSymbol("I0*"), c)
+        return _end(trace, vD, KodairaSymbol("I0*"), 1 + roots)
     # the double root is triple when the third root -a2/pi - 2 trep is it
     triple = not any(F.add(pc[2], F.scale(trep, 3)))
     a = translate("cubic", "r", trep, 1)
 
     if not triple:
-        return _tate_in_star(K, vD, depth, trace, a)
+        # step seven, I_n*: here v(a2) = 1, pi^2 | a3, pi^3 | a4 and
+        # pi^4 | a6; Y- and X-quadratics alternate, each one pi deeper
+        for n in range(1, vD + 9):
+            k = (n + 1) // 2
+            if n % 2 == 1:
+                quad = [F.scale(res(6, 2 * k + 2), -1), res(3, k + 1), F.one]
+            else:
+                quad = [res(6, 2 * k + 3), res(4, k + 2), res(2, 1)]
+            rep, roots = _root_scan(F, quad)
+            if rep is None:
+                return _end(trace, vD, KodairaSymbol("In*", n),
+                            4 if roots else 2)
+            a = translate(f"I{n}*", "t" if n % 2 == 1 else "r", rep, k + 1)
+        raise FieldError("In* loop did not terminate")
 
     # triple root: types IV*, III*, II* or restart
-    quad = [F.scale(res(6, 4), -1), res(3, 2), F.one]
-    yrep = _double_root(F, quad)
+    yrep, roots = _root_scan(F, [F.scale(res(6, 4), -1), res(3, 2), F.one])
     if yrep is None:
-        c = 3 if _roots(F, quad) else 1
-        return _end(trace, vD, KodairaSymbol("IV*"), c)
+        return _end(trace, vD, KodairaSymbol("IV*"), 3 if roots else 1)
     a = translate("IV*", "t", yrep, 2)
     if not divisible(4, 3):
         return _end(trace, vD, KodairaSymbol("III*"), 2)
@@ -531,37 +556,6 @@ def _b8_b6_residues(F, r1, r2, r3, r4, r6):
                F.scale(F.add(F.mul(F.mul(r1, r3), r4), F.mul(r4, r4)), -1))
     b6 = F.add(F.mul(r3, r3), F.scale(r6, 4))
     return b8, b6
-
-
-def _tate_in_star(K, vD, depth, trace, a):
-    """Step-seven loop: I_n* for n >= 1, over the model a = {w: a_w}
-    rescaled by u = pi^depth.
-
-    State on entry: v(a2) = 1 exactly, v(a3) >= 2, v(a4) >= 3, v(a6) >= 4
-    in the rescaled model.  Alternates between Y- and X-quadratics of
-    increasing depth.
-    """
-    F = K.residue_field
-
-    def res(w, k):
-        return K.residue_at(a[w], k + w * depth)
-
-    n = 1
-    for _guard in range(vD + 8):
-        k = (n + 1) // 2
-        if n % 2 == 1:
-            quad = [F.scale(res(6, 2 * k + 2), -1), res(3, k + 1), F.one]
-        else:
-            quad = [res(6, 2 * k + 3), res(4, k + 2), res(2, 1)]
-        rep = _double_root(F, quad)
-        if rep is None:
-            c = 4 if _roots(F, quad) else 2
-            return _end(trace, vD, KodairaSymbol("In*", n), c)
-        var = "t" if n % 2 == 1 else "r"
-        trace.append(("translate", f"I{n}*", var, rep))
-        a = _shift(K, a, depth, var, rep, k + 1)
-        n += 1
-    raise FieldError("In* loop did not terminate")
 
 
 def _shift(K, a, depth, var, c, k):

@@ -1970,10 +1970,10 @@ def residue(x):
 
 
 def find_uniformizer(K):
-    """The uniformizer certified at construction, validated through the
-    valuation frames."""
-    if K.val_or_bound(K.pi)[0] != 1:
-        raise UniformizerSearchError("certified uniformizer failed validation")
+    """The uniformizer certified at construction: p on Q_p, and on each
+    layer above it ``LocalField._certify`` validates pi through the
+    valuation frames as the layer is built, and raises
+    UniformizerSearchError there when v_K(pi) != 1."""
     return K.pi
 
 

@@ -290,8 +290,10 @@ def padic_log(u, prec=None):
     taken to W = N + 8 + ceil(log_p(N + 8)) digits, or to all of its own
     when it has fewer, N = min(prec, u.prec); ``elliptic.iwasawa_log``
     takes its log in Q_p at W digits, and the answer claims at most N
-    relative digits.  A unit with too few digits for a Q_p element
-    (12, ``fields._MIN_EFFECTIVE``) raises PrecisionError.
+    relative digits.  A unit with fewer than the 12 digits a Q_p element
+    keeps (``fields._MIN_EFFECTIVE``) raises PrecisionError, and so do
+    some units with 12 to 14 digits, whose log series (its 1/j and the
+    p-power divisor) takes away digits below that floor.
     """
     # both modules import this one at load time
     from .elliptic import _intlog, iwasawa_log

@@ -276,6 +276,7 @@ def test_change_coords_u1_inverts_nothing(monkeypatch):
 
 def test_ogg_saito_ledger_on_samples(Q5):
     rng = random.Random(31)
+    additive = 0
     for _ in range(25):
         coeffs = [rng.randrange(-20, 21) for _ in range(5)]
         try:
@@ -285,6 +286,26 @@ def test_ogg_saito_ledger_on_samples(Q5):
         r = tate_algorithm(m)
         assert r.conductor == r.v_min_disc - r.components + 1
         assert r.tamagawa >= 1
+        # the additive-conductor bound: f = 2 at p >= 5
+        if r.kodaira.kind not in ("I0", "In"):
+            assert r.conductor == 2
+            additive += 1
+    assert additive >= 1
+
+
+@pytest.mark.parametrize("p,coeffs,m", [
+    (5, (0, 0, 0, 0, 5 ** 4), 8),       # IV*: f = 8 - 7 + 1 = 2
+    (3, (0, 0, 1, 0, -7), 9),           # IV*: f = 9 - 7 + 1 = 3
+])
+def test_wrong_component_count_fails_the_conductor_bound(p, coeffs, m,
+                                                         monkeypatch):
+    # a wrong IV* component count gives f = 1 through Ogg's formula, which
+    # the additive bound 2 <= f <= 2 + 3 v(3) + 6 v(2) refuses
+    model = WeierstrassModel.from_a_invariants(build_field(p, []), *coeffs)
+    assert str(tate_algorithm(model).kodaira) == "IV*"
+    monkeypatch.setitem(elliptic._COMPONENTS, "IV*", m)
+    with pytest.raises(ArithmeticError, match="additive conductor 1 "):
+        tate_algorithm(model)
 
 
 # ----------------------------------------------------------------------
