@@ -23,8 +23,13 @@ M/2 it also hashes the (vec, s, m) of:
 
 On every Galois tower (cyclotomic(p^r) then kummer(p^r, rational)) it
 also hashes the sorted (a, b, i) triples of ``ramification_filtration``,
-so the Galois action and the filtration are covered too, and the
-(vec, s, m) of ``l_invariant(p (1 + pi))``, which covers the logarithm.
+so the Galois action and the filtration are covered too; the conductor
+report read from the filtration: ``different_from_filtration``,
+``breaks``, ``upper_numbering_breaks``, ``wild_subgroup_conductor`` and
+``order_at(i)`` for every i up to the largest i(sigma), and at r = 1 and
+odd p the Artin and Swan conductors of ``conductor_discriminant_check``;
+and the (vec, s, m) of ``l_invariant(p (1 + pi))``, which covers the
+logarithm.
 
 The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
@@ -368,6 +373,19 @@ def l_invariant_digest(F, E, p, r, rad):
     return hashlib.sha256(repr(out).encode()).hexdigest(), headroom(K)
 
 
+def conductor_report(G, K, filt):
+    """The invariants read from the filtration of the Galois tower K; at
+    r = 1 and odd p also its Artin and Swan conductors."""
+    out = [G.different_from_filtration(filt), filt.breaks,
+           [str(u) for u in G.upper_numbering_breaks(filt)],
+           G.wild_subgroup_conductor(filt),
+           [filt.order_at(i) for i in range(max(filt.i_values.values()) + 1)]]
+    if K.p != 2 and K.user_steps[0].modulus == K.p:
+        rep = G.conductor_discriminant_check(K)
+        out += [sorted(rep["conductors"].items()), sorted(rep["swan"].items())]
+    return out
+
+
 def tower_digest(F, G, E, name, p, steps):
     """(digest, headroom) of one tower; no headroom when it fails to
     build."""
@@ -385,6 +403,7 @@ def tower_digest(F, G, E, name, p, steps):
     else:
         h.update(repr(sorted((s.a, s.b, i)
                              for s, i in filt.i_values.items())).encode())
+        h.update(repr(conductor_report(G, fld, filt)).encode())
         li = E.l_invariant(fld.from_int(p) * (fld.one() + fld.pi))
         h.update(repr((li.vec, li.s, li.m)).encode())
     while fld.base is not None:
