@@ -11,9 +11,11 @@ generator.  The lower-numbering ramification filtration is computed from
 i(sigma) = v_K(sigma(pi) - pi) with the certified uniformizer (and, when
 f > 1, the least v_K(sigma(c) - c) over the frame deltas c of the
 unramified layers, which generate O_K with pi); i is a class function, so
-one sigma per conjugacy class is evaluated.  Artin conductors of
-characters are exact rational computations over a small cyclotomic
-coefficient field (never floating point).
+one sigma per conjugacy class is evaluated.  The filtration keeps i alone,
+and each invariant is one sum over the group (Serre, Local Fields, IV 1
+and VI 2): the different, the Herbrand images of the breaks, and the
+Artin and Swan conductors of characters, which are exact rational sums
+over a small cyclotomic coefficient field (never floating point).
 """
 
 from __future__ import annotations
@@ -284,23 +286,26 @@ def _horner(sigma, gen_imgs, x):
 
 @dataclass
 class RamificationFiltration:
-    """G_i = {sigma : v_K(sigma(pi) - pi) >= i + 1} in lower numbering."""
-    groups: list          # [(i, tuple of GaloisElement)] until trivial
-    i_values: dict        # sigma -> i(sigma) = v(sigma pi - pi); identity absent
+    """The lower-numbering filtration G_i = {sigma : i(sigma) >= i + 1},
+    kept as i(sigma) = i_G(sigma) alone: v_K(sigma(pi) - pi) on inertia,
+    0 outside it, the identity absent.  Every G_i and every invariant
+    below is read from i_values."""
+    i_values: dict        # sigma -> i(sigma); identity absent
     field: object
 
     @property
     def breaks(self):
-        out = []
-        for idx in range(len(self.groups) - 1):
-            if len(self.groups[idx][1]) != len(self.groups[idx + 1][1]):
-                out.append(self.groups[idx][0])
-        if self.groups and len(self.groups[-1][1]) > 1:
-            out.append(self.groups[-1][0])
-        return out
+        """The i >= 0 with G_i != G_(i+1), that is i(sigma) - 1."""
+        return sorted({i - 1 for i in self.i_values.values() if i > 0})
+
+    def group(self, i):
+        """The members of G_i, identity first."""
+        m = next(iter(self.i_values)).modulus
+        return (GaloisElement(1, 0, m),) + tuple(
+            s for s, v in self.i_values.items() if v >= i + 1)
 
     def order_at(self, i):
-        return len(_members_at(self, i))
+        return 1 + sum(v >= i + 1 for v in self.i_values.values())
 
 
 def ramification_filtration(K, pi=None):
@@ -331,44 +336,30 @@ def ramification_filtration(K, pi=None):
             if not K.val_at_least(dc, i):
                 i = dc.valuation()
         by_class.update(dict.fromkeys(cls, i))
-    ivals = {sig: by_class[sig] for sig in elems if not sig.is_identity}
-    imax = max(ivals.values())
-    groups = []
-    for i in range(imax + 1):
-        members = tuple(s for s in elems
-                        if s.is_identity or ivals[s] >= i + 1)
-        groups.append((i, members))
-        if len(members) == 1:
-            break
-    filt = RamificationFiltration(groups, ivals, K)
-    # sanity: G_0 is everything for a totally ramified extension
-    if K.f == 1 and len(groups[0][1]) != len(elems):
-        raise FieldError("G_0 is not the full group for a totally ramified field")
+    filt = RamificationFiltration(
+        {sig: by_class[sig] for sig in elems if not sig.is_identity}, K)
+    # sanity: G_0 is the inertia group, of order e
+    if filt.order_at(0) != K.e:
+        raise FieldError(f"|G_0| = {filt.order_at(0)} is not e = {K.e}")
     return filt
 
 
 def different_from_filtration(filt):
-    """Sum over i of (|G_i| - 1): cross-check for the different."""
-    total = i = 0
-    while filt.order_at(i) > 1:
-        total += filt.order_at(i) - 1
-        i += 1
-    return total
+    """Hilbert's formula v_K(D) = sum over sigma != 1 of i(sigma)
+    (Serre, Local Fields, IV 1 Prop. 4): cross-check for the different."""
+    return sum(filt.i_values.values())
 
 
 def upper_numbering_breaks(filt):
-    """Images of the lower breaks under the Herbrand function
-    phi(u) = sum_{i<=u} |G_i|/|G_0| (piecewise linear), as exact
-    fractions.  Derived report only; conductor formulas consume the
-    lower numbering directly."""
+    """Images of the lower breaks b under the Herbrand function,
+    phi(b) = sum_{1<=i<=b} |G_i|/|G_0| = (b + sum over sigma != 1 of
+    min(b, max(i(sigma) - 1, 0))) / |G_0|, as exact fractions.  Derived
+    report only; conductor formulas consume the lower numbering
+    directly."""
     g0 = filt.order_at(0)
-    out = []
-    for b in filt.breaks:
-        acc = Fraction(0)
-        for i in range(1, b + 1):
-            acc += Fraction(filt.order_at(i), g0)
-        out.append(acc)
-    return out
+    return [Fraction(b + sum(min(b, max(i - 1, 0))
+                             for i in filt.i_values.values()), g0)
+            for b in filt.breaks]
 
 
 # ----------------------------------------------------------------------
@@ -455,56 +446,42 @@ def _check_orthogonality(chars, p):
                 raise ArithmeticError("character orthogonality failed")
 
 
-def artin_conductor(chi, filt):
-    """Artin conductor exponent f(chi) = sum |G_i|/|G_0| (chi(1) - avg_i chi)."""
-    g0 = filt.order_at(0)
-    total = Fraction(0)
-    i = 0
-    while True:
-        size = filt.order_at(i)
-        if size <= 1 and i > 0:
-            break
-        total += Fraction(size, g0) * (chi.dim - _average(chi, filt, i))
-        i += 1
-    if total.denominator != 1:
+def _conductor_sum(chi, filt, weight):
+    """(1/|G_0|) sum over sigma != 1 of weight(i(sigma)) (chi(1) - chi(sigma)),
+    which must be an integer."""
+    acc, total = CycRat.rational(chi.p - 1, 0), 0
+    for sig, i in filt.i_values.items():
+        w = weight(i)
+        if w:
+            acc = acc + chi.value(sig) * w
+            total += w
+    out = Fraction(chi.dim * total - acc.as_rational(), filt.order_at(0))
+    if out.denominator != 1:
         raise ArithmeticError(
-            f"conductor is not an integer: {total} (filtration/character mismatch)")
-    return int(total)
+            f"conductor is not an integer: {out} (filtration/character mismatch)")
+    return int(out)
 
 
-def _members_at(filt, i):
-    """G_i for i >= 0: groups[i] holds G_i, and the last group is trivial,
-    as is every G_i past it."""
-    return filt.groups[min(i, len(filt.groups) - 1)][1]
-
-
-def _average(chi, filt, i):
-    """The mean of chi over G_i, a rational number."""
-    members = _members_at(filt, i)
-    acc = CycRat.rational(chi.p - 1, 0)
-    for sig in members:
-        acc = acc + chi.value(sig)
-    return acc.as_rational() / len(members)
+def artin_conductor(chi, filt):
+    """Artin conductor exponent f(chi) = (1/|G_0|) sum over sigma != 1 of
+    i(sigma) (chi(1) - chi(sigma)), the Artin character a_G (Serre, Local
+    Fields, VI 2)."""
+    return _conductor_sum(chi, filt, lambda i: i)
 
 
 def swan_conductor(chi, filt):
-    """Swan = Artin - (chi(1) - dim of the inertia invariants)."""
-    fixed_dim = _average(chi, filt, 0)
-    if fixed_dim.denominator != 1:
-        raise ArithmeticError("invariant dimension is not an integer")
-    art = artin_conductor(chi, filt)
-    return art - (chi.dim - int(fixed_dim))
+    """Swan conductor: the same sum with max(i(sigma) - 1, 0), that is
+    without the tame index i = 0."""
+    return _conductor_sum(chi, filt, lambda i: max(i - 1, 0))
 
 
 def wild_subgroup_conductor(filt):
     """Conductor exponent, over the cyclotomic subfield, of a faithful
-    character of the wild part Z/p: the number of indices i with the
-    wild subgroup H_i nontrivial (the full-sum average vanishes there)."""
-    count = 0
-    while any(s.a % s.modulus == 1 and not s.is_identity
-              for s in _members_at(filt, count)):
-        count += 1
-    return count
+    character of the wild part Z/p: the largest i(sigma) over the
+    nontrivial sigma with a = 1, the number of indices i with the wild
+    subgroup H_i nontrivial (the full-sum average vanishes there)."""
+    return max((i for s, i in filt.i_values.items()
+                if s.a % s.modulus == 1), default=0)
 
 
 def conductor_discriminant_check(K):

@@ -11,6 +11,7 @@ from anabelomorph.galois import (CycRat, GaloisElement, NonGaloisTowerError,
                                  conductor_discriminant_check,
                                  different_from_filtration, galois_group,
                                  ramification_filtration, swan_conductor,
+                                 upper_numbering_breaks,
                                  wild_subgroup_conductor)
 
 T = TowerStep
@@ -156,8 +157,8 @@ def test_filtration_differs_between_pair(K1, L1):
 
 def test_g0_full_and_g1_sylow(K1):
     filt = ramification_filtration(K1)
-    assert len(filt.groups[0][1]) == 6
-    g1 = filt.groups[1][1]
+    assert len(filt.group(0)) == 6
+    g1 = filt.group(1)
     assert len(g1) == 3
     assert all(s.a % 3 == 1 for s in g1 if not s.is_identity)
 
@@ -165,14 +166,15 @@ def test_g0_full_and_g1_sylow(K1):
 def test_groups_normal_and_tame_quotient_cyclic(K1):
     elems = galois_group(K1)
     filt = ramification_filtration(K1)
-    for i, grp in filt.groups:
+    for i in range(max(filt.i_values.values()) + 1):
+        grp = filt.group(i)
         members = set((s.a, s.b) for s in grp)
         for g in elems:
             for h in grp:
                 c = _compose(_compose(g, h), _inverse(g))
                 assert (c.a % 3, c.b % 3) in members
     # G_0 / G_1 cyclic of order dividing p - 1
-    assert len(filt.groups[0][1]) // len(filt.groups[1][1]) in (1, 2)
+    assert len(filt.group(0)) // len(filt.group(1)) in (1, 2)
 
 
 def _filtration_every_sigma(K):
@@ -211,6 +213,61 @@ _CLASS_TOWERS = (
 def test_class_representatives_match_every_sigma(p, r, rad):
     K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
     assert ramification_filtration(K).i_values == _filtration_every_sigma(K)
+
+
+# the per-index definitions of the filtration's invariants, as a reference
+# for the library's single sums over i(sigma)
+
+
+def _groups_by_index(K, ivals):
+    """[G_0, G_1, ...] with G_i = {sigma : i(sigma) >= i + 1}, in
+    ``galois_group`` order, up to the first trivial G_i."""
+    groups = []
+    while not groups or len(groups[-1]) > 1:
+        i = len(groups)
+        groups.append([s for s in galois_group(K)
+                       if s.is_identity or ivals[s] >= i + 1])
+    return groups
+
+
+def _conductor_by_index(chi, groups, start):
+    """sum_{i >= start} (|G_i|/|G_0|) (chi(1) - avg_{G_i} chi): the Artin
+    conductor at start = 0, the Swan conductor at start = 1."""
+    total = Fraction(0)
+    for grp in groups[start:]:
+        acc = CycRat.rational(chi.p - 1, 0)
+        for s in grp:
+            acc = acc + chi.value(s)
+        total += (Fraction(len(grp), len(groups[0]))
+                  * (chi.dim - acc.as_rational() / len(grp)))
+    return total
+
+
+@pytest.mark.parametrize("p, r, rad", _CLASS_TOWERS)
+def test_invariants_match_the_per_index_definitions(p, r, rad):
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    filt = ramification_filtration(K)
+    groups = _groups_by_index(K, filt.i_values)
+    top = len(groups) - 1                   # G_top is the first trivial one
+    for i, grp in enumerate(groups + [groups[-1]]):
+        assert list(filt.group(i)) == grp
+        assert filt.order_at(i) == len(grp)
+    assert filt.breaks == [i for i in range(top)
+                           if len(groups[i]) != len(groups[i + 1])]
+    assert different_from_filtration(filt) == sum(len(g) - 1 for g in groups)
+    assert upper_numbering_breaks(filt) == [
+        sum((Fraction(len(groups[min(i, top)]), len(groups[0]))
+             for i in range(1, b + 1)), Fraction(0))
+        for b in filt.breaks]
+    assert wild_subgroup_conductor(filt) == sum(
+        any(s.a % s.modulus == 1 and not s.is_identity for s in grp)
+        for grp in groups)
+    if r == 1 and p != 2:
+        for chi in character_table(p):
+            assert artin_conductor(chi, filt) == _conductor_by_index(
+                chi, groups, 0)
+            assert swan_conductor(chi, filt) == _conductor_by_index(
+                chi, groups, 1)
 
 
 @pytest.mark.slow
@@ -371,7 +428,7 @@ def test_f2_filtration_matches_different(p, r, rad, want):
     K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
     assert K.f == 2
     filt = ramification_filtration(K)
-    assert len(filt.groups[0][1]) == K.e          # G_0 is the inertia group
+    assert len(filt.group(0)) == K.e          # G_0 is the inertia group
     assert (sum(filt.i_values.values()) == different_from_filtration(filt)
             == different_valuation(K) == want)
 
