@@ -132,16 +132,15 @@ def _certify(spec, prec=None):
         return (spec.cyclotomic_degree(),
                 f"Q_{p}(zeta_{spec.modulus})", True, "cyclotomic (abelian)")
     rational = isinstance(spec.radicand, (int, Fraction))
-    if p == 2:
-        # quadratic subtleties (a in -4 F^4): certify by building the tower
-        K = spec.build(prec=prec)
-        degree = K.n
-    else:
-        if _radicand_is_pth_power(spec, prec=prec):
-            raise DegreeDropError(
-                f"radicand {spec.radicand} is a p-th power in the cyclotomic "
-                "level: the Kummer step drops degree")
-        degree = spec.cyclotomic_degree() * spec.modulus
+    # x^(p^r) - a is irreducible over F = Q_p(zeta_(p^r)) exactly when a is
+    # not a p-th power in F (Lang, Algebra, VI 9 Thm 9.1); the exception
+    # a in -4 F^4 at p = 2 is no exception here, since r >= 2 puts zeta_4
+    # in F and -4 = (1 + zeta_4)^4
+    if _radicand_is_pth_power(spec, prec=prec):
+        raise DegreeDropError(
+            f"radicand {spec.radicand} is a p-th power in the cyclotomic "
+            "level: the Kummer step drops degree")
+    degree = spec.cyclotomic_degree() * spec.modulus
     if not rational:
         # zeta -> zeta^a moves the radicand; Galois stability over Q_p is
         # not certified, so the maximal abelian subfield stays unlabelled

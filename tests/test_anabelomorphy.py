@@ -1,14 +1,17 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from anabelomorph.anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC,
                                         PEU, TRES, UNDECIDED,
-                                        KummerFieldSpec, jarden_ritter,
+                                        KummerFieldSpec, _certify,
+                                        jarden_ritter,
                                         krasner_rationalize,
                                         parse_kummer_spec, partition_classes,
                                         peu_tres_classify)
-from anabelomorph.fields import DegreeDropError, parse_zeta_poly
+from anabelomorph.fields import (DegreeDropError, FieldError,
+                                 parse_zeta_poly)
 from anabelomorph.padic import PadicScalar
 
 
@@ -57,6 +60,39 @@ def test_same_spec_reflexive():
 def test_degree_drop_error():
     with pytest.raises(DegreeDropError):
         jarden_ritter(S(3, 1, 27), S(3, 1, 3))
+
+
+# p = 2 radicands: squares and non-squares in Q_2(zeta_(2^r)), -4 and
+# other elements of -4 Q^4, fractions, and zeta-polynomials
+P2_RADICANDS = [-4, -1, 9, 17, 3, 5, 7, -3, -7, 2, -2, 6, 4, 16, -16, 81,
+                25, 49, -64, 64, Fraction(3, 4), Fraction(1, 9),
+                Fraction(-1, 4), Fraction(5, 16), Fraction(9, 25), 33, -15,
+                12, -12, 36, 100, 1025, Fraction(17, 81)] + [
+    parse_zeta_poly(z) for z in ("z+1", "2z", "3z^2+4", "z", "-z+2")]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_p2_degree_test_matches_the_build(r):
+    # the build certifies every layer of Q_2(zeta_(2^r), a^(1/2^r)), so it
+    # is the oracle for the one p-th-power test of the verdicts
+    for rad in P2_RADICANDS:
+        spec = S(2, r, rad)
+        try:
+            degree = spec.build().n
+        except DegreeDropError:
+            with pytest.raises(DegreeDropError):
+                _certify(spec)
+        else:
+            assert _certify(spec)[0] == degree, rad
+
+
+def test_p2_r1_out_of_scope_on_both_paths():
+    spec = S(2, 1, 3)
+    with pytest.raises(FieldError) as built:
+        spec.build()
+    with pytest.raises(FieldError) as certified:
+        _certify(spec)
+    assert str(built.value) == str(certified.value)
 
 
 def test_zeta_poly_radicand_undecided():
