@@ -111,7 +111,6 @@ class StandardInvariants:
     c4: FieldElement
     c6: FieldElement
     disc: FieldElement
-    j: FieldElement = None
 
 
 @dataclass
@@ -151,8 +150,8 @@ class ReductionData:
                 "tamagawa": self.tamagawa, "m": self.components}
 
 
-def weierstrass_invariants(model, check=True, with_j=False):
-    """b- and c-invariants, discriminant and (optionally) j."""
+def weierstrass_invariants(model, check=True):
+    """b- and c-invariants and the discriminant."""
     a1, a2, a3, a4, a6 = model.coefficients() if isinstance(model, WeierstrassModel) \
         else model
     b2 = a1 * a1 + 4 * a2
@@ -173,27 +172,19 @@ def weierstrass_invariants(model, check=True, with_j=False):
             v, bound = ident.val_or_bound()
             if v is not None:
                 raise FieldError("b/c-invariant identities violated")
-    if with_j:
-        vdisc = inv.disc.valuation()
-        vc4, _ = inv.c4.val_or_bound()
-        if vc4 is None:
-            inv.j = inv.c4.field.zero()
-        else:
-            inv.j = (inv.c4 ** 3) * inv.disc.inv()
     return inv
 
 
-def _v_j(model_or_j):
-    """v(j) of a model, or of j itself; None when j is zero to precision."""
-    if isinstance(model_or_j, WeierstrassModel):
-        model_or_j = weierstrass_invariants(model_or_j, check=False,
-                                            with_j=True).j
-    return model_or_j.val_or_bound()[0]
+def _v_j(model):
+    """v(j) = 3 v(c4) - v(Delta) of a model; None when c4, and so j, is
+    zero to precision."""
+    v4 = weierstrass_invariants(model, check=False).c4.val_or_bound()[0]
+    return None if v4 is None else 3 * v4 - model.vdisc
 
 
-def reduction_class(model_or_j):
+def reduction_class(model):
     """Potential reduction type from the sign of v(j)."""
-    v = _v_j(model_or_j)
+    v = _v_j(model)
     if v is None or v >= 0:
         return POTENTIALLY_GOOD
     return POTENTIALLY_MULTIPLICATIVE
@@ -349,7 +340,8 @@ def _tate_run(model):
     vD = model.vdisc + 12 * shift
     digits = _tate_digits(K, vD, depth)
     a = {w: aw.capped(digits) for w, aw in a.items()}
-    for restarts in range(200):
+    # a non-minimal pass divides Delta by pi^12, so it needs pi^12 | Delta
+    for restarts in range(vD // 12 + 1):
         result = _tate_pass(K, vD - 12 * restarts, depth + restarts, trace, a)
         if isinstance(result, ReductionData):
             result.trace = tuple(trace)
@@ -514,8 +506,9 @@ def _tate_pass(K, vD, depth, trace, a):
 
     if not triple:
         # step seven, I_n*: here v(a2) = 1, pi^2 | a3, pi^3 | a4 and
-        # pi^4 | a6; Y- and X-quadratics alternate, each one pi deeper
-        for n in range(1, vD + 9):
+        # pi^4 | a6; Y- and X-quadratics alternate, each one pi deeper,
+        # and v(Delta) >= n + 6 on I_n* (Silverman, Advanced Topics, IV 9)
+        for n in range(1, vD - 5):
             k = (n + 1) // 2
             if n % 2 == 1:
                 quad = [F.scale(res(6, 2 * k + 2), -1), res(3, k + 1), F.one]
@@ -592,9 +585,9 @@ def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):
 # Tate parameter and the log-over-ord invariant
 
 
-def tate_parameter_valuation(model_or_j):
+def tate_parameter_valuation(model):
     """v_K(q) = -v_K(j) for multiplicative reduction."""
-    v = _v_j(model_or_j)
+    v = _v_j(model)
     if v is None or v >= 0:
         raise FieldError("not potentially multiplicative: v(j) >= 0")
     return -v

@@ -77,8 +77,9 @@ def test_singular_curve_from_zeta_polys_rejected():
 
 def test_j_1728(Q5):
     m = WeierstrassModel.from_a_invariants(Q5, a4=1)
-    inv = weierstrass_invariants(m, with_j=True)
-    assert (inv.j - Q5.from_int(1728)).is_zero_to_precision()
+    inv = weierstrass_invariants(m)
+    j = inv.c4 ** 3 * inv.disc.inv()
+    assert (j - Q5.from_int(1728)).is_zero_to_precision()
 
 
 def test_invariant_identities_randomized(Q5, K54):
@@ -107,8 +108,8 @@ def test_reduction_class(Q5):
     mm = WeierstrassModel.from_a_invariants(Q5, a1=1, a6=5)
     assert reduction_class(mm) == POTENTIALLY_MULTIPLICATIVE
     v = tate_parameter_valuation(mm)
-    inv = weierstrass_invariants(mm, with_j=True)
-    assert v == -inv.j.valuation() > 0
+    inv = weierstrass_invariants(mm)
+    assert v == -(inv.c4 ** 3 * inv.disc.inv()).valuation() > 0
     with pytest.raises(FieldError):
         tate_parameter_valuation(m)
 
@@ -823,6 +824,25 @@ def test_tate_step_six_failure_is_a_field_error(Q5, monkeypatch):
     monkeypatch.setattr(elliptic, "_translate", broken)
     with pytest.raises(FieldError, match="^step-six normalization failed$"):
         tate_algorithm(m)
+
+
+def test_tate_restart_budget_is_derived(Q5, monkeypatch):
+    # a non-minimal pass divides Delta by pi^12, so a run makes at most
+    # v(Delta) // 12 + 1 passes; passes that always report non-minimal
+    # raise after exactly that many
+    m = change_coords(WeierstrassModel.from_a_invariants(
+        Q5, a4=5 ** 8, a6=5 ** 12), r=1)
+    assert m.vdisc == 24
+    passes = []
+
+    def non_minimal(K, vD, depth, trace, a):
+        passes.append(vD)
+        return a
+
+    monkeypatch.setattr(elliptic, "_tate_pass", non_minimal)
+    with pytest.raises(FieldError, match="restart budget"):
+        tate_algorithm(m)
+    assert passes == [24, 12, 0]
 
 
 def _golden_row_0(L):
