@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import (_MIN_EFFECTIVE, FieldElement, FieldError, _parsed,
-                     parse_zeta_poly)
+                     _walk_digits, parse_zeta_poly)
 from .padic import PrecisionError
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -364,8 +364,8 @@ def _tate_digits(K, vD, depth):
     run.  A read at pi^k is certified once the error has v_K >= k + 1,
     kept here with one to spare, and a frame walk divides block k by its
     frame's p^(t (d-1-k) + u k) (beta = . / p^t, gamma = . / p^u), which
-    costs each layer (d - 1) max(t, u) digits: the reads need
-    ceil((R + 2) / e) plus those digits.
+    costs each layer (d - 1) max(t, u) digits (``fields._walk_digits``):
+    the reads need ceil((R + 2) / e) plus those digits.
 
     Translations.  A pass translates by y = lift(c') monomial(k), an
     element of valuation k with the recorded leading residue
@@ -391,14 +391,7 @@ def _tate_digits(K, vD, depth):
     max(reads, _MIN_EFFECTIVE) + 3 sigma with sigma that bound on s(y):
     15 digits on Q_3(zeta_9, 3^(1/9)) and 18 on Q_3(zeta_9, 4^(1/9)),
     against M = 290."""
-    walk = 0
-    layer = K
-    while layer.base is not None:
-        beta, gamma, _, _ = layer.frame
-        walk += (layer.d - 1) * max(beta[1] if beta else 0,
-                                    gamma[1] if gamma else 0)
-        layer = layer.base
-    reads = -(-(vD + 6 * depth + 7) // K.e) + walk
+    reads = -(-(vD + 6 * depth + 7) // K.e) + _walk_digits(K)
     return max(reads, _MIN_EFFECTIVE) + 3 * _denominator_bound(K)
 
 

@@ -77,8 +77,12 @@ DEFAULT_DIGITS = 64
 _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
 # the largest tower degree build_field accepts, checked from the steps
-# before any work: Q_7(zeta_49, 7^(1/49)), degree 2058, builds in 1.6-1.7 s
-# of CPU (3 runs, CPython 3.11.7, shared 2-core x86); larger is out of scope
+# before any work.  The slowest admitted tower measured, Q_2(zeta_64,
+# 3^(1/64)) of degree 2048, builds in 12 s of CPU, and Q_7(zeta_49,
+# 7^(1/49)), degree 2058, in 0.9 s; the next larger Kummer tower,
+# Q_3(zeta_81, 3^(1/81)) of degree 4374, takes 148 s (one run each,
+# CPython 3.11.7, shared 2-core x86), more than one call should, so
+# larger is out of scope
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
@@ -1749,6 +1753,43 @@ def _normalize_radicand(base, rad):
     return FieldElement(base, rad1.vec, 0, rad1.m), c, t
 
 
+def _walk_digits(K):
+    """The digits a frame walk of K (``LocalField._val``) divides off: a
+    layer divides block k by its frame's p^(t (d-1-k) + u k) (beta =
+    . / p^t, gamma = . / p^u), at most (d - 1) max(t, u), and hands the
+    blocks down to the walk of its base."""
+    walk = 0
+    while K.base is not None:
+        beta, gamma, _, _ = K.frame
+        walk += (K.d - 1) * max(beta[1] if beta else 0,
+                                gamma[1] if gamma else 0)
+        K = K.base
+    return walk
+
+
+def _peel_digits(base):
+    """The digits above its denominator that each step of ``_peel_unit``
+    keeps of its defect D = u - A^p (Caruso-Roe-Vaccon precision
+    tracking, as in ``elliptic._tate_digits``).
+
+    Reads.  A step reads v = v(D) up to T2 = p e / (p - 1), the residue
+    of D at v, and at T2 the Artin-Schreier residue; "drop" is the read
+    v(D) > T2, a valuation or a bound above T2.  With D's numerator
+    known mod p^m over p^s(D), its error has v >= e (m - s(D)), so every
+    read is certified once m - s(D) > T2 / e = p / (p - 1), that is
+    floor(p / (p - 1)) + 1 digits: 3 at p = 2 and 2 at odd p.  The frame
+    walk that reads them divides its blocks by the frames' denominators
+    (``_walk_digits``), which the reads need on top.  A read that the
+    cut leaves short comes back undetermined and raises PrecisionError;
+    it never misreads.
+
+    Every element keeps _MIN_EFFECTIVE digits, so D keeps the larger of
+    the two, which comes to _MIN_EFFECTIVE on every tower the tests
+    build."""
+    reads = base.p // (base.p - 1) + 1 + _walk_digits(base)
+    return max(reads, _MIN_EFFECTIVE)
+
+
 def _peel_unit(base, u):
     """Classify x^p = u over the base, for a unit u, by successive unit
     peeling, which inverts nothing and is valid whenever the working
@@ -1756,16 +1797,31 @@ def _peel_unit(base, u):
     denominator over non-monogenic bases, which the defect reads allow for.
 
     Each step makes one defect D = u - A^p, whose walk reads v = v(D)
-    and the residue r of D / pi^v, and sets A <- A (1 + s) for the frame
-    monomial s = ``lift_at(c, v / p)`` of residue c (p-th powers of
+    and the residue r of D / pi^v, and sets A <- A (1 + y) for the frame
+    monomial y = ``lift_at(c, v / p)`` of residue c (p-th powers of
     principal units: I. Fesenko and S. Vostokov, Local Fields and Their
     Extensions, I 5), so the steps and A depend on the frames, not on pi.
     A starts at the lift of res(u)^(1/p), read by the inverse Frobenius
     x^(q/p), so res(A)^p = res(u) throughout.  Below the bound,
-    (1 + s)^p = 1 + s^p modulo higher terms, so c = (r / res(u))^(1/p).
-    At the bound the term p s counts too, and c solves c^p + eps c =
+    (1 + y)^p = 1 + y^p modulo higher terms, so c = (r / res(u))^(1/p).
+    At the bound the term p y counts too, and c solves c^p + eps c =
     r / res(u) with eps = res(p / pi^e); no solution in F_q is the
     Artin-Schreier obstruction of an unramified layer.
+
+    Precision.  The peel searches for an adjuster and stores no value of
+    its own, so any A whose reads come out the same is a valid answer:
+    each step takes A's vector mod p^m as the exact value of A and reads
+    D at the modulus m its reads need.  A^p is over p^(p s(A)) and u
+    over p^s(u), so D is over p^s(D) with s(D) <= max(s(u), p s(A)), and
+    m = max(s(u), p s(A)) + ``_peel_digits`` keeps those digits of D,
+    capped at u's modulus and M.  The update A (1 + y) divides by p^s(y)
+    more, so it takes the exact A at m + s(y) and keeps m - s(A) digits
+    above its denominator: A moves by v > T2 under the cut, and so does
+    A^p, which no later read sees.  The shifts carry denominators, so
+    s(A) grows and m is derived again at every step; a cut fixed once
+    runs out on a tall tower.  The answer A comes back exact at M, and
+    on a totally ramified layer the frame that takes it is certified at
+    M (``LocalField._certify``).
 
     Returns (kind, data): kind in {"tr", "unram", "drop"}; data carries
     the final defect level lambda and the adjuster A with
@@ -1777,8 +1833,11 @@ def _peel_unit(base, u):
     ru_inv = F.pow(ru, -1)
     A = base.lift(F.pow(ru, F.q // p))
     T2 = Fraction(p * base.e, p - 1)
+    digits = _peel_digits(base)
     for _ in range(int(T2) + p + 8):
-        D = u - A ** p
+        m = min(max(u.s, p * A.s) + digits, u.m, base.M)
+        A = FieldElement(base, tuple(a % p ** m for a in A.vec), A.s)
+        D = u.capped(m - u.s) - A.capped(m - A.s) ** p
         v, bound, r = base._val(D.vec, D.s, min(D.m, base.M), True)
         if v is None:
             if bound > T2:
@@ -1809,7 +1868,8 @@ def _peel_unit(base, u):
                     "certificate": ("unramified (artin-schreier obstruction "
                                     f"at level {v})"),
                 }
-        A = A * (base.one() + base.lift_at(c, v // p))
+        y = base.lift_at(c, v // p)
+        A = A.capped(m + y.s - A.s) * (base.one() + y)
     raise CertificationError("unit peeling did not terminate")
 
 

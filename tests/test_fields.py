@@ -8,8 +8,9 @@ import pytest
 from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
                                  DegreeDropError, FieldElement, FieldError,
                                  TowerStep, _charpoly, _normalize_radicand,
-                                 _peel_unit, build_field, different_bound,
-                                 different_valuation, discriminant_valuation,
+                                 _peel_digits, _peel_unit, build_field,
+                                 different_bound, different_valuation,
+                                 discriminant_valuation,
                                  find_uniformizer, norm_to_qp,
                                  parse_field_spec, parse_zeta_poly, residue,
                                  closed_form_disc)
@@ -422,20 +423,45 @@ PEEL_CASES = {
 }
 
 
-def _peel_by_search(base, u):
-    """The reference for ``_peel_unit``: at each step try the lifts of the
-    nonzero residues, in the order of ``ResidueField.elements``, times the
-    frame monomial of valuation v / p, until the defect rises.  Returns
-    (kind, lambda, A, steps), steps the number of defects of accepted
-    adjusters."""
+def _peeled_unit(base, rad):
+    """The unit a Kummer layer of radicand ``rad`` over the base peels,
+    rad1 monomial(-v1/p)^p: rad times a p-th power, as the builder makes
+    it."""
     p = base.p
+    rad = base.step_generators[-1] if rad is None else base.coerce(rad)
+    rad1, _, _ = _normalize_radicand(base, rad)
+    v1 = rad1.valuation()
+    return rad1 * base.monomial(-v1 // p) ** p if v1 else rad1
+
+
+def _peel_by_search(base, u):
+    """The reference for ``_peel_unit``: at each step take A's vector mod
+    p^m, for the peel's cut m = max(s(u), p s(A)) + ``_peel_digits``, as
+    the exact value of A, and try the lifts of the nonzero residues, in
+    the order of ``ResidueField.elements``, times the frame monomial of
+    valuation v / p, until the defect rises.  Every defect is read at the
+    full working precision, so the peel's reads at the cut are checked
+    against reads that no cut touches.  Returns (kind, lambda, A, steps),
+    A exact at the working precision, and steps the number of defects of
+    accepted adjusters."""
+    p, M = base.p, base.M
+    digits = _peel_digits(base)
+
+    def exact(x, m):
+        return FieldElement(base, tuple(a % p ** m for a in x.vec), x.s, m)
+
+    def cut(x):
+        return exact(x, min(max(u.s, p * x.s) + digits, u.m, M))
+
+    def defect(adj):
+        return base.val_or_bound(u - exact(cut(adj), M) ** p)
 
     def lifts():
         units = itertools.islice(base.residue_field.elements, 1, None)
         return (base.lift(c) for c in units)
 
     def rises(adj, v):
-        dv, _ = base.val_or_bound(u - adj ** p)
+        dv, _ = defect(adj)
         return dv is None or dv > v
 
     A = next(c for c in lifts() if base.val_at_least(u - c ** p, 1))
@@ -443,35 +469,33 @@ def _peel_by_search(base, u):
     steps = 0
     while True:
         steps += 1
-        v, bound = base.val_or_bound(u - A ** p)
+        A = cut(A)
+        v, bound = defect(A)
         if v is None or v > T2:
             assert v is not None or bound > T2
             return "drop", None, None, steps
         if v % p:
-            return "tr", v, A, steps
+            return "tr", v, exact(A, M), steps
         shift = base.monomial(v // p)
-        nxt = next((a for a in (A * (base.one() + c * shift) for c in lifts())
-                    if rises(a, v)), None)
+        adjusted = (exact(A, min(A.m + y.s, M)) * (base.one() + y)
+                    for y in (c * shift for c in lifts()))
+        nxt = next((a for a in adjusted if rises(a, v)), None)
         if nxt is None:
             assert v == T2
-            return "unram", v, A, steps
+            return "unram", v, exact(A, M), steps
         A = nxt
 
 
 @pytest.mark.parametrize("name", PEEL_CASES)
 def test_peel_reads_the_search_correction(name, monkeypatch):
     # each correction read off the defect's residue is the first
-    # candidate the search accepts, so the classification and A agree
-    # bit for bit; a step takes one p-th power, and the peel asks for no
-    # power of pi.  The unit is rad1 monomial(-v1/p)^p, rad times a p-th
-    # power, as the Kummer builder peels it
+    # candidate the search accepts, so at the same cut the classification
+    # and A agree bit for bit; a step takes one p-th power, and the peel
+    # asks for no power of pi
     from anabelomorph.fields import LocalField
     p, steps, rad, kind = PEEL_CASES[name]
     base = build_field(p, steps)
-    rad = base.step_generators[-1] if rad is None else base.coerce(rad)
-    rad1, _, _ = _normalize_radicand(base, rad)
-    v1 = rad1.valuation()
-    u = rad1 * base.monomial(-v1 // p) ** p if v1 else rad1
+    u = _peeled_unit(base, rad)
     want, lam, A, nsteps = _peel_by_search(base, u)
     assert want == kind
     powers = collections.Counter()
@@ -499,6 +523,30 @@ def test_peel_reads_the_search_correction(name, monkeypatch):
         f"totally ramified (unit defect level {lam} below bound "
         f"{Fraction(p * base.e, p - 1)})" if kind == "tr" else
         f"unramified (artin-schreier obstruction at level {lam})")
+
+
+def _peel_answer(kind, data):
+    """What a peel decides, with A's exact value: equal at every working
+    precision whose cut is the same."""
+    if data is None:
+        return kind, None
+    A = data["A"]
+    return kind, data["lambda"], data["certificate"], A.vec, A.s
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_peel_does_not_depend_on_the_working_precision(name):
+    # the peel reads its defects at a cut derived from s(u), s(A) and the
+    # frames, not from M, so at twice the working precision it makes the
+    # same A and decides the same; the bases agree to every digit of pi
+    p, steps, rad, kind = PEEL_CASES[name]
+    base = build_field(p, steps)
+    high = build_field(p, steps, prec=2 * DEFAULT_DIGITS)
+    got = _peel_unit(base, _peeled_unit(base, rad))
+    want = _peel_unit(high, _peeled_unit(high, rad))
+    assert got[0] == kind
+    assert _peel_answer(*got) == _peel_answer(*want)
+    assert _agrees(base.pi, high.pi)
 
 
 def test_nested_coefficient_view(K1):
@@ -776,8 +824,9 @@ def test_lift_adds_no_term_for_a_zero_block():
     # 0 delta^k would cap a lift's digits at delta^k's: the lift of a
     # residue with zero blocks keeps every digit of the layer, and the
     # unit peel of Q_2(i)(5^(1/4)), which lifts such residues, gives a top
-    # pi of 172 digits, all of which the same tower at twice the working
-    # precision has
+    # pi of 174 digits, all of which the same tower at twice the working
+    # precision has.  The peel's A comes back exact at M = 176 over p^1,
+    # so beta and pi keep two digits more than an A made at M, 172
     L = build_field(5, [T.cyclotomic(5), T.kummer(5, {0: 2, 1: 5})])
     one = L.lift((1, 0, 0, 0, 0))
     assert (one - L.one()).is_zero_to_precision()
@@ -787,7 +836,7 @@ def test_lift_adds_no_term_for_a_zero_block():
     H = build_field(2, steps, prec=2 * DEFAULT_DIGITS)
     assert K.base.certificate.startswith("unramified")
     assert K.lift((1, 0)).m - K.lift((1, 0)).s == K.M
-    assert K.pi.m - K.pi.s == 172
+    assert K.pi.m - K.pi.s == 174
     assert _agrees(K.pi, H.pi)
 
 
@@ -923,6 +972,70 @@ def test_every_layer_kind_passes_one_certificate(name):
         assert norm_valuation(fld.embed(B.pi)) == e_rel
         assert fld.e * fld.f == fld.n
         assert fld.different_val == fld.layer_diff + e_rel * B.different_val
+
+
+# the pi headroom m - s of each layer, from Q_p up, that these towers
+# had when the peel made A at the working precision (before its reads
+# took a per-step cut and A came back exact at M)
+LAYER_HEADROOM_FLOOR = {
+    "p=2 slope": [164],
+    "p=2 unramified then unit defect": [176, 176, 172],
+    "p=2 custom": [172, 171],
+    "p=3 slope": [172, 171],
+    "p=3 unit defect": [172, 171],
+    "p=3 unramified": [172, 172],
+    "p=3 quadratics": [168, 168],
+    "p=3 custom then quadratic": [171, 171],
+    "p=5 slope": [200, 199],
+    "p=5 unit defect": [200, 199],
+    "p=5 unramified": [200, 200],
+    "p=5 quadratics": [168, 168],
+    "p=5 custom": [184, 183],
+    "p=7 slope": [254, 253],
+    "p=7 unit defect": [254, 253],
+    "p=7 unramified": [254, 254],
+    "p=7 quadratics": [168, 168],
+    "p=7 custom": [196, 196],
+}
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_layer_pi_headroom_keeps_its_floor(name):
+    p, steps = LAYER_TOWERS[name]
+    got = [fld.pi.m - fld.pi.s
+           for fld in _layers(build_field(p, steps))][::-1]
+    floor = LAYER_HEADROOM_FLOOR[name]
+    assert len(got) == len(floor)
+    assert all(g >= f for g, f in zip(got, floor)), (got, floor)
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_layer_peels_do_not_depend_on_the_working_precision(name,
+                                                            monkeypatch):
+    # every Kummer layer that peels makes the same A, and decides the
+    # same, at the working precision and at twice it; the top pi agrees
+    # with the 2P build to every digit it claims, and v_p(disc) is equal
+    from anabelomorph import fields
+    p, steps = LAYER_TOWERS[name]
+    peel = fields._peel_unit
+    answers = []
+
+    def recording_peel(base, u):
+        out = peel(base, u)
+        answers.append(_peel_answer(*out))
+        return out
+
+    monkeypatch.setattr(fields, "_peel_unit", recording_peel)
+    K = build_field(p, steps)
+    got = answers.copy()
+    answers.clear()
+    H = build_field(p, steps, prec=2 * DEFAULT_DIGITS)
+    assert got == answers
+    assert len(got) == sum(_branch(fld) in ("kummer unit defect",
+                                            "kummer unramified")
+                           for fld in _layers(K))
+    assert _agrees(K.pi, H.pi)
+    assert discriminant_valuation(K) == discriminant_valuation(H)
 
 
 def _different_oracle(fld):
