@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (DegreeDropError, TowerStep, _charpoly,
-                     _normalize_radicand, _parse_radicand, _parsed,
-                     _peel_unit, build_field)
+                     _classify_radicand, _parse_radicand, _parsed,
+                     build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -117,12 +117,7 @@ def parse_kummer_spec(text):
 def _radicand_is_pth_power(spec, prec=None):
     """True if the radicand is a p-th power in Q_p(zeta_{p^r})."""
     F = build_field(spec.p, [TowerStep.cyclotomic(spec.modulus)], prec=prec)
-    rad1, _, _ = _normalize_radicand(F, F.coerce(spec.radicand))
-    v1 = rad1.valuation()     # congruent to v(radicand) mod p
-    if v1 % spec.p:
-        return False
-    u = rad1 * F.monomial_power(-v1 // spec.p, spec.p) if v1 else rad1
-    return _peel_unit(F, u)[0] == "drop"
+    return _classify_radicand(F, F.coerce(spec.radicand))[0] == "drop"
 
 
 def _certify(spec, prec=None):

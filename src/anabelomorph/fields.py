@@ -788,11 +788,10 @@ class LocalField:
             x._val = (v, bound)
         return x._val
 
-    def _val(self, vec, s, m, res=False, rconst=None):
+    def _val(self, vec, s, m, res=False):
         """(v, bound, r): val_or_bound of x = vec / p^s, vec known mod p^m,
         and with ``res`` the residue r of x / pi^v (None when it is not
-        read, or not determined to precision).  ``rconst`` stands in for
-        this layer's (c1, [c2^k]) (see _lead_residue).
+        read, or not determined to precision).
 
         Numerators lie in the order spanned by the power basis, which is
         integral, so an error in p^m of it has v >= e (m - s).  Otherwise
@@ -823,7 +822,7 @@ class LocalField:
             # an element of the base plus an error of v >= e (m - s)
             v, bound, r = B._val(vec[:b], s, m, res)
             if v is not None:
-                r = self._lead_residue([(0, v, r)], rconst) if res else None
+                r = self._lead_residue([(0, v, r)]) if res else None
                 return scale * v, None, r
             return None, min(self.e * (m - s), scale * bound), None
         ints = B.base is None         # blocks of one integer coordinate
@@ -886,14 +885,14 @@ class LocalField:
         if best is not None and (low is None or best <= low):
             # in an unramified layer a term of unknown residue may tie
             tied = scale == 1 and best == low
-            return best, None, (self._lead_residue(lead, rconst)
+            return best, None, (self._lead_residue(lead)
                                 if res and not tied else None)
         return None, low if best is None else min(best, low), None
 
-    def _lead_residue(self, lead, rconst=None):
+    def _lead_residue(self, lead):
         """Residue of x / pi^v from the least frame terms of x; None when
-        a term's residue is unknown.  A ramified layer applies ``rconst``
-        when given, else its own (c1, [c2^k])."""
+        a term's residue is unknown.  A ramified layer applies its
+        (c1, [c2^k])."""
         if any(r is None for _, _, r in lead):
             return None
         if self.frame[2] == 1:
@@ -902,13 +901,11 @@ class LocalField:
             for k, _, r in lead:
                 blocks[k] = r
             return sum(blocks, ())
-        if rconst is None:
-            if self._rconst is None:
-                self._init_residues()
-            rconst = self._rconst
+        if self._rconst is None:
+            self._init_residues()
         (k, v, r), = lead
         F = self.base.residue_field      # a ramified layer keeps its base's
-        c1, c2pows = rconst
+        c1, c2pows = self._rconst
         return F.mul(F.mul(r, F.pow(c1, v)), c2pows[k])
 
     @property
@@ -920,20 +917,21 @@ class LocalField:
 
     def _init_residues(self):
         """Residue field of a certified layer, and for a ramified layer
-        the constants c1 and c2 of ``_val``, from one frame read: of rho^d
-        when unramified (delta = rho), else of delta^scale.  Run on the
-        first residue read, so that building a tower that reads no residue
-        pays nothing for them.
+        the constants c1 and c2 of ``_val``, from one read: of rho^d off
+        the frame when unramified (delta = rho), else of the layer norm
+        f(beta) in the base.  Run on the first residue read, so that
+        building a tower that reads no residue pays nothing for them.
 
-        With c1 = c2 = 1, passed in for the read, the read of delta^scale
-        gives rho, the r_B of its least term, at k = 0 and v_B = w, so
-        c2^scale = rho c1^w.  The uniformizer pi = delta^x u of
-        ``_certify``, u = B.monomial(y) and xw + y scale = 1, is its own
-        least frame term, at k = x with y_x = u, whose residue r_u the
-        base's constants give (``_monomial_residue``, no walk), so
-        1 = r_u c1^y c2^x.  Together they give c1 = rho^-x r_u^-scale and
-        c2 = rho^y r_u^-w.  The constants and the field are set only once
-        the read succeeds.
+        The least frame term of delta^scale is y_0 = -f(beta), as
+        f(delta + beta) = 0, at k = 0 and v_B = w (``_certify``), so
+        c2^scale = rho c1^w with rho = r_B(-f(beta)), read in the base
+        (``_norm_of_delta``) with no walk of delta^scale.  The
+        uniformizer pi = delta^x u of ``_certify``, u = B.monomial(y) and
+        xw + y scale = 1, is its own least frame term, at k = x with
+        y_x = u, whose residue r_u the base's constants give
+        (``_monomial_residue``, no walk), so 1 = r_u c1^y c2^x.  Together
+        they give c1 = rho^-x r_u^-scale and c2 = rho^y r_u^-w.  The
+        constants and the field are set only once the read succeeds.
         """
         B = self.base
         _, _, scale, w = self.frame
@@ -942,7 +940,7 @@ class LocalField:
             self._residue_field = ResidueField(self.p, B.residue_field, rel)
             return
         F = B.residue_field
-        rho = self._read(self._delta_pow(scale), (F.one, [F.one] * self.d))
+        rho = B.residue_at(-self._norm_of_delta(), w)
         x = pow(w, -1, scale)
         y = (1 - x * w) // scale
         ru = B._monomial_residue(y)
@@ -951,9 +949,9 @@ class LocalField:
         self._rconst = (c1, [F.pow(c2, k) for k in range(self.d)])
         self._residue_field = F
 
-    def _read(self, x, rconst=None):
+    def _read(self, x):
         """Residue of x / pi^v(x), read afresh off the frame."""
-        r = self._val(x.vec, x.s, min(x.m, self.M), True, rconst)[2]
+        r = self._val(x.vec, x.s, min(x.m, self.M), True)[2]
         if r is None:
             raise PrecisionError("a residue constant is not determined to "
                                  "precision")
@@ -1702,25 +1700,20 @@ def _extend_kummer_cyclic(base, rad, name):
     xi_powers = [base.one()]
     for _ in range(p - 1):
         xi_powers.append(xi_powers[-1] * xi)
-    rad1, c, t = _normalize_radicand(base, rad)
+    kind, peel, rad1, c, t = _classify_radicand(base, rad)
+    if kind == "drop":
+        raise DegreeDropError(
+            "radicand is a p-th power in the base (to working precision)")
     v1 = rad1.valuation()
-    if v1 % p != 0:
-        cert = f"eisenstein-type (newton polygon slope {v1}/{p})"
-    else:
-        u = rad1 * base.monomial_power(-v1 // p, p) if v1 else rad1
-        kind, peel = _peel_unit(base, u)
-        if kind == "drop":
-            raise DegreeDropError(
-                "radicand is a p-th power in the base (to working precision)")
-        cert = peel["certificate"]
     K = KummerField(base, rad1, name, xi_powers, c, t)
     gen = K.gen()
-    if v1 % p != 0:
-        K._certify(cert, p, v1, gen)
+    if kind == "eisenstein":
+        K._certify(f"eisenstein-type (newton polygon slope {v1}/{p})",
+                   p, v1, gen)
     elif kind == "tr":
         beta = base.monomial(v1 // p) * peel["A"]
-        K._certify(cert, p, peel["lambda"] + v1, gen - K.embed(beta),
-                   beta=beta)
+        K._certify(peel["certificate"], p, peel["lambda"] + v1,
+                   gen - K.embed(beta), beta=beta)
     else:  # unramified layer
         eun = base.e // (p - 1)
         alpha = base.monomial(v1 // p) * peel["A"]
@@ -1728,9 +1721,22 @@ def _extend_kummer_cyclic(base, rad, name):
         rho = (eta - K.one()) * K.embed(base.pi_pow(-eun))
         # gen = alpha (1 + pi_B^eun rho): the frame's delta is rho, a unit
         # whose residue has degree p (the Artin-Schreier obstruction)
-        K._certify(cert, 1, 0, rho, beta=alpha,
+        K._certify(peel["certificate"], 1, 0, rho, beta=alpha,
                    gamma=alpha * base.pi_pow(eun))
     return K
+
+
+def _classify_radicand(base, rad):
+    """(kind, peel, rad1, c, t) for x^p = rad over the base, with
+    (rad1, c, t) of ``_normalize_radicand``: kind is "eisenstein" when p
+    does not divide v1 = v(rad1) (peel None), else the (kind, data) of
+    ``_peel_unit`` on the unit rad1 monomial(-v1/p)^p = rad c^p."""
+    rad1, c, t = _normalize_radicand(base, rad)
+    v1, p = rad1.valuation(), base.p
+    if v1 % p:
+        return "eisenstein", None, rad1, c, t
+    u = rad1 * base.monomial_power(-v1 // p, p) if v1 else rad1
+    return (*_peel_unit(base, u), rad1, c, t)
 
 
 def _normalize_radicand(base, rad):
