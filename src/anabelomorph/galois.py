@@ -3,7 +3,12 @@
 For K = Q_p(zeta_{p^r}, a^{1/p^r}) with rational radicand the group is the
 semidirect product Z/p^r x| (Z/p^r)^*, acting by
 
-    sigma_{a,b}:  zeta -> zeta^a,   theta -> zeta^b theta.
+    sigma_{a,b}:  zeta -> zeta^a,   theta -> zeta^b theta,
+
+and for the bare cyclotomic field Q_p(zeta_{p^r}) it is the (Z/p^r)^* of
+the sigma_{a,0}.  These elements are the one description of the group:
+the filtration, the conjugacy classes and, at r = 1, the character table
+(evaluated once per class, keyed by element) are all made from them.
 
 sigma acts layer by layer: an exponent map and one fold on the
 cyclotomic layer, then Horner's rule over the image of each Kummer
@@ -25,7 +30,9 @@ import types
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldElement, FieldError, _unit_group
+from .fields import (FieldElement, FieldError, _unit_group,
+                     discriminant_valuation)
+from .padic import is_prime
 
 
 class NonGaloisTowerError(FieldError):
@@ -176,29 +183,24 @@ class GaloisElement:
         return self.a % self.modulus == 1 and self.b % self.modulus == 0
 
 
-def _kummer_shape(K):
-    """(modulus p^r, kummer step) for the supported shape."""
-    steps = K.user_steps
-    if (len(steps) != 2 or steps[0].kind != "cyclotomic"
-            or steps[1].kind != "kummer"
-            or steps[0].modulus != steps[1].exponent):
-        raise NonGaloisTowerError(
-            "galois action requires the shape cyclotomic(p^r) + kummer(p^r, a)")
-    return steps[0].modulus, steps[1]
-
-
 def galois_group(K):
-    """All automorphisms of K = Q_p(zeta_{p^r}, a^{1/p^r}) over Q_p."""
-    m, kstep = _kummer_shape(K)
-    p = K.p
-    rad = kstep.radicand
-    if not isinstance(rad, (int, Fraction)):
+    """All automorphisms of K over Q_p: sigma_{a,b} on K = Q_p(zeta_{p^r},
+    a^{1/p^r}) with rational a, and sigma_{a,0} on the bare cyclotomic
+    field K = Q_p(zeta_{p^r})."""
+    steps = K.user_steps
+    kummer = len(steps) == 2 and steps[1].kind == "kummer"
+    if (not steps or steps[0].kind != "cyclotomic" or len(steps) > 1 + kummer
+            or kummer and steps[1].exponent != steps[0].modulus):
+        raise NonGaloisTowerError(
+            "galois action requires the shape cyclotomic(p^r), alone or "
+            "followed by kummer(p^r, a)")
+    if kummer and not isinstance(steps[1].radicand, (int, Fraction)):
         # a zeta-polynomial radicand is generally moved by zeta -> zeta^a
         raise NonGaloisTowerError(
             "tower is not certified Galois over Q_p: radicand is not rational")
-    elems = [GaloisElement(a, b, m)
-             for a in range(1, m) if a % p
-             for b in range(m)]
+    m = steps[0].modulus
+    elems = [GaloisElement(a, b, m) for a in range(1, m) if a % K.p
+             for b in (range(m) if kummer else [0])]
     if len(elems) != K.n:
         raise NonGaloisTowerError("group order does not match field degree")
     return elems
@@ -368,31 +370,27 @@ def upper_numbering_breaks(filt):
 
 @dataclass(frozen=True)
 class Character:
-    """Character values per conjugacy class, in Q(zeta_{p-1}); frozen,
-    with read-only values, as ``character_table`` shares one table."""
+    """Character values on the elements sigma_{a,b} mod p of
+    Z/p x| (Z/p)^*, in Q(zeta_{p-1}); frozen, with read-only values, as
+    ``character_table`` shares one table."""
     p: int
     dim: int
-    values: types.MappingProxyType     # class label -> CycRat
+    values: types.MappingProxyType     # GaloisElement mod p -> CycRat
     label: str
 
     def value(self, sigma):
-        return self.values[conjugacy_class(sigma, self.p)]
-
-
-def conjugacy_class(sigma, p):
-    a = sigma.a % p
-    b = sigma.b % p
-    if a == 1:
-        return "id" if b == 0 else "tau"
-    return f"s{a}"
+        p = self.p
+        return self.values[GaloisElement(sigma.a % p, sigma.b % p, p)]
 
 
 def character_table(p, r=1):
     """Exact character table of Z/p x| (Z/p)^* (the r = 1 Galois group).
 
-    p - 1 linear characters through (Z/p)^* plus one irreducible of
-    dimension p - 1, as a tuple of frozen characters.  The table is
-    built and checked for orthogonality once per (p, r) and then shared.
+    p - 1 linear characters psi^k through (Z/p)^* plus one irreducible of
+    dimension p - 1, induced from a faithful character of the wild Z/p,
+    as a tuple of frozen characters, each evaluated once per conjugacy
+    class of ``_conjugacy_classes``.  The table is built and checked for
+    orthogonality once per (p, r) and then shared.
     """
     return _character_table(p, r)
 
@@ -401,46 +399,42 @@ def character_table(p, r=1):
 def _character_table(p, r):
     if r != 1:
         raise NotImplementedError("character tables are built for r = 1 only")
-    if p == 2:
-        raise ValueError("character tables are built for odd p only; got p = 2")
+    if p == 2 or not is_prime(p):
+        raise ValueError("character tables are built for an odd prime p "
+                         f"and r = 1 only; got p = {p}")
     m = p - 1
     # discrete log table for (Z/p)^*, cyclic of order p - 1
     (powers,) = _unit_group(p, p)
     dlog = {v: k for k, v in enumerate(powers)}
-    classes = ["id", "tau"] + [f"s{a}" for a in range(2, p)]
-    chars = []
-    for k in range(p - 1):
-        vals = {}
-        for cl in classes:
-            a = 1 if cl in ("id", "tau") else int(cl[1:])
-            vals[cl] = CycRat.zeta_power(m, k * dlog[a])
-        chars.append(Character(p, 1, types.MappingProxyType(vals),
-                               f"psi^{k}"))
-    big = {"id": CycRat.rational(m, p - 1), "tau": CycRat.rational(m, -1)}
-    for a in range(2, p):
-        big[f"s{a}"] = CycRat.rational(m, 0)
-    chars.append(Character(p, p - 1, types.MappingProxyType(big), "induced"))
+    classes = _conjugacy_classes(
+        [GaloisElement(a, b, p) for a in range(1, p) for b in range(p)])
+
+    def character(dim, label, at_rep):
+        vals = {sig: at_rep(rep) for rep, cls in classes for sig in cls}
+        return Character(p, dim, types.MappingProxyType(vals), label)
+
+    chars = [character(1, f"psi^{k}",
+                       lambda rep, k=k: CycRat.zeta_power(m, k * dlog[rep.a]))
+             for k in range(m)]
+    # p - 1 at 1, -1 on the class of tau = sigma_{1,1}, 0 off the wild Z/p
+    chars.append(character(m, "induced", lambda rep: CycRat.rational(
+        m, m if rep.is_identity else -1 if rep.a == 1 else 0)))
     _check_orthogonality(chars, p)
     return tuple(chars)
 
 
-def _class_sizes(p):
-    sizes = {"id": 1, "tau": p - 1}
-    for a in range(2, p):
-        sizes[f"s{a}"] = p
-    return sizes
-
-
 def _check_orthogonality(chars, p):
-    sizes = _class_sizes(p)
     order = p * (p - 1)
     m = p - 1
-    assert sum(c.dim ** 2 for c in chars) == order, "sum of dim^2 != |G|"
+    if sum(c.dim ** 2 for c in chars) != order:
+        raise ArithmeticError("character table: sum of dim^2 != |G|")
+    # every character is defined on the whole group
+    classes = _conjugacy_classes(list(chars[0].values))
     for i, ci in enumerate(chars):
         for j, cj in enumerate(chars):
             acc = CycRat.rational(m, 0)
-            for cl, sz in sizes.items():
-                acc = acc + ci.values[cl] * cj.values[cl].conj() * sz
+            for rep, cls in classes:
+                acc = acc + ci.values[rep] * cj.values[rep].conj() * len(cls)
             want = Fraction(order if i == j else 0)
             if acc.as_rational() != want:
                 raise ArithmeticError("character orthogonality failed")
@@ -485,13 +479,16 @@ def wild_subgroup_conductor(filt):
 
 
 def conductor_discriminant_check(K):
-    """Exact conductor-discriminant identity for the r = 1 Kummer shape
-    (and the bare cyclotomic field, where every nontrivial character of
-    the cyclic tame group has conductor one).
+    """Exact conductor-discriminant identity sum chi(1) f(chi) = v_p(disc)
+    for the r = 1 Kummer shape Q_p(zeta_p, a^(1/p)) and the bare
+    Q_p(zeta_p), odd p, through one filtration and one character table.
+    Gal(Q_p(zeta_p)/Q_p) is the quotient of Z/p x| (Z/p)^* by the wild
+    Z/p = <tau>, tau = sigma_{1,1}, so its characters are the table's
+    characters that are trivial on tau, the psi^k.
 
-    Returns a report with both sides and the per-character conductors.
+    Returns a report with both sides, the per-character Artin and Swan
+    conductors and the lower and upper breaks; a mismatch raises.
     """
-    from .fields import discriminant_valuation
     p = K.p
     steps = K.user_steps
     cyc = steps[0].modulus if steps and steps[0].kind == "cyclotomic" else None
@@ -502,26 +499,11 @@ def conductor_discriminant_check(K):
             "conductor-discriminant check covers the r = 1 Kummer shape "
             "Q_p(zeta_p, a^(1/p)) and bare Q_p(zeta_p), odd p only; "
             f"got p = {p}" + (f", zeta_{cyc}" if cyc else ""))
-    if len(steps) == 1 and steps[0].kind == "cyclotomic" \
-            and steps[0].modulus == p:
-        lhs = p - 2          # p - 2 nontrivial tame characters, each f = 1
-        rhs = discriminant_valuation(K)
-        report = {
-            "field": K.name,
-            "sum_dim_times_conductor": lhs,
-            "disc_valuation": rhs,
-            "match": lhs == rhs,
-            "conductors": {"trivial": 0,
-                           **{f"tame^{k}": 1 for k in range(1, p - 1)}},
-            "swan": {"trivial": 0, **{f"tame^{k}": 0 for k in range(1, p - 1)}},
-            "filtration_breaks": [0],
-            "wild_char_conductor_over_cyclotomic": 0,
-        }
-        if not report["match"]:
-            raise ArithmeticError("conductor-discriminant identity failed")
-        return report
     filt = ramification_filtration(K)
     chars = character_table(p)
+    if len(steps) == 1:
+        tau = GaloisElement(1, 1, p)
+        chars = [chi for chi in chars if chi.value(tau) == chi.dim]
     conductors = {}
     lhs = 0
     for chi in chars:

@@ -6,7 +6,8 @@ import pytest
 from anabelomorph.fields import (FieldElement, TowerStep, build_field,
                                  different_valuation, discriminant_valuation)
 from anabelomorph.galois import (CycRat, GaloisElement, NonGaloisTowerError,
-                                 _compose, _inverse, apply_automorphism,
+                                 _compose, _conjugacy_classes, _inverse,
+                                 apply_automorphism,
                                  artin_conductor, character_table,
                                  conductor_discriminant_check,
                                  different_from_filtration, galois_group,
@@ -130,6 +131,16 @@ def test_non_galois_tower_rejected():
     K = build_field(3, [T.cyclotomic(9), T.kummer(9, {2: -6, 0: -2})])
     with pytest.raises(NonGaloisTowerError):
         galois_group(K)
+
+
+@pytest.mark.parametrize("p, steps", [
+    (3, [T.custom([-3, 3])]), (2, [T.kummer(2, 2)]),
+    (3, [T.cyclotomic(9), T.kummer(3, 3)]),
+    (3, [T.cyclotomic(3), T.custom([-2, 0])])])
+def test_other_shapes_have_no_galois_group(p, steps):
+    # only cyclotomic(p^r), alone or under kummer(p^r, a), is in scope
+    with pytest.raises(NonGaloisTowerError, match=r"cyclotomic\(p\^r\)"):
+        galois_group(build_field(p, steps))
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +325,34 @@ def test_character_table_p2_out_of_scope():
         character_table(2)
 
 
+@pytest.mark.parametrize("p", [1, 4, 9, 15])
+def test_character_table_rejects_a_non_prime_p(p):
+    # the scope is an odd prime p at r = 1; a non-prime p is refused
+    # before the unit group of Z/p is searched for a generator
+    with pytest.raises(ValueError, match=r"odd prime p and r = 1"):
+        character_table(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_characters_are_class_functions_on_the_classes(p):
+    # the table is built on the classes of _conjugacy_classes: each
+    # character is constant on each class, the classes partition the
+    # group of order p(p - 1), and the linear characters are
+    # homomorphisms
+    elems = [GaloisElement(a, b, p) for a in range(1, p) for b in range(p)]
+    classes = _conjugacy_classes(elems)
+    assert sum(len(cls) for _, cls in classes) == p * (p - 1)
+    chars = character_table(p)
+    for chi in chars:
+        assert set(chi.values) == set(elems)
+        for rep, cls in classes:
+            assert all(chi.value(s) == chi.value(rep) for s in cls)
+    for chi in (c for c in chars if c.dim == 1):
+        for g in elems:
+            for h in elems:
+                assert chi.value(_compose(g, h)) == chi.value(g) * chi.value(h)
+
+
 def test_character_table_built_once_per_p_and_frozen(monkeypatch):
     # the table is checked for orthogonality on its first build and then
     # shared, so its characters can be changed by no caller
@@ -331,8 +370,9 @@ def test_character_table_built_once_per_p_and_frozen(monkeypatch):
     assert isinstance(first, tuple) and len(first) == 7
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].dim = 2
+    one = GaloisElement(1, 0, 7)
     with pytest.raises(TypeError):
-        first[0].values["id"] = first[1].values["id"]
+        first[0].values[one] = first[1].values[one]
     # an out-of-scope call raises every time
     for _ in range(2):
         with pytest.raises(NotImplementedError):
@@ -344,10 +384,10 @@ def test_induced_character_values_match_induction():
     # (p-1) at 1, -1 on the tau class, 0 elsewhere
     for p in (3, 5):
         big = [c for c in character_table(p) if c.dim == p - 1][0]
-        assert big.values["id"].as_rational() == p - 1
-        assert big.values["tau"].as_rational() == -1
+        assert big.values[GaloisElement(1, 0, p)].as_rational() == p - 1
+        assert big.values[GaloisElement(1, 1, p)].as_rational() == -1
         for a in range(2, p):
-            assert big.values[f"s{a}"].as_rational() == 0
+            assert big.values[GaloisElement(a, 0, p)].as_rational() == 0
 
 
 def test_conductors_trivial_and_tame(K1):
@@ -402,12 +442,34 @@ def test_cycrat_arithmetic():
 
 def test_conductor_discriminant_bare_cyclotomic():
     # degree p-1 tame case: disc valuation p-2, each nontrivial character
-    # contributes one
+    # contributes one; the characters are the psi^k, trivial on tau
     for p in (3, 5, 7):
         F = build_field(p, [T.cyclotomic(p)])
         rep = conductor_discriminant_check(F)
         assert rep["match"]
         assert rep["sum_dim_times_conductor"] == p - 2
+        assert rep["conductors"] == {f"psi^{k}": int(k != 0)
+                                     for k in range(p - 1)}
+        assert rep["swan"] == {f"psi^{k}": 0 for k in range(p - 1)}
+        assert rep["filtration_breaks"] == [0]
+        assert rep["upper_numbering_breaks"] == ["0"]
+        assert rep["wild_char_conductor_over_cyclotomic"] == 0
+
+
+@pytest.mark.parametrize("p, r", [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                  (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_bare_cyclotomic_filtration(p, r):
+    # Gal(Q_p(zeta_(p^r))/Q_p) = (Z/p^r)^*, the sigma_{a,0}: Hilbert's sum is
+    # the different, the lower breaks are p^k - 1 (from k = 1 at p = 2,
+    # where G_0 = G_1) and the upper breaks are consecutive integers,
+    # the k with a break at p^k - 1
+    K = build_field(p, [T.cyclotomic(p ** r)])
+    elems = galois_group(K)
+    assert len(elems) == K.n and all(s.b == 0 for s in elems)
+    filt = ramification_filtration(K)
+    assert different_from_filtration(filt) == different_valuation(K)
+    assert filt.breaks == [p ** k - 1 for k in range(p == 2, r)]
+    assert upper_numbering_breaks(filt) == list(range(p == 2, r))
 
 
 def test_r2_filtration_matches_different():

@@ -21,15 +21,17 @@ M/2 it also hashes the (vec, s, m) of:
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials.
 
-On every Galois tower (cyclotomic(p^r) then kummer(p^r, rational)) it
-also hashes the sorted (a, b, i) triples of ``ramification_filtration``,
-so the Galois action and the filtration are covered too; the conductor
-report read from the filtration: ``different_from_filtration``,
-``breaks``, ``upper_numbering_breaks``, ``wild_subgroup_conductor`` and
-``order_at(i)`` for every i up to the largest i(sigma), and at r = 1 and
-odd p the Artin and Swan conductors of ``conductor_discriminant_check``;
-and the (vec, s, m) of ``l_invariant(p (1 + pi))``, which covers the
-logarithm.
+On every Galois tower (cyclotomic(p^r), bare or followed by
+kummer(p^r, rational)) it also hashes the sorted (a, b, i) triples of
+``ramification_filtration``, so the Galois action and the filtration
+are covered too; the conductor report read from the filtration:
+``different_from_filtration``, ``breaks``, ``upper_numbering_breaks``,
+``wild_subgroup_conductor`` and ``order_at(i)`` for every i up to the
+largest i(sigma), and at r = 1 and odd p, the bare Q_p(zeta_p)
+included, the Artin and Swan conductors of
+``conductor_discriminant_check``; and the (vec, s, m) of
+``l_invariant(p (1 + pi))``, which covers the logarithm.  A tower of
+another shape raises ``NonGaloisTowerError`` and is skipped here.
 
 The kernel of four integer layers (on Q_p) is also run at a modulus p^m
 wide enough for dense products to take the Karatsuba route: Q_5(zeta_25)
