@@ -18,7 +18,7 @@ from .fields import (TowerStep, LocalField, FieldElement, FieldError,
                      parse_zeta_poly)
 from .galois import (GaloisElement, RamificationFiltration, Character,
                      NonGaloisTowerError, galois_group, apply_automorphism,
-                     ramification_filtration, character_table,
+                     ramification_filtration, characters,
                      artin_conductor, swan_conductor,
                      conductor_discriminant_check, different_from_filtration)
 from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,

@@ -1,14 +1,14 @@
 """Galois action on Kummer-over-cyclotomic towers and conductor arithmetic.
 
 For K = Q_p(zeta_{p^r}, a^{1/p^r}) with rational radicand the group is the
-semidirect product Z/p^r x| (Z/p^r)^*, acting by
+semidirect product G = N x| U, N = Z/p^r and U = (Z/p^r)^*, acting by
 
     sigma_{a,b}:  zeta -> zeta^a,   theta -> zeta^b theta,
 
-and for the bare cyclotomic field Q_p(zeta_{p^r}) it is the (Z/p^r)^* of
-the sigma_{a,0}.  These elements are the one description of the group:
-the filtration, the conjugacy classes and, at r = 1, the character table
-(evaluated once per class, keyed by element) are all made from them.
+and for the bare cyclotomic field Q_p(zeta_{p^r}) it is the U of the
+sigma_{a,0} (N trivial).  These elements are the one description of the
+group: the filtration, the conjugacy classes and the characters are all
+made from them.
 
 sigma acts layer by layer: an exponent map and one fold on the
 cyclotomic layer, then Horner's rule over the image of each Kummer
@@ -18,153 +18,30 @@ f > 1, the least v_K(sigma(c) - c) over the frame deltas c of the
 unramified layers, which generate O_K with pi); i is a class function, so
 one sigma per conjugacy class is evaluated.  The filtration keeps i alone,
 and each invariant is one sum over the group (Serre, Local Fields, IV 1
-and VI 2): the different, the Herbrand images of the breaks, and the
-Artin and Swan conductors of characters, which are exact rational sums
-over a small cyclotomic coefficient field (never floating point).
+and VI 2): the different and the Herbrand images of the breaks.
+
+Every irreducible character of G is induced from a linear one, Ind_H^G
+theta with theta = psi_(p^k) lambda on H = N x| U_psi (Serre, Linear
+Representations of Finite Groups, 8.2 Prop. 25), so its Artin and Swan
+conductors come from the filtration by the induction formula (Local
+Fields, VI 2 Prop. 4) with theta's values as exact fractions in Q/Z:
+no character table and no floating point.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (FieldElement, FieldError, _unit_group,
                      discriminant_valuation)
-from .padic import is_prime
+from .padic import PrecisionError, _vp
 
 
 class NonGaloisTowerError(FieldError):
     pass
-
-
-# ----------------------------------------------------------------------
-# exact cyclotomic rationals for character values
-
-
-def _cyclotomic_poly(m):
-    # x^m - 1 divided by the product of Phi_d for proper divisors d
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_div(poly, _cyclotomic_poly(d))
-    return poly
-
-
-def _poly_div(num, den):
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        out[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    if any(c != 0 for c in num[:len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-class CycRat:
-    """Element of Q(zeta_m) as a rational vector modulo Phi_m."""
-
-    _tables = {}
-
-    __slots__ = ("m", "vec")
-
-    def __init__(self, m, vec):
-        self.m = m
-        self.vec = tuple(vec)
-
-    @classmethod
-    def _phi(cls, m):
-        tab = cls._tables.get(m)
-        if tab is None:
-            phi_poly = _cyclotomic_poly(m)
-            deg = len(phi_poly) - 1
-            # representation of zeta^t for t in [0, m)
-            rep = []
-            for t in range(m):
-                if t < deg:
-                    row = [Fraction(0)] * deg
-                    row[t] = Fraction(1)
-                else:
-                    # zeta^t = zeta * zeta^(t-1), zeta^deg folded by Phi_m
-                    prev = rep[t - 1]
-                    row = [Fraction(0)] + list(prev[:-1])
-                    for j in range(deg):
-                        row[j] -= prev[-1] * phi_poly[j]
-                rep.append(tuple(row))
-            tab = (deg, rep)
-            cls._tables[m] = tab
-        return tab
-
-    @classmethod
-    def zeta_power(cls, m, t):
-        deg, rep = cls._phi(m)
-        return cls(m, rep[t % m])
-
-    @classmethod
-    def rational(cls, m, q):
-        deg, _ = cls._phi(m)
-        vec = [Fraction(0)] * deg
-        vec[0] = Fraction(q)
-        return cls(m, vec)
-
-    def __add__(self, other):
-        return CycRat(self.m, [a + b for a, b in zip(self.vec, other.vec)])
-
-    def __sub__(self, other):
-        return CycRat(self.m, [a - b for a, b in zip(self.vec, other.vec)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycRat(self.m, [a * other for a in self.vec])
-        deg, rep = self._phi(self.m)
-        out = [Fraction(0)] * deg
-        for i, a in enumerate(self.vec):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.vec):
-                if b == 0:
-                    continue
-                row = rep[(i + j) % self.m] if i + j >= deg else None
-                if row is None:
-                    out[i + j] += a * b
-                else:
-                    for k2, r in enumerate(row):
-                        if r:
-                            out[k2] += a * b * r
-        return CycRat(self.m, out)
-
-    def conj(self):
-        """zeta -> zeta^{-1}."""
-        deg, rep = self._phi(self.m)
-        out = [Fraction(0)] * deg
-        for i, a in enumerate(self.vec):
-            if a == 0:
-                continue
-            row = rep[(-i) % self.m]
-            for k2, r in enumerate(row):
-                if r:
-                    out[k2] += a * r
-        return CycRat(self.m, out)
-
-    def as_rational(self):
-        if any(c != 0 for c in self.vec[1:]):
-            raise ArithmeticError("cyclotomic value is not rational")
-        return self.vec[0]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self.as_rational() == other
-            except ArithmeticError:
-                return False
-        return self.m == other.m and self.vec == other.vec
-
-    def __repr__(self):
-        return f"CycRat(m={self.m}, {self.vec})"
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +188,7 @@ class RamificationFiltration:
 
 
 def ramification_filtration(K, pi=None):
-    """Lower-numbering filtration of Gal(K/Q_p) for the Kummer shape.
+    """Lower-numbering filtration of Gal(K/Q_p) for a Galois tower.
 
     i_G(sigma) is a class function (Serre, Local Fields, IV 1), so it is
     evaluated on one representative per conjugacy class and copied to
@@ -332,11 +209,16 @@ def ramification_filtration(K, pi=None):
     for rep, cls in _conjugacy_classes(elems):
         if rep.is_identity:
             continue
-        i = (apply_automorphism(rep, pi) - pi).valuation()
-        for c in rhos:
-            dc = apply_automorphism(rep, c) - c
-            if not K.val_at_least(dc, i):
-                i = dc.valuation()
+        # the least certified move; a move zero to precision is only a
+        # bound, and must not lie below it
+        moves = [K.val_or_bound(apply_automorphism(rep, x) - x)
+                 for x in [pi] + rhos]
+        i = min((v for v, _ in moves if v is not None), default=None)
+        bound = min((b for v, b in moves if v is None), default=None)
+        if i is None or bound is not None and bound < i:
+            raise PrecisionError(
+                f"sigma_({rep.a},{rep.b}) acts as 1 to precision: least "
+                f"certified move {i}, a move zero to v >= {bound}")
         by_class.update(dict.fromkeys(cls, i))
     filt = RamificationFiltration(
         {sig: by_class[sig] for sig in elems if not sig.is_identity}, K)
@@ -365,108 +247,94 @@ def upper_numbering_breaks(filt):
 
 
 # ----------------------------------------------------------------------
-# characters of Z/p x| (Z/p)^* and conductors
+# irreducible characters, induced from linear ones, and conductors
 
 
 @dataclass(frozen=True)
 class Character:
-    """Character values on the elements sigma_{a,b} mod p of
-    Z/p x| (Z/p)^*, in Q(zeta_{p-1}); frozen, with read-only values, as
-    ``character_table`` shares one table."""
-    p: int
+    """Ind_H^G(theta), theta = psi_(p^k) lambda linear on H = N x| U_psi,
+    U_psi = {a = 1 mod p^(s-k)} for N = Z/p^s (s = 0 on the bare field):
+    theta(sigma_(a,b)) = p^k b / p^r + lambda(a) in Q/Z, and dim =
+    [U : U_psi]."""
     dim: int
-    values: types.MappingProxyType     # GaloisElement mod p -> CycRat
+    k: int
+    lam: types.MappingProxyType     # a in U_psi -> lambda(a) in [0, 1)
     label: str
 
-    def value(self, sigma):
-        p = self.p
-        return self.values[GaloisElement(sigma.a % p, sigma.b % p, p)]
+    def theta(self, sigma, p):
+        """theta(sigma) in [0, 1), or None for sigma outside H."""
+        lam = self.lam.get(sigma.a)
+        if lam is None:
+            return None
+        return (Fraction(p ** self.k * sigma.b, sigma.modulus) + lam) % 1
 
 
-def character_table(p, r=1):
-    """Exact character table of Z/p x| (Z/p)^* (the r = 1 Galois group).
-
-    p - 1 linear characters psi^k through (Z/p)^* plus one irreducible of
-    dimension p - 1, induced from a faithful character of the wild Z/p,
-    as a tuple of frozen characters, each evaluated once per conjugacy
-    class of ``_conjugacy_classes``.  The table is built and checked for
-    orthogonality once per (p, r) and then shared.
-    """
-    return _character_table(p, r)
+def _levels(K):
+    """(r, s) of the Galois tower K = Q_p(zeta_(p^r), a^(1/p^s)), s = 0
+    on the bare cyclotomic field."""
+    r = _vp(K.user_steps[0].modulus, K.p)
+    return r, r if len(K.user_steps) == 2 else 0
 
 
-@functools.lru_cache(maxsize=None)
-def _character_table(p, r):
-    if r != 1:
-        raise NotImplementedError("character tables are built for r = 1 only")
-    if p == 2 or not is_prime(p):
-        raise ValueError("character tables are built for an odd prime p "
-                         f"and r = 1 only; got p = {p}")
-    m = p - 1
-    # discrete log table for (Z/p)^*, cyclic of order p - 1
-    (powers,) = _unit_group(p, p)
-    dlog = {v: k for k, v in enumerate(powers)}
-    classes = _conjugacy_classes(
-        [GaloisElement(a, b, p) for a in range(1, p) for b in range(p)])
-
-    def character(dim, label, at_rep):
-        vals = {sig: at_rep(rep) for rep, cls in classes for sig in cls}
-        return Character(p, dim, types.MappingProxyType(vals), label)
-
-    chars = [character(1, f"psi^{k}",
-                       lambda rep, k=k: CycRat.zeta_power(m, k * dlog[rep.a]))
-             for k in range(m)]
-    # p - 1 at 1, -1 on the class of tau = sigma_{1,1}, 0 off the wild Z/p
-    chars.append(character(m, "induced", lambda rep: CycRat.rational(
-        m, m if rep.is_identity else -1 if rep.a == 1 else 0)))
-    _check_orthogonality(chars, p)
+def characters(filt):
+    """The irreducible characters of Gal(K/Q_p), K = filt.field (Serre,
+    Linear Representations of Finite Groups, 8.2 Prop. 25): for each
+    orbit k = s, ..., 0 of U on the characters of N, that of psi_(p^k),
+    one per distinct restriction lambda to U_psi of a character psi^t of
+    U, which maps g_1^x_1 g_2^x_2 to sum t_j x_j / |g_j| on the cyclic
+    factors g_j of ``_unit_group``.  Labels: psi^t at k = s (trivial on
+    N), induced at k = 0 and induced^k psi^t between, t the least
+    exponent with that restriction (t_1,t_2 when U has two factors)."""
+    K = filt.field
+    p, (r, s) = K.p, _levels(K)
+    factors, coords = _unit_group(p ** r, p), {1: ()}
+    for gens in factors:
+        coords = {a * g % p ** r: xs + (x,) for a, xs in coords.items()
+                  for x, g in enumerate(gens)}
+    chars = []
+    for k in range(s, -1, -1):
+        stab = sorted(a for a in coords if (a - 1) % p ** (s - k) == 0)
+        restrictions = {}
+        for t in itertools.product(*map(range, map(len, factors))):
+            lam = tuple((a, sum(Fraction(tj * xj, len(g)) for tj, xj, g
+                                in zip(t, coords[a], factors)) % 1)
+                        for a in stab)
+            restrictions.setdefault(lam, "psi^" + ",".join(map(str, t)))
+        for lam, psi in restrictions.items():
+            label = psi if k == s else "induced" if k == 0 else \
+                f"induced^{k} {psi}"
+            chars.append(Character(len(coords) // len(stab), k,
+                                   types.MappingProxyType(dict(lam)), label))
     return tuple(chars)
 
 
-def _check_orthogonality(chars, p):
-    order = p * (p - 1)
-    m = p - 1
-    if sum(c.dim ** 2 for c in chars) != order:
-        raise ArithmeticError("character table: sum of dim^2 != |G|")
-    # every character is defined on the whole group
-    classes = _conjugacy_classes(list(chars[0].values))
-    for i, ci in enumerate(chars):
-        for j, cj in enumerate(chars):
-            acc = CycRat.rational(m, 0)
-            for rep, cls in classes:
-                acc = acc + ci.values[rep] * cj.values[rep].conj() * len(cls)
-            want = Fraction(order if i == j else 0)
-            if acc.as_rational() != want:
-                raise ArithmeticError("character orthogonality failed")
-
-
-def _conductor_sum(chi, filt, weight):
-    """(1/|G_0|) sum over sigma != 1 of weight(i(sigma)) (chi(1) - chi(sigma)),
-    which must be an integer."""
-    acc, total = CycRat.rational(chi.p - 1, 0), 0
-    for sig, i in filt.i_values.items():
-        w = weight(i)
-        if w:
-            acc = acc + chi.value(sig) * w
-            total += w
-    out = Fraction(chi.dim * total - acc.as_rational(), filt.order_at(0))
-    if out.denominator != 1:
-        raise ArithmeticError(
-            f"conductor is not an integer: {out} (filtration/character mismatch)")
-    return int(out)
-
-
 def artin_conductor(chi, filt):
-    """Artin conductor exponent f(chi) = (1/|G_0|) sum over sigma != 1 of
-    i(sigma) (chi(1) - chi(sigma)), the Artin character a_G (Serre, Local
-    Fields, VI 2)."""
-    return _conductor_sum(chi, filt, lambda i: i)
+    """Artin conductor exponent of chi = Ind_H^G(theta): v_p(d_K') +
+    f(theta) for the fixed field K' = Q_p(zeta_(p^c)) of H, c = s - k,
+    totally ramified with v_p(d_K') = c phi(p^c) - p^(c-1) (Serre, Local
+    Fields, VI 2 Prop. 4).  For linear theta, f(theta) = sum_(i=0..j)
+    |H_i|/|H_0|, j the last i with theta nontrivial on H_i = G_i cap H
+    (IV 1 Prop. 2), that is (J + sum over sigma != 1 in H of
+    min(J, i(sigma))) / |H_0| with J = j + 1; it must be an integer."""
+    K = filt.field
+    p, (_, s) = K.p, _levels(K)
+    c = s - chi.k
+    ivals = [(chi.theta(sig, p), i) for sig, i in filt.i_values.items()
+             if sig.a in chi.lam]           # sigma in H
+    J = max((i for t, i in ivals if t), default=0)
+    f = Fraction(J + sum(min(J, i) for _, i in ivals),
+                 1 + sum(i > 0 for _, i in ivals))
+    if f.denominator != 1:
+        raise ArithmeticError(
+            f"conductor is not an integer: {f} (filtration/character mismatch)")
+    return (c * (p ** c - p ** (c - 1)) - p ** (c - 1) if c else 0) + int(f)
 
 
 def swan_conductor(chi, filt):
-    """Swan conductor: the same sum with max(i(sigma) - 1, 0), that is
-    without the tame index i = 0."""
-    return _conductor_sum(chi, filt, lambda i: max(i - 1, 0))
+    """Swan conductor f(chi) - chi(1) when f(chi) > 0, that is chi is
+    nontrivial on G_0 and so V^(G_0) = 0 (chi irreducible), else 0."""
+    f = artin_conductor(chi, filt)
+    return f - chi.dim if f else 0
 
 
 def wild_subgroup_conductor(filt):
@@ -480,36 +348,19 @@ def wild_subgroup_conductor(filt):
 
 def conductor_discriminant_check(K):
     """Exact conductor-discriminant identity sum chi(1) f(chi) = v_p(disc)
-    for the r = 1 Kummer shape Q_p(zeta_p, a^(1/p)) and the bare
-    Q_p(zeta_p), odd p, through one filtration and one character table.
-    Gal(Q_p(zeta_p)/Q_p) is the quotient of Z/p x| (Z/p)^* by the wild
-    Z/p = <tau>, tau = sigma_{1,1}, so its characters are the table's
-    characters that are trivial on tau, the psi^k.
+    on every tower ``galois_group`` accepts, through one filtration and
+    the induced characters; the bare Q_p(zeta_(p^r)) is s = 0, whose
+    characters are the psi^t of (Z/p^r)^*.
 
     Returns a report with both sides, the per-character Artin and Swan
     conductors and the lower and upper breaks; a mismatch raises.
     """
-    p = K.p
-    steps = K.user_steps
-    cyc = steps[0].modulus if steps and steps[0].kind == "cyclotomic" else None
-    if p == 2 or cyc not in (None, p):
-        # character_table is the r = 1 table of Z/p x| (Z/p)^*; at p = 2
-        # every Kummer tower has r >= 2
-        raise FieldError(
-            "conductor-discriminant check covers the r = 1 Kummer shape "
-            "Q_p(zeta_p, a^(1/p)) and bare Q_p(zeta_p), odd p only; "
-            f"got p = {p}" + (f", zeta_{cyc}" if cyc else ""))
     filt = ramification_filtration(K)
-    chars = character_table(p)
-    if len(steps) == 1:
-        tau = GaloisElement(1, 1, p)
-        chars = [chi for chi in chars if chi.value(tau) == chi.dim]
-    conductors = {}
-    lhs = 0
-    for chi in chars:
-        f = artin_conductor(chi, filt)
-        conductors[chi.label] = f
-        lhs += chi.dim * f
+    chars = characters(filt)
+    if sum(chi.dim ** 2 for chi in chars) != K.n:
+        raise ArithmeticError("irreducible characters: sum of dim^2 != |G|")
+    conductors = {chi.label: artin_conductor(chi, filt) for chi in chars}
+    lhs = sum(chi.dim * conductors[chi.label] for chi in chars)
     rhs = discriminant_valuation(K)
     report = {
         "field": K.name,

@@ -167,12 +167,22 @@ def test_tate_singular_curve(capsys):
     assert "singular curve" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["p=3 r=2 rad=3", "p=2 r=2 rad=3"])
-def test_conductor_out_of_scope_names_scope(spec, capsys):
-    code = run_cli("conductor", spec)
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "r = 1 Kummer shape" in err and "odd p" in err
+@pytest.mark.parametrize("spec, v_disc", [
+    pytest.param(spec, v, id=spec) for spec, v in (
+        ("p=3 r=2 rad=3", 165), ("p=2 r=2 rad=3", 16),
+        ("p=3 r=1 rad=1+z", None))])
+def test_conductor_out_of_scope_names_scope(spec, v_disc, tmp_path, capsys):
+    # r = 2 and p = 2 are in scope: the report holds the identity; the
+    # scope is the Galois shape, and a zeta-polynomial radicand is refused
+    # with the NonGaloisTowerError that names it
+    code, text = run_capture(tmp_path, "--format", "json", "conductor", spec)
+    if v_disc is None:
+        assert code == 3
+        assert "not certified Galois over Q_p" in capsys.readouterr().err
+    else:
+        rep = json.loads(text)
+        assert code == 0 and rep["match"] is True
+        assert rep["sum_dim_times_conductor"] == rep["disc_valuation"] == v_disc
 
 
 def test_console_entry_point():

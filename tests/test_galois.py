@@ -1,15 +1,19 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from anabelomorph.fields import (FieldElement, TowerStep, build_field,
-                                 different_valuation, discriminant_valuation)
-from anabelomorph.galois import (CycRat, GaloisElement, NonGaloisTowerError,
+from anabelomorph.fields import (DegreeDropError, FieldElement, TowerStep,
+                                 build_field, different_valuation,
+                                 discriminant_valuation)
+from anabelomorph.galois import (GaloisElement, NonGaloisTowerError,
                                  _compose, _conjugacy_classes, _inverse,
-                                 apply_automorphism,
-                                 artin_conductor, character_table,
-                                 conductor_discriminant_check,
+                                 apply_automorphism, artin_conductor,
+                                 characters, conductor_discriminant_check,
                                  different_from_filtration, galois_group,
                                  ramification_filtration, swan_conductor,
                                  upper_numbering_breaks,
@@ -189,7 +193,9 @@ def test_groups_normal_and_tame_quotient_cyclic(K1):
 
 
 def _filtration_every_sigma(K):
-    """i_values by v_K(sigma pi - pi) and the rho moves on every sigma."""
+    """i_values by v_K(sigma pi - pi) and the rho moves on every sigma:
+    the least certified move, which no move known only by a bound (zero
+    to precision) may undercut."""
     rhos, fld = [], K
     while fld.base is not None:
         if fld.f > fld.base.f:
@@ -198,13 +204,10 @@ def _filtration_every_sigma(K):
     out = {}
     for sig in galois_group(K):
         if not sig.is_identity:
-            i = (apply_automorphism(sig, K.pi) - K.pi).valuation()
-            for c in rhos:
-                # a rho that sigma fixes is zero to precision: no bound
-                dc = apply_automorphism(sig, c) - c
-                if not K.val_at_least(dc, i):
-                    i = dc.valuation()
-            out[sig] = i
+            moves = [K.val_or_bound(apply_automorphism(sig, x) - x)
+                     for x in [K.pi] + rhos]
+            out[sig] = min(v for v, _ in moves if v is not None)
+            assert all(v is not None or b >= out[sig] for v, b in moves)
     return out
 
 
@@ -212,7 +215,7 @@ def _filtration_every_sigma(K):
 # invariants workload's towers with both of its b^(p^r) radicand factors
 _CLASS_TOWERS = (
     [(3, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 4), (3, 2, -7), (3, 2, 2),
-     (5, 1, 5), (5, 1, 6), (2, 2, 5), (2, 3, 3)]
+     (5, 1, 5), (5, 1, 6), (2, 2, 5), (2, 2, 3), (2, 3, 3)]
     + [(p, r, a * b ** (p ** r))
        for p, r, a in [(3, 1, 3), (5, 1, 5), (7, 1, 7), (3, 1, 4), (5, 1, 6),
                        (7, 1, 8), (3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5),
@@ -241,17 +244,57 @@ def _groups_by_index(K, ivals):
     return groups
 
 
-def _conductor_by_index(chi, groups, start):
-    """sum_{i >= start} (|G_i|/|G_0|) (chi(1) - avg_{G_i} chi): the Artin
+def _invariant_dim(chi, grp, p):
+    """dim V^(G_i) of chi = Ind_H^G(theta), G_i = grp, by Mackey: one for
+    each double coset G_i x H, x = sigma_(c,0), on which theta(x^-1 g x)
+    is 0 for every g in G_i cap H.  The cosets x H are the classes
+    c U_psi, and G_i moves them by its a's."""
+    m = grp[0].modulus
+    units = [a for a in range(1, m) if a % p]
+    cosets = {frozenset(c * u % m for u in chi.lam) for c in units}
+    seen, count = set(), 0
+    for coset in sorted(cosets, key=min):
+        if coset not in seen:
+            seen |= {frozenset(g.a * a % m for a in coset) for g in grp}
+            x = GaloisElement(min(coset), 0, m)
+            count += all(
+                chi.theta(_compose(_compose(_inverse(x), g), x), p) == 0
+                for g in grp if chi.theta(g, p) is not None)
+    return count
+
+
+def _conductor_by_index(chi, groups, p, start):
+    """sum_{i >= start} (|G_i|/|G_0|) (chi(1) - dim V^(G_i)): the Artin
     conductor at start = 0, the Swan conductor at start = 1."""
-    total = Fraction(0)
-    for grp in groups[start:]:
-        acc = CycRat.rational(chi.p - 1, 0)
-        for s in grp:
-            acc = acc + chi.value(s)
-        total += (Fraction(len(grp), len(groups[0]))
-                  * (chi.dim - acc.as_rational() / len(grp)))
-    return total
+    return sum((Fraction(len(grp), len(groups[0]))
+                * (chi.dim - _invariant_dim(chi, grp, p))
+                for grp in groups[start:]), Fraction(0))
+
+
+def _dirichlet_exponent(chi, p):
+    """The least c with lambda trivial on {a = 1 mod p^c}: the conductor
+    exponent of a character of (Z/p^r)^*."""
+    return next(c for c in itertools.count()
+                if all(v == 0 for a, v in chi.lam.items()
+                       if (a - 1) % p ** c == 0))
+
+
+def _check_conductors_by_index(K, filt):
+    """Every character's Artin and Swan conductor against the per-index
+    definitions, and every character trivial on N (k = s) against its
+    Dirichlet conductor exponent."""
+    groups = _groups_by_index(K, filt.i_values)
+    chars = characters(filt)
+    assert len({chi.label for chi in chars}) == len(chars)
+    assert sum(chi.dim ** 2 for chi in chars) == K.n
+    top = max(chi.k for chi in chars)
+    for chi in chars:
+        f = artin_conductor(chi, filt)
+        assert f == _conductor_by_index(chi, groups, K.p, 0)
+        assert swan_conductor(chi, filt) == _conductor_by_index(
+            chi, groups, K.p, 1)
+        if chi.k == top:
+            assert f == _dirichlet_exponent(chi, K.p)
 
 
 @pytest.mark.parametrize("p, r, rad", _CLASS_TOWERS)
@@ -273,22 +316,26 @@ def test_invariants_match_the_per_index_definitions(p, r, rad):
     assert wild_subgroup_conductor(filt) == sum(
         any(s.a % s.modulus == 1 and not s.is_identity for s in grp)
         for grp in groups)
-    if r == 1 and p != 2:
-        for chi in character_table(p):
-            assert artin_conductor(chi, filt) == _conductor_by_index(
-                chi, groups, 0)
-            assert swan_conductor(chi, filt) == _conductor_by_index(
-                chi, groups, 1)
+    _check_conductors_by_index(K, filt)
 
 
 @pytest.mark.slow
 def test_degree_500_filtration():
-    # 26 conjugacy classes: 25 sigma evaluations instead of 499
-    K = build_field(5, [T.cyclotomic(25), T.kummer(25, 5)])
-    filt = ramification_filtration(K)
-    assert (different_from_filtration(filt) == discriminant_valuation(K)
-            == 1515)
-    assert filt.breaks == [0, 4, 9, 109]
+    # 26 conjugacy classes: 25 sigma evaluations instead of 499; the
+    # conductors of the 26 irreducibles give the discriminant, and the
+    # dim-20 one, induced from the faithful orbit, separates the
+    # anabelomorphic radicands 5 and 6
+    for rad, disc, induced in ((5, 1515, 65), (6, 1083, 45)):
+        K = build_field(5, [T.cyclotomic(25), T.kummer(25, rad)])
+        filt = ramification_filtration(K)
+        assert (different_from_filtration(filt) == discriminant_valuation(K)
+                == disc)
+        if rad == 5:
+            assert filt.breaks == [0, 4, 9, 109]
+        dim_f = [(chi.dim, artin_conductor(chi, filt))
+                 for chi in characters(filt)]
+        assert sum(dim * f for dim, f in dim_f) == disc
+        assert [f for dim, f in dim_f if dim == 20] == [induced]
 
 
 def test_filtration_pi_independent(K1):
@@ -303,96 +350,79 @@ def test_filtration_pi_independent(K1):
 # characters and conductors
 
 
+def _r1_characters(p):
+    """The characters of Gal(Q_p(zeta_p, p^(1/p))/Q_p) = Z/p x| (Z/p)^*."""
+    K = build_field(p, [T.cyclotomic(p), T.kummer(p, p)])
+    return galois_group(K), characters(ramification_filtration(K))
+
+
 def test_character_table_p3():
-    chars = character_table(3)
-    assert sorted(c.dim for c in chars) == [1, 1, 2]
-    triv = chars[0]
-    assert all(v.as_rational() == 1 for v in triv.values.values())
+    elems, chars = _r1_characters(3)
+    assert [(c.dim, c.label) for c in chars] == [
+        (1, "psi^0"), (1, "psi^1"), (2, "induced")]
+    assert all(chars[0].theta(s, 3) == 0 for s in elems)
 
 
 def test_character_table_p5():
-    chars = character_table(5)
+    _, chars = _r1_characters(5)
     assert sorted(c.dim for c in chars) == [1, 1, 1, 1, 4]
 
 
-def test_character_table_r2_out_of_scope():
-    with pytest.raises(NotImplementedError):
-        character_table(3, r=2)
-
-
-def test_character_table_p2_out_of_scope():
-    with pytest.raises(ValueError, match="odd p"):
-        character_table(2)
-
-
-@pytest.mark.parametrize("p", [1, 4, 9, 15])
-def test_character_table_rejects_a_non_prime_p(p):
-    # the scope is an odd prime p at r = 1; a non-prime p is refused
-    # before the unit group of Z/p is searched for a generator
-    with pytest.raises(ValueError, match=r"odd prime p and r = 1"):
-        character_table(p)
+def _induced_value(chi, g, p, elems):
+    """Ind_H^G theta (g) as the sorted exponents q of its roots of unity
+    exp(2 pi i q): theta(x^-1 g x) over the coset representatives x =
+    sigma_(c,0) of G/H, none when g is off H (H is normal)."""
+    m = g.modulus
+    reps, covered = [], set()
+    for s in elems:
+        if s.b == 0 and s.a not in covered:
+            reps.append(s)
+            covered |= {s.a * u % m for u in chi.lam}
+    if chi.theta(g, p) is None:
+        return []
+    return sorted(chi.theta(_compose(_compose(_inverse(x), g), x), p)
+                  for x in reps)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_characters_are_class_functions_on_the_classes(p):
-    # the table is built on the classes of _conjugacy_classes: each
-    # character is constant on each class, the classes partition the
-    # group of order p(p - 1), and the linear characters are
+    # each induced character, as its multiset of roots of unity, is
+    # constant on each class of _conjugacy_classes, the classes partition
+    # the group of order p(p - 1), and the linear characters are
     # homomorphisms
-    elems = [GaloisElement(a, b, p) for a in range(1, p) for b in range(p)]
+    elems, chars = _r1_characters(p)
     classes = _conjugacy_classes(elems)
     assert sum(len(cls) for _, cls in classes) == p * (p - 1)
-    chars = character_table(p)
     for chi in chars:
-        assert set(chi.values) == set(elems)
         for rep, cls in classes:
-            assert all(chi.value(s) == chi.value(rep) for s in cls)
+            want = _induced_value(chi, rep, p, elems)
+            assert all(_induced_value(chi, s, p, elems) == want for s in cls)
     for chi in (c for c in chars if c.dim == 1):
         for g in elems:
             for h in elems:
-                assert chi.value(_compose(g, h)) == chi.value(g) * chi.value(h)
-
-
-def test_character_table_built_once_per_p_and_frozen(monkeypatch):
-    # the table is checked for orthogonality on its first build and then
-    # shared, so its characters can be changed by no caller
-    import dataclasses
-    from anabelomorph import galois
-    checks = []
-    check = galois._check_orthogonality
-    monkeypatch.setattr(galois, "_check_orthogonality",
-                        lambda chars, p: checks.append(p) or check(chars, p))
-    galois._character_table.cache_clear()
-    first = character_table(7)
-    assert checks == [7]
-    assert character_table(7) is first and character_table(7, r=1) is first
-    assert checks == [7]
-    assert isinstance(first, tuple) and len(first) == 7
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first[0].dim = 2
-    one = GaloisElement(1, 0, 7)
-    with pytest.raises(TypeError):
-        first[0].values[one] = first[1].values[one]
-    # an out-of-scope call raises every time
-    for _ in range(2):
-        with pytest.raises(NotImplementedError):
-            character_table(3, r=2)
+                assert chi.theta(_compose(g, h), p) == (
+                    chi.theta(g, p) + chi.theta(h, p)) % 1
 
 
 def test_induced_character_values_match_induction():
-    # induction from the wild Z/p of a faithful character: values are
-    # (p-1) at 1, -1 on the tau class, 0 elsewhere
+    # induction from the wild Z/p of a faithful character: p - 1 roots of
+    # unity 1 at the identity, the nontrivial p-th roots (sum -1) on the
+    # tau class, none (0) off the wild Z/p
     for p in (3, 5):
-        big = [c for c in character_table(p) if c.dim == p - 1][0]
-        assert big.values[GaloisElement(1, 0, p)].as_rational() == p - 1
-        assert big.values[GaloisElement(1, 1, p)].as_rational() == -1
+        elems, chars = _r1_characters(p)
+        big = [c for c in chars if c.dim == p - 1][0]
+        assert _induced_value(big, GaloisElement(1, 0, p), p, elems) == [
+            Fraction(0)] * (p - 1)
+        assert _induced_value(big, GaloisElement(1, 1, p), p, elems) == [
+            Fraction(j, p) for j in range(1, p)]
         for a in range(2, p):
-            assert big.values[GaloisElement(a, 0, p)].as_rational() == 0
+            assert _induced_value(big, GaloisElement(a, 0, p), p,
+                                  elems) == []
 
 
 def test_conductors_trivial_and_tame(K1):
     filt = ramification_filtration(K1)
-    chars = character_table(3)
+    chars = characters(filt)
     triv = next(c for c in chars if c.label == "psi^0")
     tame = next(c for c in chars if c.label == "psi^1")
     assert artin_conductor(triv, filt) == 0
@@ -430,14 +460,48 @@ def test_conductor_discriminant_p5():
     assert rep["conductors"]["induced"] == 9   # 2p - 1
 
 
-def test_cycrat_arithmetic():
-    i = CycRat.zeta_power(4, 1)
-    assert (i * i).as_rational() == -1
-    z6 = CycRat.zeta_power(6, 1)
-    acc = CycRat.rational(6, 0)
-    for t in range(6):
-        acc = acc + CycRat.zeta_power(6, t)
-    assert acc.as_rational() == 0
+def test_r2_pair_conductor_multisets():
+    # the paper's theorem at r = 2: Q_3(zeta_9, 3^(1/9)) and
+    # Q_3(zeta_9, 4^(1/9)) are anabelomorphic, and the (dim, f) multisets
+    # of their irreducible characters differ from dimension 2 on
+    from anabelomorph.anabelomorphy import (ANABELOMORPHIC, KummerFieldSpec,
+                                            jarden_ritter)
+    v = jarden_ritter(KummerFieldSpec(3, 2, 3), KummerFieldSpec(3, 2, 4))
+    assert v.status == ANABELOMORPHIC
+    want = {3: {(1, 0): 1, (1, 1): 1, (1, 2): 4, (2, 5): 3, (6, 21): 1},
+            4: {(1, 0): 1, (1, 1): 1, (1, 2): 4, (2, 3): 1, (2, 4): 2,
+                (6, 15): 1}}
+    for rad, multiset in want.items():
+        K = build_field(3, [T.cyclotomic(9), T.kummer(9, rad)])
+        filt = ramification_filtration(K)
+        chars = characters(filt)
+        assert Counter((chi.dim, artin_conductor(chi, filt))
+                       for chi in chars) == multiset
+        rep = conductor_discriminant_check(K)
+        assert rep["sum_dim_times_conductor"] == discriminant_valuation(K)
+        assert rep["conductors"]["induced"] == (21 if rad == 3 else 15)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pr=st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]),
+       num=st.integers(-50, 50).filter(bool), den=st.integers(1, 12))
+def test_conductors_on_drawn_galois_towers(pr, num, den):
+    # every Galois tower with p^r <= 9 and a rational radicand: integral
+    # conductors, sum dim^2 = |G| and the conductor-discriminant identity
+    p, r = pr
+    try:
+        K = build_field(p, [T.cyclotomic(p ** r),
+                            T.kummer(p ** r, Fraction(num, den))])
+    except DegreeDropError:
+        return
+    filt = ramification_filtration(K)
+    chars = characters(filt)
+    fs = [artin_conductor(chi, filt) for chi in chars]
+    assert all(type(f) is int and f >= 0 for f in fs)
+    assert sum(chi.dim ** 2 for chi in chars) == K.n
+    assert (sum(chi.dim * f for chi, f in zip(chars, fs))
+            == discriminant_valuation(K))
 
 
 def test_conductor_discriminant_bare_cyclotomic():
@@ -470,6 +534,9 @@ def test_bare_cyclotomic_filtration(p, r):
     assert different_from_filtration(filt) == different_valuation(K)
     assert filt.breaks == [p ** k - 1 for k in range(p == 2, r)]
     assert upper_numbering_breaks(filt) == list(range(p == 2, r))
+    # the psi^t of (Z/p^r)^*, each with its Dirichlet conductor exponent
+    _check_conductors_by_index(K, filt)
+    assert conductor_discriminant_check(K)["match"]
 
 
 def test_r2_filtration_matches_different():
@@ -493,6 +560,23 @@ def test_f2_filtration_matches_different(p, r, rad, want):
     assert len(filt.group(0)) == K.e          # G_0 is the inertia group
     assert (sum(filt.i_values.values()) == different_from_filtration(filt)
             == different_valuation(K) == want)
+
+
+@pytest.mark.parametrize("rad", [3, 11])
+def test_f2_filtration_where_sigma_fixes_pi(rad):
+    # Q_2(zeta_4, rad^(1/4)), n = 8, e = 4, f = 2: some sigma outside
+    # inertia fixes pi exactly and moves only the unramified frame delta,
+    # by a unit, so i(sigma) = 0
+    K = build_field(2, [T.cyclotomic(4), T.kummer(4, rad)])
+    assert (K.n, K.e, K.f) == (8, 4, 2)
+    assert any((apply_automorphism(s, K.pi) - K.pi).is_zero_to_precision()
+               for s in galois_group(K) if not s.is_identity)
+    filt = ramification_filtration(K)
+    assert different_from_filtration(filt) == different_valuation(K) == 8
+    assert filt.breaks == [1, 3]
+    assert filt.order_at(0) == K.e == 4
+    rep = conductor_discriminant_check(K)
+    assert rep["sum_dim_times_conductor"] == discriminant_valuation(K) == 16
 
 
 def test_upper_numbering_derived_report(K1):
