@@ -26,9 +26,8 @@ kummer(p^r, rational)) it also hashes the sorted (a, b, i) triples of
 ``ramification_filtration``, so the Galois action and the filtration
 are covered too; the conductor report read from the filtration:
 ``different_from_filtration``, ``breaks``, ``upper_numbering_breaks``,
-``wild_subgroup_conductor`` and ``order_at(i)`` for every i up to the
-largest i(sigma), and at r = 1 and odd p, the bare Q_p(zeta_p)
-included, the Artin and Swan conductors of
+``wild_subgroup_conductor``, ``order_at(i)`` for every i up to the
+largest i(sigma), and the Artin and Swan conductors of
 ``conductor_discriminant_check``; and the (vec, s, m) of
 ``l_invariant(p (1 + pi))``, which covers the logarithm.  A tower of
 another shape raises ``NonGaloisTowerError`` and is skipped here.
@@ -142,6 +141,7 @@ def towers(T):
         "kummer Q_2 unramified": (2, [T.kummer(2, 5)]),
         "kummer Q_2(i) d=2": (2, [T.cyclotomic(4), T.kummer(2, 3)]),
         "kummer Q_2(i) 5^(1/4)": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
+        "kummer Q_2(i) 3^(1/4)": (2, [T.cyclotomic(4), T.kummer(4, 3)]),
         "custom Q_2(i) d=3": (2, [T.cyclotomic(4), T.custom([-2, 0, 0])]),
         "cyclo 3": (3, [T.cyclotomic(3)]),
         "cyclo 9": (3, [T.cyclotomic(9)]),
@@ -376,16 +376,14 @@ def l_invariant_digest(F, E, p, r, rad):
 
 
 def conductor_report(G, K, filt):
-    """The invariants read from the filtration of the Galois tower K; at
-    r = 1 and odd p also its Artin and Swan conductors."""
-    out = [G.different_from_filtration(filt), filt.breaks,
-           [str(u) for u in G.upper_numbering_breaks(filt)],
-           G.wild_subgroup_conductor(filt),
-           [filt.order_at(i) for i in range(max(filt.i_values.values()) + 1)]]
-    if K.p != 2 and K.user_steps[0].modulus == K.p:
-        rep = G.conductor_discriminant_check(K)
-        out += [sorted(rep["conductors"].items()), sorted(rep["swan"].items())]
-    return out
+    """The invariants read from the filtration of the Galois tower K and
+    its Artin and Swan conductors."""
+    rep = G.conductor_discriminant_check(K)
+    return [G.different_from_filtration(filt), filt.breaks,
+            [str(u) for u in G.upper_numbering_breaks(filt)],
+            G.wild_subgroup_conductor(filt),
+            [filt.order_at(i) for i in range(max(filt.i_values.values()) + 1)],
+            sorted(rep["conductors"].items()), sorted(rep["swan"].items())]
 
 
 def tower_digest(F, G, E, name, p, steps):
