@@ -259,7 +259,8 @@ def build_parser():
     s.set_defaults(func=cmd_disc)
 
     s = sub.add_parser("conductor", parents=[common],
-                       help="filtration and Artin/Swan conductors of a Galois tower")
+                       help="filtration and Artin/Swan conductors of a "
+                            "Galois tower")
     s.add_argument("spec")
     s.set_defaults(func=cmd_conductor)
 

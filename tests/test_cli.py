@@ -182,7 +182,8 @@ def test_conductor_out_of_scope_names_scope(spec, v_disc, tmp_path, capsys):
     else:
         rep = json.loads(text)
         assert code == 0 and rep["match"] is True
-        assert rep["sum_dim_times_conductor"] == rep["disc_valuation"] == v_disc
+        assert (rep["sum_dim_times_conductor"] == rep["disc_valuation"]
+                == v_disc)
 
 
 def test_console_entry_point():
