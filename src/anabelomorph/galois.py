@@ -272,8 +272,9 @@ class Character:
 def _levels(K):
     """(r, s) of the Galois tower K = Q_p(zeta_(p^r), a^(1/p^s)), s = 0
     on the bare cyclotomic field."""
-    r = _vp(K.user_steps[0].modulus, K.p)
-    return r, r if len(K.user_steps) == 2 else 0
+    steps = K.user_steps
+    return (_vp(steps[0].modulus, K.p),
+            _vp(steps[1].exponent, K.p) if len(steps) == 2 else 0)
 
 
 def characters(filt):
@@ -349,8 +350,7 @@ def wild_subgroup_conductor(filt):
 def conductor_discriminant_check(K):
     """Exact conductor-discriminant identity sum chi(1) f(chi) = v_p(disc)
     on every tower ``galois_group`` accepts, through one filtration and
-    the induced characters; the bare Q_p(zeta_(p^r)) is s = 0, whose
-    characters are the psi^t of (Z/p^r)^*.
+    the induced characters (the bare Q_p(zeta_(p^r)) is s = 0).
 
     Returns a report with both sides, the per-character Artin and Swan
     conductors and the lower and upper breaks; a mismatch raises.

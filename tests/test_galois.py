@@ -338,6 +338,16 @@ def test_degree_500_filtration():
         assert [f for dim, f in dim_f if dim == 20] == [induced]
 
 
+@pytest.mark.slow
+def test_r3_conductor_identity():
+    # Q_3(zeta_27, 3^(1/27)), degree 486: 31 irreducibles up to dimension
+    # 18, and the identity at v_3(disc) = 1983
+    K = build_field(3, [T.cyclotomic(27), T.kummer(27, 3)])
+    rep = conductor_discriminant_check(K)
+    assert rep["sum_dim_times_conductor"] == 1983
+    assert rep["conductors"]["induced"] == 81
+
+
 def test_filtration_pi_independent(K1):
     f1 = ramification_filtration(K1)
     pi2 = K1.pi * (K1.one() + K1.pi)
@@ -484,12 +494,12 @@ def test_r2_pair_conductor_multisets():
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(pr=st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]),
+@given(p_r=st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]),
        num=st.integers(-50, 50).filter(bool), den=st.integers(1, 12))
-def test_conductors_on_drawn_galois_towers(pr, num, den):
+def test_conductors_on_drawn_galois_towers(p_r, num, den):
     # every Galois tower with p^r <= 9 and a rational radicand: integral
     # conductors, sum dim^2 = |G| and the conductor-discriminant identity
-    p, r = pr
+    p, r = p_r
     try:
         K = build_field(p, [T.cyclotomic(p ** r),
                             T.kummer(p ** r, Fraction(num, den))])
