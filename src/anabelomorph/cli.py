@@ -18,7 +18,8 @@ from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
                             KummerFieldSpec, jarden_ritter, parse_kummer_spec)
 from .elliptic import (WeierstrassModel, parse_curve, tate_algorithm,
                        weak_amphoricity_report)
-from .fields import FieldError, discriminant_valuation, parse_field_spec
+from .fields import (DEFAULT_DIGITS, FieldError, discriminant_valuation,
+                     parse_field_spec)
 from .galois import conductor_discriminant_check
 from .padic import PadicError, PrecisionError
 
@@ -104,7 +105,8 @@ def cmd_tate(args, config):
         rd = tate_algorithm(model)
     except PrecisionError:
         # one retry at doubled working precision
-        K2, _ = _field_from_spec(args.spec, 2 * (config.prec or 64))
+        K2, _ = _field_from_spec(args.spec,
+                                 2 * (config.prec or DEFAULT_DIGITS))
         rd = tate_algorithm(WeierstrassModel.from_a_invariants(K2, *coeffs))
     if config.fmt == "json":
         config.write(json.dumps(rd.to_dict(K.name)) + "\n")
@@ -236,7 +238,8 @@ def build_parser():
     S = argparse.SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=S,
-                        help="working precision in base-p digits (default 64)")
+                        help="working precision in base-p digits "
+                        f"(default {DEFAULT_DIGITS})")
     common.add_argument("--format", dest="fmt", default=S,
                         choices=["json", "csv", "pretty"])
     common.add_argument("--out", default=S, help="write output to this path")

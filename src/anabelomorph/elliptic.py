@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (_MIN_EFFECTIVE, FieldElement, FieldError, _parsed,
-                     _walk_digits, parse_zeta_poly)
+from .fields import (FieldElement, FieldError, _denominator_bound, _parsed,
+                     _read_digits, parse_zeta_poly)
 from .padic import PrecisionError
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -353,8 +353,7 @@ def _tate_run(model):
 
 def _tate_digits(K, vD, depth):
     """The digits above p^s of each coefficient that a run from
-    v(Delta) = vD at ``depth`` needs (Caruso-Roe-Vaccon precision
-    tracking, over the steps of Silverman, Advanced Topics IV 9).
+    v(Delta) = vD at ``depth`` needs (Silverman, Advanced Topics IV 9).
 
     Reads.  A pass at depth D reads a_w / pi^k as the residue of a_w at
     pi^(k + w D).  Its deepest read is a6 at pi^5 (the II* test) or at
@@ -362,10 +361,7 @@ def _tate_digits(K, vD, depth):
     is at most vD_pass + 6 D + 5.  A restart lowers vD_pass by 12 and
     raises D by one, so R = vD + 6 depth + 5 bounds every read of the
     run.  A read at pi^k is certified once the error has v_K >= k + 1,
-    kept here with one to spare, and a frame walk divides block k by its
-    frame's p^(t (d-1-k) + u k) (beta = . / p^t, gamma = . / p^u), which
-    costs each layer (d - 1) max(t, u) digits (``fields._walk_digits``):
-    the reads need ceil((R + 2) / e) plus those digits.
+    kept here with one to spare: ``_read_digits(K, R + 2)``.
 
     Translations.  A pass translates by y = lift(c') monomial(k), an
     element of valuation k with the recorded leading residue
@@ -387,27 +383,10 @@ def _tate_digits(K, vD, depth):
     proven); a monomial that carried more would cost digits, so that a
     read short of them raises PrecisionError rather than misreading.
 
-    Every element also keeps _MIN_EFFECTIVE digits, so the cut is
-    max(reads, _MIN_EFFECTIVE) + 3 sigma with sigma that bound on s(y):
+    The cut adds 3 sigma, sigma that bound on s(y) (``_denominator_bound``):
     15 digits on Q_3(zeta_9, 3^(1/9)) and 18 on Q_3(zeta_9, 4^(1/9)),
     against M = 290."""
-    reads = -(-(vD + 6 * depth + 7) // K.e) + _walk_digits(K)
-    return max(reads, _MIN_EFFECTIVE) + 3 * _denominator_bound(K)
-
-
-def _denominator_bound(K):
-    """sigma: s(pi) plus (d - 1) s(delta) per unramified layer, which
-    bounds the p-power denominator s of a translation lift(c')
-    monomial(k) (``_tate_digits``: the lift's share is the unramified
-    layers', and the monomial's s(pi)), and so of every integral element
-    of K, a sum of such terms to precision."""
-    sigma = K.pi.s
-    layer = K
-    while layer.base is not None:
-        if layer.f != layer.base.f:
-            sigma += (layer.d - 1) * layer.delta.s
-        layer = layer.base
-    return sigma
+    return _read_digits(K, vD + 6 * depth + 7) + 3 * _denominator_bound(K)
 
 
 def _end(trace, vD, kodaira, c, split=None):

@@ -1773,27 +1773,32 @@ def _walk_digits(K):
     return walk
 
 
-def _peel_digits(base):
-    """The digits above its denominator that each step of ``_peel_unit``
-    keeps of its defect D = u - A^p (Caruso-Roe-Vaccon precision
-    tracking, as in ``elliptic._tate_digits``).
+def _denominator_bound(K):
+    """sigma: s(pi) plus (d - 1) s(delta) per unramified layer, a bound on
+    the p-power denominator s of a translation lift(c') monomial(k) (the
+    lift's share is the unramified layers', the monomial's s(pi)), and so
+    of every integral element of K, a sum of such terms to precision."""
+    sigma = K.pi.s
+    layer = K
+    while layer.base is not None:
+        if layer.f != layer.base.f:
+            sigma += (layer.d - 1) * layer.delta.s
+        layer = layer.base
+    return sigma
 
-    Reads.  A step reads v = v(D) up to T2 = p e / (p - 1), the residue
-    of D at v, and at T2 the Artin-Schreier residue; "drop" is the read
-    v(D) > T2, a valuation or a bound above T2.  With D's numerator
-    known mod p^m over p^s(D), its error has v >= e (m - s(D)), so every
-    read is certified once m - s(D) > T2 / e = p / (p - 1), that is
-    floor(p / (p - 1)) + 1 digits: 3 at p = 2 and 2 at odd p.  The frame
-    walk that reads them divides its blocks by the frames' denominators
-    (``_walk_digits``), which the reads need on top.  A read that the
-    cut leaves short comes back undetermined and raises PrecisionError;
-    it never misreads.
 
-    Every element keeps _MIN_EFFECTIVE digits, so D keeps the larger of
-    the two, which comes to _MIN_EFFECTIVE on every tower the tests
-    build."""
-    reads = base.p // (base.p - 1) + 1 + _walk_digits(base)
-    return max(reads, _MIN_EFFECTIVE)
+def _read_digits(K, k):
+    """The digits above p^s that a cut element of K keeps so that its
+    error has v_K >= k, which certifies every valuation and residue read
+    below pi^k (Caruso-Roe-Vaccon precision tracking, arXiv:1402.0724).
+
+    A numerator known mod p^m over p^s errs by v >= e (m - s), so
+    ceil(k / e) digits reach k; the frame walk that reads the element
+    divides its blocks by the frames' denominators (``_walk_digits``),
+    which the reads need on top, and every element keeps _MIN_EFFECTIVE
+    digits.  A read that a cut leaves short comes back undetermined and
+    raises PrecisionError; it never misreads."""
+    return max(-(-k // K.e) + _walk_digits(K), _MIN_EFFECTIVE)
 
 
 def _peel_unit(base, u):
@@ -1817,17 +1822,18 @@ def _peel_unit(base, u):
     Precision.  The peel searches for an adjuster and stores no value of
     its own, so any A whose reads come out the same is a valid answer:
     each step takes A's vector mod p^m as the exact value of A and reads
-    D at the modulus m its reads need.  A^p is over p^(p s(A)) and u
-    over p^s(u), so D is over p^s(D) with s(D) <= max(s(u), p s(A)), and
-    m = max(s(u), p s(A)) + ``_peel_digits`` keeps those digits of D,
-    capped at u's modulus and M.  The update A (1 + y) divides by p^s(y)
-    more, so it takes the exact A at m + s(y) and keeps m - s(A) digits
-    above its denominator: A moves by v > T2 under the cut, and so does
-    A^p, which no later read sees.  The shifts carry denominators, so
-    s(A) grows and m is derived again at every step; a cut fixed once
-    runs out on a tall tower.  The answer A comes back exact at M, and
-    on a totally ramified layer the frame that takes it is certified at
-    M (``LocalField._certify``).
+    D at the modulus m its reads need: v(D) and its residue up to
+    T2 = p e / (p - 1), and the drop v(D) > T2.  A^p is over p^(p s(A))
+    and u over p^s(u), so D is over p^s(D) <= max(s(u), p s(A)), and
+    m = max(s(u), p s(A)) + ``_read_digits(base, floor(T2) + 1)`` keeps
+    those digits of D, capped at u's modulus and M.  The update A (1 + y)
+    divides by p^s(y) more, so it takes the exact A at m + s(y) and
+    keeps m - s(A) digits above its denominator: A moves by v > T2 under
+    the cut, and so does A^p, which no later read sees.  The shifts carry
+    denominators, so s(A) grows and m is derived again at every step; a
+    cut fixed once runs out on a tall tower.  The answer A comes back
+    exact at M, and on a totally ramified layer the frame that takes it
+    is certified at M (``LocalField._certify``).
 
     Returns (kind, data): kind in {"tr", "unram", "drop"}; data carries
     the final defect level lambda and the adjuster A with
@@ -1839,7 +1845,7 @@ def _peel_unit(base, u):
     ru_inv = F.pow(ru, -1)
     A = base.lift(F.pow(ru, F.q // p))
     T2 = Fraction(p * base.e, p - 1)
-    digits = _peel_digits(base)
+    digits = _read_digits(base, int(T2) + 1)
     for _ in range(int(T2) + p + 8):
         m = min(max(u.s, p * A.s) + digits, u.m, base.M)
         A = FieldElement(base, tuple(a % p ** m for a in A.vec), A.s)

@@ -339,10 +339,12 @@ def swan_conductor(chi, filt):
 
 
 def wild_subgroup_conductor(filt):
-    """Conductor exponent, over the cyclotomic subfield, of a faithful
-    character of the wild part Z/p: the largest i(sigma) over the
-    nontrivial sigma with a = 1, the number of indices i with the wild
-    subgroup H_i nontrivial (the full-sum average vanishes there)."""
+    """The largest i(sigma) over the nontrivial sigma with a = 1, that is
+    over N = Gal(K/Q_p(zeta_(p^r))) = Z/p^s: the number of indices i with
+    N_i = N cap G_i nontrivial.  At s = 1 every such N_i is N_0, so this is
+    the conductor exponent over Q_p(zeta_(p^r)) of a faithful character
+    of N, the sum of |N_i|/|N_0| over those i.  At s >= 2 the N_i shrink
+    and it exceeds that conductor: 24 against 12 on Q_3(zeta_9, 3^(1/9))."""
     return max((i for s, i in filt.i_values.items()
                 if s.a % s.modulus == 1), default=0)
 

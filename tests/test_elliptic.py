@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph import elliptic
+from anabelomorph import elliptic, fields
 from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    POTENTIALLY_MULTIPLICATIVE,
                                    SingularModelError, WeierstrassModel,
@@ -306,6 +306,23 @@ def test_wrong_component_count_fails_the_conductor_bound(p, coeffs, m,
     assert str(tate_algorithm(model).kodaira) == "IV*"
     monkeypatch.setitem(elliptic._COMPONENTS, "IV*", m)
     with pytest.raises(ArithmeticError, match="additive conductor 1 "):
+        tate_algorithm(model)
+
+
+def test_wrong_tamagawa_number_fails_the_component_bound(monkeypatch):
+    # one more Tamagawa number than the III branch finds is outside the
+    # component group of III, which allows only c = 2
+    model = WeierstrassModel.from_a_invariants(build_field(5, []),
+                                               0, 0, 0, 5, 0)
+    assert tate_algorithm(model).quadruple() == (3, 2, "III", 2)
+    end = elliptic._end
+
+    def one_more(trace, vD, kodaira, c, split=None):
+        return end(trace, vD, kodaira, c + 1, split)
+
+    monkeypatch.setattr(elliptic, "_end", one_more)
+    with pytest.raises(ArithmeticError, match="tamagawa number 3 outside "
+                       "the component bound for III"):
         tate_algorithm(model)
 
 
@@ -1033,6 +1050,22 @@ def _tate_cut(monkeypatch, model, digits=None):
     return out, used[0]
 
 
+@pytest.mark.parametrize("floor", [12, 0])
+@pytest.mark.parametrize("name", list(_TATE_TOWERS))
+def test_tate_digits_are_the_former_cut(name, floor, monkeypatch):
+    # the cut Tate derived on its own, max(ceil((R + 2) / e) + walk, 12)
+    # plus 3 sigma with R = vD + 6 depth + 5, is _read_digits(K, R + 2)
+    # plus 3 sigma; with the floor lowered to 0 the reads' term shows
+    monkeypatch.setattr(fields, "_MIN_EFFECTIVE", floor)
+    K, m, _ = _tate_base(name)
+    sigma = fields._denominator_bound(K)
+    for depth in (0, 1, 2):
+        R = m.vdisc + 6 * depth + 5
+        former = (max(-(-(R + 2) // K.e) + fields._walk_digits(K), floor)
+                  + 3 * sigma)
+        assert elliptic._tate_digits(K, m.vdisc, depth) == former, depth
+
+
 def _check_derived_digits(monkeypatch, model):
     """At the derived digits the run equals the uncut run at M; with
     fewer, down to the floor, it equals it or raises PrecisionError."""
@@ -1128,7 +1161,7 @@ def test_monomial_denominators_within_sigma(name):
     # lift(c') monomial(k): no monomial up to the deepest read carries
     # more denominator, though one can end in p^b with b < 0 over Q_p
     K, R = _monomial_tower(name)
-    sigma = elliptic._denominator_bound(K)
+    sigma = fields._denominator_bound(K)
     for k in range(R + 1):
         assert K.monomial(k).s <= sigma, k
         assert K.monomial(k).valuation() == k
@@ -1142,7 +1175,7 @@ def test_shift_keeps_its_valuation_and_residue(name):
     # the towers with some r_k != 1 a lift of c alone would read c r_k
     K, R = _monomial_tower(name)
     F = K.residue_field
-    sigma = elliptic._denominator_bound(K)
+    sigma = fields._denominator_bound(K)
     rng = random.Random(name)
     for k in range(1, R + 1):
         c = F.zero

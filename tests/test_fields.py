@@ -8,7 +8,8 @@ import pytest
 from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
                                  DegreeDropError, FieldElement, FieldError,
                                  TowerStep, _charpoly, _normalize_radicand,
-                                 _peel_digits, _peel_unit, build_field,
+                                 _peel_unit, _read_digits, _walk_digits,
+                                 build_field,
                                  different_bound, different_valuation,
                                  discriminant_valuation,
                                  find_uniformizer, norm_to_qp,
@@ -436,7 +437,7 @@ def _peeled_unit(base, rad):
 
 def _peel_by_search(base, u):
     """The reference for ``_peel_unit``: at each step take A's vector mod
-    p^m, for the peel's cut m = max(s(u), p s(A)) + ``_peel_digits``, as
+    p^m, for the peel's cut m = max(s(u), p s(A)) + ``_read_digits``, as
     the exact value of A, and try the lifts of the nonzero residues, in
     the order of ``ResidueField.elements``, times the frame monomial of
     valuation v / p, until the defect rises.  Every defect is read at the
@@ -445,7 +446,8 @@ def _peel_by_search(base, u):
     A exact at the working precision, and steps the number of defects of
     accepted adjusters."""
     p, M = base.p, base.M
-    digits = _peel_digits(base)
+    T2 = Fraction(p * base.e, p - 1)
+    digits = _read_digits(base, int(T2) + 1)
 
     def exact(x, m):
         return FieldElement(base, tuple(a % p ** m for a in x.vec), x.s, m)
@@ -465,7 +467,6 @@ def _peel_by_search(base, u):
         return dv is None or dv > v
 
     A = next(c for c in lifts() if base.val_at_least(u - c ** p, 1))
-    T2 = Fraction(p * base.e, p - 1)
     steps = 0
     while True:
         steps += 1
@@ -959,6 +960,25 @@ def test_layer_towers_reach_every_branch():
     for p in (2, 3, 5, 7):
         want = branches - {"quad"} if p == 2 else branches
         assert {b for q, b in reached if q == p} == want
+
+
+@pytest.mark.parametrize("floor", [12, 0])
+def test_read_digits_is_the_former_peel_cut(floor, monkeypatch):
+    # _read_digits(base, floor(T2) + 1) is the cut the peel derived on
+    # its own, floor(p / (p - 1)) + 1 digits plus the walk: 3 at p = 2
+    # and 2 at odd p, since (p - 1) | e and T2 = p e / (p - 1).  Every
+    # such cut is the 12-digit floor, so the floor is also lowered to 0,
+    # which bares the reads' term
+    from anabelomorph import fields
+    monkeypatch.setattr(fields, "_MIN_EFFECTIVE", floor)
+    bases = [fld.base for p, steps in LAYER_TOWERS.values()
+             for fld in _layers(build_field(p, steps))
+             if fld.kind == "kummer"]
+    assert {B.p for B in bases} == {2, 3, 5, 7}
+    for B in bases:
+        p, T2 = B.p, Fraction(B.p * B.e, B.p - 1)
+        former = max(p // (p - 1) + 1 + _walk_digits(B), floor)
+        assert _read_digits(B, int(T2) + 1) == former, (B.name, floor)
 
 
 @pytest.mark.parametrize("name", LAYER_TOWERS)

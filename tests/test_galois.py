@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anabelomorph.fields import (DegreeDropError, FieldElement, TowerStep,
-                                 build_field, different_valuation,
+from anabelomorph.fields import (DegreeDropError, FieldElement, FieldError,
+                                 TowerStep, build_field, different_valuation,
                                  discriminant_valuation)
 from anabelomorph.galois import (GaloisElement, NonGaloisTowerError,
                                  _compose, _conjugacy_classes, _inverse,
@@ -490,6 +490,9 @@ def test_r2_pair_conductor_multisets():
         rep = conductor_discriminant_check(K)
         assert rep["sum_dim_times_conductor"] == discriminant_valuation(K)
         assert rep["conductors"]["induced"] == (21 if rad == 3 else 15)
+        # the i with N_i != 1, more than f(theta) = 21 - 9 or 15 - 9 of
+        # the faithful orbit, v_3(d) = 9 for Q_3(zeta_9)
+        assert wild_subgroup_conductor(filt) == (24 if rad == 3 else 14)
 
 
 @settings(max_examples=20, deadline=None,
@@ -587,6 +590,16 @@ def test_f2_filtration_where_sigma_fixes_pi(rad):
     assert filt.order_at(0) == K.e == 4
     rep = conductor_discriminant_check(K)
     assert rep["sum_dim_times_conductor"] == discriminant_valuation(K) == 16
+
+
+def test_inertia_order_check_fails_on_a_wrong_action(K1, monkeypatch):
+    # an action x -> x + 1 moves pi by a unit, so every sigma reads
+    # i(sigma) = 0 and G_0 is trivial, which the check against e refuses
+    from anabelomorph import galois
+    monkeypatch.setattr(galois, "apply_automorphism",
+                        lambda sigma, x: x + x.field.one())
+    with pytest.raises(FieldError, match=r"\|G_0\| = 1 is not e = 6"):
+        ramification_filtration(K1)
 
 
 def test_upper_numbering_derived_report(K1):
