@@ -104,9 +104,10 @@ def cmd_tate(args, config):
     try:
         rd = tate_algorithm(model)
     except PrecisionError:
-        # one retry at doubled working precision
-        K2, _ = _field_from_spec(args.spec,
-                                 2 * (config.prec or DEFAULT_DIGITS))
+        # one retry at twice the working precision M: build_field sizes M
+        # from max(prec, n + 32), so twice --prec alone would build the
+        # same M again on a tower of degree n >= 96
+        K2, _ = _field_from_spec(args.spec, 2 * K.M)
         rd = tate_algorithm(WeierstrassModel.from_a_invariants(K2, *coeffs))
     if config.fmt == "json":
         config.write(json.dumps(rd.to_dict(K.name)) + "\n")

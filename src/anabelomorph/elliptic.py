@@ -25,12 +25,15 @@ number), with the conductor from v(Delta_min) - m + 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import (FieldElement, FieldError, _denominator_bound, _parsed,
                      _read_digits, parse_zeta_poly)
-from .padic import PrecisionError
+from .padic import PrecisionError, _vp
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
 POTENTIALLY_MULTIPLICATIVE = "POTENTIALLY_MULTIPLICATIVE"
@@ -569,10 +572,14 @@ def iwasawa_log(x, target_digits=24):
     """Branch log(p) = 0 extended to K^*: strip the p-part through
     x^e / p^(v(x)), kill residue torsion, then sum the 1-unit series.
 
-    x is first cut once (``FieldElement.capped``) to the
-    ``_log_digits`` the answer reads, so that the reduction and the
-    series multiply tens of digits above v(x) instead of the working
-    precision; the sum is the one of the uncut x.
+    With v = v(x) = a e + b, 0 <= b < e, the p^a leaves x first through
+    its denominator (``_over_p``), exact and with no product: the power
+    basis is integral, so s(x) + a >= 0.  x / p^a, of valuation b, is
+    then cut once (``FieldElement.capped``) to the ``_log_digits`` the
+    answer reads, so that the reduction and the series multiply tens of
+    digits above b instead of the working precision; the sum is the one
+    of the uncut x.  y = (x / p^a)^e / p^b is a unit, the p^b again
+    taken out through the denominator.
 
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
     whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
@@ -582,13 +589,11 @@ def iwasawa_log(x, target_digits=24):
     target_digits digits above p^s before the division by the reduction
     exponent, which costs that exponent's p-adic digits."""
     K = x.field
-    p = K.p
-    v = x.valuation()
-    x = x.capped(_log_digits(K, v, x.s, target_digits))
-    e, f = K.e, K.f
-    y = x ** e
-    if v:
-        y = y * K.from_fraction(Fraction(1, p) ** v)
+    p, e, f = K.p, K.e, K.f
+    a, b = divmod(x.valuation(), e)
+    x = _over_p(x, a)
+    x = x.capped(_log_digits(K, b, x.s, target_digits))
+    y = _over_p(x ** e, b)
     q = p ** f
     z = y ** (q - 1)
     divisor = e * (q - 1)
@@ -612,60 +617,123 @@ def iwasawa_log(x, target_digits=24):
     return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
 
 
-def _log_digits(K, v, s, target_digits):
+def _over_p(w, k):
+    """w / p^k through the denominator, s -> s + k (s + k >= 0): exact,
+    with no product, and it keeps m, so it costs k digits above p^s."""
+    return FieldElement(w.field, w.vec, w.s + k, w.m)._normalized()
+
+
+def _log_digits(K, b, s, target_digits):
     """The digits above p^s to which ``iwasawa_log`` cuts x = vec / p^s,
-    v = v_K(x), so that its sum keeps target_digits digits and is the
-    sum of the uncut x (Caruso-Roe-Vaccon precision tracking over the
-    steps of the log).
+    x = x0 / p^a of valuation b, 0 <= b < e, so that its sum keeps
+    target_digits digits and is the sum of the uncut x (Caruso-Roe-
+    Vaccon precision tracking over the steps of the log).
 
     Write A = m - s for the digits an element carries above its
-    denominator.  A product keeps the smaller m, so its A is
-    min(A1 - s2, A2 - s1): it loses the s of its other factor.  A sum
-    loses nothing, a normalization keeps A, and the constants 1, p^-v
-    and 1/j carry about M digits.  Each step computes the uncut step's
-    numerator mod the smaller p^m, with the same s, so a sum that keeps
-    target_digits is the uncut one.  From the cut x, A = digits, to the
-    sum, A drops by at most:
+    denominator, and D = digits - A for what a step has lost since the
+    cut.  A product keeps the smaller m, so its A is min(A1 - s2,
+    A2 - s1): D = max(D1 + s2, D2 + s1), each path from x loses the s
+    of the other factor.  A sum loses nothing (D is the max), a
+    normalization keeps A, the constants 1 and 0 carry M digits, and a
+    shift of the denominator by k (``_over_p``) costs k.  Each step
+    computes the uncut step's numerator mod the smaller p^m, with the
+    same s, so a sum that keeps target_digits is the uncut one.
 
-      * v, at the division of x^e by p^v, when v > 0;
-      * lam = max v_p(j) = floor(log_p n), at the 1/j of the series,
-        passed on once through Horner's rule; n is the number of terms
-        at the least v(t) the reduction allows, e // (p - 1) + 1, the
-        most it can take;
-      * the s of the other factor at each product on the longest path
-        from x to the sum.  A binary power k makes c(k) = bitlen(k) +
-        popcount(k) - 2 such products: c(e) in x^e, whose factors x^a
-        have s <= max(s, sigma + max(0, -v)) (p^max(0,-v) x^a is
-        integral); c(q - 1) in the (q - 1)-th power; c(p) in each
-        p-th power, at most kmax of them, since each raises v(t) from
-        at least 1 to at least min(p v(t), v(t) + e); and the
-        (k - 1) + (ceil(n/k) - 1) Paterson-Stockmeyer products.  Those
-        factors are integral, so their s is at most sigma
-        (``_denominator_bound``), and the Horner accumulator's is at most
-        sigma + lam.
+    The s of a step's element w is bounded by its valuation.  The uncut
+    numerator is p^s W mod p^m for the exact value W of the step; if
+    v(W) >= k e, W / p^k is integral, so p^(sigma - k) W has integral
+    coordinates (sigma = ``_denominator_bound``, the s of any integral
+    element), and the common p-power that normalization strips (every
+    step normalizes, and m > s) leaves
+
+        s(w) <= den(v(W)) = max(0, sigma - floor(v(W) / e)),
+
+    and s(w) <= s1 + s2 for a product.  So:
+
+      * x^e, of factors x^i with v = i b: s(x^i) <= min(i s, den(i b)),
+        and the power's D is that of its product tree (``_pow_loss``);
+      * the division by p^b: b;
+      * the (q - 1)-th power of the unit y: each factor has s <= sigma;
+      * the p-th powers of z = 1 + t, each of whose factors z^i has
+        z^i - 1 of valuation >= v(t), so s(z^i) <= den(v(t)), with v(t)
+        at least 1 before the first and min(p v(t), v(t) + e) after
+        each; the worst case starts at v(t) = 1 and makes the most
+        powers (``_series_loss`` for the series).
 
     A cut that comes out short loses digits the sum then does not
     claim, or raises PrecisionError; it never changes a digit that is
-    claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 111
-    digits of x = 3 (1 + pi) (v = 54) and 165 of x^2, of the 272 both
-    carry at M = 290; with sigma = 2 on Q_3(zeta_9, 4^(1/9)), 141 and
-    195 of 262 and 261."""
+    claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49
+    digits of 3 (1 + pi) / 3 (v = 54, so a = 1 and b = 0) and of the
+    square's 9 (1 + pi)^2 / 9, of the 283 and 282 they carry at M = 290;
+    with sigma = 2 on Q_3(zeta_9, 4^(1/9)), 71 of each."""
     p, e = K.p, K.e
     sigma = _denominator_bound(K)
-    vt, kmax = 1, 0
+
+    def den(v):
+        return max(0, sigma - v // e)
+
+    loss = b + _pow_loss(e, lambda i: min(i * s, den(i * b)))
+    loss += _pow_loss(p ** K.f - 1, lambda i: sigma)
+    vt = 1
     while vt * (p - 1) <= e:
-        vt, kmax = min(p * vt, vt + e), kmax + 1
-    n = _log_terms(e // (p - 1) + 1, e, p, e * target_digits)
-    k = _ps_step(n)
-    products = (_chain(p ** K.f - 1) + kmax * _chain(p)
-                + (k - 1) + (-(-n // k) - 1))
-    return (target_digits + max(v, 0) + _intlog(n, p)
-            + max(s, sigma + max(0, -v)) * _chain(e) + sigma * products)
+        loss += _pow_loss(p, lambda i: den(vt))
+        vt = min(p * vt, vt + e)
+    return target_digits + loss + _series_loss(p, e, sigma, target_digits)
 
 
-def _chain(k):
-    """Products on the longest path of FieldElement.__pow__(., k)."""
-    return k.bit_length() + bin(k).count("1") - 2
+def _pow_loss(k, den):
+    """D of ``FieldElement.__pow__(w, k)``, k >= 1, against w's, when
+    den(i) bounds s(w^i): the base squares, the result multiplies in a
+    base of a set bit, and each product loses the s of its other
+    factor."""
+    i, loss = 1, 0                  # base = w^i and its D
+    while not k & 1:
+        loss, i, k = loss + den(i), 2 * i, k >> 1
+    j, out = i, loss                # out = w^j and its D
+    while k > 1:
+        k >>= 1
+        loss, i = loss + den(i), 2 * i
+        if k & 1:
+            out, j = max(out + den(i), loss + den(j)), j + i
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _series_loss(p, e, sigma, target_digits):
+    """The most digits ``_log_series`` loses on t (D against t's), over
+    every t the reduction can give, v(t) >= e // (p - 1) + 1.
+
+    At v(t) >= vt, s(t^i) <= c_i = max(0, sigma - floor(i vt / e)).
+    For n terms in chunks of k, h = ceil(n/k) - 1 Horner steps and
+    lam = floor(log_p n):
+
+      * the baby step t^(i+1) = t^i t has D <= max(D(t^i) + c_1, c_i),
+        so D(t^i) <= (i - 1) c_1 for i <= k;
+      * a term t^i (-1)^(j+1) / j (``_over_j``) costs v_p(j) <= lam,
+        and a chunk, a sum, has D <= B = (k - 1) c_1 + lam;
+      * an accumulator acc is a tail sum of t^i / j with i >= 1, so
+        s(acc) <= c_1 + lam, and acc t^k + chunk has D at most
+        max(D(acc) + c_k, (k - 1) c_1 + c_1 + lam, B): D <= B + c_1
+        after the first Horner step and B + c_1 + (h - 1) c_k after h.
+
+    The series takes at most n terms exactly when v(t) reaches the least
+    vt(n) at which the tail bound of some count up to n reaches the
+    target (``_log_terms``), so every t is covered by the largest bound
+    over n, each n taken at vt(n); a larger v(t) lowers every c_i, but
+    fewer terms need not mean a shorter chunk k."""
+    target = e * target_digits
+    vt = e // (p - 1) + 1
+    reach = (-(-(target + e * (_intlog(j + 1, p) + 1)) // (j + 1))
+             for j in range(1, _log_terms(vt, e, p, target) + 1))
+    worst = 0
+    for n, need in enumerate(itertools.accumulate(reach, min), 1):
+        least = max(vt, need)
+        k = _ps_step(n)
+        h = -(-n // k) - 1
+        c1, ck = (max(0, sigma - i * least // e) for i in (1, k))
+        loss = _intlog(n, p) + (k - 1) * c1
+        worst = max(worst, loss + c1 + (h - 1) * ck if h else loss)
+    return worst
 
 
 def _log_terms(vt, e, p, target):
@@ -678,27 +746,41 @@ def _log_terms(vt, e, p, target):
 
 
 def _ps_step(n):
-    """The Paterson-Stockmeyer chunk length k for n terms, the k that
-    makes (k - 1) + (ceil(n/k) - 1) products fewest."""
-    return min(range(1, n + 1), key=lambda k: k + (n + k - 1) // k)
+    """The Paterson-Stockmeyer chunk length k for n terms, the first k
+    that makes (k - 1) + (ceil(n/k) - 1) products fewest.  It is at most
+    r + 1, r = isqrt(n): past r, k (k + 1) > n, so ceil(n/k) falls by at
+    most 1 as k grows by 1."""
+    return min(range(1, math.isqrt(n) + 2),
+               key=lambda k: k + (n + k - 1) // k)
 
 
 def _log_series(t, n):
     """sum_(j <= n) (-1)^(j+1) t^j / j by Paterson-Stockmeyer: the baby
-    steps t, ..., t^k, chunks of k terms with the scalar coefficients, and
-    Horner in t^k over the chunks, (k - 1) + (ceil(n/k) - 1) products with
-    k chosen to minimise that count (``_ps_step``)."""
+    steps t, ..., t^k, chunks of k terms with the scalar coefficients
+    (``_over_j``, no product), and Horner in t^k over the chunks,
+    (k - 1) + (ceil(n/k) - 1) products with k chosen to minimise that
+    count (``_ps_step``)."""
     k = _ps_step(n)
     powers = [t]
     while len(powers) < k:
         powers.append(powers[-1] * t)
     acc = None
     for lo in range((n - 1) // k * k, -1, -k):
-        chunk = sum((powers[j - lo - 1] * Fraction((-1) ** (j + 1), j)
+        chunk = sum((_over_j(powers[j - lo - 1], j)
                      for j in range(lo + 1, min(lo + k, n) + 1)),
                     t.field.zero())
         acc = chunk if acc is None else acc * powers[-1] + chunk
     return acc
+
+
+def _over_j(w, j):
+    """w (-1)^(j+1) / j with no product: the numerator times the inverse
+    of j's unit part mod p^m, and p^(v_p(j)) into the denominator; the
+    (vec, s, m) of w * Fraction((-1)^(j+1), j)."""
+    p = w.field.p
+    lam = _vp(j, p)
+    unit = pow(j // p ** lam, -1, p ** w.m)
+    return _over_p(w.scaled(unit if j % 2 else -unit), lam)
 
 
 def _intlog(n, p):

@@ -250,13 +250,18 @@ class FieldElement:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        out = self.field.one()
+        if not k:
+            return self.field.one()
         base = self
-        while k:
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        while k > 1:
+            k >>= 1
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return out
 
     def __truediv__(self, other):

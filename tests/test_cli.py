@@ -254,6 +254,24 @@ def test_tate_retries_once_at_doubled_precision(tmp_path, monkeypatch):
     assert code == 3 and len(seen) == 2
 
 
+def test_tate_retry_raises_m_on_a_tower_of_degree_128(tmp_path, monkeypatch):
+    # build_field takes max(prec, n + 32) digits, so on Q_2(zeta_16,
+    # 3^(1/16)) (n = 128) a retry at 2 * 64 digits would build M = 416
+    # again; the retry must run at a larger M
+    import anabelomorph.cli as cli
+    from anabelomorph.padic import PrecisionError
+    seen = []
+
+    def failing(model):
+        seen.append(model.field.M)
+        raise PrecisionError("forced")
+
+    monkeypatch.setattr(cli, "tate_algorithm", failing)
+    code, _ = run_capture(tmp_path, "tate", "[0,3,0,0,9]", "p=2 r=4 rad=3")
+    assert code == 3 and len(seen) == 2
+    assert seen[0] == 416 and seen[1] > seen[0]
+
+
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
     # two calls in one process give the same output from one parser
     import anabelomorph.cli as cli

@@ -443,13 +443,34 @@ def test_log_series_matches_term_by_term(name, data):
     assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
 
 
+@pytest.mark.parametrize("name", list(_LOG_TOWERS))
+def test_series_division_by_j_is_the_fraction_product(name):
+    # _over_j(w, j) is w * Fraction((-1)^(j+1), j) bit for bit, p | j
+    # included, on elements with and without a denominator, cut or not
+    if name not in _LOG_FIELDS:
+        _LOG_FIELDS[name] = build_field(*_LOG_TOWERS[name])
+    K = _LOG_FIELDS[name]
+    p = K.p
+    rng = random.Random(p * K.n)
+    vec = [rng.randrange(-p ** 40, p ** 40) for _ in range(K.n)]
+    dense, over = FieldElement(K, vec), FieldElement(K, vec, 2)
+    ws = [dense, over, K.pi, over * K.pi, (K.one() + K.pi).capped(30),
+          K.from_int(p ** 2) * K.pi]
+    for w in ws:
+        for j in range(1, 3 * p * p + 1):
+            got = elliptic._over_j(w, j)
+            want = w * Fraction((-1) ** (j + 1), j)
+            assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m), j
+
+
 @pytest.mark.parametrize("p,r,rad,n", [(3, 2, 3 * 2 ** 9, 13),
                                        (7, 1, 8 * 2 ** 7, 19)])
 def test_log_series_product_count(p, r, rad, n, monkeypatch):
     # Paterson-Stockmeyer makes (k - 1) + (ceil(n/k) - 1) products of two
     # non-scalar elements for n terms, term by term takes n - 1.  The
-    # series multiplies by the Fraction (-1)^(j+1)/j n times, and the
-    # result by 1/divisor once; powers in the reduction are not counted.
+    # series divides by j with no product (elliptic._over_j), so the one
+    # Fraction product is the result's 1/divisor; powers in the reduction
+    # are not counted.
     K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
     x = K.from_int(p) * (K.one() + K.pi)
     count = {"dense": 0, "fraction": 0, "in_pow": 0}
@@ -473,7 +494,7 @@ def test_log_series_product_count(p, r, rad, n, monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
     monkeypatch.setattr(FieldElement, "__pow__", counting_pow)
     iwasawa_log(x)
-    assert count["fraction"] - 1 == n
+    assert count["fraction"] == 1
     assert count["dense"] <= min(k - 1 + -(-n // k) - 1
                                  for k in range(1, n + 1))
 
@@ -499,7 +520,7 @@ def _shape_field(p, r, a):
 
 
 def _log_cut(q, digits):
-    """l_invariant(q) with x cut to ``digits`` (None: the derived
+    """iwasawa_log(q) with x cut to ``digits`` (None: the derived
     digits), or PrecisionError; and the digits used."""
     used = []
 
@@ -510,13 +531,13 @@ def _log_cut(q, digits):
 
     with mock.patch.object(elliptic, "_log_digits", cut):
         try:
-            return l_invariant(q), used[0]
+            return iwasawa_log(q), used[0]
         except PrecisionError:
             return PrecisionError, used[0]
 
 
 def _check_log_digits(q, descend):
-    """At the derived digits l_invariant(q) is the uncut (vec, s, m).
+    """At the derived digits iwasawa_log(q) is the uncut (vec, s, m).
     With ``descend``, each smaller count down to target_digits gives a
     value that claims no more digits and agrees with the uncut one to
     its claim, or raises PrecisionError."""
@@ -532,14 +553,24 @@ def _check_log_digits(q, descend):
     return derived
 
 
+# the derived digits of both logs of a linv item, q = p (1 + pi) and q^2,
+# by (p, r, a) of _LOG_SHAPES; before the p^a strip and the valuation
+# charge they were 36-195, and q^2 took more than q
+_LOG_DIGITS_PINNED = {(3, 1, 3): 41, (5, 1, 5): 48, (7, 1, 7): 52,
+                      (3, 1, 4): 41, (5, 1, 6): 48, (7, 1, 8): 52,
+                      (3, 2, 3): 49, (3, 2, 4): 71, (2, 2, 2): 28,
+                      (2, 2, 5): 44, (2, 3, 3): 69}
+
+
 @pytest.mark.parametrize("shape", _LOG_SHAPES)
 def test_log_derived_digits_invariants_towers(shape):
     # q = p (1 + pi) and q^2, the two logs of a linv item; every smaller
     # count for q
     K = _shape_field(*shape)
     q = K.from_int(K.p) * (K.one() + K.pi)
-    _check_log_digits(q, descend=True)
-    _check_log_digits(q * q, descend=False)
+    assert _check_log_digits(q, descend=True) == _LOG_DIGITS_PINNED[shape]
+    assert (_check_log_digits(q * q, descend=False)
+            == _LOG_DIGITS_PINNED[shape])
 
 
 @pytest.mark.parametrize("name", list(_LOG_TOWERS))
@@ -562,12 +593,35 @@ def test_log_derived_digits_tate_parameters(name, data):
     _check_log_digits(q, descend=False)
 
 
+@pytest.mark.parametrize("name", list(_LOG_TOWERS))
+def test_log_derived_digits_any_valuation(name):
+    # u pi^k for v = k off the multiples of e and v <= 0, where x / p^a
+    # keeps a valuation b = k mod e > 0 or a is <= 0: the derived cut
+    # gives the uncut log
+    if name not in _LOG_FIELDS:
+        _LOG_FIELDS[name] = build_field(*_LOG_TOWERS[name])
+    K = _LOG_FIELDS[name]
+    p, e = K.p, K.e
+    rng = random.Random(p * K.n + 1)
+    u = FieldElement(K, [1 + p * rng.randrange(p ** 3)]
+                     + [p * rng.randrange(-p ** 3, p ** 3)
+                        for _ in range(K.n - 1)])
+    for k in sorted({-e - 1, -e, -1, 0, 1, e - 1, e + 1, 2 * e + 1}):
+        q = u * K.pi_pow(k)
+        if k % e == 0:
+            assert q.valuation() == k
+        _check_log_digits(q, descend=False)
+
+
 def test_log_products_run_at_the_derived_width(monkeypatch):
     # every product of l_invariant(p (1 + pi)) on (3, 2, 3 2^9) runs at
-    # most at the derived digits; the uncut x ** e ran at m = 272
+    # most at the derived digits above the denominator of x = q / p; the
+    # uncut x ** e ran at m = q.m = 284
     K = _shape_field(3, 2, 3)
     q = K.from_int(3) * (K.one() + K.pi)
-    derived = _LOG_DIGITS(K, q.valuation(), q.s, 24)
+    a, b = divmod(q.valuation(), K.e)
+    x = elliptic._over_p(q, a)
+    derived = x.s + _LOG_DIGITS(K, b, x.s, 24)
     assert derived < q.m
     widths = []
     mul = FieldElement.__mul__

@@ -89,6 +89,31 @@ def test_norm_of_constant_is_power(K2):
     assert n.lift() % 3 ** 40 == pow(7, 54, 3 ** 40)
 
 
+def test_power_starts_from_its_base(L1, monkeypatch):
+    # x ** k makes bitlen(k) + popcount(k) - 2 products, none by one(),
+    # agrees with the product of k factors, and x ** 0 is one()
+    rng = random.Random(5)
+    x = FieldElement(L1, [rng.randrange(3 ** 30) for _ in range(L1.n)], 1)
+    assert x ** 1 is x
+    zero = x ** 0
+    assert (zero.vec, zero.s, zero.m) == (L1.one().vec, 0, L1.M)
+    mul, count = FieldElement.__mul__, [0]
+
+    def counting_mul(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    want = x
+    for k in range(2, 20):
+        want = want * x
+        monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+        count[0] = 0
+        got = x ** k
+        monkeypatch.setattr(FieldElement, "__mul__", mul)
+        assert count[0] == k.bit_length() + bin(k).count("1") - 2, k
+        assert (got - want).is_zero_to_precision(), k
+
+
 def test_norm_of_ninth_root(K2):
     g = K2.step_generators[1]
     assert (g ** 9 - K2.from_int(3)).is_zero_to_precision()

@@ -20,6 +20,10 @@ import sys
 import time
 from pathlib import Path
 
+# no import below leaves bytecode behind, in tools/ or in the checkout,
+# where it would skew a later benchmark run
+sys.dont_write_bytecode = True
+
 from parity import headroom
 
 HERE = Path(__file__).resolve().parent.parent

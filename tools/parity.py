@@ -422,6 +422,10 @@ def main(argv=None):
     ap.add_argument("--checkout", type=Path, default=HERE)
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
+    # the import must leave no bytecode in the checkout, which would skew
+    # a later benchmark run there; under -I, as CI runs this script,
+    # Python ignores PYTHONDONTWRITEBYTECODE
+    sys.dont_write_bytecode = True
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     import anabelomorph.fields as F
     import anabelomorph.galois as G
