@@ -95,8 +95,8 @@ def test_power_starts_from_its_base(L1, monkeypatch):
     rng = random.Random(5)
     x = FieldElement(L1, [rng.randrange(3 ** 30) for _ in range(L1.n)], 1)
     assert x ** 1 is x
-    zero = x ** 0
-    assert (zero.vec, zero.s, zero.m) == (L1.one().vec, 0, L1.M)
+    one = x ** 0
+    assert (one.vec, one.s, one.m) == (L1.one().vec, 0, L1.M)
     mul, count = FieldElement.__mul__, [0]
 
     def counting_mul(a, b):
