@@ -18,9 +18,10 @@ the base and multiply through one kernel, which over Q_p folds one
 integer convolution by the relation, and over any other base skips the
 zero blocks of sparse operands.  Dense operands over such a base take
 one packed integer product (Kronecker substitution) while p^m is at
-most _PACKED_BITS wide, as in Tate's algorithm, and the packed product
-at most _PACKED_PRODUCT_BITS, and otherwise convolve d blocks with
-d(d+1)/2 base products (one-level Karatsuba), which may pack in turn.
+most d^_PACKED_EXPONENT for the layer's degree d over its base, as in
+Tate's algorithm and the p-adic log, and the packed product at most
+_PACKED_PRODUCT_BITS bits, and otherwise convolve d blocks with d(d+1)/2
+base products (one-level Karatsuba), which may pack in turn.
 The integer convolution is a recursive Karatsuba when both operands are
 dense and p^m is at least _KARATSUBA_BITS wide (the degree-500 towers'
 base at M = 788), and a zero-skipping schoolbook otherwise.  Norms are
@@ -86,36 +87,49 @@ _MIN_EFFECTIVE = 12
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
-# a layer over a base that is not Q_p multiplies dense operands by one
-# packed integer product (LocalField._packed) while p^m has at most
-# _PACKED_BITS bits and the packed product at most _PACKED_PRODUCT_BITS;
-# a layer whose packed product would be larger convolves its blocks and
-# its base products pack in turn.  Speed of a dense top-layer product,
-# packed against the layered kernel, min of 15 interleaved rounds
-# (CPython 3.11, 2-core x86), by the bits of p^m, on
-# Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the slots of a whole
-# packed product:
+# a layer of degree d over a base that is not Q_p multiplies dense
+# operands by one packed integer product (LocalField._packed) while p^m is
+# at most d^_PACKED_EXPONENT and the packed product has at most
+# _PACKED_PRODUCT_BITS bits; a layer whose packed product would be larger
+# convolves its blocks and its base products pack in turn.  Speed of a
+# dense top-layer product against the layered kernel, min of 15 rounds
+# interleaved over the whole table (CPython 3.11, 2-core x86), by the bits
+# of p^m, on Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the degree d
+# of the top layer over its base and the slots of a whole packed product;
+# * marks the widths the gate packs (python3 tools/kernel_table.py
+# --rounds 15 prints the table):
 #
-#   tower         n  slots    32    48    64    80    96   128   160 bits
-#   (3,2) rad 3  54    275  1.56  1.48  1.34  1.29  1.21  1.06  0.93
-#   (3,2) rad 4  54    275  1.60  1.28  1.38  1.21  1.14  0.98  0.86
-#   (5,1) rad 6  20     63  1.65  1.52  1.47  1.41  1.59  1.17  1.15
-#   (7,1) rad 8  42    143  2.15  1.96  1.88  1.78  1.63  1.50  1.28
-#   (2,3) rad 3  32    189  1.27  1.12  1.04  1.01  0.94  0.81  0.73
-#   (3,3) rad 3 486   4375  2.16  1.83  1.71  1.62  1.59  1.40  1.22
-#   (2,4) rad 3 128   1215  1.13  1.11  1.02  0.93  0.89  0.88  0.80
-#   (2,5) rad 3 512   7533  1.35  1.19  1.25  1.10  1.10  1.00  0.87
+#   tower          n  d  slots    32    48    64    80    96   112   128   144   160   176   192   208 bits
+#   (3,2) rad 3   54  3    275 1.57* 1.48* 1.37* 1.23* 1.21* 1.09* 1.08  0.95  0.93  0.89  0.94  0.90
+#   (3,2) rad 4   54  3    275 1.67* 1.43* 1.42* 1.24* 1.17* 1.03* 1.01  0.91  0.87  0.80  0.84  0.80
+#   (5,1) rad 6   20  5     63 1.60* 1.56* 1.48* 1.43* 1.33* 1.25* 1.26* 1.20* 1.19* 1.08  1.09  1.04
+#   (7,1) rad 8   42  7    143 2.19* 2.04* 1.95* 1.80* 1.75* 1.57* 1.54* 1.42* 1.35* 1.22* 1.16* 1.10*
+#   (2,3) rad 3   32  2    189 1.25* 1.18* 1.12* 1.05  1.00  0.95  0.89  0.87  0.80  0.77  0.74  0.69
+#   (3,3) rad 3  486  3   4375 1.58* 1.46* 1.32* 1.25* 1.24* 1.19* 1.24  1.08  1.12  1.06  1.06  1.01
+#   (2,4) rad 3  128  2   1215 1.19* 1.13* 1.07* 0.95  0.92  0.83  0.90  0.84  0.83  0.78  0.78  0.74
+#   (2,5) rad 3  512  2   7533 1.40* 1.19* 1.28* 1.10  1.11  1.02  0.98  0.92  0.89  0.94  0.96  0.93
+#   (3,1) rad 3    6  3     15 1.16* 1.13* 1.07* 1.10* 1.10* 1.06* 1.03  1.00  0.95  0.95  0.91  0.91
+#   (2,2) rad 2    8  2     27 1.13* 1.12* 1.08* 1.08  1.03  0.99  1.01  0.95  0.92  0.92  0.90  0.91
+#   (7,1) rad 7   42  7    143 2.29* 2.03* 1.97* 1.76* 1.67* 1.55* 1.51* 1.38* 1.33* 1.21* 1.16* 1.08*
 #
-# Up to 64 bits, which holds Tate's algorithm (13-18 digits of 3, at most
-# 29 bits), every tower gains.  The last three towers pass the product
-# cap, (3,3) and (2,5) from 32 bits and (2,4) from 48 (136 000 bits).
-# Packed whole, as without the cap, the tall p = 2 ones lost from 48
-# bits ((2,4) 1.00x and 0.94x at 48 and 64 bits, (2,5) 0.91x and 0.71x;
-# (3,3) 1.66x at 64), as their degree-2 Kummer layers multiply cheaply
-# layer by layer while the slots grow by 3/2 a layer, and CPython
+# No row falls below 0.97x before 80 digits of p, whatever its number of
+# layers: the p = 2 rows fall below it at 80-144 bits, the p = 3 ones at
+# 144-160 bits or not at all, and the p = 5 and 7 ones not by 208 bits
+# (89 and 74 digits), as their layers have the largest degree d over
+# their base (d = p on a Kummer layer), so that the layered kernel makes
+# the most base products, d(d+1)/2.  So the gate is p^m <= d^74, that is
+# m <= 74 digits on a Kummer layer: 74 bits at d = 2, and 117, 172 and
+# 208 bits at d = 3, 5 and 7.  As d >= 2, it packs every product that the
+# old flat gate of 64 bits packed, among them all of Tate's algorithm (at
+# most 29 bits), and it reaches the p-adic log's cut products (29-72 bits
+# at p = 2, 58-116 at p = 3, 98-114 at p = 5, 127-149 at p = 7).  The
+# tall towers pass the product cap, (3,3) and (2,5) from 32 bits and
+# (2,4) from 48 (136 000 bits).  Packed whole, as without the cap, the
+# tall p = 2 ones lost from 48 bits ((2,4) 1.00x and 0.94x at 48 and 64
+# bits, (2,5) 0.91x and 0.71x), as their degree-2 Kummer layers multiply
+# cheaply layer by layer while the slots grow by 3/2 a layer, and CPython
 # multiplies megabit integers in O(N^1.58).
-# Builds and the p-adic log multiply wider and keep the layered kernel.
-_PACKED_BITS = 64
+_PACKED_EXPONENT = 74
 _PACKED_PRODUCT_BITS = 100_000
 
 
@@ -559,7 +573,7 @@ class LocalField:
         block product one call of the base kernel.  Sparse operands (nx ny
         <= d(d+1)/2 nonzero block pairs: integers, lifts, pi) skip their
         zero blocks.  Dense ones take one packed integer product
-        (``_packed``) while pm has at most _PACKED_BITS bits and the packed
+        (``_packed``) while pm is at most d^_PACKED_EXPONENT and the packed
         product at most _PACKED_PRODUCT_BITS, and otherwise a one-level
         Karatsuba product with d(d+1)/2 base products, D_i = x_i y_i and
         P_ij = (x_i + x_j)(y_i + y_j) for i < j, whose P_ij - D_i - D_j is
@@ -603,9 +617,8 @@ class LocalField:
             for i in xnz:
                 for j in ynz:
                     _add_block(conv, i + j, mul(xb[i], yb[j], pm))
-        elif (pm.bit_length() <= _PACKED_BITS
-              and 8 * _slot_bytes(self.n, pm)
-              * (self._packing or self._init_packing())[2]
+        elif (pm <= (self._packing or self._init_packing())[3]
+              and 8 * _slot_bytes(self.n, pm) * self._packing[2]
               <= _PACKED_PRODUCT_BITS):
             return self._packed(xs, ys, pm)
         else:
@@ -651,7 +664,7 @@ class LocalField:
         layer from the bottom, the layer over Q_p by ``_fold`` and every
         layer above by its relation (``_fold_blocks``); all of it is exact
         over Z and reduced mod pm, so the vector is the layered kernel's."""
-        chain, slots, size = self._packing or self._init_packing()
+        chain, slots, size, _ = self._packing or self._init_packing()
         width = _slot_bytes(self.n, pm)
         zero = bytes(width)
 
@@ -682,7 +695,8 @@ class LocalField:
     def _init_packing(self):
         """The slot layout of ``_packed``, kept on the layer: the layers
         below it from the one over Q_p up, the slot of each flat coordinate,
-        and the number of slots of a product."""
+        the number of slots of a product, and the widest modulus that
+        packs, d^_PACKED_EXPONENT."""
         chain, fld = [], self.base
         while fld.base is not None:
             chain.append(fld)
@@ -692,7 +706,8 @@ class LocalField:
         for fld in (*chain, self):
             slots = [t + i * size for i in range(fld.d) for t in slots]
             size *= 2 * fld.d - 1
-        self._packing = (chain, slots, size)
+        self._packing = (chain, slots, size,
+                         self.d ** _PACKED_EXPONENT)
         return self._packing
 
     def _karatsuba(self, xs, ys):

@@ -146,7 +146,7 @@ def _elements(draw, K):
            for i in range(K.n)]
     # a product of two draws, of s <= 4, keeps _MIN_EFFECTIVE digits
     m = draw(st.sampled_from(
-        [K.M, draw(st.integers(4 + _MIN_EFFECTIVE, _packed_gate_digits(p)))]))
+        [K.M, draw(st.integers(4 + _MIN_EFFECTIVE, _packed_gate_digits(K)))]))
     return FieldElement(K, vec, draw(st.integers(0, 2)), m)
 
 

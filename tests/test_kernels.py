@@ -12,9 +12,11 @@ cofactor of a Galois layer, built by doubling over the cyclic factors
 of its group, is checked bit for bit against the product of the
 conjugates taken one after another, and its count of layer products is
 pinned.  Products of every layer kind are checked against a schoolbook
-product reduced by the layer's defining polynomial, on both sides of the
-packed-product gate for the layers over a base that is not Q_p, and the
-ring axioms are checked on random elements.
+product reduced by the layer's defining polynomial, on both sides of each
+layer's own packed-product gate for the layers over a base that is not
+Q_p, and the ring axioms are checked on random elements.  The gate packs
+every product that the flat 64-bit gate it replaced packed, and every
+dense product of the p-adic log on the benchmark's invariants towers.
 """
 
 import gc
@@ -27,9 +29,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anabelomorph import fields
-from anabelomorph.fields import (_KARATSUBA_BITS, _PACKED_BITS, FieldElement,
-                                 TowerStep, _charpoly, _slot_bytes,
-                                 build_field, norm_to_qp)
+from anabelomorph.anabelomorphy import KummerFieldSpec
+from anabelomorph.elliptic import l_invariant
+from anabelomorph.fields import (_KARATSUBA_BITS, _PACKED_EXPONENT,
+                                 _PACKED_PRODUCT_BITS, FieldElement,
+                                 LocalField, TowerStep, _charpoly,
+                                 _slot_bytes, build_field, norm_to_qp)
 
 T = TowerStep
 PRIMES = (2, 3, 5, 7)
@@ -391,7 +396,7 @@ def test_block_product_counts(d):
         # d(d+1)/2 for the convolution (schoolbook: d^2), then one per
         # nonzero top block for the fold by x^d = a; the modulus is above
         # the packed-product gate
-        assert pm.bit_length() > _PACKED_BITS
+        assert pm > _packed_gate_moduli(K)[0]
         assert len(K.relation) == 1
         assert count(x, y) == d * (d + 1) // 2 + d - 1
         assert count(x, x) == d * (d + 1) // 2 + d - 1
@@ -423,30 +428,45 @@ PACKED_TOWERS = {
 }
 
 
-def _packed_gate_digits(p):
-    """The most digits m with p^m of at most _PACKED_BITS bits: the widest
-    modulus below the packed-product gate."""
+def _packed_gate_digits(fld):
+    """The most digits m with p^m at most d^_PACKED_EXPONENT, d the degree
+    of the layer fld over its base: the widest modulus below its
+    packed-product gate."""
     m = 1
-    while (p ** (m + 1)).bit_length() <= _PACKED_BITS:
+    while fld.p ** (m + 1) <= fld.d ** _PACKED_EXPONENT:
         m += 1
     return m
 
 
-def _packed_gate_moduli(p):
-    """p^m just below and just above the packed-product gate."""
-    m = _packed_gate_digits(p)
-    return p ** m, p ** (m + 1)
+def _packed_gate_moduli(fld):
+    """p^m just below and just above the packed-product gate of fld."""
+    m = _packed_gate_digits(fld)
+    return fld.p ** m, fld.p ** (m + 1)
+
+
+def _spy_packed(monkeypatch):
+    """The layers of every ``_packed`` call from now on, in call order."""
+    calls = []
+    real = LocalField._packed
+
+    def spy(fld, xs, ys, pm):
+        calls.append(fld)
+        return real(fld, xs, ys, pm)
+
+    monkeypatch.setattr(LocalField, "_packed", spy)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(PACKED_TOWERS))
-def test_packed_products_match_schoolbook(name):
+def test_packed_products_match_schoolbook(name, monkeypatch):
     K = _oracle_tower(name, PACKED_TOWERS)
     rng = random.Random(f"packed:{name}")
     layers = [fld for fld in _layers(K) if fld.base.base is not None]
     assert layers
+    calls = _spy_packed(monkeypatch)
     for fld in layers:
         d = fld.d
-        for pm in _packed_gate_moduli(fld.p):
+        for pm, packs in zip(_packed_gate_moduli(fld), (True, False)):
             # reduced entries, then unreduced ones: negative and >= p^m
             for lo, hi in ((0, pm), (-pm, 2 * pm)):
                 for nx, ny in _block_shapes(d):
@@ -454,8 +474,11 @@ def test_packed_products_match_schoolbook(name):
                     y = _with_blocks(rng, fld, ny, lo, hi)
                     assert (list(fld._mul_mod(x, y, pm))
                             == _schoolbook(fld, x, y, pm))
-                # the last shape is (d, d): a dense square
+                # the last shape is (d, d): a dense square, which packs
+                # below the layer's own gate and not above it
+                calls.clear()
                 assert list(fld._mul_mod(x, x, pm)) == _schoolbook(fld, x, x, pm)
+                assert (calls[:1] == [fld]) == packs
 
 
 @pytest.mark.parametrize("d", sorted(KARATSUBA_TOWERS))
@@ -463,7 +486,7 @@ def test_packed_product_dispatch(d):
     K = _oracle_tower(KARATSUBA_TOWERS[d])
     base = K.base
     rng = random.Random(f"packed dispatch:{d}")
-    below, above = _packed_gate_moduli(K.p)
+    below, above = _packed_gate_moduli(K)
     calls = []
     real = base._mul_mod
 
@@ -500,7 +523,7 @@ def test_packed_product_cap(monkeypatch):
     base, d = K.base, K.d
     assert base.base.base is not None
     rng = random.Random("packed cap")
-    below, _ = _packed_gate_moduli(K.p)
+    below, _ = _packed_gate_moduli(K)
     top = 8 * _slot_bytes(K.n, below) * K._init_packing()[2]
     x, y = (_with_blocks(rng, K, d, 0, below) for _ in range(2))
     want = _schoolbook(K, x, y, below)
@@ -527,7 +550,7 @@ def test_packed_layout_is_kept_on_the_layer():
     # no reference that outlives the tower
     p, steps = ORACLE_TOWERS["kummer p=3 degree 54"]
     K = build_field(p, steps)
-    below, _ = _packed_gate_moduli(p)
+    below, _ = _packed_gate_moduli(K)
     x = [1 + i for i in range(K.n)]
     assert K._packing is None
     K._mul_mod(x, x, below)
@@ -539,6 +562,76 @@ def test_packed_layout_is_kept_on_the_layer():
     del K, layout
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_products_packed_at_64_bits_still_pack(name, monkeypatch):
+    # the gate replaced a flat one that packed every dense product while
+    # p^m had at most 64 bits and the packed product fitted the cap
+    K = _oracle_tower(name)
+    rng = random.Random(f"64 bits:{name}")
+    calls = _spy_packed(monkeypatch)
+    for fld in _layers(K):
+        if fld.base.base is None:
+            continue
+        size = fld._init_packing()[2]
+        m = 1
+        while (fld.p ** m).bit_length() <= 64:
+            pm = fld.p ** m
+            if 8 * _slot_bytes(fld.n, pm) * size <= _PACKED_PRODUCT_BITS:
+                x, y = (_with_blocks(rng, fld, fld.d, 1, pm) for _ in "xy")
+                calls.clear()
+                fld._mul_mod(x, y, pm)
+                assert calls[:1] == [fld], (fld.name, m)
+            m += 1
+
+
+# the eleven towers of the benchmark's invariants workload, with the two
+# p^r-th power radicand factors b^(p^r) it draws
+LOG_TOWERS = ([(p, 1, p) for p in (3, 5, 7)] + [(p, 1, 1 + p) for p in (3, 5, 7)]
+              + [(3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5), (2, 3, 3)])
+
+
+@pytest.mark.parametrize("p, r, a", LOG_TOWERS)
+def test_log_products_pack(p, r, a, monkeypatch):
+    # every dense product that l_invariant(p (1 + pi)) and l_invariant of
+    # its square make, at the log's cut of 29-149 bits, takes one packed
+    # multiply.  v(q) is read first: its frame walk runs at the working
+    # precision of q, before the log cuts x, and is not a log product
+    dense, unpacked, open_calls = [], [], []
+    real_mul, real_packed = LocalField._mul_mod, LocalField._packed
+
+    def mul(fld, xs, ys, pm):
+        b, d = fld.base.n if fld.base else 1, fld.d
+        if fld.base is None or fld.base.base is None or (
+                sum(map(any, (xs[i * b:(i + 1) * b] for i in range(d))))
+                * sum(map(any, (ys[i * b:(i + 1) * b] for i in range(d))))
+                <= d * (d + 1) // 2):
+            return real_mul(fld, xs, ys, pm)
+        dense.append((fld.n, pm.bit_length()))
+        open_calls.append(False)
+        try:
+            return real_mul(fld, xs, ys, pm)
+        finally:
+            if not open_calls.pop():
+                unpacked.append((fld.n, pm.bit_length()))
+
+    def packed(fld, xs, ys, pm):
+        open_calls[-1] = True
+        return real_packed(fld, xs, ys, pm)
+
+    bs = [b for b in range(2, 6) if b % p][:2]
+    for b in bs:
+        K = KummerFieldSpec(p, r, a * b ** p ** r).build()
+        q = K.from_int(p) * (K.one() + K.pi)
+        qq = q * q
+        q.valuation(), qq.valuation()
+        monkeypatch.setattr(LocalField, "_mul_mod", mul)
+        monkeypatch.setattr(LocalField, "_packed", packed)
+        l_invariant(q), l_invariant(qq)
+        monkeypatch.undo()
+    assert dense
+    assert unpacked == []
 
 
 # ----------------------------------------------------------------------
