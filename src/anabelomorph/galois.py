@@ -313,22 +313,30 @@ def artin_conductor(chi, filt):
     """Artin conductor exponent of chi = Ind_H^G(theta): v_p(d_K') +
     f(theta) for the fixed field K' = Q_p(zeta_(p^c)) of H, c = s - k,
     totally ramified with v_p(d_K') = c phi(p^c) - p^(c-1) (Serre, Local
-    Fields, VI 2 Prop. 4).  For linear theta, f(theta) = sum_(i=0..j)
-    |H_i|/|H_0|, j the last i with theta nontrivial on H_i = G_i cap H
-    (IV 1 Prop. 2), that is (J + sum over sigma != 1 in H of
-    min(J, i(sigma))) / |H_0| with J = j + 1; it must be an integer."""
+    Fields, VI 2 Prop. 4), with f(theta) of the linear theta read off
+    H_i = G_i cap H (IV 1 Prop. 2) by ``_linear_conductor``."""
     K = filt.field
     p, (_, s) = K.p, _levels(K)
     c = s - chi.k
     ivals = [(chi.theta(sig, p), i) for sig, i in filt.i_values.items()
              if sig.a in chi.lam]           # sigma in H
+    return ((c * (p ** c - p ** (c - 1)) - p ** (c - 1) if c else 0)
+            + _linear_conductor(ivals))
+
+
+def _linear_conductor(ivals):
+    """f(theta) = sum_(i=0..j) |H_i|/|H_0| for a linear theta on H, j the
+    last i with theta nontrivial on H_i, from the (theta(sigma), i(sigma))
+    of the sigma != 1 in H: (J + sum of min(J, i(sigma))) / |H_0| with
+    J = j + 1.  It must be an integer (Artin's theorem; Hasse-Arf when H
+    is abelian)."""
     J = max((i for t, i in ivals if t), default=0)
     f = Fraction(J + sum(min(J, i) for _, i in ivals),
                  1 + sum(i > 0 for _, i in ivals))
     if f.denominator != 1:
         raise ArithmeticError(
             f"conductor is not an integer: {f} (filtration/character mismatch)")
-    return (c * (p ** c - p ** (c - 1)) - p ** (c - 1) if c else 0) + int(f)
+    return int(f)
 
 
 def swan_conductor(chi, filt):
@@ -339,14 +347,22 @@ def swan_conductor(chi, filt):
 
 
 def wild_subgroup_conductor(filt):
-    """The largest i(sigma) over the nontrivial sigma with a = 1, that is
-    over N = Gal(K/Q_p(zeta_(p^r))) = Z/p^s: the number of indices i with
-    N_i = N cap G_i nontrivial.  At s = 1 every such N_i is N_0, so this is
-    the conductor exponent over Q_p(zeta_(p^r)) of a faithful character
-    of N, the sum of |N_i|/|N_0| over those i.  At s >= 2 the N_i shrink
-    and it exceeds that conductor: 24 against 12 on Q_3(zeta_9, 3^(1/9))."""
-    return max((i for s, i in filt.i_values.items()
-                if s.a % s.modulus == 1), default=0)
+    """The conductor exponent over Q_p(zeta_(p^r)) of a faithful character
+    psi of N = Gal(K/Q_p(zeta_(p^r))) = Z/p^s, the orbit k = 0 of
+    ``characters`` restricted to N: f(psi) = sum |N_i|/|N_0| over the i
+    with N_i = N cap G_i nontrivial (``_linear_conductor``).  At s = r it
+    is f(induced) - v_p(d) of Q_p(zeta_(p^r)): 12 = 21 - 9 on
+    Q_3(zeta_9, 3^(1/9)), and 6 = 15 - 9 on Q_3(zeta_9, 4^(1/9)), where
+    the count of i with N_i nontrivial is 24 and 14.  At s = 1 every
+    nontrivial N_i is N_0, so f(psi) is that count, the largest i(sigma)
+    over N, and a difference raises."""
+    ivals = [i for sig, i in filt.i_values.items()
+             if sig.a % sig.modulus == 1]
+    f = _linear_conductor([(True, i) for i in ivals])
+    if _levels(filt.field)[1] == 1 and f != max(ivals):
+        raise ArithmeticError(f"wild conductor {f} != largest i(sigma) "
+                              f"{max(ivals)} over N of order p")
+    return f
 
 
 def conductor_discriminant_check(K):

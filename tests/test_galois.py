@@ -313,9 +313,11 @@ def test_invariants_match_the_per_index_definitions(p, r, rad):
         sum((Fraction(len(groups[min(i, top)]), len(groups[0]))
              for i in range(1, b + 1)), Fraction(0))
         for b in filt.breaks]
+    # f over Q_p(zeta_(p^r)) of a faithful character of N, the a = 1
+    # part: the sum of |N_i|/|N_0| over the i with N_i nontrivial
+    wild = [[s for s in grp if s.a % s.modulus == 1] for grp in groups]
     assert wild_subgroup_conductor(filt) == sum(
-        any(s.a % s.modulus == 1 and not s.is_identity for s in grp)
-        for grp in groups)
+        Fraction(len(n), len(wild[0])) for n in wild if len(n) > 1)
     _check_conductors_by_index(K, filt)
 
 
@@ -490,9 +492,9 @@ def test_r2_pair_conductor_multisets():
         rep = conductor_discriminant_check(K)
         assert rep["sum_dim_times_conductor"] == discriminant_valuation(K)
         assert rep["conductors"]["induced"] == (21 if rad == 3 else 15)
-        # the i with N_i != 1, more than f(theta) = 21 - 9 or 15 - 9 of
-        # the faithful orbit, v_3(d) = 9 for Q_3(zeta_9)
-        assert wild_subgroup_conductor(filt) == (24 if rad == 3 else 14)
+        # f(theta) of the faithful orbit over Q_3(zeta_9), whose v_3(d) is
+        # 9: f(induced) = 9 theta(1) + f(theta), so 21 - 9 and 15 - 9
+        assert wild_subgroup_conductor(filt) == (12 if rad == 3 else 6)
 
 
 @settings(max_examples=20, deadline=None,
@@ -515,6 +517,11 @@ def test_conductors_on_drawn_galois_towers(p_r, num, den):
     assert sum(chi.dim ** 2 for chi in chars) == K.n
     assert (sum(chi.dim * f for chi, f in zip(chars, fs))
             == discriminant_valuation(K))
+    # the faithful orbit k = 0 at s = r: f(induced) = v_p(d) of
+    # Q_p(zeta_(p^r)) + f(theta), f(theta) the wild conductor over it
+    (f_induced,) = (f for chi, f in zip(chars, fs) if chi.label == "induced")
+    assert f_induced == (r * (p ** r - p ** (r - 1)) - p ** (r - 1)
+                         + wild_subgroup_conductor(filt))
 
 
 def test_conductor_discriminant_bare_cyclotomic():
