@@ -588,7 +588,8 @@ def test_products_packed_at_64_bits_still_pack(name, monkeypatch):
 
 # the eleven towers of the benchmark's invariants workload, with the two
 # p^r-th power radicand factors b^(p^r) it draws
-LOG_TOWERS = ([(p, 1, p) for p in (3, 5, 7)] + [(p, 1, 1 + p) for p in (3, 5, 7)]
+LOG_TOWERS = ([(p, 1, p) for p in (3, 5, 7)]
+              + [(p, 1, 1 + p) for p in (3, 5, 7)]
               + [(3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5), (2, 3, 3)])
 
 
@@ -602,11 +603,12 @@ def test_log_products_pack(p, r, a, monkeypatch):
     real_mul, real_packed = LocalField._mul_mod, LocalField._packed
 
     def mul(fld, xs, ys, pm):
-        b, d = fld.base.n if fld.base else 1, fld.d
-        if fld.base is None or fld.base.base is None or (
-                sum(map(any, (xs[i * b:(i + 1) * b] for i in range(d))))
-                * sum(map(any, (ys[i * b:(i + 1) * b] for i in range(d))))
-                <= d * (d + 1) // 2):
+        if fld.base is None or fld.base.base is None:
+            return real_mul(fld, xs, ys, pm)
+        b, d = fld.base.n, fld.d
+        nx, ny = (sum(any(v[i * b:(i + 1) * b]) for i in range(d))
+                  for v in (xs, ys))
+        if nx * ny <= d * (d + 1) // 2:         # sparse: skips zero blocks
             return real_mul(fld, xs, ys, pm)
         dense.append((fld.n, pm.bit_length()))
         open_calls.append(False)

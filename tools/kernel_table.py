@@ -133,15 +133,16 @@ def main():
                 bst[way] = min(bst[way], t)
     print(f"#   tower          n  d  slots"
           f"{''.join(f'{b:6d}' for b in widths)} bits")
+    w = len(widths)
     for i, (name, K) in enumerate(rows):
-        line = []
-        for bst, pks in zip(best[i * len(widths):], packs[i * len(widths):]):
-            way, mark = (("packed", " ") if not pks["gate"] else
-                         ("gate", "*") if pks["gate"] == pks["packed"]
-                         else ("gate", "~"))
-            line.append(f"{bst['layered'] / bst[way]:5.2f}{mark}")
+        line = ""
+        for bst, pks in zip(best[i * w:(i + 1) * w], packs[i * w:(i + 1) * w]):
+            way = "gate" if pks["gate"] else "packed"
+            mark = (" " if not pks["gate"] else
+                    "*" if pks["gate"] == pks["packed"] else "~")
+            line += f"{bst['layered'] / bst[way]:5.2f}{mark}"
         print(f"#   {name:<12}{K.n:4d}{K.d:3d}{K._init_packing()[2]:7d}"
-              f"{''.join(line[:len(widths)])}".rstrip())
+              f"{line}".rstrip())
 
 
 if __name__ == "__main__":
