@@ -92,43 +92,62 @@ _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # at most d^_PACKED_EXPONENT and the packed product has at most
 # _PACKED_PRODUCT_BITS bits; a layer whose packed product would be larger
 # convolves its blocks and its base products pack in turn.  Speed of a
-# dense top-layer product against the layered kernel, min of 15 rounds
-# interleaved over the whole table (CPython 3.11, 2-core x86), by the bits
-# of p^m, on Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, with the degree d
-# of the top layer over its base and the slots of a whole packed product;
-# * marks the widths the gate packs (python3 tools/kernel_table.py
-# --rounds 15 prints the table):
+# dense product against the layered kernel, min of 25 rounds interleaved
+# over the whole table (CPython 3.11, 2-core x86), by the bits of p^m, on
+# the top layer of Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, then on
+# layers below the top (by their degree n over Q_p) and off d = p: x^3 = 2
+# over Q_2(i), x^3 = 5 over Q_5(zeta_5), x^2 = 2 over Q_3(zeta_3) and
+# x^2 = 3 over Q_7(zeta_7); with the layer's degree d over its base and
+# the slots of a whole packed product; * marks the widths the gate packs
+# (python3 tools/kernel_table.py --rounds 25 prints the table):
 #
-#   tower          n  d  slots    32    48    64    80    96   112   128   144   160   176   192   208 bits
-#   (3,2) rad 3   54  3    275 1.57* 1.48* 1.37* 1.23* 1.21* 1.09* 1.08  0.95  0.93  0.89  0.94  0.90
-#   (3,2) rad 4   54  3    275 1.67* 1.43* 1.42* 1.24* 1.17* 1.03* 1.01  0.91  0.87  0.80  0.84  0.80
-#   (5,1) rad 6   20  5     63 1.60* 1.56* 1.48* 1.43* 1.33* 1.25* 1.26* 1.20* 1.19* 1.08  1.09  1.04
-#   (7,1) rad 8   42  7    143 2.19* 2.04* 1.95* 1.80* 1.75* 1.57* 1.54* 1.42* 1.35* 1.22* 1.16* 1.10*
-#   (2,3) rad 3   32  2    189 1.25* 1.18* 1.12* 1.05  1.00  0.95  0.89  0.87  0.80  0.77  0.74  0.69
-#   (3,3) rad 3  486  3   4375 1.58* 1.46* 1.32* 1.25* 1.24* 1.19* 1.24  1.08  1.12  1.06  1.06  1.01
-#   (2,4) rad 3  128  2   1215 1.19* 1.13* 1.07* 0.95  0.92  0.83  0.90  0.84  0.83  0.78  0.78  0.74
-#   (2,5) rad 3  512  2   7533 1.40* 1.19* 1.28* 1.10  1.11  1.02  0.98  0.92  0.89  0.94  0.96  0.93
-#   (3,1) rad 3    6  3     15 1.16* 1.13* 1.07* 1.10* 1.10* 1.06* 1.03  1.00  0.95  0.95  0.91  0.91
-#   (2,2) rad 2    8  2     27 1.13* 1.12* 1.08* 1.08  1.03  0.99  1.01  0.95  0.92  0.92  0.90  0.91
-#   (7,1) rad 7   42  7    143 2.29* 2.03* 1.97* 1.76* 1.67* 1.55* 1.51* 1.38* 1.33* 1.21* 1.16* 1.08*
+#   tower          n  d  slots    32    48    64    72    80    96   112   128   144   160   176   192   208 bits
+#   (3,2) rad 3   54  3    275 1.52* 1.42* 1.36* 1.24* 1.23* 1.22* 1.08* 1.06  0.96  0.93  0.87  0.93  0.88
+#   (3,2) rad 4   54  3    275 1.59* 1.41* 1.34* 1.28* 1.21* 1.19* 1.01* 0.99  0.92  0.85  0.80  0.88  0.82
+#   (5,1) rad 6   20  5     63 1.66* 1.69* 1.65* 1.53* 1.49* 1.46* 1.31* 1.25* 1.24* 1.15* 1.12  1.12  1.03
+#   (7,1) rad 8   42  7    143 2.25* 1.97* 2.12* 1.87* 1.81* 1.77* 1.49* 1.50* 1.45* 1.36* 1.22* 1.19* 1.11*
+#   (2,3) rad 3   32  2    189 1.23* 1.22* 1.15* 1.09* 1.02  0.97  0.92  0.93  0.83  0.77  0.76  0.74  0.70
+#   (3,3) rad 3  486  3   4375 1.65* 1.51* 1.43* 1.38* 1.28* 1.32* 1.19* 1.26  1.12  1.11  1.05  1.05  1.02
+#   (2,4) rad 3  128  2   1215 1.18* 1.13* 1.06* 1.02* 0.95  0.92  0.84  0.91  0.86  0.83  0.78  0.77  0.73
+#   (2,5) rad 3  512  2   7533 1.36* 1.20* 1.31* 1.20* 1.13  1.12  1.02  1.01  0.92  0.85  0.93  0.93  0.91
+#   (3,1) rad 3    6  3     15 1.16* 1.13* 1.14* 1.07* 1.09* 1.03* 0.99* 1.05  0.97  0.95  0.89  0.97  0.93
+#   (2,2) rad 2    8  2     27 1.16* 1.14* 1.15* 1.10* 1.12  1.10  1.02  1.02  0.95  0.98  0.95  0.94  0.90
+#   (7,1) rad 7   42  7    143 2.22* 2.00* 1.99* 1.83* 1.80* 1.66* 1.54* 1.49* 1.38* 1.39* 1.23* 1.17* 1.04*
+#   (2,2) rad 2    4  2      9 0.91* 0.85* 0.88* 0.90* 0.88  0.86  0.86  0.84  0.81  0.82  0.79  0.79  0.76
+#   (2,3) rad 3    8  2     21 0.99* 0.94* 0.95* 0.93* 0.87  0.84  0.86  0.81  0.80  0.82  0.76  0.74  0.72
+#   (3,2) rad 3   18  3     55 1.29* 1.18* 1.18* 1.12* 1.14* 1.12* 1.00* 1.01  0.98  0.97  0.92  0.91  0.82
+#   custom p=2     6  3     15 1.16* 1.08* 1.11* 1.12* 1.11* 1.05* 1.02* 1.06  1.00  0.99  0.97  0.92  0.93
+#   custom p=5    12  3     35 1.20* 1.17* 1.17* 1.15* 1.10* 1.11* 0.98* 1.02  0.98  0.93  0.90  0.92  0.84
+#   quad p=3       4  2      9 0.85* 0.89* 0.88* 0.91* 0.87  0.92  0.87  0.82  0.79  0.80  0.80  0.81  0.77
+#   quad p=7      12  2     33 1.04* 1.02* 1.02* 0.97* 0.94  0.94  0.88  0.87  0.87  0.84  0.77  0.78  0.75
 #
-# No row falls below 0.97x before 80 digits of p, whatever its number of
-# layers: the p = 2 rows fall below it at 80-144 bits, the p = 3 ones at
-# 144-160 bits or not at all, and the p = 5 and 7 ones not by 208 bits
-# (89 and 74 digits), as their layers have the largest degree d over
-# their base (d = p on a Kummer layer), so that the layered kernel makes
-# the most base products, d(d+1)/2.  So the gate is p^m <= d^74, that is
-# m <= 74 digits on a Kummer layer: 74 bits at d = 2, and 117, 172 and
-# 208 bits at d = 3, 5 and 7.  As d >= 2, it packs every product that the
-# old flat gate of 64 bits packed, among them all of Tate's algorithm (at
-# most 29 bits), and it reaches the p-adic log's cut products (29-72 bits
-# at p = 2, 58-116 at p = 3, 98-114 at p = 5, 127-149 at p = 7).  The
-# tall towers pass the product cap, (3,3) and (2,5) from 32 bits and
-# (2,4) from 48 (136 000 bits).  Packed whole, as without the cap, the
-# tall p = 2 ones lost from 48 bits ((2,4) 1.00x and 0.94x at 48 and 64
-# bits, (2,5) 0.91x and 0.71x), as their degree-2 Kummer layers multiply
-# cheaply layer by layer while the slots grow by 3/2 a layer, and CPython
-# multiplies megabit integers in O(N^1.58).
+# No top Kummer layer (d = p, the first eleven rows) falls below 0.97x up
+# to 72 bits at p = 2 and 128 bits at p = 3 (71 and 80 digits), whatever
+# its number of layers: the p = 2 rows fall below it at 80-144 bits, the
+# p = 3 ones at 144-160 bits or not at all, and the p = 5 and 7 ones not
+# by 208 bits (89 and 74 digits), as their layers have the largest degree
+# d over their base, so that the layered kernel makes the most base
+# products, d(d+1)/2.  So the gate is p^m <= d^74, that is m <= 74 digits
+# on a Kummer layer: 74 bits at d = 2, and 117, 172 and 208 bits at d = 3,
+# 5 and 7, where those rows read 0.99-2.25x.  As d >= 2, it packs every
+# product that the old flat gate of 64 bits packed, among them all of
+# Tate's algorithm (at most 29 bits), and it reaches the p-adic log's cut
+# products (29-72 bits at p = 2, 58-116 at p = 3, 98-114 at p = 5,
+# 127-149 at p = 7), which need an exponent of at least 73.  Below the top
+# and off d = p the same rule reads 0.97x or more on the degree-3 layers
+# and on x^2 = 3 over Q_7(zeta_7), but a degree-2 layer right over a layer
+# over Q_p of degree 2 or 4, whose layered product makes only three
+# products of short integer vectors, loses at every width: the n = 4
+# layer of (2,2), the n = 8 layer of (2,3) and x^2 = 2 over Q_3(zeta_3)
+# read 0.85-0.99x up to 64 bits, which the old gate packed too, and
+# 0.90-0.93x at 72, and the gate packs them to 74 bits (73 at p = 3), as
+# no gate read off d can leave them layered and still pack what the old
+# one packed.  The tall towers pass the product cap, (3,3) and (2,5) from
+# 32 bits and (2,4) from 48 (136 000 bits).  Packed whole, as without the
+# cap, the tall p = 2 ones lost from 48 bits ((2,4) 1.00x and 0.94x at 48
+# and 64 bits, (2,5) 0.91x and 0.71x), as their degree-2 Kummer layers
+# multiply cheaply layer by layer while the slots grow by 3/2 a layer, and
+# CPython multiplies megabit integers in O(N^1.58).
 _PACKED_EXPONENT = 74
 _PACKED_PRODUCT_BITS = 100_000
 
@@ -465,7 +484,7 @@ class LocalField:
         self._residue_field = None      # F_q, see residue_field
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
         self.delta = None               # the frame's delta, see _certify
-        self._packing = None            # slot layout, see _packed
+        self._packing = None            # see _init_packing
         self._pi_pows = {}
         self._delta_pows = {}           # a -> delta^a, see _delta_pow
         self._beta_pows = None          # see _beta_powers
@@ -693,10 +712,11 @@ class LocalField:
         return tuple(vec)
 
     def _init_packing(self):
-        """The slot layout of ``_packed``, kept on the layer: the layers
-        below it from the one over Q_p up, the slot of each flat coordinate,
-        the number of slots of a product, and the widest modulus that
-        packs, d^_PACKED_EXPONENT."""
+        """The slot layout of ``_packed`` and the gate's limit, set on the
+        layer's first dense product at any width, since the gate reads the
+        limit from it, and kept: the layers below it from the one over Q_p
+        up, the slot of each flat coordinate, the number of slots of a
+        product, and the widest modulus that packs, d^_PACKED_EXPONENT."""
         chain, fld = [], self.base
         while fld.base is not None:
             chain.append(fld)

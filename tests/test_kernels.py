@@ -546,8 +546,8 @@ def test_packed_product_cap(monkeypatch):
 
 
 def test_packed_layout_is_kept_on_the_layer():
-    # the layout is set on the first narrow product and reused; it keeps
-    # no reference that outlives the tower
+    # the layout and the gate's limit are set on the layer's first dense
+    # product and reused; they keep no reference that outlives the tower
     p, steps = ORACLE_TOWERS["kummer p=3 degree 54"]
     K = build_field(p, steps)
     below, _ = _packed_gate_moduli(K)

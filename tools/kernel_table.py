@@ -1,37 +1,43 @@
 """Print the packed-product table that sits at fields._PACKED_EXPONENT.
 
     python3 tools/kernel_table.py [--rounds N] [--bits B,B,...]
-                                  [--checkout DIR]
 
-For each tower Q_p(zeta_(p^r), a^(1/p^r)), written (p,r) rad a, and each
+Each row is one layer of a tower over a base that is not Q_p.  For each
 width of p^m in bits, the script times one product of two dense random
-vectors of the top layer, reduced mod p^m, three ways:
+vectors of that layer, reduced mod p^m, three ways:
 
   * layered: no layer packs, so the product is one-level Karatsuba block
     products down to the integer kernel of the layer over Q_p;
-  * packed: every layer may pack (``LocalField._packed``), so the top
-    layer packs whole unless its packed product passes
-    _PACKED_PRODUCT_BITS, and then its block products pack, or theirs;
-  * under the gate of the checkout.
+  * packed: every layer may pack (``LocalField._packed``), so the layer
+    packs whole unless its packed product passes _PACKED_PRODUCT_BITS,
+    and then its block products pack, or theirs;
+  * under the gate.
 
 It asserts that the three give the same vector, and prints a speed
 against the layered product, the minimum over N interleaved rounds
-(default 7) of each, after the tower's degree n, the degree d of its
-top layer over its base and the slots of a whole packed product.  Where
-the gate packs, the cell is the speed of the gate's product, marked *
-when it packs the same layers as the packed way and ~ when only layers
-below those; elsewhere it is the speed of the packed way, unmarked.
+(default 7) of each, after the layer's degree n over Q_p, its degree d
+over its base and the slots of a whole packed product.  Where the gate
+packs, the cell is the speed of the gate's product, marked *; elsewhere
+it is the speed of the packed way, unmarked.
 
-The rows are the eight towers of the table this one replaced and the
-three ``invariants`` towers of the benchmark that it lacked, (3,1)
-rad 3, (2,2) rad 2 and (7,1) rad 7; the columns are 32 to 208 bits in
-steps of 16, so that they reach the widest product the gate packs on
-these towers, 7^74 at 208 bits.  Each way sets the widest modulus
-d^k at which the tower's layers pack through ``fields._PACKED_EXPONENT``
-= k, 0 for none, which a layer reads when it lays out its slots.  A run
-of 15 rounds takes about a minute on a 2-core x86 host (CPython 3.11).
-It imports ``anabelomorph`` from ``DIR/src`` (by default the repository
-that holds this script) and writes nothing.  Stdlib only.
+The first eleven rows are the top layers of Q_p(zeta_(p^r), a^(1/p^r)),
+written (p,r) rad a, the Kummer layers of degree d = p over a base that
+is not Q_p: the eight towers of the table this one replaced and the three
+``invariants`` towers of the benchmark that it lacked, (3,1) rad 3, (2,2)
+rad 2 and (7,1) rad 7.  The other seven are layers below the top of a
+tower, marked by their n, and layers whose degree d is not p: the custom
+layers x^3 = 2 over Q_2(i) ('custom p=2') and x^3 = 5 over Q_5(zeta_5)
+('custom p=5') and the quadratic layers x^2 = 2 over Q_3(zeta_3) ('quad
+p=3') and x^2 = 3 over Q_7(zeta_7) ('quad p=7').  The columns are 32 to
+208 bits in steps of 16, so that they reach the widest product the gate
+packs on these layers, 7^74 at 208 bits, and 72 bits, the widest product
+of the p-adic log at p = 2, which falls in the 65-74 bits that the gate
+packs on a layer of degree 2 and a flat gate of 64 bits did not.  Each
+way sets the widest modulus d^k at which the layers pack through
+``fields._PACKED_EXPONENT`` = k, 0 for none, which a layer reads when it
+lays out its slots.  A run of 25 rounds takes about three minutes on a
+2-core x86 host (CPython 3.11).  It imports ``anabelomorph`` from the repository that holds this
+script and writes nothing.  Stdlib only.
 """
 
 import argparse
@@ -43,12 +49,25 @@ from pathlib import Path
 # no import below leaves bytecode behind in the checkout, where it would
 # skew a later benchmark run
 sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-HERE = Path(__file__).resolve().parent.parent
+from anabelomorph import fields  # noqa: E402
+from anabelomorph.fields import TowerStep as T  # noqa: E402
 
 TOWERS = ((3, 2, 3), (3, 2, 4), (5, 1, 6), (7, 1, 8), (2, 3, 3),
           (3, 3, 3), (2, 4, 3), (2, 5, 3), (3, 1, 3), (2, 2, 2), (7, 1, 7))
-BITS = tuple(range(32, 209, 16))
+# (name, p, steps, degree n of the layer over Q_p, None for the top)
+ROWS = (*((f"({p},{r}) rad {a}", p,
+           (T.cyclotomic(p ** r), T.kummer(p ** r, a)), None)
+          for p, r, a in TOWERS),
+        ("(2,2) rad 2", 2, (T.cyclotomic(4), T.kummer(4, 2)), 4),
+        ("(2,3) rad 3", 2, (T.cyclotomic(8), T.kummer(8, 3)), 8),
+        ("(3,2) rad 3", 3, (T.cyclotomic(9), T.kummer(9, 3)), 18),
+        ("custom p=2", 2, (T.cyclotomic(4), T.custom([-2, 0, 0])), None),
+        ("custom p=5", 5, (T.cyclotomic(5), T.custom([-5, 0, 0])), None),
+        ("quad p=3", 3, (T.cyclotomic(3), T.custom([-2, 0])), None),
+        ("quad p=7", 7, (T.cyclotomic(7), T.custom([-3, 0])), None))
+BITS = tuple(sorted((72, *range(32, 209, 16))))
 
 
 def digits_at(p, bits):
@@ -59,14 +78,14 @@ def digits_at(p, bits):
     return m
 
 
-def timed(fields, exponent, K, x, y, pm, reps):
-    """(seconds per product, vector, degrees of the layers that packed)
-    of ``reps`` products with the gate's exponent set to ``exponent``."""
+def timed(exponent, K, x, y, pm, reps):
+    """(seconds per product, vector, whether the gate packed) of ``reps``
+    products with the gate's exponent set to ``exponent``."""
     saved, packed = fields._PACKED_EXPONENT, fields.LocalField._packed
-    packs = set()
+    packs = []
 
     def counting(fld, xs, ys, m):
-        packs.add(fld.n)
+        packs.append(fld)
         return packed(fld, xs, ys, m)
 
     def relayout():
@@ -85,7 +104,7 @@ def timed(fields, exponent, K, x, y, pm, reps):
         t0 = time.perf_counter()
         for _ in range(reps):
             K._mul_mod(x, y, pm)
-        return (time.perf_counter() - t0) / reps, out, packs
+        return (time.perf_counter() - t0) / reps, out, bool(packs)
     finally:
         fields._PACKED_EXPONENT, fields.LocalField._packed = saved, packed
         relayout()
@@ -96,12 +115,8 @@ def main():
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--bits", default=",".join(map(str, BITS)),
                     help="comma-separated widths of p^m in bits")
-    ap.add_argument("--checkout", type=Path, default=HERE)
     args = ap.parse_args()
     widths = [int(b) for b in args.bits.split(",")]
-    sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    from anabelomorph import fields
-    from anabelomorph.fields import TowerStep as T
 
     # no pm is at most d^0 = 1, and every pm of at most b bits is below
     # d^b for d >= 2
@@ -109,38 +124,38 @@ def main():
             "gate": fields._PACKED_EXPONENT}
     rng = random.Random("kernel table")
     rows, cells = [], []
-    for p, r, a in TOWERS:
-        K = fields.build_field(p, [T.cyclotomic(p ** r),
-                                   T.kummer(p ** r, a)])
-        rows.append((f"({p},{r}) rad {a}", K))
+    for name, p, steps, n in ROWS:
+        K = fields.build_field(p, list(steps))
+        while n is not None and K.n != n:
+            K = K.base
+        rows.append((name, K))
         for bits in widths:
             pm = p ** digits_at(p, bits)
             x, y = ([rng.randrange(pm) for _ in range(K.n)] for _ in "xy")
             # enough products per timing to last about 2 ms
-            once, want, _ = timed(fields, 0, K, x, y, pm, 1)
+            once, want, _ = timed(0, K, x, y, pm, 1)
             cells.append((K, x, y, pm, max(1, int(0.002 / once)), want))
     best = [dict.fromkeys(ways, float("inf")) for _ in cells]
-    packs = [{} for _ in cells]
+    gated = [False] * len(cells)
     # a round times every cell once, each way in a random order, so that a
     # slow stretch of a shared host reaches one round of a cell, not all
     for _ in range(args.rounds):
-        for (K, x, y, pm, reps, want), bst, pks in zip(cells, best, packs):
+        for c, (K, x, y, pm, reps, want) in enumerate(cells):
             for way in rng.sample(list(ways), len(ways)):
-                t, got, pks[way] = timed(fields, ways[way], K, x, y, pm,
-                                         reps)
+                t, got, packs = timed(ways[way], K, x, y, pm, reps)
                 if got != want:
                     raise SystemExit(f"{K.name} mod {pm}: {way} != layered")
-                bst[way] = min(bst[way], t)
+                best[c][way] = min(best[c][way], t)
+                if way == "gate":
+                    gated[c] = packs
     print(f"#   tower          n  d  slots"
           f"{''.join(f'{b:6d}' for b in widths)} bits")
     w = len(widths)
     for i, (name, K) in enumerate(rows):
         line = ""
-        for bst, pks in zip(best[i * w:(i + 1) * w], packs[i * w:(i + 1) * w]):
-            way = "gate" if pks["gate"] else "packed"
-            mark = (" " if not pks["gate"] else
-                    "*" if pks["gate"] == pks["packed"] else "~")
-            line += f"{bst['layered'] / bst[way]:5.2f}{mark}"
+        for c in range(i * w, (i + 1) * w):
+            way, mark = ("gate", "*") if gated[c] else ("packed", " ")
+            line += f"{best[c]['layered'] / best[c][way]:5.2f}{mark}"
         print(f"#   {name:<12}{K.n:4d}{K.d:3d}{K._init_packing()[2]:7d}"
               f"{line}".rstrip())
 
