@@ -44,6 +44,8 @@ class KummerFieldSpec:
             raise ValueError(f"{self.p} is not prime")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        if self.p == 2 and self.r == 1:
+            raise ValueError(f"spec p=2 r=1 is out of scope: {_SPEC_GRAMMAR}")
         if isinstance(self.radicand, (int, Fraction)) and self.radicand == 0:
             raise ValueError("radicand must be nonzero")
 
@@ -88,7 +90,8 @@ class AnabelomorphismVerdict:
 
 
 _SPEC_GRAMMAR = ("a spec is p=<prime> r=<integer> with an optional "
-                 "rad=<radicand>, such as p=3 r=2 rad=3")
+                 "rad=<radicand>, such as p=3 r=2 rad=3; r >= 2 at p = 2, "
+                 "where zeta_2 = -1 lies in Q_2")
 
 
 def parse_kummer_spec(text):
@@ -121,11 +124,11 @@ def _radicand_is_pth_power(spec, prec=None):
 
 
 def _certify(spec, prec=None):
-    """(degree, k0_label or None, abelian, reason fragment)."""
+    """(degree, k0_label or None, reason fragment)."""
     p = spec.p
     if spec.radicand is None:
         return (spec.cyclotomic_degree(),
-                f"Q_{p}(zeta_{spec.modulus})", True, "cyclotomic (abelian)")
+                f"Q_{p}(zeta_{spec.modulus})", "cyclotomic (abelian)")
     rational = isinstance(spec.radicand, (int, Fraction))
     # x^(p^r) - a is irreducible over F = Q_p(zeta_(p^r)) exactly when a is
     # not a p-th power in F (Lang, Algebra, VI 9 Thm 9.1); the exception
@@ -139,12 +142,12 @@ def _certify(spec, prec=None):
     if not rational:
         # zeta -> zeta^a moves the radicand; Galois stability over Q_p is
         # not certified, so the maximal abelian subfield stays unlabelled
-        return degree, None, False, "non-rational radicand: K0 undecided"
+        return degree, None, "non-rational radicand: K0 undecided"
     # non-abelian certificate: sigma_a tau sigma_a^{-1} = tau^a != tau for
     # some a, i.e. sigma_a fixes the Kummer direction only for a = 1
     nonabelian = spec.modulus > 2
     label = f"Q_{p}(zeta_{spec.modulus})" if nonabelian else None
-    return degree, label, False, "full Kummer degree, nonabelian action"
+    return degree, label, "full Kummer degree, nonabelian action"
 
 
 def jarden_ritter(spec1, spec2, prec=None):
@@ -159,23 +162,16 @@ def jarden_ritter(spec1, spec2, prec=None):
             NOT_ANABELOMORPHIC, reason="residue characteristic differs "
             f"({spec1.p} vs {spec2.p})")
     if spec1 == spec2:
-        d, label, _, _ = _certify(spec1, prec=prec)
+        d, label, _ = _certify(spec1, prec=prec)
         return AnabelomorphismVerdict(
             ANABELOMORPHIC, d, d, label or spec1.describe(),
             label or spec2.describe(), "identical specifications")
-    d1, l1, ab1, why1 = _certify(spec1, prec=prec)
-    d2, l2, ab2, why2 = _certify(spec2, prec=prec)
+    d1, l1, why1 = _certify(spec1, prec=prec)
+    d2, l2, why2 = _certify(spec2, prec=prec)
     if d1 != d2:
         return AnabelomorphismVerdict(
             NOT_ANABELOMORPHIC, d1, d2, l1 or "?", l2 or "?",
             f"absolute degrees differ: {d1} != {d2}")
-    if ab1 and ab2:
-        # both abelian: the fields are their own maximal abelian subfields
-        if spec1.modulus == spec2.modulus:
-            return AnabelomorphismVerdict(ANABELOMORPHIC, d1, d2, l1, l2,
-                                          "equal abelian fields")
-        return AnabelomorphismVerdict(NOT_ANABELOMORPHIC, d1, d2, l1, l2,
-                                      "distinct abelian fields of equal degree")
     if l1 is not None and l2 is not None:
         if l1 == l2:
             return AnabelomorphismVerdict(

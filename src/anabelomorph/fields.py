@@ -6,14 +6,15 @@ A tower is a chain of fields, each one layer over its base:
   * ``kummer``      -- degree-p cyclic layer x^p = radicand, with zeta_p
                        in the base (a user step of exponent p^s becomes s
                        such layers),
-  * ``quadratic``   -- monic degree-2 layer over a base of odd residue
-                       characteristic,
-  * ``custom``      -- monic polynomial layer certified by its Newton
-                       polygon (totally ramified case only).
+  * ``custom``      -- monic polynomial layer, certified by its Newton
+                       polygon (totally ramified case only), or at
+                       degree 2, over a base of odd residue
+                       characteristic, by its discriminant (ramified or
+                       unramified).
 
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
-All four relative layer kinds are stored as their monic relation over
+All three relative layer kinds are stored as their monic relation over
 the base and multiply through one kernel, which over Q_p folds one
 integer convolution by the relation, and over any other base skips the
 zero blocks of sparse operands.  Dense operands over such a base take
@@ -25,14 +26,14 @@ base products (one-level Karatsuba), which may pack in turn.
 The integer convolution is a recursive Karatsuba when both operands are
 dense and p^m is at least _KARATSUBA_BITS wide (the degree-500 towers'
 base at M = 788), and a zero-skipping schoolbook otherwise.  Norms are
-computed level by level.  The automorphism group of each Galois layer is
-cyclic, or a product of two cyclic groups, and a conjugate costs a
-permutation or block products by roots of unity rather than a layer
-product, so the product of the conjugates, whose product with the
-element is the resultant of the layer relation against it, is built by
-doubling over each cyclic factor in O(log d) layer products; a custom
-layer's comes from the characteristic polynomial of multiplication by
-the element.
+computed level by level.  The automorphism group of each cyclotomic or
+Kummer layer is cyclic, or a product of two cyclic groups, and a
+conjugate costs a permutation or block products by roots of unity
+rather than a layer product, so the product of the conjugates, whose
+product with the element is the resultant of the layer relation against
+it, is built by doubling over each cyclic factor in O(log d) layer
+products; a custom layer's comes from the characteristic polynomial of
+multiplication by the element.
 
 Every layer is certified at construction time (Eisenstein/Newton polygon
 data, or the unit-peeling classification of x^p = u, which reads each
@@ -95,9 +96,10 @@ _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # dense product against the layered kernel, min of 25 rounds interleaved
 # over the whole table (CPython 3.11, 2-core x86), by the bits of p^m, on
 # the top layer of Q_p(zeta_(p^r), a^(1/p^r)) as (p, r) rad a, then on
-# layers below the top (by their degree n over Q_p) and off d = p: x^3 = 2
-# over Q_2(i), x^3 = 5 over Q_5(zeta_5), x^2 = 2 over Q_3(zeta_3) and
-# x^2 = 3 over Q_7(zeta_7); with the layer's degree d over its base and
+# layers below the top (by their degree n over Q_p) and on the custom
+# layers off d = p: x^3 = 2 over Q_2(i), x^3 = 5 over Q_5(zeta_5), and of
+# degree 2, x^2 = 2 over Q_3(zeta_3) ('quad p=3') and x^2 = 3 over
+# Q_7(zeta_7) ('quad p=7'); with the layer's degree d over its base and
 # the slots of a whole packed product; * marks the widths the gate packs
 # (python3 tools/kernel_table.py --rounds 25 prints the table):
 #
@@ -179,19 +181,18 @@ class TowerStep:
     exponent: int = 0              # kummer: p^s
     radicand: object = None        # kummer: int, Fraction, zeta-poly dict, FieldElement
     coeffs: tuple = ()             # custom: monic poly, low degree first, no leading 1
-    label: str = ""
 
     @staticmethod
-    def cyclotomic(modulus, label="z"):
-        return TowerStep("cyclotomic", modulus=modulus, label=label)
+    def cyclotomic(modulus):
+        return TowerStep("cyclotomic", modulus=modulus)
 
     @staticmethod
-    def kummer(exponent, radicand, label="t"):
-        return TowerStep("kummer", exponent=exponent, radicand=radicand, label=label)
+    def kummer(exponent, radicand):
+        return TowerStep("kummer", exponent=exponent, radicand=radicand)
 
     @staticmethod
-    def custom(coeffs, label="u"):
-        return TowerStep("custom", coeffs=tuple(coeffs), label=label)
+    def custom(coeffs):
+        return TowerStep("custom", coeffs=tuple(coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +468,7 @@ class LocalField:
     def __init__(self, p, base, kind, degree, M, name):
         self.p = p
         self.base = base
-        self.kind = kind                # qp | cyclo | kummer | quad | custom
+        self.kind = kind                # qp | cyclo | kummer | custom
         self.d = degree                 # layer degree over the base
         self.n = degree * (base.n if base else 1)
         self.M = M
@@ -1410,7 +1411,9 @@ class QpField(LocalField):
 
 
 class GaloisLayer(LocalField):
-    """A layer that is Galois over its base.  Its automorphisms are
+    """A layer that is Galois over its base, cyclotomic or Kummer; a
+    custom layer takes its cofactor from a characteristic polynomial
+    instead, Galois or not.  Its automorphisms are
     ``_sigma(vec, a, pm)`` for labels a, and a subclass sets
 
       * ``galois_factors``: the group as a product of cyclic factors, one
@@ -1546,26 +1549,6 @@ class KummerField(GaloisLayer):
             out.extend(blk if t == 0 else
                        self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
         return tuple(out)
-
-
-class QuadField(GaloisLayer):
-    """Monic quadratic layer x^2 + b x + c over a base with p odd."""
-
-    def __init__(self, base, coeffs, name):
-        super().__init__(base.p, base, "quad", 2,
-                         min(base.M, *(c.m for c in coeffs)), name)
-        self.coeffs = coeffs              # [c, b]
-        self.relation = _relation(coeffs)
-        self.galois_factors = [(0, 1)]
-        self.conjugate_labels = (1,)
-
-    def _sigma(self, vec, a, pm):
-        """theta -> -b - theta, the one automorphism (a = 1) other than
-        the identity."""
-        b = self.base.n
-        shift = self.base._mul_mod(vec[b:], self.coeffs[1].vec, pm)
-        return (tuple((x - c) % pm for x, c in zip(vec[:b], shift))
-                + tuple(-x % pm for x in vec[b:]))
 
 
 class CustomField(LocalField):
@@ -1713,7 +1696,7 @@ def _pth_root_of_unity(base):
     while fld is not None:
         if fld.kind == "cyclo":
             return base.from_zeta_poly({fld.cyclo_modulus // p: 1})
-        if fld.kind in ("quad", "custom") and fld.d == p - 1:
+        if fld.kind == "custom" and fld.d == p - 1:
             if all((c - c.field.one()).is_zero_to_precision()
                    for c in fld.coeffs):
                 return base.embed(fld.gen())
@@ -1942,7 +1925,7 @@ def _extend_quadratic(base, bcoef, ccoef, name):
         ram = False
     else:
         ram = True
-    K = QuadField(base, [ccoef, bcoef], name)
+    K = CustomField(base, [ccoef, bcoef], name)
     half_b = bcoef * base.from_fraction(Fraction(1, 2))
     theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
@@ -2038,7 +2021,7 @@ def build_field(p, steps, prec=None):
                     cur = K.user_generator()
                 K = _extend_kummer_cyclic(
                     K, K.embed(cur),
-                    f"{K.name}({step.label}^(1/{p ** (j + 1)}))")
+                    f"{K.name}(t^(1/{p ** (j + 1)}))")
             layers.append(K)
         elif step.kind == "custom":
             coeffs = [K.coerce(c) for c in step.coeffs]

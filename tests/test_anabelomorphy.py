@@ -10,8 +10,8 @@ from anabelomorph.anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC,
                                         krasner_rationalize,
                                         parse_kummer_spec, partition_classes,
                                         peu_tres_classify)
-from anabelomorph.fields import (DegreeDropError, FieldError,
-                                 parse_zeta_poly)
+from anabelomorph.fields import (DegreeDropError, FieldError, TowerStep,
+                                 build_field, parse_zeta_poly)
 from anabelomorph.padic import PadicScalar
 
 
@@ -87,12 +87,14 @@ def test_p2_degree_test_matches_the_build(r):
 
 
 def test_p2_r1_out_of_scope_on_both_paths():
-    spec = S(2, 1, 3)
-    with pytest.raises(FieldError) as built:
-        spec.build()
-    with pytest.raises(FieldError) as certified:
-        _certify(spec)
-    assert str(built.value) == str(certified.value)
+    # zeta_2 = -1 lies in Q_2: a spec refuses p = 2, r = 1 with its scope,
+    # with a radicand or without, before any layer is built, and a tower
+    # built from steps refuses the cyclotomic layer itself
+    for rad in (3, None):
+        with pytest.raises(ValueError, match="spec p=2 r=1 is out of scope"):
+            S(2, 1, rad)
+    with pytest.raises(FieldError, match="cyclotomic modulus"):
+        build_field(2, [TowerStep.cyclotomic(2)])
 
 
 def test_zeta_poly_radicand_undecided():

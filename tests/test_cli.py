@@ -44,6 +44,31 @@ def test_check_anab_undecided(tmp_path):
     assert code == 2
 
 
+def test_check_anab_json_abelian_subfields_differ(tmp_path):
+    # equal degree phi(9) = 6 = phi(3) 3, but the cyclotomic field is its
+    # own maximal abelian subfield and the Kummer field's is Q_3(zeta_3)
+    code, text = run_capture(tmp_path, "--format", "json", "check-anab",
+                             "p=3 r=2", "p=3 r=1 rad=3")
+    assert code == 1
+    assert json.loads(text) == {
+        "status": "NOT_ANABELOMORPHIC", "degrees": [6, 6],
+        "maximal_abelian_subfields": ["Q_3(zeta_9)", "Q_3(zeta_3)"],
+        "reason": "maximal abelian subfields differ"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc", "p=2 r=1 rad=3"], ["disc", "p=2 r=1"],
+    ["check-anab", "p=2 r=1 rad=3", "p=2 r=1 rad=5"]])
+def test_p2_r1_spec_names_its_scope(argv, capsys):
+    # zeta_2 = -1 lies in Q_2: the spec is refused with its scope, not
+    # with the message of the cyclotomic layer it would build
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "spec p=2 r=1 is out of scope" in err and "r >= 2 at p = 2" in err
+    assert "cyclotomic modulus" not in err
+
+
 def test_disc_bracket_rows(tmp_path):
     code, text = run_capture(tmp_path, "disc", "p=3 r=2 rad=3")
     assert code == 0 and text.strip() == "[3, 165]"
@@ -73,6 +98,34 @@ def test_conductor_report(tmp_path):
     assert rep["swan"]["psi^0"] == 0
 
 
+def test_conductor_pretty_report(tmp_path):
+    # the values of test_conductor_report, and v_3(disc) = 11 of
+    # Q_3(zeta_3, 3^(1/3)), one a line
+    code, text = run_capture(tmp_path, "conductor", "p=3 r=1 rad=3")
+    assert code == 0
+    assert text.splitlines() == [
+        "field: Q_3(zeta_3)(t^(1/3))",
+        "filtration breaks: [0, 3]",
+        "conductors: {'psi^0': 0, 'psi^1': 1, 'induced': 5}",
+        "swan: {'psi^0': 0, 'psi^1': 0, 'induced': 3}",
+        "ledger: sum dim*f = 11 = v_p(disc) = 11"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tate_machine_formats(fmt, tmp_path):
+    # the golden row [6, 4, IV, 1] of test_tate_quadruples, with the
+    # component count m = 3 of type IV
+    code, text = run_capture(tmp_path, "--format", fmt, "tate",
+                             "[0,3,0,0,9]", "p=3 r=2 rad=3")
+    assert code == 0
+    if fmt == "csv":
+        assert text == "6,4,IV,1,3\n"
+    else:
+        assert json.loads(text) == {
+            "field": "Q_3(zeta_9)(t^(1/3))(t^(1/9))", "v_disc": 6, "f": 4,
+            "kodaira": "IV", "tamagawa": 1, "m": 3}
+
+
 def test_tate_quadruples(tmp_path):
     code, text = run_capture(tmp_path, "tate", "[0,3,0,0,9]", "p=3 r=2 rad=3")
     assert code == 0 and text.strip() == "[6, 4, IV, 1]"
@@ -89,6 +142,12 @@ def test_table_1_golden(tmp_path):
     code, text = run_capture(tmp_path, "table", "1")
     assert code == 0
     assert text.splitlines() == ["[3, 165]", "[4, 121]", "[-7, 121]"]
+
+
+def test_table_1_json(tmp_path):
+    code, text = run_capture(tmp_path, "--format", "json", "table", "1")
+    assert code == 0
+    assert json.loads(text) == ["[3, 165]", "[4, 121]", "[-7, 121]"]
 
 
 def test_table_semistable_golden(tmp_path):

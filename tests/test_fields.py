@@ -968,6 +968,10 @@ LAYER_TOWERS = {
 
 def _branch(fld):
     """The builder branch that certified a layer."""
+    for prefix, branch in (("ramified quadratic", "quad ramified"),
+                           ("unramified quadratic", "quad unramified")):
+        if fld.certificate.startswith(prefix):
+            return branch
     if fld.kind != "kummer":
         return fld.kind
     for prefix, branch in (("eisenstein-type", "kummer slope"),
@@ -980,10 +984,11 @@ def _branch(fld):
 def test_layer_towers_reach_every_branch():
     reached = {(p, _branch(fld)) for p, steps in LAYER_TOWERS.values()
                for fld in _layers(build_field(p, steps))}
+    quad = {"quad ramified", "quad unramified"}
     branches = {"cyclo", "kummer slope", "kummer unit defect",
-                "kummer unramified", "quad", "custom"}
+                "kummer unramified", "custom"} | quad
     for p in (2, 3, 5, 7):
-        want = branches - {"quad"} if p == 2 else branches
+        want = branches - quad if p == 2 else branches
         assert {b for q, b in reached if q == p} == want
 
 

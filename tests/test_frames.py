@@ -88,12 +88,13 @@ def _tower(key):
 
 def _shape(K):
     beta, _, scale, _ = K.frame
+    for prefix in ("ramified", "unramified"):
+        if K.certificate.startswith(f"{prefix} quadratic"):
+            return f"quad-{prefix}"
     if K.kind in ("cyclo", "custom"):
         return K.kind
     if scale == 1:
         return f"{K.kind}-unramified"
-    if K.kind == "quad":
-        return "quad-ramified"
     return "kummer-unit" if beta is not None else "kummer-eisenstein"
 
 

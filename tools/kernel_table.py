@@ -25,10 +25,10 @@ written (p,r) rad a, the Kummer layers of degree d = p over a base that
 is not Q_p: the eight towers of the table this one replaced and the three
 ``invariants`` towers of the benchmark that it lacked, (3,1) rad 3, (2,2)
 rad 2 and (7,1) rad 7.  The other seven are layers below the top of a
-tower, marked by their n, and layers whose degree d is not p: the custom
-layers x^3 = 2 over Q_2(i) ('custom p=2') and x^3 = 5 over Q_5(zeta_5)
-('custom p=5') and the quadratic layers x^2 = 2 over Q_3(zeta_3) ('quad
-p=3') and x^2 = 3 over Q_7(zeta_7) ('quad p=7').  The columns are 32 to
+tower, marked by their n, and custom layers, whose degree d is not p:
+x^3 = 2 over Q_2(i) ('custom p=2') and x^3 = 5 over Q_5(zeta_5) ('custom
+p=5'), and the degree-2 layers x^2 = 2 over Q_3(zeta_3) ('quad p=3') and
+x^2 = 3 over Q_7(zeta_7) ('quad p=7').  The columns are 32 to
 208 bits in steps of 16, so that they reach the widest product the gate
 packs on these layers, 7^74 at 208 bits, and 72 bits, the widest product
 of the p-adic log at p = 2, which falls in the 65-74 bits that the gate

@@ -6,8 +6,9 @@ Two checkouts whose digests are equal compute bit-identical values, so the
 script is the gate for a change to the arithmetic kernels that must not
 change any answer.  It imports ``anabelomorph`` from ``DIR/src`` (by
 default the repository that holds this script) and builds about thirty
-towers covering every layer kind (cyclotomic, Kummer ramified and
-unramified, quadratic ramified and unramified, custom) at p in
+towers covering every layer kind and builder branch (cyclotomic, Kummer
+ramified and unramified, custom: quadratic ramified and unramified, and
+certified by its Newton polygon) at p in
 {2, 3, 5, 7}, with layers of degree 2, 3, 5 and 7 over bases that are not
 Q_p.  On every layer of every tower it hashes the layer's certificate data,
 (kind, e, f, frame scale, frame weight, layer_diff, different_val,
@@ -17,7 +18,7 @@ M/2 it also hashes the (vec, s, m) of:
 
   * products and squares of dense, half-dense and one-block operands,
     and kernel products of unreduced (negative and >= p^m) vectors;
-  * conjugates (Galois layers), layer cofactors and norms;
+  * conjugates (cyclotomic and Kummer layers), layer cofactors and norms;
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials.
 
