@@ -22,7 +22,13 @@ one packed integer product (Kronecker substitution) while p^m is at
 most d^_PACKED_EXPONENT for the layer's degree d over its base, as in
 Tate's algorithm and the p-adic log, and the packed product at most
 _PACKED_PRODUCT_BITS bits, and otherwise convolve d blocks with d(d+1)/2
-base products (one-level Karatsuba), which may pack in turn.
+base products (one-level Karatsuba), which may pack in turn.  The top
+blocks of a product fold down by the relation.  When every relation of
+the tower up to the layer is monomial, an integer times one basis
+monomial of its base (``folds``), the fold is an integer index table
+that serves every modulus and makes no product, and a packed product is
+read back through one such table; a relation with a dense constant
+folds by base products.
 The integer convolution is a recursive Karatsuba when both operands are
 dense and p^m is at least _KARATSUBA_BITS wide (the degree-500 towers'
 base at M = 788), and a zero-skipping schoolbook otherwise.  Norms are
@@ -70,9 +76,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import folds
 from .padic import PadicScalar, PrecisionError, is_prime, _vp
 
 DEFAULT_DIGITS = 64
@@ -80,11 +88,11 @@ _GUARD_DIGITS = 96
 _MIN_EFFECTIVE = 12
 # the largest tower degree build_field accepts, checked from the steps
 # before any work.  The slowest admitted tower measured, Q_2(zeta_64,
-# 3^(1/64)) of degree 2048, builds in 12 s of CPU, and Q_7(zeta_49,
-# 7^(1/49)), degree 2058, in 0.9 s; the next larger Kummer tower,
-# Q_3(zeta_81, 3^(1/81)) of degree 4374, takes 148 s (one run each,
-# CPython 3.11.7, shared 2-core x86), more than one call should, so
-# larger is out of scope
+# 3^(1/64)) of degree 2048, builds in 5.5 s of CPU (tools/big_builds.py
+# -n 1), and Q_7(zeta_49, 7^(1/49)), degree 2058, in 0.5 s; the next
+# larger Kummer tower, Q_3(zeta_81, 3^(1/81)) of degree 4374, takes
+# 101-125 s (three runs; CPython 3.11.7, shared 2-core x86), more than
+# one call should, so larger is out of scope
 DEGREE_BUDGET = 2500
 _KARATSUBA_BITS = 1000     # integer path: Karatsuba from this width of p^m
 _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
@@ -104,49 +112,43 @@ _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # (python3 tools/kernel_table.py --rounds 25 prints the table):
 #
 #   tower          n  d  slots    32    48    64    72    80    96   112   128   144   160   176   192   208 bits
-#   (3,2) rad 3   54  3    275 1.52* 1.42* 1.36* 1.24* 1.23* 1.22* 1.08* 1.06  0.96  0.93  0.87  0.93  0.88
-#   (3,2) rad 4   54  3    275 1.59* 1.41* 1.34* 1.28* 1.21* 1.19* 1.01* 0.99  0.92  0.85  0.80  0.88  0.82
-#   (5,1) rad 6   20  5     63 1.66* 1.69* 1.65* 1.53* 1.49* 1.46* 1.31* 1.25* 1.24* 1.15* 1.12  1.12  1.03
-#   (7,1) rad 8   42  7    143 2.25* 1.97* 2.12* 1.87* 1.81* 1.77* 1.49* 1.50* 1.45* 1.36* 1.22* 1.19* 1.11*
-#   (2,3) rad 3   32  2    189 1.23* 1.22* 1.15* 1.09* 1.02  0.97  0.92  0.93  0.83  0.77  0.76  0.74  0.70
-#   (3,3) rad 3  486  3   4375 1.65* 1.51* 1.43* 1.38* 1.28* 1.32* 1.19* 1.26  1.12  1.11  1.05  1.05  1.02
-#   (2,4) rad 3  128  2   1215 1.18* 1.13* 1.06* 1.02* 0.95  0.92  0.84  0.91  0.86  0.83  0.78  0.77  0.73
-#   (2,5) rad 3  512  2   7533 1.36* 1.20* 1.31* 1.20* 1.13  1.12  1.02  1.01  0.92  0.85  0.93  0.93  0.91
-#   (3,1) rad 3    6  3     15 1.16* 1.13* 1.14* 1.07* 1.09* 1.03* 0.99* 1.05  0.97  0.95  0.89  0.97  0.93
-#   (2,2) rad 2    8  2     27 1.16* 1.14* 1.15* 1.10* 1.12  1.10  1.02  1.02  0.95  0.98  0.95  0.94  0.90
-#   (7,1) rad 7   42  7    143 2.22* 2.00* 1.99* 1.83* 1.80* 1.66* 1.54* 1.49* 1.38* 1.39* 1.23* 1.17* 1.04*
-#   (2,2) rad 2    4  2      9 0.91* 0.85* 0.88* 0.90* 0.88  0.86  0.86  0.84  0.81  0.82  0.79  0.79  0.76
-#   (2,3) rad 3    8  2     21 0.99* 0.94* 0.95* 0.93* 0.87  0.84  0.86  0.81  0.80  0.82  0.76  0.74  0.72
-#   (3,2) rad 3   18  3     55 1.29* 1.18* 1.18* 1.12* 1.14* 1.12* 1.00* 1.01  0.98  0.97  0.92  0.91  0.82
-#   custom p=2     6  3     15 1.16* 1.08* 1.11* 1.12* 1.11* 1.05* 1.02* 1.06  1.00  0.99  0.97  0.92  0.93
-#   custom p=5    12  3     35 1.20* 1.17* 1.17* 1.15* 1.10* 1.11* 0.98* 1.02  0.98  0.93  0.90  0.92  0.84
-#   quad p=3       4  2      9 0.85* 0.89* 0.88* 0.91* 0.87  0.92  0.87  0.82  0.79  0.80  0.80  0.81  0.77
-#   quad p=7      12  2     33 1.04* 1.02* 1.02* 0.97* 0.94  0.94  0.88  0.87  0.87  0.84  0.77  0.78  0.75
+#   (3,2) rad 3   54  3    275 1.59* 1.50* 1.42* 1.33* 1.28* 1.29* 1.14* 1.09  1.00  0.96  0.93  0.94  0.92
+#   (3,2) rad 4   54  3    275 2.78* 2.20* 2.00* 1.77* 1.70* 1.57* 1.29* 1.21  1.06  1.00  0.93  0.99  0.92
+#   (5,1) rad 6   20  5     63 2.56* 2.43* 2.26* 2.13* 2.03* 1.92* 1.64* 1.59* 1.51* 1.45* 1.41  1.36  1.21
+#   (7,1) rad 8   42  7    143 3.60* 2.99* 2.86* 2.59* 2.35* 2.24* 1.99* 1.94* 1.72* 1.65* 1.41* 1.36* 1.25*
+#   (2,3) rad 3   32  2    189 2.63* 2.27* 2.07* 1.77* 1.60  1.53  1.36  1.25  1.10  1.03  0.91  0.90  0.82
+#   (3,3) rad 3  486  3   4375 1.66* 1.53* 1.43* 1.35* 1.32* 1.29* 1.22* 1.18  1.19  1.13  1.07  1.06  1.05
+#   (2,4) rad 3  128  2   1215 1.92* 1.74* 1.56* 1.37* 1.27  1.15  0.99  1.10  0.98  0.97  0.87  0.81  0.78
+#   (2,5) rad 3  512  2   7533 2.05* 1.62* 1.70* 1.54* 1.42  1.38  1.14  1.11  1.02  0.97  0.97  1.01  0.93
+#   (3,1) rad 3    6  3     15 1.91* 1.86* 1.85* 1.71* 1.63* 1.69* 1.61* 1.54  1.44  1.42  1.39  1.33  1.28
+#   (2,2) rad 2    8  2     27 1.51* 1.43* 1.35* 1.34* 1.30  1.32  1.25  1.23  1.16  1.15  1.10  1.10  1.02
+#   (7,1) rad 7   42  7    143 3.49* 2.99* 2.73* 2.54* 2.43* 2.18* 1.88* 1.90* 1.67* 1.62* 1.45* 1.35* 1.21*
+#   (2,2) rad 2    4  2      9 1.39* 1.41* 1.38* 1.34* 1.32  1.30  1.28  1.20  1.19  1.17  1.10  1.08  1.04
+#   (2,3) rad 3    8  2     21 1.34* 1.26* 1.28* 1.20* 1.12  1.10  1.06  1.03  0.97  0.98  0.91  0.88  0.86
+#   (3,2) rad 3   18  3     55 1.34* 1.26* 1.27* 1.16* 1.16* 1.11* 1.03* 1.00  0.94  0.96  0.90  0.89  0.85
+#   custom p=2     6  3     15 2.01* 1.90* 1.84* 1.80* 1.74* 1.68* 1.63* 1.55  1.45  1.47  1.40  1.34  1.27
+#   custom p=5    12  3     35 1.79* 1.66* 1.63* 1.50* 1.51* 1.41* 1.28* 1.30  1.18  1.21  1.09  1.11  1.02
+#   quad p=3       4  2      9 1.44* 1.38* 1.36* 1.40* 1.30  1.38  1.23  1.22  1.18  1.14  1.13  1.07  1.04
+#   quad p=7      12  2     33 1.49* 1.40* 1.38* 1.27* 1.24  1.20  1.10  1.12  1.04  1.00  0.95  0.95  0.88
 #
-# No top Kummer layer (d = p, the first eleven rows) falls below 0.97x up
-# to 72 bits at p = 2 and 128 bits at p = 3 (71 and 80 digits), whatever
-# its number of layers: the p = 2 rows fall below it at 80-144 bits, the
-# p = 3 ones at 144-160 bits or not at all, and the p = 5 and 7 ones not
-# by 208 bits (89 and 74 digits), as their layers have the largest degree
-# d over their base, so that the layered kernel makes the most base
-# products, d(d+1)/2.  So the gate is p^m <= d^74, that is m <= 74 digits
-# on a Kummer layer: 74 bits at d = 2, and 117, 172 and 208 bits at d = 3,
-# 5 and 7, where those rows read 0.99-2.25x.  As d >= 2, it packs every
-# product that the old flat gate of 64 bits packed, among them all of
-# Tate's algorithm (at most 29 bits), and it reaches the p-adic log's cut
-# products (29-72 bits at p = 2, 58-116 at p = 3, 98-114 at p = 5,
-# 127-149 at p = 7), which need an exponent of at least 73.  Below the top
-# and off d = p the same rule reads 0.97x or more on the degree-3 layers
-# and on x^2 = 3 over Q_7(zeta_7), but a degree-2 layer right over a layer
-# over Q_p of degree 2 or 4, whose layered product makes only three
-# products of short integer vectors, loses at every width: the n = 4
-# layer of (2,2), the n = 8 layer of (2,3) and x^2 = 2 over Q_3(zeta_3)
-# read 0.85-0.99x up to 64 bits, which the old gate packed too, and
-# 0.90-0.93x at 72, and the gate packs them to 74 bits (73 at p = 3), as
-# no gate read off d can leave them layered and still pack what the old
-# one packed.  The tall towers pass the product cap, (3,3) and (2,5) from
-# 32 bits and (2,4) from 48 (136 000 bits).  Packed whole, as without the
-# cap, the tall p = 2 ones lost from 48 bits ((2,4) 1.00x and 0.94x at 48
+# Both ways fold a monomial relation by its table (folds); the rows of
+# (3,2) rad 3 and (3,3) rad 3 and the top layer of (2,2) rad 2 have a
+# dense relation constant, here or below, and fold by products.  Where
+# the gate packs, the eleven top Kummer rows (d = p) read 1.14-3.60x and
+# the seven rows below the top and off d = p 1.03-2.01x, the degree-2
+# layers right over a layer over Q_p of degree 2 or 4 (the n = 4 layer of
+# (2,2), the n = 8 layer of (2,3), quad p=3) 1.20-1.44x.  The gate is
+# p^m <= d^74, that is m <= 74 digits on a Kummer layer: 74 bits at d = 2,
+# and 117, 172 and 208 bits at d = 3, 5 and 7.  It packs every product of
+# Tate's algorithm (at most 29 bits) and the p-adic log's cut products
+# (29-72 bits at p = 2, 58-116 at p = 3, 98-114 at p = 5, 127-149 at
+# p = 7), which need an exponent of at least 73.  The top rows stay at
+# 0.97x or more to 160 bits at p = 2 and 144 bits at p = 3, and the p = 5
+# and 7 ones to 208 bits, so a wider gate would not lose there, but no
+# workload makes such products.  The tall towers pass the product cap,
+# (3,3) and (2,5) from 32 bits and (2,4) from 48 (136 000 bits).  Packed
+# whole, as without the cap, the tall p = 2 ones lost from 48 bits when
+# every packed product folded layer by layer ((2,4) 1.00x and 0.94x at 48
 # and 64 bits, (2,5) 0.91x and 0.71x), as their degree-2 Kummer layers
 # multiply cheaply layer by layer while the slots grow by 3/2 a layer, and
 # CPython multiplies megabit integers in O(N^1.58).
@@ -598,10 +600,12 @@ class LocalField:
         Karatsuba product with d(d+1)/2 base products, D_i = x_i y_i and
         P_ij = (x_i + x_j)(y_i + y_j) for i < j, whose P_ij - D_i - D_j is
         x_i y_j + x_j y_i; on a tall tower at a narrow pm those base
-        products pack in turn, once the layers below fit.  The inputs may
-        be unreduced or negative (pair sums are), and everything is exact
-        over Z and reduced mod pm at the end, so every way gives the same
-        vector.
+        products pack in turn, once the layers below fit.  The top blocks
+        then fold (``_fold_blocks``): by the layer's fold table when the
+        relations up to it are monomial, else by base products.  The
+        inputs may be unreduced or negative (pair sums are), and
+        everything is exact over Z and reduced mod pm at the end, so every
+        way gives the same vector.
 
         Over Q_p the blocks are integers, and the same choice is made by
         the width of pm as well: dense operands take a recursive Karatsuba
@@ -655,18 +659,43 @@ class LocalField:
     def _fold_blocks(self, conv, pm):
         """The 2d - 1 blocks of a product over a base that is not Q_p
         (lists, None for a zero block) folded from the top down by the
-        layer relation, theta^(d+k) -> sum r_i theta^(i+k), with one base
-        product per nonzero top block and relation term."""
-        d, mul = self.d, self.base._mul_mod
+        layer relation, theta^(d+k) -> sum r_i theta^(i+k), and reduced mod
+        pm at the end.  On a tower of monomial relations (``folds``) a top
+        block moves through the layer's fold table; otherwise each nonzero
+        top block and relation term take one base product."""
+        d, rows = self.d, self._fold_rows
         for t in range(2 * d - 2, d - 1, -1):
-            if conv[t] is None:
+            blk = conv[t]
+            if blk is None:
                 continue
-            blk = tuple(c % pm for c in conv[t])
+            if rows is not None:
+                for i, gather in rows:
+                    moved = [sum(map(operator.mul, ms, get(blk)))
+                             for get, ms in gather]
+                    _add_block(conv, t - d + i, moved)
+                continue
+            blk = tuple(c % pm for c in blk)
             if any(blk):
                 for i, ri in self.relation:
-                    _add_block(conv, t - d + i, mul(blk, ri, pm))
+                    _add_block(conv, t - d + i,
+                               self.base._mul_mod(blk, ri, pm))
         zero = (0,) * self.base.n
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
+
+    @functools.cached_property
+    def _fold_rows(self):
+        """The fold table of ``folds.fold_rows``, None unless every
+        relation of the tower up to this layer is monomial."""
+        shape = folds.relation_shape(self)
+        return folds.fold_rows(shape) if shape else None
+
+    @functools.cached_property
+    def _slot_table(self):
+        """The gather of ``folds.slot_table``, None unless every relation of
+        the tower up to this layer is monomial; made on the first packed
+        product."""
+        shape = folds.relation_shape(self)
+        return folds.slot_table(shape) if shape else None
 
     def _packed(self, xs, ys, pm):
         """Product mod pm of flat vectors of a layer over a base that is
@@ -680,10 +709,13 @@ class LocalField:
         and put into its own slot of 2 bits(pm) + bits(n) + 1 bits, in
         whole bytes (a product slot sums at most n terms below pm^2), the
         integer product of the two packed operands holds the exact
-        convolution.  It is read back slot by slot and folded layer by
-        layer from the bottom, the layer over Q_p by ``_fold`` and every
-        layer above by its relation (``_fold_blocks``); all of it is exact
-        over Z and reduced mod pm, so the vector is the layered kernel's."""
+        convolution, whose slot j_1 + S_2 j_2 + ... is the monomial
+        theta_1^j_1 theta_2^j_2 ....  On a tower of monomial relations the
+        slots are read back through one gather (``folds.slot_table``) and
+        reduced mod pm once.  Otherwise the layer over Q_p folds them in
+        place (``_fold_low``) and every layer above by its relation
+        (``_fold_blocks``), from the bottom.  All of it is exact over Z and
+        reduced mod pm, so the vector is the layered kernel's."""
         chain, slots, size, _ = self._packing or self._init_packing()
         width = _slot_bytes(self.n, pm)
         zero = bytes(width)
@@ -700,10 +732,15 @@ class LocalField:
         raw = (X * Y).to_bytes(size * width, "little")
         conv = [int.from_bytes(raw[o:o + width], "little")
                 for o in range(0, size * width, width)]
+        gather = self._slot_table
+        if gather is not None:
+            return tuple(sum(map(operator.mul, ms, get(conv))) % pm
+                         for get, ms in gather)
         low = chain[0]
-        step = 2 * low.d - 1
-        vec = [c for o in range(0, size, step)
-               for c in low._fold(conv[o:o + step], pm)]
+        d, step = low.d, 2 * low.d - 1
+        for o in range(0, size, step):
+            low._fold_low(conv, o, o + step)
+        vec = [c for o in range(0, size, step) for c in conv[o:o + d]]
         for fld in (*chain[1:], self):
             b, step = fld.base.n, 2 * fld.d - 1
             vec = [c for o in range(0, len(vec), b * step)
@@ -766,13 +803,22 @@ class LocalField:
         """Integer coefficients of any length in the generator of a layer
         over Q_p, folded from the top down by its relation (a fold may land
         above theta^d and fold again), and reduced mod pm once, at the end."""
+        self._fold_low(conv, 0, len(conv))
+        return tuple(c % pm for c in conv[:self.d])
+
+    def _fold_low(self, conv, lo, hi):
+        """``_fold`` of conv[lo:hi] in place, without the reduction: each
+        top term t moves to t - d + i times r_i, by a subtraction where r_i
+        is -1, as on every term of Phi_(p^r)."""
         d = self.d
-        for t in range(len(conv) - 1, d - 1, -1):
+        for t in range(hi - 1, lo + d - 1, -1):
             c = conv[t]
             if c:
                 for i, (r,) in self.relation:
-                    conv[t - d + i] += c * r
-        return tuple(c % pm for c in conv[:d])
+                    if r == -1:
+                        conv[t - d + i] -= c
+                    else:
+                        conv[t - d + i] += c * r
 
     def _relation_derivative(self):
         """f'(gen) for the layer relation f(x) = x^d - sum r_i x^i, read off

@@ -1,7 +1,9 @@
 import collections
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
 from anabelomorph.galois import (different_from_filtration,
                                  ramification_filtration)
 from test_frames import norm_valuation
+from test_kernels import _packed_gate_moduli, _schoolbook, _with_blocks
 
 T = TowerStep
 
@@ -1237,3 +1240,80 @@ def test_builds_take_layer_norms_only_to_invert(name, monkeypatch):
     assert calls["other"] == 0
     if all(_branch(fld) != "kummer unramified" for fld in _layers(K)):
         assert calls["invert"] == 0
+
+
+# ----------------------------------------------------------------------
+# fold tables of monomial relations (anabelomorph.folds)
+
+
+def _kernel_table_towers():
+    """The towers of the rows of tools/kernel_table.py, loaded read-only
+    from its file, by row name."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "kernel_table.py"
+    spec = importlib.util.spec_from_file_location("kernel_table", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {name: (p, list(steps)) for name, p, steps, _ in mod.ROWS}
+
+
+FOLD_TOWERS = {**LAYER_TOWERS, **_kernel_table_towers()}
+_FOLD_BUILT = {}
+
+
+def _monomial(fld):
+    """Whether every relation term of fld and of the layers below it is
+    one nonzero coordinate of its base."""
+    return all(sum(map(bool, r)) == 1
+               for layer in _layers(fld) for _, r in layer.relation)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_TOWERS))
+def test_fold_tables_match_schoolbook(name):
+    # every layer from the bottom up, each against a schoolbook over its
+    # base whose block products are the base's kernel, checked before it:
+    # the table folds of the layered kernel above the packed gate, the
+    # packed gather below it, and the sparse shapes' folds
+    if name not in _FOLD_BUILT:
+        _FOLD_BUILT[name] = build_field(*FOLD_TOWERS[name])
+    K = _FOLD_BUILT[name]
+    rng = random.Random(f"fold tables:{name}")
+    for fld in reversed(list(_layers(K))):
+        if not _monomial(fld):
+            # a dense relation constant, here or below, folds by products
+            assert fld._fold_rows is None and fld._slot_table is None
+            continue
+        assert fld._fold_rows is not None and fld._slot_table is not None
+        p, d = fld.p, fld.d
+        if fld.base.base is None:
+            moduli = (p ** 20, fld.pM)
+        else:
+            moduli = _packed_gate_moduli(fld)
+        for pm in moduli:
+            # reduced entries, then unreduced ones: negative and >= p^m
+            for lo, hi in ((0, pm), (-pm, 2 * pm)):
+                for nx, ny in ((d, d), (1, d), (d, 1)):
+                    x = _with_blocks(rng, fld, nx, lo, hi)
+                    y = _with_blocks(rng, fld, ny, lo, hi)
+                    want = _schoolbook(fld, x, y, pm, fld.base._mul_mod)
+                    assert list(fld._mul_mod(x, y, pm)) == want, fld.name
+
+
+def test_fold_tables_cover_every_prime():
+    primes = {p for p, steps in FOLD_TOWERS.values()
+              if any(_monomial(fld) and fld.base.base is not None
+                     for fld in _layers(build_field(p, steps)))}
+    assert primes == {2, 3, 5, 7}
+    # x^3 = 2 over Q_2(i): a custom layer of degree d != p
+    K = build_field(*FOLD_TOWERS["p=2 custom"])
+    assert K.kind == "custom" and K._fold_rows is not None
+
+
+def test_fold_tables_are_shared_across_precisions():
+    # the tables depend on the relations' integers alone, not on p^M
+    p, steps = 3, [T.cyclotomic(9), T.kummer(9, 4)]
+    K1, K2 = build_field(p, steps), build_field(p, steps, prec=300)
+    assert K1.M != K2.M
+    for f1, f2 in zip(_layers(K1), _layers(K2)):
+        assert f1._fold_rows is not None
+        assert f1._fold_rows is f2._fold_rows
+        assert f1._slot_table is f2._slot_table

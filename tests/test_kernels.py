@@ -16,7 +16,9 @@ against its one conjugate.  Products of every layer kind are checked
 against a schoolbook product reduced by the layer's defining polynomial,
 on both sides of each layer's own packed-product gate for the layers
 over a base that is not Q_p, and the ring axioms are checked on random
-elements.  The gate packs every product that the flat 64-bit gate it
+elements.  The base products of a layer product are counted: a fold by
+a monomial relation makes none, through its fold table, and a fold by a
+dense relation constant one per nonzero top block.  The gate packs every product that the flat 64-bit gate it
 replaced packed, and every dense product of the p-adic log on the
 benchmark's invariants towers.
 """
@@ -215,24 +217,26 @@ def _defining_poly(fld):
     return [list(c.vec) for c in fld.coeffs] + [one]
 
 
-def _schoolbook(fld, xs, ys, pm):
+def _schoolbook(fld, xs, ys, pm, base_mul=None):
     """x * y in fld: the product of the two polynomials over the base,
-    then long division by the layer's defining polynomial."""
+    then long division by the layer's defining polynomial.  The products
+    in the base are this schoolbook's own, or ``base_mul`` when given."""
     if fld.base is None:
         return [xs[0] * ys[0] % pm]
     base, b, d = fld.base, fld.base.n, fld.d
+    mul = base_mul or (lambda u, v, pm: _schoolbook(base, u, v, pm))
     xb = [xs[i * b:(i + 1) * b] for i in range(d)]
     yb = [ys[i * b:(i + 1) * b] for i in range(d)]
     prod = [[0] * b for _ in range(2 * d - 1)]
     for i in range(d):
         for j in range(d):
-            term = _schoolbook(base, xb[i], yb[j], pm)
+            term = mul(xb[i], yb[j], pm)
             prod[i + j] = [u + v for u, v in zip(prod[i + j], term)]
     f = _defining_poly(fld)
     for t in range(2 * d - 2, d - 1, -1):
         q = [c % pm for c in prod[t]]
         for i in range(d + 1):
-            term = _schoolbook(base, q, f[i], pm)
+            term = mul(q, f[i], pm)
             prod[t - d + i] = [u - v for u, v in zip(prod[t - d + i], term)]
     return [c % pm for blk in prod[:d] for c in blk]
 
@@ -409,13 +413,13 @@ def test_block_product_counts(d):
             K._mul_mod(x, y, pm)
             return len(calls)
         x, y = (_with_blocks(rng, K, d, 0, pm) for _ in range(2))
-        # d(d+1)/2 for the convolution (schoolbook: d^2), then one per
-        # nonzero top block for the fold by x^d = a; the modulus is above
-        # the packed-product gate
+        # d(d+1)/2 for the convolution (schoolbook: d^2); the fold by the
+        # monomial relation x^d = a goes through the layer's fold table and
+        # makes no base product; the modulus is above the packed-product gate
         assert pm > _packed_gate_moduli(K)[0]
-        assert len(K.relation) == 1
-        assert count(x, y) == d * (d + 1) // 2 + d - 1
-        assert count(x, x) == d * (d + 1) // 2 + d - 1
+        assert len(K.relation) == 1 and K._fold_rows is not None
+        assert count(x, y) == d * (d + 1) // 2
+        assert count(x, x) == d * (d + 1) // 2
         # one block at theta^0 times a dense y: d products, nothing to fold
         one = [c if i < base.n else 0 for i, c in enumerate(x)]
         assert count(one, y) == d
@@ -517,17 +521,56 @@ def test_packed_product_dispatch(d):
             K._mul_mod(x, y, pm)
             return len(calls)
         x, y = (_with_blocks(rng, K, d, 1, below) for _ in range(2))
-        # below the gate the dense convolution is one packed multiply: the
-        # base kernel only folds the d - 1 top blocks by x^d = a
-        assert len(K.relation) == 1
-        assert count(x, y, below) == d - 1
-        assert count(x, x, below) == d - 1
-        # above it, d(d+1)/2 base products convolve
-        assert count(x, y, above) == d * (d + 1) // 2 + d - 1
+        # below the gate the dense product is one packed multiply, read
+        # back through the tower's slot table: the base kernel is not called
+        assert len(K.relation) == 1 and K._slot_table is not None
+        assert count(x, y, below) == 0
+        assert count(x, x, below) == 0
+        # above it, d(d+1)/2 base products convolve, and the fold by the
+        # monomial relation x^d = a makes none
+        assert count(x, y, above) == d * (d + 1) // 2
         # a sparse operand skips zero blocks on both sides of the gate
         one = [c if i < base.n else 0 for i, c in enumerate(x)]
         for pm in (below, above):
             assert count(one, y, pm) == d
+    finally:
+        del base._mul_mod
+
+
+# a layer whose relation constant is dense: the top layer of
+# Q_3(zeta_9, (3 2^9)^(1/9)), whose normalized radicand has 18 nonzero
+# coordinates over its base
+DENSE_TOWER = {"kummer p=3 dense": (3, [T.cyclotomic(9),
+                                        T.kummer(9, 3 * 2 ** 9)])}
+
+
+def test_dense_relation_folds_by_base_products():
+    K = _oracle_tower("kummer p=3 dense", DENSE_TOWER)
+    base, d = K.base, K.d
+    ((_, r),) = K.relation
+    assert sum(map(bool, r)) > 1
+    assert K._fold_rows is None and K._slot_table is None
+    rng = random.Random("dense fold count")
+    below, above = _packed_gate_moduli(K)
+    calls = []
+    real = base._mul_mod
+
+    def counting(xs, ys, m):
+        calls.append(m)
+        return real(xs, ys, m)
+
+    base._mul_mod = counting
+    try:
+        def count(x, y, pm):
+            calls.clear()
+            assert list(K._mul_mod(x, y, pm)) == _schoolbook(K, x, y, pm)
+            return len(calls)
+        x, y = (_with_blocks(rng, K, d, 1, below) for _ in range(2))
+        # one base product per nonzero top block for the fold by x^d = a,
+        # after the packed multiply below the gate and after the d(d+1)/2
+        # base products of the convolution above it
+        assert count(x, y, below) == d - 1
+        assert count(x, y, above) == d * (d + 1) // 2 + d - 1
     finally:
         del base._mul_mod
 
