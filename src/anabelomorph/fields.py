@@ -147,11 +147,12 @@ _KARATSUBA_LEAF = 6        # ... and one-level products up to this length
 # and 7 ones to 208 bits, so a wider gate would not lose there, but no
 # workload makes such products.  The tall towers pass the product cap,
 # (3,3) and (2,5) from 32 bits and (2,4) from 48 (136 000 bits).  Packed
-# whole, as without the cap, the tall p = 2 ones lost from 48 bits when
-# every packed product folded layer by layer ((2,4) 1.00x and 0.94x at 48
-# and 64 bits, (2,5) 0.91x and 0.71x), as their degree-2 Kummer layers
-# multiply cheaply layer by layer while the slots grow by 3/2 a layer, and
-# CPython multiplies megabit integers in O(N^1.58).
+# whole, as without the cap, the tall p = 2 ones lose from 48 bits, fold
+# tables and all ((2,4) at 0.82x and 0.80x of the capped product's speed
+# at 48 and 64 bits, (2,5) at 0.58x and 0.44x; (3,3) 0.95-1.01x), as
+# their degree-2 Kummer layers multiply cheaply layer by layer while the
+# slots grow by 3/2 a layer, and CPython multiplies megabit integers in
+# O(N^1.58).
 _PACKED_EXPONENT = 74
 _PACKED_PRODUCT_BITS = 100_000
 

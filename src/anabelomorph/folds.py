@@ -56,9 +56,10 @@ def _exponents(degrees, k):
 def _reduce(shape, memo, exps):
     """{coordinate: integer} for the monomial with the exponents exps, one
     per layer of the shape or of a lower part of it, any of them past its
-    layer's degree; memo keeps the answers below the top layer by exps.  A top exponent e >= d
-    becomes e - d + i times c mu for each relation term, and the base
-    exponents take mu's; each step lowers the top exponent, so it ends."""
+    layer's degree; memo keeps the answers below the top layer by exps.
+    A top exponent e >= d becomes e - d + i times c mu for each relation
+    term, and the base exponents take mu's; each step lowers the top
+    exponent, so it ends."""
     out = memo.get(exps)
     if out is not None:
         return out
@@ -92,7 +93,7 @@ def _gather(coords):
     (get, ms) with which the target is sum(map(mul, ms, get(sources))):
     get repeats its first index, so that it returns a tuple even for one
     source, and map stops at the end of ms."""
-    return tuple((itemgetter(*c, *itertools.islice(c, 1)) if c
+    return tuple((itemgetter(*c, next(iter(c))) if c
                   else itemgetter(0, 0), tuple(c.values())) for c in coords)
 
 

@@ -18,9 +18,9 @@ on both sides of each layer's own packed-product gate for the layers
 over a base that is not Q_p, and the ring axioms are checked on random
 elements.  The base products of a layer product are counted: a fold by
 a monomial relation makes none, through its fold table, and a fold by a
-dense relation constant one per nonzero top block.  The gate packs every product that the flat 64-bit gate it
-replaced packed, and every dense product of the p-adic log on the
-benchmark's invariants towers.
+dense relation constant one per nonzero top block.  The gate packs
+every product that the flat 64-bit gate it replaced packed, and every
+dense product of the p-adic log on the benchmark's invariants towers.
 """
 
 import gc

@@ -7,7 +7,9 @@ width of p^m in bits, the script times one product of two dense random
 vectors of that layer, reduced mod p^m, three ways:
 
   * layered: no layer packs, so the product is one-level Karatsuba block
-    products down to the integer kernel of the layer over Q_p;
+    products down to the integer kernel of the layer over Q_p (a layer
+    whose relations are monomial folds by its table, ``anabelomorph.folds``,
+    here as in the packed way);
   * packed: every layer may pack (``LocalField._packed``), so the layer
     packs whole unless its packed product passes _PACKED_PRODUCT_BITS,
     and then its block products pack, or theirs;
