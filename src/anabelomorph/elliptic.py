@@ -584,10 +584,15 @@ def iwasawa_log(x, target_digits=24):
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
     whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
     target = e * target_digits; that bound keeps an extra e below
-    j v(t) - e v_p(j), so it bounds the whole tail.  The sum is
-    therefore claimed to v_K >= target only: its numerator is cut to
-    target_digits digits above p^s before the division by the reduction
-    exponent, which costs that exponent's p-adic digits."""
+    j v(t) - e v_p(j), so it bounds the whole tail.  Once the reduction
+    has given t, v(t) and n are known, so t is cut a second time, to
+    ``_series_digits``: target_digits and the series' loss at that one
+    (v(t), n), where the first cut charged the worst case over every
+    v(t) the reduction can leave (25-30 digits against 28-65 on the
+    ``invariants`` towers).  The sum is therefore claimed to v_K >=
+    target only: its numerator is cut to target_digits digits above p^s
+    before the division by the reduction exponent, which costs that
+    exponent's p-adic digits."""
     K = x.field
     p, e, f = K.p, K.e, K.f
     a, b = divmod(x.valuation(), e)
@@ -614,6 +619,7 @@ def iwasawa_log(x, target_digits=24):
         if kpow > 8 * e:
             raise PrecisionError("logarithm reduction did not converge")
     n = _log_terms(vt, e, p, target)
+    t = t.capped(_series_digits(K, vt, n, target_digits))
     return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
 
 
@@ -660,9 +666,11 @@ def _log_digits(K, b, s, target_digits):
         each; the worst case starts at v(t) = 1 and makes the most
         powers (``_series_loss`` for the series).
 
-    A cut that comes out short loses digits the sum then does not
-    claim, or raises PrecisionError; it never changes a digit that is
-    claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49
+    The series' share is the worst case, since v(t) is not known before
+    the reduction; ``iwasawa_log`` cuts t a second time after it, at the
+    v(t) and n the series uses (``_series_digits``).  A cut that comes
+    out short loses digits the sum then does not claim, or raises
+    PrecisionError; it never changes a digit that is claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49
     digits of 3 (1 + pi) / 3 (v = 54, so a = 1 and b = 0) and of the
     square's 9 (1 + pi)^2 / 9, of the 283 and 282 they carry at M = 290;
     with sigma = 2 on Q_3(zeta_9, 4^(1/9)), 71 of each."""
@@ -725,15 +733,26 @@ def _series_loss(p, e, sigma, target_digits):
     vt = e // (p - 1) + 1
     reach = (-(-(target + e * (_intlog(j + 1, p) + 1)) // (j + 1))
              for j in range(1, _log_terms(vt, e, p, target) + 1))
-    worst = 0
-    for n, need in enumerate(itertools.accumulate(reach, min), 1):
-        least = max(vt, need)
-        k = _ps_step(n)
-        h = -(-n // k) - 1
-        c1, ck = (max(0, sigma - i * least // e) for i in (1, k))
-        loss = _intlog(n, p) + (k - 1) * c1
-        worst = max(worst, loss + c1 + (h - 1) * ck if h else loss)
-    return worst
+    return max(_terms_loss(p, e, sigma, n, max(vt, need))
+               for n, need in enumerate(itertools.accumulate(reach, min), 1))
+
+
+def _terms_loss(p, e, sigma, n, vt):
+    """The digits ``_log_series`` loses on t of valuation >= vt with n
+    terms (D against t's; the bound derived in ``_series_loss``)."""
+    k = _ps_step(n)
+    h = -(-n // k) - 1
+    c1, ck = (max(0, sigma - i * vt // e) for i in (1, k))
+    loss = _intlog(n, p) + (k - 1) * c1
+    return loss + c1 + (h - 1) * ck if h else loss
+
+
+def _series_digits(K, vt, n, target_digits):
+    """The digits above p^s to which ``iwasawa_log`` cuts t, of valuation
+    vt, before its n-term series: target_digits and the series' loss at
+    that one (vt, n), not the worst case that ``_log_digits`` charges."""
+    return target_digits + _terms_loss(K.p, K.e, _denominator_bound(K), n,
+                                       vt)
 
 
 def _log_terms(vt, e, p, target):

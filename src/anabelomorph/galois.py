@@ -26,10 +26,22 @@ Representations of Finite Groups, 8.2 Prop. 25), so its Artin and Swan
 conductors come from the filtration by the induction formula (Local
 Fields, VI 2 Prop. 4) with theta's values as exact fractions in Q/Z:
 no character table and no floating point.
+
+What depends on the group alone is derived once per shape (p, r, s), s
+the Kummer level (0 on the bare field), and shared by every tower of
+that shape at every precision: the element tuple, the conjugacy classes,
+the characters and, for each, the sigma != 1 of H with whether theta
+moves them, which is all the induction formula reads of theta; so a
+conductor is an integer sum over the i-values.  What reads the tower
+runs on every call: the check of its steps, the moves sigma(pi) - pi
+and the i-values, |G_0| = e, sum dim^2 = |G|, conductor integrality,
+the conductor-discriminant identity and v_p(disc).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import types
 from dataclasses import dataclass
@@ -63,7 +75,14 @@ class GaloisElement:
 def galois_group(K):
     """All automorphisms of K over Q_p: sigma_{a,b} on K = Q_p(zeta_{p^r},
     a^{1/p^r}) with rational a, and sigma_{a,0} on the bare cyclotomic
-    field K = Q_p(zeta_{p^r})."""
+    field K = Q_p(zeta_{p^r}).  The tuple is derived once per shape
+    (``_group``) and shared; K's steps are checked on every call."""
+    return _group(*_shape(K))
+
+
+def _shape(K):
+    """(p, r, s) of the Galois tower K = Q_p(zeta_(p^r), a^(1/p^s)), s = 0
+    on the bare cyclotomic field, after checking that K has that shape."""
     steps = K.user_steps
     kummer = len(steps) == 2 and steps[1].kind == "kummer"
     if (not steps or steps[0].kind != "cyclotomic" or len(steps) > 1 + kummer
@@ -75,12 +94,23 @@ def galois_group(K):
         # a zeta-polynomial radicand is generally moved by zeta -> zeta^a
         raise NonGaloisTowerError(
             "tower is not certified Galois over Q_p: radicand is not rational")
-    m = steps[0].modulus
-    elems = [GaloisElement(a, b, m) for a in range(1, m) if a % K.p
-             for b in (range(m) if kummer else [0])]
-    if len(elems) != K.n:
+    shape = (K.p, *_levels(K))
+    if len(_group(*shape)) != K.n:
         raise NonGaloisTowerError("group order does not match field degree")
-    return elems
+    return shape
+
+
+# the group data kept per process, by shape (p, r, s); a shape past this
+# many is derived again
+_SHAPES = 64
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _group(p, r, s):
+    """The sigma_(a,b) of Z/p^s x| (Z/p^r)^*, b in p^(r-s) Z/p^r."""
+    m = p ** r
+    return tuple(GaloisElement(a, b, m) for a in range(1, m) if a % p
+                 for b in range(0, m, p ** (r - s)))
 
 
 def _compose(g, h):
@@ -95,16 +125,20 @@ def _inverse(g):
     return GaloisElement(ainv, -ainv * g.b % g.modulus, g.modulus)
 
 
-def _conjugacy_classes(elems):
-    """[(representative, class)] of the group ``elems``, by conjugating
-    with every element: (c, d)(a, b)(c, d)^-1 = (a, c b + d (1 - a))."""
+@functools.lru_cache(maxsize=_SHAPES)
+def _conjugacy_classes(p, r, s):
+    """((representative, class), ...) of ``_group(p, r, s)``, by
+    conjugating with every element: (c, d)(a, b)(c, d)^-1 = (a, c b +
+    d (1 - a))."""
+    elems = _group(p, r, s)
     seen, classes = set(), []
     for sig in elems:
         if sig not in seen:
-            cls = {_compose(_compose(tau, sig), _inverse(tau)) for tau in elems}
+            cls = frozenset(_compose(_compose(tau, sig), _inverse(tau))
+                            for tau in elems)
             seen |= cls
             classes.append((sig, cls))
-    return classes
+    return tuple(classes)
 
 
 def apply_automorphism(sigma, x):
@@ -193,7 +227,7 @@ def ramification_filtration(K, pi=None):
     i_G(sigma) is a class function (Serre, Local Fields, IV 1), so it is
     evaluated on one representative per conjugacy class and copied to
     the other members."""
-    elems = galois_group(K)
+    shape = _shape(K)
     if pi is None:
         pi = K.pi
     # O_K = Z_p[pi, rho_1, ..., rho_k] with rho_j the frame delta of the
@@ -206,7 +240,7 @@ def ramification_filtration(K, pi=None):
             rhos.append(K.embed(fld.delta))
         fld = fld.base
     by_class = {}
-    for rep, cls in _conjugacy_classes(elems):
+    for rep, cls in _conjugacy_classes(*shape):
         if rep.is_identity:
             continue
         # the least certified move; a move zero to precision is only a
@@ -221,7 +255,8 @@ def ramification_filtration(K, pi=None):
                 f"certified move {i}, a move zero to v >= {bound}")
         by_class.update(dict.fromkeys(cls, i))
     filt = RamificationFiltration(
-        {sig: by_class[sig] for sig in elems if not sig.is_identity}, K)
+        {sig: by_class[sig] for sig in _group(*shape) if not sig.is_identity},
+        K)
     # sanity: G_0 is the inertia group, of order e
     if filt.order_at(0) != K.e:
         raise FieldError(f"|G_0| = {filt.order_at(0)} is not e = {K.e}")
@@ -255,11 +290,14 @@ class Character:
     """Ind_H^G(theta), theta = psi_(p^k) lambda linear on H = N x| U_psi,
     U_psi = {a = 1 mod p^(s-k)} for N = Z/p^s (s = 0 on the bare field):
     theta(sigma_(a,b)) = p^k b / p^r + lambda(a) in Q/Z, and dim =
-    [U : U_psi]."""
+    [U : U_psi].  ``theta_nonzero`` holds (sigma, theta(sigma) != 0) for
+    each sigma != 1 in H, all that the induction formula reads of theta
+    (``artin_conductor``)."""
     dim: int
     k: int
     lam: types.MappingProxyType     # a in U_psi -> lambda(a) in [0, 1)
     label: str
+    theta_nonzero: tuple = dataclasses.field(default=(), repr=False)
 
     def theta(self, sigma, p):
         """theta(sigma) in [0, 1), or None for sigma outside H."""
@@ -285,9 +323,18 @@ def characters(filt):
     U, which maps g_1^x_1 g_2^x_2 to sum t_j x_j / |g_j| on the cyclic
     factors g_j of ``_unit_group``.  Labels: psi^t at k = s (trivial on
     N), induced at k = 0 and induced^k psi^t between, t the least
-    exponent with that restriction (t_1,t_2 when U has two factors)."""
+    exponent with that restriction (t_1,t_2 when U has two factors).
+    They depend on the group alone, so they are derived once per shape
+    (p, r, s) and shared by every tower of that shape."""
     K = filt.field
-    p, (r, s) = K.p, _levels(K)
+    return _characters(K.p, *_levels(K))
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _characters(p, r, s):
+    """``characters`` of the group of shape (p, r, s), each with its
+    theta_nonzero over ``_group(p, r, s)``."""
+    elems = _group(p, r, s)
     factors, coords = _unit_group(p ** r, p), {1: ()}
     for gens in factors:
         coords = {a * g % p ** r: xs + (x,) for a, xs in coords.items()
@@ -304,8 +351,11 @@ def characters(filt):
         for lam, psi in restrictions.items():
             label = psi if k == s else "induced" if k == 0 else \
                 f"induced^{k} {psi}"
-            chars.append(Character(len(coords) // len(stab), k,
-                                   types.MappingProxyType(dict(lam)), label))
+            chi = Character(len(coords) // len(stab), k,
+                            types.MappingProxyType(dict(lam)), label)
+            chars.append(dataclasses.replace(chi, theta_nonzero=tuple(
+                (sig, chi.theta(sig, p) != 0) for sig in elems
+                if sig.a in chi.lam and not sig.is_identity)))
     return tuple(chars)
 
 
@@ -318,25 +368,26 @@ def artin_conductor(chi, filt):
     K = filt.field
     p, (_, s) = K.p, _levels(K)
     c = s - chi.k
-    ivals = [(chi.theta(sig, p), i) for sig, i in filt.i_values.items()
-             if sig.a in chi.lam]           # sigma in H
+    ivals = filt.i_values
     return ((c * (p ** c - p ** (c - 1)) - p ** (c - 1) if c else 0)
-            + _linear_conductor(ivals))
+            + _linear_conductor([(moved, ivals[sig])
+                                 for sig, moved in chi.theta_nonzero]))
 
 
 def _linear_conductor(ivals):
     """f(theta) = sum_(i=0..j) |H_i|/|H_0| for a linear theta on H, j the
-    last i with theta nontrivial on H_i, from the (theta(sigma), i(sigma))
-    of the sigma != 1 in H: (J + sum of min(J, i(sigma))) / |H_0| with
-    J = j + 1.  It must be an integer (Artin's theorem; Hasse-Arf when H
-    is abelian)."""
-    J = max((i for t, i in ivals if t), default=0)
-    f = Fraction(J + sum(min(J, i) for _, i in ivals),
-                 1 + sum(i > 0 for _, i in ivals))
-    if f.denominator != 1:
+    last i with theta nontrivial on H_i, from the (theta(sigma) != 0,
+    i(sigma)) of the sigma != 1 in H: (J + sum of min(J, i(sigma))) /
+    |H_0| with J = j + 1, summed in integers.  It must be an integer
+    (Artin's theorem; Hasse-Arf when H is abelian)."""
+    J = max((i for moved, i in ivals if moved), default=0)
+    num = J + sum(min(J, i) for _, i in ivals)
+    den = 1 + sum(i > 0 for _, i in ivals)
+    if num % den:
         raise ArithmeticError(
-            f"conductor is not an integer: {f} (filtration/character mismatch)")
-    return int(f)
+            f"conductor is not an integer: {Fraction(num, den)} "
+            "(filtration/character mismatch)")
+    return num // den
 
 
 def swan_conductor(chi, filt):
@@ -378,6 +429,9 @@ def conductor_discriminant_check(K):
     if sum(chi.dim ** 2 for chi in chars) != K.n:
         raise ArithmeticError("irreducible characters: sum of dim^2 != |G|")
     conductors = {chi.label: artin_conductor(chi, filt) for chi in chars}
+    # each Swan conductor read off its Artin one, as ``swan_conductor`` does
+    swan = {chi.label: f - chi.dim if f else 0
+            for chi, f in zip(chars, conductors.values())}
     lhs = sum(chi.dim * conductors[chi.label] for chi in chars)
     rhs = discriminant_valuation(K)
     report = {
@@ -386,7 +440,7 @@ def conductor_discriminant_check(K):
         "disc_valuation": rhs,
         "match": lhs == rhs,
         "conductors": conductors,
-        "swan": {chi.label: swan_conductor(chi, filt) for chi in chars},
+        "swan": swan,
         "filtration_breaks": filt.breaks,
         "upper_numbering_breaks": [str(b) for b in
                                    upper_numbering_breaks(filt)],

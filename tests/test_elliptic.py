@@ -573,6 +573,45 @@ def test_log_derived_digits_invariants_towers(shape):
             == _LOG_DIGITS_PINNED[shape])
 
 
+_SERIES_DIGITS = elliptic._series_digits
+# the digits the series cut of l(p (1 + pi)) can lose before the log
+# claims fewer; on the other _LOG_SHAPES the derived cut is the least
+_SERIES_CUT_SLACK = {(3, 2, 4): 3, (2, 3, 3): 3}
+
+
+@pytest.mark.parametrize("shape", _LOG_SHAPES)
+def test_log_series_cut_short_never_changes_a_claimed_digit(shape):
+    # t cut to the derived digits gives the uncut log; cut short by more
+    # than the slack, down to target_digits, the log claims fewer digits
+    # and agrees with the uncut log to its claim, or raises
+    slack = _SERIES_CUT_SLACK.get(shape, 0)
+    K = _shape_field(*shape)
+    q = K.from_int(K.p) * (K.one() + K.pi)
+    used = []
+
+    def run(short):
+        def cut(K, vt, n, target_digits):
+            used.append(_SERIES_DIGITS(K, vt, n, target_digits))
+            return K.M if short is None else used[-1] - short
+        with mock.patch.object(elliptic, "_series_digits", cut):
+            try:
+                return iwasawa_log(q)
+            except PrecisionError:
+                return PrecisionError
+
+    want = run(None)
+    got = run(0)
+    assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
+    assert used[-1] < q.field.M
+    for short in range(1, used[-1] - 24 + 1):
+        got = run(short)
+        if short <= slack:
+            assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
+        elif got is not PrecisionError:
+            assert got.m - got.s < want.m - want.s, short
+            assert (got - want).is_zero_to_precision(), short
+
+
 @pytest.mark.parametrize("name", list(_LOG_TOWERS))
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

@@ -637,6 +637,39 @@ def test_custom_rejects_non_integral_coefficients():
     assert build_field(3, [T.custom([Fraction(-3, 2), 0, 0])]).e == 3
 
 
+# (p, steps, class, message) of each scope error a step can meet: the
+# error names the scope, and is not a failed internal identity
+_SCOPE_ERRORS = {
+    "kummer without zeta_p": (
+        3, [T.kummer(3, 2)], CertificationError,
+        "kummer layer needs zeta_p in the base; add a cyclotomic step first"),
+    "kummer exponent 6": (
+        3, [T.cyclotomic(3), T.kummer(6, 2)], FieldError,
+        "kummer exponent must be a power of p"),
+    "custom of degree 1": (
+        3, [T.custom([1])], FieldError,
+        "custom step must have degree at least 2"),
+    "quadratic custom at p = 2": (
+        2, [T.cyclotomic(4), T.custom([-3, 0])], CertificationError,
+        "quadratic custom layers require odd p"),
+    "slope 1 of x^3 + 54": (
+        3, [T.custom([54, 0, 0])], CertificationError,
+        "newton polygon inconclusive: slope denominator is not the degree"),
+    "two slopes of x^3 + 3x + 9": (
+        3, [T.custom([9, 3, 0])], CertificationError,
+        "newton polygon has several segments"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCOPE_ERRORS))
+def test_scope_errors_name_the_scope(case):
+    p, steps, cls, message = _SCOPE_ERRORS[case]
+    with pytest.raises(FieldError) as info:
+        build_field(p, steps)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
 def _agrees(a, b):
     """a and b, elements of one tower at two working precisions, agree
     to every digit that a claims."""

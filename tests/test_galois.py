@@ -403,7 +403,7 @@ def test_characters_are_class_functions_on_the_classes(p):
     # the group of order p(p - 1), and the linear characters are
     # homomorphisms
     elems, chars = _r1_characters(p)
-    classes = _conjugacy_classes(elems)
+    classes = _conjugacy_classes(p, 1, 1)
     assert sum(len(cls) for _, cls in classes) == p * (p - 1)
     for chi in chars:
         for rep, cls in classes:
@@ -430,6 +430,83 @@ def test_induced_character_values_match_induction():
         for a in range(2, p):
             assert _induced_value(big, GaloisElement(a, 0, p), p,
                                   elems) == []
+
+
+# ----------------------------------------------------------------------
+# group data derived once per shape (p, r, s)
+
+# the bare (s = 0) and Kummer (s = r) shapes at p in {2, 3, 5, 7}, r <= 3,
+# of order at most 500, where conjugating by every element stays quick
+_SHAPES = [(p, r, s) for p in (2, 3, 5, 7) for r in (1, 2, 3) for s in (0, r)
+           if (p, r) != (2, 1) and p ** s * (p ** r - p ** (r - 1)) <= 500]
+
+
+def _brute_classes(p, r, s):
+    """The classes {tau sigma tau^-1 : tau in G} of every sigma, in
+    integers: (a, b)(a', b') = (a a', a b' + b) mod p^r."""
+    m = p ** r
+    elems = [(a, b) for a in range(1, m) if a % p
+             for b in range(0, m, p ** (r - s))]
+    inverse = {(a, b): (pow(a, -1, m), -pow(a, -1, m) * b % m)
+               for a, b in elems}
+    return {frozenset((c * a * ci % m, (c * (a * di + b) + d) % m)
+                      for (c, d), (ci, di) in inverse.items())
+            for a, b in elems}
+
+
+@pytest.mark.parametrize("p, r, s", _SHAPES)
+def test_shape_data_equals_an_uncached_derivation(p, r, s):
+    from anabelomorph import galois
+    elems = galois._group.__wrapped__(p, r, s)
+    assert galois._group(p, r, s) == elems
+    assert len(elems) == p ** s * (p ** r - p ** (r - 1))
+    classes = _conjugacy_classes(p, r, s)
+    assert {frozenset((g.a, g.b) for g in cls)
+            for _, cls in classes} == _brute_classes(p, r, s)
+    assert all(rep in cls for rep, cls in classes)
+    assert sum(len(cls) for _, cls in classes) == len(elems)
+    chars = galois._characters(p, r, s)
+    assert chars == galois._characters.__wrapped__(p, r, s)
+    assert sum(chi.dim ** 2 for chi in chars) == len(elems)
+    for chi in chars:
+        assert chi.theta_nonzero == tuple(
+            (g, chi.theta(g, p) != 0) for g in elems
+            if chi.theta(g, p) is not None and not g.is_identity)
+
+
+def test_shape_data_is_shared_across_towers_and_precisions():
+    # Q_3(zeta_9, 4^(1/9)) at two precisions and Q_3(zeta_9, 3^(1/9)), one
+    # shape (3, 2, 2): one group, one class list and one character tuple
+    steps = [T.cyclotomic(9), T.kummer(9, 4)]
+    towers = [build_field(3, steps), build_field(3, steps, prec=300),
+              build_field(3, [T.cyclotomic(9), T.kummer(9, 3)])]
+    assert towers[0].M != towers[1].M
+    filts = [ramification_filtration(K) for K in towers]
+    assert galois_group(towers[0]) is galois_group(towers[1]) \
+        is galois_group(towers[2])
+    assert characters(filts[0]) is characters(filts[1]) \
+        is characters(filts[2])
+    for filt in filts[1:]:
+        assert all(g is h for g, h in zip(filt.i_values, filts[0].i_values))
+    # the towers differ: the data shared holds no i(sigma)
+    assert filts[0].i_values != filts[2].i_values
+
+
+def test_shape_data_is_immutable(K1):
+    import dataclasses
+    elems = galois_group(K1)
+    classes = _conjugacy_classes(3, 1, 1)
+    chars = characters(ramification_filtration(K1))
+    assert type(elems) is type(classes) is type(chars) is tuple
+    assert all(type(pair) is tuple and type(pair[1]) is frozenset
+               for pair in classes)
+    assert all(type(chi.theta_nonzero) is tuple for chi in chars)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        elems[1].b = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chars[0].theta_nonzero = ()
+    with pytest.raises(TypeError):
+        chars[0].lam[1] = Fraction(1, 2)
 
 
 def test_conductors_trivial_and_tame(K1):
@@ -601,8 +678,11 @@ def test_f2_filtration_where_sigma_fixes_pi(rad):
 
 def test_inertia_order_check_fails_on_a_wrong_action(K1, monkeypatch):
     # an action x -> x + 1 moves pi by a unit, so every sigma reads
-    # i(sigma) = 0 and G_0 is trivial, which the check against e refuses
+    # i(sigma) = 0 and G_0 is trivial, which the check against e refuses;
+    # the shape's group data, cached by a correct call first, holds no
+    # i(sigma)
     from anabelomorph import galois
+    assert ramification_filtration(K1).order_at(0) == 6
     monkeypatch.setattr(galois, "apply_automorphism",
                         lambda sigma, x: x + x.field.one())
     with pytest.raises(FieldError, match=r"\|G_0\| = 1 is not e = 6"):

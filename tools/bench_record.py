@@ -1,6 +1,6 @@
-"""Record one BENCH_<n>.json file from runs of bench/run.py.
+"""Record BENCH_<n>.json files from runs of bench/run.py.
 
-    python3 tools/bench_record.py N [--checkout DIR]
+    python3 tools/bench_record.py N [--checkout DIR] [--parent DIR]
 
 For every workload the script runs ``bench/run.py`` of the checkout with
 ``--seconds 30`` at each of the seeds 1 to 5 with ``--trace 0``, then at
@@ -18,9 +18,14 @@ repository that holds this script, with:
     a SHA-256 over the files of src/ and bench/;
   * the machine record that bench/run.py prints.
 
-The checkout, a git checkout, defaults to this repository.  Runs go one
-after another, so a record takes about 2 minutes (30 runs of 1-5 s each
-on a 2-core x86 host, CPython 3.11).  Stdlib only.
+The checkout, a git checkout, defaults to this repository.  With
+``--parent DIR`` the script records the parent checkout as
+``BENCH_<N>.json`` and the checkout as ``BENCH_<N+1>.json`` in one
+invocation: it runs the two seed by seed, the parent first at odd seeds
+and the checkout first at even ones, so that a drift of the host splits
+across both records instead of landing on one.  Runs go one after
+another, so a record takes about 2 minutes per checkout (30 runs of
+1-5 s each on a 2-core x86 host, CPython 3.11).  Stdlib only.
 """
 
 import argparse
@@ -75,52 +80,65 @@ def commit_of(checkout):
             bool(git("status", "--porcelain", "--", "src", "bench")))
 
 
+def _medians(runs):
+    return {k: statistics.median(r["metrics"][k] for r in runs)
+            for k in runs[0]["metrics"]}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("n", type=int, help="writes BENCH_<n>.json")
+    ap.add_argument("n", type=int, help="writes BENCH_<n>.json, and "
+                    "BENCH_<n+1>.json for the checkout with --parent")
     ap.add_argument("--checkout", type=Path, default=HERE)
+    ap.add_argument("--parent", type=Path, default=None,
+                    help="a checkout of the parent commit, recorded as "
+                         "BENCH_<n>.json, alternating with the checkout")
     args = ap.parse_args(argv)
-    checkout = args.checkout.resolve()
-    commit, dirty = commit_of(checkout)
-    out = {"commit": commit, "uncommitted_changes": dirty,
-           "source_sha256": source_digest(checkout),
-           "seeds": list(SEEDS), "seconds": SECONDS,
-           "command": "python3 bench/run.py --workload W --seed S "
-                      f"--seconds {SECONDS} --trace 0|1",
-           "machine": None, "workloads": {}}
+    checkouts = [args.checkout.resolve()]
+    if args.parent is not None:
+        checkouts.insert(0, args.parent.resolve())
+    outs = []
+    for checkout in checkouts:
+        commit, dirty = commit_of(checkout)
+        outs.append({"commit": commit, "uncommitted_changes": dirty,
+                     "source_sha256": source_digest(checkout),
+                     "seeds": list(SEEDS), "seconds": SECONDS,
+                     "command": "python3 bench/run.py --workload W --seed S "
+                                f"--seconds {SECONDS} --trace 0|1",
+                     "machine": None, "workloads": {}})
     for workload in WORKLOADS:
-        runs = []
-        for seed in SEEDS:
-            t0 = time.time()
-            digest, machine, res = run_bench(checkout, workload, seed, 0)
-            out["machine"] = out["machine"] or machine
-            runs.append({"seed": seed, "inputs_sha256": digest,
-                         "attempted": res["attempted"],
-                         "failed": res["failed"],
-                         "metrics": {k: v["value"]
-                                     for k, v in res["metrics"].items()}})
-            print(f"{workload} seed {seed}: {time.time() - t0:.0f} s "
-                  f"{json.dumps(runs[-1]['metrics'])}", flush=True)
-        names = runs[0]["metrics"]
-        medians = {k: statistics.median(r["metrics"][k] for r in runs)
-                   for k in names}
-        traced = []
-        for seed in SEEDS:
-            digest, _, res = run_bench(checkout, workload, seed, 1)
-            traced.append({"seed": seed, "inputs_sha256": digest,
-                           "metrics": {k: v["value"]
-                                       for k, v in res["metrics"].items()}})
-        names = traced[0]["metrics"]
-        out["workloads"][workload] = {
-            "medians": medians, "runs": runs,
-            "trace": {"seeds": list(SEEDS), "statistic": "median",
-                      "metrics": {k: statistics.median(
-                          r["metrics"][k] for r in traced) for k in names},
-                      "runs": traced}}
+        runs = [[] for _ in checkouts]
+        traced = [[] for _ in checkouts]
+        for trace, into in ((0, runs), (1, traced)):
+            for s, seed in enumerate(SEEDS):
+                order = range(len(checkouts))
+                for side in (order if s % 2 == 0 else reversed(order)):
+                    t0 = time.time()
+                    digest, machine, res = run_bench(checkouts[side],
+                                                     workload, seed, trace)
+                    outs[side]["machine"] = outs[side]["machine"] or machine
+                    record = {"seed": seed, "inputs_sha256": digest,
+                              "metrics": {k: v["value"] for k, v
+                                          in res["metrics"].items()}}
+                    into[side].append(record)
+                    if not trace:
+                        record.update(attempted=res["attempted"],
+                                      failed=res["failed"])
+                        print(f"{workload} seed {seed} "
+                              f"{checkouts[side].name}: "
+                              f"{time.time() - t0:.0f} s "
+                              f"{json.dumps(record['metrics'])}", flush=True)
+        for side, out in enumerate(outs):
+            out["workloads"][workload] = {
+                "medians": _medians(runs[side]), "runs": runs[side],
+                "trace": {"seeds": list(SEEDS), "statistic": "median",
+                          "metrics": _medians(traced[side]),
+                          "runs": traced[side]}}
         print(f"{workload} traced: done", flush=True)
-    path = HERE / f"BENCH_{args.n}.json"
-    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    for i, out in enumerate(outs):
+        path = HERE / f"BENCH_{args.n + i}.json"
+        path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
