@@ -670,10 +670,11 @@ def _log_digits(K, b, s, target_digits):
     the reduction; ``iwasawa_log`` cuts t a second time after it, at the
     v(t) and n the series uses (``_series_digits``).  A cut that comes
     out short loses digits the sum then does not claim, or raises
-    PrecisionError; it never changes a digit that is claimed.  With sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49
-    digits of 3 (1 + pi) / 3 (v = 54, so a = 1 and b = 0) and of the
-    square's 9 (1 + pi)^2 / 9, of the 283 and 282 they carry at M = 290;
-    with sigma = 2 on Q_3(zeta_9, 4^(1/9)), 71 of each."""
+    PrecisionError; it never changes a digit that is claimed.  With
+    sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49 digits of
+    3 (1 + pi) / 3 (v = 54, so a = 1 and b = 0) and of the square's
+    9 (1 + pi)^2 / 9, of the 283 and 282 they carry at M = 290; with
+    sigma = 2 on Q_3(zeta_9, 4^(1/9)), 71 of each."""
     p, e = K.p, K.e
     sigma = _denominator_bound(K)
 
