@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (FieldElement, FieldError, _denominator_bound, _parsed,
-                     _read_digits, parse_zeta_poly)
+from .fields import (FieldElement, FieldError, _denominator_bound,
+                     _lowest_layer, _parsed, _read_digits, parse_zeta_poly)
 from .padic import PrecisionError, _vp
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -75,6 +75,11 @@ class KodairaSymbol:
 
 @dataclass
 class WeierstrassModel:
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over a field K, with
+    v_K(Delta).  When not given, v_K(Delta) is computed in the lowest
+    layer L of K's tower that holds the coefficients (``_lowered``), as
+    e(K/L) v_L(Delta): the same value, from products of n_L coordinates
+    instead of n_K."""
     a1: FieldElement
     a2: FieldElement
     a3: FieldElement
@@ -87,15 +92,16 @@ class WeierstrassModel:
         self.field = self.a1.field
         if self.vdisc is not None:
             return
-        inv = weierstrass_invariants(self, check=False)
-        v, bound = inv.disc.val_or_bound()
+        L, coeffs = _lowered(self.coefficients())
+        disc = weierstrass_invariants(coeffs, check=False).disc
+        v, bound = disc.val_or_bound()
         if v is None:
-            if inv.disc.exact:
+            if disc.exact:
                 raise SingularModelError("discriminant vanishes: singular curve")
             raise PrecisionError(
                 "discriminant is zero to working precision; raise precision "
                 "or reject the model")
-        self.vdisc = v
+        self.vdisc = self.field.e // L.e * v
 
     @classmethod
     def from_a_invariants(cls, K, a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -178,11 +184,41 @@ def weierstrass_invariants(model, check=True):
     return inv
 
 
+def _lowered(xs):
+    """(L, ys): the elements xs of K as elements ys of L, the lowest layer
+    of K's tower that holds them all (``fields._lowest_layer``), each
+    capped to m <= K.M.  Ring operations on the ys give the vectors,
+    s, m and exactness of the same operations in K, on n_L coordinates
+    instead of n_K.  A product of two embedded elements of L is their
+    product in L embedded (``LocalField._mul_mod``), and both fields
+    reduce it mod the factors' smaller p^m.  A sum is capped at the
+    field's M, and L.M >= K.M: the cap at the entrance keeps every m at
+    most K.M, so the caps agree.  A normalization strips digits off m
+    only when s > 0, so L is K when an x carries a p-power denominator,
+    or lies in another field.  A frame walk of K reads an element of its
+    base in the base, so v_K = e(K/L) v_L on L, at the same m."""
+    K = xs[0].field
+    if any(x.s or x.field is not K for x in xs):
+        return K, xs
+    L = _lowest_layer(xs)
+    if L is K:
+        return K, xs
+    out = []
+    for x in xs:
+        m = min(x.m, K.M)
+        pm = K.p ** m
+        out.append(FieldElement(L, tuple(c % pm for c in x.vec[:L.n]), 0, m,
+                                exact=x.exact))
+    return L, out
+
+
 def _v_j(model):
-    """v(j) = 3 v(c4) - v(Delta) of a model; None when c4, and so j, is
-    zero to precision."""
-    v4 = weierstrass_invariants(model, check=False).c4.val_or_bound()[0]
-    return None if v4 is None else 3 * v4 - model.vdisc
+    """v(j) = 3 v(c4) - v(Delta) of a model, with v(c4) read in the layer
+    of ``_lowered``; None when c4, and so j, is zero to precision."""
+    L, coeffs = _lowered(model.coefficients())
+    v4 = weierstrass_invariants(coeffs, check=False).c4.val_or_bound()[0]
+    return (None if v4 is None
+            else 3 * (model.field.e // L.e) * v4 - model.vdisc)
 
 
 def reduction_class(model):
@@ -196,10 +232,15 @@ def reduction_class(model):
 def change_coords(model, u=1, r=0, s=0, t=0):
     """Standard coordinate change (x, y) -> (u^2 x + r, u^3 y + u^2 s x + t).
     The new model carries v(Delta') = v(Delta) - 12 v(u), as
-    Delta' = u^-12 Delta, instead of computing Delta' again."""
+    Delta' = u^-12 Delta, instead of computing Delta' again.  The
+    translation runs in the lowest layer of K's tower that holds the
+    coefficients and r, s, t (``_lowered``), and its five results are
+    embedded back in K, digit for digit those of the translation in K;
+    the scaling by u runs in K."""
     K = model.field
     u, r, s, t = (K.coerce(a) for a in (u, r, s, t))
-    na = _translate(*model.coefficients(), r, s, t)
+    _, xs = _lowered([*model.coefficients(), r, s, t])
+    na = [K.embed(a) for a in _translate(*xs)]
     if u.s == 0 and u.m == K.M and u.vec == K.one().vec:
         # u = 1 scales nothing; the coefficients come out inexact, as the
         # products with u^-1 would leave them
@@ -315,9 +356,11 @@ def _validate_reduction(rd, K):
 
 def _tate_run(model):
     """Reduction data of ``model`` without the checks of
-    ``tate_algorithm``.  After the integral scaling the coefficients are
-    cut once to the ``_tate_digits`` their reads need, so that every pass
-    multiplies tens of digits instead of the working precision."""
+    ``tate_algorithm``.  The coefficients are cut once to the
+    ``_tate_digits`` their reads need, so that every pass multiplies tens
+    of digits instead of the working precision; the integral scaling by
+    pi^(w shift) multiplies a_w cut to those digits plus the power's
+    denominator, which gives the digits of the product cut afterwards."""
     K = model.field
     a = dict(zip(_WEIGHTS, model.coefficients()))
     # scale to an integral model, then strip the obvious common pi-power
@@ -336,12 +379,15 @@ def _tate_run(model):
         raise SingularModelError("all coefficients vanish")
     shift -= max(drop, 0)
     trace = [("scale", shift)] if shift else []
-    if shift > 0:
-        a = {w: aw * K.pi_pow(w * shift) for w, aw in a.items()}
     # a strip divides nothing: the passes read -shift pi deeper
     depth = max(-shift, 0)
     vD = model.vdisc + 12 * shift
     digits = _tate_digits(K, vD, depth)
+    if shift > 0:
+        # cut before the product, which adds the power's s to a_w's and
+        # keeps the smaller m: the digits kept are those of the cut product
+        a = {w: aw.capped(digits + K.pi_pow(w * shift).s)
+             * K.pi_pow(w * shift) for w, aw in a.items()}
     a = {w: aw.capped(digits) for w, aw in a.items()}
     # a non-minimal pass divides Delta by pi^12, so it needs pi^12 | Delta
     for restarts in range(vD // 12 + 1):

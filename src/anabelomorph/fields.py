@@ -593,7 +593,9 @@ class LocalField:
         ``self.relation``; over Q_p the terms are integers (``_fold``).
 
         Over a base that is not Q_p the convolution is of d blocks, each
-        block product one call of the base kernel.  Sparse operands (nx ny
+        block product one call of the base kernel.  Two operands that lie
+        in block 0, as elements of the base do, take that one base product,
+        padded with zero blocks, and nothing folds.  Sparse operands (nx ny
         <= d(d+1)/2 nonzero block pairs: integers, lifts, pi) skip their
         zero blocks.  Dense ones take one packed integer product
         (``_packed``) while pm is at most d^_PACKED_EXPONENT and the packed
@@ -633,6 +635,8 @@ class LocalField:
             return self._fold(conv, pm)
         mul = self.base._mul_mod
         b = self.base.n
+        if not any(xs[b:]) and not any(ys[b:]):
+            return mul(xs[:b], ys[:b], pm) + (0,) * (self.n - b)
         xb = [xs[i * b:(i + 1) * b] for i in range(d)]
         yb = [ys[i * b:(i + 1) * b] for i in range(d)]
         xnz = [i for i, xi in enumerate(xb) if any(xi)]
@@ -1827,6 +1831,16 @@ def _normalize_radicand(base, rad):
     if t:
         rad1 = rad1 * base.from_int(p ** (p * t))   # p^(p t) clears p^s
     return FieldElement(base, rad1.vec, 0, rad1.m), c, t
+
+
+def _lowest_layer(xs):
+    """The lowest layer of the tower of the elements xs whose flat
+    coordinates hold them all: every coordinate past its degree n is
+    zero, so each x is one of its elements embedded (``LocalField.embed``)."""
+    L = xs[0].field
+    while L.base is not None and not any(any(x.vec[L.base.n:]) for x in xs):
+        L = L.base
+    return L
 
 
 def _walk_digits(K):

@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,18 +128,20 @@ def _inverse(g):
 
 @functools.lru_cache(maxsize=_SHAPES)
 def _conjugacy_classes(p, r, s):
-    """((representative, class), ...) of ``_group(p, r, s)``, by
-    conjugating with every element: (c, d)(a, b)(c, d)^-1 = (a, c b +
-    d (1 - a))."""
-    elems = _group(p, r, s)
-    seen, classes = set(), []
-    for sig in elems:
-        if sig not in seen:
-            cls = frozenset(_compose(_compose(tau, sig), _inverse(tau))
-                            for tau in elems)
-            seen |= cls
-            classes.append((sig, cls))
-    return tuple(classes)
+    """((representative, class), ...) of ``_group(p, r, s)``, in the
+    order of the group's elements, from the closed form (c, d)(a, b)
+    (c, d)^-1 = (a, c b + d (1 - a)), c a unit and d in N = p^(r-s) Z/p^r.
+    The d (1 - a) make the subgroup g Z/p^r of N, g = gcd(p^(r-s) (1 - a),
+    p^r), and the units c move b mod g to every residue of its p-adic
+    valuation, so the class of (a, b) is the (a, b') with b' in N and
+    gcd(b', g) = gcd(b, g): one pass over the group, and singletons when
+    s = 0, where N = 0."""
+    m = p ** r
+    classes = {}
+    for sig in _group(p, r, s):
+        g = math.gcd(p ** (r - s) * (1 - sig.a), m)
+        classes.setdefault((sig.a, math.gcd(sig.b, g)), []).append(sig)
+    return tuple((cls[0], frozenset(cls)) for cls in classes.values())
 
 
 def apply_automorphism(sigma, x):

@@ -1310,3 +1310,191 @@ def test_change_coords_carries_the_discriminant_valuation(row, data, K54,
     v, _ = weierstrass_invariants(new, check=False).disc.val_or_bound()
     if v is not None:
         assert new.vdisc == v
+
+
+# ----------------------------------------------------------------------
+# property: a model's arithmetic in the lowest layer that holds it
+
+# (x, y) -> (x + r, y + s x + t) with zeta-polynomial r, s, t, as
+# tools/parity.py applies it to the golden rows
+_GOLDEN_RST = ({0: 1, 1: -2}, {2: 1}, {0: -1, 3: 2})
+
+
+def _in_k(xs):
+    """``elliptic._lowered`` that keeps every element in its own field."""
+    return xs[0].field, xs
+
+
+def _key(x):
+    return (x.vec, x.s, x.m, x.exact)
+
+
+def _check_descent(model, r, s, t, u=1):
+    """The model's vdisc and v(j), and change_coords(model, u, r, s, t),
+    against the same arithmetic run in K; returns the layer L."""
+    K = model.field
+    coeffs = model.coefficients()
+    inv = weierstrass_invariants(coeffs, check=False)
+    assert model.vdisc == inv.disc.val_or_bound()[0]
+    v4 = inv.c4.val_or_bound()[0]
+    assert elliptic._v_j(model) == (None if v4 is None
+                                    else 3 * v4 - model.vdisc)
+    r, s, t = (K.coerce(a) for a in (r, s, t))
+    L, xs = elliptic._lowered([*coeffs, r, s, t])
+    assert [_key(K.embed(y)) for y in _translate(*xs)] == [
+        _key(y) for y in _translate(*coeffs, r, s, t)]
+    new = change_coords(model, u, r, s, t)
+    with mock.patch.object(elliptic, "_lowered", _in_k):
+        want = change_coords(model, u, r, s, t)
+    assert [_key(y) for y in new.coefficients()] == [
+        _key(y) for y in want.coefficients()]
+    assert new.vdisc == want.vdisc
+    return L
+
+
+@pytest.mark.parametrize("row", range(len(GOLDEN_ADDITIVE)))
+def test_golden_models_descend_bit_identically(row, K54, L54_4):
+    # the golden rows and r, s, t lie in Q_3(zeta_9), n = 6, under both
+    # degree-54 towers: the descent takes the cyclotomic layer, and its
+    # vdisc, v(j) and translated coefficients are K's digit for digit,
+    # m included (the translation in K caps at K.M = 285, while the
+    # cyclotomic layer's M is 290 on Q_3(zeta_9, 3^(1/9)))
+    assert (K54.M, L54_4.M, K54.base.base.M) == (285, 290, 290)
+    for K in (K54, L54_4):
+        model = WeierstrassModel.from_a_invariants(K, *GOLDEN_ADDITIVE[row][0])
+        rst = [K.from_zeta_poly(c) for c in _GOLDEN_RST]
+        assert _check_descent(model, *rst).n == 6
+        assert _check_descent(model, *rst, u=K.from_int(2)).n == 6
+
+
+# towers at p = 2, 3, 5, 7 with a layer between Q_p and the top; the
+# unramified ones have f > 1, so e(K/L) != [K:L] on their lower layers
+_DESCENT_TOWERS = {
+    "Q2(i)(unramified)": (2, [T.cyclotomic(4), T.kummer(4, 5)]),
+    "Q3(z3)(unramified)": (3, [T.cyclotomic(3), T.kummer(3, {0: 2, 1: -3})]),
+    "Q3(z9,3^(1/3))": (3, [T.cyclotomic(9), T.kummer(3, 3)]),
+    "Q5(z5,6^(1/5))": (5, [T.cyclotomic(5), T.kummer(5, 6)]),
+    "Q7(z7,2^(1/7))": (7, [T.cyclotomic(7), T.kummer(7, 2)]),
+}
+_DESCENT_BUILT = {}
+
+
+def _descent_tower(name):
+    if name not in _DESCENT_BUILT:
+        _DESCENT_BUILT[name] = build_field(*_DESCENT_TOWERS[name])
+    return _DESCENT_BUILT[name]
+
+
+def test_descent_towers_have_e_below_the_degree():
+    degrees = set()
+    for name in _DESCENT_TOWERS:
+        K = _descent_tower(name)
+        L = K.base
+        while L is not None:
+            degrees.add(K.e // L.e == K.n // L.n)
+            L = L.base
+    assert degrees == {True, False}
+    K = _descent_tower("Q3(z3)(unramified)")
+    assert (K.e // K.base.e, K.n // K.base.n) == (1, 3)
+
+
+@pytest.mark.parametrize("name", list(_DESCENT_TOWERS))
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_models_descend_bit_identically(name, data):
+    # integral curves drawn as integers, zeta-polynomials (the cyclotomic
+    # layer) or with a term in the top generator (no descent), under a
+    # drawn integral r, s, t and u = 1 or a unit: the lowered arithmetic
+    # gives K's vdisc, v(j) and coefficients, and a model singular or
+    # zero to precision fails as it does in K
+    K = _descent_tower(name)
+    top = K.step_generators[-1]
+    deg = K.base.n if K.base.kind == "cyclo" else 1
+    small = st.integers(-2 * K.p ** 2, 2 * K.p ** 2)
+
+    def element():
+        kind = data.draw(st.sampled_from(["int", "zeta", "top"]))
+        if kind == "int":
+            return K.from_int(data.draw(small))
+        x = K.from_zeta_poly({i: data.draw(small) for i in range(deg)})
+        return x + top * data.draw(small) if kind == "top" else x
+
+    coeffs = [element() for _ in range(5)]
+    inv = weierstrass_invariants(coeffs, check=False)
+    v, _ = inv.disc.val_or_bound()
+    try:
+        model = WeierstrassModel(*coeffs)
+    except SingularModelError:
+        assert v is None and inv.disc.exact
+        return
+    except PrecisionError:
+        assert v is None and not inv.disc.exact
+        return
+    unit = data.draw(st.integers(1, 3 * K.p).filter(lambda a: a % K.p))
+    u = data.draw(st.sampled_from([1, K.from_int(unit)]))
+    _check_descent(model, element(), element(), element(), u=u)
+
+
+def test_exact_singular_models_still_raise(K54):
+    # coefficients in Q_3 and in Q_3(zeta_9) descend, and an exactly
+    # vanishing discriminant there is still a singular curve: the zero
+    # model, the node y^2 + xy = x^3, and y^2 = x^3 + Phi_9(z) x^2
+    phi9 = {0: 1, 3: 1, 6: 1}
+    for coeffs in ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, phi9, 0, 0, 0)):
+        xs = [K54.coerce(a) for a in coeffs]
+        assert elliptic._lowered(xs)[0].n < K54.n
+        with pytest.raises(SingularModelError):
+            WeierstrassModel(*xs)
+    with pytest.raises(SingularModelError):
+        WeierstrassModel.from_a_invariants(K54, {0: 3}, {1: 3, 4: 3, 7: 3})
+
+
+def test_descent_keeps_denominators_and_other_fields_in_k(K54):
+    # r = (z - 1) / 3 and a1 = (z - 1)^5 / 3 come from Q_3(zeta_9) at its
+    # M = 290.  In K, r a1 = (z - 1)^6 / 9 keeps m = 290 and its
+    # normalization strips one 3 to m = 289, and a3 + r a1 caps at
+    # K.M = 285; lowered, r and a1 enter at 285 and the product strips
+    # to 284, which the sum keeps.  So such inputs stay in K
+    C = K54.base.base
+    z, third = C.from_zeta_poly({0: -1, 1: 1}), C.from_fraction(Fraction(1, 3))
+    r, a1 = K54.embed(z * third), K54.embed(z ** 5 * third)
+    assert (r.s, r.m, a1.s, a1.m) == (1, 290, 1, 290)
+    model = WeierstrassModel(a1, K54.zero(), K54.one(), K54.zero(), K54.one())
+    assert _check_descent(model, r, 0, 0) is K54
+    assert change_coords(model, 1, r, 0, 0).a3.m == 285
+    assert elliptic._lowered([K54.one(), K54.one()])[0].n == 1
+    # an element of another field stays too, and the translation raises
+    # as in K
+    with pytest.raises(FieldError):
+        change_coords(model, 1, C.one())
+
+
+@pytest.mark.parametrize("row", [0, 1, 5])
+def test_integral_scaling_cuts_before_the_product(row, K54, L54_4,
+                                                  monkeypatch):
+    # scaled by u = pi^4, a row's run multiplies a_w by pi^(3w); each
+    # a_w is cut to the run's digits plus that power's s first, and the
+    # coefficients the first pass gets are those of the product at M
+    # cut afterwards, digit for digit
+    passes = []
+    tate_pass = elliptic._tate_pass
+
+    def first(K, vD, depth, trace, a):
+        passes.append(dict(a))
+        return tate_pass(K, vD, depth, trace, a)
+
+    monkeypatch.setattr(elliptic, "_tate_pass", first)
+    for K in (K54, L54_4):
+        model = WeierstrassModel.from_a_invariants(
+            K, *GOLDEN_ADDITIVE[row][0])
+        model = change_coords(model, u=K.pi_pow(4))
+        passes.clear()
+        rd = tate_algorithm(model)
+        (_, shift), vD = rd.trace[0], model.vdisc + 12 * 3
+        assert shift == 3
+        digits = elliptic._tate_digits(K, vD, 0)
+        want = {w: (aw * K.pi_pow(w * shift)).capped(digits)
+                for w, aw in zip(elliptic._WEIGHTS, model.coefficients())}
+        assert {w: (x.vec, x.s, x.m) for w, x in passes[0].items()} == {
+            w: (x.vec, x.s, x.m) for w, x in want.items()}

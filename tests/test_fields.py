@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -1058,6 +1059,38 @@ def test_every_layer_kind_passes_one_certificate(name):
         assert norm_valuation(fld.embed(B.pi)) == e_rel
         assert fld.e * fld.f == fld.n
         assert fld.different_val == fld.layer_diff + e_rel * B.different_val
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_base_products_take_one_base_product(name):
+    # operands in block 0, as embedded base elements are, with reduced,
+    # unreduced and negative entries: the schoolbook's product, and on a
+    # layer over a base that is not Q_p one product of the base and no
+    # fold
+    from anabelomorph.fields import LocalField
+    p, steps = LAYER_TOWERS[name]
+    rng = random.Random(f"base block:{name}")
+    for fld in _layers(build_field(p, steps)):
+        B = fld.base
+        for m in (fld.M, 20):
+            pm = p ** m
+            for lo, hi in ((0, pm), (-pm, 2 * pm), (-p ** 4, p ** 4)):
+                x, y = ([rng.randrange(lo, hi) for _ in range(B.n)]
+                        + [0] * (fld.n - B.n) for _ in range(2))
+                with mock.patch.object(B, "_mul_mod",
+                                       side_effect=B._mul_mod) as mul, \
+                        mock.patch.object(LocalField, "_fold_blocks",
+                                          autospec=True,
+                                          side_effect=LocalField._fold_blocks
+                                          ) as fold:
+                    got = fld._mul_mod(x, y, pm)
+                if B.base is not None:
+                    assert mul.call_count == 1
+                    assert all(c.args[0] is not fld
+                               for c in fold.call_args_list)
+                assert list(got) == _schoolbook(fld, x, y, pm)
+                assert list(fld._mul_mod(x, x, pm)) == _schoolbook(
+                    fld, x, x, pm)
 
 
 # the pi headroom m - s of each layer, from Q_p up, that these towers

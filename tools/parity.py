@@ -63,7 +63,12 @@ the unramified quadratic extension of Q_2 (f = 2), one of each additive
 type among them; and three models whose non-minimality is hidden from
 the integral scaling (``TATE_HIDE``), over Q_5, Q_2(5^(1/2)) and
 Q_3(zeta_9, 4^(1/9)), so that every read and translation of a pass is
-taken after restarts.
+taken after restarts.  On each curve of these eleven towers (the hidden
+ones as given) it also hashes the model's v(Delta) and v(j), and the
+(vec, s, m, exact) and v(Delta) of its coefficients under the coordinate
+change by ``TATE_RST``, or by the integers ``MODEL_RST`` on a tower
+without a cyclotomic layer, which ``WeierstrassModel`` and
+``change_coords`` compute in the lowest layer that holds them.
 
 When ``tools/parity.sha256`` exists, a digest that differs from the one it
 holds prints both and exits 1; a change that alters arithmetic on purpose
@@ -97,6 +102,8 @@ WIDE = {
 # (x, y) -> (x + r, y + s x + t) applied to every golden additive row, as
 # zeta-polynomials {exponent: coefficient}
 TATE_RST = ({0: 1, 1: -2}, {2: 1}, {0: -1, 3: 2})
+# r, s, t of the hashed coordinate change over a tower without zeta
+MODEL_RST = (3, -2, 5)
 
 # a-invariants over Q_p: the Kodaira sweep over Q_5, then the known curves
 TATE_QP = [(5, c) for c in (
@@ -296,11 +303,15 @@ def headroom(fld):
 
 
 def tate_digest(F, E, p, steps, curves, rst=None, hide=0):
-    """(digest, headroom) of the quadruple and trace of Tate's algorithm
-    on each curve over the tower, and with ``rst`` also under that
-    coordinate change; with ``hide``, on the model hidden non-minimal by
-    pi^hide instead."""
+    """(digest, headroom, model digest) of the quadruple and trace of
+    Tate's algorithm on each curve over the tower, and with ``rst`` also
+    under that coordinate change; with ``hide``, on the model hidden
+    non-minimal by pi^hide instead.  The model digest is that of
+    ``model_values`` on each curve."""
     K = F.build_field(p, steps)
+    models = hashlib.sha256()
+    for coeffs in curves:
+        models.update(repr((coeffs, model_values(E, K, coeffs))).encode())
     h = hashlib.sha256()
     for coeffs in curves:
         for change in (None, rst) if rst else (None,):
@@ -319,7 +330,25 @@ def tate_digest(F, E, p, steps, curves, rst=None, hide=0):
             except ArithmeticError as exc:
                 x = type(exc).__name__
             h.update(repr((coeffs, change, x)).encode())
-    return h.hexdigest(), headroom(K)
+    return h.hexdigest(), headroom(K), models.hexdigest()
+
+
+def model_values(E, K, coeffs):
+    """The v(Delta) and v(j) of the model of ``coeffs`` over K, and the
+    (vec, s, m, exact) and v(Delta) of the model under the coordinate
+    change by ``TATE_RST`` (its integer values ``MODEL_RST`` on a tower
+    without a cyclotomic layer); or the name of the error raised."""
+    try:
+        model = E.WeierstrassModel.from_a_invariants(K, *coeffs)
+        try:
+            rst = [K.from_zeta_poly(c) for c in TATE_RST]
+        except ArithmeticError:
+            rst = MODEL_RST
+        new = E.change_coords(model, 1, *rst)
+        return (model.vdisc, E._v_j(model), new.vdisc,
+                [(a.vec, a.s, a.m, a.exact) for a in new.coefficients()])
+    except ArithmeticError as exc:
+        return type(exc).__name__
 
 
 def tate_towers(T):
@@ -443,8 +472,9 @@ def main(argv=None):
     digests += [(name, *cofactor_digest(F, name, *spec))
                 for name, spec in wide_cofactors.items()]
     tate = tate_towers(F.TowerStep)
-    digests += [(name, *tate_digest(F, E, *spec))
-                for name, spec in tate.items()]
+    for name, spec in tate.items():
+        digest, heads, models = tate_digest(F, E, *spec)
+        digests += [(name, digest, heads), (f"models of {name}", models, None)]
     digests.append(("padic_log calls", padic_log_digest(P), None))
     digests += [(f"l_invariant over Q_{p}(zeta_{p ** r}, {rad}^(1/{p ** r}))",
                  *l_invariant_digest(F, E, p, r, rad))
