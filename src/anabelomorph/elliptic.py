@@ -9,10 +9,11 @@ root of the linear a3/pi + 2T and the square root of a6/pi^2, which have
 closed forms.  A residue is lifted back to the field only to translate
 the model, and a zero residue moves no coefficient.  Past the singular
 point every divisibility test reads a residue, and b8 and b6 enter only
-through their residues.  v(Delta) is computed once per model, and a
-coordinate change carries it; translations keep it and each non-minimal
-restart lowers it by 12.  After the integral scaling the coefficients
-are cut to the digits the run's reads need (``_tate_digits``).  No
+through their residues.  v(Delta) is computed once per model, in the
+lowest layer of the tower that holds the coefficients, and a coordinate
+change carries it; translations keep it and each non-minimal restart
+lowers it by 12.  The coefficients are cut to the digits the run's
+reads need (``_tate_digits``) before the integral scaling.  No
 coefficient is divided: stripping a common pi^d from the input makes the
 passes read d pi deeper, and each restart one pi deeper.  At depth n, a
 pass reads a_w / pi^k of the model rescaled by u = pi^n as the residue
@@ -185,18 +186,16 @@ def weierstrass_invariants(model, check=True):
 
 
 def _lowered(xs):
-    """(L, ys): the elements xs of K as elements ys of L, the lowest layer
-    of K's tower that holds them all (``fields._lowest_layer``), each
-    capped to m <= K.M.  Ring operations on the ys give the vectors,
-    s, m and exactness of the same operations in K, on n_L coordinates
-    instead of n_K.  A product of two embedded elements of L is their
-    product in L embedded (``LocalField._mul_mod``), and both fields
-    reduce it mod the factors' smaller p^m.  A sum is capped at the
-    field's M, and L.M >= K.M: the cap at the entrance keeps every m at
-    most K.M, so the caps agree.  A normalization strips digits off m
-    only when s > 0, so L is K when an x carries a p-power denominator,
-    or lies in another field.  A frame walk of K reads an element of its
-    base in the base, so v_K = e(K/L) v_L on L, at the same m."""
+    """(L, ys): the xs, elements of K, as elements ys of L, the lowest
+    layer of K's tower that holds them (``fields._lowest_layer``), with m
+    capped at K.M.  Ring operations on the ys give the vec, s, m and
+    exactness of the same operations in K on n_L coordinates: a product
+    of embedded elements of L is theirs in L embedded, mod the factors'
+    smaller p^m, and a sum caps m at the field's M, where L.M >= K.M and
+    the entrance cap makes the two agree.  A normalization takes digits
+    off m only when s > 0, so L is K when an x has a p-power denominator
+    (or another field).  K's frame walk reads an element of its base in
+    the base, so v_K = e(K/L) v_L on L."""
     K = xs[0].field
     if any(x.s or x.field is not K for x in xs):
         return K, xs

@@ -114,18 +114,6 @@ def _group(p, r, s):
                  for b in range(0, m, p ** (r - s)))
 
 
-def _compose(g, h):
-    """g after h: (a, b)(a', b') = (a a', a b' + b), affine in the index."""
-    m = g.modulus
-    return GaloisElement(g.a * h.a % m, (g.a * h.b + g.b) % m, m)
-
-
-def _inverse(g):
-    """g^-1: (a, b) -> (a^-1, -a^-1 b)."""
-    ainv = pow(g.a, -1, g.modulus)
-    return GaloisElement(ainv, -ainv * g.b % g.modulus, g.modulus)
-
-
 @functools.lru_cache(maxsize=_SHAPES)
 def _conjugacy_classes(p, r, s):
     """((representative, class), ...) of ``_group(p, r, s)``, in the

@@ -11,15 +11,27 @@ from anabelomorph.fields import (DegreeDropError, FieldElement, FieldError,
                                  TowerStep, build_field, different_valuation,
                                  discriminant_valuation)
 from anabelomorph.galois import (GaloisElement, NonGaloisTowerError,
-                                 _compose, _conjugacy_classes, _inverse,
-                                 apply_automorphism, artin_conductor,
-                                 characters, conductor_discriminant_check,
+                                 _conjugacy_classes, apply_automorphism,
+                                 artin_conductor, characters,
+                                 conductor_discriminant_check,
                                  different_from_filtration, galois_group,
                                  ramification_filtration, swan_conductor,
                                  upper_numbering_breaks,
                                  wild_subgroup_conductor)
 
 T = TowerStep
+
+
+def _compose(g, h):
+    """g after h: (a, b)(a', b') = (a a', a b' + b), affine in the index."""
+    m = g.modulus
+    return GaloisElement(g.a * h.a % m, (g.a * h.b + g.b) % m, m)
+
+
+def _inverse(g):
+    """g^-1: (a, b) -> (a^-1, -a^-1 b)."""
+    ainv = pow(g.a, -1, g.modulus)
+    return GaloisElement(ainv, -ainv * g.b % g.modulus, g.modulus)
 
 
 @pytest.fixture(scope="module")
