@@ -517,16 +517,18 @@ class LocalField:
         vec[0] = num
         return FieldElement(self, vec, t, self.M)
 
+    @functools.cached_property
+    def layers(self):
+        """The layers of the tower from Q_p up to this one, this one last."""
+        return (*self.base.layers, self) if self.base else (self,)
+
     def embed(self, x):
         """Lift an element of a field below this one in the tower: its flat
         vector is the first block of ours."""
-        fld = self
-        while fld is not x.field:
-            fld = fld.base
-            if fld is None:
-                raise FieldError("cannot embed element from unrelated field")
-        if fld is self:
+        if x.field is self:
             return x
+        if x.field not in self.layers:
+            raise FieldError("cannot embed element from unrelated field")
         return FieldElement(self, x.vec + (0,) * (self.n - len(x.vec)), x.s,
                             x.m, exact=x.exact)
 
@@ -557,9 +559,7 @@ class LocalField:
         generator: coefficients at their exponents mod p^r, folded once.
         Like ``from_int`` the result is exact: small integers folded by
         Phi_{p^r}, whose coefficients are 0 and -1."""
-        root = self
-        while root.base is not None and root.kind != "cyclo":
-            root = root.base
+        root = self.layers[1] if self.base else self    # cyclo is on Q_p
         if root.kind != "cyclo":
             if set(poly) <= {0}:
                 return self.from_int(poly.get(0, 0))
@@ -688,10 +688,15 @@ class LocalField:
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
 
     @functools.cached_property
+    def _relation_shape(self):
+        """``folds.relation_shape`` of the tower up to this layer."""
+        return folds.relation_shape(self)
+
+    @functools.cached_property
     def _fold_rows(self):
         """The fold table of ``folds.fold_rows``, None unless every
         relation of the tower up to this layer is monomial."""
-        shape = folds.relation_shape(self)
+        shape = self._relation_shape
         return folds.fold_rows(shape) if shape else None
 
     @functools.cached_property
@@ -699,7 +704,7 @@ class LocalField:
         """The gather of ``folds.slot_table``, None unless every relation of
         the tower up to this layer is monomial; made on the first packed
         product."""
-        shape = folds.relation_shape(self)
+        shape = self._relation_shape
         return folds.slot_table(shape) if shape else None
 
     def _packed(self, xs, ys, pm):
@@ -760,13 +765,9 @@ class LocalField:
         limit from it, and kept: the layers below it from the one over Q_p
         up, the slot of each flat coordinate, the number of slots of a
         product, and the widest modulus that packs, d^_PACKED_EXPONENT."""
-        chain, fld = [], self.base
-        while fld.base is not None:
-            chain.append(fld)
-            fld = fld.base
-        chain.reverse()
+        chain = self.layers[1:-1]
         slots, size = [0], 1
-        for fld in (*chain, self):
+        for fld in self.layers[1:]:
             slots = [t + i * size for i in range(fld.d) for t in slots]
             size *= 2 * fld.d - 1
         self._packing = (chain, slots, size,
@@ -843,11 +844,9 @@ class LocalField:
     def norm_tower(self, x):
         """(integer, s, m): N_{K/Q_p}(x) = integer / p^s, known mod p^(m-s)."""
         vec, s, m = x.vec, x.s, x.m
-        fld = self
-        while fld.base is not None:
+        for fld in reversed(self.layers[1:]):
             _, vec = fld._layer_cofactor(vec, m)
             s *= fld.d
-            fld = fld.base
         return vec[0], s, m
 
     def _project(self, vec, m):
@@ -1743,15 +1742,13 @@ def _pth_root_of_unity(base):
     p = base.p
     if p == 2:
         return base.from_int(-1)
-    fld = base
-    while fld is not None:
+    for fld in reversed(base.layers):
         if fld.kind == "cyclo":
             return base.from_zeta_poly({fld.cyclo_modulus // p: 1})
         if fld.kind == "custom" and fld.d == p - 1:
             if all((c - c.field.one()).is_zero_to_precision()
                    for c in fld.coeffs):
                 return base.embed(fld.gen())
-        fld = fld.base
     raise CertificationError(
         "kummer layer needs zeta_p in the base; add a cyclotomic step first")
 
@@ -1837,10 +1834,8 @@ def _lowest_layer(xs):
     """The lowest layer of the tower of the elements xs whose flat
     coordinates hold them all: every coordinate past its degree n is
     zero, so each x is one of its elements embedded (``LocalField.embed``)."""
-    L = xs[0].field
-    while L.base is not None and not any(any(x.vec[L.base.n:]) for x in xs):
-        L = L.base
-    return L
+    return next(L for L in xs[0].field.layers
+                if not any(any(x.vec[L.n:]) for x in xs))
 
 
 def _walk_digits(K):
@@ -1848,13 +1843,9 @@ def _walk_digits(K):
     layer divides block k by its frame's p^(t (d-1-k) + u k) (beta =
     . / p^t, gamma = . / p^u), at most (d - 1) max(t, u), and hands the
     blocks down to the walk of its base."""
-    walk = 0
-    while K.base is not None:
-        beta, gamma, _, _ = K.frame
-        walk += (K.d - 1) * max(beta[1] if beta else 0,
-                                gamma[1] if gamma else 0)
-        K = K.base
-    return walk
+    return sum((L.d - 1) * max(beta[1] if beta else 0,
+                               gamma[1] if gamma else 0)
+               for L in K.layers[1:] for beta, gamma, _, _ in [L.frame])
 
 
 def _denominator_bound(K):
@@ -1862,13 +1853,8 @@ def _denominator_bound(K):
     the p-power denominator s of a translation lift(c') monomial(k) (the
     lift's share is the unramified layers', the monomial's s(pi)), and so
     of every integral element of K, a sum of such terms to precision."""
-    sigma = K.pi.s
-    layer = K
-    while layer.base is not None:
-        if layer.f != layer.base.f:
-            sigma += (layer.d - 1) * layer.delta.s
-        layer = layer.base
-    return sigma
+    return K.pi.s + sum((L.d - 1) * L.delta.s for L in K.layers[1:]
+                        if L.f != L.base.f)
 
 
 def _read_digits(K, k):

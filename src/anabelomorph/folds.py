@@ -31,17 +31,16 @@ def relation_shape(layer):
     representative of least absolute value mod the layer's p^M; None when
     some relation term has more than one nonzero coordinate."""
     shape = []
-    while layer.base is not None:
-        terms, h = [], layer.pM // 2
-        for i, r in layer.relation:
+    for fld in layer.layers[1:]:
+        terms, h = [], fld.pM // 2
+        for i, r in fld.relation:
             nonzero = [(k, a) for k, a in enumerate(r) if a]
             if len(nonzero) != 1:
                 return None
             (k, a), = nonzero
-            terms.append((i, k, (a + h) % layer.pM - h))
-        shape.append((layer.d, tuple(terms)))
-        layer = layer.base
-    return tuple(reversed(shape))
+            terms.append((i, k, (a + h) % fld.pM - h))
+        shape.append((fld.d, tuple(terms)))
+    return tuple(shape)
 
 
 def _exponents(degrees, k):

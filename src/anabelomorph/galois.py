@@ -95,7 +95,8 @@ def _shape(K):
         # a zeta-polynomial radicand is generally moved by zeta -> zeta^a
         raise NonGaloisTowerError(
             "tower is not certified Galois over Q_p: radicand is not rational")
-    shape = (K.p, *_levels(K))
+    shape = (K.p, _vp(steps[0].modulus, K.p),
+             _vp(steps[1].exponent, K.p) if kummer else 0)
     if len(_group(*shape)) != K.n:
         raise NonGaloisTowerError("group order does not match field degree")
     return shape
@@ -140,10 +141,7 @@ def apply_automorphism(sigma, x):
     to zeta^(b p^(r-t)) gen_t sigma(c) c^-1, whichever layer x lies in,
     and x = sum c_k gen_t^k, by Horner's rule, to
     sum sigma(c_k) sigma(gen_t)^k."""
-    chain, fld = [], x.field
-    while fld.base is not None:
-        chain.insert(0, fld)
-        fld = fld.base
+    chain = x.field.layers[1:]
     if (not chain or chain[0].kind != "cyclo"
             or any(fld.kind != "kummer" for fld in chain[1:])):
         raise NonGaloisTowerError(
@@ -193,9 +191,10 @@ class RamificationFiltration:
     """The lower-numbering filtration G_i = {sigma : i(sigma) >= i + 1},
     kept as i(sigma) = i_G(sigma) alone: v_K(sigma(pi) - pi) on inertia,
     0 outside it, the identity absent.  Every G_i and every invariant
-    below is read from i_values."""
+    below is read from i_values, and the group's data from ``shape``."""
     i_values: dict        # sigma -> i(sigma); identity absent
     field: object
+    shape: tuple          # (p, r, s) of the tower, checked by ``_shape``
 
     @property
     def breaks(self):
@@ -225,11 +224,7 @@ def ramification_filtration(K, pi=None):
     # j-th unramified layer, so i_G(sigma) is the least move among them
     # (Serre, Local Fields, IV 1 Lemma 1); outside inertia some rho moves
     # by a unit and sigma leaves G_0
-    rhos, fld = [], K
-    while fld.base is not None:
-        if fld.f > fld.base.f:
-            rhos.append(K.embed(fld.delta))
-        fld = fld.base
+    rhos = [K.embed(fld.delta) for fld in K.layers[1:] if fld.f > fld.base.f]
     by_class = {}
     for rep, cls in _conjugacy_classes(*shape):
         if rep.is_identity:
@@ -247,7 +242,7 @@ def ramification_filtration(K, pi=None):
         by_class.update(dict.fromkeys(cls, i))
     filt = RamificationFiltration(
         {sig: by_class[sig] for sig in _group(*shape) if not sig.is_identity},
-        K)
+        K, shape)
     # sanity: G_0 is the inertia group, of order e
     if filt.order_at(0) != K.e:
         raise FieldError(f"|G_0| = {filt.order_at(0)} is not e = {K.e}")
@@ -298,14 +293,6 @@ class Character:
         return (Fraction(p ** self.k * sigma.b, sigma.modulus) + lam) % 1
 
 
-def _levels(K):
-    """(r, s) of the Galois tower K = Q_p(zeta_(p^r), a^(1/p^s)), s = 0
-    on the bare cyclotomic field."""
-    steps = K.user_steps
-    return (_vp(steps[0].modulus, K.p),
-            _vp(steps[1].exponent, K.p) if len(steps) == 2 else 0)
-
-
 def characters(filt):
     """The irreducible characters of Gal(K/Q_p), K = filt.field (Serre,
     Linear Representations of Finite Groups, 8.2 Prop. 25): for each
@@ -317,8 +304,7 @@ def characters(filt):
     exponent with that restriction (t_1,t_2 when U has two factors).
     They depend on the group alone, so they are derived once per shape
     (p, r, s) and shared by every tower of that shape."""
-    K = filt.field
-    return _characters(K.p, *_levels(K))
+    return _characters(*filt.shape)
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -356,8 +342,7 @@ def artin_conductor(chi, filt):
     totally ramified with v_p(d_K') = c phi(p^c) - p^(c-1) (Serre, Local
     Fields, VI 2 Prop. 4), with f(theta) of the linear theta read off
     H_i = G_i cap H (IV 1 Prop. 2) by ``_linear_conductor``."""
-    K = filt.field
-    p, (_, s) = K.p, _levels(K)
+    p, _, s = filt.shape
     c = s - chi.k
     ivals = filt.i_values
     return ((c * (p ** c - p ** (c - 1)) - p ** (c - 1) if c else 0)
@@ -401,7 +386,7 @@ def wild_subgroup_conductor(filt):
     ivals = [i for sig, i in filt.i_values.items()
              if sig.a % sig.modulus == 1]
     f = _linear_conductor([(True, i) for i in ivals])
-    if _levels(filt.field)[1] == 1 and f != max(ivals):
+    if filt.shape[2] == 1 and f != max(ivals):
         raise ArithmeticError(f"wild conductor {f} != largest i(sigma) "
                               f"{max(ivals)} over N of order p")
     return f

@@ -92,10 +92,8 @@ def timed(exponent, K, x, y, pm, reps):
 
     def relayout():
         # a layer keeps its widest packed modulus with its slot layout
-        fld = K
-        while fld.base is not None:
+        for fld in K.layers[1:]:
             fld._packing = None
-            fld = fld.base
 
     fields._PACKED_EXPONENT = exponent
     relayout()
@@ -128,8 +126,8 @@ def main():
     rows, cells = [], []
     for name, p, steps, n in ROWS:
         K = fields.build_field(p, list(steps))
-        while n is not None and K.n != n:
-            K = K.base
+        if n is not None:
+            K = next(L for L in K.layers if L.n == n)
         rows.append((name, K))
         for bits in widths:
             pm = p ** digits_at(p, bits)

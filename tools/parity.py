@@ -272,14 +272,12 @@ def cofactor_digest(F, name, p, steps, prec):
     one-block operands on every layer of one tower, at M and at M/2."""
     K = F.build_field(p, steps, prec)
     out = []
-    fld = K
-    while fld.base is not None:
+    for fld in reversed(K.layers[1:]):
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
             vecs = operands(fld, rng, fld.p ** m)
             out.append((fld.name, m, [fld._layer_cofactor(v, m)
                                       for v in vecs[::2]]))
-        fld = fld.base
     return hashlib.sha256(repr(out).encode()).hexdigest(), headroom(K)
 
 
@@ -295,11 +293,7 @@ def golden_additive_rows():
 
 def headroom(fld):
     """The headroom m - s of each layer's pi, from Q_p up."""
-    out = []
-    while fld.base is not None:
-        out.append(fld.pi.m - fld.pi.s)
-        fld = fld.base
-    return out[::-1]
+    return [L.pi.m - L.pi.s for L in fld.layers[1:]]
 
 
 def tate_digest(F, E, p, steps, curves, rst=None, hide=0):
@@ -421,29 +415,28 @@ def tower_digest(F, G, E, name, p, steps):
     build."""
     h = hashlib.sha256()
     try:
-        fld = F.build_field(p, steps)
+        K = F.build_field(p, steps)
     except ArithmeticError as exc:      # a build that fails is a value too
         h.update(type(exc).__name__.encode())
         return h.hexdigest(), None
-    heads = headroom(fld)
+    heads = headroom(K)
     try:
-        filt = G.ramification_filtration(fld)
+        filt = G.ramification_filtration(K)
     except G.NonGaloisTowerError:
         pass
     else:
         h.update(repr(sorted((s.a, s.b, i)
                              for s, i in filt.i_values.items())).encode())
-        h.update(repr(conductor_report(G, fld, filt)).encode())
-        li = E.l_invariant(fld.from_int(p) * (fld.one() + fld.pi))
+        h.update(repr(conductor_report(G, K, filt)).encode())
+        li = E.l_invariant(K.from_int(p) * (K.one() + K.pi))
         h.update(repr((li.vec, li.s, li.m)).encode())
-    while fld.base is not None:
+    for fld in reversed(K.layers[1:]):
         h.update(repr((fld.kind, fld.e, fld.f, *fld.frame[2:],
                        fld.layer_diff, fld.different_val, fld.certificate,
                        fld.pi.vec, fld.pi.s, fld.pi.m)).encode())
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
             h.update(repr((fld.name, m, layer_values(F, fld, m, rng))).encode())
-        fld = fld.base
     return h.hexdigest(), heads
 
 
