@@ -111,9 +111,10 @@ def parse_kummer_spec(text):
         elif key == "rad":
             rad = _parse_radicand(val)
         else:
-            raise ValueError(f"unknown key {key!r} in spec {text!r}")
+            raise ValueError(f"unknown key {key!r} in spec {text!r}: "
+                             f"{_SPEC_GRAMMAR}")
     if p is None or r is None:
-        raise ValueError(f"spec {text!r} needs p= and r=")
+        raise ValueError(f"spec {text!r} needs p= and r=: {_SPEC_GRAMMAR}")
     return KummerFieldSpec(p, r, rad)
 
 

@@ -93,8 +93,9 @@ class WeierstrassModel:
         self.field = self.a1.field
         if self.vdisc is not None:
             return
-        L, coeffs = _lowered(self.coefficients())
-        disc = weierstrass_invariants(coeffs, check=False).disc
+        L, (a1, a2, a3, a4, a6) = _lowered(self.coefficients())
+        disc = _disc(_b2(a1, a2), _b4(a1, a3, a4), _b6(a3, a6),
+                     _b8(a1, a2, a3, a4, a6))
         v, bound = disc.val_or_bound()
         if v is None:
             if disc.exact:
@@ -160,19 +161,44 @@ class ReductionData:
                 "tamagawa": self.tamagawa, "m": self.components}
 
 
+# one helper per invariant, so that a caller makes only those it reads
+def _b2(a1, a2):
+    return a1 * a1 + 4 * a2
+
+
+def _b4(a1, a3, a4):
+    return 2 * a4 + a1 * a3
+
+
+def _b6(a3, a6):
+    return a3 * a3 + 4 * a6
+
+
+def _b8(a1, a2, a3, a4, a6):
+    return (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3)
+            - a4 * a4)
+
+
+def _c4(b2, b4):
+    return b2 * b2 - 24 * b4
+
+
+def _c6(b2, b4, b6):
+    return -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+
+
+def _disc(b2, b4, b6, b8):
+    return (-(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6)
+            + 9 * b2 * b4 * b6)
+
+
 def weierstrass_invariants(model, check=True):
     """b- and c-invariants and the discriminant."""
     a1, a2, a3, a4, a6 = model.coefficients() if isinstance(model, WeierstrassModel) \
         else model
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3)
-          - a4 * a4)
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-    disc = (-(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6)
-            + 9 * b2 * b4 * b6)
+    b2, b4, b6 = _b2(a1, a2), _b4(a1, a3, a4), _b6(a3, a6)
+    b8 = _b8(a1, a2, a3, a4, a6)
+    c4, c6, disc = _c4(b2, b4), _c6(b2, b4, b6), _disc(b2, b4, b6, b8)
     inv = StandardInvariants(b2, b4, b6, b8, c4, c6, disc)
     if check:
         K = b2.field
@@ -214,8 +240,8 @@ def _lowered(xs):
 def _v_j(model):
     """v(j) = 3 v(c4) - v(Delta) of a model, with v(c4) read in the layer
     of ``_lowered``; None when c4, and so j, is zero to precision."""
-    L, coeffs = _lowered(model.coefficients())
-    v4 = weierstrass_invariants(coeffs, check=False).c4.val_or_bound()[0]
+    L, (a1, a2, a3, a4, _) = _lowered(model.coefficients())
+    v4 = _c4(_b2(a1, a2), _b4(a1, a3, a4)).val_or_bound()[0]
     return (None if v4 is None
             else 3 * (model.field.e // L.e) * v4 - model.vdisc)
 

@@ -1750,7 +1750,8 @@ def _pth_root_of_unity(base):
                    for c in fld.coeffs):
                 return base.embed(fld.gen())
     raise CertificationError(
-        "kummer layer needs zeta_p in the base; add a cyclotomic step first")
+        "kummer layer needs zeta_p in the base, read from a cyclotomic layer "
+        "or a custom layer of relation 1 + x + ... + x^(p-1)")
 
 
 def _extend_kummer_cyclic(base, rad, name):
@@ -2222,9 +2223,10 @@ def parse_field_spec(text, p=None, prec=None):
             continue
         kind, *args = line.split()
         if kind not in ("cyclotomic", "kummer", "custom"):
-            raise ValueError(f"unknown step {kind!r}")
+            raise ValueError(f"unknown step {kind!r}: {_STEP_GRAMMAR}")
         if not args:
-            raise ValueError(f"{kind} step without an argument: {line!r}")
+            raise ValueError(f"{kind} step without an argument: {line!r}: "
+                             f"{_STEP_GRAMMAR}")
         if kind == "cyclotomic":
             steps.append(TowerStep.cyclotomic(
                 _parsed(int, args[0], "cyclotomic modulus", _STEP_GRAMMAR)))
@@ -2234,14 +2236,16 @@ def parse_field_spec(text, p=None, prec=None):
                 if tok.startswith("rad="):
                     radtxt = tok[4:]
             if radtxt is None:
-                raise ValueError(f"kummer step without rad=: {line!r}")
+                raise ValueError(f"kummer step without rad=: {line!r}: "
+                                 f"{_STEP_GRAMMAR}")
             steps.append(TowerStep.kummer(
                 _parsed(int, args[0], "kummer exponent", _STEP_GRAMMAR),
                 _parse_radicand(radtxt)))
         else:
             steps.append(TowerStep.custom(_parse_int_poly(args[0])))
     if p is None:
-        raise ValueError("field-spec file must declare p=<prime>")
+        raise ValueError(f"field-spec file {text!r} must declare p=<prime>: "
+                         f"{_PRIME_GRAMMAR}")
     return build_field(p, steps, prec=prec)
 
 

@@ -383,11 +383,19 @@ _SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
     (["check-anab", "p=3 r=1.5", "p=3 r=1"], None, "1.5", _SPEC),
     # r= twice: refused, not the degree-500 tower of the last r=
     (["disc", "p=5 r=1 rad=3 r=2"], None, "p=5 r=1 rad=3 r=2", _SPEC),
+    (["disc", "p=3 r=1 q=2"], None, "q", _SPEC),
+    (["disc", "p=3"], None, "p=3", _SPEC),
+    (["disc"], "p=3\ncyclo 9\n", "cyclo", _STEP),
+    (["disc"], "p=3\ncyclotomic\n", "cyclotomic", _STEP),
+    (["disc"], "p=3\ncyclotomic 9\nkummer 9\n", "kummer 9", _STEP),
+    (["disc"], "cyclotomic 9\n", "cyclotomic 9\n",
+     "p= takes an integer prime"),
 ])
 def test_malformed_input_names_its_grammar(argv, spec_file, bad, grammar,
                                            tmp_path, capsys):
-    # curves, custom polynomials, field-spec steps and the p= and r= keys,
-    # one of them repeated:
+    # curves, custom polynomials, field-spec steps, a field-spec file
+    # without its p= header, and the p= and r= keys, one of them repeated,
+    # unknown or missing:
     # exit 3 with the bad text and its grammar, and no traceback
     if spec_file is not None:
         path = tmp_path / "bad.field"

@@ -1,6 +1,7 @@
 import collections
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -349,6 +350,50 @@ def test_tower_order_independence():
     assert discriminant_valuation(KA) == discriminant_valuation(KB) == 165
 
 
+def _presentations(p):
+    """(name, steps, steps) of one field presented two ways at an odd p:
+    the radicand times an 8^p, kummer(p, p) as custom x^p - p,
+    Q_p(zeta_(p^2)) as a Kummer layer over Q_p(zeta_p), and Q_p(zeta_p) as
+    custom Phi_p(x + 1)."""
+    cyc = T.cyclotomic(p)
+    return [
+        (f"p={p} radicand", [cyc, T.kummer(p, 2 * p)],
+         [cyc, T.kummer(p, 2 * p * 8 ** p)]),
+        (f"p={p} x^p-p", [cyc, T.kummer(p, p)],
+         [cyc, T.custom([-p] + [0] * (p - 1))]),
+        (f"p={p} zeta_(p^2)", [T.cyclotomic(p * p)],
+         [cyc, T.kummer(p, {1: 1})]),
+        (f"p={p} Phi_p(x+1)", [cyc],
+         [T.custom([math.comb(p, k + 1) for k in range(p - 1)])]),
+    ]
+
+
+PRESENTATIONS = {name: (p, one, two)
+                 for p in (3, 5, 7) for name, one, two in _presentations(p)}
+PRESENTATIONS.update({
+    "p=2 zeta_8": (2, [T.cyclotomic(8)], [T.cyclotomic(4), T.kummer(2, {1: 1})]),
+    "p=2 radicand": (2, [T.cyclotomic(4), T.kummer(2, 3)],
+                     [T.cyclotomic(4), T.kummer(2, 27)]),
+})
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_one_field_two_presentations(name):
+    # the invariants of a field do not depend on how it is presented
+    from anabelomorph.elliptic import WeierstrassModel, tate_algorithm
+    p, one, two = PRESENTATIONS[name]
+    answers = []
+    for steps in (one, two):
+        K = build_field(p, steps)
+        assert K.n <= 54
+        answers.append((K.n, K.e, K.f, different_valuation(K),
+                        K.residue_field.q,
+                        [tate_algorithm(WeierstrassModel.from_a_invariants(
+                            K, *curve)).quadruple()
+                         for curve in ([0, 3, 0, 0, 9], [0, 0, 0, 1, 1])]))
+    assert answers[0] == answers[1]
+
+
 def test_p2_towers():
     K = build_field(2, [T.cyclotomic(16), T.kummer(2, {2: 1, 0: -1}),
                         T.kummer(2, {6: 1, 0: -1})])
@@ -638,12 +683,19 @@ def test_custom_rejects_non_integral_coefficients():
     assert build_field(3, [T.custom([Fraction(-3, 2), 0, 0])]).e == 3
 
 
+_NO_ZETA_P = ("kummer layer needs zeta_p in the base, read from a "
+              "cyclotomic layer or a custom layer of relation "
+              "1 + x + ... + x^(p-1)")
 # (p, steps, class, message) of each scope error a step can meet: the
 # error names the scope, and is not a failed internal identity
 _SCOPE_ERRORS = {
     "kummer without zeta_p": (
-        3, [T.kummer(3, 2)], CertificationError,
-        "kummer layer needs zeta_p in the base; add a cyclotomic step first"),
+        3, [T.kummer(3, 2)], CertificationError, _NO_ZETA_P),
+    # Q_3[x]/(x^2 + 3x + 3) holds zeta_3 = x + 1, but its relation is not
+    # 1 + x + x^2, so the scope refuses it
+    "kummer over a custom layer holding zeta_p": (
+        3, [T.custom([3, 3]), T.kummer(3, 3)], CertificationError,
+        _NO_ZETA_P),
     "kummer exponent 6": (
         3, [T.cyclotomic(3), T.kummer(6, 2)], FieldError,
         "kummer exponent must be a power of p"),
@@ -1001,6 +1053,32 @@ LAYER_TOWERS = {
     "p=7 quadratics": (7, [T.custom([-7, 0]), T.custom([-3, 0])]),
     "p=7 custom": (7, [T.cyclotomic(7), T.custom([{0: 1, 1: -1}, 0, 0])]),
 }
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_layers_are_the_base_walk(name):
+    # K.layers, and the layers of each layer, are the .base chain from
+    # Q_p up: the same objects in the same order
+    p, steps = LAYER_TOWERS[name]
+    walk, fld = [], build_field(p, steps)
+    while fld is not None:
+        walk.insert(0, fld)
+        fld = fld.base
+    for i, fld in enumerate(walk):
+        assert len(fld.layers) == i + 1
+        assert all(a is b for a, b in zip(fld.layers, walk))
+
+
+def test_embed_refuses_elements_outside_the_tower():
+    # an element of another tower of the same p, even of the same steps,
+    # and an element of a higher layer are not elements of a layer below
+    K = build_field(3, [T.cyclotomic(3), T.kummer(3, 3)])
+    other = build_field(3, [T.cyclotomic(3)])
+    for fld, x in ((K, other.gen()), (K, other.base.one()),
+                   (K.base, K.gen())):
+        with pytest.raises(FieldError, match="cannot embed element from "
+                                             "unrelated field"):
+            fld.embed(x)
 
 
 def _branch(fld):

@@ -11,7 +11,8 @@ from anabelomorph.fields import (DegreeDropError, FieldElement, FieldError,
                                  TowerStep, build_field, different_valuation,
                                  discriminant_valuation)
 from anabelomorph.galois import (GaloisElement, NonGaloisTowerError,
-                                 _conjugacy_classes, apply_automorphism,
+                                 _characters, _conjugacy_classes,
+                                 apply_automorphism,
                                  artin_conductor, characters,
                                  conductor_discriminant_check,
                                  different_from_filtration, galois_group,
@@ -313,6 +314,10 @@ def _check_conductors_by_index(K, filt):
 def test_invariants_match_the_per_index_definitions(p, r, rad):
     K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
     filt = ramification_filtration(K)
+    # the filtration keeps the shape (p, r, s) of its tower, by which the
+    # characters are read
+    assert filt.shape == (p, r, r)
+    assert characters(filt) is _characters(p, r, r)
     groups = _groups_by_index(K, filt.i_values)
     top = len(groups) - 1                   # G_top is the first trivial one
     for i, grp in enumerate(groups + [groups[-1]]):
@@ -640,6 +645,8 @@ def test_bare_cyclotomic_filtration(p, r):
     elems = galois_group(K)
     assert len(elems) == K.n and all(s.b == 0 for s in elems)
     filt = ramification_filtration(K)
+    assert filt.shape == (p, r, 0)
+    assert characters(filt) is _characters(p, r, 0)
     assert different_from_filtration(filt) == different_valuation(K)
     assert filt.breaks == [p ** k - 1 for k in range(p == 2, r)]
     assert upper_numbering_breaks(filt) == list(range(p == 2, r))
