@@ -12,6 +12,9 @@ A tower is a chain of fields, each one layer over its base:
                        characteristic, by its discriminant (ramified or
                        unramified).
 
+``K.layers`` is the tuple of the layers from Q_p up to K, which every walk
+of the tower reads.
+
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
 All three relative layer kinds are stored as their monic relation over
