@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (FieldElement, FieldError, _denominator_bound,
-                     _lowest_layer, _parsed, _read_digits, parse_zeta_poly)
+from .fields import (FieldElement, FieldError, _denominator_bound, _parsed,
+                     _read_digits, parse_zeta_poly)
 from .padic import PrecisionError, _vp
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -213,8 +213,8 @@ def weierstrass_invariants(model, check=True):
 
 def _lowered(xs):
     """(L, ys): the xs, elements of K, as elements ys of L, the lowest
-    layer of K's tower that holds them (``fields._lowest_layer``), with m
-    capped at K.M.  Ring operations on the ys give the vec, s, m and
+    layer of K's tower that holds them (every flat coordinate past L.n is
+    zero), with m capped at K.M.  Ring operations on the ys give the vec, s, m and
     exactness of the same operations in K on n_L coordinates: a product
     of embedded elements of L is theirs in L embedded, mod the factors'
     smaller p^m, and a sum caps m at the field's M, where L.M >= K.M and
@@ -225,7 +225,7 @@ def _lowered(xs):
     K = xs[0].field
     if any(x.s or x.field is not K for x in xs):
         return K, xs
-    L = _lowest_layer(xs)
+    L = next(L for L in K.layers if not any(any(x.vec[L.n:]) for x in xs))
     if L is K:
         return K, xs
     out = []

@@ -1834,14 +1834,6 @@ def _normalize_radicand(base, rad):
     return FieldElement(base, rad1.vec, 0, rad1.m), c, t
 
 
-def _lowest_layer(xs):
-    """The lowest layer of the tower of the elements xs whose flat
-    coordinates hold them all: every coordinate past its degree n is
-    zero, so each x is one of its elements embedded (``LocalField.embed``)."""
-    return next(L for L in xs[0].field.layers
-                if not any(any(x.vec[L.n:]) for x in xs))
-
-
 def _walk_digits(K):
     """The digits a frame walk of K (``LocalField._val``) divides off: a
     layer divides block k by its frame's p^(t (d-1-k) + u k) (beta =
