@@ -480,6 +480,8 @@ class LocalField:
         self.M = M
         self.pM = p ** M
         self.name = name
+        # the layers of the tower from Q_p up to this one, this one last
+        self.layers = (*base.layers, self) if base else (self,)
         self.e = base.e if base else 1  # a layer's e, f: see _certify
         self.f = base.f if base else 1
         self.different_val = 0
@@ -519,11 +521,6 @@ class LocalField:
         vec = [0] * self.n
         vec[0] = num
         return FieldElement(self, vec, t, self.M)
-
-    @functools.cached_property
-    def layers(self):
-        """The layers of the tower from Q_p up to this one, this one last."""
-        return (*self.base.layers, self) if self.base else (self,)
 
     def embed(self, x):
         """Lift an element of a field below this one in the tower: its flat
