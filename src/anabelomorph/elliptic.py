@@ -214,14 +214,14 @@ def weierstrass_invariants(model, check=True):
 def _lowered(xs):
     """(L, ys): the xs, elements of K, as elements ys of L, the lowest
     layer of K's tower that holds them (every flat coordinate past L.n is
-    zero), with m capped at K.M.  Ring operations on the ys give the vec, s, m and
-    exactness of the same operations in K on n_L coordinates: a product
-    of embedded elements of L is theirs in L embedded, mod the factors'
-    smaller p^m, and a sum caps m at the field's M, where L.M >= K.M and
-    the entrance cap makes the two agree.  A normalization takes digits
-    off m only when s > 0, so L is K when an x has a p-power denominator
-    (or another field).  K's frame walk reads an element of its base in
-    the base, so v_K = e(K/L) v_L on L."""
+    zero), with m capped at K.M.  Ring operations on the ys give the vec,
+    s, m and exactness of the same operations in K on n_L coordinates: a
+    product of embedded elements of L is theirs in L embedded, mod the
+    factors' smaller p^m, and a sum caps m at the field's M, where L.M >=
+    K.M and the entrance cap makes the two agree.  A normalization takes
+    digits off m only when s > 0, so L is K when an x has a p-power
+    denominator (or another field).  K's frame walk reads an element of
+    its base in the base, so v_K = e(K/L) v_L on L."""
     K = xs[0].field
     if any(x.s or x.field is not K for x in xs):
         return K, xs

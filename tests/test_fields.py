@@ -371,7 +371,8 @@ def _presentations(p):
 PRESENTATIONS = {name: (p, one, two)
                  for p in (3, 5, 7) for name, one, two in _presentations(p)}
 PRESENTATIONS.update({
-    "p=2 zeta_8": (2, [T.cyclotomic(8)], [T.cyclotomic(4), T.kummer(2, {1: 1})]),
+    "p=2 zeta_8": (2, [T.cyclotomic(8)],
+                   [T.cyclotomic(4), T.kummer(2, {1: 1})]),
     "p=2 radicand": (2, [T.cyclotomic(4), T.kummer(2, 3)],
                      [T.cyclotomic(4), T.kummer(2, 27)]),
 })
@@ -1070,8 +1071,9 @@ def test_layers_are_the_base_walk(name):
 
 
 def test_embed_refuses_elements_outside_the_tower():
-    # an element of another tower of the same p, even of the same steps,
-    # and an element of a higher layer are not elements of a layer below
+    # an element of another tower of the same p, at a layer built by the
+    # same step or at its Q_p, and an element of a higher layer are not
+    # elements of the layer
     K = build_field(3, [T.cyclotomic(3), T.kummer(3, 3)])
     other = build_field(3, [T.cyclotomic(3)])
     for fld, x in ((K, other.gen()), (K, other.base.one()),
