@@ -14,8 +14,8 @@ from .fields import (TowerStep, LocalField, FieldElement, FieldError,
                      UniformizerSearchError, build_field, norm_to_qp,
                      valuation, residue, find_uniformizer,
                      different_valuation, discriminant_valuation,
-                     different_bound, closed_form_disc, parse_field_spec,
-                     parse_zeta_poly)
+                     different_bound, closed_form_disc)
+from .formats import parse_field_spec, parse_zeta_poly
 from .galois import (GaloisElement, RamificationFiltration, Character,
                      NonGaloisTowerError, galois_group, apply_automorphism,
                      ramification_filtration, characters,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import (DegreeDropError, TowerStep, _charpoly,
-                     _classify_radicand, _parse_radicand, _parsed,
-                     build_field)
+                     _classify_radicand, build_field)
+from .formats import _parse_radicand, _parsed
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"

@@ -18,8 +18,8 @@ from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
                             KummerFieldSpec, jarden_ritter, parse_kummer_spec)
 from .elliptic import (WeierstrassModel, parse_curve, tate_algorithm,
                        weak_amphoricity_report)
-from .fields import (DEFAULT_DIGITS, FieldError, discriminant_valuation,
-                     parse_field_spec)
+from .fields import DEFAULT_DIGITS, FieldError, discriminant_valuation
+from .formats import parse_field_spec
 from .galois import conductor_discriminant_check
 from .padic import PadicError, PrecisionError
 

@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import (FieldElement, FieldError, _denominator_bound, _parsed,
-                     _read_digits, parse_zeta_poly)
+from .fields import FieldElement, FieldError, _denominator_bound, _read_digits
+from .formats import _parsed, parse_zeta_poly
 from .padic import PrecisionError, _vp
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"

@@ -13,7 +13,11 @@ A tower is a chain of fields, each one layer over its base:
                        unramified).
 
 ``K.layers`` is the tuple of the layers from Q_p up to K, which every walk
-of the tower reads.
+of the tower reads.  The cyclotomic layer is built and certified once per
+process for each key (p, p^r, working digits), the 64 most recently used
+kept (``_cyclotomic``), and shared by every tower over it, so an element
+of it embeds into each of them; every Kummer and custom layer is built
+and certified on every call.
 
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
@@ -469,6 +473,9 @@ class LocalField:
 
     Instances are immutable after construction and safe to share; the
     residue field and constants are set up on the first residue read.
+    Every lazy cache (residue constants, pi and delta powers made by
+    halving, monomials, fold tables) is a function of its key alone, so a
+    shared layer reads the same to every tower over it.
     """
 
     def __init__(self, p, base, kind, degree, M, name):
@@ -1527,22 +1534,23 @@ class CycloField(GaloisLayer):
     the ring of integers, so the different is (Phi'(zeta)).  The
     automorphisms are zeta -> zeta^a for the units a mod p^r."""
 
-    def __init__(self, base, modulus, M, name):
-        p = base.p
+    def __init__(self, p, modulus, M):
         r = _vp(modulus, p) if modulus > 1 else 0
         if modulus < 3 or p ** r != modulus:
             raise FieldError("cyclotomic modulus must be a power of p, >= 3")
         phi = modulus - modulus // p
-        if base.kind != "qp":
-            raise CertificationError("cyclotomic layer must sit directly on Q_p")
-        super().__init__(p, base, "cyclo", phi, M, name)
+        super().__init__(p, QpField(p, M), "cyclo", phi, M,
+                         f"Q_{p}(zeta_{modulus})")
         self.cyclo_modulus = modulus
+        # its own one-step tower, as build_field returns the shared layer
+        self.user_steps = [TowerStep.cyclotomic(modulus)]
+        self._step_layers = [self]
         step = modulus // p
         self.relation = [(i * step, (-1,)) for i in range(p - 1)]
         self.galois_factors = _unit_group(modulus, p)
         self.conjugate_labels = [a for a in range(2, modulus) if a % p]
         self._certify(f"cyclotomic({modulus}): Eisenstein after x -> x+1",
-                      phi, 1, self.gen() - self.one(), beta=base.one())
+                      phi, 1, self.gen() - self.one(), beta=self.base.one())
 
     def _sigma(self, vec, a, pm):
         """zeta -> zeta^a on a flat vector: c_j moves to the exponent
@@ -1552,6 +1560,11 @@ class CycloField(GaloisLayer):
         for j, c in enumerate(vec):
             conv[j * a % N] += c
         return self._fold(conv, pm)
+
+
+# Q_p(zeta_(p^r)) at M digits, certified once per key (p, p^r, M) and
+# process; past 64 keys the least recently used is built again
+_cyclotomic = functools.lru_cache(maxsize=64)(CycloField)
 
 
 class KummerField(GaloisLayer):
@@ -2023,7 +2036,8 @@ def build_field(p, steps, prec=None):
     verified uniformizer and the different; ``K.lift`` gives the residue
     representatives, and ``K.step_generators`` the generator of each
     step, made on first read.  A Kummer radicand ``"gen:<i>"`` is the
-    generator of the earlier step i.
+    generator of the earlier step i.  The cyclotomic layer is the shared
+    ``_cyclotomic(p, p^r, digits)``, certified once per key and process.
     """
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
@@ -2044,7 +2058,9 @@ def build_field(p, steps, prec=None):
     layers = []
     for step in steps:
         if step.kind == "cyclotomic":
-            K = CycloField(K, step.modulus, digits, f"Q_{p}(zeta_{step.modulus})")
+            if K.base is not None:
+                raise CertificationError("cyclotomic layer must sit directly on Q_p")
+            K = _cyclotomic(p, step.modulus, digits)
             layers = [K]
         elif step.kind == "kummer":
             m = step.exponent
@@ -2070,8 +2086,9 @@ def build_field(p, steps, prec=None):
             layers.append(K)
         else:
             raise FieldError(f"unknown step kind {step.kind!r}")
-    K.user_steps = list(steps)
-    K._step_layers = layers
+    if K.kind != "cyclo":           # a shared base keeps its own steps
+        K.user_steps = list(steps)
+        K._step_layers = layers
     if K.n != n_expected or K.e * K.f != K.n:
         raise FieldError("degree bookkeeping failed")
     if K.base is not None and K.from_int(p).valuation() != K.e:
@@ -2159,124 +2176,3 @@ def closed_form_disc(p, r, variant):
     if val.denominator != 1:
         raise ArithmeticError("closed form did not evaluate to an integer")
     return int(val)
-
-
-# ----------------------------------------------------------------------
-# text formats
-
-
-def parse_zeta_poly(text):
-    """Integer polynomial in z (the cyclotomic generator) -> {exp: coeff}."""
-    return _parse_terms(text, "z")
-
-
-def _parse_terms(text, var):
-    """Integer polynomial in ``var`` -> {exponent: coefficient}."""
-    s = text.replace(" ", "").replace("*", "")
-    if not s:
-        raise ValueError("empty polynomial")
-    # every sign after the first character starts a new term
-    cuts = [0] + [i for i in range(1, len(s)) if s[i] in "+-"] + [len(s)]
-    out = {}
-    for term in (s[a:b] for a, b in zip(cuts, cuts[1:])):
-        if term in "+-":
-            raise ValueError(f"bad term {term!r}")
-        sign = -1 if term[0] == "-" else 1
-        if term[0] in "+-":
-            term = term[1:]
-        if var in term:
-            coef_s, _, rest = term.partition(var)
-            coef = int(coef_s) if coef_s else 1
-            expo = int(rest[1:]) if rest.startswith("^") else 1
-        else:
-            coef = int(term)
-            expo = 0
-        out[expo] = out.get(expo, 0) + sign * coef
-    return out
-
-
-def parse_field_spec(text, p=None, prec=None):
-    """Tower from the one-step-per-line format.
-
-    Lines:  ``p=3`` (the prime; required unless passed as ``p``)
-    | ``cyclotomic 9`` | ``kummer 9 rad=3`` | ``kummer 9 rad=z^2-1``
-    | ``custom x^2-2``.  Blank lines and #-comments are ignored.
-    """
-    steps = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("p="):
-            q = _parsed(int, line[2:], "prime", _PRIME_GRAMMAR)
-            if p is not None and q != p:
-                raise ValueError(f"header {line!r} contradicts p={p}")
-            p = q
-            continue
-        if not line:
-            continue
-        kind, *args = line.split()
-        if kind not in ("cyclotomic", "kummer", "custom"):
-            raise ValueError(f"unknown step {kind!r}: {_STEP_GRAMMAR}")
-        if not args:
-            raise ValueError(f"{kind} step without an argument: {line!r}: "
-                             f"{_STEP_GRAMMAR}")
-        if kind == "cyclotomic":
-            steps.append(TowerStep.cyclotomic(
-                _parsed(int, args[0], "cyclotomic modulus", _STEP_GRAMMAR)))
-        elif kind == "kummer":
-            radtxt = None
-            for tok in args[1:]:
-                if tok.startswith("rad="):
-                    radtxt = tok[4:]
-            if radtxt is None:
-                raise ValueError(f"kummer step without rad=: {line!r}: "
-                                 f"{_STEP_GRAMMAR}")
-            steps.append(TowerStep.kummer(
-                _parsed(int, args[0], "kummer exponent", _STEP_GRAMMAR),
-                _parse_radicand(radtxt)))
-        else:
-            steps.append(TowerStep.custom(_parse_int_poly(args[0])))
-    if p is None:
-        raise ValueError(f"field-spec file {text!r} must declare p=<prime>: "
-                         f"{_PRIME_GRAMMAR}")
-    return build_field(p, steps, prec=prec)
-
-
-# the grammars of the user inputs, named by every parse error
-_PRIME_GRAMMAR = "p= takes an integer prime, such as p=3"
-_STEP_GRAMMAR = ("a field-spec step is cyclotomic <p^r>, kummer <p^s> "
-                 "rad=<radicand> or custom <monic polynomial in x>, with "
-                 "integers p^r and p^s, such as kummer 9 rad=3")
-_RADICAND_GRAMMAR = ("rad= takes an integer, a fraction a/b, or an integer "
-                     "polynomial in z with exponents >= 0, such as 3z^2-z+5")
-_CUSTOM_GRAMMAR = ("custom takes a monic integer polynomial in x with "
-                   "exponents >= 0, such as x^3-9")
-
-
-def _parsed(parse, text, what, grammar):
-    """parse(text), with a malformed text reported as a ValueError that
-    quotes it and names its grammar."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad {what} {text!r}: {grammar}") from exc
-
-
-def _parse_radicand(text):
-    def parse(text):
-        if "z" in text:
-            return parse_zeta_poly(text)
-        if "/" in text:
-            return Fraction(text)
-        return int(text)
-    return _parsed(parse, text, "radicand", _RADICAND_GRAMMAR)
-
-
-def _parse_int_poly(text):
-    """Monic polynomial in x -> coefficient list (low degree first, no lead)."""
-    def parse(text):
-        terms = _parse_terms(text, "x")
-        deg = max(terms)
-        if terms[deg] != 1:
-            raise ValueError("custom polynomial must be monic")
-        return [terms.get(i, 0) for i in range(deg)]
-    return _parsed(parse, text, "custom polynomial", _CUSTOM_GRAMMAR)

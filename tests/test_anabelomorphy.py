@@ -11,7 +11,8 @@ from anabelomorph.anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC,
                                         parse_kummer_spec, partition_classes,
                                         peu_tres_classify)
 from anabelomorph.fields import (DegreeDropError, FieldError, TowerStep,
-                                 build_field, parse_zeta_poly)
+                                 build_field)
+from anabelomorph.formats import parse_zeta_poly
 from anabelomorph.padic import PadicScalar
 
 

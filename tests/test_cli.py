@@ -351,7 +351,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("rad", ["z^-1", "z^", "3/", "3/0", ""])
+@pytest.mark.parametrize("rad", ["z^-1", "z^", "3/", "3/0", "", "3z2", "zz"])
 def test_malformed_radicand_names_the_grammar(rad, capsys):
     code = run_cli("disc", f"p=3 r=2 rad={rad}")
     assert code == 3
@@ -375,6 +375,8 @@ _SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
     (["disc"], "p=3\ncustom x^\n", "x^", _CUSTOM),
     (["disc"], "p=3\ncustom x^3-9x^-1\n", "x^3-9x^-1", _CUSTOM),
     (["disc"], "p=3\ncustom 2x^2-3\n", "2x^2-3", _CUSTOM),
+    (["disc"], "p=3\ncustom x2-3\n", "x2-3", _CUSTOM),
+    (["tate", "[0,3,0,0,9zz]", "p=3 r=1 rad=3"], None, "9zz", _CURVE),
     (["disc"], "p=3\ncyclotomic nine\n", "nine", _STEP),
     (["disc"], "p=3\ncyclotomic 9\nkummer 9x rad=3\n", "9x", _STEP),
     (["disc"], "p=three\ncyclotomic 9\n", "three", "p= takes an integer prime"),

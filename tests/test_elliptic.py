@@ -986,7 +986,10 @@ def test_tate_product_and_walk_count(monkeypatch):
     # build.  The 18 walks are 17 residue reads and the top layer's
     # residue-constant read.  On a warm tower the constants, delta powers
     # and monomials are cached: the 15 products of the translations and
-    # the 17 residue reads.
+    # the 17 residue reads.  The cold count needs a fresh cyclotomic
+    # layer too, not the one that earlier towers over Q_3(zeta_9) at this
+    # precision share and have filled (two of its monomials).
+    fields._cyclotomic.cache_clear()
     L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
     count = {"mul": 0, "walk": 0, "depth": 0}
     mul, val = FieldElement.__mul__, LocalField._val

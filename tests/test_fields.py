@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -16,9 +17,9 @@ from anabelomorph.fields import (DEFAULT_DIGITS, CertificationError,
                                  build_field,
                                  different_bound, different_valuation,
                                  discriminant_valuation,
-                                 find_uniformizer, norm_to_qp,
-                                 parse_field_spec, parse_zeta_poly, residue,
+                                 find_uniformizer, norm_to_qp, residue,
                                  closed_form_disc)
+from anabelomorph.formats import parse_field_spec, parse_zeta_poly
 from anabelomorph.galois import (different_from_filtration,
                                  ramification_filtration)
 from test_frames import norm_valuation
@@ -405,6 +406,94 @@ def test_p2_towers():
 
 
 # ----------------------------------------------------------------------
+# the cyclotomic base, built once per (p, p^r, digits) and shared
+
+
+def test_towers_over_one_base_share_it():
+    # the same cyclotomic step at the same precision gives one layer, and
+    # an element of it embeds into every tower over it; another prec, p
+    # or modulus gives another layer
+    from anabelomorph.fields import _cyclotomic
+    K = build_field(3, [T.cyclotomic(9), T.kummer(9, 3)])
+    L = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    base = K.layers[1]
+    assert L.layers[1] is base is _cyclotomic(3, 9, base.M)
+    z = base.gen()
+    assert L.embed(z).vec == K.embed(z).vec == z.vec + (0,) * 48
+    others = [build_field(3, [T.cyclotomic(9), T.kummer(9, 3)], prec=300),
+              build_field(3, [T.cyclotomic(27)], prec=base.M),
+              build_field(5, [T.cyclotomic(5)], prec=base.M)]
+    assert all(O.layers[1] is not base for O in others)
+    assert _cyclotomic(3, 9, base.M + 1) is not base
+
+
+def test_cyclotomic_certificate_runs_once_per_key(monkeypatch):
+    # after cache_clear each cyclotomic base is certified once per key,
+    # and every Kummer and custom layer above it on every build
+    from anabelomorph.fields import LocalField, _cyclotomic
+    certify, calls = LocalField._certify, collections.Counter()
+
+    def counting(self, *args, **kw):
+        calls[self.kind] += 1
+        return certify(self, *args, **kw)
+
+    monkeypatch.setattr(LocalField, "_certify", counting)
+    _cyclotomic.cache_clear()
+    towers = [[T.cyclotomic(9), T.kummer(9, 3)],
+              [T.cyclotomic(9), T.kummer(9, 4)],
+              [T.cyclotomic(3), T.custom([-3, 0, 0])]]
+    for _ in range(3):
+        for steps in towers:
+            build_field(3, steps)
+    assert calls == {"cyclo": 2, "kummer": 12, "custom": 3}
+    build_field(3, towers[0], prec=300)
+    assert calls["cyclo"] == 3
+    _cyclotomic.cache_clear()
+    build_field(3, towers[0])
+    assert calls == {"cyclo": 4, "kummer": 16, "custom": 3}
+
+
+# the towers of the invariants workload, Q_p(zeta_(p^r), a^(1/p^r)) as
+# (p, r, a); the two towers of each (p, r) share their cyclotomic base
+INVARIANT_SHAPES = [(3, 1, 3), (5, 1, 5), (7, 1, 7), (3, 1, 4), (5, 1, 6),
+                    (7, 1, 8), (3, 2, 3), (3, 2, 4), (2, 2, 2), (2, 2, 5),
+                    (2, 3, 3)]
+
+
+def _reads(p, r, a, log=True):
+    """n, e, f, the different and pi of a fresh build of Q_p(zeta_(p^r),
+    a^(1/p^r)), and with ``log`` l_invariant(p (1 + pi)) and the Tate
+    quadruple of [0,3,0,0,9]."""
+    from anabelomorph.elliptic import (WeierstrassModel, l_invariant,
+                                       tate_algorithm)
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, a)])
+    out = [K.n, K.e, K.f, different_valuation(K), (K.pi.vec, K.pi.s, K.pi.m)]
+    if log:
+        li = l_invariant(K.from_int(p) * (K.one() + K.pi))
+        curve = WeierstrassModel.from_a_invariants(K, 0, 3, 0, 0, 9)
+        out += [(li.vec, li.s, li.m), tate_algorithm(curve).quadruple()]
+    return out
+
+
+def test_shared_bases_read_the_same_in_either_order():
+    # a tower reads the same over a fresh base and over one that the
+    # towers before it filled: the base's lazy caches (pi and delta
+    # powers, monomials, residue constants, fold tables) are functions
+    # of their keys alone
+    from anabelomorph.fields import _cyclotomic
+    runs = []
+    for order in (INVARIANT_SHAPES, INVARIANT_SHAPES[::-1]):
+        _cyclotomic.cache_clear()
+        runs.append({shape: _reads(*shape) for shape in order})
+        assert _cyclotomic.cache_info().hits == 5
+    assert runs[0] == runs[1]
+    _cyclotomic.cache_clear()
+    cold = _reads(5, 2, 5, log=False)       # degree 500
+    assert _reads(5, 2, 5, log=False) == cold
+    assert _cyclotomic.cache_info().hits == 1
+
+
+# ----------------------------------------------------------------------
 # text format
 
 
@@ -419,6 +508,31 @@ def test_parse_zeta_poly():
     assert parse_zeta_poly("-6z^2-2") == {2: -6, 0: -2}
     assert parse_zeta_poly("z") == {1: 1}
     assert parse_zeta_poly("10z^4+5z^2-25z+5") == {4: 10, 2: 5, 1: -25, 0: 5}
+
+
+@pytest.mark.parametrize("text", ["3z2", "zz", "z2+1", "1+z^2z", "z^"])
+def test_zeta_poly_takes_only_an_exponent_after_z(text):
+    # after the variable comes nothing or ^<digits>: 3z2 is not 3z, nor
+    # zz z
+    with pytest.raises(ValueError, match="bad exponent"):
+        parse_zeta_poly(text)
+
+
+@pytest.mark.parametrize("what, text, bad", [
+    ("radicand", "p=3\ncyclotomic 9\nkummer 9 rad=3z2\n", "3z2"),
+    ("radicand", "p=3\ncyclotomic 9\nkummer 9 rad=zz\n", "zz"),
+    ("custom polynomial", "p=3\ncustom x2-3\n", "x2-3"),
+    ("custom polynomial", "p=3\ncustom x^2-3xx\n", "x^2-3xx"),
+    ("curve coefficient", "[0,3,0,0,3z2]", "3z2"),
+    ("curve coefficient", "[0,zz,0,0,9]", "zz"),
+])
+def test_text_after_the_variable_names_the_grammar(what, text, bad):
+    # radicands, custom steps and curve coefficients refuse it with the
+    # text and its grammar, rather than read a prefix of it
+    from anabelomorph.elliptic import parse_curve
+    parse = parse_curve if what.startswith("curve") else parse_field_spec
+    with pytest.raises(ValueError, match=re.escape(f"bad {what} '{bad}': ")):
+        parse(text)
 
 
 def test_unramified_kummer_layer_p2():
@@ -654,7 +768,7 @@ def test_discriminant_larger_zeta_row():
 
 
 def test_parse_int_poly_empty_is_value_error():
-    from anabelomorph.fields import _parse_int_poly
+    from anabelomorph.formats import _parse_int_poly
     with pytest.raises(ValueError):
         _parse_int_poly("")
 

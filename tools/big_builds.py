@@ -7,7 +7,9 @@ The towers are Q_p(zeta_(p^r), a^(1/p^r)) for (p, r, a) = (2, 5, 3),
 128 and 2048, each built as ``disc "p=<p> r=<r> rad=<a>"`` builds it.
 For each the script prints the degree, v_p(disc), the headroom m - s of
 each layer's uniformizer pi from Q_p up, and the median CPU seconds
-(``time.process_time``) of N builds (default 3).  It exits 1 unless
+(``time.process_time``) of N cold builds (default 3): each starts
+without the cyclotomic base that the package shares between builds, as a
+checkout without that cache builds it.  It exits 1 unless
 v_p(disc) is 2644, 1983, 1083, 532 and 12628 respectively.  It imports
 ``anabelomorph`` from ``DIR/src`` (by default the repository that holds
 this script).  Stdlib only; one build of all five takes about ten
@@ -41,14 +43,18 @@ def main(argv=None):
     if args.n < 1:
         ap.error("-n takes a positive count")
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    from anabelomorph import fields
     from anabelomorph.anabelomorphy import parse_kummer_spec
     from anabelomorph.fields import discriminant_valuation
+    cached_base = getattr(fields, "_cyclotomic", None)
 
     wrong = []
     for (p, r, a), want in TOWERS.items():
         spec = parse_kummer_spec(f"p={p} r={r} rad={a}")
         times = []
         for _ in range(args.n):
+            if cached_base is not None:
+                cached_base.cache_clear()
             start = time.process_time()
             K = spec.build()
             times.append(time.process_time() - start)
