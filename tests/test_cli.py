@@ -375,8 +375,6 @@ _SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
     (["disc"], "p=3\ncustom x^\n", "x^", _CUSTOM),
     (["disc"], "p=3\ncustom x^3-9x^-1\n", "x^3-9x^-1", _CUSTOM),
     (["disc"], "p=3\ncustom 2x^2-3\n", "2x^2-3", _CUSTOM),
-    (["disc"], "p=3\ncustom x2-3\n", "x2-3", _CUSTOM),
-    (["tate", "[0,3,0,0,9zz]", "p=3 r=1 rad=3"], None, "9zz", _CURVE),
     (["disc"], "p=3\ncyclotomic nine\n", "nine", _STEP),
     (["disc"], "p=3\ncyclotomic 9\nkummer 9x rad=3\n", "9x", _STEP),
     (["disc"], "p=three\ncyclotomic 9\n", "three", "p= takes an integer prime"),
@@ -392,6 +390,9 @@ _SPEC = "a spec is p=<prime> r=<integer> with an optional rad=<radicand>"
     (["disc"], "p=3\ncyclotomic 9\nkummer 9\n", "kummer 9", _STEP),
     (["disc"], "cyclotomic 9\n", "cyclotomic 9\n",
      "p= takes an integer prime"),
+    # text after the variable other than ^<digits>
+    (["disc"], "p=3\ncustom x2-3\n", "x2-3", _CUSTOM),
+    (["tate", "[0,3,0,0,9zz]", "p=3 r=1 rad=3"], None, "9zz", _CURVE),
 ])
 def test_malformed_input_names_its_grammar(argv, spec_file, bad, grammar,
                                            tmp_path, capsys):
