@@ -15,7 +15,8 @@ from .fields import (TowerStep, LocalField, FieldElement, FieldError,
                      valuation, residue, find_uniformizer,
                      different_valuation, discriminant_valuation,
                      different_bound, closed_form_disc)
-from .formats import parse_field_spec, parse_zeta_poly
+from .formats import (parse_curve, parse_field_spec, parse_kummer_spec,
+                      parse_zeta_poly)
 from .galois import (GaloisElement, RamificationFiltration, Character,
                      NonGaloisTowerError, galois_group, apply_automorphism,
                      ramification_filtration, characters,
@@ -25,13 +26,13 @@ from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
                             PEU, TRES, KummerFieldSpec,
                             AnabelomorphismVerdict, jarden_ritter,
                             partition_classes, peu_tres_classify,
-                            krasner_rationalize, parse_kummer_spec)
+                            krasner_rationalize)
 from .elliptic import (POTENTIALLY_GOOD, POTENTIALLY_MULTIPLICATIVE,
                        KodairaSymbol, WeierstrassModel, StandardInvariants,
                        ReductionData, SingularModelError,
                        weierstrass_invariants, reduction_class,
                        change_coords, tate_algorithm,
                        tate_parameter_valuation, iwasawa_log, l_invariant,
-                       weak_amphoricity_report, parse_curve)
+                       weak_amphoricity_report)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .fields import (DegreeDropError, TowerStep, _charpoly,
                      _classify_radicand, build_field)
-from .formats import _parse_radicand, _parsed
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -45,7 +44,8 @@ class KummerFieldSpec:
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.p == 2 and self.r == 1:
-            raise ValueError(f"spec p=2 r=1 is out of scope: {_SPEC_GRAMMAR}")
+            raise ValueError("spec p=2 r=1 is out of scope: r >= 2 at p = 2, "
+                             "where zeta_2 = -1 lies in Q_2")
         if isinstance(self.radicand, (int, Fraction)) and self.radicand == 0:
             raise ValueError("radicand must be nonzero")
 
@@ -87,35 +87,6 @@ class AnabelomorphismVerdict:
             "maximal_abelian_subfields": [self.k0_label1, self.k0_label2],
             "reason": self.reason,
         }
-
-
-_SPEC_GRAMMAR = ("a spec is p=<prime> r=<integer> with an optional "
-                 "rad=<radicand>, such as p=3 r=2 rad=3; r >= 2 at p = 2, "
-                 "where zeta_2 = -1 lies in Q_2")
-
-
-def parse_kummer_spec(text):
-    """Compact format: ``p=3 r=2 rad=3`` (rad optional, may be z-polynomial)."""
-    p = r = rad = None
-    seen = set()
-    for tok in text.split():
-        key, _, val = tok.partition("=")
-        if key in seen:
-            raise ValueError(f"key {key}= repeated in spec {text!r}: "
-                             f"{_SPEC_GRAMMAR}")
-        seen.add(key)
-        if key == "p":
-            p = _parsed(int, val, "p= value", _SPEC_GRAMMAR)
-        elif key == "r":
-            r = _parsed(int, val, "r= value", _SPEC_GRAMMAR)
-        elif key == "rad":
-            rad = _parse_radicand(val)
-        else:
-            raise ValueError(f"unknown key {key!r} in spec {text!r}: "
-                             f"{_SPEC_GRAMMAR}")
-    if p is None or r is None:
-        raise ValueError(f"spec {text!r} needs p= and r=: {_SPEC_GRAMMAR}")
-    return KummerFieldSpec(p, r, rad)
 
 
 def _radicand_is_pth_power(spec, prec=None):

@@ -15,11 +15,12 @@ import sys
 from dataclasses import dataclass
 
 from .anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC, UNDECIDED,
-                            KummerFieldSpec, jarden_ritter, parse_kummer_spec)
-from .elliptic import (WeierstrassModel, parse_curve, tate_algorithm,
+                            KummerFieldSpec, jarden_ritter)
+from .elliptic import (WeierstrassModel, tate_algorithm,
                        weak_amphoricity_report)
 from .fields import DEFAULT_DIGITS, FieldError, discriminant_valuation
-from .formats import parse_field_spec
+from .formats import (field_from_spec, format_zeta_poly, parse_curve,
+                      parse_kummer_spec, parse_radicand, parse_radicand_pair)
 from .galois import conductor_discriminant_check
 from .padic import PadicError, PrecisionError
 
@@ -36,15 +37,6 @@ class RunConfig:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-
-
-def _field_from_spec(text, prec):
-    """Either a compact kummer spec (p=3 r=2 rad=3) or a field-spec file."""
-    if "=" in text:
-        spec = parse_kummer_spec(text)
-        return spec.build(prec=prec), spec
-    with open(text) as fh:
-        return parse_field_spec(fh.read(), prec=prec), None
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +56,7 @@ def cmd_check_anab(args, config):
 
 
 def cmd_disc(args, config):
-    K, spec = _field_from_spec(args.spec, config.prec)
+    K, spec = field_from_spec(args.spec, config.prec)
     val = discriminant_valuation(K)
     rad = spec.radicand if spec is not None else None
     if config.fmt == "json":
@@ -78,7 +70,7 @@ def cmd_disc(args, config):
 
 
 def cmd_conductor(args, config):
-    K, _ = _field_from_spec(args.spec, config.prec)
+    K, _ = field_from_spec(args.spec, config.prec)
     report = conductor_discriminant_check(K)
     if config.fmt == "json":
         config.write(json.dumps(report, indent=2, default=str) + "\n")
@@ -98,7 +90,7 @@ def _quadruple_str(rd):
 
 
 def cmd_tate(args, config):
-    K, _ = _field_from_spec(args.spec, config.prec)
+    K, _ = field_from_spec(args.spec, config.prec)
     coeffs = parse_curve(args.curve)
     model = WeierstrassModel.from_a_invariants(K, *coeffs)
     try:
@@ -107,7 +99,7 @@ def cmd_tate(args, config):
         # one retry at twice the working precision M: build_field sizes M
         # from max(prec, n + 32), so twice --prec alone would build the
         # same M again on a tower of degree n >= 96
-        K2, _ = _field_from_spec(args.spec, 2 * K.M)
+        K2, _ = field_from_spec(args.spec, 2 * K.M)
         rd = tate_algorithm(WeierstrassModel.from_a_invariants(K2, *coeffs))
     if config.fmt == "json":
         config.write(json.dumps(rd.to_dict(K.name)) + "\n")
@@ -151,10 +143,10 @@ def cmd_table(args, config):
     if args.table_id == "1":
         rads = rows_src if rows_src is not None else TABLE1_RADICANDS
         for radtxt in rads:
-            spec = parse_kummer_spec(f"p=3 r=2 rad={radtxt}")
-            K = spec.build(prec=config.prec)
+            K = KummerFieldSpec(3, 2, parse_radicand(radtxt)).build(
+                config.prec)
             out.append(f"[{radtxt}, {discriminant_valuation(K)}]")
-    elif args.table_id in ("elliptic-additive", "elliptic-semistable"):
+    else:
         K = KummerFieldSpec(3, 2, 3).build(config.prec)
         towers = {}
         if args.table_id == "elliptic-additive":
@@ -170,8 +162,6 @@ def cmd_table(args, config):
             rep = weak_amphoricity_report(parse_curve(curvetxt), K, L)
             out.append(f"{_quadruple_str(rep['first'])} "
                        f"{_quadruple_str(rep['second'])}")
-    else:
-        raise ValueError(f"unknown table id {args.table_id!r}")
     if config.fmt == "json":
         config.write(json.dumps(out, indent=2) + "\n")
     else:
@@ -183,8 +173,9 @@ def cmd_search(args, config):
     """Seeded random curves over an anabelomorphic pair; deterministic."""
     rng = random.Random(args.seed)
     p, r = args.p, args.r
-    spec1, spec2 = (KummerFieldSpec(p, r, int(t))
-                    for t in args.rads.split(","))
+    rads = (parse_radicand_pair(args.rads) if args.rads is not None
+            else (p, 1 + p))
+    spec1, spec2 = (KummerFieldSpec(p, r, a) for a in rads)
     K, L = spec1.build(config.prec), spec2.build(config.prec)
     phi = spec1.cyclotomic_degree()
     lines = []
@@ -193,9 +184,9 @@ def cmd_search(args, config):
     cap = max(args.count, min(args.budget, 400 * args.count))
     while count < args.count and attempts < cap:
         attempts += 1
-        a2 = {i: rng.randint(-9, 9) for i in range(phi)}
-        a4 = {i: rng.randint(-9, 9) for i in range(phi)}
-        a6 = {i: rng.randint(-9, 9) for i in range(phi)}
+        a2 = {i: rng.randrange(-9, 10) for i in range(phi)}
+        a4 = {i: rng.randrange(-9, 10) for i in range(phi)}
+        a6 = {i: rng.randrange(-9, 10) for i in range(phi)}
         curve = [{}, a2, {}, a4, a6]
         try:
             rep = weak_amphoricity_report(curve, K, L)
@@ -209,27 +200,13 @@ def cmd_search(args, config):
         if args.additive_only and is_semistable:
             continue
         count += 1
-        lines.append(f"{_fmt_poly(a2)} | {_fmt_poly(a4)} | {_fmt_poly(a6)} | "
+        lines.append(f"{format_zeta_poly(a2)} | {format_zeta_poly(a4)} | "
+                     f"{format_zeta_poly(a6)} | "
                      f"{_quadruple_str(rep['first'])} "
                      f"{_quadruple_str(rep['second'])} | "
                      f"equal={rep['all_equal']}")
     config.write("\n".join(lines) + ("\n" if lines else ""))
     return 0
-
-
-def _fmt_poly(d):
-    terms = []
-    for expo in sorted(d, reverse=True):
-        c = d[expo]
-        if c == 0:
-            continue
-        if expo == 0:
-            terms.append(f"{c:+d}")
-        elif expo == 1:
-            terms.append(f"{c:+d}z")
-        else:
-            terms.append(f"{c:+d}z^{expo}")
-    return "".join(terms) or "0"
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +286,6 @@ def main(argv=None):
     config = RunConfig(prec=getattr(args, "prec", None),
                        fmt=getattr(args, "fmt", "pretty"),
                        out=getattr(args, "out", None))
-    if args.command == "search" and args.rads is None:
-        args.rads = f"{args.p},{1 + args.p}"
     try:
         return args.func(args, config)
     except (PadicError, FieldError, ArithmeticError, ValueError, OSError) as exc:

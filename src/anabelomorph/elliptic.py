@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fields import FieldElement, FieldError, _denominator_bound, _read_digits
-from .formats import _parsed, parse_zeta_poly
 from .padic import PrecisionError, _vp
 
 POTENTIALLY_GOOD = "POTENTIALLY_GOOD"
@@ -892,23 +891,6 @@ def l_invariant(q, target_digits=24):
 
 # ----------------------------------------------------------------------
 # base-change comparison across an anabelomorphic pair
-
-
-_CURVE_GRAMMAR = ("a curve is [a1,a2,a3,a4,a6], each entry an integer "
-                  "polynomial in z with exponents >= 0, such as 3z^2-z+5")
-
-
-def parse_curve(text):
-    """``[a1,a2,a3,a4,a6]`` with integer-polynomial-in-z entries."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad curve {text!r}: {_CURVE_GRAMMAR}")
-    parts = s[1:-1].split(",")
-    if len(parts) != 5:
-        raise ValueError(f"bad curve {text!r}: it has {len(parts)} "
-                         f"coefficients; {_CURVE_GRAMMAR}")
-    return [_parsed(parse_zeta_poly, t if t.strip() else "0",
-                    "curve coefficient", _CURVE_GRAMMAR) for t in parts]
 
 
 def weak_amphoricity_report(coeffs, K, L):

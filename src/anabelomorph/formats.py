@@ -1,10 +1,9 @@
-"""The text formats of towers: field-spec files, integer polynomials in
-the cyclotomic generator z (radicands and curve coefficients) and in x
-(custom steps), and the grammar each parse error names.
-
-Kept apart from ``fields`` so that the compile of that largest module,
-which a fresh import makes at every benchmark set-up, stays as small as
-the arithmetic needs.
+"""The home of every text grammar of the package and of its printer: the
+compact spec (``p=3 r=2 rad=3``), field-spec files, Weierstrass curves,
+radicands, and integer polynomials in the cyclotomic generator z
+(radicands and curve coefficients) and in x (custom steps).  Every parse
+error is a ValueError that quotes the text and names its grammar; no
+other module reads or writes these texts.
 """
 
 from __future__ import annotations
@@ -12,11 +11,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fields
+from .anabelomorphy import KummerFieldSpec
 
 
 def parse_zeta_poly(text):
     """Integer polynomial in z (the cyclotomic generator) -> {exp: coeff}."""
-    return _parse_terms(text, "z")
+    try:
+        return _parse_terms(text, "z")
+    except ValueError as exc:
+        raise ValueError(f"bad z-polynomial {text!r} ({exc}): "
+                         f"{_ZETA_GRAMMAR}") from exc
+
+
+def format_zeta_poly(d):
+    """{exp: coeff} -> the text that ``parse_zeta_poly`` reads back, each
+    nonzero term with its sign, highest exponent first; "0" if none."""
+    terms = []
+    for expo in sorted(d, reverse=True):
+        c = d[expo]
+        if c == 0:
+            continue
+        if expo == 0:
+            terms.append(f"{c:+d}")
+        elif expo == 1:
+            terms.append(f"{c:+d}z")
+        else:
+            terms.append(f"{c:+d}z^{expo}")
+    return "".join(terms) or "0"
 
 
 def _parse_terms(text, var):
@@ -46,6 +67,43 @@ def _parse_terms(text, var):
     return out
 
 
+def field_from_spec(text, prec=None):
+    """(tower, KummerFieldSpec or None) from a compact spec, or from the
+    field-spec file at the path ``text`` when it holds no ``=``."""
+    if "=" in text:
+        spec = parse_kummer_spec(text)
+        return spec.build(prec=prec), spec
+    with open(text) as fh:
+        return parse_field_spec(fh.read(), prec=prec), None
+
+
+def parse_kummer_spec(text):
+    """Compact format: ``p=3 r=2 rad=3`` (rad optional, may be z-polynomial)."""
+    p = r = rad = None
+    seen = set()
+    for tok in text.split():
+        key, _, val = tok.partition("=")
+        if key in seen:
+            raise ValueError(f"key {key}= repeated in spec {text!r}: "
+                             f"{_SPEC_GRAMMAR}")
+        seen.add(key)
+        if key == "p":
+            p = _parsed(int, val, "p= value", _SPEC_GRAMMAR)
+        elif key == "r":
+            r = _parsed(int, val, "r= value", _SPEC_GRAMMAR)
+        elif key == "rad":
+            rad = parse_radicand(val)
+        else:
+            raise ValueError(f"unknown key {key!r} in spec {text!r}: "
+                             f"{_SPEC_GRAMMAR}")
+    if p is None or r is None:
+        raise ValueError(f"spec {text!r} needs p= and r=: {_SPEC_GRAMMAR}")
+    try:
+        return KummerFieldSpec(p, r, rad)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in spec {text!r}: {_SPEC_GRAMMAR}") from exc
+
+
 def parse_field_spec(text, p=None, prec=None):
     """Tower from the one-step-per-line format.
 
@@ -59,31 +117,31 @@ def parse_field_spec(text, p=None, prec=None):
         if line.startswith("p="):
             q = _parsed(int, line[2:], "prime", _PRIME_GRAMMAR)
             if p is not None and q != p:
-                raise ValueError(f"header {line!r} contradicts p={p}")
+                raise ValueError(f"header {line!r} contradicts p={p}: "
+                                 f"{_PRIME_GRAMMAR}")
             p = q
             continue
         if not line:
             continue
         kind, *args = line.split()
-        if kind not in ("cyclotomic", "kummer", "custom"):
+        if kind not in _STEP_ARGS:
             raise ValueError(f"unknown step {kind!r}: {_STEP_GRAMMAR}")
         if not args:
             raise ValueError(f"{kind} step without an argument: {line!r}: "
+                             f"{_STEP_GRAMMAR}")
+        if len(args) > _STEP_ARGS[kind]:
+            raise ValueError(f"{kind} step with extra text: {line!r}: "
                              f"{_STEP_GRAMMAR}")
         if kind == "cyclotomic":
             steps.append(fields.TowerStep.cyclotomic(
                 _parsed(int, args[0], "cyclotomic modulus", _STEP_GRAMMAR)))
         elif kind == "kummer":
-            radtxt = None
-            for tok in args[1:]:
-                if tok.startswith("rad="):
-                    radtxt = tok[4:]
-            if radtxt is None:
+            if len(args) < 2 or not args[1].startswith("rad="):
                 raise ValueError(f"kummer step without rad=: {line!r}: "
                                  f"{_STEP_GRAMMAR}")
             steps.append(fields.TowerStep.kummer(
                 _parsed(int, args[0], "kummer exponent", _STEP_GRAMMAR),
-                _parse_radicand(radtxt)))
+                parse_radicand(args[1][4:])))
         else:
             steps.append(fields.TowerStep.custom(_parse_int_poly(args[0])))
     if p is None:
@@ -93,15 +151,38 @@ def parse_field_spec(text, p=None, prec=None):
     return fields.build_field(p, steps, prec=prec)
 
 
+def parse_curve(text):
+    """``[a1,a2,a3,a4,a6]`` with integer-polynomial-in-z entries."""
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError(f"bad curve {text!r}: {_CURVE_GRAMMAR}")
+    parts = s[1:-1].split(",")
+    if len(parts) != 5:
+        raise ValueError(f"bad curve {text!r}: it has {len(parts)} "
+                         f"coefficients; {_CURVE_GRAMMAR}")
+    return [_parsed(parse_zeta_poly, t if t.strip() else "0",
+                    "curve coefficient", _CURVE_GRAMMAR) for t in parts]
+
+
 # the grammars of the user inputs, named by every parse error
+_SPEC_GRAMMAR = ("a spec is p=<prime> r=<integer> with an optional "
+                 "rad=<radicand>, such as p=3 r=2 rad=3")
 _PRIME_GRAMMAR = "p= takes an integer prime, such as p=3"
 _STEP_GRAMMAR = ("a field-spec step is cyclotomic <p^r>, kummer <p^s> "
                  "rad=<radicand> or custom <monic polynomial in x>, with "
                  "integers p^r and p^s, such as kummer 9 rad=3")
 _RADICAND_GRAMMAR = ("rad= takes an integer, a fraction a/b, or an integer "
                      "polynomial in z with exponents >= 0, such as 3z^2-z+5")
+_PAIR_GRAMMAR = "a radicand pair is a,b, such as 3,4; " + _RADICAND_GRAMMAR
+_ZETA_GRAMMAR = ("a z-polynomial is an integer polynomial in z with "
+                 "exponents >= 0, such as 3z^2-z+5")
 _CUSTOM_GRAMMAR = ("custom takes a monic integer polynomial in x with "
                    "exponents >= 0, such as x^3-9")
+_CURVE_GRAMMAR = ("a curve is [a1,a2,a3,a4,a6], each entry an integer "
+                  "polynomial in z with exponents >= 0, such as 3z^2-z+5")
+
+# the arguments of each field-spec step
+_STEP_ARGS = {"cyclotomic": 1, "kummer": 2, "custom": 1}
 
 
 def _parsed(parse, text, what, grammar):
@@ -113,7 +194,8 @@ def _parsed(parse, text, what, grammar):
         raise ValueError(f"bad {what} {text!r}: {grammar}") from exc
 
 
-def _parse_radicand(text):
+def parse_radicand(text):
+    """An integer, a fraction a/b or a z-polynomial, as ``rad=`` takes it."""
     def parse(text):
         if "z" in text:
             return parse_zeta_poly(text)
@@ -121,6 +203,14 @@ def _parse_radicand(text):
             return Fraction(text)
         return int(text)
     return _parsed(parse, text, "radicand", _RADICAND_GRAMMAR)
+
+
+def parse_radicand_pair(text):
+    """``a,b`` -> the radicands a and b."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"bad radicand pair {text!r}: {_PAIR_GRAMMAR}")
+    return [parse_radicand(t) for t in parts]
 
 
 def _parse_int_poly(text):

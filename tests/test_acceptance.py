@@ -19,10 +19,11 @@ from anabelomorph.anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC,
                                         KummerFieldSpec, jarden_ritter)
 from anabelomorph.cli import main as cli_main
 from anabelomorph.elliptic import (WeierstrassModel, change_coords,
-                                   l_invariant, parse_curve, tate_algorithm,
+                                   l_invariant, tate_algorithm,
                                    weak_amphoricity_report)
 from anabelomorph.fields import (TowerStep, build_field, different_valuation,
                                  discriminant_valuation, closed_form_disc)
+from anabelomorph.formats import parse_curve
 from anabelomorph.galois import (conductor_discriminant_check,
                                  ramification_filtration)
 from anabelomorph.padic import PadicScalar, padic_log

@@ -8,11 +8,11 @@ from anabelomorph.anabelomorphy import (ANABELOMORPHIC, NOT_ANABELOMORPHIC,
                                         KummerFieldSpec, _certify,
                                         jarden_ritter,
                                         krasner_rationalize,
-                                        parse_kummer_spec, partition_classes,
+                                        partition_classes,
                                         peu_tres_classify)
 from anabelomorph.fields import (DegreeDropError, FieldError, TowerStep,
                                  build_field)
-from anabelomorph.formats import parse_zeta_poly
+from anabelomorph.formats import parse_kummer_spec, parse_zeta_poly
 from anabelomorph.padic import PadicScalar
 
 

@@ -433,3 +433,44 @@ def test_tower_over_the_degree_budget_is_refused(capsys):
     code = run_cli("disc", "p=3 r=40 rad=3")
     assert code == 3
     assert "exceeds the degree budget of 2500" in capsys.readouterr().err
+
+
+_RADICAND = "rad= takes an integer, a fraction a/b, or an integer polynomial"
+
+
+@pytest.mark.parametrize("rads, bad", [("3", "3"), ("3,x", "x"),
+                                       ("3,4,5", "3,4,5")])
+def test_search_rads_names_the_radicand_grammar(rads, bad, capsys):
+    # --rads takes exactly two radicands, each in the rad= grammar
+    code = run_cli("search", "--count", "1", "--rads", rads)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert repr(bad) in err and _RADICAND in err
+    assert "not enough values" not in err and "invalid literal" not in err
+
+
+def test_search_takes_a_rational_radicand_pair(tmp_path):
+    code, text = run_capture(tmp_path, "search", "--count", "1", "--seed",
+                             "7", "--rads", "3/2,5/2")
+    assert code == 0 and text.count("equal=") == 1
+
+
+def test_table_row_is_one_radicand(tmp_path, capsys):
+    # a --rows line is one radicand, refused as the user wrote it
+    rows = tmp_path / "rows.txt"
+    rows.write_text("3 r=3\n")
+    code = run_cli("table", "1", "--rows", str(rows))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "bad radicand '3 r=3'" in err and _RADICAND in err
+    assert "rad=3 r=3" not in err
+
+
+@pytest.mark.parametrize("line", ["cyclotomic 9 junk", "kummer 9 rad=3 rad=4"])
+def test_field_spec_step_with_extra_text_exits_3(line, tmp_path, capsys):
+    spec = tmp_path / "bad.field"
+    spec.write_text(f"p=3\ncyclotomic 9\n{line}\n")
+    code, text = run_capture(tmp_path, "disc", str(spec))
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert repr(line) in err and _STEP in err

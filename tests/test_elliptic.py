@@ -13,13 +13,14 @@ from anabelomorph.elliptic import (POTENTIALLY_GOOD,
                                    _b8_b6_residues, _ev, _singular_point,
                                    _translate,
                                    change_coords, iwasawa_log,
-                                   l_invariant, parse_curve, reduction_class,
+                                   l_invariant, reduction_class,
                                    tate_algorithm, tate_parameter_valuation,
                                    weak_amphoricity_report,
                                    weierstrass_invariants)
 from anabelomorph.fields import (_MIN_EFFECTIVE, FieldElement, FieldError,
                                  LocalField, ResidueField, TowerStep,
                                  build_field)
+from anabelomorph.formats import parse_curve
 from anabelomorph.padic import PadicScalar, PrecisionError, padic_log
 from test_table_regression import ADDITIVE_ROWS as GOLDEN_ADDITIVE
 

@@ -529,7 +529,7 @@ def test_zeta_poly_takes_only_an_exponent_after_z(text):
 def test_text_after_the_variable_names_the_grammar(what, text, bad):
     # radicands, custom steps and curve coefficients refuse it with the
     # text and its grammar, rather than read a prefix of it
-    from anabelomorph.elliptic import parse_curve
+    from anabelomorph.formats import parse_curve
     parse = parse_curve if what.startswith("curve") else parse_field_spec
     with pytest.raises(ValueError, match=re.escape(f"bad {what} '{bad}': ")):
         parse(text)

@@ -43,8 +43,7 @@ def main(argv=None):
     if args.n < 1:
         ap.error("-n takes a positive count")
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    from anabelomorph import fields
-    from anabelomorph.anabelomorphy import parse_kummer_spec
+    from anabelomorph import fields, parse_kummer_spec
     from anabelomorph.fields import discriminant_valuation
     cached_base = getattr(fields, "_cyclotomic", None)
 
