@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (DegreeDropError, TowerStep, _charpoly,
-                     _classify_radicand, build_field)
+from .fields import (DEGREE_BUDGET, DegreeDropError, FieldError, TowerStep,
+                     _charpoly, _classify_radicand, build_field)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -55,6 +55,12 @@ class KummerFieldSpec:
 
     def cyclotomic_degree(self):
         return self.modulus - self.modulus // self.p
+
+    def degree(self):
+        """The absolute degree of the tower, when its Kummer step keeps
+        its full degree."""
+        full = self.modulus if self.radicand is not None else 1
+        return self.cyclotomic_degree() * full
 
     def tower_steps(self):
         steps = [TowerStep.cyclotomic(self.modulus)]
@@ -110,7 +116,7 @@ def _certify(spec, prec=None):
         raise DegreeDropError(
             f"radicand {spec.radicand} is a p-th power in the cyclotomic "
             "level: the Kummer step drops degree")
-    degree = spec.cyclotomic_degree() * spec.modulus
+    degree = spec.degree()
     if not rational:
         # zeta -> zeta^a moves the radicand; Galois stability over Q_p is
         # not certified, so the maximal abelian subfield stays unlabelled
@@ -127,12 +133,18 @@ def jarden_ritter(spec1, spec2, prec=None):
 
     Same absolute degree and same maximal abelian subfield give
     ANABELOMORPHIC; a certified mismatch gives NOT_ANABELOMORPHIC;
-    anything short of a certificate is UNDECIDED.
+    anything short of a certificate is UNDECIDED.  A spec whose tower
+    degree exceeds ``DEGREE_BUDGET`` is refused with ``build_field``'s
+    error before anything is built.
     """
     if spec1.p != spec2.p:
         return AnabelomorphismVerdict(
             NOT_ANABELOMORPHIC, reason="residue characteristic differs "
             f"({spec1.p} vs {spec2.p})")
+    for spec in (spec1, spec2):
+        if spec.degree() > DEGREE_BUDGET:
+            raise FieldError(f"tower degree {spec.degree()} exceeds the "
+                             f"degree budget of {DEGREE_BUDGET}")
     if spec1 == spec2:
         d, label, _ = _certify(spec1, prec=prec)
         return AnabelomorphismVerdict(

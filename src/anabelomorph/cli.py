@@ -282,7 +282,12 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of UNDECIDED here,
+        # and 0 after --help
+        return 3 if exc.code else 0
     config = RunConfig(prec=getattr(args, "prec", None),
                        fmt=getattr(args, "fmt", "pretty"),
                        out=getattr(args, "out", None))

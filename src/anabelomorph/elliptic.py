@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -788,7 +789,7 @@ def _series_loss(p, e, sigma, target_digits):
 
       * the baby step t^(i+1) = t^i t has D <= max(D(t^i) + c_1, c_i),
         so D(t^i) <= (i - 1) c_1 for i <= k;
-      * a term t^i (-1)^(j+1) / j (``_over_j``) costs v_p(j) <= lam,
+      * a term t^i (-1)^(j+1) / j (``_chunk_sum``) costs v_p(j) <= lam,
         and a chunk, a sum, has D <= B = (k - 1) c_1 + lam;
       * an accumulator acc is a tail sum of t^i / j with i >= 1, so
         s(acc) <= c_1 + lam, and acc t^k + chunk has D at most
@@ -846,31 +847,46 @@ def _ps_step(n):
 
 def _log_series(t, n):
     """sum_(j <= n) (-1)^(j+1) t^j / j by Paterson-Stockmeyer: the baby
-    steps t, ..., t^k, chunks of k terms with the scalar coefficients
-    (``_over_j``, no product), and Horner in t^k over the chunks,
-    (k - 1) + (ceil(n/k) - 1) products with k chosen to minimise that
-    count (``_ps_step``)."""
+    steps t, ..., t^k, chunks of k terms summed in integers
+    (``_chunk_sum``, no product and one normalization per chunk), and
+    Horner in t^k over the chunks, (k - 1) + (ceil(n/k) - 1) products
+    with k chosen to minimise that count (``_ps_step``)."""
     k = _ps_step(n)
     powers = [t]
     while len(powers) < k:
         powers.append(powers[-1] * t)
     acc = None
     for lo in range((n - 1) // k * k, -1, -k):
-        chunk = sum((_over_j(powers[j - lo - 1], j)
-                     for j in range(lo + 1, min(lo + k, n) + 1)),
-                    t.field.zero())
+        chunk = _chunk_sum(zip(powers, range(lo + 1, min(lo + k, n) + 1)))
         acc = chunk if acc is None else acc * powers[-1] + chunk
     return acc
 
 
-def _over_j(w, j):
-    """w (-1)^(j+1) / j with no product: the numerator times the inverse
-    of j's unit part mod p^m, and p^(v_p(j)) into the denominator; the
-    (vec, s, m) of w * Fraction((-1)^(j+1), j)."""
-    p = w.field.p
-    lam = _vp(j, p)
-    unit = pow(j // p ** lam, -1, p ** w.m)
-    return _over_p(w.scaled(unit if j % 2 else -unit), lam)
+def _chunk_sum(terms):
+    """sum w (-1)^(j+1) / j over the (w, j) of a chunk, in integers: with
+    lam = v_p(j), the term w (-1)^(j+1) / j is the numerator of w times
+    the inverse of j's unit part over p^(s_i), s_i = s(w) + lam, known
+    to A_i = m(w) - s_i digits above it.  Each numerator is scaled by
+    p^(s - s_i) to the chunk's largest denominator p^s, the numerators
+    are added and reduced once mod p^m, m = s + min(A_i), and the sum is
+    normalized once.  A = m - s is the minimum over the terms, and
+    m <= m(w) <= M for the term with s_i = s, so this is the
+    (vec, s, m) of the sum term by term in ``FieldElement``, whose A is
+    that minimum and whose normalization is canonical."""
+    terms = list(terms)
+    K = terms[0][0].field
+    p = K.p
+    lams = [_vp(j, p) for _, j in terms]
+    s = max(w.s + lam for (w, _), lam in zip(terms, lams))
+    m = s + min(w.m - w.s - lam for (w, _), lam in zip(terms, lams))
+    pm = p ** m
+    coeffs = []
+    for (w, j), lam in zip(terms, lams):
+        unit = pow(j // p ** lam, -1, pm) * p ** (s - w.s - lam)
+        coeffs.append(unit if j % 2 else -unit)
+    vec = tuple(sum(map(operator.mul, coeffs, col)) % pm
+                for col in zip(*(w.vec for w, _ in terms)))
+    return FieldElement(K, vec, s, m)._normalized()
 
 
 def _intlog(n, p):

@@ -48,8 +48,8 @@ import types
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (FieldElement, FieldError, _unit_group,
-                     discriminant_valuation)
+from .fields import (FieldElement, FieldError, _read_digits, _unit_group,
+                     different_valuation, discriminant_valuation)
 from .padic import PrecisionError, _vp
 
 
@@ -140,7 +140,14 @@ def apply_automorphism(sigma, x):
     gen_t = a^(1/p^t) c p^j, with c and c^-1 in the base (``normalizer``),
     to zeta^(b p^(r-t)) gen_t sigma(c) c^-1, whichever layer x lies in,
     and x = sum c_k gen_t^k, by Horner's rule, to
-    sum sigma(c_k) sigma(gen_t)^k."""
+    sum sigma(c_k) sigma(gen_t)^k.
+
+    Every product keeps the smaller modulus, and a sum no more than its
+    terms carry, so sigma(x) reads no digit of an image sigma(gen_t) past
+    x's modulus.  The normalizer pairs are therefore cut first, to x's
+    modulus plus the digits their images lose (``_generator_images``),
+    and sigma(x) is the image under the uncut pairs bit for bit, at the
+    cost of products to x's precision instead of the tower's."""
     chain = x.field.layers[1:]
     if (not chain or chain[0].kind != "cyclo"
             or any(fld.kind != "kummer" for fld in chain[1:])):
@@ -150,15 +157,56 @@ def apply_automorphism(sigma, x):
         raise NonGaloisTowerError(
             f"sigma acts on zeta_{sigma.modulus}, the tower's cyclotomic "
             f"layer is Q_p(zeta_{chain[0].cyclo_modulus})")
+    return _horner(sigma, _generator_images(sigma, chain, x.m), x)
+
+
+def _generator_images(sigma, chain, m):
+    """{layer: sigma(gen_t)} over the Kummer layers of chain, each image
+    the uncut one, or that one cut to a modulus of at least m.  Both
+    normalizers of every layer are cut to m + ``_normalizer_loss``."""
+    keep = m + _normalizer_loss(chain)
     gen_imgs = {}
     for t, fld in enumerate(chain[1:], 1):
         img = (fld.from_zeta_poly({sigma.b * sigma.modulus // fld.p ** t: 1})
                * fld.gen())
         if fld.normalizer is not None:
-            c, cinv = fld.normalizer
+            c, cinv = (y.capped(keep - y.s) for y in fld.normalizer)
             img = img * fld.embed(_horner(sigma, gen_imgs, c) * cinv)
         gen_imgs[fld] = img
-    return _horner(sigma, gen_imgs, x)
+    return gen_imgs
+
+
+def _normalizer_loss(chain):
+    """The digits below the normalizers' cut mu that an image
+    sigma(gen_t) = zeta^k gen_t sigma(c) c^-1 may lose, bounded from the
+    stored s of each pair (Caruso-Roe-Vaccon precision tracking).
+
+    Write A = m - s.  A product has A = min(A1 - s2, A2 - s1), a sum
+    the smaller A, and a normalization keeps A, so against a cut at mu
+    an element made from the cut pairs has A >= mu - L, for the loss L
+    below, or is the uncut element.  Horner's rule on layer u over
+    blocks of A = mu multiplies d - 1 times by g_u = sigma(gen_u); an
+    accumulator there has s <= HS_u = HS_(u-1) + (d - 1) S_u, S_u a bound
+    on s(g_u), and loses HA_u = max(HA_(u-1) + (d - 1) S_u, L_u + HS_u),
+    the second term a product's A(g_u) - s(acc).  So sigma(c) has
+    s <= s(c) + HS_(t-1) and loses s(c) + HA_(t-1), and g_t, a unit
+    times sigma(c) c^-1,
+
+        L_t = s(c) + s(c^-1) + HA_(t-1),   S_t = s(c) + s(c^-1) + HS_(t-1);
+
+    a layer with no normalizer has g_t = zeta^k gen_t, uncut: L_t = S_t
+    = 0.  An image keeps m >= A >= mu - max L_t, so mu = m + max L_t
+    leaves each one the uncut image or cut at a modulus >= m."""
+    loss = hs = ha = 0
+    for fld in chain[1:]:
+        lt = st = 0
+        if fld.normalizer is not None:
+            c, cinv = fld.normalizer
+            lt, st = c.s + cinv.s + ha, c.s + cinv.s + hs
+        hs += (fld.d - 1) * st
+        ha = max(ha + (fld.d - 1) * st, lt + hs)
+        loss = max(loss, lt)
+    return loss
 
 
 def _horner(sigma, gen_imgs, x):
@@ -180,6 +228,14 @@ def _horner(sigma, gen_imgs, x):
     if acc is None:
         return x
     return FieldElement(fld, acc.vec, acc.s + x.s, acc.m)._normalized()
+
+
+def _horner_loss(sigma, K, m):
+    """The digits sigma(x) loses against x in K by Horner's rule: d - 1
+    products by sigma(gen_t) on each Kummer layer t, each costing its
+    denominator s, read off the images made at modulus m."""
+    return sum((fld.d - 1) * img.s for fld, img in
+               _generator_images(sigma, K.layers[1:], m).items())
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +272,16 @@ def ramification_filtration(K, pi=None):
 
     i_G(sigma) is a class function (Serre, Local Fields, IV 1), so it is
     evaluated on one representative per conjugacy class and copied to
-    the other members."""
+    the other members.
+
+    Hilbert's formula gives i(sigma) <= sum of i = v_K(D), so every read
+    lies below v_K(D) + 1, and pi and the rho's are cut once, to
+    ``_read_digits(K, v_K(D) + 1)`` plus the digits Horner's rule takes
+    from them: d - 1 products by sigma(gen_t) on each Kummer layer t,
+    each costing its denominator s, the largest such sum over the class
+    representatives.  sigma is then applied at the cut's precision
+    (``apply_automorphism``).  A cut that came out short would leave a
+    move undetermined and raise PrecisionError; it never changes an i."""
     shape = _shape(K)
     if pi is None:
         pi = K.pi
@@ -225,14 +290,18 @@ def ramification_filtration(K, pi=None):
     # (Serre, Local Fields, IV 1 Lemma 1); outside inertia some rho moves
     # by a unit and sigma leaves G_0
     rhos = [K.embed(fld.delta) for fld in K.layers[1:] if fld.f > fld.base.f]
+    classes = [(rep, cls) for rep, cls in _conjugacy_classes(*shape)
+               if not rep.is_identity]
+    read = _read_digits(K, different_valuation(K) + 1)
+    horner = max((_horner_loss(rep, K, read) for rep, _ in classes),
+                 default=0)
+    cut = [x.capped(read + horner) for x in [pi] + rhos]
     by_class = {}
-    for rep, cls in _conjugacy_classes(*shape):
-        if rep.is_identity:
-            continue
+    for rep, cls in classes:
         # the least certified move; a move zero to precision is only a
         # bound, and must not lie below it
         moves = [K.val_or_bound(apply_automorphism(rep, x) - x)
-                 for x in [pi] + rhos]
+                 for x in cut]
         i = min((v for v, _ in moves if v is not None), default=None)
         bound = min((b for v, b in moves if v is None), default=None)
         if i is None or bound is not None and bound < i:

@@ -50,6 +50,24 @@ def test_degree_mismatch():
     assert jarden_ritter(S(3, 1, 3), S(3, 2, 3)).status == NOT_ANABELOMORPHIC
 
 
+def test_degree_budget_refused_before_any_build(monkeypatch):
+    # Q_3(zeta_2187, 3^(1/2187)) has degree 1458 * 2187: refused with
+    # build_field's message, in either position, before the p-th power
+    # test builds the degree-1458 cyclotomic level
+    from anabelomorph import anabelomorphy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a field")
+
+    monkeypatch.setattr(anabelomorphy, "build_field", refuse)
+    for pair in ((S(3, 7, 3), S(3, 1)), (S(3, 1), S(3, 7, 3)),
+                 (S(3, 7, 3), S(3, 7, 3))):
+        with pytest.raises(FieldError, match="tower degree 3188646 exceeds "
+                           "the degree budget of 2500"):
+            jarden_ritter(*pair)
+    assert S(3, 7, 3).degree() == 1458 * 2187 and S(3, 7).degree() == 1458
+
+
 def test_prime_mismatch():
     assert jarden_ritter(S(3, 1, 3), S(5, 1, 5)).status == NOT_ANABELOMORPHIC
 

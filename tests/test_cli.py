@@ -44,6 +44,35 @@ def test_check_anab_undecided(tmp_path):
     assert code == 2
 
 
+def test_check_anab_over_the_degree_budget_exits_3_at_once(capsys):
+    # the Kummer tower of degree 1458 * 2187 is refused before the p-th
+    # power test builds Q_3(zeta_2187)
+    assert run_cli("check-anab", "p=3 r=7 rad=3", "p=3 r=1") == 3
+    assert "exceeds the degree budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tate", "-[0,3,0,0,9]", "p=3 r=1"],    # a curve read as an option
+    ["tate", "[0,3,0,0,9]"],                # a missing positional
+    ["no-such-command"],
+])
+def test_usage_errors_exit_3(argv, capsys):
+    # argparse's own exit code 2 is UNDECIDED here
+    assert run_cli(*argv) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0():
+    proc = subprocess.run(
+        [sys.executable, "-m", "anabelomorph.cli", "tate", "--help"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and "usage:" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "anabelomorph.cli", "tate", "-[0,3,0,0,9]",
+         "p=3 r=1"], capture_output=True, text=True)
+    assert proc.returncode == 3
+
+
 def test_check_anab_json_abelian_subfields_differ(tmp_path):
     # equal degree phi(9) = 6 = phi(3) 3, but the cyclotomic field is its
     # own maximal abelian subfield and the Kummer field's is Q_3(zeta_3)

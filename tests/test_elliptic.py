@@ -444,24 +444,53 @@ def test_log_series_matches_term_by_term(name, data):
     assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m)
 
 
-@pytest.mark.parametrize("name", list(_LOG_TOWERS))
-def test_series_division_by_j_is_the_fraction_product(name):
-    # _over_j(w, j) is w * Fraction((-1)^(j+1), j) bit for bit, p | j
-    # included, on elements with and without a denominator, cut or not
+_CHUNK_TOWERS = {**_LOG_TOWERS, **{f"Q_{p}": (p, []) for p in (2, 3, 5, 7)}}
+
+
+def _log_field(name):
     if name not in _LOG_FIELDS:
-        _LOG_FIELDS[name] = build_field(*_LOG_TOWERS[name])
-    K = _LOG_FIELDS[name]
+        _LOG_FIELDS[name] = build_field(*_CHUNK_TOWERS[name])
+    return _LOG_FIELDS[name]
+
+
+def _chunk_elements(K):
+    """Elements with and without a denominator, cut or not."""
     p = K.p
     rng = random.Random(p * K.n)
     vec = [rng.randrange(-p ** 40, p ** 40) for _ in range(K.n)]
     dense, over = FieldElement(K, vec), FieldElement(K, vec, 2)
-    ws = [dense, over, K.pi, over * K.pi, (K.one() + K.pi).capped(30),
-          K.from_int(p ** 2) * K.pi]
-    for w in ws:
-        for j in range(1, 3 * p * p + 1):
-            got = elliptic._over_j(w, j)
+    return [dense, over, K.pi, over * K.pi, (K.one() + K.pi).capped(30),
+            K.from_int(p ** 2) * K.pi]
+
+
+@pytest.mark.parametrize("name", list(_LOG_TOWERS))
+def test_series_division_by_j_is_the_fraction_product(name):
+    # a one-term chunk, w (-1)^(j+1) / j, is w * Fraction((-1)^(j+1), j)
+    # bit for bit, p | j included
+    K = _log_field(name)
+    for w in _chunk_elements(K):
+        for j in range(1, 3 * K.p * K.p + 1):
+            got = elliptic._chunk_sum([(w, j)])
             want = w * Fraction((-1) ** (j + 1), j)
             assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m), j
+
+
+@pytest.mark.parametrize("name", list(_CHUNK_TOWERS))
+def test_chunk_sum_is_the_sequential_sum(name):
+    # a chunk summed in integers is the term-by-term FieldElement sum in
+    # (vec, s, m): terms of different s and m, p | j included
+    K = _log_field(name)
+    ws = _chunk_elements(K)
+    rng = random.Random(K.n + 7)
+    for k in (1, 2, 3, 5, 8):
+        for lo in (0, K.p - 1, K.p * K.p - 2, 3 * K.p):
+            terms = [(ws[rng.randrange(len(ws))], j)
+                     for j in range(lo + 1, lo + k + 1)]
+            got = elliptic._chunk_sum(terms)
+            want = sum((w * Fraction((-1) ** (j + 1), j) for w, j in terms),
+                       K.zero())
+            assert (got.vec, got.s, got.m) == (want.vec, want.s, want.m), \
+                (k, lo)
 
 
 @pytest.mark.parametrize("p,r,rad,n", [(3, 2, 3 * 2 ** 9, 13),
@@ -469,7 +498,7 @@ def test_series_division_by_j_is_the_fraction_product(name):
 def test_log_series_product_count(p, r, rad, n, monkeypatch):
     # Paterson-Stockmeyer makes (k - 1) + (ceil(n/k) - 1) products of two
     # non-scalar elements for n terms, term by term takes n - 1.  The
-    # series divides by j with no product (elliptic._over_j), so the one
+    # series divides by j with no product (elliptic._chunk_sum), so the one
     # Fraction product is the result's 1/divisor; powers in the reduction
     # are not counted.
     K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])

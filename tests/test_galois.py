@@ -2,11 +2,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from anabelomorph import galois
 from anabelomorph.fields import (DegreeDropError, FieldElement, FieldError,
                                  TowerStep, build_field, different_valuation,
                                  discriminant_valuation)
@@ -19,6 +21,7 @@ from anabelomorph.galois import (GaloisElement, NonGaloisTowerError,
                                  ramification_filtration, swan_conductor,
                                  upper_numbering_breaks,
                                  wild_subgroup_conductor)
+from anabelomorph.padic import PrecisionError
 
 T = TowerStep
 
@@ -781,3 +784,99 @@ def test_action_homomorphism_r2():
     # the relation theta -> zeta^b theta respects theta^9 = 3
     img = apply_automorphism(sig, g)
     assert (img ** 9 - K.from_int(3)).is_zero_to_precision()
+
+
+# ----------------------------------------------------------------------
+# the action and the filtration at their arguments' precision
+
+# (p, r, radicand): Kummer layers with normalizers, and two without
+_CUT_TOWERS = [(2, 2, 2), (3, 2, 3), (2, 3, 6), (5, 1, 25), (7, 1, 49),
+               (2, 2, 5), (3, 2, 4)]
+
+
+def _uncut(sigma, x):
+    """sigma(x) with the normalizer pairs whole."""
+    with mock.patch.object(galois, "_normalizer_loss", lambda chain: 10 ** 6):
+        return apply_automorphism(sigma, x)
+
+
+def _outcome(f, *args):
+    try:
+        y = f(*args)
+    except PrecisionError:
+        return PrecisionError
+    return y.vec, y.s, y.m
+
+
+@pytest.mark.parametrize("p, r, rad", _CUT_TOWERS)
+def test_action_with_cut_normalizers_is_the_uncut_image(p, r, rad):
+    # on the top field and each Kummer layer below it, for x of every
+    # modulus from the least an element keeps to the tower's: the same
+    # (vec, s, m), or PrecisionError from both
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    elems = galois_group(K)
+    rng = random.Random(f"cut {p} {r} {rad}")
+    for F in [K] + list(K.layers[2:-1]):
+        for m in (12, 13, 15, 20, 40, F.M - 3, F.M):
+            s = rng.randrange(3)
+            x = FieldElement(F, [rng.randrange(p ** (m + s))
+                                 for _ in range(F.n)], s, m + s)._normalized()
+            sig = rng.choice(elems)
+            assert (_outcome(apply_automorphism, sig, x)
+                    == _outcome(_uncut, sig, x)), (F.n, m, sig)
+
+
+@pytest.mark.parametrize("p, r, rad", [(2, 2, 2), (3, 2, 3), (2, 3, 6)])
+def test_short_horner_term_never_changes_an_i(p, r, rad, monkeypatch):
+    # the filtration's cut of pi with Horner's term one to three digits
+    # short: PrecisionError or the same i-values, and PrecisionError once
+    # the term is two short
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
+    want = ramification_filtration(K).i_values
+    loss = galois._horner_loss
+    for short in (1, 2, 3):
+        monkeypatch.setattr(galois, "_horner_loss",
+                            lambda *a, k=short: loss(*a) - k)
+        try:
+            got = ramification_filtration(K).i_values
+        except PrecisionError:
+            continue
+        assert short == 1 and got == want, short
+
+
+def _mutant(K, moves):
+    """The filtration of K with each class of (representative, step)
+    moved by step."""
+    filt = ramification_filtration(K)
+    ivals = dict(filt.i_values)
+    for rep, cls in _conjugacy_classes(*filt.shape):
+        for sig in cls:
+            if not sig.is_identity:
+                ivals[sig] += moves.get((rep.a, rep.b), 0)
+    return filt, galois.RamificationFiltration(ivals, K, filt.shape)
+
+
+def test_conductor_integrality_fires_on_a_moved_class(monkeypatch):
+    # one class of Q_2(i, 2^(1/4)) moved by 1: some Artin conductor is
+    # no longer an integer
+    K = build_field(2, [T.cyclotomic(4), T.kummer(4, 2)])
+    filt, mutant = _mutant(K, {(3, 0): 1})
+    assert different_from_filtration(mutant) != \
+        different_from_filtration(filt)
+    monkeypatch.setattr(galois, "ramification_filtration", lambda K: mutant)
+    with pytest.raises(ArithmeticError, match="conductor is not an integer"):
+        conductor_discriminant_check(K)
+
+
+def test_conductor_identity_fires_on_a_moved_pair(monkeypatch):
+    # two classes moved by -2 and +2 keep Hilbert's sum and every
+    # conductor integral; only the conductor-discriminant identity fails
+    K = build_field(2, [T.cyclotomic(4), T.kummer(4, 2)])
+    filt, mutant = _mutant(K, {(1, 1): -2, (3, 0): 2})
+    assert different_from_filtration(mutant) == \
+        different_from_filtration(filt)
+    assert mutant.i_values != filt.i_values
+    monkeypatch.setattr(galois, "ramification_filtration", lambda K: mutant)
+    with pytest.raises(ArithmeticError,
+                       match="conductor-discriminant identity failed"):
+        conductor_discriminant_check(K)
