@@ -876,16 +876,14 @@ def _chunk_sum(terms):
     terms = list(terms)
     K = terms[0][0].field
     p = K.p
-    lams = [_vp(j, p) for _, j in terms]
-    s = max(w.s + lam for (w, _), lam in zip(terms, lams))
-    m = s + min(w.m - w.s - lam for (w, _), lam in zip(terms, lams))
+    terms = [(w, j, _vp(j, p)) for w, j in terms]
+    s = max(w.s + lam for w, _, lam in terms)
+    m = s + min(w.m - w.s - lam for w, _, lam in terms)
     pm = p ** m
-    coeffs = []
-    for (w, j), lam in zip(terms, lams):
-        unit = pow(j // p ** lam, -1, pm) * p ** (s - w.s - lam)
-        coeffs.append(unit if j % 2 else -unit)
+    coeffs = [(1 if j % 2 else -1) * pow(j // p ** lam, -1, pm)
+              * p ** (s - w.s - lam) for w, j, lam in terms]
     vec = tuple(sum(map(operator.mul, coeffs, col)) % pm
-                for col in zip(*(w.vec for w, _ in terms)))
+                for col in zip(*(w.vec for w, _, _ in terms)))
     return FieldElement(K, vec, s, m)._normalized()
 
 

@@ -9,11 +9,14 @@ For each the script prints the degree, v_p(disc), the headroom m - s of
 each layer's uniformizer pi from Q_p up, and the median CPU seconds
 (``time.process_time``) of N cold builds (default 3): each starts
 without the cyclotomic base that the package shares between builds, as a
-checkout without that cache builds it.  It exits 1 unless
-v_p(disc) is 2644, 1983, 1083, 532 and 12628 respectively.  It imports
-``anabelomorph`` from ``DIR/src`` (by default the repository that holds
-this script).  Stdlib only; one build of all five takes about ten
-seconds, most of it the degree-2048 tower.
+checkout without that cache builds it.  Every tower is Galois over Q_p,
+so after its builds the script runs ``ramification_filtration`` once on
+the last one, prints its CPU seconds, and checks Hilbert's formula: the
+sum of the i-values is the different.  It exits 1 unless v_p(disc) is
+2644, 1983, 1083, 532 and 12628 respectively and Hilbert's formula holds
+on each.  It imports ``anabelomorph`` from ``DIR/src`` (by default the
+repository that holds this script).  Stdlib only; one build of all five
+takes about ten seconds, most of it the degree-2048 tower.
 """
 
 import argparse
@@ -44,7 +47,10 @@ def main(argv=None):
         ap.error("-n takes a positive count")
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from anabelomorph import fields, parse_kummer_spec
-    from anabelomorph.fields import discriminant_valuation
+    from anabelomorph.fields import (different_valuation,
+                                     discriminant_valuation)
+    from anabelomorph.galois import (different_from_filtration,
+                                     ramification_filtration)
     cached_base = getattr(fields, "_cyclotomic", None)
 
     wrong = []
@@ -58,12 +64,18 @@ def main(argv=None):
             K = spec.build()
             times.append(time.process_time() - start)
         got = discriminant_valuation(K)
+        start = time.process_time()
+        hilbert = different_from_filtration(ramification_filtration(K))
+        filt_s = time.process_time() - start
         print(f"({p},{r},{a}) degree {K.n}  v_p(disc) {got}  "
               f"pi m-s {' '.join(map(str, headroom(K)))}  "
               f"build {statistics.median(times):.2f} s CPU "
-              f"(median of {args.n})")
+              f"(median of {args.n})  filtration {filt_s:.2f} s CPU")
         if got != want:
             wrong.append(f"({p},{r},{a}): v_p(disc) {got}, expected {want}")
+        if hilbert != different_valuation(K):
+            wrong.append(f"({p},{r},{a}): sum of i-values {hilbert}, "
+                         f"different {different_valuation(K)}")
     for line in wrong:
         print("MISMATCH", line)
     sys.exit(1 if wrong else 0)
