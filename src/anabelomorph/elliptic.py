@@ -640,58 +640,96 @@ def tate_parameter_valuation(model):
 
 
 def iwasawa_log(x, target_digits=24):
-    """Branch log(p) = 0 extended to K^*: strip the p-part through
-    x^e / p^(v(x)), kill residue torsion, then sum the 1-unit series.
+    """Branch log(p) = 0 extended to K^*: reduce x to a 1-unit z with
+    the same log up to a known integer factor, p-power z until its
+    series converges, then sum the series.
 
-    With v = v(x) = a e + b, 0 <= b < e, the p^a leaves x first through
-    its denominator (``_over_p``), exact and with no product: the power
-    basis is integral, so s(x) + a >= 0.  x / p^a, of valuation b, is
-    then cut once (``FieldElement.capped``) to the ``_log_digits`` the
-    answer reads, so that the reduction and the series multiply tens of
-    digits above b instead of the working precision; the sum is the one
-    of the uncut x.  y = (x / p^a)^e / p^b is a unit, the p^b again
-    taken out through the denominator.
+    With v = v(x) = a e + b, 0 <= b < e, and g = gcd(e, b), the p^a
+    leaves x first through its denominator (``_over_p``), exact and with
+    no product: the power basis is integral, so s(x) + a >= 0.  x / p^a,
+    of valuation b, is then cut once (``FieldElement.capped``) to the
+    ``_log_digits`` the answer reads, so that the reduction and the
+    series multiply tens of digits above b instead of the working
+    precision; the sum is the one of the uncut x.  y = (x / p^a)^E /
+    p^(b/g), E = e/g, is a unit (E b = (b/g) e), the p^(b/g) again taken
+    out through the denominator; at b = 0, E = 1 and y is x / p^a, with
+    no product.  log p = 0 gives log y = E log x.
+
+    A root of unity has log 0 (Washington, GTM 83, 5.1).  On f = 1, y
+    times the inverse of the Teichmuller lift of its residue is a 1-unit
+    z: one integer scaling (``FieldElement.scaled``), skipped when the
+    residue is 1.  On f > 1, z = y^(q - 1).  Below e/(p - 1), a p-th
+    power multiplies v(z - 1) by exactly p, since v(p t) = e + v(t) >
+    p v(t) = v(t^p); at v(z - 1) (p - 1) = e one more p-th power takes
+    it past.  So one walk of z - 1 gives the count k of p-th powers
+    (``_p_powers``), and one walk of the final t = z^(p^k) - 1 gives v(t)
+    for the series; v(t) (p - 1) > e is checked, and PrecisionError
+    raised when it fails.
 
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
     whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
     target = e * target_digits; that bound keeps an extra e below
-    j v(t) - e v_p(j), so it bounds the whole tail.  Once the reduction
-    has given t, v(t) and n are known, so t is cut a second time, to
-    ``_series_digits``: target_digits and the series' loss at that one
-    (v(t), n), where the first cut charged the worst case over every
-    v(t) the reduction can leave (25-30 digits against 28-65 on the
-    ``invariants`` towers).  The sum is therefore claimed to v_K >=
-    target only: its numerator is cut to target_digits digits above p^s
-    before the division by the reduction exponent, which costs that
+    j v(t) - e v_p(j), so it bounds the whole tail.  Once v(t) and n are
+    known, t is cut a second time, to ``_series_digits``: target_digits
+    and the series' loss at that one (v(t), n), where the first cut
+    charged the worst case over every v(t) the reduction can leave.  The
+    sum is therefore claimed to v_K >= target only: its numerator is cut
+    to target_digits digits above p^s before the division by the
+    reduction exponent E (q - 1 on f > 1) p^k, which costs that
     exponent's p-adic digits."""
     K = x.field
     p, e, f = K.p, K.e, K.f
     a, b = divmod(x.valuation(), e)
+    g = math.gcd(e, b)
     x = _over_p(x, a)
     x = x.capped(_log_digits(K, b, x.s, target_digits))
-    y = _over_p(x ** e, b)
-    q = p ** f
-    z = y ** (q - 1)
-    divisor = e * (q - 1)
-    # p-power until the series for log(1+t) converges: v(t) > e/(p-1)
-    kpow = 0
-    target = e * target_digits
-    while True:
-        t = z - K.one()
+    z = _over_p(x ** (e // g), b // g)
+    divisor = e // g
+    if f > 1:
+        z = z ** (p ** f - 1)
+        divisor *= p ** f - 1
+    minus_one = K.from_int(-1)              # one constant for each z - 1
+    t = z + minus_one
+    vt, bound = t.val_or_bound()
+    if vt == 0:         # res(y) = 1 + res(t) != 1, so f = 1 and z = y
+        z = z.scaled(_teichmuller_inverse(p, 1 + K.residue_at(t, 0)[0], z.m))
+        t = z + minus_one
         vt, bound = t.val_or_bound()
-        if vt is None:
-            zero = K.zero().capped(min(bound, target) // e)
-            return zero * Fraction(1, divisor)
-        if vt * (p - 1) > e:
-            break
-        z = z ** p
-        divisor *= p
-        kpow += 1
-        if kpow > 8 * e:
-            raise PrecisionError("logarithm reduction did not converge")
+    if vt is not None:
+        k = _p_powers(vt, e, p)
+        if k:
+            for _ in range(k):
+                z = z ** p
+            divisor *= p ** k
+            t = z + minus_one
+            vt, bound = t.val_or_bound()
+    target = e * target_digits
+    if vt is None:
+        zero = K.zero().capped(min(bound, target) // e)
+        return zero * Fraction(1, divisor)
+    if vt * (p - 1) <= e:
+        raise PrecisionError(f"logarithm reduction did not converge: "
+                             f"v(t) = {vt} <= e/(p - 1) = {e}/{p - 1}")
     n = _log_terms(vt, e, p, target)
     t = t.capped(_series_digits(K, vt, n, target_digits))
     return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
+
+
+def _p_powers(v, e, p):
+    """The p-th powers that take a 1-unit z with v(z - 1) = v past
+    e/(p - 1): each multiplies v by p below it, and one more leaves the
+    tie v (p - 1) = e."""
+    k = 0
+    while 0 < v * (p - 1) < e:
+        v, k = p * v, k + 1
+    return k + (v * (p - 1) == e)
+
+
+@functools.lru_cache(maxsize=256)
+def _teichmuller_inverse(p, c, m):
+    """The inverse of the Teichmuller lift of c in F_p^*, mod p^m: the
+    lift of 1/c, (1/c)^(p^(m - 1))."""
+    return pow(pow(c, -1, p), p ** (m - 1), p ** m)
 
 
 def _over_p(w, k):
@@ -711,10 +749,11 @@ def _log_digits(K, b, s, target_digits):
     cut.  A product keeps the smaller m, so its A is min(A1 - s2,
     A2 - s1): D = max(D1 + s2, D2 + s1), each path from x loses the s
     of the other factor.  A sum loses nothing (D is the max), a
-    normalization keeps A, the constants 1 and 0 carry M digits, and a
-    shift of the denominator by k (``_over_p``) costs k.  Each step
-    computes the uncut step's numerator mod the smaller p^m, with the
-    same s, so a sum that keeps target_digits is the uncut one.
+    normalization and a scaling by an integer unit keep A, the constants
+    1 and 0 carry M digits, and a shift of the denominator by k
+    (``_over_p``) costs k.  Each step computes the uncut step's
+    numerator mod the smaller p^m, with the same s, so a sum that keeps
+    target_digits is the uncut one.
 
     The s of a step's element w is bounded by its valuation.  The uncut
     numerator is p^s W mod p^m for the exact value W of the step; if
@@ -725,12 +764,14 @@ def _log_digits(K, b, s, target_digits):
 
         s(w) <= den(v(W)) = max(0, sigma - floor(v(W) / e)),
 
-    and s(w) <= s1 + s2 for a product.  So:
+    and s(w) <= s1 + s2 for a product.  So, with g = gcd(e, b):
 
-      * x^e, of factors x^i with v = i b: s(x^i) <= min(i s, den(i b)),
-        and the power's D is that of its product tree (``_pow_loss``);
-      * the division by p^b: b;
-      * the (q - 1)-th power of the unit y: each factor has s <= sigma;
+      * x^E, E = e/g, of factors x^i with v = i b: s(x^i) <= min(i s,
+        den(i b)), and the power's D is that of its product tree
+        (``_pow_loss``); at b = 0, E = 1 and there is no product;
+      * the division by p^(b/g): b/g;
+      * on f = 1 the Teichmuller scaling: nothing; on f > 1 the
+        (q - 1)-th power of the unit y, each factor of s <= sigma;
       * the p-th powers of z = 1 + t, each of whose factors z^i has
         z^i - 1 of valuation >= v(t), so s(z^i) <= den(v(t)), with v(t)
         at least 1 before the first and min(p v(t), v(t) + e) after
@@ -742,18 +783,20 @@ def _log_digits(K, b, s, target_digits):
     v(t) and n the series uses (``_series_digits``).  A cut that comes
     out short loses digits the sum then does not claim, or raises
     PrecisionError; it never changes a digit that is claimed.  With
-    sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 49 digits of
+    sigma = 1 on Q_3(zeta_9, 3^(1/9)) this keeps 42 digits of
     3 (1 + pi) / 3 (v = 54, so a = 1 and b = 0) and of the square's
     9 (1 + pi)^2 / 9, of the 283 and 282 they carry at M = 290; with
-    sigma = 2 on Q_3(zeta_9, 4^(1/9)), 71 of each."""
+    sigma = 2 on Q_3(zeta_9, 4^(1/9)), 57 of each."""
     p, e = K.p, K.e
     sigma = _denominator_bound(K)
+    g = math.gcd(e, b)
 
     def den(v):
         return max(0, sigma - v // e)
 
-    loss = b + _pow_loss(e, lambda i: min(i * s, den(i * b)))
-    loss += _pow_loss(p ** K.f - 1, lambda i: sigma)
+    loss = b // g + _pow_loss(e // g, lambda i: min(i * s, den(i * b)))
+    if K.f > 1:
+        loss += _pow_loss(p ** K.f - 1, lambda i: sigma)
     vt = 1
     while vt * (p - 1) <= e:
         loss += _pow_loss(p, lambda i: den(vt))
