@@ -179,7 +179,16 @@ def _generator_images(sigma, chain, m):
 def _normalizer_loss(chain):
     """The digits below the normalizers' cut mu that an image
     sigma(gen_t) = zeta^k gen_t sigma(c) c^-1 may lose, bounded from the
-    stored s of each pair (Caruso-Roe-Vaccon precision tracking).
+    stored s of each pair (``_image_bounds``)."""
+    return _image_bounds(chain)[0]
+
+
+def _image_bounds(chain):
+    """(max L_t, HS) over the Kummer layers t of chain: L_t the digits
+    an image sigma(gen_t) may lose below the normalizers' cut mu, and HS
+    = sum (d_t - 1) S_t, S_t a bound on its s, so that HS bounds
+    Horner's term (``_horner_loss``) of every sigma (Caruso-Roe-Vaccon
+    precision tracking).
 
     Write A = m - s.  A product has A = min(A1 - s2, A2 - s1), a sum
     the smaller A, and a normalization keeps A, so against a cut at mu
@@ -206,7 +215,7 @@ def _normalizer_loss(chain):
         hs += (fld.d - 1) * st
         ha = max(ha + (fld.d - 1) * st, lt + hs)
         loss = max(loss, lt)
-    return loss
+    return loss, hs
 
 
 def _horner(sigma, gen_imgs, x):
@@ -230,12 +239,11 @@ def _horner(sigma, gen_imgs, x):
     return FieldElement(fld, acc.vec, acc.s + x.s, acc.m)._normalized()
 
 
-def _horner_loss(sigma, K, m):
-    """The digits sigma(x) loses against x in K by Horner's rule: d - 1
+def _horner_loss(gen_imgs):
+    """The digits sigma(x) loses against x by Horner's rule: d - 1
     products by sigma(gen_t) on each Kummer layer t, each costing its
-    denominator s, read off the images made at modulus m."""
-    return sum((fld.d - 1) * img.s for fld, img in
-               _generator_images(sigma, K.layers[1:], m).items())
+    denominator s, read off the images."""
+    return sum((fld.d - 1) * img.s for fld, img in gen_imgs.items())
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +287,12 @@ def ramification_filtration(K, pi=None):
     ``_read_digits(K, v_K(D) + 1)`` plus the digits Horner's rule takes
     from them: d - 1 products by sigma(gen_t) on each Kummer layer t,
     each costing its denominator s, the largest such sum over the class
-    representatives.  sigma is then applied at the cut's precision
-    (``apply_automorphism``).  A cut that came out short would leave a
+    representatives (``_horner_loss``).  Each representative's generator
+    images are made once, at the read plus a bound on that sum from the
+    normalizers' stored s (``_image_bounds``), above the cut's modulus;
+    Horner's term is read off them, and they apply sigma to the cut pi
+    and rho's, which is ``apply_automorphism`` at the cut bit for bit
+    (``_generator_images``).  A cut that came out short would leave a
     move undetermined and raise PrecisionError; it never changes an i."""
     shape = _shape(K)
     if pi is None:
@@ -289,19 +301,21 @@ def ramification_filtration(K, pi=None):
     # j-th unramified layer, so i_G(sigma) is the least move among them
     # (Serre, Local Fields, IV 1 Lemma 1); outside inertia some rho moves
     # by a unit and sigma leaves G_0
-    rhos = [K.embed(fld.delta) for fld in K.layers[1:] if fld.f > fld.base.f]
-    classes = [(rep, cls) for rep, cls in _conjugacy_classes(*shape)
-               if not rep.is_identity]
+    xs = [pi] + [K.embed(fld.delta) for fld in K.layers[1:]
+                 if fld.f > fld.base.f]
+    chain = K.layers[1:]
     read = _read_digits(K, different_valuation(K) + 1)
-    horner = max((_horner_loss(rep, K, read) for rep, _ in classes),
-                 default=0)
-    cut = [x.capped(read + horner) for x in [pi] + rhos]
+    top = read + _image_bounds(chain)[1] + max(x.s for x in xs)
+    images = [(rep, cls, _generator_images(rep, chain, top))
+              for rep, cls in _conjugacy_classes(*shape)
+              if not rep.is_identity]
+    horner = max((_horner_loss(imgs) for _, _, imgs in images), default=0)
+    cut = [x.capped(read + horner) for x in xs]
     by_class = {}
-    for rep, cls in classes:
+    for rep, cls, imgs in images:
         # the least certified move; a move zero to precision is only a
         # bound, and must not lie below it
-        moves = [K.val_or_bound(apply_automorphism(rep, x) - x)
-                 for x in cut]
+        moves = [K.val_or_bound(_horner(rep, imgs, x) - x) for x in cut]
         i = min((v for v, _ in moves if v is not None), default=None)
         bound = min((b for v, b in moves if v is None), default=None)
         if i is None or bound is not None and bound < i:
