@@ -50,7 +50,11 @@ their product uw per prime p in {2, 3, 5, 7}, shaped like the ``plog``
 items of the benchmark's ``invariants`` workload (units below p^6, prime
 to p, 40 digits, prec 16); and by the (vec, s, m) of
 ``l_invariant(p (1 + pi))`` and of its square on the eleven towers of
-that workload (``LOG_TOWERS``).
+that workload (``LOG_TOWERS``).  On the same towers it hashes the
+(vec, s, m) of ``iwasawa_log`` of u, u pi and u pi^(e/p), and of
+``l_invariant(p u pi)``, for u = -1 + pi: a residue other than 1 at odd
+p, and valuations off the multiples of e, with gcd(e, v) prime to p
+(v = 1 and e + 1) and a multiple of p when p^2 | e.
 
 Tate's algorithm is covered by the quadruple and the full
 ``ReductionData.trace`` of ``tate_algorithm`` (or the name of the error
@@ -389,13 +393,17 @@ def padic_log_digest(P):
 
 
 def l_invariant_digest(F, E, p, r, rad):
-    """(digest, headroom) of l(q) and l(q^2), q = p (1 + pi), over
+    """(digest, headroom) of l(q) and l(q^2), q = p (1 + pi), and of the
+    logs of u, u pi, u pi^(e/p) and l(p u pi), u = -1 + pi, over
     Q_p(zeta_(p^r), rad^(1/p^r))."""
     T = F.TowerStep
     K = F.build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, rad)])
     q = K.from_int(p) * (K.one() + K.pi)
-    out = [(x.vec, x.s, x.m) for x in (E.l_invariant(q),
-                                       E.l_invariant(q * q))]
+    u = K.from_int(-1) + K.pi
+    logs = [E.l_invariant(q), E.l_invariant(q * q)]
+    logs += [E.iwasawa_log(u * K.pi_pow(k)) for k in (0, 1, K.e // p)]
+    logs.append(E.l_invariant(K.from_int(p) * u * K.pi))
+    out = [(x.vec, x.s, x.m) for x in logs]
     return hashlib.sha256(repr(out).encode()).hexdigest(), headroom(K)
 
 
