@@ -30,12 +30,16 @@ most d^_PACKED_EXPONENT for the layer's degree d over its base, as in
 Tate's algorithm and the p-adic log, and the packed product at most
 _PACKED_PRODUCT_BITS bits, and otherwise convolve d blocks with d(d+1)/2
 base products (one-level Karatsuba), which may pack in turn.  The top
-blocks of a product fold down by the relation.  When every relation of
+blocks of a product fold down by the relation: when every relation of
 the tower up to the layer is monomial, an integer times one basis
-monomial of its base (``folds``), the fold is an integer index table
-that serves every modulus and makes no product, and a packed product is
-read back through one such table; a relation with a dense constant
-folds by base products.
+monomial of its base, through an integer index table that serves every
+modulus and makes no product (``folds``), which also reads a packed
+product back; otherwise by products by the relation terms.  Those, and
+the walk's products by its frame's beta and gamma^k, are products by
+fixed constants: on a base of at most 32 coordinates, at the widths
+where the base multiplies through its narrow kernels, each is an
+integer matrix-vector product (``folds.FixedProducts``), and a base
+product otherwise.
 The integer convolution is a recursive Karatsuba when both operands are
 dense and p^m is at least _KARATSUBA_BITS wide (the degree-500 towers'
 base at M = 788), and a zero-skipping schoolbook otherwise.  Norms are
@@ -66,13 +70,10 @@ user step generators are made on first read: a build inverts only the
 normalizers of the layers whose user generator is a later radicand.
 Valuations are read off the frames layer by layer, never from a norm
 (a layer over Q_p shifts and reads its integer coordinates in its own
-walk).  A ramified frame is gen = delta + beta, and the layer relation
-f(x) = x^d - sum r_i x^i answers two questions about delta in the base:
-its layer norm, the resultant N_{K/B}(gen - beta) = (-1)^d f(beta), which
-certifies v(delta) before the frame exists, and delta^d = (gen - beta)^d
-mod f, whose block i is C(d, i)(-beta)^(d-i) + r_i, for the residue
-constants and the powers monomial(v)^k = delta^(ak) B.monomial(b)^k of
-frame monomials (``monomial_power``).  The same walk reads the residue of
+walk).  On a ramified frame gen = delta + beta, the layer relation f
+gives delta's layer norm (-1)^d f(beta), which certifies v(delta), and
+delta^d in the base (``_norm_of_delta``, ``_delta_pow``).  The same
+walk reads the residue of
 x / pi^v(x) off the least frame term, in the residue field F_q as
 coordinate tuples over F_p (``residue_at``), and ``lift`` turns such a
 tuple into a representative in K on demand.
@@ -245,14 +246,16 @@ class FieldElement:
             return self.field.from_fraction(other)
         raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign other: ``__sub__`` passes sign = -1, so that a
+        difference makes no negated copy."""
         other = self._coerce(other)
         F = self.field
         s = max(self.s, other.s)
         m = min(self.m + s - self.s, other.m + s - other.s, F.M)
         pm = F.p ** m
         f1 = F.p ** (s - self.s)
-        f2 = F.p ** (s - other.s)
+        f2 = sign * F.p ** (s - other.s)
         vec = tuple((a * f1 + b * f2) % pm for a, b in zip(self.vec, other.vec))
         return FieldElement(F, vec, s, m,
                             exact=self.exact and other.exact)._normalized()
@@ -265,10 +268,10 @@ class FieldElement:
                             self.s, self.m, exact=self.exact)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._coerce(other).__add__(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -501,6 +504,7 @@ class LocalField:
         self._rconst = None             # ramified: (c1, [c2^k]), see _val
         self.delta = None               # the frame's delta, see _certify
         self._packing = None            # see _init_packing
+        self._fixed = folds.FixedProducts(self, _KARATSUBA_BITS)
         self._pi_pows = {}
         self._delta_pows = {}           # a -> delta^a, see _delta_pow
         self._beta_pows = None          # see _beta_powers
@@ -671,26 +675,13 @@ class LocalField:
     def _fold_blocks(self, conv, pm):
         """The 2d - 1 blocks of a product over a base that is not Q_p
         (lists, None for a zero block) folded from the top down by the
-        layer relation, theta^(d+k) -> sum r_i theta^(i+k), and reduced mod
-        pm at the end.  On a tower of monomial relations (``folds``) a top
-        block moves through the layer's fold table; otherwise each nonzero
-        top block and relation term take one base product."""
-        d, rows = self.d, self._fold_rows
+        layer relation, theta^(d+k) -> sum r_i theta^(i+k)
+        (``folds.FixedProducts.fold``), and reduced mod pm at the end."""
+        d, fold = self.d, self._fixed.fold
         for t in range(2 * d - 2, d - 1, -1):
-            blk = conv[t]
-            if blk is None:
-                continue
-            if rows is not None:
-                for i, gather in rows:
-                    moved = [sum(map(operator.mul, ms, get(blk)))
-                             for get, ms in gather]
+            if conv[t] is not None:
+                for i, moved in fold(conv[t], pm):
                     _add_block(conv, t - d + i, moved)
-                continue
-            blk = tuple(c % pm for c in blk)
-            if any(blk):
-                for i, ri in self.relation:
-                    _add_block(conv, t - d + i,
-                               self.base._mul_mod(blk, ri, pm))
         zero = (0,) * self.base.n
         return tuple(c % pm for blk in conv[:d] for c in (blk or zero))
 
@@ -926,6 +917,7 @@ class LocalField:
         ints = B.base is None         # blocks of one integer coordinate
         blocks = vec if ints else [vec[i * b:(i + 1) * b] for i in range(d)]
         t = u = 0
+        mul = self._fixed.mul
         if beta is not None:
             bvec, t = beta
             if t:
@@ -951,11 +943,11 @@ class LocalField:
                         blocks[j] = (blocks[j] + hi * bvec[0]) % pm
                     elif any(hi):
                         blocks[j] = [(c + a) % pm for c, a in
-                                     zip(blocks[j], B._mul_mod(hi, bvec, pm))]
+                                     zip(blocks[j], mul(hi, bvec, pm))]
             y = blocks[k]
             if gamma is not None and k:
                 y = (y * gpows[k][0] % pm if ints
-                     else B._mul_mod(y, gpows[k], pm))
+                     else mul(y, gpows[k], pm))
             if not ints:
                 v, bound, r = B._val(y, dens[k], m, res)
             elif y:
@@ -1610,7 +1602,7 @@ class KummerField(GaloisLayer):
             blk = vec[j * b:(j + 1) * b]
             t = (i * j) % self.d
             out.extend(blk if t == 0 else
-                       self.base._mul_mod(blk, self.xi_powers[t].vec, pm))
+                       self._fixed.mul(blk, self.xi_powers[t].vec, pm))
         return tuple(out)
 
 

@@ -11,12 +11,14 @@ relations alone: it is exact over Z and free of the modulus, so one
 table serves every p^m and every tower of the same shape, and a fold by
 it makes no product.  ``fields.LocalField`` folds the top blocks of a
 product by ``fold_rows`` and reads a packed product back through
-``slot_table``.
+``slot_table``.  ``FixedProducts`` multiplies by a layer's fixed
+constants, dense or not, through integer matrices.
 """
 
 import functools
 import itertools
 import math
+import operator
 from operator import itemgetter
 
 # the tables kept per process, by shape; a layer keeps its own, so a shape
@@ -129,3 +131,111 @@ def slot_table(shape):
         for j, v in reduce(exps[::-1]).items():
             coords[j][slot] = v
     return _gather(coords)
+
+
+# the most coordinates of a base whose products by a layer's fixed
+# constants go through an integer matrix (``FixedProducts``).  Speed of a
+# product by a dense constant through its matrix against one base
+# product, with unreduced operands, min of 5 rounds (CPython 3.11.7,
+# 2-core x86), by the base's degree n over Q_p, its degree d over its
+# base and the bits of p^m; '-' where the width gate takes the base
+# product (python3 tools/kernel_table.py --matrix prints the table):
+#
+#   base             n  d    32    64    96   128   192   256   384 bits
+#   Q_3(zeta_3)     2  2  1.72  1.62  1.57  1.57  1.51  1.46     -
+#   Q_5(zeta_5)     4  4  1.69  1.46  1.54  1.69  1.13  1.50  1.21
+#   (2,2) rad 2     4  2  3.59  3.56     -     -     -     -     -
+#   Q_3(zeta_9)     6  6  1.30  1.31  1.61  1.28  1.21  1.35     -
+#   (3,1) rad 3     6  3  2.72  2.80  2.92     -     -     -     -
+#   (2,3) rad 3     8  2  1.97  1.93     -     -     -     -     -
+#   (2,3) rad 3    16  2  1.47  1.52     -     -     -     -     -
+#   (3,2) rad 3    18  3  1.97  1.88  2.13     -     -     -     -
+#   Q_5(zeta_25)   20 20  1.42  1.12  1.18  1.08  1.21  1.13  1.36
+#   (5,1) rad 6    20  5  1.20  1.39  1.29  1.57     -     -     -
+#   (2,3) rad 3    32  2  1.16  1.29     -     -     -     -     -
+#   (7,1) rad 7    42  7  0.63  0.73  0.88  1.04  1.35     -     -
+#   (3,2) rad 3    54  3  1.42  1.65  1.93     -     -     -     -
+#   (5,2) rad 5   100  5  0.96  0.98  0.98  1.05     -     -     -
+#
+# Every base up to n = 32 gains; (7,1) at n = 42 and (5,2) at n = 100 lose
+# at the narrow widths, and (3,2) at n = 54 gains only because its dense
+# relation makes its own products slow.
+_MATRIX_COORDS = 32
+
+
+class FixedProducts:
+    """Products of vectors of a layer's base by the layer's fixed
+    constants in it: its frame's beta and gamma^k, its relation terms r_i
+    and its roots of unity.
+
+    The product by a constant c is an integer matrix-vector product: row
+    j of the matrix holds coordinate j of c e_k over the base's basis e_k,
+    kept as its nonzero entries (a monomial c has one in a column) and
+    reduced mod ``limit``, the widest p^m at which the base multiplies
+    through its narrow kernels, the packing limit of a base over a layer
+    that is not Q_p and below ``karatsuba_bits`` over Q_p; the limit is 0,
+    so that no matrix is made, over Q_p itself and on a base of more than
+    _MATRIX_COORDS coordinates.  A base product is exact over Z and
+    reduced at the end, so sum_k x_k (c e_k mod limit) = c x mod pm for
+    every pm that divides the limit, bit for bit; a wider pm takes the
+    base product.  Each matrix is made on the first product by its
+    constant at an admitted width, by one base product per basis vector,
+    and kept.  A relation on a tower of monomial relations folds through
+    the fold table instead (``fold_rows``), exact at every width."""
+
+    def __init__(self, layer, karatsuba_bits):
+        self.layer, self._rows, self.limit = layer, {}, 0
+        base = layer.base
+        if base and base.base and base.n <= _MATRIX_COORDS:
+            if base.base.base is None:
+                limit = (1 << (karatsuba_bits - 1)) - 1
+            else:
+                limit = (base._packing or base._init_packing())[3]
+            self.limit = base.p ** min(base.M, _digits_below(base.p, limit))
+
+    def mul(self, xs, c, pm):
+        """c xs mod pm for a vector xs of the base, of any sign and size,
+        and a fixed constant c (a tuple): ``base._mul_mod(xs, c, pm)``."""
+        if pm > self.limit:
+            return self.layer.base._mul_mod(xs, c, pm)
+        rows = self._rows.get(c)
+        if rows is None:
+            rows = self._rows[c] = self._matrix(c)
+        return [sum(map(operator.mul, ms, get(xs))) % pm for get, ms in rows]
+
+    def fold(self, blk, pm):
+        """[(i, r_i blk)] for the layer's relation terms r_i theta^i and a
+        block blk of the base, of any sign and size: through the fold
+        table, unreduced, when the relations of the tower are monomial,
+        and otherwise by ``mul`` of blk mod pm, none when it is zero."""
+        rows = self.layer._fold_rows
+        if rows is not None:
+            return [(i, [sum(map(operator.mul, ms, get(blk)))
+                         for get, ms in gather]) for i, gather in rows]
+        blk = tuple(c % pm for c in blk)
+        if not any(blk):
+            return ()
+        return [(i, self.mul(blk, ri, pm)) for i, ri in self.layer.relation]
+
+    def _matrix(self, c):
+        """The ``_gather`` of the products by c mod ``limit``."""
+        base = self.layer.base
+        n = base.n
+        coords = [{} for _ in range(n)]
+        for k in range(n):
+            unit = [0] * n
+            unit[k] = 1
+            for j, a in enumerate(base._mul_mod(c, unit, self.limit)):
+                if a:
+                    coords[j][k] = a
+        return _gather(coords)
+
+
+def _digits_below(p, limit):
+    """The most digits m with p^m at most ``limit``."""
+    m = int(math.log(limit, p))
+    while p ** m > limit:
+        m -= 1
+    while p ** (m + 1) <= limit:
+        m += 1
+    return m

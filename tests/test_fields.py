@@ -1287,6 +1287,50 @@ def test_base_products_take_one_base_product(name):
                     fld, x, x, pm)
 
 
+def _fixed_constants(fld, rng):
+    """The frame's beta and gamma^k, the relation terms and one dense
+    random constant of a layer, as base vectors."""
+    beta, gamma, _, _ = fld.frame
+    out = [beta[0]] if beta else []
+    out += list(gamma[0][1:]) if gamma else []
+    out += [r for _, r in fld.relation]
+    out.append(tuple(rng.randrange(fld.pM) for _ in range(fld.base.n)))
+    return out
+
+
+def _matrix_digits(fixed, p):
+    """The digits of the widest modulus that takes the matrices."""
+    m = 0
+    while p ** (m + 1) <= fixed.limit:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("name", LAYER_TOWERS)
+def test_fixed_products_match_base_products(name):
+    # on every layer over a base that is not Q_p, at the widest width the
+    # matrices take, one digit past it and 12 digits, for reduced,
+    # unreduced and negative vectors, and for beta, gamma^k, the relation
+    # terms and a dense constant: the product through the matrix is the
+    # base product
+    p, steps = LAYER_TOWERS[name]
+    rng = random.Random(f"fixed:{name}")
+    for fld in _layers(build_field(p, steps)):
+        if fld.base.base is None:
+            continue
+        fixed, B = fld._fixed, fld.base
+        assert fixed.limit, fld.name
+        top = _matrix_digits(fixed, p)
+        for c in _fixed_constants(fld, rng):
+            for m in (top, top + 1, 12):
+                pm = p ** m
+                for lo, hi in ((0, pm), (-pm, 2 * pm), (-p ** 4, 0)):
+                    x = [rng.randrange(lo, hi) for _ in range(B.n)]
+                    assert list(fixed.mul(x, c, pm)) == list(
+                        B._mul_mod(x, c, pm))
+            assert c in fixed._rows
+
+
 # the pi headroom m - s of each layer, from Q_p up, that these towers
 # had when the peel made A at the working precision (before its reads
 # took a per-step cut and A came back exact at M)

@@ -566,10 +566,12 @@ def test_dense_relation_folds_by_base_products():
             assert list(K._mul_mod(x, y, pm)) == _schoolbook(K, x, y, pm)
             return len(calls)
         x, y = (_with_blocks(rng, K, d, 1, below) for _ in range(2))
-        # one base product per nonzero top block for the fold by x^d = a,
-        # after the packed multiply below the gate and after the d(d+1)/2
-        # base products of the convolution above it
-        assert count(x, y, below) == d - 1
+        # below the gate the packed multiply folds by x^d = a through the
+        # matrix of a, which the first fold makes with one base product per
+        # basis vector and the layer keeps; above it, one base product per
+        # nonzero top block after the d(d+1)/2 of the convolution
+        assert count(x, y, below) == base.n
+        assert count(x, y, below) == 0
         assert count(x, y, above) == d * (d + 1) // 2 + d - 1
     finally:
         del base._mul_mod
@@ -796,3 +798,35 @@ def test_ring_axioms(data):
         return
     e = x * xi - 1
     assert all(a % p ** e.m == 0 for a in e.vec)
+
+
+# ----------------------------------------------------------------------
+# products by a layer's fixed constants through integer matrices
+
+
+def test_walk_above_the_gate_makes_no_matrix():
+    # a walk at the working precision of the degree-54 tower's top layer,
+    # past its base's packing limit, multiplies by beta through base
+    # products; a walk at 12 digits makes the matrix
+    K = build_field(3, [T.cyclotomic(9), T.kummer(9, 4)])
+    rng = random.Random("walk gate")
+    x = [rng.randrange(K.pM) for _ in range(K.n)]
+    assert K.pM > K._fixed.limit
+    K._val(x, 0, K.M)
+    assert not K._fixed._rows
+    K._val(x, 0, 12)
+    assert K._fixed._rows
+
+
+def test_a_wrong_matrix_entry_changes_a_vector():
+    # a mutant matrix, one entry off by one, gives another product
+    K = build_field(3, [T.cyclotomic(9), T.kummer(9, 3)])
+    fixed, B = K._fixed, K.base
+    ((_, r),) = K.relation
+    pm = 3 ** 12
+    x = [1] * B.n
+    want = fixed.mul(x, r, pm)
+    (get, ms), *rest = fixed._rows[r]
+    fixed._rows[r] = ((get, (ms[0] + 1,) + ms[1:]), *rest)
+    assert fixed.mul(x, r, pm) != want
+    assert list(B._mul_mod(x, r, pm)) == want

@@ -38,7 +38,14 @@ packs on a layer of degree 2 and a flat gate of 64 bits did not.  Each
 way sets the widest modulus d^k at which the layers pack through
 ``fields._PACKED_EXPONENT`` = k, 0 for none, which a layer reads when it
 lays out its slots.  A run of 25 rounds takes about three minutes on a
-2-core x86 host (CPython 3.11).  It imports ``anabelomorph`` from the repository that holds this
+2-core x86 host (CPython 3.11).
+
+With ``--matrix`` it prints instead the table behind
+``folds._MATRIX_COORDS``: on bases of n = 2 to 100 coordinates, the speed
+of a product by a dense constant through its matrix
+(``folds.FixedProducts``) against one base product, by the width of p^m,
+'-' where the width gate takes the base product.  It exits 1 if the two
+differ.  It imports ``anabelomorph`` from the repository that holds this
 script and writes nothing.  Stdlib only.
 """
 
@@ -47,13 +54,14 @@ import random
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 # no import below leaves bytecode behind in the checkout, where it would
 # skew a later benchmark run
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from anabelomorph import fields  # noqa: E402
+from anabelomorph import fields, folds  # noqa: E402
 from anabelomorph.fields import TowerStep as T  # noqa: E402
 
 TOWERS = ((3, 2, 3), (3, 2, 4), (5, 1, 6), (7, 1, 8), (2, 3, 3),
@@ -70,6 +78,23 @@ ROWS = (*((f"({p},{r}) rad {a}", p,
         ("quad p=3", 3, (T.cyclotomic(3), T.custom([-2, 0])), None),
         ("quad p=7", 7, (T.cyclotomic(7), T.custom([-3, 0])), None))
 BITS = tuple(sorted((72, *range(32, 209, 16))))
+# (name, p, steps, n) of the bases of the matrix table: the layer of
+# degree n over Q_p of the tower
+MATRIX_BASES = (("Q_3(zeta_3)", 3, (T.cyclotomic(3),), 2),
+                ("Q_5(zeta_5)", 5, (T.cyclotomic(5),), 4),
+                ("(2,2) rad 2", 2, (T.cyclotomic(4), T.kummer(4, 2)), 4),
+                ("Q_3(zeta_9)", 3, (T.cyclotomic(9),), 6),
+                ("(3,1) rad 3", 3, (T.cyclotomic(3), T.kummer(3, 3)), 6),
+                ("(2,3) rad 3", 2, (T.cyclotomic(8), T.kummer(8, 3)), 8),
+                ("(2,3) rad 3", 2, (T.cyclotomic(8), T.kummer(8, 3)), 16),
+                ("(3,2) rad 3", 3, (T.cyclotomic(9), T.kummer(9, 3)), 18),
+                ("Q_5(zeta_25)", 5, (T.cyclotomic(25),), 20),
+                ("(5,1) rad 6", 5, (T.cyclotomic(5), T.kummer(5, 6)), 20),
+                ("(2,3) rad 3", 2, (T.cyclotomic(8), T.kummer(8, 3)), 32),
+                ("(7,1) rad 7", 7, (T.cyclotomic(7), T.kummer(7, 7)), 42),
+                ("(3,2) rad 3", 3, (T.cyclotomic(9), T.kummer(9, 3)), 54),
+                ("(5,2) rad 5", 5, (T.cyclotomic(25), T.kummer(25, 5)), 100))
+MATRIX_BITS = (32, 64, 96, 128, 192, 256, 384, 512)
 
 
 def digits_at(p, bits):
@@ -110,13 +135,76 @@ def timed(exponent, K, x, y, pm, reps):
         relayout()
 
 
+def matrix_table(rounds, widths):
+    """Check and print the matrix table (``--matrix``)."""
+    saved = folds._MATRIX_COORDS
+    rng = random.Random("matrix table")
+    rows, cells = [], []
+    for name, p, steps, n in MATRIX_BASES:
+        B = next(L for L in fields.build_field(p, list(steps)).layers
+                 if L.n == n)
+        c = tuple(rng.randrange(B.pM) for _ in range(n))
+        # every base gets its matrix, whatever its size
+        folds._MATRIX_COORDS = n
+        try:
+            # the products by constants in B of a layer over it
+            fixed = folds.FixedProducts(SimpleNamespace(base=B),
+                                        fields._KARATSUBA_BITS)
+        finally:
+            folds._MATRIX_COORDS = saved
+        rows.append((name, n, B.d))
+        for bits in widths:
+            pm = p ** digits_at(p, bits)
+            if pm > fixed.limit:
+                cells.append(None)
+                continue
+            # unreduced and negative entries, as the walk and folds pass
+            x = [rng.randrange(-pm, 2 * pm) for _ in range(n)]
+            want = B._mul_mod(x, c, pm)
+            once = timeit(lambda: B._mul_mod(x, c, pm), 1)
+            cells.append((B, fixed, x, c, pm, max(1, int(0.002 / once)),
+                          want))
+    best = [[float("inf")] * 2 for _ in cells]
+    for _ in range(rounds):
+        for i, cell in enumerate(cells):
+            if cell is None:
+                continue
+            B, fixed, x, c, pm, reps, want = cell
+            if list(fixed.mul(x, c, pm)) != list(want):
+                raise SystemExit(f"{B.name} mod {pm}: matrix != base product")
+            ways = [lambda: B._mul_mod(x, c, pm), lambda: fixed.mul(x, c, pm)]
+            for way in rng.sample(range(2), 2):
+                best[i][way] = min(best[i][way], timeit(ways[way], reps))
+    print(f"#   base             n  d{''.join(f'{b:6d}' for b in widths)} bits")
+    w = len(widths)
+    for r, (name, n, d) in enumerate(rows):
+        line = "".join("     -" if cells[c] is None
+                       else f"{best[c][0] / best[c][1]:6.2f}"
+                       for c in range(r * w, (r + 1) * w))
+        print(f"#   {name:<13}{n:4d}{d:3d}{line}".rstrip())
+
+
+def timeit(fn, reps):
+    """Seconds per call of ``reps`` calls of fn."""
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        fn()
+    return (time.perf_counter() - t0) / reps
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--bits", default=",".join(map(str, BITS)),
+    ap.add_argument("--bits", default=None,
                     help="comma-separated widths of p^m in bits")
+    ap.add_argument("--matrix", action="store_true",
+                    help="print the table of products by a fixed constant "
+                         "through its matrix")
     args = ap.parse_args()
-    widths = [int(b) for b in args.bits.split(",")]
+    widths = [int(b) for b in (args.bits or ",".join(
+        map(str, MATRIX_BITS if args.matrix else BITS))).split(",")]
+    if args.matrix:
+        return matrix_table(args.rounds, widths)
 
     # no pm is at most d^0 = 1, and every pm of at most b bits is below
     # d^b for d >= 2

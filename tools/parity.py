@@ -20,7 +20,11 @@ M/2 it also hashes the (vec, s, m) of:
     and kernel products of unreduced (negative and >= p^m) vectors;
   * conjugates (cyclotomic and Kummer layers), layer cofactors and norms;
   * inverses (or the name of the error an inverse raises);
-  * ``from_zeta_poly`` of random zeta-polynomials.
+  * ``from_zeta_poly`` of random zeta-polynomials;
+  * the (v, bound, residue) of the frame walks of the dense, half-dense
+    and one-block operands, here and at min(M, 40) digits, a width at
+    which the walks' products by the frame constants go through their
+    matrices.
 
 On every Galois tower (cyclotomic(p^r), bare or followed by
 kummer(p^r, rational)) it also hashes the sorted (a, b, i) triples of
@@ -141,6 +145,8 @@ LOG_TOWERS = ([(p, 1, p) for p in (3, 5, 7)]
 DEMO_LOGS = [(3, 4, 40, 12), (3, 9, 40, None), (3, 7, 40, 16),
              (3, 5, 40, 16), (3, 35, 40, 16)]
 PLOG_PAIRS = 20
+# the digits of the narrow walks of tower_digest
+WALK_DIGITS = 40
 
 
 def towers(T):
@@ -252,6 +258,18 @@ def layer_values(F, fld, m, rng):
                 for _ in range(rng.randint(1, 6))}
         record(f"zeta poly {sorted(poly.items())}",
                lambda: key(fld.from_zeta_poly(poly)))
+    return out + walk_values(elems)
+
+
+def walk_values(elems):
+    """The (v, bound, residue) of a frame walk of each element, or the
+    name of the error the walk raises."""
+    out = []
+    for x in elems:
+        try:
+            out.append(x.field._val(x.vec, x.s, x.m, True))
+        except (ArithmeticError, ValueError) as exc:
+            out.append(type(exc).__name__)
     return out
 
 
@@ -445,6 +463,13 @@ def tower_digest(F, G, E, name, p, steps):
         for m in (fld.M, fld.M // 2):
             rng = random.Random(f"{name}|{fld.name}|{m}")
             h.update(repr((fld.name, m, layer_values(F, fld, m, rng))).encode())
+        # walks at a width where products by the frame constants take
+        # their matrices
+        m = min(fld.M, WALK_DIGITS)
+        rng = random.Random(f"{name}|{fld.name}|walk {m}")
+        elems = [F.FieldElement(fld, v, rng.randrange(2), m)
+                 for v in operands(fld, rng, fld.p ** m)]
+        h.update(repr((fld.name, m, walk_values(elems))).encode())
     return h.hexdigest(), heads
 
 
