@@ -616,7 +616,8 @@ class LocalField:
         x_i y_j + x_j y_i; on a tall tower at a narrow pm those base
         products pack in turn, once the layers below fit.  The top blocks
         then fold (``_fold_blocks``): by the layer's fold table when the
-        relations up to it are monomial, else by base products.  The
+        relations up to it are monomial, else by products by the
+        relation terms (``folds.FixedProducts``).  The
         inputs may be unreduced or negative (pair sums are), and
         everything is exact over Z and reduced mod pm at the end, so every
         way gives the same vector.

@@ -18,7 +18,10 @@ on both sides of each layer's own packed-product gate for the layers
 over a base that is not Q_p, and the ring axioms are checked on random
 elements.  The base products of a layer product are counted: a fold by
 a monomial relation makes none, through its fold table, and a fold by a
-dense relation constant one per nonzero top block.  The gate packs
+dense relation constant one per nonzero top block above the width
+at which it folds through the constant's matrix, and none below it
+once the matrix is made.  Products through such matrices are checked
+against base products, and a mutant matrix entry must show.  The gate packs
 every product that the flat 64-bit gate it replaced packed, and every
 dense product of the p-adic log on the benchmark's invariants towers.
 """
