@@ -664,7 +664,10 @@ def iwasawa_log(x, target_digits=24):
     it past.  So one walk of z - 1 gives the count k of p-th powers
     (``_p_powers``), and one walk of the final t = z^(p^k) - 1 gives v(t)
     for the series; v(t) (p - 1) > e is checked, and PrecisionError
-    raised when it fails.
+    raised when it fails.  Once v(z - 1) is known, z is cut before each
+    p-th power to what the rest of the chain and the series need
+    (``_chain_digits``), where the first cut charged the chain from
+    v(z - 1) = 1.
 
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
     whose next term's bound (n + 1) v(t) - e (log_p(n + 1) + 1) reaches
@@ -698,8 +701,8 @@ def iwasawa_log(x, target_digits=24):
     if vt is not None:
         k = _p_powers(vt, e, p)
         if k:
-            for _ in range(k):
-                z = z ** p
+            for digits in _chain_digits(K, vt, k, target_digits):
+                z = z.capped(digits) ** p
             divisor *= p ** k
             t = z + minus_one
             vt, bound = t.val_or_bound()
@@ -723,6 +726,30 @@ def _p_powers(v, e, p):
     while 0 < v * (p - 1) < e:
         v, k = p * v, k + 1
     return k + (v * (p - 1) == e)
+
+
+def _chain_digits(K, v, k, target_digits):
+    """The digits above p^s to which ``iwasawa_log`` cuts z before each
+    of its k p-th powers, v(z - 1) = v: what the rest of the chain and
+    the series need.  The chain is v -> min(p v, v + e), a lower bound
+    on v(z - 1) after each power (exact below e/(p - 1), at least it at
+    the tie).  The series needs ``_series_loss`` over every t of
+    valuation at least the chain's last v, and each p-th power before it
+    adds its ``_pow_loss`` at the v it starts from, as in
+    ``_log_digits``.  A short cut claims fewer digits or raises
+    PrecisionError; it never changes a claimed digit."""
+    p, e = K.p, K.e
+    sigma = _denominator_bound(K)
+    chain = [v]
+    for _ in range(k):
+        chain.append(min(p * chain[-1], chain[-1] + e))
+    need = target_digits + _series_loss(p, e, sigma, target_digits,
+                                        chain.pop())
+    out = []
+    for w in reversed(chain):
+        need += _pow_loss(p, lambda i: max(0, sigma - w // e))
+        out.append(need)
+    return out[::-1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -778,8 +805,9 @@ def _log_digits(K, b, s, target_digits):
         each; the worst case starts at v(t) = 1 and makes the most
         powers (``_series_loss`` for the series).
 
-    The series' share is the worst case, since v(t) is not known before
-    the reduction; ``iwasawa_log`` cuts t a second time after it, at the
+    The chain's and the series' shares are the worst case, since v(t) is
+    not known before the reduction; ``iwasawa_log`` cuts z again before
+    each p-th power (``_chain_digits``) and t after the last, at the
     v(t) and n the series uses (``_series_digits``).  A cut that comes
     out short loses digits the sum then does not claim, or raises
     PrecisionError; it never changes a digit that is claimed.  With
@@ -822,9 +850,10 @@ def _pow_loss(k, den):
 
 
 @functools.lru_cache(maxsize=256)
-def _series_loss(p, e, sigma, target_digits):
+def _series_loss(p, e, sigma, target_digits, least=None):
     """The most digits ``_log_series`` loses on t (D against t's), over
-    every t the reduction can give, v(t) >= e // (p - 1) + 1.
+    every t of valuation at least ``least``, by default every t the
+    reduction can give, v(t) >= e // (p - 1) + 1.
 
     At v(t) >= vt, s(t^i) <= c_i = max(0, sigma - floor(i vt / e)).
     For n terms in chunks of k, h = ceil(n/k) - 1 Horner steps and
@@ -845,7 +874,7 @@ def _series_loss(p, e, sigma, target_digits):
     over n, each n taken at vt(n); a larger v(t) lowers every c_i, but
     fewer terms need not mean a shorter chunk k."""
     target = e * target_digits
-    vt = e // (p - 1) + 1
+    vt = e // (p - 1) + 1 if least is None else least
     reach = (-(-(target + e * (_intlog(j + 1, p) + 1)) // (j + 1))
              for j in range(1, _log_terms(vt, e, p, target) + 1))
     return max(_terms_loss(p, e, sigma, n, max(vt, need))

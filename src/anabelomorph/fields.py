@@ -246,9 +246,20 @@ class FieldElement:
             return self.field.from_fraction(other)
         raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
-    def __add__(self, other, sign=1):
-        """self + sign other: ``__sub__`` passes sign = -1, so that a
-        difference makes no negated copy."""
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return self._coerce(other)._sum(self, -1)
+
+    def _sum(self, other, sign):
+        """self + sign other, sign = 1 or -1: a difference makes no
+        negated copy of other."""
         other = self._coerce(other)
         F = self.field
         s = max(self.s, other.s)
@@ -260,18 +271,10 @@ class FieldElement:
         return FieldElement(F, vec, s, m,
                             exact=self.exact and other.exact)._normalized()
 
-    __radd__ = __add__
-
     def __neg__(self):
         pm = self.field.p ** self.m
         return FieldElement(self.field, tuple(-a % pm for a in self.vec),
                             self.s, self.m, exact=self.exact)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__add__(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -1616,3 +1616,47 @@ def test_integral_scaling_cuts_before_the_product(row, K54, L54_4,
                 for w, aw in zip(elliptic._WEIGHTS, model.coefficients())}
         assert {w: (x.vec, x.s, x.m) for w, x in passes[0].items()} == {
             w: (x.vec, x.s, x.m) for w, x in want.items()}
+
+
+# the digits the chain cut of iwasawa_log can lose, on the operands of
+# test_a_short_chain_cut_never_changes_a_claimed_digit, before the log
+# claims fewer: the derived cut's slack, by (p, r, a)
+_CHAIN_CUT_SLACK = {(3, 1, 3): 2, (5, 1, 6): 3, (2, 2, 2): 1, (3, 2, 4): 8,
+                    (7, 1, 7): 3}
+
+
+@pytest.mark.parametrize("p,r,a", list(_CHAIN_CUT_SLACK))
+def test_a_short_chain_cut_never_changes_a_claimed_digit(p, r, a,
+                                                         monkeypatch):
+    # iwasawa_log cuts z before each p-th power of its reduction to the
+    # digits of _chain_digits; a mutant cut short by up to the slack
+    # gives the same (vec, s, m), and one digit more claims fewer digits
+    # or raises PrecisionError, and agrees with the derived cut on every
+    # digit it claims
+    from anabelomorph.fields import TowerStep as T
+    K = build_field(p, [T.cyclotomic(p ** r), T.kummer(p ** r, a)])
+    u = K.from_int(-1) + K.pi
+    xs = [K.from_int(p) * (K.one() + K.pi), u, u * K.pi]
+    want = [elliptic.iwasawa_log(x) for x in xs]
+    derived = elliptic._chain_digits
+    slack = _CHAIN_CUT_SLACK[p, r, a]
+    for short in range(1, slack + 2):
+        calls = []
+
+        def mutant(*args):
+            calls.append(args)
+            return [c - short for c in derived(*args)]
+
+        monkeypatch.setattr(elliptic, "_chain_digits", mutant)
+        for x, w in zip(xs, want):
+            try:
+                got = elliptic.iwasawa_log(x)
+            except PrecisionError:
+                assert short > slack
+                continue
+            if short <= slack:
+                assert (got.vec, got.s, got.m) == (w.vec, w.s, w.m)
+            else:
+                assert got.m - got.s < w.m - w.s
+                assert (got - w).is_zero_to_precision()
+        assert len(calls) == len(xs)

@@ -803,6 +803,29 @@ def test_ring_axioms(data):
     assert all(a % p ** e.m == 0 for a in e.vec)
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_difference_is_the_sum_with_the_negation(data):
+    # x - y and n - x build no negated copy, and give the (vec, s, m,
+    # exact) of x + (-y) and (-x) + n, at different denominators and
+    # precisions
+    K = _oracle_tower(data.draw(st.sampled_from(RING_TOWERS)))
+    p = K.p
+    vecs = st.lists(st.integers(-p ** 6, p ** 6), min_size=K.n, max_size=K.n)
+    x, y = (FieldElement(K, data.draw(vecs), s, data.draw(
+        st.integers(s + 12, K.M))) for s in data.draw(
+            st.lists(st.integers(0, 3), min_size=2, max_size=2)))
+    n = data.draw(st.integers(-p ** 4, p ** 4))
+
+    def key(w):
+        return w.vec, w.s, w.m, w.exact
+
+    assert key(x - y) == key(x + (-y))
+    assert key(n - x) == key((-x) + n)
+    assert key(x - n) == key(x + (-K.from_int(n)))
+
+
 # ----------------------------------------------------------------------
 # products by a layer's fixed constants through integer matrices
 
