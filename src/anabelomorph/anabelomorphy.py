@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import (DEGREE_BUDGET, DegreeDropError, FieldError, TowerStep,
-                     _charpoly, _classify_radicand, build_field)
+from .fields import (DegreeDropError, TowerStep, _charpoly,
+                     _classify_radicand, build_field, check_degree)
 from .padic import PadicScalar, PrecisionError, _vp, is_prime
 
 ANABELOMORPHIC = "ANABELOMORPHIC"
@@ -134,17 +134,15 @@ def jarden_ritter(spec1, spec2, prec=None):
     Same absolute degree and same maximal abelian subfield give
     ANABELOMORPHIC; a certified mismatch gives NOT_ANABELOMORPHIC;
     anything short of a certificate is UNDECIDED.  A spec whose tower
-    degree exceeds ``DEGREE_BUDGET`` is refused with ``build_field``'s
-    error before anything is built.
+    degree exceeds the budget is refused with ``build_field``'s error
+    (``check_degree``) before anything is built.
     """
     if spec1.p != spec2.p:
         return AnabelomorphismVerdict(
             NOT_ANABELOMORPHIC, reason="residue characteristic differs "
             f"({spec1.p} vs {spec2.p})")
     for spec in (spec1, spec2):
-        if spec.degree() > DEGREE_BUDGET:
-            raise FieldError(f"tower degree {spec.degree()} exceeds the "
-                             f"degree budget of {DEGREE_BUDGET}")
+        check_degree(spec.degree())
     if spec1 == spec2:
         d, label, _ = _certify(spec1, prec=prec)
         return AnabelomorphismVerdict(

@@ -613,17 +613,17 @@ def _translate(a1, a2, a3, a4, a6, r=None, s=None, t=None):
     y -> y + s x, then y -> y + t; None stands for 0."""
     if r is not None:
         a6 = a6 + r * (a4 + r * (a2 + r))
-        a4 = a4 + r * (a2.scaled(2) + r.scaled(3))
+        a4 = a4 + r * (a2 * 2 + r * 3)
         a3 = a3 + r * a1
-        a2 = a2 + r.scaled(3)
+        a2 = a2 + r * 3
     if s is not None:
         a4 = a4 - s * a3
         a2 = a2 - s * (a1 + s)
-        a1 = a1 + s.scaled(2)
+        a1 = a1 + s * 2
     if t is not None:
         a6 = a6 - t * (a3 + t)
         a4 = a4 - t * a1
-        a3 = a3 + t.scaled(2)
+        a3 = a3 + t * 2
     return a1, a2, a3, a4, a6
 
 
@@ -657,16 +657,15 @@ def iwasawa_log(x, target_digits=24):
 
     A root of unity has log 0 (Washington, GTM 83, 5.1).  On f = 1, y
     times the inverse of the Teichmuller lift of its residue is a 1-unit
-    z: one integer scaling (``FieldElement.scaled``), skipped when the
-    residue is 1.  On f > 1, z = y^(q - 1).  Below e/(p - 1), a p-th
-    power multiplies v(z - 1) by exactly p, since v(p t) = e + v(t) >
-    p v(t) = v(t^p); at v(z - 1) (p - 1) = e one more p-th power takes
-    it past.  So one walk of z - 1 gives the count k of p-th powers
-    (``_p_powers``), and one walk of the final t = z^(p^k) - 1 gives v(t)
-    for the series; v(t) (p - 1) > e is checked, and PrecisionError
+    z: one product by an integer, which scales the coordinates and
+    makes no layer product, skipped when the residue is 1.  On f > 1,
+    z = y^(q - 1).  The valuation chain v -> min(p v, v + e) (``_chain``)
+    takes v(z - 1) past e/(p - 1), so one walk of z - 1 gives the count
+    k of p-th powers, and one walk of the final t = z^(p^k) - 1 gives
+    v(t) for the series; v(t) (p - 1) > e is checked, and PrecisionError
     raised when it fails.  Once v(z - 1) is known, z is cut before each
     p-th power to what the rest of the chain and the series need
-    (``_chain_digits``), where the first cut charged the chain from
+    (``_chain_digits``), where the first cut charged the same chain from
     v(z - 1) = 1.
 
     The series log(1 + t) = sum (-1)^(j+1) t^j / j stops at the first n
@@ -695,17 +694,16 @@ def iwasawa_log(x, target_digits=24):
     t = z + minus_one
     vt, bound = t.val_or_bound()
     if vt == 0:         # res(y) = 1 + res(t) != 1, so f = 1 and z = y
-        z = z.scaled(_teichmuller_inverse(p, 1 + K.residue_at(t, 0)[0], z.m))
+        z = z * _teichmuller_inverse(p, 1 + K.residue_at(t, 0)[0], z.m)
         t = z + minus_one
         vt, bound = t.val_or_bound()
-    if vt is not None:
-        k = _p_powers(vt, e, p)
-        if k:
-            for digits in _chain_digits(K, vt, k, target_digits):
-                z = z.capped(digits) ** p
-            divisor *= p ** k
-            t = z + minus_one
-            vt, bound = t.val_or_bound()
+    cuts = [] if vt is None else _chain_digits(K, vt, target_digits)
+    if cuts:
+        for digits in cuts:
+            z = z.capped(digits) ** p
+        divisor *= p ** len(cuts)
+        t = z + minus_one
+        vt, bound = t.val_or_bound()
     target = e * target_digits
     if vt is None:
         zero = K.zero().capped(min(bound, target) // e)
@@ -718,31 +716,34 @@ def iwasawa_log(x, target_digits=24):
     return _log_series(t, n).capped(target_digits) * Fraction(1, divisor)
 
 
-def _p_powers(v, e, p):
-    """The p-th powers that take a 1-unit z with v(z - 1) = v past
-    e/(p - 1): each multiplies v by p below it, and one more leaves the
-    tie v (p - 1) = e."""
-    k = 0
-    while 0 < v * (p - 1) < e:
-        v, k = p * v, k + 1
-    return k + (v * (p - 1) == e)
-
-
-def _chain_digits(K, v, k, target_digits):
-    """The digits above p^s to which ``iwasawa_log`` cuts z before each
-    of its k p-th powers, v(z - 1) = v: what the rest of the chain and
-    the series need.  The chain is v -> min(p v, v + e), a lower bound
-    on v(z - 1) after each power (exact below e/(p - 1), at least it at
-    the tie).  The series needs ``_series_loss`` over every t of
-    valuation at least the chain's last v, and each p-th power before it
-    adds its ``_pow_loss`` at the v it starts from, as in
-    ``_log_digits``.  A short cut claims fewer digits or raises
-    PrecisionError; it never changes a claimed digit."""
-    p, e = K.p, K.e
-    sigma = _denominator_bound(K)
+def _chain(v, e, p):
+    """v(z - 1) for a 1-unit z with v(z - 1) = v >= 1, then after each
+    p-th power up to the first past e/(p - 1): v -> min(p v, v + e).
+    Below e/(p - 1) a p-th power multiplies v by exactly p, since
+    v(p t) = e + v(t) > p v(t) = v(t^p); at the tie v (p - 1) = e it
+    leaves at least p v = v + e, past it.  So every entry but the last
+    is exact, the last a lower bound, and the chain makes len - 1
+    p-th powers."""
     chain = [v]
-    for _ in range(k):
+    while chain[-1] * (p - 1) <= e:
         chain.append(min(p * chain[-1], chain[-1] + e))
+    return chain
+
+
+def _chain_digits(K, v, target_digits):
+    """The digits above p^s to which ``iwasawa_log`` cuts z before each
+    p-th power of its ``_chain`` from v(z - 1) = v, none when v is past
+    e/(p - 1): what the rest of the chain and the series need.  The
+    series needs ``_series_loss`` over every t of valuation at least the
+    chain's last v, and each p-th power before it adds its ``_pow_loss``
+    at the v it starts from, as in ``_log_digits``.  A short cut claims
+    fewer digits or raises PrecisionError; it never changes a claimed
+    digit."""
+    p, e = K.p, K.e
+    chain = _chain(v, e, p)
+    if len(chain) == 1:
+        return []
+    sigma = _denominator_bound(K)
     need = target_digits + _series_loss(p, e, sigma, target_digits,
                                         chain.pop())
     out = []
@@ -801,9 +802,9 @@ def _log_digits(K, b, s, target_digits):
         (q - 1)-th power of the unit y, each factor of s <= sigma;
       * the p-th powers of z = 1 + t, each of whose factors z^i has
         z^i - 1 of valuation >= v(t), so s(z^i) <= den(v(t)), with v(t)
-        at least 1 before the first and min(p v(t), v(t) + e) after
-        each; the worst case starts at v(t) = 1 and makes the most
-        powers (``_series_loss`` for the series).
+        at least 1 before the first and the next entry of ``_chain``
+        after each; the worst case reads the chain from v(t) = 1, which
+        makes the most powers (``_series_loss`` for the series).
 
     The chain's and the series' shares are the worst case, since v(t) is
     not known before the reduction; ``iwasawa_log`` cuts z again before
@@ -825,10 +826,8 @@ def _log_digits(K, b, s, target_digits):
     loss = b // g + _pow_loss(e // g, lambda i: min(i * s, den(i * b)))
     if K.f > 1:
         loss += _pow_loss(p ** K.f - 1, lambda i: sigma)
-    vt = 1
-    while vt * (p - 1) <= e:
+    for vt in _chain(1, e, p)[:-1]:
         loss += _pow_loss(p, lambda i: den(vt))
-        vt = min(p * vt, vt + e)
     return target_digits + loss + _series_loss(p, e, sigma, target_digits)
 
 

@@ -21,6 +21,9 @@ and certified on every call.
 
 Elements are flat coefficient vectors over Z/p^m together with a power
 of p in the denominator, so all ring operations are big-integer work.
+A product by an int or a Fraction (and a negation, the product by -1)
+scales the coordinates and makes no layer product: bit for bit the
+product with ``from_int`` or ``from_fraction``.
 All three relative layer kinds are stored as their monic relation over
 the base and multiply through one kernel, which over Q_p folds one
 integer convolution by the relation, and over any other base skips the
@@ -240,10 +243,8 @@ class FieldElement:
             if other.field is not self.field:
                 raise FieldError("elements of different fields")
             return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
+        if isinstance(other, (int, Fraction)):
+            return self.field.coerce(other)
         raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
 
     def __add__(self, other):
@@ -272,13 +273,26 @@ class FieldElement:
                             exact=self.exact and other.exact)._normalized()
 
     def __neg__(self):
-        pm = self.field.p ** self.m
-        return FieldElement(self.field, tuple(-a % pm for a in self.vec),
-                            self.s, self.m, exact=self.exact)
+        return self * -1
 
     def __mul__(self, other):
-        other = self._coerce(other)
         F = self.field
+        if not isinstance(other, FieldElement) and isinstance(
+                other, (int, Fraction)):
+            # a rational scalar a / (p^t b), tested after the cheaper
+            # element test: the product with F.from_int or
+            # F.from_fraction, bit for bit, with no layer product
+            m = min(self.m, F.M)
+            pm = F.p ** m
+            c, t = other.numerator, 0
+            if other.denominator != 1:
+                t = _vp(other.denominator, F.p)
+                c *= pow(other.denominator // F.p ** t, -1, pm)
+            out = FieldElement(F, tuple(a * c % pm for a in self.vec),
+                               self.s + t, m,
+                               exact=self.exact and isinstance(other, int))
+            return out._normalized() if out.s else out
+        other = self._coerce(other)
         # the error sits on the numerators' power-basis coordinates, which
         # v_K does not bound when that order is not maximal: the product is
         # known to the smaller modulus, whatever valuation is cached
@@ -320,13 +334,6 @@ class FieldElement:
 
     def inv(self):
         return self.field.invert(self)
-
-    def scaled(self, c):
-        """Cheap multiplication by a plain integer (no convolution)."""
-        pm = self.field.p ** self.m
-        out = FieldElement(self.field, tuple(a * c % pm for a in self.vec),
-                           self.s, self.m, exact=self.exact)
-        return out
 
     def capped(self, digits):
         """self with its numerator cut to ``digits`` digits above p^s.
@@ -528,13 +535,7 @@ class LocalField:
         return FieldElement(self, vec, 0, self.M, exact=True)
 
     def from_fraction(self, q):
-        q = Fraction(q)
-        t = _vp(q.denominator, self.p) if q.denominator != 1 else 0
-        den = q.denominator // self.p ** t
-        num = q.numerator * pow(den, -1, self.pM) % self.pM
-        vec = [0] * self.n
-        vec[0] = num
-        return FieldElement(self, vec, t, self.M)
+        return self.one() * Fraction(q)
 
     def embed(self, x):
         """Lift an element of a field below this one in the tower: its flat
@@ -862,7 +863,7 @@ class LocalField:
         return vec[:b]
 
     def norm_to_qp(self, x, prec=None):
-        """N_{K/Q_p}(x) as a PadicScalar."""
+        """N_{K/Q_p}(x) as a PadicScalar; on Q_p, x itself."""
         nint, s, m = self.norm_tower(x)
         nint %= self.p ** m
         if nint == 0:
@@ -1383,7 +1384,7 @@ class LocalField:
         rel = self._relation_terms()
         blocks = []
         for i in range(d):
-            y = pows[d - i].scaled(math.comb(d, i) * (-1) ** (d - i))
+            y = pows[d - i] * (math.comb(d, i) * (-1) ** (d - i))
             blocks.append(y + rel[i] if i in rel else y)
         s = max(y.s for y in blocks)
         m = min(min(y.m - y.s for y in blocks) + s, self.M)
@@ -1429,17 +1430,12 @@ class LocalField:
 
     def nested_coefficients(self, x):
         """Coefficients as nested lists; bottom entries are PadicScalar."""
-        def split(fld, vec, s, m):
-            if fld.base is None:
-                a = vec[0] % fld.p ** m
-                if a == 0:
-                    return PadicScalar.bottom(fld.p, m - s)
-                v = _vp(a, fld.p)
-                return PadicScalar(fld.p, v - s, a // fld.p ** v, m - v)
-            b = fld.base.n
-            return [split(fld.base, vec[i * b:(i + 1) * b], s, m)
-                    for i in range(fld.d)]
-        return split(self, list(x.vec), x.s, x.m)
+        B = self.base
+        if B is None:
+            return self.norm_to_qp(x)
+        return [B.nested_coefficients(FieldElement(
+                    B, x.vec[i * B.n:(i + 1) * B.n], x.s, x.m))
+                for i in range(self.d)]
 
     def __repr__(self):
         return (f"<LocalField {self.name}: n={self.n} e={self.e} f={self.f} "
@@ -1459,8 +1455,8 @@ class QpField(LocalField):
     def _mul_mod(self, xs, ys, pm):
         return (xs[0] * ys[0] % pm,)
 
-    def norm_tower(self, x):
-        return x.vec[0], x.s, x.m
+    # bench/spans.py traces this here by name
+    norm_tower = LocalField.norm_tower
 
 
 class GaloisLayer(LocalField):
@@ -1594,8 +1590,7 @@ class KummerField(GaloisLayer):
             g = self.gen()
             if self._c is not None:
                 g = g * self.embed(self.normalizer[1])
-            p_t = self.from_fraction(Fraction(1, self.p ** self._t))
-            self._user_gen = g * p_t
+            self._user_gen = g * Fraction(1, self.p ** self._t)
         return self._user_gen
 
     def _sigma(self, vec, i, pm):
@@ -1836,7 +1831,7 @@ def _normalize_radicand(base, rad):
     rad1 = rad * base.monomial_power(-k, p) if k else rad._normalized()
     t = (rad1.s + p - 1) // p
     if t:
-        rad1 = rad1 * base.from_int(p ** (p * t))   # p^(p t) clears p^s
+        rad1 = rad1 * p ** (p * t)      # p^(p t) clears p^s
     return FieldElement(base, rad1.vec, 0, rad1.m), c, t
 
 
@@ -1961,7 +1956,7 @@ def _extend_quadratic(base, bcoef, ccoef, name):
     p = base.p
     if p == 2:
         raise CertificationError("quadratic custom layers require odd p")
-    disc = bcoef * bcoef - base.from_int(4) * ccoef
+    disc = bcoef * bcoef - 4 * ccoef
     vd, bound = base.val_or_bound(disc)
     if vd is None:
         raise CertificationError("discriminant of quadratic is zero to precision")
@@ -1975,7 +1970,7 @@ def _extend_quadratic(base, bcoef, ccoef, name):
     else:
         ram = True
     K = CustomField(base, [ccoef, bcoef], name)
-    half_b = bcoef * base.from_fraction(Fraction(1, 2))
+    half_b = bcoef * Fraction(1, 2)
     theta = K.gen() + K.embed(half_b)      # theta^2 = disc / 4
     if ram:
         K._certify("ramified quadratic (odd discriminant valuation)",
@@ -2045,9 +2040,7 @@ def build_field(p, steps, prec=None):
             n_expected *= st.exponent
         else:
             n_expected *= len(st.coeffs)
-    if n_expected > DEGREE_BUDGET:
-        raise FieldError(f"tower degree {n_expected} exceeds the degree "
-                         f"budget of {DEGREE_BUDGET}")
+    check_degree(n_expected)
     digits = (max(prec or DEFAULT_DIGITS, n_expected + 32) + _GUARD_DIGITS
               + min(2 * n_expected, 160))
     K = QpField(p, digits)
@@ -2090,6 +2083,13 @@ def build_field(p, steps, prec=None):
     if K.base is not None and K.from_int(p).valuation() != K.e:
         raise FieldError("v_K(p) != e")
     return K
+
+
+def check_degree(n):
+    """Refuse a tower of degree n above ``DEGREE_BUDGET``."""
+    if n > DEGREE_BUDGET:
+        raise FieldError(f"tower degree {n} exceeds the degree budget of "
+                         f"{DEGREE_BUDGET}")
 
 
 def _step_index(radicand, n):

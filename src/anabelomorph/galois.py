@@ -163,8 +163,8 @@ def apply_automorphism(sigma, x):
 def _generator_images(sigma, chain, m):
     """{layer: sigma(gen_t)} over the Kummer layers of chain, each image
     the uncut one, or that one cut to a modulus of at least m.  Both
-    normalizers of every layer are cut to m + ``_normalizer_loss``."""
-    keep = m + _normalizer_loss(chain)
+    normalizers of every layer are cut to m + max L_t (``_image_bounds``)."""
+    keep = m + _image_bounds(chain)[0]
     gen_imgs = {}
     for t, fld in enumerate(chain[1:], 1):
         img = (fld.from_zeta_poly({sigma.b * sigma.modulus // fld.p ** t: 1})
@@ -174,13 +174,6 @@ def _generator_images(sigma, chain, m):
             img = img * fld.embed(_horner(sigma, gen_imgs, c) * cinv)
         gen_imgs[fld] = img
     return gen_imgs
-
-
-def _normalizer_loss(chain):
-    """The digits below the normalizers' cut mu that an image
-    sigma(gen_t) = zeta^k gen_t sigma(c) c^-1 may lose, bounded from the
-    stored s of each pair (``_image_bounds``)."""
-    return _image_bounds(chain)[0]
 
 
 def _image_bounds(chain):

@@ -761,7 +761,7 @@ def test_log_agrees_with_the_old_chain(name, data):
     b = data.draw(st.sampled_from([0, data.draw(st.integers(1, e - 1))])
                   if e > 1 else st.just(0))
     k = data.draw(st.integers(-1, 2)) * e + b
-    u = FieldElement(K, [c0] + [p * c for c in rest]) + K.pi.scaled(c1)
+    u = FieldElement(K, [c0] + [p * c for c in rest]) + K.pi * c1
     x = u * K.pi_pow(k)
     assume(not x.is_zero_to_precision())
     got, want = iwasawa_log(x), _old_chain_log(x)
@@ -769,23 +769,37 @@ def test_log_agrees_with_the_old_chain(name, data):
     assert (got - want).is_zero_to_precision()
 
 
+def test_the_chain_counts_p_th_powers_past_e_over_p_minus_1():
+    # v(z - 1) of a 1-unit and its p-th powers until v (p - 1) > e: each
+    # power multiplies v by p below e/(p - 1), and at the tie v (p - 1) =
+    # e adds e, which takes it past
+    for p in (2, 3, 5, 7):
+        for e in range(1, 61):
+            for v in range(1, 2 * e + 1):
+                chain = elliptic._chain(v, e, p)
+                assert chain[0] == v and chain[-1] * (p - 1) > e
+                for w, nxt in zip(chain, chain[1:]):
+                    assert w * (p - 1) <= e
+                    assert nxt == (w + e if w * (p - 1) == e else p * w)
+
+
 @pytest.mark.parametrize("shape", [(3, 1, 3), (5, 1, 6), (7, 1, 7),
                                    (3, 2, 3), (2, 2, 2), (2, 3, 3)])
 def test_log_one_p_power_short_raises(shape, monkeypatch):
-    # a count of p-th powers one short leaves v(t) <= e/(p - 1): the
+    # a chain one p-th power short leaves v(t) <= e/(p - 1): the
     # convergence check raises, and no number comes back
     K = _shape_field(*shape)
     q = K.from_int(K.p) * (K.one() + K.pi)
-    count, seen = elliptic._p_powers, []
+    chain, seen = elliptic._chain, []
 
     def short(*args):
-        seen.append(count(*args))
-        return seen[-1] - 1
+        seen.append(chain(*args))
+        return seen[-1][:-1]
 
-    monkeypatch.setattr(elliptic, "_p_powers", short)
+    monkeypatch.setattr(elliptic, "_chain", short)
     with pytest.raises(PrecisionError, match="did not converge"):
         iwasawa_log(q)
-    assert seen[0] >= 1
+    assert len(seen[-1]) >= 2
 
 
 def test_parse_curve():
@@ -999,12 +1013,12 @@ def test_b8_b6_residues_match_field_products(p, steps):
     nonzero = [0, 0]
     for _ in range(25):
         c = K.lift(rng.choice(elems))
-        a1 = c.scaled(-2) + draw(1)
+        a1 = c * -2 + draw(1)
         a2 = -(c * c) + draw(1)
         a3, a4, a6 = draw(1), draw(1), draw(2)
-        b8 = ((a1 * a1 + a2.scaled(4)) * a6 - a3 * (a1 * a4 - a2 * a3)
+        b8 = ((a1 * a1 + a2 * 4) * a6 - a3 * (a1 * a4 - a2 * a3)
               - a4 * a4)
-        b6 = a3 * a3 + a6.scaled(4)
+        b6 = a3 * a3 + a6 * 4
         want = (res(b8, 2), res(b6, 2))
         got = _b8_b6_residues(F, res(a1, 0), res(a2, 0), res(a3, 1),
                               res(a4, 1), res(a6, 2))
@@ -1110,7 +1124,8 @@ def test_tate_product_and_walk_count(monkeypatch):
     mul, val = FieldElement.__mul__, LocalField._val
 
     def counting_mul(a, b):
-        count["mul"] += 1
+        # a layer product; a product by a number scales the coordinates
+        count["mul"] += isinstance(b, FieldElement)
         return mul(a, b)
 
     def counting_val(self, *args, **kw):

@@ -1414,8 +1414,8 @@ def _different_oracle(fld):
                    for i in range(d)], B._mul_mod, pm)
     dg = fld.from_int(d) * pi ** (d - 1)
     for k, ck in enumerate(c[:-1], 1):
-        dg = dg + fld.embed(FieldElement(B, ck, pi.s * k, pi.m)).scaled(
-            d - k) * pi ** (d - 1 - k)
+        dg = dg + (fld.embed(FieldElement(B, ck, pi.s * k, pi.m)) * (d - k)
+                   * pi ** (d - 1 - k))
     return norm_valuation(dg)
 
 
@@ -1479,7 +1479,7 @@ def test_norm_of_delta_is_the_relation_at_beta(name):
         _, nvec = fld._layer_cofactor(x.vec, x.m)
         norm = FieldElement(B, nvec, x.s * d, x.m)
         f_beta = fld._norm_of_delta()
-        assert (norm - f_beta.scaled((-1) ** d)).is_zero_to_precision()
+        assert (norm - f_beta * (-1) ** d).is_zero_to_precision()
         v = B.val_or_bound(norm)[0]
         assert v is not None and B.val_or_bound(f_beta)[0] == v
 

@@ -796,7 +796,7 @@ _CUT_TOWERS = [(2, 2, 2), (3, 2, 3), (2, 3, 6), (5, 1, 25), (7, 1, 49),
 
 def _uncut(sigma, x):
     """sigma(x) with the normalizer pairs whole."""
-    with mock.patch.object(galois, "_normalizer_loss", lambda chain: 10 ** 6):
+    with mock.patch.object(galois, "_image_bounds", lambda chain: (10 ** 6, 0)):
         return apply_automorphism(sigma, x)
 
 

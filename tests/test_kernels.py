@@ -16,7 +16,9 @@ against its one conjugate.  Products of every layer kind are checked
 against a schoolbook product reduced by the layer's defining polynomial,
 on both sides of each layer's own packed-product gate for the layers
 over a base that is not Q_p, and the ring axioms are checked on random
-elements.  The base products of a layer product are counted: a fold by
+elements; a product by an integer or a fraction, and a negation, must
+give the product with the constant element bit for bit, through no layer
+product.  The base products of a layer product are counted: a fold by
 a monomial relation makes none, through its fold table, and a fold by a
 dense relation constant one per nonzero top block above the width
 at which it folds through the constant's matrix, and none below it
@@ -30,6 +32,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -824,6 +827,57 @@ def test_a_difference_is_the_sum_with_the_negation(data):
     assert key(x - y) == key(x + (-y))
     assert key(n - x) == key((-x) + n)
     assert key(x - n) == key(x + (-K.from_int(n)))
+
+
+def _no_layer_product(*args):
+    raise AssertionError("a layer product")
+
+
+def _constant(K, q):
+    """q = a / (p^t b) as the vector (a b^-1 mod p^M, 0, ...) over p^t,
+    exact when q is an int, as from_int and from_fraction made it."""
+    t = 0
+    while q.denominator % K.p ** (t + 1) == 0:
+        t += 1
+    a = q.numerator * pow(q.denominator // K.p ** t, -1, K.pM) % K.pM
+    return FieldElement(K, [a] + [0] * (K.n - 1), t, K.M,
+                        exact=isinstance(q, int))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_product_by_a_number_scales_the_coordinates(data):
+    # k x, x k, x q for q = a / (p^t b) and -x give the (vec, s, m, exact)
+    # of the product with the constant element k, q or -1, on unreduced
+    # and negative vectors, at s > 0 and at m > M, and make no layer
+    # product; so does K.from_fraction(q)
+    K = _oracle_tower(data.draw(st.sampled_from(RING_TOWERS)))
+    p = K.p
+    s = data.draw(st.integers(0, 3))
+    m = data.draw(st.sampled_from([s + 15, K.M, K.M + 2,
+                                   data.draw(st.integers(s + 15, K.M))]))
+    pm = p ** m
+    x = FieldElement(K, data.draw(st.lists(st.integers(-2 * pm, 2 * pm),
+                                           min_size=K.n, max_size=K.n)),
+                     s, m, exact=data.draw(st.booleans()))
+    k = data.draw(st.sampled_from([-1, 0, 1, 2, p, 3 * p, p ** 2 - 1,
+                                   data.draw(st.integers(-p ** 9, p ** 9))]))
+    q = Fraction(data.draw(st.integers(-p ** 4, p ** 4)),
+                 p ** data.draw(st.integers(0, 3))
+                 * data.draw(st.integers(1, p ** 2).filter(lambda b: b % p)))
+
+    def key(w):
+        return w.vec, w.s, w.m, w.exact
+
+    want = [key(_constant(K, k) * x), key(x * _constant(K, k)),
+            key(x * _constant(K, q)), key(x * _constant(K, -1)),
+            key(_constant(K, q))]
+    with mock.patch.object(LocalField, "_mul_mod", _no_layer_product), \
+            mock.patch.object(fields.QpField, "_mul_mod", _no_layer_product):
+        got = [key(k * x), key(x * k), key(x * q), key(-x),
+               key(K.from_fraction(q))]
+    assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ M/2 it also hashes the (vec, s, m) of:
 
   * products and squares of dense, half-dense and one-block operands,
     and kernel products of unreduced (negative and >= p^m) vectors;
+  * the products k x, k in {-1, 2, p, 3p}, and x / p of those operands
+    by numbers, which scale the coordinates;
   * conjugates (cyclotomic and Kummer layers), layer cofactors and norms;
   * inverses (or the name of the error an inverse raises);
   * ``from_zeta_poly`` of random zeta-polynomials;
@@ -244,6 +246,9 @@ def layer_values(F, fld, m, rng):
         record(f"square {i}", lambda: key(x * x))
         for j in range(i, len(elems)):
             record(f"product {i} {j}", lambda: key(x * elems[j]))
+        for k in (-1, 2, p, 3 * p):
+            record(f"scalar {k} {i}", lambda: key(k * x))
+        record(f"over p {i}", lambda: key(x * Fraction(1, p)))
         record(f"norm {i}", lambda: norm(x))
         record(f"inverse {i}", lambda: key(x.inv()))
         if hasattr(fld, "_conjugates"):
